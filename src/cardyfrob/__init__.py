@@ -18,20 +18,17 @@ from .actions import (
     NSet,
     build_catalog,
     build_conjugation_setup,
-    conjugation_nset,
     coset_nset,
 )
 from .bundle import bundled_input
 from .cardy import (
     CardyFrobeniusAlgebra,
     HeckeComparison,
-    MatrixRep,
     build_A,
     build_B,
     build_U,
     build_cardy_frobenius,
     build_phi,
-    build_reps,
     cardy_from_pair,
     hecke_check,
     phi_rank,
@@ -104,7 +101,6 @@ __all__ = [
     "HurwitzResult",
     "InputError",
     "InteriorField",
-    "MatrixRep",
     "NSet",
     "OracleResult",
     "ResourceError",
@@ -119,7 +115,6 @@ __all__ = [
     "build_conjugation_setup",
     "build_group",
     "build_phi",
-    "build_reps",
     "bundled_input",
     "cardy_from_pair",
     "center_dimension",
@@ -128,7 +123,6 @@ __all__ = [
     "closed_orientable_oracle",
     "commutator_casimir_check",
     "conjugacy_classes",
-    "conjugation_nset",
     "coset_nset",
     "cut_check_boundary",
     "cut_check_crosscap",

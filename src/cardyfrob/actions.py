@@ -165,10 +165,6 @@ def _coset_representatives(projection: Mapping[int, int], count: int) -> list[in
     return reps
 
 
-def conjugation_nset(group: FiniteGroup, k: Subgroup) -> NSet:
-    return build_conjugation_setup(group, k).nset
-
-
 def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
     """The left translation action of ``group`` on the cosets ``g S``.
 

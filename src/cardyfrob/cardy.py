@@ -7,8 +7,9 @@ module builds the pair of equipped Frobenius algebras
   conjugacy class sums ``E_alpha``, with ``l_A(x)`` the coefficient of the
   identity divided by ``|N|``;
 * ``B``: the algebra spanned by the boundary fields ``beta`` (orbits of ``N``
-  on ``X x X``), realized concretely by the 0/1 matrices ``nu(beta)`` acting
-  on the permutation module of ``X``, with ``l_B(y) = tr(nu(y)) / |N|``;
+  on ``X x X``), the orbital algebra of the action: its structure constants
+  are the intersection numbers of the orbits, and ``l_B(beta)`` is the number
+  of diagonal pairs in ``beta`` divided by ``|N|``;
 
 together with the central homomorphism ``phi: A -> B`` induced by the
 permutation representation ``rho`` of ``N`` on ``X``, and the element
@@ -17,16 +18,22 @@ whose image under ``phi`` is the twisted Casimir of ``B``.  The pairings are
 normalized so that ``(E_alpha, E_beta)_A = delta_{beta, alpha*} / |Aut alpha|``
 and likewise for ``B``.
 
+Nothing here stores the permutation model itself, the 0/1 matrices
+``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
+below walk orbits instead, and the trace oracle in :mod:`cardyfrob.oracles`
+builds the dense integer matrices while it runs.
+
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .actions import (
@@ -43,24 +50,6 @@ from .frobenius import (
 )
 from .groups import FiniteGroup, Subgroup
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixRep:
-    """Concrete matrices on the permutation module spanned by ``X``.
-
-    ``nu[label]`` is the 0/1 matrix of a boundary field (ones exactly at the
-    pairs of its orbit); ``rho_element[n]`` the permutation matrix of ``n``
-    acting on ``X``; ``rho_class[label]`` the sum of ``rho_element`` over an
-    interior field's conjugacy class.
-    """
-
-    dimension: int
-    nu: Mapping[str, Matrix]
-    rho_class: Mapping[str, Matrix]
-    rho_element: tuple[Matrix, ...]
-
 
 @dataclass(frozen=True, eq=False)
 class CardyFrobeniusAlgebra:
@@ -71,7 +60,6 @@ class CardyFrobeniusAlgebra:
     B: EquippedFrobeniusAlgebra
     phi: tuple[tuple[Fraction, ...], ...]
     u: AlgebraElement
-    reps: MatrixRep
 
     def phi_apply(self, x: AlgebraElement) -> AlgebraElement:
         """Image of an ``A`` element under ``phi``, as a ``B`` element."""
@@ -140,58 +128,39 @@ def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlg
 
 
 def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
-    """The boundary-field algebra, with structure constants from 3-chains.
+    """The boundary-field algebra, with intersection numbers as structure constants.
 
-    The raw 3-chain tensor counts triples ``(x, y, z)`` in ``X^3`` by the
-    orbits of ``(x,y)``, ``(y,z)``, ``(z,x)``; dividing by ``|N|`` and raising
-    an index with the inverse of the 2-chain pairing yields the structure
-    constants.  The pairing reproduced from those constants must agree with
-    the 2-chain counts, and this is asserted.
+    ``B`` is the orbital algebra of the action of ``N`` on ``X``, so
+    ``c_ij^k = #{y : (x, y) in O_i, (y, z) in O_j}`` is the same at every pair
+    ``(x, z)`` of ``O_k`` and is counted at its representative.  The pairing
+    recomputed from those constants must be ``|O_i| / |N|`` at ``(i, i*)`` and
+    zero elsewhere, and this is asserted.
     """
-    nset = catalog.nset
-    n_order = nset.group.order
+    n_order = catalog.nset.group.order
     fields = catalog.boundary
-    dim = len(fields)
-    size = nset.size
-    orbit_of: dict[tuple[int, int], int] = {}
+    size = catalog.nset.size
+    orbit_of = [[-1] * size for _ in range(size)]
     for position, field in enumerate(fields):
-        for pair in field.orbit:
-            orbit_of[pair] = position
-    # Raw chain counts over X^3, bucketed by the orbits of the three edges.
-    chain3: dict[int, dict[int, int]] = {}
-    for x in range(size):
+        for x, y in field.orbit:
+            orbit_of[x][y] = position
+    counts: dict[tuple[int, int], dict[int, int]] = {}
+    for k, field in enumerate(fields):
+        x, z = field.representative
+        from_x = orbit_of[x]
         for y in range(size):
-            first = orbit_of[(x, y)]
-            for z in range(size):
-                second = orbit_of[(y, z)]
-                closing = orbit_of[(z, x)]
-                bucket = chain3.setdefault(first * dim + second, {})
-                bucket[closing] = bucket.get(closing, 0) + 1
-    pairing = [[Fraction(0)] * dim for _ in range(dim)]
-    for position, field in enumerate(fields):
-        star_index = orbit_of[(field.representative[1], field.representative[0])]
-        pairing[position][star_index] = Fraction(field.size, n_order)
-    inverse = linalg.invert(pairing)
-    inverse_rows: list[list[tuple[int, Fraction]]] = [
-        [(k, value) for k, value in enumerate(row) if value] for row in inverse
-    ]
-    products: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for code, bucket in chain3.items():
-        i, j = divmod(code, dim)
-        expansion: dict[int, Fraction] = {}
-        for closing, count in bucket.items():
-            weight = Fraction(count, n_order)
-            for k, value in inverse_rows[closing]:
-                expansion[k] = expansion.get(k, Fraction(0)) + weight * value
-        cleaned = {fields[k].label: value for k, value in expansion.items() if value}
-        if cleaned:
-            products[(fields[i].label, fields[j].label)] = cleaned
+            expansion = counts.setdefault((from_x[y], orbit_of[y][z]), {})
+            expansion[k] = expansion.get(k, 0) + 1
     diagonal_count = {
         field.label: sum(1 for (x, y) in field.orbit if x == y) for field in fields
     }
     algebra = EquippedFrobeniusAlgebra(
         basis=catalog.boundary_labels,
-        products=products,
+        products={
+            (fields[i].label, fields[j].label): {
+                fields[k].label: count for k, count in expansion.items()
+            }
+            for (i, j), expansion in counts.items()
+        },
         linear_form={
             label: Fraction(count, n_order)
             for label, count in diagonal_count.items()
@@ -200,69 +169,45 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
         involution={field.label: field.star for field in fields},
         unit={label: 1 for label in catalog.diagonal_boundary_labels},
     )
-    for i in range(dim):
-        for j in range(dim):
-            if algebra.form[i][j] != pairing[i][j]:
-                raise ConsistencyError(
-                    "the pairing recomputed from structure constants does not "
-                    f"match the 2-chain counts at ({fields[i].label}, {fields[j].label})"
-                )
+    for i, field in enumerate(fields):
+        x, z = field.representative
+        star = orbit_of[z][x]
+        row = algebra.form[i]
+        if (
+            row[star] != Fraction(field.size, n_order)
+            or any(row[:star])
+            or any(row[star + 1 :])
+        ):
+            raise ConsistencyError(
+                "the pairing recomputed from structure constants is not "
+                f"|O|/|N| at ({field.label}, {fields[star].label}) and zero "
+                "elsewhere in its row"
+            )
     return algebra
 
 
-def build_reps(catalog: FieldCatalog) -> MatrixRep:
-    nset = catalog.nset
-    size = nset.size
-    nu: dict[str, Matrix] = {}
-    for field in catalog.boundary:
-        rows = [[0] * size for _ in range(size)]
-        for x, y in field.orbit:
-            rows[x][y] = 1
-        nu[field.label] = tuple(tuple(row) for row in rows)
-    rho_element = []
-    for n in range(nset.group.order):
-        rows = [[0] * size for _ in range(size)]
-        for x in range(size):
-            rows[nset.act(n, x)][x] = 1
-        rho_element.append(tuple(tuple(row) for row in rows))
-    rho_class: dict[str, Matrix] = {}
-    for field in catalog.interior:
-        rows = [[0] * size for _ in range(size)]
-        for member in field.members:
-            table = nset.act_table[member]
-            for x in range(size):
-                rows[table[x]][x] += 1
-        rho_class[field.label] = tuple(tuple(row) for row in rows)
-    return MatrixRep(
-        dimension=size,
-        nu=nu,
-        rho_class=rho_class,
-        rho_element=tuple(rho_element),
-    )
+def build_phi(catalog: FieldCatalog) -> tuple[tuple[Fraction, ...], ...]:
+    """Expand each class sum ``rho(E_alpha)`` over the boundary basis.
 
-
-def build_phi(catalog: FieldCatalog, reps: MatrixRep) -> tuple[tuple[Fraction, ...], ...]:
-    """Expand each class-sum matrix over the boundary basis.
-
-    ``rho`` of a class sum is constant on pair orbits, so its expansion over
-    the ``nu`` matrices is read off at orbit representatives; the full matrix
-    is then reconstructed entrywise as a guard against a broken catalog.
+    ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``.
+    It is constant on pair orbits, so its expansion over the ``nu`` matrices
+    is read off at orbit representatives; every other pair of each orbit is
+    compared as a guard against a broken catalog.
     """
+    act_table = catalog.nset.act_table
     rows = []
     for field in catalog.interior:
-        matrix = reps.rho_class[field.label]
-        row = [
-            Fraction(matrix[b_field.representative[0]][b_field.representative[1]])
-            for b_field in catalog.boundary
-        ]
+        counts = Counter(
+            (x, y) for member in field.members for y, x in enumerate(act_table[member])
+        )
+        row = [counts[b_field.representative] for b_field in catalog.boundary]
         for b_field, value in zip(catalog.boundary, row):
-            for x, y in b_field.orbit:
-                if matrix[x][y] != value:
-                    raise ConsistencyError(
-                        f"class sum {field.label} is not constant on the orbit "
-                        f"of {b_field.label}; phi is undefined"
-                    )
-        rows.append(tuple(row))
+            if any(counts[pair] != value for pair in b_field.orbit):
+                raise ConsistencyError(
+                    f"class sum {field.label} is not constant on the orbit "
+                    f"of {b_field.label}; phi is undefined"
+                )
+        rows.append(tuple(Fraction(value) for value in row))
     return tuple(rows)
 
 
@@ -281,18 +226,12 @@ def build_U(n_group: FiniteGroup, catalog: FieldCatalog) -> AlgebraElement:
 
 def build_cardy_frobenius(catalog: FieldCatalog) -> CardyFrobeniusAlgebra:
     n_group = catalog.nset.group
-    a_algebra = build_A(n_group, catalog)
-    b_algebra = build_B(catalog)
-    reps = build_reps(catalog)
-    phi = build_phi(catalog, reps)
-    u = build_U(n_group, catalog)
     return CardyFrobeniusAlgebra(
         catalog=catalog,
-        A=a_algebra,
-        B=b_algebra,
-        phi=phi,
-        u=u,
-        reps=reps,
+        A=build_A(n_group, catalog),
+        B=build_B(catalog),
+        phi=build_phi(catalog),
+        u=build_U(n_group, catalog),
     )
 
 
@@ -315,9 +254,10 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     :func:`cardyfrob.frobenius.verify_equipped`; this list covers the mixed
     structure: ``phi`` is a unital homomorphism into the center compatible
     with stars, ``U`` squares to the twisted Casimir of ``A`` and maps to the
-    twisted Casimir of ``B``, the Cardy condition, and the concrete matrix
-    model (``nu`` multiplicativity, star = transpose, pairing and linear form
-    recovered from traces, equivariance, Burnside dimension count).
+    twisted Casimir of ``B``, the Cardy condition, and the permutation model,
+    checked on the orbits without building its matrices (``nu``
+    multiplicativity, star = transpose, pairing and linear form recovered
+    from traces, equivariance, Burnside dimension count).
     """
     return [
         _check_phi_unit(h),

@@ -28,6 +28,7 @@ from .groups import (
     FiniteGroup,
     document_digest,
     group_from_document,
+    permutation_from_list,
     subgroup_closure,
 )
 from .hurwitz import SurfaceSpec, evaluate
@@ -107,7 +108,8 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer beyond the interpreter's digit limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -295,20 +297,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _parse_subgroup(group: FiniteGroup, text: str):
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"--subgroup-generators is not valid JSON: {exc}") from None
-    if not isinstance(raw, list) or any(not isinstance(g, list) for g in raw):
+    if not isinstance(raw, list):
         raise InputError("--subgroup-generators must be a JSON list of permutations")
     assert group.perms is not None
     perm_index = {perm: position for position, perm in enumerate(group.perms)}
     degree = len(group.perms[0])
     indices = []
     for position, gen in enumerate(raw):
-        perm = tuple(gen)
-        if sorted(perm) != list(range(degree)):
-            raise InputError(
-                f"subgroup generator {position} is not a permutation of 0..{degree - 1}"
-            )
+        perm = permutation_from_list(gen, degree, f"subgroup generator {position}")
         if perm not in perm_index:
             raise InputError(
                 f"subgroup generator {position} is not an element of the group"

@@ -116,6 +116,23 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def permutation_from_list(raw: object, degree: int, what: str) -> Perm:
+    """Validate a permutation of ``0..degree-1`` given in one-line notation.
+
+    ``raw`` must be a list of ``int`` entries (``bool`` is not accepted)
+    that together form a permutation; anything else raises
+    :class:`InputError` naming ``what``.
+    """
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise InputError(f"{what} must be a list of integers")
+    perm = tuple(raw)
+    if any(not isinstance(entry, int) or isinstance(entry, bool) for entry in perm):
+        raise InputError(f"{what} must be a list of integers")
+    if sorted(perm) != list(range(degree)):
+        raise InputError(f"{what} is not a permutation of 0..{degree - 1}")
+    return perm
+
+
 def build_group(
     degree: int,
     generators: Sequence[Sequence[int]],
@@ -130,12 +147,10 @@ def build_group(
     """
     if degree < 1:
         raise InputError(f"degree must be positive, got {degree}")
-    gens: list[Perm] = []
-    for pos, gen in enumerate(generators):
-        perm = tuple(gen)
-        if sorted(perm) != list(range(degree)):
-            raise InputError(f"generators[{pos}] is not a permutation of 0..{degree - 1}")
-        gens.append(perm)
+    gens = [
+        permutation_from_list(gen, degree, f"generators[{pos}]")
+        for pos, gen in enumerate(generators)
+    ]
     identity = tuple(range(degree))
     elements: list[Perm] = [identity]
     index: dict[Perm, int] = {identity: 0}
@@ -413,12 +428,7 @@ def group_from_document(
     generators = document.get("generators")
     if not isinstance(generators, Sequence) or isinstance(generators, (str, bytes)):
         raise InputError("generators must be a list of permutations")
-    gen_list = []
-    for pos, gen in enumerate(generators):
-        if not isinstance(gen, Sequence) or isinstance(gen, (str, bytes)):
-            raise InputError(f"generators[{pos}] must be a list of integers")
-        gen_list.append(list(gen))
-    group = build_group(degree, gen_list, order_bound=order_bound)
+    group = build_group(degree, generators, order_bound=order_bound)
     assert group.perms is not None
     perm_index = {perm: position for position, perm in enumerate(group.perms)}
     k_generators = document.get("k_generators", [])
@@ -426,11 +436,7 @@ def group_from_document(
         raise InputError("k_generators must be a list of permutations")
     k_indices = []
     for pos, gen in enumerate(k_generators):
-        if not isinstance(gen, Sequence) or isinstance(gen, (str, bytes)):
-            raise InputError(f"k_generators[{pos}] must be a list of integers")
-        perm = tuple(gen)
-        if sorted(perm) != list(range(degree)):
-            raise InputError(f"k_generators[{pos}] is not a permutation of 0..{degree - 1}")
+        perm = permutation_from_list(gen, degree, f"k_generators[{pos}]")
         if perm not in perm_index:
             raise InputError(f"k_generators[{pos}] is not an element of the generated group")
         k_indices.append(perm_index[perm])

@@ -5,6 +5,11 @@ counting over the group, or integer matrix traces in the permutation model —
 without touching the multiplication tables of ``A`` or ``B``.  Agreement with
 :func:`cardyfrob.hurwitz.evaluate` is therefore a genuine cross-check, not a
 tautology.
+
+The dense permutation model (the ``nu`` and ``rho`` matrices on ``X``) lives
+here and nowhere else; the trace oracle builds it on first use.
+:func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
+the structure constants of ``B`` without any matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .actions import FieldCatalog, InteriorField
@@ -139,49 +144,75 @@ def closed_nonorientable_oracle(
     return OracleResult(Fraction(count, order), domain)
 
 
-_IMAGE_CACHE: "weakref.WeakKeyDictionary[CardyFrobeniusAlgebra, dict[str, list[list[int]]]]"
-_IMAGE_CACHE = weakref.WeakKeyDictionary()
+@dataclass(frozen=True, eq=False)
+class _PermutationModel:
+    """Integer matrices on the permutation module spanned by ``X``.
 
-
-def _rep_images(h: CardyFrobeniusAlgebra) -> dict[str, list[list[int]]]:
-    """Integer matrices for K_A and U in the permutation model.
-
-    Built from the catalog's automorphism orders and the plain matrices only:
-    ``rho(K_A) = sum |Aut a| V_a V_{a*}`` and ``rho(U) = sum_n rho(n)^2``.
+    ``nu[label]`` is the 0/1 matrix of a boundary field (ones exactly at the
+    pairs of its orbit), ``rho_class[label]`` the matrix of an interior
+    field's class sum, with entry ``#{n in class : n y = x}`` at ``(x, y)``,
+    and ``ka`` and ``u`` the images of ``K_A`` and ``U``.
     """
-    cached = _IMAGE_CACHE.get(h)
+
+    nu: dict[str, list[list[int]]]
+    rho_class: dict[str, list[list[int]]]
+    ka: list[list[int]]
+    u: list[list[int]]
+
+
+_MODEL_CACHE: "weakref.WeakKeyDictionary[CardyFrobeniusAlgebra, _PermutationModel]"
+_MODEL_CACHE = weakref.WeakKeyDictionary()
+
+
+def _permutation_model(h: CardyFrobeniusAlgebra) -> _PermutationModel:
+    """The permutation model of ``h``, built from the catalog and the action table.
+
+    ``rho(K_A) = sum |Aut a| rho(E_a) rho(E_a*)`` and ``rho(U) = sum_n rho(n^2)``
+    come from the automorphism orders and the plain matrices only.
+    """
+    cached = _MODEL_CACHE.get(h)
     if cached is not None:
         return cached
-    size = h.reps.dimension
+    nset = h.catalog.nset
+    size = nset.size
+
+    def rho_sum(elements: Iterable[int]) -> list[list[int]]:
+        matrix = [[0] * size for _ in range(size)]
+        for n in elements:
+            for y, x in enumerate(nset.act_table[n]):
+                matrix[x][y] += 1
+        return matrix
+
+    nu = {}
+    for field in h.catalog.boundary:
+        matrix = [[0] * size for _ in range(size)]
+        for x, y in field.orbit:
+            matrix[x][y] = 1
+        nu[field.label] = matrix
+    rho_class = {field.label: rho_sum(field.members) for field in h.catalog.interior}
     ka = [[0] * size for _ in range(size)]
     for field in h.catalog.interior:
-        product = linalg.mat_mul(
-            h.reps.rho_class[field.label], h.reps.rho_class[field.star]
-        )
-        for i in range(size):
-            row = product[i]
-            target = ka[i]
-            for j in range(size):
-                if row[j]:
-                    target[j] += field.aut_order * row[j]
-    n_group = h.catalog.nset.group
-    u = [[0] * size for _ in range(size)]
-    for n in range(n_group.order):
-        row = h.catalog.nset.act_table[n_group.mul(n, n)]
-        for x in range(size):
-            u[row[x]][x] += 1
-    images = {"ka": ka, "u": u}
-    _IMAGE_CACHE[h] = images
-    return images
+        product = linalg.mat_mul(rho_class[field.label], rho_class[field.star])
+        for target, row in zip(ka, product):
+            for j, entry in enumerate(row):
+                if entry:
+                    target[j] += field.aut_order * entry
+    n_group = nset.group
+    u = rho_sum(n_group.mul(n, n) for n in range(n_group.order))
+    model = _PermutationModel(nu, rho_class, ka, u)
+    _MODEL_CACHE[h] = model
+    return model
 
 
-def _sandwiched(h: CardyFrobeniusAlgebra, word: list[list[int]]) -> list[list[int]]:
+def _sandwiched(
+    h: CardyFrobeniusAlgebra, model: _PermutationModel, word: list[list[int]]
+) -> list[list[int]]:
     """``sum_b |Aut b| nu(b) . word . nu(b*)`` — the Casimir legs around a word."""
-    size = h.reps.dimension
+    size = len(word)
     wrapped = [[0] * size for _ in range(size)]
     for field in h.catalog.boundary:
         product = linalg.mat_mul(
-            h.reps.nu[field.label], linalg.mat_mul(word, h.reps.nu[field.star])
+            model.nu[field.label], linalg.mat_mul(word, model.nu[field.star])
         )
         for i in range(size):
             row = product[i]
@@ -195,29 +226,29 @@ def _sandwiched(h: CardyFrobeniusAlgebra, word: list[list[int]]) -> list[list[in
 def trace_oracle(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> OracleResult:
     """Evaluate a bounded surface as ``(1/|N|) tr`` of integer matrix products.
 
-    Uses only the permutation-model matrices (``rho`` class sums, ``nu``
-    orbit matrices, the images of :func:`_rep_images` and the
-    :func:`_sandwiched` wrapping of every contour past the first); no
-    structure constants of ``A`` or ``B`` are consulted.
+    Uses only the matrices of :func:`_permutation_model` (``rho`` class sums,
+    ``nu`` orbit matrices, the images of ``K_A`` and ``U``) and the
+    :func:`_sandwiched` wrapping of every contour past the first; no structure
+    constants of ``A`` or ``B`` are consulted.
     """
     spec.validate_against(h.catalog)
     if not spec.boundary:
         raise InputError("the trace oracle requires at least one boundary contour")
-    images = _rep_images(h)
-    size = h.reps.dimension
+    model = _permutation_model(h)
+    size = h.catalog.nset.size
     matrix: list[list[int]] = [[int(i == j) for j in range(size)] for i in range(size)]
     for label in spec.interior:
-        matrix = linalg.mat_mul(matrix, h.reps.rho_class[label])
+        matrix = linalg.mat_mul(matrix, model.rho_class[label])
     if spec.orientable:
-        matrix = linalg.mat_mul(matrix, linalg.mat_pow(images["ka"], int(spec.genus)))
+        matrix = linalg.mat_mul(matrix, linalg.mat_pow(model.ka, int(spec.genus)))
     else:
-        matrix = linalg.mat_mul(matrix, linalg.mat_pow(images["u"], spec.crosscaps))
+        matrix = linalg.mat_mul(matrix, linalg.mat_pow(model.u, spec.crosscaps))
     for position, contour in enumerate(spec.boundary):
         word = [[int(i == j) for j in range(size)] for i in range(size)]
         for label in contour:
-            word = linalg.mat_mul(word, h.reps.nu[label])
+            word = linalg.mat_mul(word, model.nu[label])
         if position:
-            word = _sandwiched(h, word)
+            word = _sandwiched(h, model, word)
         matrix = linalg.mat_mul(matrix, word)
     value = Fraction(linalg.trace(matrix), h.catalog.nset.group.order)
     return OracleResult(value, 0)

@@ -7,9 +7,12 @@ same shapes plus plain JSON integers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_fraction(value: Fraction | int) -> str:
@@ -27,8 +30,13 @@ def parse_fraction(text: object) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        # Only sign, digits and one optional "/digits": Fraction() alone would
+        # also take "1e999999999" and spend unbounded time expanding it.
+        match = _RATIONAL.fullmatch(text.strip())
+        if match is None:
+            raise InputError(f"invalid rational literal {text!r}: expected n or p/q")
         try:
-            return Fraction(text.strip())
+            return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"invalid rational literal {text!r}: {exc}") from None
     raise InputError(f"expected a rational, got {type(text).__name__} {text!r}")

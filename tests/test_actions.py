@@ -10,7 +10,6 @@ from cardyfrob import (
     NSet,
     build_catalog,
     build_group,
-    conjugation_nset,
     coset_nset,
     subgroup_closure,
     trivial_subgroup,
@@ -86,12 +85,6 @@ def test_action_permutes_x_within_conjugacy(suite_setups):
     for n in setup.n_group.elements():
         for x in range(nset.size):
             assert setup.subgroups[nset.act(n, x)].order == setup.subgroups[x].order
-
-
-def test_conjugation_nset_matches_setup(suite_setups):
-    setup = suite_setups["s3_k01"]
-    nset = conjugation_nset(setup.group, setup.k)
-    assert nset.act_table == setup.nset.act_table
 
 
 def test_digest_threads_through(suite_setups):

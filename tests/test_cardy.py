@@ -16,7 +16,6 @@ from cardyfrob import (
     build_cardy_frobenius,
     build_group,
     build_phi,
-    build_reps,
     cardy_from_pair,
     coset_nset,
     failures,
@@ -111,6 +110,17 @@ def test_axioms_small_pairs(suite_algebras, name):
     assert all_passed(results), (name, failures(results))
 
 
+def test_structure_constants_are_nonnegative_integers(suite_algebras):
+    # Class-sum products count group elements and B's constants are
+    # intersection numbers, so both algebras have integral constants.
+    for name, h in suite_algebras.items():
+        for alg in (h.A, h.B):
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    for k, value in alg.pair_products(i, j).items():
+                        assert value.denominator == 1 and value > 0, (name, i, j, k)
+
+
 def test_verify_reports_expected_check_names(suite_algebras):
     names = [result.name for result in verify_cardy_frobenius(suite_algebras["z3"])]
     assert names == [
@@ -169,9 +179,8 @@ def test_tampered_catalog_fails_phi_reconstruction():
         boundary=(fused,) + keep,
         provenance="",
     )
-    reps = build_reps(broken)
     with pytest.raises(ConsistencyError):
-        build_phi(broken, reps)
+        build_phi(broken)
 
 
 # -- Hecke comparison ------------------------------------------------------------

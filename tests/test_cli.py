@@ -242,6 +242,38 @@ def test_bad_document_shape(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"degree": 2, "generators": [[0, "a"]]}',
+        '{"degree": 2, "generators": [[0, 1.0]]}',
+        '{"degree": 2, "generators": [[true, 0]]}',
+        '{"degree": 2, "generators": [[1, 0]], "k_generators": [[0, null]]}',
+        '{"degree": 2, "generators": [[1, 0]], "k_generators": [null]}',
+        # An integer beyond the interpreter's int-digit limit.
+        '{"degree": 2' + "0" * 5000 + ', "generators": [[1, 0]]}',
+    ],
+    ids=["str-entry", "float-entry", "bool-entry", "null-k-entry", "null-k", "huge-int"],
+)
+def test_malformed_group_document_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run_json(capsys, ["info", "--group", str(path)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_exponent_genus_is_rejected_at_once(capsys, z2_path, tmp_path):
+    path = tmp_path / "surf.json"
+    path.write_text(json.dumps({"orientable": True, "genus": "1e999999999"}))
+    code, _, err = run_json(
+        capsys, ["hurwitz", "--group", z2_path, "--surface", str(path)]
+    )
+    assert code == 2
+    assert "invalid rational literal" in err
+
+
 def test_unknown_field_label(capsys, z2_path, tmp_path):
     path = tmp_path / "surf.json"
     path.write_text(
@@ -304,6 +336,16 @@ def test_hecke_bad_generators(capsys, z2_path):
         capsys, ["hecke", "--group", z2_path, "--subgroup-generators", "[[0, 1, 2]]"]
     )
     assert code == 2
+    code, _, err = run_json(
+        capsys, ["hecke", "--group", z2_path, "--subgroup-generators", '[[0, "a", 1]]']
+    )
+    assert code == 2
+    assert "must be a list of integers" in err
+    code, _, err = run_json(
+        capsys, ["hecke", "--group", z2_path, "--subgroup-generators", "[[1" + "0" * 5000 + "]]"]
+    )
+    assert code == 2
+    assert "not valid JSON" in err
 
 
 def test_unknown_subcommand_exits_with_usage_error(capsys):

@@ -78,6 +78,8 @@ def test_from_document_rejects_bad_shapes():
         {"orientable": 1, "genus": 0},
         {"orientable": True},
         {"orientable": True, "genus": "x"},
+        {"orientable": True, "genus": "1e999999999"},
+        {"orientable": True, "genus": "1.0"},
         {"orientable": True, "genus": 0, "interior": "a0"},
         {"orientable": True, "genus": 0, "interior": [1]},
         {"orientable": True, "genus": 0, "boundary": "b0"},

@@ -107,6 +107,24 @@ def test_t_tensor_matches_chain_products(suite_algebras):
         assert t_tensor_oracle(h.catalog, labels).value == b.linear(product), labels
 
 
+@pytest.mark.parametrize("name", ["z2", "z3", "s3", "s3_k01", "a5_k0123"])
+def test_t_tensor_oracle_matches_structure_constants(suite_algebras, name):
+    # l_B(b_i b_j b_l) = sum_k c_ij^k F_kl must count the closed 3-chains
+    # through the orbits i, j, l: an independent check of every constant.
+    h = suite_algebras[name]
+    b = h.B
+    for i, left in enumerate(b.basis):
+        for j, middle in enumerate(b.basis):
+            expansion = b.pair_products(i, j)
+            for l, right in enumerate(b.basis):
+                expected = sum(
+                    (value * b.form[k][l] for k, value in expansion.items()),
+                    Fraction(0),
+                )
+                chains = t_tensor_oracle(h.catalog, [left, middle, right]).value
+                assert chains == expected, (name, left, middle, right)
+
+
 def test_commutator_casimir(suite_algebras):
     for name, h in suite_algebras.items():
         result = commutator_casimir_check(h)
