@@ -78,6 +78,7 @@ from .oracles import (
     closed_nonorientable_oracle,
     closed_orientable_oracle,
     commutator_casimir_check,
+    dense_axiom_oracle,
     oracle_for_spec,
     t_tensor_oracle,
     trace_oracle,
@@ -127,6 +128,7 @@ __all__ = [
     "cut_check_boundary",
     "cut_check_crosscap",
     "cut_check_handle",
+    "dense_axiom_oracle",
     "document_digest",
     "evaluate",
     "failures",

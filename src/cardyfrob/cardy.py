@@ -33,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from . import linalg
 from .actions import (
@@ -47,6 +46,8 @@ from .frobenius import (
     AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
+    _first_difference,
+    multiplication_traces,
 )
 from .groups import FiniteGroup, Subgroup
 
@@ -330,63 +331,56 @@ def _check_u_coefficients(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """The Cardy condition ``(phi*(x), phi*(y))_A = tr W_{x,y}`` on basis pairs.
 
-    The left side is the matrix ``F_B Phi^T F_A^-1 Phi F_B``; the right side
-    ``tr W_{i,j} = sum_{k,l} c_{ik}^l c_{lj}^k`` is accumulated sparsely.
+    The left side is the matrix ``F_B Phi^T F_A^-1 Phi F_B``, built one row at
+    a time; the right side ``tr W_{i,j} = tr(L_i R_j)`` comes from the sparse
+    trace buckets of :func:`cardyfrob.frobenius.multiplication_traces`.
     """
     b = h.B
-    dim = b.dim
     phi_fb = linalg.mat_mul(h.phi, b.form)
     dual = linalg.mat_mul(h.A.form_inverse(), phi_fb)
-    buckets: dict[int, list[tuple[int, Fraction]]] = {}
-    for code, expansion in b._products.items():
-        left, j = divmod(code, dim)
-        for k, value in expansion.items():
-            buckets.setdefault(left * dim + k, []).append((j, value))
-    traces: dict[int, Fraction] = {}
-    for code, expansion in b._products.items():
-        i, k = divmod(code, dim)
-        base = i * dim
-        for left, c in expansion.items():
-            for j, value in buckets.get(left * dim + k, ()):
-                key = base + j
-                traces[key] = traces.get(key, Fraction(0)) + c * value
-    a_dim = h.A.dim
-    for i in range(dim):
-        for j in range(dim):
-            lhs = sum(
-                (phi_fb[a][i] * dual[a][j] for a in range(a_dim)), Fraction(0)
-            )
-            if lhs != traces.get(i * dim + j, Fraction(0)):
-                witness = f"({b.basis[i]}, {b.basis[j]})"
-                return CheckResult("cardy", False, witness)
+    dual_rows = [[(j, entry) for j, entry in enumerate(row) if entry] for row in dual]
+    traces = multiplication_traces(b, right=True)
+    for i in range(b.dim):
+        lhs: dict[int, Fraction] = {}
+        for phi_row, dual_row in zip(phi_fb, dual_rows):
+            weight = phi_row[i]
+            if weight:
+                for j, entry in dual_row:
+                    lhs[j] = lhs.get(j, 0) + weight * entry
+        j = _first_difference(lhs, traces[i])
+        if j is not None:
+            witness = f"({b.basis[i]}, {b.basis[j]})"
+            return CheckResult("cardy", False, witness)
     return CheckResult("cardy", True)
-
-
-def _successors(field_orbit: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
-    successors: dict[int, list[int]] = {}
-    for x, y in field_orbit:
-        successors.setdefault(x, []).append(y)
-    return successors
 
 
 def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     # nu(beta_i) nu(beta_j) == sum_k c_{ij}^k nu(beta_k), computed on orbits.
+    # Each orbit O_i is walked once: a chain x -> y -> z lands in the bucket of
+    # the orbit j of (y, z).  Within a bucket the pairs arrive in the order of
+    # O_i and then of O_j, so a failing pair is reported as when each (i, j)
+    # was walked on its own.
     fields = h.catalog.boundary
-    successors = [_successors(field.orbit) for field in fields]
+    successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
+    for j, field in enumerate(fields):
+        for y, z in field.orbit:
+            successors[y].append((j, z))
     for i, left in enumerate(fields):
+        buckets: dict[int, dict[tuple[int, int], int]] = {}
+        for x, y in left.orbit:
+            for j, z in successors[y]:
+                counts = buckets.setdefault(j, {})
+                counts[(x, z)] = counts.get((x, z), 0) + 1
         for j in range(len(fields)):
-            counts: dict[tuple[int, int], int] = {}
-            succ = successors[j]
-            for x, y in left.orbit:
-                for z in succ.get(y, ()):
-                    counts[(x, z)] = counts.get((x, z), 0) + 1
-            expected: dict[tuple[int, int], Fraction] = {}
+            counts = buckets.get(j, {})
+            expected: dict[tuple[int, int], int | Fraction] = {}
             for k, value in h.B.pair_products(i, j).items():
                 for pair in fields[k].orbit:
-                    expected[pair] = expected.get(pair, Fraction(0)) + value
-            keys = set(counts) | set(expected)
-            for pair in keys:
-                if Fraction(counts.get(pair, 0)) != expected.get(pair, Fraction(0)):
+                    expected[pair] = expected.get(pair, 0) + value
+            if counts == expected:
+                continue
+            for pair in set(counts) | set(expected):
+                if counts.get(pair, 0) != expected.get(pair, 0):
                     witness = f"({left.label}, {fields[j].label}) at {pair}"
                     return CheckResult("nu-multiplicative", False, witness)
     return CheckResult("nu-multiplicative", True)

@@ -111,6 +111,8 @@ def _load_json(path: str) -> Any:
     except ValueError as exc:
         # JSONDecodeError, or an integer beyond the interpreter's digit limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to parse") from None
 
 
 def _emit(payload: dict[str, Any]) -> None:
@@ -299,6 +301,8 @@ def _parse_subgroup(group: FiniteGroup, text: str):
         raw = json.loads(text)
     except ValueError as exc:
         raise InputError(f"--subgroup-generators is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("--subgroup-generators nests too deeply to parse") from None
     if not isinstance(raw, list):
         raise InputError("--subgroup-generators must be a JSON list of permutations")
     assert group.perms is not None

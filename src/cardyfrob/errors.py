@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A configured size bound (group order, tuple enumeration) would be exceeded."""
+    """A size bound (group order, tuple enumeration, handle count, printable digits) would be exceeded."""
 
 
 class ConsistencyError(RuntimeError):

@@ -7,9 +7,13 @@ symmetric and nondegenerate, together with an involutive anti-automorphism
 so every verification below is an exact identity, never a numerical one.
 
 Structure constants are stored sparsely: a basis-pair product that is zero
-simply has no entry.  All axiom checks walk only the stored entries plus the
-index ranges they force, which keeps verification fast even for algebras with
-a hundred-plus basis vectors.
+simply has no entry.  An integral constant is stored as an ``int`` and any
+other as a :class:`~fractions.Fraction`; Python's mixed arithmetic keeps one
+code path for both.  Associativity and form invariance walk, for each basis
+pair ``(i, j)``, only the ``k`` that a nonzero product reaches, so their cost
+follows the number of nonzero products rather than ``dim**3``; every other
+triple has both sides zero.  The dense ``dim**3`` scans survive only as the
+reference in :func:`cardyfrob.oracles.dense_axiom_oracle`.
 """
 
 from __future__ import annotations
@@ -109,6 +113,14 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
+def _exact(value: Fraction | int) -> int | Fraction:
+    """A structure constant as ``int`` when it is integral, else as ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class EquippedFrobeniusAlgebra:
     """A unital algebra with invariant pairing and star, on a labeled basis.
 
@@ -137,11 +149,11 @@ class EquippedFrobeniusAlgebra:
         self.dim = len(self.basis)
         self._index: dict[str, int] = {label: i for i, label in enumerate(self.basis)}
         n = self.dim
-        self._products: dict[int, dict[int, Fraction]] = {}
+        self._products: dict[int, dict[int, int | Fraction]] = {}
         for (left, right), expansion in products.items():
             i, j = self.index(left), self.index(right)
             cleaned = {
-                self.index(out): Fraction(value)
+                self.index(out): _exact(value)
                 for out, value in expansion.items()
                 if value
             }
@@ -186,13 +198,13 @@ class EquippedFrobeniusAlgebra:
     def zero(self) -> AlgebraElement:
         return AlgebraElement()
 
-    def pair_products(self, i: int, j: int) -> Mapping[int, Fraction]:
+    def pair_products(self, i: int, j: int) -> Mapping[int, int | Fraction]:
         """Sparse expansion of ``basis[i] * basis[j]`` in index space."""
         return self._products.get(i * self.dim + j, {})
 
-    def structure_constant(self, left: str, right: str, out: str) -> Fraction:
+    def structure_constant(self, left: str, right: str, out: str) -> int | Fraction:
         expansion = self.pair_products(self.index(left), self.index(right))
-        return expansion.get(self.index(out), Fraction(0))
+        return expansion.get(self.index(out), 0)
 
     # -- algebra operations ----------------------------------------------
 
@@ -345,7 +357,7 @@ class EquippedFrobeniusAlgebra:
         if sorted(order) != sorted(self.basis):
             raise InputError("order must be a permutation of the basis labels")
         n = self.dim
-        products: dict[tuple[str, str], dict[str, Fraction]] = {}
+        products: dict[tuple[str, str], dict[str, int | Fraction]] = {}
         for code, expansion in self._products.items():
             i, j = divmod(code, n)
             products[(self.basis[i], self.basis[j])] = {
@@ -393,36 +405,59 @@ def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     return CheckResult("unit", True)
 
 
-def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+def _product_rows(
+    alg: EquippedFrobeniusAlgebra,
+) -> list[dict[int, Mapping[int, int | Fraction]]]:
+    """``rows[i]`` maps each ``k`` with ``e_i e_k != 0`` to that product."""
     n = alg.dim
-    products = alg._products
-    get = products.get
+    rows: list[dict[int, Mapping[int, int | Fraction]]] = [{} for _ in range(n)]
+    for code, expansion in alg._products.items():
+        i, k = divmod(code, n)
+        rows[i][k] = expansion
+    return rows
+
+
+def _first_difference(lhs: Mapping[int, object], rhs: Mapping[int, object]) -> int | None:
+    """The smallest key at which two sparse maps differ, absent keys reading 0."""
+    failing = [key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0)]
+    return min(failing) if failing else None
+
+
+def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    # (e_i e_j) e_k == e_i (e_j e_k), one basis pair (i, j) at a time, with
+    # both sides keyed by k * dim + out.  The left side is nonzero only for k
+    # in the rows of supp(e_i e_j), the right side only for k with
+    # e_j e_k != 0 (and only if e_i reaches supp(e_j e_k)); every other k has
+    # both sides zero.  Taking the smallest failing k in lexicographic (i, j)
+    # order gives the first failing triple of a dense scan.
+    n = alg.dim
+    rows = _product_rows(alg)
+    reach = [set().union(*row.values()) for row in rows]
     for i in range(n):
-        base_i = i * n
+        row_i = rows[i]
         for j in range(n):
-            pij = get(base_i + j)
-            base_j = j * n
-            for k in range(n):
-                pjk = get(base_j + k)
-                if pij is None and pjk is None:
-                    continue
-                lhs: dict[int, Fraction] = {}
-                if pij:
-                    for m, c in pij.items():
-                        pmk = get(m * n + k)
-                        if pmk:
-                            for out, value in pmk.items():
-                                lhs[out] = lhs.get(out, Fraction(0)) + c * value
-                rhs: dict[int, Fraction] = {}
-                if pjk:
-                    for m, c in pjk.items():
-                        pim = get(base_i + m)
-                        if pim:
-                            for out, value in pim.items():
-                                rhs[out] = rhs.get(out, Fraction(0)) + c * value
-                if {o: v for o, v in lhs.items() if v} != {o: v for o, v in rhs.items() if v}:
-                    witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
-                    return CheckResult("associativity", False, witness)
+            pij = row_i.get(j)
+            if pij is None and reach[j].isdisjoint(row_i):
+                continue
+            lhs: dict[int, int | Fraction] = {}
+            if pij:
+                for m, c in pij.items():
+                    for k, pmk in rows[m].items():
+                        base = k * n
+                        for out, value in pmk.items():
+                            lhs[base + out] = lhs.get(base + out, 0) + c * value
+            rhs: dict[int, int | Fraction] = {}
+            for k, pjk in rows[j].items():
+                base = k * n
+                for m, c in pjk.items():
+                    pim = row_i.get(m)
+                    if pim:
+                        for out, value in pim.items():
+                            rhs[base + out] = rhs.get(base + out, 0) + c * value
+            code = _first_difference(lhs, rhs)
+            if code is not None:
+                witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[code // n]})"
+                return CheckResult("associativity", False, witness)
     return CheckResult("associativity", True)
 
 
@@ -444,36 +479,34 @@ def _check_form_invertible(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    # l((e_i e_j) e_k) == l(e_i (e_j e_k)) for all basis triples.
+    # l((e_i e_j) e_k) == l(e_i (e_j e_k)) in the shape of associativity, with
+    # the nonzero entries of each form row in place of the product rows.
     n = alg.dim
-    products = alg._products
-    get = products.get
-    form = alg.form
+    rows = _product_rows(alg)
+    form_rows = [{k: entry for k, entry in enumerate(row) if entry} for row in alg.form]
+    reach = [set().union(*row.values()) for row in rows]
     for i in range(n):
-        base_i = i * n
-        form_i = form[i]
+        row_i = rows[i]
+        form_i = form_rows[i]
         for j in range(n):
-            pij = get(base_i + j)
-            base_j = j * n
-            for k in range(n):
-                pjk = get(base_j + k)
-                if pij is None and pjk is None:
-                    continue
-                lhs = Fraction(0)
-                if pij:
-                    for m, c in pij.items():
-                        entry = form[m][k]
-                        if entry:
-                            lhs += c * entry
-                rhs = Fraction(0)
-                if pjk:
-                    for m, c in pjk.items():
-                        entry = form_i[m]
-                        if entry:
-                            rhs += c * entry
-                if lhs != rhs:
-                    witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
-                    return CheckResult("form-invariance", False, witness)
+            pij = row_i.get(j)
+            if pij is None and reach[j].isdisjoint(form_i):
+                continue
+            lhs: dict[int, int | Fraction] = {}
+            if pij:
+                for m, c in pij.items():
+                    for k, entry in form_rows[m].items():
+                        lhs[k] = lhs.get(k, 0) + entry * c
+            rhs: dict[int, int | Fraction] = {}
+            for k, pjk in rows[j].items():
+                for m, c in pjk.items():
+                    entry = form_i.get(m)
+                    if entry:
+                        rhs[k] = rhs.get(k, 0) + entry * c
+            k = _first_difference(lhs, rhs)
+            if k is not None:
+                witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+                return CheckResult("form-invariance", False, witness)
     return CheckResult("form-invariance", True)
 
 
@@ -536,25 +569,42 @@ def _check_dual_reconstruction(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 # -- derived structure -------------------------------------------------------
 
 
+def multiplication_traces(
+    alg: EquippedFrobeniusAlgebra, right: bool = False
+) -> list[dict[int, int | Fraction]]:
+    """Sparse rows of ``tr(L_i L_j)``, or of ``tr(L_i R_j)`` when ``right`` is set.
+
+    ``L_i`` and ``R_j`` are left multiplication by ``e_i`` and right
+    multiplication by ``e_j``.  Row ``i`` maps ``j`` to
+    ``sum_{k,m} c_{ik}^m c_{jm}^k`` (``c_{mj}^k`` when ``right``), summed over
+    buckets of the stored constants keyed by ``(m, k)``; zero sums may remain.
+    """
+    n = alg.dim
+    buckets: dict[int, list[tuple[int, int | Fraction]]] = {}
+    for code, expansion in alg._products.items():
+        first, second = divmod(code, n)
+        j, m = (second, first) if right else (first, second)
+        for k, value in expansion.items():
+            buckets.setdefault(m * n + k, []).append((j, value))
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
+    for code, expansion in alg._products.items():
+        i, k = divmod(code, n)
+        row = rows[i]
+        for m, c in expansion.items():
+            for j, value in buckets.get(m * n + k, ()):
+                row[j] = row.get(j, 0) + c * value
+    return rows
+
+
 def trace_form(alg: EquippedFrobeniusAlgebra) -> list[list[Fraction]]:
     """The trace form ``t_{ij} = trace of left multiplication by e_i e_j``.
 
     Computed sparsely as ``t_{ij} = sum_{k,m} c_{ik}^m c_{jm}^k``.
     """
-    n = alg.dim
-    buckets: dict[int, list[tuple[int, Fraction]]] = {}
-    for code, expansion in alg._products.items():
-        j, m = divmod(code, n)
-        for k, value in expansion.items():
-            buckets.setdefault(m * n + k, []).append((j, value))
-    result = [[Fraction(0)] * n for _ in range(n)]
-    for code, expansion in alg._products.items():
-        i, k = divmod(code, n)
-        row = result[i]
-        for m, c in expansion.items():
-            for j, value in buckets.get(m * n + k, ()):
-                row[j] += c * value
-    return result
+    return [
+        [Fraction(row.get(j, 0)) for j in range(alg.dim)]
+        for row in multiplication_traces(alg)
+    ]
 
 
 def is_semisimple(alg: EquippedFrobeniusAlgebra) -> bool:

@@ -30,9 +30,14 @@ from typing import Mapping, Sequence
 
 from .actions import FieldCatalog
 from .cardy import CardyFrobeniusAlgebra
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .frobenius import AlgebraElement, CheckResult
 from .rationals import format_fraction, parse_fraction
+
+# The most handles (orientable) or crosscaps (non-orientable) a surface may
+# have.  Evaluation and the trace oracle multiply once per handle or
+# crosscap, and at this bound a value already runs to thousands of digits.
+HANDLE_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,8 @@ class SurfaceSpec:
 
     ``genus`` must be a nonnegative integer when orientable; otherwise
     ``2 * genus`` must be a positive integer (the crosscap count).  Every
-    boundary contour must carry at least one label.
+    boundary contour must carry at least one label.  More than
+    :data:`HANDLE_BOUND` handles or crosscaps raise :class:`ResourceError`.
     """
 
     orientable: bool
@@ -71,6 +77,10 @@ class SurfaceSpec:
         for position, contour in enumerate(self.boundary):
             if not contour:
                 raise InputError(f"boundary contour {position} is empty")
+        factors = genus if self.orientable else self.crosscaps
+        if factors > HANDLE_BOUND:
+            kind = "handles" if self.orientable else "crosscaps"
+            raise ResourceError(f"{factors} {kind} exceed the bound {HANDLE_BOUND}")
 
     @property
     def crosscaps(self) -> int:

@@ -50,7 +50,7 @@ def invert(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
             work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
         if pivot != 1:
-            work[col] = [entry / pivot for entry in work[col]]
+            work[col] = [entry / pivot if entry else entry for entry in work[col]]
         pivot_line = work[col]
         for r in range(n):
             if r == col:

@@ -7,7 +7,12 @@ without touching the multiplication tables of ``A`` or ``B``.  Agreement with
 tautology.
 
 The dense permutation model (the ``nu`` and ``rho`` matrices on ``X``) lives
-here and nowhere else; the trace oracle builds it on first use.
+here and nowhere else; the trace oracle builds it on first use.  The dense
+``dim**3`` scans of associativity and form invariance,
+:func:`dense_axiom_oracle`, live here too: they read the structure constants
+like the checks they stand behind, but through a plain triple loop that
+shares no code with the row-wise walk of
+:func:`cardyfrob.frobenius.verify_equipped`.
 :func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
 the structure constants of ``B`` without any matrix.
 """
@@ -25,7 +30,7 @@ from . import linalg
 from .actions import FieldCatalog, InteriorField
 from .cardy import CardyFrobeniusAlgebra
 from .errors import InputError, ResourceError
-from .frobenius import AlgebraElement, CheckResult
+from .frobenius import AlgebraElement, CheckResult, EquippedFrobeniusAlgebra
 from .groups import FiniteGroup
 from .hurwitz import SurfaceSpec
 
@@ -306,6 +311,83 @@ def commutator_casimir_check(h: CardyFrobeniusAlgebra) -> CheckResult:
     passed = casimir == expected
     witness = None if passed else f"K_A = {casimir!r} but the tally gives {expected!r}"
     return CheckResult("commutator-casimir", passed, witness)
+
+
+def dense_axiom_oracle(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
+    """Associativity and form invariance by a dense scan of all ``dim**3`` triples.
+
+    The slow reference for the row-wise checks of
+    :func:`cardyfrob.frobenius.verify_equipped`: both results, witnesses
+    included, must equal the ones that function reports under the same names.
+    """
+    return [_dense_associativity(alg), _dense_form_invariance(alg)]
+
+
+def _dense_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    n = alg.dim
+    products = alg._products
+    get = products.get
+    for i in range(n):
+        base_i = i * n
+        for j in range(n):
+            pij = get(base_i + j)
+            base_j = j * n
+            for k in range(n):
+                pjk = get(base_j + k)
+                if pij is None and pjk is None:
+                    continue
+                lhs: dict[int, Fraction] = {}
+                if pij:
+                    for m, c in pij.items():
+                        pmk = get(m * n + k)
+                        if pmk:
+                            for out, value in pmk.items():
+                                lhs[out] = lhs.get(out, Fraction(0)) + c * value
+                rhs: dict[int, Fraction] = {}
+                if pjk:
+                    for m, c in pjk.items():
+                        pim = get(base_i + m)
+                        if pim:
+                            for out, value in pim.items():
+                                rhs[out] = rhs.get(out, Fraction(0)) + c * value
+                if {o: v for o, v in lhs.items() if v} != {o: v for o, v in rhs.items() if v}:
+                    witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+                    return CheckResult("associativity", False, witness)
+    return CheckResult("associativity", True)
+
+
+def _dense_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    # l((e_i e_j) e_k) == l(e_i (e_j e_k)) for all basis triples.
+    n = alg.dim
+    products = alg._products
+    get = products.get
+    form = alg.form
+    for i in range(n):
+        base_i = i * n
+        form_i = form[i]
+        for j in range(n):
+            pij = get(base_i + j)
+            base_j = j * n
+            for k in range(n):
+                pjk = get(base_j + k)
+                if pij is None and pjk is None:
+                    continue
+                lhs = Fraction(0)
+                if pij:
+                    for m, c in pij.items():
+                        entry = form[m][k]
+                        if entry:
+                            lhs += c * entry
+                rhs = Fraction(0)
+                if pjk:
+                    for m, c in pjk.items():
+                        entry = form_i[m]
+                        if entry:
+                            rhs += c * entry
+                if lhs != rhs:
+                    witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
+                    return CheckResult("form-invariance", False, witness)
+    return CheckResult("form-invariance", True)
 
 
 def oracle_for_spec(

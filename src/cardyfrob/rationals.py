@@ -8,19 +8,30 @@ same shapes plus plain JSON integers.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_fraction(value: Fraction | int) -> str:
-    """Render a rational in canonical ``p/q`` form (``n`` when integral)."""
+    """Render a rational in canonical ``p/q`` form (``n`` when integral).
+
+    Raises :class:`ResourceError` when a part has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``).
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ResourceError(
+            f"a value exceeds the limit of {sys.get_int_max_str_digits()} digits "
+            "for printing an integer"
+        ) from None
 
 
 def parse_fraction(text: object) -> Fraction:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -272,6 +274,58 @@ def test_exponent_genus_is_rejected_at_once(capsys, z2_path, tmp_path):
     )
     assert code == 2
     assert "invalid rational literal" in err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run_json(capsys, ["info", "--group", str(path)])
+    assert code == 2
+    assert "nests too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "group, surface",
+    [
+        ("z2_trivial", {"orientable": True, "genus": 10**9}),
+        ("z2_trivial", {"orientable": False, "genus": "1000000001/2"}),
+        ("s4_trivial", {"orientable": True, "genus": 3000}),
+    ],
+    ids=["z2-genus-1e9", "z2-crosscaps-1e9", "s4-genus-3000"],
+)
+@pytest.mark.parametrize("command", ["hurwitz", "oracle"])
+def test_genus_past_the_handle_bound_exits_3_at_once(
+    capsys, tmp_path, group, surface, command
+):
+    path = tmp_path / "surf.json"
+    path.write_text(json.dumps(surface))
+    group_path = str(bundled_input(f"groups/{group}.json"))
+    started = time.perf_counter()
+    code, out, err = run_json(
+        capsys, [command, "--group", group_path, "--surface", str(path)]
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: ") and "exceed the bound" in err
+
+
+def test_value_too_large_to_print_exits_3(capsys, z2_path, tmp_path):
+    # Z2 gives 2^1999 on a genus-1000 surface; eight of them multiply to a
+    # 4,815-digit integer, past the interpreter's default 4,300-digit limit.
+    path = tmp_path / "surf.json"
+    path.write_text(json.dumps([{"orientable": True, "genus": 1000}] * 8))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_json(
+            capsys, ["hurwitz", "--group", z2_path, "--surface", str(path)]
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: ") and "4300 digits" in err
 
 
 def test_unknown_field_label(capsys, z2_path, tmp_path):

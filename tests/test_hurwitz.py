@@ -9,6 +9,7 @@ import pytest
 
 from cardyfrob import (
     InputError,
+    ResourceError,
     SurfaceSpec,
     cut_check_boundary,
     cut_check_crosscap,
@@ -17,6 +18,7 @@ from cardyfrob import (
     rotated,
     star_reversed,
 )
+from cardyfrob.hurwitz import HANDLE_BOUND
 
 
 def closed(orientable: bool, genus, interior=()) -> SurfaceSpec:
@@ -49,6 +51,15 @@ def test_spec_rejects_bad_genus():
 def test_spec_rejects_empty_contour():
     with pytest.raises(InputError):
         SurfaceSpec(True, 0, (), ((),))
+
+
+def test_spec_bounds_handles_and_crosscaps():
+    assert SurfaceSpec(True, HANDLE_BOUND).genus == HANDLE_BOUND
+    assert SurfaceSpec(False, Fraction(HANDLE_BOUND, 2)).crosscaps == HANDLE_BOUND
+    with pytest.raises(ResourceError):
+        SurfaceSpec(True, HANDLE_BOUND + 1)
+    with pytest.raises(ResourceError):
+        SurfaceSpec(False, Fraction(HANDLE_BOUND + 1, 2))
 
 
 def test_crosscaps():

@@ -43,6 +43,22 @@ def test_invert_known_matrix():
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
+def test_invert_permuted_diagonal():
+    # A monomial matrix inverts to its transpose with reciprocal entries.
+    columns = [2, 0, 3, 1]
+    values = [Fraction(3, 2), Fraction(-2), Fraction(1, 5), Fraction(7)]
+    m = [
+        [values[i] if j == columns[i] else Fraction(0) for j in range(4)]
+        for i in range(4)
+    ]
+    expected = [
+        [1 / m[j][i] if m[j][i] else Fraction(0) for j in range(4)] for i in range(4)
+    ]
+    inverse = invert(m)
+    assert inverse == expected
+    assert all(type(entry) is Fraction for row in inverse for entry in row)
+
+
 def test_invert_rejects_singular():
     with pytest.raises(SingularMatrixError):
         invert([[1, 2], [2, 4]])

@@ -1,0 +1,166 @@
+"""The row-wise axiom checks against the dense dim**3 reference.
+
+``verify_equipped`` walks only the basis triples that a nonzero product
+reaches; :func:`cardyfrob.oracles.dense_axiom_oracle` scans all of them.
+Both must report the same :class:`CheckResult`, witness included, on real
+algebras, on copies with one corrupted structure constant, and on random
+(mostly non-associative) sparse algebras.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cardyfrob import (
+    EquippedFrobeniusAlgebra,
+    dense_axiom_oracle,
+    verify_cardy_frobenius,
+    verify_equipped,
+)
+from cardyfrob.frobenius import _check_associativity, _check_form_invariance
+
+PINNED_PAIRS = ["z2", "z3", "s3", "s3_k01", "a5_k0123"]
+DENSE_NAMES = ("associativity", "form-invariance")
+
+
+def sparse_results(alg: EquippedFrobeniusAlgebra):
+    return [result for result in verify_equipped(alg) if result.name in DENSE_NAMES]
+
+
+def with_constant(
+    alg: EquippedFrobeniusAlgebra, i: int, j: int, k: int, value
+) -> EquippedFrobeniusAlgebra:
+    """A copy of ``alg`` whose constant ``c_ij^k`` is ``value``."""
+    products = {
+        (alg.basis[a], alg.basis[b]): {
+            alg.basis[out]: c for out, c in alg.pair_products(a, b).items()
+        }
+        for a in range(alg.dim)
+        for b in range(alg.dim)
+    }
+    products[(alg.basis[i], alg.basis[j])][alg.basis[k]] = value
+    return EquippedFrobeniusAlgebra(
+        basis=alg.basis,
+        products=products,
+        linear_form=dict(zip(alg.basis, alg.linear_form)),
+        involution={label: alg.star_label(label) for label in alg.basis},
+        unit=dict(alg.unit.coeffs),
+    )
+
+
+def corruptions(alg: EquippedFrobeniusAlgebra, seed: int, count: int = 3):
+    """Seeded single-constant corruptions: stored constants and zero ones."""
+    rng = random.Random(seed)
+    stored = [
+        (i, j, k)
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for k in alg.pair_products(i, j)
+    ]
+    triples = rng.sample(stored, min(count, len(stored)))
+    triples += [tuple(rng.randrange(alg.dim) for _ in range(3)) for _ in range(count)]
+    for i, j, k in triples:
+        old = alg.pair_products(i, j).get(k, 0)
+        yield (i, j, k), with_constant(alg, i, j, k, old + 1)
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_sparse_checks_match_dense_reference(suite_algebras, name):
+    h = suite_algebras[name]
+    for alg in (h.A, h.B):
+        results = sparse_results(alg)
+        assert results == dense_axiom_oracle(alg)
+        assert all(result.passed for result in results)
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_corrupted_constant_matches_dense_reference(suite_algebras, name):
+    b = suite_algebras[name].B
+    failed = 0
+    for triple, broken in corruptions(b, seed=sum(name.encode("utf-8"))):
+        results = sparse_results(broken)
+        assert results == dense_axiom_oracle(broken), (name, triple)
+        failed += not all(result.passed for result in results)
+    assert failed, f"no corruption of {name} broke associativity or invariance"
+
+
+def test_corrupted_constant_breaks_cardy_checks(suite_algebras):
+    h = suite_algebras["s3_k01"]
+    broken = with_constant(h.B, 1, 1, 0, h.B.pair_products(1, 1).get(0, 0) + 1)
+    results = {r.name: r for r in verify_cardy_frobenius(replace(h, B=broken))}
+    assert not results["nu-multiplicative"].passed
+    assert results["nu-multiplicative"].witness.startswith("(b1, b1) at ")
+    assert not results["cardy"].passed
+
+
+def test_integral_constants_are_stored_as_int(suite_algebras):
+    for h in suite_algebras.values():
+        for alg in (h.A, h.B):
+            for expansion in alg._products.values():
+                assert all(type(value) is int for value in expansion.values())
+    alg = EquippedFrobeniusAlgebra(
+        basis=["e", "x"],
+        products={
+            ("e", "e"): {"e": Fraction(2, 2)},
+            ("e", "x"): {"x": 1},
+            ("x", "e"): {"x": Fraction(1, 2)},
+            ("x", "x"): {"e": Fraction(-3), "x": 0},
+        },
+        linear_form={"e": 1},
+        involution={"e": "e", "x": "x"},
+        unit={"e": 1},
+    )
+    assert alg._products == {0: {0: 1}, 1: {1: 1}, 2: {1: Fraction(1, 2)}, 3: {0: -3}}
+    assert [type(v) for e in alg._products.values() for v in e.values()] == [
+        int,
+        int,
+        Fraction,
+        int,
+    ]
+
+
+# -- random sparse algebras ------------------------------------------------------
+
+small_ints = st.integers(min_value=-2, max_value=2)
+constants = st.one_of(
+    small_ints, st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=3))
+)
+
+
+@st.composite
+def sparse_algebras(draw):
+    dim = draw(st.integers(min_value=2, max_value=5))
+    basis = [f"e{i}" for i in range(dim)]
+    index = st.integers(min_value=0, max_value=dim - 1)
+    triples = draw(
+        st.dictionaries(
+            st.tuples(index, index, index), constants, min_size=dim, max_size=dim * dim
+        )
+    )
+    products: dict = {}
+    for (i, j, k), value in triples.items():
+        products.setdefault((basis[i], basis[j]), {})[basis[k]] = value
+    linear_form = draw(
+        st.dictionaries(st.sampled_from(basis), constants, min_size=1, max_size=dim)
+    )
+    return EquippedFrobeniusAlgebra(
+        basis=basis,
+        products=products,
+        linear_form=linear_form,
+        involution={label: label for label in basis},
+        unit={basis[0]: 1},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_algebras())
+def test_random_sparse_algebras_match_dense_reference(alg):
+    # The two checks alone: the rest of verify_equipped inverts the pairing.
+    sparse = [_check_associativity(alg), _check_form_invariance(alg)]
+    assert sparse == dense_axiom_oracle(alg)
