@@ -80,6 +80,7 @@ from .oracles import (
     commutator_casimir_check,
     dense_axiom_oracle,
     oracle_for_spec,
+    subgroup_lattice_oracle,
     t_tensor_oracle,
     trace_oracle,
 )
@@ -146,6 +147,7 @@ __all__ = [
     "star_reversed",
     "subgroup_closure",
     "subgroup_from_elements",
+    "subgroup_lattice_oracle",
     "subgroups_containing",
     "t_tensor_oracle",
     "trace_form",

@@ -396,14 +396,22 @@ def _check_nu_star_transpose(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
-    # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|.
+    # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
+    # with (y, x) in O_j: one walk of O_i gives row i of the traces.
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
-    orbit_sets = [set(field.orbit) for field in fields]
+    owners: dict[tuple[int, int], list[int]] = {}
+    for j, field in enumerate(fields):
+        for pair in set(field.orbit):
+            owners.setdefault(pair, []).append(j)
     for i, left in enumerate(fields):
-        for j in range(len(fields)):
-            trace = sum(1 for (x, y) in left.orbit if (y, x) in orbit_sets[j])
-            if h.B.form[i][j] != Fraction(trace, n_order):
+        traces = [0] * len(fields)
+        for x, y in left.orbit:
+            for j in owners.get((y, x), ()):
+                traces[j] += 1
+        # form == trace / |N|, compared across the fraction in integers.
+        for j, (value, trace) in enumerate(zip(h.B.form[i], traces)):
+            if value.numerator * n_order != trace * value.denominator:
                 witness = f"({left.label}, {fields[j].label})"
                 return CheckResult("form-from-traces", False, witness)
     return CheckResult("form-from-traces", True)

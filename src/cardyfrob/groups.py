@@ -3,10 +3,13 @@
 Elements are the indices ``0 .. order-1`` with ``0`` always the identity.
 Groups are produced by breadth-first closure of permutation generators, so
 element numbering is deterministic: the identity first, then words in the
-generators in discovery order.  Subgroups, conjugacy classes, centralizers,
-normalizers, quotients and the interval of subgroups above a fixed subgroup
-are all computed by exhaustive algorithms, which is the right trade at the
-group orders this package targets (a few thousand at most).
+generators in discovery order.  Conjugacy classes, centralizers, normalizers
+and quotients are computed by exhaustive scans of the table, which is the
+right trade at the group orders this package targets (a few thousand at
+most).  A subgroup is closed from generators by one walk over right cosets.
+The interval of subgroups above a fixed subgroup is swept upward with
+bitmask subsets, one adjunction per class of elements that give the same
+extension, and at most :data:`POINTS_BOUND` results.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError, ResourceError
@@ -21,6 +25,11 @@ from .errors import ConsistencyError, InputError, ResourceError
 Perm = tuple[int, ...]
 
 DEFAULT_ORDER_BOUND = 2000
+
+# The most subgroups over K (points of X) :func:`subgroups_containing`
+# returns.  The action, catalog and checks grow with |X|^2 and beyond, so a
+# larger interval raises ResourceError before any of that work starts.
+POINTS_BOUND = 500
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -199,27 +208,35 @@ class Subgroup:
         return f"Subgroup(order={self.order}{tag})"
 
 
-def _close_under_products(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    current = {0, *seed}
-    frontier = set(current)
-    table = group.table
-    while frontier:
-        fresh = set()
-        for a in current:
-            row = table[a]
-            for b in frontier:
-                product = row[b]
-                if product not in current:
-                    fresh.add(product)
-        for a in frontier:
-            row = table[a]
-            for b in current:
-                product = row[b]
-                if product not in current:
-                    fresh.add(product)
-        current |= fresh
-        frontier = fresh
-    return frozenset(current)
+def _coset_walk(
+    table: Sequence[Sequence[int]],
+    generators: Sequence[int],
+    index: Sequence[int],
+    reps: Sequence[int],
+) -> list[int]:
+    """The right cosets ``Hy`` that make up ``<H, generators>``, by number.
+
+    ``index`` is the coset number of every element and ``reps`` an element
+    of each coset, coset 0 being ``H``; ``generators`` must generate ``H``
+    among other things.  For the trivial ``H``, ``index = reps =
+    range(order)`` and the walk lists the elements themselves.  The walk is
+    breadth-first from ``H``: each coset found is multiplied on the right by
+    every generator (``Hy * g = H(yg)``), so it costs ``#cosets *
+    #generators`` table lookups.  In a finite group the words in the
+    generators already form a group (``g^-1`` is a power of ``g``), so no
+    inverses are needed.
+    """
+    walk = [0]
+    seen = bytearray(len(reps))
+    seen[0] = 1
+    for coset in walk:
+        row = table[reps[coset]]
+        for g in generators:
+            product = index[row[g]]
+            if not seen[product]:
+                seen[product] = 1
+                walk.append(product)
+    return walk
 
 
 def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
@@ -228,7 +245,8 @@ def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     for x in seed:
         if not 0 <= x < group.order:
             raise InputError(f"element index {x} is out of range for a group of order {group.order}")
-    return Subgroup(group, tuple(sorted(_close_under_products(group, seed))))
+    elements = range(group.order)
+    return Subgroup(group, tuple(sorted(_coset_walk(group.table, seed, elements, elements))))
 
 
 def subgroup_from_elements(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
@@ -352,31 +370,121 @@ def quotient_group(
     return quotient, projection
 
 
+def _generators_of(table: Sequence[Sequence[int]], elements: Iterable[int]) -> list[int]:
+    """A short generating list of the subgroup on ``elements``: each element
+    not yet generated by the earlier ones is kept, at most ``log2`` of the
+    order of them."""
+    everything = range(len(table))
+    gens: list[int] = []
+    span = {0}
+    for x in elements:
+        if x not in span:
+            gens.append(x)
+            span = set(_coset_walk(table, gens, everything, everything))
+    return gens
+
+
+def _right_cosets(
+    table: Sequence[Sequence[int]], members: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The right cosets ``Hy`` of the subgroup ``H`` on ``members``: the
+    coset number of every element, the smallest element of each coset, and
+    each coset's bitmask.  Coset 0 is ``H``."""
+    index = [-1] * len(table)
+    reps: list[int] = []
+    masks: list[int] = []
+    for y in range(len(table)):
+        if index[y] < 0:
+            coset, mask = len(reps), 0
+            for h in members:
+                member = table[h][y]
+                index[member] = coset
+                mask |= 1 << member
+            reps.append(y)
+            masks.append(mask)
+    return index, reps, masks
+
+
+def _cover_class(
+    table: Sequence[Sequence[int]],
+    members: Sequence[int],
+    x: int,
+    index: Sequence[int],
+    covered: bytearray,
+) -> None:
+    """Mark the right cosets of every ``y`` with ``<H, y> = <H, x>``.
+
+    These are the double cosets ``H x^k H`` with ``k`` prime to the order of
+    ``x``: such a ``y`` lies in ``<H, x>``, and ``x^k``, hence ``x``, lies in
+    ``<H, y>``.  ``H x^k H`` is the union of the right cosets of ``x^k h``
+    over ``h`` in ``H``.  ``covered`` only ever holds whole double cosets
+    (``H`` itself first), so one whose first coset is covered is skipped.
+    """
+    powers = [x]
+    while powers[-1] != 0:
+        powers.append(table[powers[-1]][x])
+    order = len(powers)
+    for k, power in enumerate(powers[:-1], start=1):
+        if gcd(k, order) == 1 and not covered[index[power]]:
+            row = table[power]
+            for h in members:
+                covered[index[row[h]]] = 1
+
+
 def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgroup, ...]:
     """All subgroups of ``group`` that contain ``subgroup``.
 
-    Works upward by iterated closure: starting from the subgroup itself,
-    adjoin one new element in every possible way until no new subgroups
-    appear.  Every overgroup of the seed is generated by the seed plus
-    finitely many elements, and any such chain of adjunctions passes through
-    subgroups found here, so the sweep is exhaustive.  Results come back
-    sorted by (order, element tuple) with ``id`` set to the position.
+    Works upward from the subgroup itself.  Each found subgroup ``H`` is
+    kept as an ``int`` bitmask with a short generating list: generators of
+    the seed plus the element adjoined at each step.  As a base, ``H`` is
+    extended to ``<H, x>`` for one right coset ``Hx`` per class of cosets
+    that give the same extension (see :func:`_cover_class`).  Each extension
+    is one walk over the right cosets of ``H`` by the generating list of
+    ``H`` plus ``x`` (see :func:`_coset_walk`).
+
+    The sweep is exhaustive.  Let ``L`` contain the seed, and ``H ⊊ L`` be
+    found.  Some ``x`` lies in ``L`` but not in ``H``.  When ``H`` is the
+    base, either ``<H, x> = <H, hx>`` is closed for the first element ``hx``
+    of the coset ``Hx``, or that coset was covered by an earlier ``y`` with
+    ``<H, y> = <H, x>``.  Either way ``<H, x>``, which lies in ``L`` and is
+    larger than ``H``, is found.  Starting from the seed, this climbs to
+    ``L`` in finitely many steps.
+
+    More than :data:`POINTS_BOUND` subgroups raise :class:`ResourceError`.
+    Results come back sorted by (order, element tuple) with ``id`` set to
+    the position.
     """
     if subgroup.parent is not group:
         raise InputError("subgroup does not belong to the given group")
-    seed = frozenset(subgroup.elements)
-    found: set[frozenset[int]] = {seed}
-    frontier: list[frozenset[int]] = [seed]
+    table = group.table
+    seed = tuple(sorted(subgroup.elements))
+    found: dict[int, tuple[list[int], tuple[int, ...]]] = {
+        sum(1 << x for x in seed): (_generators_of(table, seed), seed)
+    }
+    frontier = list(found)
     while frontier:
-        base = frontier.pop()
-        for x in range(group.order):
-            if x in base:
+        gens, members = found[frontier.pop()]
+        index, reps, masks = _right_cosets(table, members)
+        covered = bytearray(len(reps))
+        covered[0] = 1
+        for coset, x in enumerate(reps):
+            if covered[coset]:
                 continue
-            bigger = _close_under_products(group, base | {x})
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    ordered = sorted((tuple(sorted(members)) for members in found), key=lambda t: (len(t), t))
+            bigger_gens = [*gens, x]
+            walk = _coset_walk(table, bigger_gens, index, reps)
+            mask = 0
+            for other in walk:
+                mask |= masks[other]
+            if mask not in found:
+                bigger = sorted(table[h][reps[other]] for other in walk for h in members)
+                found[mask] = (bigger_gens, tuple(bigger))
+                if len(found) > POINTS_BOUND:
+                    raise ResourceError(
+                        f"more than {POINTS_BOUND} subgroups contain K (the points bound)"
+                    )
+                frontier.append(mask)
+            _cover_class(table, members, x, index, covered)
+    ordered = sorted((members for _, members in found.values()), key=lambda t: (len(t), t))
     return tuple(
         Subgroup(group, members, id=position) for position, members in enumerate(ordered)
     )

@@ -15,6 +15,9 @@ shares no code with the row-wise walk of
 :func:`cardyfrob.frobenius.verify_equipped`.
 :func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
 the structure constants of ``B`` without any matrix.
+:func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
+every element to every found subgroup and closing under products, with no
+bitmask, generating list or class cover.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .actions import FieldCatalog, InteriorField
 from .cardy import CardyFrobeniusAlgebra
 from .errors import InputError, ResourceError
 from .frobenius import AlgebraElement, CheckResult, EquippedFrobeniusAlgebra
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Subgroup
 from .hurwitz import SurfaceSpec
 
 DEFAULT_TUPLE_BOUND = 10**8
@@ -388,6 +391,59 @@ def _dense_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
                     witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
                     return CheckResult("form-invariance", False, witness)
     return CheckResult("form-invariance", True)
+
+
+def _close_under_products(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
+    current = {0, *seed}
+    frontier = set(current)
+    table = group.table
+    while frontier:
+        fresh = set()
+        for a in current:
+            row = table[a]
+            for b in frontier:
+                product = row[b]
+                if product not in current:
+                    fresh.add(product)
+        for a in frontier:
+            row = table[a]
+            for b in current:
+                product = row[b]
+                if product not in current:
+                    fresh.add(product)
+        current |= fresh
+        frontier = fresh
+    return frozenset(current)
+
+
+def subgroup_lattice_oracle(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgroup, ...]:
+    """All subgroups of ``group`` that contain ``subgroup``, by brute force.
+
+    The slow reference for :func:`cardyfrob.groups.subgroups_containing`,
+    which must return the same subgroups with the same ``id``s.  Works upward
+    by iterated closure: starting from the subgroup itself, adjoin one new
+    element in every possible way, closing each result under products by a
+    set sweep, until no new subgroups appear.  Results come back sorted by
+    (order, element tuple) with ``id`` set to the position.
+    """
+    if subgroup.parent is not group:
+        raise InputError("subgroup does not belong to the given group")
+    seed = frozenset(subgroup.elements)
+    found: set[frozenset[int]] = {seed}
+    frontier: list[frozenset[int]] = [seed]
+    while frontier:
+        base = frontier.pop()
+        for x in range(group.order):
+            if x in base:
+                continue
+            bigger = _close_under_products(group, base | {x})
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    ordered = sorted((tuple(sorted(members)) for members in found), key=lambda t: (len(t), t))
+    return tuple(
+        Subgroup(group, members, id=position) for position, members in enumerate(ordered)
+    )
 
 
 def oracle_for_spec(

@@ -9,6 +9,7 @@ algebras, on copies with one corrupted structure constant, and on random
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardyfrob import (
+    CheckResult,
     EquippedFrobeniusAlgebra,
     dense_axiom_oracle,
     verify_cardy_frobenius,
     verify_equipped,
 )
+from cardyfrob.cardy import _check_form_from_traces
 from cardyfrob.frobenius import _check_associativity, _check_form_invariance
 
 PINNED_PAIRS = ["z2", "z3", "s3", "s3_k01", "a5_k0123"]
@@ -97,6 +100,26 @@ def test_corrupted_constant_breaks_cardy_checks(suite_algebras):
     assert not results["nu-multiplicative"].passed
     assert results["nu-multiplicative"].witness.startswith("(b1, b1) at ")
     assert not results["cardy"].passed
+
+
+@pytest.mark.parametrize(("name", "count"), [("s3_k01", None), ("a5_k0123", 12)])
+def test_corrupted_form_entry_breaks_form_from_traces(suite_algebras, name, count):
+    # Every entry of the s3_k01 pairing, and a seeded sample for a5_k0123
+    # (zero and nonzero entries alike); the witness is the corrupted pair.
+    h = suite_algebras[name]
+    assert _check_form_from_traces(h).passed
+    entries = [(i, j) for i in range(h.B.dim) for j in range(h.B.dim)]
+    if count is not None:
+        entries = random.Random(sum(name.encode("utf-8"))).sample(entries, count)
+    for i, j in entries:
+        rows = [list(row) for row in h.B.form]
+        rows[i][j] += Fraction(1, 7)
+        broken = copy.copy(h.B)
+        broken.form = tuple(tuple(row) for row in rows)
+        witness = f"({h.B.basis[i]}, {h.B.basis[j]})"
+        assert _check_form_from_traces(replace(h, B=broken)) == CheckResult(
+            "form-from-traces", False, witness
+        )
 
 
 def test_integral_constants_are_stored_as_int(suite_algebras):
