@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, ResourceError
 from .groups import (
+    POINTS_BOUND,
     ConjugacyClass,
     FiniteGroup,
     Subgroup,
@@ -169,10 +170,16 @@ def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
     """The left translation action of ``group`` on the cosets ``g S``.
 
     Points are numbered by the smallest element of the coset, so the coset
-    ``S`` itself is point 0.
+    ``S`` itself is point 0.  An index ``[G:S]`` past :data:`POINTS_BOUND`
+    raises :class:`ResourceError` before any coset is built.
     """
     if s.parent is not group:
         raise InputError("the subgroup does not belong to the given group")
+    index = group.order // s.order
+    if index > POINTS_BOUND:
+        raise ResourceError(
+            f"S has {index} cosets in G, more than {POINTS_BOUND} (the points bound)"
+        )
     coset_of: dict[int, int] = {}
     cosets: list[tuple[int, ...]] = []
     for g in range(group.order):

@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .actions import (
@@ -74,24 +75,36 @@ class CardyFrobeniusAlgebra:
         return AlgebraElement(accumulated)
 
     @cached_property
-    def _phi_dual_matrix(self) -> list[list[Fraction]]:
-        # phi* = F_A^-1 . Phi . F_B, the adjoint of phi for the two pairings.
-        fa_inv = self.A.form_inverse()
-        phi_fb = linalg.mat_mul(self.phi, self.B.form)
-        return linalg.mat_mul(fa_inv, phi_fb)
+    def _phi_form(self) -> list[dict[int, Fraction]]:
+        """Sparse rows of ``Phi . F_B``, one per ``A`` basis element."""
+        return [_row_times(enumerate(row), self.B.form) for row in self.phi]
+
+    @cached_property
+    def _phi_dual(self) -> list[dict[int, Fraction]]:
+        """Sparse rows of ``phi* = F_A^-1 . Phi . F_B``, the adjoint of ``phi``."""
+        return [_row_times(row.items(), self._phi_form) for row in self.A.form_inverse()]
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
         """Image of a ``B`` element under the adjoint ``phi*``."""
-        matrix = self._phi_dual_matrix
-        accumulated: dict[str, Fraction] = {}
-        for label, value in y.coeffs.items():
-            j = self.B.index(label)
-            for i in range(self.A.dim):
-                entry = matrix[i][j]
-                if entry:
-                    out = self.A.basis[i]
-                    accumulated[out] = accumulated.get(out, Fraction(0)) + value * entry
-        return AlgebraElement(accumulated)
+        y_coeffs = [(self.B.index(label), value) for label, value in y.coeffs.items()]
+        return AlgebraElement(
+            {
+                self.A.basis[i]: sum((row.get(j, 0) * value for j, value in y_coeffs), Fraction(0))
+                for i, row in enumerate(self._phi_dual)
+            }
+        )
+
+
+def _row_times(
+    row: Iterable[tuple[int, Fraction | int]], matrix: Sequence[Mapping[int, Fraction]]
+) -> dict[int, Fraction]:
+    """The sparse row ``sum_k row[k] * matrix[k]``, from ``(k, row[k])`` pairs."""
+    out: dict[int, Fraction] = {}
+    for k, weight in row:
+        if weight:
+            for j, entry in matrix[k].items():
+                out[j] = out.get(j, 0) + weight * entry
+    return out
 
 
 # -- builders ----------------------------------------------------------------
@@ -173,12 +186,7 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     for i, field in enumerate(fields):
         x, z = field.representative
         star = orbit_of[z][x]
-        row = algebra.form[i]
-        if (
-            row[star] != Fraction(field.size, n_order)
-            or any(row[:star])
-            or any(row[star + 1 :])
-        ):
+        if algebra.form[i] != {star: Fraction(field.size, n_order)}:
             raise ConsistencyError(
                 "the pairing recomputed from structure constants is not "
                 f"|O|/|N| at ({field.label}, {fields[star].label}) and zero "
@@ -331,23 +339,16 @@ def _check_u_coefficients(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """The Cardy condition ``(phi*(x), phi*(y))_A = tr W_{x,y}`` on basis pairs.
 
-    The left side is the matrix ``F_B Phi^T F_A^-1 Phi F_B``, built one row at
+    The left side is the matrix ``(Phi F_B)^T phi*``, built one sparse row at
     a time; the right side ``tr W_{i,j} = tr(L_i R_j)`` comes from the sparse
     trace buckets of :func:`cardyfrob.frobenius.multiplication_traces`.
     """
     b = h.B
-    phi_fb = linalg.mat_mul(h.phi, b.form)
-    dual = linalg.mat_mul(h.A.form_inverse(), phi_fb)
-    dual_rows = [[(j, entry) for j, entry in enumerate(row) if entry] for row in dual]
+    phi_form, dual = h._phi_form, h._phi_dual
     traces = multiplication_traces(b, right=True)
     for i in range(b.dim):
-        lhs: dict[int, Fraction] = {}
-        for phi_row, dual_row in zip(phi_fb, dual_rows):
-            weight = phi_row[i]
-            if weight:
-                for j, entry in dual_row:
-                    lhs[j] = lhs.get(j, 0) + weight * entry
-        j = _first_difference(lhs, traces[i])
+        column = [(a, row.get(i, 0)) for a, row in enumerate(phi_form)]
+        j = _first_difference(_row_times(column, dual), traces[i])
         if j is not None:
             witness = f"({b.basis[i]}, {b.basis[j]})"
             return CheckResult("cardy", False, witness)
@@ -405,15 +406,17 @@ def _check_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
         for pair in set(field.orbit):
             owners.setdefault(pair, []).append(j)
     for i, left in enumerate(fields):
-        traces = [0] * len(fields)
+        traces: dict[int, int] = {}
         for x, y in left.orbit:
             for j in owners.get((y, x), ()):
-                traces[j] += 1
-        # form == trace / |N|, compared across the fraction in integers.
-        for j, (value, trace) in enumerate(zip(h.B.form[i], traces)):
-            if value.numerator * n_order != trace * value.denominator:
-                witness = f"({left.label}, {fields[j].label})"
-                return CheckResult("form-from-traces", False, witness)
+                traces[j] = traces.get(j, 0) + 1
+        row = h.B.form[i]
+        failing = [
+            j for j in row.keys() | traces.keys() if row.get(j, 0) * n_order != traces.get(j, 0)
+        ]
+        if failing:
+            witness = f"({left.label}, {fields[min(failing)].label})"
+            return CheckResult("form-from-traces", False, witness)
     return CheckResult("form-from-traces", True)
 
 
@@ -450,7 +453,7 @@ def _check_burnside_dimension(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 def phi_rank(h: CardyFrobeniusAlgebra) -> int:
     """The rank of ``phi`` as a linear map (injectivity iff rank = dim A)."""
-    return linalg.rank(h.phi)
+    return linalg.rank(dict(enumerate(row)) for row in h.phi)
 
 
 # -- Hecke comparison --------------------------------------------------------

@@ -168,7 +168,7 @@ def _algebra_summary(alg: EquippedFrobeniusAlgebra, dump: bool) -> dict[str, Any
                     )
         summary["structure_constants"] = constants
         summary["form"] = [
-            [format_fraction(entry) for entry in row] for row in alg.form
+            [format_fraction(row.get(j, 0)) for j in range(alg.dim)] for row in alg.form
         ]
     return summary
 

@@ -12,8 +12,10 @@ other as a :class:`~fractions.Fraction`; Python's mixed arithmetic keeps one
 code path for both.  Associativity and form invariance walk, for each basis
 pair ``(i, j)``, only the ``k`` that a nonzero product reaches, so their cost
 follows the number of nonzero products rather than ``dim**3``; every other
-triple has both sides zero.  The dense ``dim**3`` scans survive only as the
-reference in :func:`cardyfrob.oracles.dense_axiom_oracle`.
+triple has both sides zero.  The pairing and its inverse are sparse rows
+(``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built.
+The dense scans survive only as the reference in
+:func:`cardyfrob.oracles.dense_axiom_oracle`.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ class EquippedFrobeniusAlgebra:
             self.index(involution[label]) for label in self.basis
         )
         self.unit: AlgebraElement = self.element(unit)
-        self.form: tuple[tuple[Fraction, ...], ...] = self._compute_form()
-        self._form_inverse: list[list[Fraction]] | None = None
+        self.form: tuple[dict[int, Fraction], ...] = self._compute_form()
+        self._form_inverse: list[dict[int, Fraction]] | None = None
         self._casimir: AlgebraElement | None = None
         self._twisted_casimir: AlgebraElement | None = None
 
@@ -261,9 +263,10 @@ class EquippedFrobeniusAlgebra:
 
     # -- pairing and Casimir ----------------------------------------------
 
-    def _compute_form(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _compute_form(self) -> tuple[dict[int, Fraction], ...]:
+        """Sparse rows ``{j: l(e_i e_j)}`` of the pairing, from the products and ``l``."""
         n = self.dim
-        form = [[Fraction(0)] * n for _ in range(n)]
+        form: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(n))
         for code, expansion in self._products.items():
             i, j = divmod(code, n)
             total = Fraction(0)
@@ -271,10 +274,11 @@ class EquippedFrobeniusAlgebra:
                 weight = self.linear_form[out]
                 if weight:
                     total += value * weight
-            form[i][j] = total
-        return tuple(tuple(row) for row in form)
+            if total:
+                form[i][j] = total
+        return form
 
-    def form_inverse(self) -> list[list[Fraction]]:
+    def form_inverse(self) -> list[dict[int, Fraction]]:
         if self._form_inverse is None:
             try:
                 self._form_inverse = linalg.invert(self.form)
@@ -307,9 +311,7 @@ class EquippedFrobeniusAlgebra:
             left = self.multiply(self.basis_element(label), x)
             if left.is_zero():
                 continue
-            for j, weight in enumerate(inverse[i]):
-                if not weight:
-                    continue
+            for j, weight in inverse[i].items():
                 right = self.multiply(left, self.basis_element(self.basis[j]))
                 total = total + weight * right
         return total
@@ -318,13 +320,9 @@ class EquippedFrobeniusAlgebra:
         inverse = self.form_inverse()
         n = self.dim
         accumulated: dict[int, Fraction] = {}
-        for i in range(n):
-            row = inverse[i]
+        for i, row in enumerate(inverse):
             base = i * n
-            for j in range(n):
-                weight = row[j]
-                if not weight:
-                    continue
+            for j, weight in row.items():
                 column = self.involution[j] if twisted else j
                 expansion = self._products.get(base + column)
                 if not expansion:
@@ -336,21 +334,25 @@ class EquippedFrobeniusAlgebra:
         )
 
     def dual_reconstruct(self, x: AlgebraElement) -> AlgebraElement:
-        """Expand ``x`` through the dual basis: ``sum_{i,j} (x,e_i) F^-1_{ij} e_j``."""
+        """Expand ``x`` through the dual basis: ``sum_{i,j} (x,e_i) F^-1_{ij} e_j``.
+
+        The pairings ``(x, e_i) = l(x e_i)`` come from the products and ``l``,
+        never from the stored ``form``, so a form that disagrees with the
+        products does not reconstruct ``x``.
+        """
+        return self._dual_expand(x, self._compute_form())
+
+    def _dual_expand(
+        self, x: AlgebraElement, pairings: Sequence[Mapping[int, Fraction]]
+    ) -> AlgebraElement:
+        """``sum_{p,i,j} x_p pairings[p][i] F^-1_{ij} e_j``, all rows sparse."""
         inverse = self.form_inverse()
-        n = self.dim
-        pairings = [
-            self.bilinear(x, self.basis_element(label)) for label in self.basis
-        ]
-        coeffs: dict[str, Fraction] = {}
-        for j in range(n):
-            total = sum(
-                (pairings[i] * inverse[i][j] for i in range(n) if pairings[i]),
-                Fraction(0),
-            )
-            if total:
-                coeffs[self.basis[j]] = total
-        return AlgebraElement(coeffs)
+        coeffs: dict[int, Fraction] = {}
+        for label, value in x.coeffs.items():
+            for i, pairing in pairings[self.index(label)].items():
+                for j, weight in inverse[i].items():
+                    coeffs[j] = coeffs.get(j, 0) + value * pairing * weight
+        return AlgebraElement({self.basis[j]: value for j, value in coeffs.items()})
 
     def permuted(self, order: Sequence[str]) -> "EquippedFrobeniusAlgebra":
         """The same algebra presented on a reordered basis."""
@@ -462,11 +464,18 @@ def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_form_symmetric(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    for i in range(alg.dim):
-        for j in range(i):
-            if alg.form[i][j] != alg.form[j][i]:
-                witness = f"({alg.basis[i]}, {alg.basis[j]})"
-                return CheckResult("form-symmetric", False, witness)
+    # Only a stored entry can differ from its mirror.  The dense scan visits
+    # (i, j) with j < i in order, so its witness is the least (max, min) pair.
+    form = alg.form
+    failing = [
+        (max(i, j), min(i, j))
+        for i, row in enumerate(form)
+        for j, entry in row.items()
+        if form[j].get(i, 0) != entry
+    ]
+    if failing:
+        i, j = min(failing)
+        return CheckResult("form-symmetric", False, f"({alg.basis[i]}, {alg.basis[j]})")
     return CheckResult("form-symmetric", True)
 
 
@@ -480,14 +489,14 @@ def _check_form_invertible(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # l((e_i e_j) e_k) == l(e_i (e_j e_k)) in the shape of associativity, with
-    # the nonzero entries of each form row in place of the product rows.
+    # the sparse form rows in place of the product rows.
     n = alg.dim
     rows = _product_rows(alg)
-    form_rows = [{k: entry for k, entry in enumerate(row) if entry} for row in alg.form]
+    form = alg.form
     reach = [set().union(*row.values()) for row in rows]
     for i in range(n):
         row_i = rows[i]
-        form_i = form_rows[i]
+        form_i = form[i]
         for j in range(n):
             pij = row_i.get(j)
             if pij is None and reach[j].isdisjoint(form_i):
@@ -495,7 +504,7 @@ def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
             lhs: dict[int, int | Fraction] = {}
             if pij:
                 for m, c in pij.items():
-                    for k, entry in form_rows[m].items():
+                    for k, entry in form[m].items():
                         lhs[k] = lhs.get(k, 0) + entry * c
             rhs: dict[int, int | Fraction] = {}
             for k, pjk in rows[j].items():
@@ -518,17 +527,24 @@ def _check_involution_involutive(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_involution_antiautomorphism(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    # (e_i e_j)^* == e_j^* e_i^* for all basis pairs, walking stored products.
-    n = alg.dim
-    involution = alg.involution
-    for i in range(n):
-        for j in range(n):
-            expansion = alg.pair_products(i, j)
-            starred = {involution[out]: value for out, value in expansion.items()}
-            swapped = alg.pair_products(involution[j], involution[i])
-            if starred != dict(swapped):
-                witness = f"({alg.basis[i]}, {alg.basis[j]})"
-                return CheckResult("involution-antiautomorphism", False, witness)
+    # (e_i e_j)^* == e_j^* e_i^* for all basis pairs.  Both sides are zero
+    # unless (i, j) or its mirror (j^*, i^*) is stored, so only those pairs
+    # are visited, the mirrors found through the inverse of the star (which
+    # need not be involutive); the least failing pair is the dense witness.
+    star = alg.involution
+    unstar = sorted(range(alg.dim), key=star.__getitem__)
+    stored = [divmod(code, alg.dim) for code in alg._products]
+    pairs = set(stored) | {(unstar[b], unstar[a]) for a, b in stored}
+    failing = [
+        (i, j)
+        for i, j in pairs
+        if {star[out]: value for out, value in alg.pair_products(i, j).items()}
+        != alg.pair_products(star[j], star[i])
+    ]
+    if failing:
+        i, j = min(failing)
+        witness = f"({alg.basis[i]}, {alg.basis[j]})"
+        return CheckResult("involution-antiautomorphism", False, witness)
     return CheckResult("involution-antiautomorphism", True)
 
 
@@ -552,14 +568,14 @@ def _check_casimir_central(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_dual_reconstruction(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    # Spot-check the dual-basis expansion on the unit and a slice of the
-    # basis; the full property is exercised separately on small algebras.
+    # The dual-basis expansion of the unit and of every basis element, with
+    # the pairings recomputed once from the products and l, as in
+    # dual_reconstruct: the stored form is what the inverse was taken of.
+    pairings = alg._compute_form()
+    probes = [("1", alg.unit)] + [(label, alg.basis_element(label)) for label in alg.basis]
     try:
-        probes = [("1", alg.unit)] + [
-            (label, alg.basis_element(label)) for label in alg.basis[:8]
-        ]
         for name, probe in probes:
-            if alg.dual_reconstruct(probe) != probe:
+            if alg._dual_expand(probe, pairings) != probe:
                 return CheckResult("dual-reconstruction", False, name)
     except ConsistencyError as exc:
         return CheckResult("dual-reconstruction", False, str(exc))
@@ -609,15 +625,15 @@ def trace_form(alg: EquippedFrobeniusAlgebra) -> list[list[Fraction]]:
 
 def is_semisimple(alg: EquippedFrobeniusAlgebra) -> bool:
     """Whether the trace form is nondegenerate (semisimplicity over the rationals)."""
-    return linalg.has_full_rank(trace_form(alg))
+    return linalg.has_full_rank(multiplication_traces(alg))
 
 
 def center_dimension(alg: EquippedFrobeniusAlgebra) -> int:
     """Dimension of the center, by exact elimination of the commutant system.
 
     An element ``z`` is central iff for all ``j, k``:
-    ``sum_i z_i (c_{ij}^k - c_{ji}^k) = 0``.  The sparse rows of that system
-    are eliminated incrementally, keeping only independent pivot rows.
+    ``sum_i z_i (c_{ij}^k - c_{ji}^k) = 0``, one sparse row per ``(j, k)``,
+    and the center is the kernel of that system.
     """
     n = alg.dim
     rows: dict[int, dict[int, Fraction]] = {}
@@ -628,25 +644,4 @@ def center_dimension(alg: EquippedFrobeniusAlgebra) -> int:
             row[i] = row.get(i, Fraction(0)) + value
             row = rows.setdefault(i * n + k, {})
             row[j] = row.get(j, Fraction(0)) - value
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows.values():
-        work = {col: value for col, value in row.items() if value}
-        while work:
-            lead = min(work)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                scale = work[lead]
-                pivots[lead] = {col: value / scale for col, value in work.items()}
-                rank += 1
-                break
-            factor = work[lead]
-            for col, value in pivot.items():
-                updated = work.get(col, Fraction(0)) - factor * value
-                if updated:
-                    work[col] = updated
-                else:
-                    work.pop(col, None)
-        if rank == n:
-            break
-    return n - rank
+    return n - linalg.rank(rows.values())

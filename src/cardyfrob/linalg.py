@@ -1,107 +1,97 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of :class:`fractions.Fraction` (integer entries
-are accepted and promoted).  Everything here is deterministic: pivoting picks
-the first row with a nonzero entry, so repeated runs produce identical
-results.  Zero entries are skipped during elimination, which makes inversion
-of the sparse pairing matrices that arise in this package effectively
-quadratic instead of cubic.
+Elimination works on sparse rows: a row is a mapping from column index to a
+nonzero entry (integer entries are accepted and promoted to
+:class:`fractions.Fraction`).  :func:`echelon` is the one forward
+elimination; :func:`rank` counts its pivots and :func:`invert` finishes it to
+Gauss-Jordan.  A pivot is always the leading entry of the first row that
+reaches its column, so repeated runs produce identical results, and each step
+touches only stored entries: a monomial matrix, such as the pairings of this
+package, inverts in one step per row.  Dense lists of lists survive only for
+the integer permutation model of the oracles (:func:`mat_mul`,
+:func:`mat_pow`, :func:`trace`) and the modular rank certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
-Matrix = list[list[Fraction]]
+SparseRow = dict[int, Fraction]
 
 
 class SingularMatrixError(ArithmeticError):
     """Raised when a matrix that must be invertible is not."""
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, SparseRow]:
+    """Forward elimination: independent rows keyed by their leading column.
+
+    Each row is reduced against the pivots found so far, leading entry first;
+    what is left, scaled to a leading 1, becomes the pivot of its leading
+    column, and a row reduced to zero is dropped.  The pivot columns are the
+    columns that do not depend on the columns before them.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        work = {col: Fraction(value) for col, value in row.items() if value}
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = work[lead]
+                pivots[lead] = {col: value / scale for col, value in work.items()}
+                break
+            _subtract(work, work[lead], pivot)
+    return pivots
 
 
-def matrix_copy(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(entry) for entry in row] for row in rows]
+def _subtract(work: SparseRow, factor: Fraction, row: SparseRow) -> None:
+    """``work -= factor * row`` in place, dropping entries that become zero."""
+    for col, value in row.items():
+        updated = work.get(col, 0) - factor * value
+        if updated:
+            work[col] = updated
+        else:
+            work.pop(col, None)
 
 
-def invert(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    """Invert a square rational matrix by Gauss-Jordan elimination.
+def rank(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+    """Exact rank of a matrix given as sparse rows."""
+    return len(echelon(rows))
 
-    Raises :class:`SingularMatrixError` when the matrix has no inverse.
+
+def invert(rows: Sequence[Mapping[int, Fraction | int]]) -> list[SparseRow]:
+    """Invert a square rational matrix, given and returned as sparse rows.
+
+    Gauss-Jordan on ``[F | I]``: :func:`echelon`, then back substitution from
+    the last pivot column.  Raises :class:`SingularMatrixError`, naming the
+    first column that depends on the columns before it, when ``F`` has no
+    inverse.
     """
     n = len(rows)
-    work = matrix_copy(rows)
-    for i, row in enumerate(work):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        row.extend(Fraction(int(j == i)) for j in range(n))
+    for i, row in enumerate(rows):
+        outside = [col for col in row if not 0 <= col < n]
+        if outside:
+            raise ValueError(f"row {i} has column {outside[0]}, expected 0..{n - 1}")
+    pivots = echelon({**row, n + i: 1} for i, row in enumerate(rows))
     for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if work[r][col] != 0),
-            None,
-        )
-        if pivot_row is None:
+        if col not in pivots:
             raise SingularMatrixError(f"matrix is singular at column {col}")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        if pivot != 1:
-            work[col] = [entry / pivot if entry else entry for entry in work[col]]
-        pivot_line = work[col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor == 0:
-                continue
-            row = work[r]
-            for c in range(col, 2 * n):
-                if pivot_line[c]:
-                    row[c] -= factor * pivot_line[c]
-    return [row[n:] for row in work]
-
-
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank by fraction elimination with first-nonzero pivoting."""
-    work = matrix_copy(rows)
-    if not work:
-        return 0
-    n_cols = len(work[0])
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(r, len(work)) if work[i][col] != 0),
-            None,
-        )
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot_line = work[r]
-        pivot = pivot_line[col]
-        for i in range(r + 1, len(work)):
-            factor = work[i][col]
-            if factor == 0:
-                continue
-            scale = factor / pivot
-            row = work[i]
-            for c in range(col, n_cols):
-                if pivot_line[c]:
-                    row[c] -= scale * pivot_line[c]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    for col in reversed(range(n)):
+        line = pivots[col]
+        for later in [c for c in line if col < c < n]:
+            _subtract(line, line[later], pivots[later])
+    return [
+        {c - n: value for c, value in pivots[col].items() if c >= n} for col in range(n)
+    ]
 
 
 _MODULAR_PRIME = (1 << 61) - 1
 
 
-def has_full_rank(rows: Sequence[Sequence[Fraction | int]]) -> bool:
-    """Decide whether a square rational matrix is nonsingular.
+def has_full_rank(rows: Sequence[Mapping[int, Fraction | int]]) -> bool:
+    """Decide whether a square rational matrix, given as sparse rows, is nonsingular.
 
     A single modular elimination over a large prime certifies full rank
     quickly in the typical case; only a modular rank deficit falls back to
@@ -117,18 +107,18 @@ def has_full_rank(rows: Sequence[Sequence[Fraction | int]]) -> bool:
     return rank(rows) == n
 
 
-def _rank_mod(rows: Sequence[Sequence[Fraction | int]], p: int) -> int:
+def _rank_mod(rows: Sequence[Mapping[int, Fraction | int]], p: int) -> int:
     work: list[list[int]] = []
     for row in rows:
-        reduced = []
-        for entry in row:
+        reduced = [0] * len(rows)
+        for col, entry in row.items():
             entry = Fraction(entry)
             den = entry.denominator % p
             if den == 0:
                 # Denominator collides with the prime; report a deficit so the
                 # caller falls back to exact arithmetic.
                 return 0
-            reduced.append(entry.numerator * pow(den, p - 2, p) % p)
+            reduced[col] = entry.numerator * pow(den, p - 2, p) % p
         work.append(reduced)
     n_cols = len(work[0]) if work else 0
     r = 0
@@ -191,6 +181,3 @@ def mat_pow(m: Sequence[Sequence], exponent: int) -> list[list]:
 def trace(m: Sequence[Sequence]):
     return sum(m[i][i] for i in range(len(m)))
 
-
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*m)] if m else []

@@ -8,11 +8,11 @@ tautology.
 
 The dense permutation model (the ``nu`` and ``rho`` matrices on ``X``) lives
 here and nowhere else; the trace oracle builds it on first use.  The dense
-``dim**3`` scans of associativity and form invariance,
-:func:`dense_axiom_oracle`, live here too: they read the structure constants
-like the checks they stand behind, but through a plain triple loop that
-shares no code with the row-wise walk of
-:func:`cardyfrob.frobenius.verify_equipped`.
+scans of associativity, form symmetry, form invariance and the star
+anti-automorphism, :func:`dense_axiom_oracle`, live here too: they read the
+structure constants and the form like the checks they stand behind, but
+through plain loops over every basis pair or triple that share no code with
+the sparse walks of :func:`cardyfrob.frobenius.verify_equipped`.
 :func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
 the structure constants of ``B`` without any matrix.
 :func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
@@ -317,13 +317,20 @@ def commutator_casimir_check(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def dense_axiom_oracle(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
-    """Associativity and form invariance by a dense scan of all ``dim**3`` triples.
+    """Four axioms by dense scans of every basis pair or triple.
 
-    The slow reference for the row-wise checks of
-    :func:`cardyfrob.frobenius.verify_equipped`: both results, witnesses
-    included, must equal the ones that function reports under the same names.
+    Associativity and form invariance scan all ``dim**3`` triples, form
+    symmetry and the star anti-automorphism all ``dim**2`` pairs.  The slow
+    reference for the sparse checks of
+    :func:`cardyfrob.frobenius.verify_equipped`: every result, witness
+    included, must equal the one that function reports under the same name.
     """
-    return [_dense_associativity(alg), _dense_form_invariance(alg)]
+    return [
+        _dense_associativity(alg),
+        _dense_form_symmetric(alg),
+        _dense_form_invariance(alg),
+        _dense_involution_antiautomorphism(alg),
+    ]
 
 
 def _dense_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
@@ -359,6 +366,30 @@ def _dense_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     return CheckResult("associativity", True)
 
 
+def _dense_form_symmetric(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    for i in range(alg.dim):
+        for j in range(i):
+            if alg.form[i].get(j, 0) != alg.form[j].get(i, 0):
+                witness = f"({alg.basis[i]}, {alg.basis[j]})"
+                return CheckResult("form-symmetric", False, witness)
+    return CheckResult("form-symmetric", True)
+
+
+def _dense_involution_antiautomorphism(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    # (e_i e_j)^* == e_j^* e_i^* for all basis pairs.
+    n = alg.dim
+    involution = alg.involution
+    for i in range(n):
+        for j in range(n):
+            expansion = alg.pair_products(i, j)
+            starred = {involution[out]: value for out, value in expansion.items()}
+            swapped = alg.pair_products(involution[j], involution[i])
+            if starred != dict(swapped):
+                witness = f"({alg.basis[i]}, {alg.basis[j]})"
+                return CheckResult("involution-antiautomorphism", False, witness)
+    return CheckResult("involution-antiautomorphism", True)
+
+
 def _dense_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # l((e_i e_j) e_k) == l(e_i (e_j e_k)) for all basis triples.
     n = alg.dim
@@ -378,13 +409,13 @@ def _dense_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
                 lhs = Fraction(0)
                 if pij:
                     for m, c in pij.items():
-                        entry = form[m][k]
+                        entry = form[m].get(k, 0)
                         if entry:
                             lhs += c * entry
                 rhs = Fraction(0)
                 if pjk:
                     for m, c in pjk.items():
-                        entry = form_i[m]
+                        entry = form_i.get(m, 0)
                         if entry:
                             rhs += c * entry
                 if lhs != rhs:

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from cardyfrob import bundled_input
+from cardyfrob import bundled_input, cardy_from_pair, group_from_document
 from cardyfrob.cli import run
+from cardyfrob.rationals import format_fraction
 
 Z2_DOC = {"degree": 2, "generators": [[1, 0]], "k_generators": []}
 S4_DOC = {
@@ -18,6 +19,15 @@ S4_DOC = {
     "k_generators": [],
 }
 TORUS_DOC = {"orientable": True, "genus": 1, "interior": [], "boundary": []}
+BUNDLED_GROUPS = [
+    "a5_k_double_transposition",
+    "s3_k_transposition",
+    "s3_trivial",
+    "s4_k_double_transposition",
+    "s4_trivial",
+    "z2_trivial",
+    "z3_trivial",
+]
 
 
 @pytest.fixture()
@@ -90,6 +100,20 @@ def test_algebra_dump(capsys, z2_path):
     assert payload["b"]["unit"] == {"b0": "1", "b3": "1"}
     assert payload["a"]["linear_form"] == {"a0": "1/2"}
     assert payload["b"]["form"][1][2] == "1/2"
+    # The dump writes the sparse pairing out densely: every entry, zeros
+    # included, is l(e_i e_j) recomputed from the products.
+    for name in BUNDLED_GROUPS:
+        path = bundled_input(f"groups/{name}.json")
+        code, out, _ = run_json(capsys, ["algebra", "--group", str(path), "--dump"])
+        assert code == 0
+        payload = json.loads(out)
+        h = cardy_from_pair(*group_from_document(json.loads(path.read_text())))
+        for key, alg in (("a", h.A), ("b", h.B)):
+            elements = [alg.basis_element(label) for label in alg.basis]
+            expected = [
+                [format_fraction(alg.bilinear(x, y)) for y in elements] for x in elements
+            ]
+            assert payload[key]["form"] == expected, (name, key)
 
 
 def test_algebra_without_dump_is_compact(capsys, z2_path):
@@ -400,6 +424,20 @@ def test_hecke_bad_generators(capsys, z2_path):
     )
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_hecke_past_the_points_bound_exits_3_at_once(capsys, tmp_path):
+    # S in S6 trivial: 720 cosets, more than POINTS_BOUND.
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps({"degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}))
+    started = time.perf_counter()
+    code, out, err = run_json(
+        capsys, ["hecke", "--group", str(path), "--subgroup-generators", "[]"]
+    )
+    assert time.perf_counter() - started < 10.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: ") and "points bound" in err
 
 
 def test_unknown_subcommand_exits_with_usage_error(capsys):

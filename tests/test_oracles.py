@@ -118,7 +118,7 @@ def test_t_tensor_oracle_matches_structure_constants(suite_algebras, name):
             expansion = b.pair_products(i, j)
             for l, right in enumerate(b.basis):
                 expected = sum(
-                    (value * b.form[k][l] for k, value in expansion.items()),
+                    (value * b.form[k].get(l, 0) for k, value in expansion.items()),
                     Fraction(0),
                 )
                 chains = t_tensor_oracle(h.catalog, [left, middle, right]).value

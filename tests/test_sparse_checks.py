@@ -1,10 +1,11 @@
-"""The row-wise axiom checks against the dense dim**3 reference.
+"""The sparse axiom checks against the dense reference scans.
 
-``verify_equipped`` walks only the basis triples that a nonzero product
-reaches; :func:`cardyfrob.oracles.dense_axiom_oracle` scans all of them.
-Both must report the same :class:`CheckResult`, witness included, on real
-algebras, on copies with one corrupted structure constant, and on random
-(mostly non-associative) sparse algebras.
+``verify_equipped`` walks only the basis pairs and triples that a stored
+product or form entry reaches; :func:`cardyfrob.oracles.dense_axiom_oracle`
+scans all of them.  Both must report the same :class:`CheckResult`, witness
+included, on real algebras, on copies with one corrupted structure constant
+or form entry, and on random (mostly non-associative) sparse algebras with a
+random star permutation.
 """
 
 from __future__ import annotations
@@ -26,14 +27,45 @@ from cardyfrob import (
     verify_equipped,
 )
 from cardyfrob.cardy import _check_form_from_traces
-from cardyfrob.frobenius import _check_associativity, _check_form_invariance
+from cardyfrob.frobenius import (
+    _check_associativity,
+    _check_dual_reconstruction,
+    _check_form_invariance,
+    _check_form_symmetric,
+    _check_involution_antiautomorphism,
+)
 
 PINNED_PAIRS = ["z2", "z3", "s3", "s3_k01", "a5_k0123"]
-DENSE_NAMES = ("associativity", "form-invariance")
+DENSE_NAMES = (
+    "associativity",
+    "form-symmetric",
+    "form-invariance",
+    "involution-antiautomorphism",
+)
 
 
 def sparse_results(alg: EquippedFrobeniusAlgebra):
     return [result for result in verify_equipped(alg) if result.name in DENSE_NAMES]
+
+
+def sparse_checks(alg: EquippedFrobeniusAlgebra):
+    """The checks of ``DENSE_NAMES`` alone, without inverting the pairing."""
+    return [
+        _check_associativity(alg),
+        _check_form_symmetric(alg),
+        _check_form_invariance(alg),
+        _check_involution_antiautomorphism(alg),
+    ]
+
+
+def with_form_entry(alg: EquippedFrobeniusAlgebra, i: int, j: int, delta):
+    """A copy of ``alg`` whose stored pairing entry ``F_ij`` is off by ``delta``."""
+    rows = [dict(row) for row in alg.form]
+    rows[i][j] = rows[i].get(j, 0) + delta
+    broken = copy.copy(alg)
+    broken.form = tuple(rows)
+    broken._form_inverse = None
+    return broken
 
 
 def with_constant(
@@ -112,14 +144,32 @@ def test_corrupted_form_entry_breaks_form_from_traces(suite_algebras, name, coun
     if count is not None:
         entries = random.Random(sum(name.encode("utf-8"))).sample(entries, count)
     for i, j in entries:
-        rows = [list(row) for row in h.B.form]
-        rows[i][j] += Fraction(1, 7)
-        broken = copy.copy(h.B)
-        broken.form = tuple(tuple(row) for row in rows)
+        broken = with_form_entry(h.B, i, j, Fraction(1, 7))
         witness = f"({h.B.basis[i]}, {h.B.basis[j]})"
         assert _check_form_from_traces(replace(h, B=broken)) == CheckResult(
             "form-from-traces", False, witness
         )
+        assert sparse_checks(broken) == dense_axiom_oracle(broken), (name, i, j)
+        # A second corrupted entry later in the row leaves the witness as is.
+        if j + 1 < h.B.dim:
+            twice = with_form_entry(broken, i, j + 1, Fraction(1, 7))
+            assert _check_form_from_traces(replace(h, B=twice)).witness == witness
+
+
+def test_corrupted_form_row_breaks_dual_reconstruction(suite_algebras):
+    # Each row of the a5_k0123 pairing, off by 1/7 at its one nonzero entry:
+    # the pairings are recomputed from the products, so the dual basis taken
+    # from the corrupted form fails to reconstruct e_i, or the unit first when
+    # e_i is one of its terms.
+    b = suite_algebras["a5_k0123"].B
+    assert _check_dual_reconstruction(b).passed
+    for i, label in enumerate(b.basis):
+        (j,) = b.form[i]
+        broken = with_form_entry(b, i, j, Fraction(1, 7))
+        witness = "1" if label in b.unit.coeffs else label
+        assert _check_dual_reconstruction(broken) == CheckResult(
+            "dual-reconstruction", False, witness
+        ), label
 
 
 def test_integral_constants_are_stored_as_int(suite_algebras):
@@ -172,11 +222,12 @@ def sparse_algebras(draw):
     linear_form = draw(
         st.dictionaries(st.sampled_from(basis), constants, min_size=1, max_size=dim)
     )
+    star = draw(st.permutations(basis))
     return EquippedFrobeniusAlgebra(
         basis=basis,
         products=products,
         linear_form=linear_form,
-        involution={label: label for label in basis},
+        involution=dict(zip(basis, star)),
         unit={basis[0]: 1},
     )
 
@@ -184,6 +235,4 @@ def sparse_algebras(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_algebras())
 def test_random_sparse_algebras_match_dense_reference(alg):
-    # The two checks alone: the rest of verify_equipped inverts the pairing.
-    sparse = [_check_associativity(alg), _check_form_invariance(alg)]
-    assert sparse == dense_axiom_oracle(alg)
+    assert sparse_checks(alg) == dense_axiom_oracle(alg)
