@@ -9,19 +9,31 @@ so every verification below is an exact identity, never a numerical one.
 Structure constants are stored sparsely: a basis-pair product that is zero
 simply has no entry.  An integral constant is stored as an ``int`` and any
 other as a :class:`~fractions.Fraction`; Python's mixed arithmetic keeps one
-code path for both.  Associativity and form invariance walk, for each basis
-pair ``(i, j)``, only the ``k`` that a nonzero product reaches, so their cost
-follows the number of nonzero products rather than ``dim**3``; every other
-triple has both sides zero.  The pairing and its inverse are sparse rows
+code path for both.  The pairing and its inverse are sparse rows
 (``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built.
-The dense scans survive only as the reference in
+
+Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
+nonzero product reaches; every other triple has both sides zero.  When every
+constant is an ``int`` the walk needs only the ``j`` of a generating set
+``S``: the middle nucleus ``{b : (x b) y = x (b y)}`` of any algebra is closed
+under products, by the Teichmuller identity (R. D. Schafer, *An Introduction
+to Nonassociative Algebras*, 1966), so it is everything once it holds ``S``
+and the left-normed words in ``S`` span the algebra.  :func:`nucleus_words`
+finds ``S`` and those words by elimination modulo a large prime, where a full
+rank implies a full rank over Q.  Form invariance compares
+``sum_m c_ij^m F_mk`` with ``sum_m F_im c_jk^m`` one ``i`` at a time, over the
+form scaled to integers, so its cost is the number of stored constants times
+the length of a form row.  Both report the first failing triple of a dense
+scan, which survives only as the reference in
 :func:`cardyfrob.oracles.dense_axiom_oracle`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -236,10 +248,7 @@ class EquippedFrobeniusAlgebra:
     def power(self, x: AlgebraElement, exponent: int) -> AlgebraElement:
         if exponent < 0:
             raise InputError("negative powers are not defined here")
-        result = self.unit
-        for _ in range(exponent):
-            result = self.multiply(result, x)
-        return result
+        return linalg.power(x, exponent, self.multiply, self.unit)
 
     def linear(self, x: AlgebraElement) -> Fraction:
         return sum(
@@ -426,18 +435,94 @@ def _first_difference(lhs: Mapping[int, object], rhs: Mapping[int, object]) -> i
 
 
 def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    # The middle nucleus {b : (x b) y = x (b y) for all x, y} of any algebra
+    # is closed under products (Schafer 1966, from the Teichmuller identity).
+    # So when the left-normed words in a set S of basis elements span the
+    # algebra, the (i, j) walk with j in S alone proves associativity.  The
+    # search for S runs modulo a prime, which certifies a rank over Q only
+    # for integral constants; a Fraction constant, or a failure, takes the
+    # walk over every j, which reports the dense scan's first triple.
+    rows = _product_rows(alg)
+    integral = all(
+        type(value) is int
+        for expansion in alg._products.values()
+        for value in expansion.values()
+    )
+    if integral:
+        generators = [word[0] for word in nucleus_words(alg) if len(word) == 1]
+        if _associativity_walk(alg, rows, generators) is None:
+            return CheckResult("associativity", True)
+    witness = _associativity_walk(alg, rows, range(alg.dim))
+    if witness is None:
+        return CheckResult("associativity", True)
+    return CheckResult("associativity", False, witness)
+
+
+def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
+    """Left-normed words ``((e_s e_t) e_u) ...`` whose products form a basis modulo p.
+
+    The generators, the one-letter words, are taken greedily in basis order:
+    a basis element joins unless the span of the words so far already holds
+    it, and that span is then closed under right multiplication by every
+    generator.  Every basis element is a candidate, so the words always reach
+    rank ``dim`` modulo ``linalg._MODULAR_PRIME``; for integral constants
+    that is rank ``dim`` over Q as well.
+    """
+    n = alg.dim
+    p = linalg._MODULAR_PRIME
+    right: list[dict[int, Mapping[int, int | Fraction]]] = [{} for _ in range(n)]
+    for code, expansion in alg._products.items():
+        m, s = divmod(code, n)
+        right[s][m] = expansion
+    pivots: dict[int, dict[int, int]] = {}
+    words: list[tuple[int, ...]] = []
+    vectors: list[dict[int, int]] = []
+    generators: list[int] = []
+    pending: deque[tuple[int, int]] = deque()
+    for candidate in range(n):
+        if len(pivots) == n:
+            break
+        if not linalg.insert_mod(pivots, {candidate: 1}):
+            continue
+        pending.extend((w, len(generators)) for w in range(len(words)))
+        generators.append(candidate)
+        pending.extend((len(words), g) for g in range(len(generators)))
+        words.append((candidate,))
+        vectors.append({candidate: 1})
+        while pending and len(pivots) < n:
+            w, g = pending.popleft()
+            column = right[generators[g]]
+            product: dict[int, int] = {}
+            for m, a in vectors[w].items():
+                expansion = column.get(m)
+                if expansion:
+                    for out, c in expansion.items():
+                        product[out] = product.get(out, 0) + a * c
+            product = {out: value % p for out, value in product.items() if value % p}
+            if linalg.insert_mod(pivots, product):
+                pending.extend((len(words), h) for h in range(len(generators)))
+                words.append(words[w] + (generators[g],))
+                vectors.append(product)
+    return words
+
+
+def _associativity_walk(
+    alg: EquippedFrobeniusAlgebra,
+    rows: Sequence[Mapping[int, Mapping[int, int | Fraction]]],
+    middles: Sequence[int],
+) -> str | None:
+    """The first failing triple ``(i, j, k)`` with ``j`` in ``middles``, if any."""
     # (e_i e_j) e_k == e_i (e_j e_k), one basis pair (i, j) at a time, with
     # both sides keyed by k * dim + out.  The left side is nonzero only for k
     # in the rows of supp(e_i e_j), the right side only for k with
     # e_j e_k != 0 (and only if e_i reaches supp(e_j e_k)); every other k has
     # both sides zero.  Taking the smallest failing k in lexicographic (i, j)
-    # order gives the first failing triple of a dense scan.
+    # order gives the first failing triple of a dense scan over ``middles``.
     n = alg.dim
-    rows = _product_rows(alg)
     reach = [set().union(*row.values()) for row in rows]
     for i in range(n):
         row_i = rows[i]
-        for j in range(n):
+        for j in middles:
             pij = row_i.get(j)
             if pij is None and reach[j].isdisjoint(row_i):
                 continue
@@ -456,11 +541,11 @@ def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
                     if pim:
                         for out, value in pim.items():
                             rhs[base + out] = rhs.get(base + out, 0) + c * value
-            code = _first_difference(lhs, rhs)
-            if code is not None:
-                witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[code // n]})"
-                return CheckResult("associativity", False, witness)
-    return CheckResult("associativity", True)
+            if lhs != rhs:
+                code = _first_difference(lhs, rhs)
+                if code is not None:
+                    return f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[code // n]})"
+    return None
 
 
 def _check_form_symmetric(alg: EquippedFrobeniusAlgebra) -> CheckResult:
@@ -488,32 +573,36 @@ def _check_form_invertible(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    # l((e_i e_j) e_k) == l(e_i (e_j e_k)) in the shape of associativity, with
-    # the sparse form rows in place of the product rows.
+    # l((e_i e_j) e_k) == l(e_i (e_j e_k)), that is
+    # sum_m c_ij^m F_mk == sum_m F_im c_jk^m, one i at a time with both sides
+    # keyed by j * dim + k.  The left side walks row i of the products into
+    # the form rows, the right side form row i into the constants c_jk^m
+    # listed by m.  The form is scaled by the lcm of its denominators, so
+    # integral constants give integer sums; the smallest failing key of the
+    # first failing i is the dense scan's first triple.
     n = alg.dim
+    scale = lcm(*(entry.denominator for row in alg.form for entry in row.values()))
+    form = [{k: int(entry * scale) for k, entry in row.items()} for row in alg.form]
     rows = _product_rows(alg)
-    form = alg.form
-    reach = [set().union(*row.values()) for row in rows]
+    by_out: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n)]
+    for code, expansion in alg._products.items():
+        for m, c in expansion.items():
+            by_out[m].append((code, c))
     for i in range(n):
-        row_i = rows[i]
-        form_i = form[i]
-        for j in range(n):
-            pij = row_i.get(j)
-            if pij is None and reach[j].isdisjoint(form_i):
-                continue
-            lhs: dict[int, int | Fraction] = {}
-            if pij:
-                for m, c in pij.items():
-                    for k, entry in form[m].items():
-                        lhs[k] = lhs.get(k, 0) + entry * c
-            rhs: dict[int, int | Fraction] = {}
-            for k, pjk in rows[j].items():
-                for m, c in pjk.items():
-                    entry = form_i.get(m)
-                    if entry:
-                        rhs[k] = rhs.get(k, 0) + entry * c
-            k = _first_difference(lhs, rhs)
-            if k is not None:
+        lhs: dict[int, int | Fraction] = {}
+        for j, pij in rows[i].items():
+            base = j * n
+            for m, c in pij.items():
+                for k, entry in form[m].items():
+                    lhs[base + k] = lhs.get(base + k, 0) + c * entry
+        rhs: dict[int, int | Fraction] = {}
+        for m, entry in form[i].items():
+            for code, c in by_out[m]:
+                rhs[code] = rhs.get(code, 0) + entry * c
+        if lhs != rhs:
+            code = _first_difference(lhs, rhs)
+            if code is not None:
+                j, k = divmod(code, n)
                 witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
                 return CheckResult("form-invariance", False, witness)
     return CheckResult("form-invariance", True)

@@ -153,6 +153,12 @@ def build_group(
     element on the right by the generators in input order, so the element
     numbering is reproducible.  Exceeding ``order_bound`` elements raises
     :class:`ResourceError`.
+
+    The closure records ``right[x][g]``, the index of ``x * gens[g]``, and
+    for each element ``b`` but the identity the step ``(x, g)`` that found
+    it, ``b = x * gens[g]``.  A parent is found before its child, so each row
+    of the table fills in element order from ``a * b = right[a * x][g]``,
+    with integer lookups and no permutation arithmetic.
     """
     if degree < 1:
         raise InputError(f"degree must be positive, got {degree}")
@@ -163,23 +169,29 @@ def build_group(
     identity = tuple(range(degree))
     elements: list[Perm] = [identity]
     index: dict[Perm, int] = {identity: 0}
-    head = 0
-    while head < len(elements):
-        current = elements[head]
-        head += 1
-        for gen in gens:
+    right: list[list[int]] = []
+    steps: list[tuple[int, int]] = []
+    for x, current in enumerate(elements):
+        row = []
+        for g, gen in enumerate(gens):
             product = compose(current, gen)
-            if product not in index:
+            found = index.get(product)
+            if found is None:
                 if len(elements) >= order_bound:
                     raise ResourceError(
                         f"group closure exceeded the order bound {order_bound}"
                     )
-                index[product] = len(elements)
+                found = index[product] = len(elements)
                 elements.append(product)
-    table = [
-        [index[compose(left, right)] for right in elements]
-        for left in elements
-    ]
+                steps.append((x, g))
+            row.append(found)
+        right.append(row)
+    table = []
+    for a in range(len(elements)):
+        row = [a]
+        for x, g in steps:
+            row.append(right[row[x]][g])
+        table.append(row)
     names = [cycle_notation(perm) for perm in elements]
     return FiniteGroup(table, names=names, perms=elements)
 

@@ -7,17 +7,21 @@ elimination; :func:`rank` counts its pivots and :func:`invert` finishes it to
 Gauss-Jordan.  A pivot is always the leading entry of the first row that
 reaches its column, so repeated runs produce identical results, and each step
 touches only stored entries: a monomial matrix, such as the pairings of this
-package, inverts in one step per row.  Dense lists of lists survive only for
-the integer permutation model of the oracles (:func:`mat_mul`,
-:func:`mat_pow`, :func:`trace`) and the modular rank certificate.
+package, inverts in one step per row.  :func:`insert_mod` is the same
+elimination on integer rows modulo a large prime, for rank certificates:
+independence modulo ``p`` implies independence over Q.  Dense lists of lists
+survive only for the integer permutation model of the oracles
+(:func:`mat_mul`, :func:`mat_pow`, :func:`trace`).  :func:`power` raises an
+element of any associative product by repeated squaring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 SparseRow = dict[int, Fraction]
+T = TypeVar("T")
 
 
 class SingularMatrixError(ArithmeticError):
@@ -101,50 +105,54 @@ def has_full_rank(rows: Sequence[Mapping[int, Fraction | int]]) -> bool:
     n = len(rows)
     if n == 0:
         return True
-    modular = _rank_mod(rows, _MODULAR_PRIME)
+    modular = _rank_mod(rows)
     if modular == n:
         return True
     return rank(rows) == n
 
 
-def _rank_mod(rows: Sequence[Mapping[int, Fraction | int]], p: int) -> int:
-    work: list[list[int]] = []
+def insert_mod(pivots: dict[int, dict[int, int]], row: Mapping[int, int]) -> bool:
+    """Reduce an integer sparse row modulo ``p`` against ``pivots``; keep it if nonzero.
+
+    ``p`` is :data:`_MODULAR_PRIME`, and ``pivots`` maps a leading column to
+    a row with leading entry 1, as :func:`echelon` does over the rationals.
+    Returns whether the row was independent of the pivots modulo ``p``, in
+    which case it is now one of them.  Independence modulo ``p`` implies
+    independence over ``Q``.
+    """
+    p = _MODULAR_PRIME
+    work = {col: value % p for col, value in row.items() if value % p}
+    while work:
+        lead = min(work)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            scale = pow(work[lead], -1, p)
+            pivots[lead] = {col: value * scale % p for col, value in work.items()}
+            return True
+        factor = work[lead]
+        for col, value in pivot.items():
+            updated = (work.get(col, 0) - factor * value) % p
+            if updated:
+                work[col] = updated
+            else:
+                work.pop(col, None)
+    return False
+
+
+def _rank_mod(rows: Sequence[Mapping[int, Fraction | int]]) -> int:
+    p = _MODULAR_PRIME
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        reduced = [0] * len(rows)
+        reduced = {}
         for col, entry in row.items():
             entry = Fraction(entry)
-            den = entry.denominator % p
-            if den == 0:
+            if entry.denominator % p == 0:
                 # Denominator collides with the prime; report a deficit so the
                 # caller falls back to exact arithmetic.
                 return 0
-            reduced[col] = entry.numerator * pow(den, p - 2, p) % p
-        work.append(reduced)
-    n_cols = len(work[0]) if work else 0
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(r, len(work)) if work[i][col] % p != 0),
-            None,
-        )
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv_pivot = pow(work[r][col], p - 2, p)
-        pivot_line = [entry * inv_pivot % p for entry in work[r]]
-        work[r] = pivot_line
-        for i in range(r + 1, len(work)):
-            factor = work[i][col]
-            if factor == 0:
-                continue
-            row = work[i]
-            for c in range(col, n_cols):
-                if pivot_line[c]:
-                    row[c] = (row[c] - factor * pivot_line[c]) % p
-        r += 1
-        if r == len(work):
-            break
-    return r
+            reduced[col] = entry.numerator * pow(entry.denominator, -1, p)
+        insert_mod(pivots, reduced)
+    return len(pivots)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -168,14 +176,30 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def mat_pow(m: Sequence[Sequence], exponent: int) -> list[list]:
+def power(base: T, exponent: int, multiply: Callable[[T, T], T], one: T) -> T:
+    """``base ** exponent`` under ``multiply`` by repeated squaring, ``one`` at 0.
+
+    Squares only while a higher bit of the exponent is left, so it takes
+    ``bit_length - 1`` squarings and ``popcount - 1`` other products: never
+    more than the ``exponent`` products of multiplying ``one`` by ``base`` in
+    a loop.  The product must be associative; powers of one element commute.
+    """
     if exponent < 0:
-        raise ValueError("negative matrix power is not supported")
+        raise ValueError("negative powers are not supported")
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return one if result is None else result
+
+
+def mat_pow(m: Sequence[Sequence], exponent: int) -> list[list]:
     n = len(m)
-    result: list[list] = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(exponent):
-        result = mat_mul(result, m)
-    return result
+    identity: list[list] = [[int(i == j) for j in range(n)] for i in range(n)]
+    return power([list(row) for row in m], exponent, mat_mul, identity)
 
 
 def trace(m: Sequence[Sequence]):

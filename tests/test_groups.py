@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from cardyfrob import (
     ResourceError,
     Subgroup,
     build_group,
+    bundled_input,
     centralizer,
     conjugacy_classes,
     document_digest,
@@ -45,6 +48,27 @@ def test_build_group_orders():
     assert s3().order == 6
     assert s4().order == 24
     assert build_group(5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]).order == 60
+
+
+def compose_table(group: FiniteGroup) -> list[list[int]]:
+    """The Cayley table from composing every pair of element permutations."""
+    index = {perm: a for a, perm in enumerate(group.perms)}
+    return [[index[compose(p, q)] for q in group.perms] for p in group.perms]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in bundled_input("groups/z2_trivial.json").parent.iterdir())
+)
+def test_table_matches_composition_on_bundled_groups(name):
+    group, _ = group_from_document(json.loads(bundled_input(f"groups/{name}").read_text()))
+    assert [list(row) for row in group.table] == compose_table(group)
+
+
+def test_table_matches_composition_on_s6():
+    group = build_group(6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])
+    assert group.order == 720
+    assert [list(row) for row in group.table] == compose_table(group)
+    assert build_group(6, []).table == ((0,),)
 
 
 def test_identity_is_element_zero():

@@ -264,3 +264,21 @@ def test_contour_order_invariance(suite_algebras):
     spec = SurfaceSpec(True, 0, (), (("b1", "b2"), ("b0",)))
     swapped = replace(spec, boundary=(("b0",), ("b1", "b2")))
     assert evaluate(h, swapped).value == evaluate(h, spec).value
+
+
+def test_genus_1000_matches_the_linear_loop(suite_algebras, monkeypatch):
+    # Repeated squaring of K_A gives the value of K_A multiplied in 1000
+    # times, and both give Mednykh's sum over the degrees of S4's characters.
+    h = suite_algebras["s4"]
+    spec = closed(True, 1000)
+    value = evaluate(h, spec).value
+    assert value == sum(Fraction(24, d) ** 1998 for d in (1, 1, 2, 3, 3))
+
+    def loop_power(alg, x, exponent):
+        result = alg.unit
+        for _ in range(exponent):
+            result = alg.multiply(result, x)
+        return result
+
+    monkeypatch.setattr(type(h.A), "power", loop_power)
+    assert evaluate(h, spec).value == value

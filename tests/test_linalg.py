@@ -12,6 +12,7 @@ from cardyfrob.linalg import (
     SingularMatrixError,
     echelon,
     has_full_rank,
+    insert_mod,
     invert,
     mat_mul,
     mat_pow,
@@ -126,6 +127,19 @@ def test_rank_examples():
     assert rank([{}, {}]) == 0
     assert rank([{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}]) == 2
     assert sorted(echelon([{1: 2, 2: 4}, {1: 1, 2: 2}, {0: 3}])) == [0, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=5), max_size=6))
+def test_insert_mod_counts_the_rational_rank(dense):
+    # Minors of a 5-column matrix with entries up to 5 stay far below the
+    # prime, so the rank modulo p is the rank over Q.
+    pivots: dict[int, dict[int, int]] = {}
+    kept = [insert_mod(pivots, {j: v for j, v in enumerate(row) if v}) for row in dense]
+    assert sum(kept) == len(pivots) == rank(sparse(dense))
+    assert all(pivot[lead] == 1 and min(pivot) == lead for lead, pivot in pivots.items())
+    for row in dense:
+        assert not insert_mod(dict(pivots), dict(enumerate(row)))
 
 
 def test_mat_mul_and_pow():

@@ -26,6 +26,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
+from cardyfrob import frobenius, linalg
 from cardyfrob.cardy import _check_form_from_traces
 from cardyfrob.frobenius import (
     _check_associativity,
@@ -33,7 +34,9 @@ from cardyfrob.frobenius import (
     _check_form_invariance,
     _check_form_symmetric,
     _check_involution_antiautomorphism,
+    nucleus_words,
 )
+from conftest import SUITE_DOCUMENTS
 
 PINNED_PAIRS = ["z2", "z3", "s3", "s3_k01", "a5_k0123"]
 DENSE_NAMES = (
@@ -198,6 +201,99 @@ def test_integral_constants_are_stored_as_int(suite_algebras):
     ]
 
 
+# -- the middle-nucleus certificate ----------------------------------------------
+
+
+def word_vector(alg: EquippedFrobeniusAlgebra, word) -> dict[int, Fraction]:
+    """The product ``((e_s e_t) e_u) ...`` of a left-normed word, by basis index."""
+    product = alg.basis_element(alg.basis[word[0]])
+    for letter in word[1:]:
+        product = alg.multiply(product, alg.basis_element(alg.basis[letter]))
+    return {alg.index(label): value for label, value in product.coeffs.items()}
+
+
+def record_walks(monkeypatch) -> list[list[int]]:
+    """The ``middles`` of every associativity walk from now on."""
+    calls: list[list[int]] = []
+    walk = frobenius._associativity_walk
+
+    def recording(alg, rows, middles):
+        calls.append(list(middles))
+        return walk(alg, rows, calls[-1])
+
+    monkeypatch.setattr(frobenius, "_associativity_walk", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_nucleus_words_have_full_rank_over_q(suite_algebras, name):
+    for alg in (suite_algebras[name].A, suite_algebras[name].B):
+        words = nucleus_words(alg)
+        generators = {word[0] for word in words if len(word) == 1}
+        assert all(set(word) <= generators for word in words)
+        assert len(words) == alg.dim
+        assert linalg.rank(word_vector(alg, word) for word in words) == alg.dim
+
+
+@pytest.mark.parametrize("name", ["s4", "a5_k0123"])
+def test_associativity_walks_fewer_than_half_the_middles(suite_algebras, name, monkeypatch):
+    b = suite_algebras[name].B
+    generators = [word[0] for word in nucleus_words(b) if len(word) == 1]
+    assert len(generators) < b.dim / 2
+    calls = record_walks(monkeypatch)
+    assert _check_associativity(b).passed
+    assert calls == [generators]
+
+
+def stored_triple(alg: EquippedFrobeniusAlgebra) -> tuple[int, int, int]:
+    """The ``(i, j, k)`` of the middle stored constant ``c_ij^k``."""
+    codes = sorted(alg._products)
+    i, j = divmod(codes[len(codes) // 2], alg.dim)
+    return i, j, min(alg.pair_products(i, j))
+
+
+def test_fraction_constant_takes_the_full_walk(suite_algebras, monkeypatch):
+    b = suite_algebras["a5_k0123"].B
+    i, j, k = stored_triple(b)
+    broken = with_constant(b, i, j, k, b.pair_products(i, j)[k] + Fraction(1, 2))
+    calls = record_walks(monkeypatch)
+    result = _check_associativity(broken)
+    assert calls == [list(range(b.dim))]
+    assert not result.passed
+    assert result == dense_axiom_oracle(broken)[0]
+
+
+def test_failing_certificate_walk_reports_the_dense_witness(suite_algebras, monkeypatch):
+    b = suite_algebras["a5_k0123"].B
+    i, j, k = stored_triple(b)
+    broken = with_constant(b, i, j, k, b.pair_products(i, j)[k] + 1)
+    calls = record_walks(monkeypatch)
+    result = _check_associativity(broken)
+    assert len(calls) == 2 and calls[1] == list(range(b.dim)) and len(calls[0]) < b.dim
+    assert not result.passed
+    assert result == dense_axiom_oracle(broken)[0]
+
+
+def test_nucleus_words_see_past_small_primes():
+    # x^0, ..., x^4 with x^a x^b = 6 x^(a+b) for a, b >= 1 and x^0 the unit:
+    # x^1 generates over Q although every product vanishes modulo 2 and 3.
+    basis = [f"x{a}" for a in range(5)]
+    products = {
+        (f"x{a}", f"x{b}"): {f"x{a + b}": 6 if a and b else 1}
+        for a in range(5)
+        for b in range(5 - a)
+    }
+    alg = EquippedFrobeniusAlgebra(
+        basis=basis,
+        products=products,
+        linear_form={"x4": 1},
+        involution={label: label for label in basis},
+        unit={"x0": 1},
+    )
+    assert nucleus_words(alg) == [(0,), (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)]
+    assert _check_associativity(alg).passed
+
+
 # -- random sparse algebras ------------------------------------------------------
 
 small_ints = st.integers(min_value=-2, max_value=2)
@@ -208,12 +304,16 @@ constants = st.one_of(
 
 @st.composite
 def sparse_algebras(draw):
+    # About half the draws have integral structure constants, so that
+    # associativity goes through the nucleus certificate rather than the
+    # Fraction fallback; the linear form may still be fractional.
     dim = draw(st.integers(min_value=2, max_value=5))
     basis = [f"e{i}" for i in range(dim)]
     index = st.integers(min_value=0, max_value=dim - 1)
+    values = small_ints if draw(st.booleans()) else constants
     triples = draw(
         st.dictionaries(
-            st.tuples(index, index, index), constants, min_size=dim, max_size=dim * dim
+            st.tuples(index, index, index), values, min_size=dim, max_size=dim * dim
         )
     )
     products: dict = {}
