@@ -75,10 +75,12 @@ from .hurwitz import (
 )
 from .oracles import (
     OracleResult,
+    cardy_axiom_oracle,
     closed_nonorientable_oracle,
     closed_orientable_oracle,
     commutator_casimir_check,
     dense_axiom_oracle,
+    element_axiom_oracle,
     oracle_for_spec,
     subgroup_lattice_oracle,
     t_tensor_oracle,
@@ -118,6 +120,7 @@ __all__ = [
     "build_group",
     "build_phi",
     "bundled_input",
+    "cardy_axiom_oracle",
     "cardy_from_pair",
     "center_dimension",
     "centralizer",
@@ -131,6 +134,7 @@ __all__ = [
     "cut_check_handle",
     "dense_axiom_oracle",
     "document_digest",
+    "element_axiom_oracle",
     "evaluate",
     "failures",
     "format_fraction",

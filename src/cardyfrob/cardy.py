@@ -20,8 +20,16 @@ and likewise for ``B``.
 
 Nothing here stores the permutation model itself, the 0/1 matrices
 ``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
-below walk orbits instead, and the trace oracle in :mod:`cardyfrob.oracles`
-builds the dense integer matrices while it runs.
+below read orbits instead, and the oracles in :mod:`cardyfrob.oracles`
+build the dense integer matrices while they run.  ``nu`` multiplicativity
+and equivariance build an orbit table ``orbit[x][y]`` per call.  At each
+pair ``(x, z)`` the sorted chain codes ``orbit(x, y) * dim + orbit(y, z)``
+over all ``y`` must repeat ``i * dim + j`` exactly ``c_ij^k`` times, ``k`` the
+orbit of ``(x, z)``; relabelling by each element of ``N`` must leave the
+table as it is.  When the orbits do not partition ``X x X``, or a
+comparison fails, a walk over the orbits names the witness.  phi-central
+sums the commutator rows of ``B`` (:func:`cardyfrob.frobenius.commutator_rows`)
+weighted by each row of ``phi``.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -33,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -48,6 +57,8 @@ from .frobenius import (
     CheckResult,
     EquippedFrobeniusAlgebra,
     _first_difference,
+    _first_noncentral,
+    commutator_rows,
     multiplication_traces,
 )
 from .groups import FiniteGroup, Subgroup
@@ -302,12 +313,13 @@ def _check_phi_homomorphism(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_phi_central(h: CardyFrobeniusAlgebra) -> CheckResult:
-    for label in h.A.basis:
-        image = h.phi_apply(h.A.basis_element(label))
-        for b_label in h.B.basis:
-            e = h.B.basis_element(b_label)
-            if h.B.multiply(image, e) != h.B.multiply(e, image):
-                return CheckResult("phi-central", False, f"({label}, {b_label})")
+    # [phi(a), e_b] == sum_s phi_as [e_s, e_b] == 0 for every b, over the
+    # commutator rows of B; the least failing key names the first failing b.
+    rows = commutator_rows(h.B)
+    for label, row in zip(h.A.basis, h.phi):
+        b = _first_noncentral(h.B.dim, rows, enumerate(row))
+        if b is not None:
+            return CheckResult("phi-central", False, f"({label}, {h.B.basis[b]})")
     return CheckResult("phi-central", True)
 
 
@@ -355,13 +367,60 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("cardy", True)
 
 
+def _orbit_table(catalog: FieldCatalog) -> list[list[int]] | None:
+    """``table[x][y]``, the position of the orbit holding ``(x, y)``, or -1.
+
+    ``None`` when a pair is listed twice or lies outside ``X x X``.  A pair
+    in no orbit reads -1; it fails both comparisons below.
+    """
+    size = catalog.nset.size
+    table = [[-1] * size for _ in range(size)]
+    for k, field in enumerate(catalog.boundary):
+        for x, y in field.orbit:
+            if not (0 <= x < size and 0 <= y < size) or table[x][y] >= 0:
+                return None
+            table[x][y] = k
+    return table
+
+
+def _chains_match(b: EquippedFrobeniusAlgebra, table: list[list[int]]) -> bool:
+    """Whether every pair ``(x, z)`` of orbit ``k`` has the chains ``c_ij^k`` asks for.
+
+    The codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, sorted, must
+    be column ``k``: the code ``i * dim + j`` repeated ``c_ij^k`` times.  A
+    constant that is not a positive ``int`` cannot be a count, so it fails,
+    and so does a pair in no orbit: its chain through ``y = z`` has a
+    negative code.
+    """
+    n = b.dim
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for code, expansion in b._products.items():
+        for k, value in expansion.items():
+            if type(value) is not int or value < 0:
+                return False
+            columns[k].extend([code] * value)
+    for column in columns:
+        column.sort()
+    into = [list(column) for column in zip(*table)]
+    for row in table:
+        scaled = [k * n for k in row]
+        for z, incoming in enumerate(into):
+            if sorted(map(add, scaled, incoming)) != columns[row[z]]:
+                return False
+    return True
+
+
 def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     # nu(beta_i) nu(beta_j) == sum_k c_{ij}^k nu(beta_k), computed on orbits.
-    # Each orbit O_i is walked once: a chain x -> y -> z lands in the bucket of
-    # the orbit j of (y, z).  Within a bucket the pairs arrive in the order of
-    # O_i and then of O_j, so a failing pair is reported as when each (i, j)
-    # was walked on its own.
+    # With an orbit table, the chains x -> y -> z at each pair (x, z) are
+    # compared at once with the constants of its orbit.  Without one, or when
+    # a pair fails, the walk below names the first failing (i, j) and its
+    # least failing pair.  Each orbit O_i is walked once: a chain
+    # x -> y -> z lands in the bucket of the orbit j of (y, z).
     fields = h.catalog.boundary
+    table = _orbit_table(h.catalog)
+    if table is not None and len(fields) == h.B.dim and _chains_match(h.B, table):
+        return CheckResult("nu-multiplicative", True)
     successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
     for j, field in enumerate(fields):
         for y, z in field.orbit:
@@ -380,10 +439,14 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
                     expected[pair] = expected.get(pair, 0) + value
             if counts == expected:
                 continue
-            for pair in set(counts) | set(expected):
-                if counts.get(pair, 0) != expected.get(pair, 0):
-                    witness = f"({left.label}, {fields[j].label}) at {pair}"
-                    return CheckResult("nu-multiplicative", False, witness)
+            failing = [
+                pair
+                for pair in counts.keys() | expected.keys()
+                if counts.get(pair, 0) != expected.get(pair, 0)
+            ]
+            if failing:
+                witness = f"({left.label}, {fields[j].label}) at {min(failing)}"
+                return CheckResult("nu-multiplicative", False, witness)
     return CheckResult("nu-multiplicative", True)
 
 
@@ -431,8 +494,17 @@ def _check_linear_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
     # rho(n) nu(beta) rho(n)^-1 == nu(beta): the orbit is stable pointwise
-    # under relabeling by every group element.
+    # under relabeling by every group element, that is
+    # table[n x][n y] == table[x][y] for the orbit table (pairs in no orbit
+    # read -1 and must stay so).  Without a table, or on a failure, the walk
+    # names the first (field, n).
     nset = h.catalog.nset
+    table = _orbit_table(h.catalog)
+    if table is not None and all(
+        [list(map(table[image].__getitem__, row)) for image in row] == table
+        for row in nset.act_table
+    ):
+        return CheckResult("nu-equivariant", True)
     for field in h.catalog.boundary:
         orbit = set(field.orbit)
         for n in range(nset.group.order):

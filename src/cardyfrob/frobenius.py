@@ -25,7 +25,11 @@ rank implies a full rank over Q.  Form invariance compares
 form scaled to integers, so its cost is the number of stored constants times
 the length of a form row.  Both report the first failing triple of a dense
 scan, which survives only as the reference in
-:func:`cardyfrob.oracles.dense_axiom_oracle`.
+:func:`cardyfrob.oracles.dense_axiom_oracle`.  The unit and Casimir
+centrality checks sum rows of constants in index space: ``[z, e_b]`` is
+``sum_s z_s`` times row ``s`` of :func:`commutator_rows`, and the least
+nonzero key names the first failing label; the ``AlgebraElement`` loops they
+replace are :func:`cardyfrob.oracles.element_axiom_oracle`.
 """
 
 from __future__ import annotations
@@ -409,10 +413,27 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
 
 
 def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    for label in alg.basis:
-        e = alg.basis_element(label)
-        if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
-            return CheckResult("unit", False, f"unit fails on {label}")
+    # sum_s u_s c_sb == e_b == sum_s u_s c_bs for every b, in index space: one
+    # walk of the stored constants fills both sides keyed by b * dim + o, and
+    # the least failing key names the first failing label of a basis walk.
+    n = alg.dim
+    weights = {alg.index(label): _exact(value) for label, value in alg.unit.coeffs.items()}
+    left: dict[int, int | Fraction] = {}
+    right: dict[int, int | Fraction] = {}
+    for code, expansion in alg._products.items():
+        s, b = divmod(code, n)
+        for side, weight, base in ((left, weights.get(s), b * n), (right, weights.get(b), s * n)):
+            if weight:
+                for out, value in expansion.items():
+                    side[base + out] = side.get(base + out, 0) + weight * value
+    identity = {b * n + b: 1 for b in range(n)}
+    failing = [
+        code
+        for code in (_first_difference(left, identity), _first_difference(right, identity))
+        if code is not None
+    ]
+    if failing:
+        return CheckResult("unit", False, f"unit fails on {alg.basis[min(failing) // n]}")
     return CheckResult("unit", True)
 
 
@@ -649,10 +670,10 @@ def _check_casimir_central(alg: EquippedFrobeniusAlgebra) -> CheckResult:
         casimir = alg.casimir()
     except ConsistencyError as exc:
         return CheckResult("casimir-central", False, str(exc))
-    for label in alg.basis:
-        e = alg.basis_element(label)
-        if alg.multiply(casimir, e) != alg.multiply(e, casimir):
-            return CheckResult("casimir-central", False, label)
+    weights = [(alg.index(label), value) for label, value in casimir.coeffs.items()]
+    b = _first_noncentral(alg.dim, commutator_rows(alg), weights)
+    if b is not None:
+        return CheckResult("casimir-central", False, alg.basis[b])
     return CheckResult("casimir-central", True)
 
 
@@ -717,20 +738,49 @@ def is_semisimple(alg: EquippedFrobeniusAlgebra) -> bool:
     return linalg.has_full_rank(multiplication_traces(alg))
 
 
-def center_dimension(alg: EquippedFrobeniusAlgebra) -> int:
-    """Dimension of the center, by exact elimination of the commutant system.
+def commutator_rows(alg: EquippedFrobeniusAlgebra) -> list[dict[int, int | Fraction]]:
+    """Sparse rows of the commutators ``[e_s, e_b]``, one row per ``s``.
 
-    An element ``z`` is central iff for all ``j, k``:
-    ``sum_i z_i (c_{ij}^k - c_{ji}^k) = 0``, one sparse row per ``(j, k)``,
-    and the center is the kernel of that system.
+    Row ``s`` maps ``b * dim + o`` to ``c_sb^o - c_bs^o``, zero differences
+    dropped, so ``z`` is central iff ``sum_s z_s rows[s]`` is zero.
     """
     n = alg.dim
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
     for code, expansion in alg._products.items():
-        i, j = divmod(code, n)
-        for k, value in expansion.items():
-            row = rows.setdefault(j * n + k, {})
-            row[i] = row.get(i, Fraction(0)) + value
-            row = rows.setdefault(i * n + k, {})
-            row[j] = row.get(j, Fraction(0)) - value
-    return n - linalg.rank(rows.values())
+        s, b = divmod(code, n)
+        left, right, left_base, right_base = rows[s], rows[b], b * n, s * n
+        for out, value in expansion.items():
+            left[left_base + out] = left.get(left_base + out, 0) + value
+            right[right_base + out] = right.get(right_base + out, 0) - value
+    return [{key: value for key, value in row.items() if value} for row in rows]
+
+
+def _first_noncentral(
+    dim: int,
+    rows: Sequence[Mapping[int, int | Fraction]],
+    weights: Iterable[tuple[int, Fraction | int]],
+) -> int | None:
+    """The least ``b`` with ``[z, e_b] != 0`` for ``z = sum_s z_s e_s``, if any.
+
+    ``weights`` lists the ``(s, z_s)`` and ``rows`` are :func:`commutator_rows`.
+    The weights are scaled by the lcm of their denominators, so integral
+    constants give integer sums.
+    """
+    terms = [(s, Fraction(z)) for s, z in weights if z]
+    scale = lcm(*(z.denominator for _, z in terms))
+    total: dict[int, int | Fraction] = {}
+    for s, z in terms:
+        factor = int(z * scale)
+        for key, value in rows[s].items():
+            total[key] = total.get(key, 0) + factor * value
+    failing = [key for key, value in total.items() if value]
+    return min(failing) // dim if failing else None
+
+
+def center_dimension(alg: EquippedFrobeniusAlgebra) -> int:
+    """Dimension of the center: ``dim`` minus the rank of :func:`commutator_rows`.
+
+    The center is the kernel of ``z -> ([z, e_b])_b``, whose matrix has the
+    commutator rows as its rows.
+    """
+    return alg.dim - linalg.rank(commutator_rows(alg))

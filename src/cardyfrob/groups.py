@@ -344,11 +344,13 @@ def quotient_group(
 ) -> tuple[FiniteGroup, dict[int, int]]:
     """The quotient of ``overgroup`` by a normal subgroup ``kernel``.
 
-    Returns the quotient as a new :class:`FiniteGroup` (cosets numbered by
+    Returns the quotient as a :class:`FiniteGroup` (cosets numbered by
     their smallest member, so the kernel itself is element 0) together with
     the projection map from overgroup elements to coset indices.  The caller
     must pass a genuinely normal kernel; violations raise
     :class:`ConsistencyError` because they indicate a logic error upstream.
+    The quotient of the whole parent by the trivial subgroup is the parent
+    itself, with the identity projection, and builds no second table.
     """
     parent = overgroup.parent
     if kernel.parent is not parent:
@@ -357,6 +359,8 @@ def quotient_group(
     kernel_set = kernel.member_set()
     if not kernel_set <= over_set:
         raise InputError("kernel is not contained in the overgroup")
+    if kernel_set == {0} and over_set == set(range(parent.order)):
+        return parent, {h: h for h in range(parent.order)}
     for h in overgroup.elements:
         for x in kernel.elements:
             if parent.conjugate(h, x) not in kernel_set:

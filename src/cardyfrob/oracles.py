@@ -7,12 +7,16 @@ without touching the multiplication tables of ``A`` or ``B``.  Agreement with
 tautology.
 
 The dense permutation model (the ``nu`` and ``rho`` matrices on ``X``) lives
-here and nowhere else; the trace oracle builds it on first use.  The dense
+here and nowhere else; the oracles build it on first use.  The dense
 scans of associativity, form symmetry, form invariance and the star
 anti-automorphism, :func:`dense_axiom_oracle`, live here too: they read the
 structure constants and the form like the checks they stand behind, but
 through plain loops over every basis pair or triple that share no code with
 the sparse walks of :func:`cardyfrob.frobenius.verify_equipped`.
+:func:`element_axiom_oracle` and :func:`cardy_axiom_oracle` keep the
+``AlgebraElement`` loops of the unit and centrality checks and check ``nu``
+multiplicativity and equivariance by dense matrix products, against the
+index-table checks.
 :func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
 the structure constants of ``B`` without any matrix.
 :func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
@@ -32,7 +36,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .actions import FieldCatalog, InteriorField
 from .cardy import CardyFrobeniusAlgebra
-from .errors import InputError, ResourceError
+from .errors import ConsistencyError, InputError, ResourceError
 from .frobenius import AlgebraElement, CheckResult, EquippedFrobeniusAlgebra
 from .groups import FiniteGroup, Subgroup
 from .hurwitz import SurfaceSpec
@@ -422,6 +426,111 @@ def _dense_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
                     witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
                     return CheckResult("form-invariance", False, witness)
     return CheckResult("form-invariance", True)
+
+
+def element_axiom_oracle(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
+    """The unit and casimir-central axioms by ``AlgebraElement`` multiplies.
+
+    The slow reference for the index-space walks of
+    :func:`cardyfrob.frobenius.verify_equipped`: each basis element is
+    multiplied by the unit, and by the Casimir element, on both sides.
+    """
+    return [_element_unit(alg), _element_casimir_central(alg)]
+
+
+def _element_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    for label in alg.basis:
+        e = alg.basis_element(label)
+        if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
+            return CheckResult("unit", False, f"unit fails on {label}")
+    return CheckResult("unit", True)
+
+
+def _element_casimir_central(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+    try:
+        casimir = alg.casimir()
+    except ConsistencyError as exc:
+        return CheckResult("casimir-central", False, str(exc))
+    for label in alg.basis:
+        e = alg.basis_element(label)
+        if alg.multiply(casimir, e) != alg.multiply(e, casimir):
+            return CheckResult("casimir-central", False, label)
+    return CheckResult("casimir-central", True)
+
+
+def cardy_axiom_oracle(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
+    """phi-central by ``AlgebraElement`` multiplies, and the permutation model
+    axioms nu-multiplicative and nu-equivariant by dense integer matrices.
+
+    The slow reference for the same three checks of
+    :func:`cardyfrob.cardy.verify_cardy_frobenius`, witnesses included.  The
+    matrices are those of :func:`_permutation_model`, multiplied by
+    :func:`cardyfrob.linalg.mat_mul`; ``rho(n)`` is read off the action table.
+    """
+    return [_element_phi_central(h), _dense_nu_multiplicative(h), _dense_nu_equivariant(h)]
+
+
+def _element_phi_central(h: CardyFrobeniusAlgebra) -> CheckResult:
+    for label in h.A.basis:
+        image = h.phi_apply(h.A.basis_element(label))
+        for b_label in h.B.basis:
+            e = h.B.basis_element(b_label)
+            if h.B.multiply(image, e) != h.B.multiply(e, image):
+                return CheckResult("phi-central", False, f"({label}, {b_label})")
+    return CheckResult("phi-central", True)
+
+
+def _dense_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
+    # nu(b_i) nu(b_j) == sum_k c_ij^k nu(b_k) for every basis pair, from one
+    # product nu(b_i) [nu(b_0) | nu(b_1) | ...] per i; the witness is the
+    # first failing (i, j) and its least failing entry (x, z).
+    model = _permutation_model(h)
+    fields = h.catalog.boundary
+    size = h.catalog.nset.size
+    matrices = [model.nu[field.label] for field in fields]
+    wide = [[entry for matrix in matrices for entry in matrix[x]] for x in range(size)]
+    entries = [
+        [(x, z, entry) for x, row in enumerate(matrix) for z, entry in enumerate(row) if entry]
+        for matrix in matrices
+    ]
+    for i, left in enumerate(fields):
+        products = linalg.mat_mul(matrices[i], wide)
+        for j, right in enumerate(fields):
+            block = slice(j * size, (j + 1) * size)
+            product = [row[block] for row in products]
+            expected = [[0] * size for _ in range(size)]
+            for k, value in h.B.pair_products(i, j).items():
+                for x, z, entry in entries[k]:
+                    expected[x][z] += value * entry
+            if product != expected:
+                x, z = min(
+                    (x, z)
+                    for x in range(size)
+                    for z in range(size)
+                    if product[x][z] != expected[x][z]
+                )
+                witness = f"({left.label}, {right.label}) at {(x, z)}"
+                return CheckResult("nu-multiplicative", False, witness)
+    return CheckResult("nu-multiplicative", True)
+
+
+def _dense_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
+    # rho(n) nu(b) == nu(b) rho(n) for every field b and every n in N.
+    nset = h.catalog.nset
+    nu = _permutation_model(h).nu
+    size = nset.size
+    rho = []
+    for images in nset.act_table:
+        matrix = [[0] * size for _ in range(size)]
+        for y, x in enumerate(images):
+            matrix[x][y] = 1
+        rho.append(matrix)
+    for field in h.catalog.boundary:
+        matrix = nu[field.label]
+        for n, rho_n in enumerate(rho):
+            if linalg.mat_mul(rho_n, matrix) != linalg.mat_mul(matrix, rho_n):
+                return CheckResult("nu-equivariant", False, f"({field.label}, n={n})")
+    return CheckResult("nu-equivariant", True)
 
 
 def _close_under_products(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:

@@ -258,13 +258,47 @@ def test_dual_reconstruction_identity(suite_algebras):
     assert a.dual_reconstruct(x) == x
 
 
+# dim Z(B) for the suite and for the two ladder pairs outside it, as the
+# commutant system over (j, k) rows gave them.  B for (Z2, {e}) is a full
+# 2x2 matrix algebra: one-dimensional center.
+CENTER_DIMENSIONS_B = {
+    "z2": 1,
+    "z3": 1,
+    "s3": 2,
+    "s3_k01": 1,
+    "s4": 3,
+    "s4_k0123": 2,
+    "a5_k0123": 2,
+}
+LADDER_CENTER_DIMENSIONS_B = {
+    "a5": (
+        {"degree": 5, "generators": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]], "k_generators": []},
+        3,
+    ),
+    "s5_k0123": (
+        {
+            "degree": 5,
+            "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]],
+            "k_generators": [[1, 0, 3, 2, 4]],
+        },
+        4,
+    ),
+}
+
+
 def test_center_dimensions(suite_algebras):
     # A is the center of a group algebra, hence commutative.
     for name, h in suite_algebras.items():
         assert center_dimension(h.A) == h.A.dim, name
-    # B for (Z2, {e}) is a full 2x2 matrix algebra: one-dimensional center.
-    assert center_dimension(suite_algebras["z2"].B) == 1
-    assert center_dimension(suite_algebras["s3_k01"].B) == 1
+        assert center_dimension(h.B) == CENTER_DIMENSIONS_B[name], name
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CENTER_DIMENSIONS_B))
+def test_center_dimensions_of_ladder_pairs(name):
+    document, expected = LADDER_CENTER_DIMENSIONS_B[name]
+    group, k = group_from_document(document)
+    setup = build_conjugation_setup(group, k, digest=document_digest(document))
+    assert center_dimension(algebra_for(setup).B) == expected
 
 
 def test_semisimplicity_of_built_algebras(suite_algebras):

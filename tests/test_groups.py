@@ -256,6 +256,25 @@ def test_quotient_kernel_containment_checked():
         quotient_group(other, k)
 
 
+
+def test_quotient_by_trivial_kernel_is_the_group_itself():
+    group = s4()
+    whole = subgroup_from_elements(group, group.elements())
+    quotient, projection = quotient_group(whole, trivial_subgroup(group))
+    assert quotient.table == group.table
+    assert quotient.names == group.names
+    assert projection == {h: h for h in group.elements()}
+    # A proper overgroup still gets its own quotient table.
+    k = subgroup_closure(
+        group, [next(a for a in group.elements() if group.perms[a] == (1, 0, 3, 2))]
+    )
+    norm = normalizer(group, k)
+    quotient, projection = quotient_group(norm, trivial_subgroup(group))
+    assert quotient is not group and quotient.order == norm.order
+    assert sorted(projection) == list(norm.elements)
+    with pytest.raises(InputError):
+        quotient_group(whole, trivial_subgroup(s3()))
+
 # -- subgroup enumeration -----------------------------------------------------
 
 
