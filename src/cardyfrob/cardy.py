@@ -18,11 +18,19 @@ whose image under ``phi`` is the twisted Casimir of ``B``.  The pairings are
 normalized so that ``(E_alpha, E_beta)_A = delta_{beta, alpha*} / |Aut alpha|``
 and likewise for ``B``.
 
+``A``, ``B`` and ``phi`` are built in index space with integer counts and
+handed to :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices`.
+``B`` reads the orbit table ``orbit[x][y]``: column ``k`` is the tally of
+the codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
+representative ``(x, z)`` of ``O_k``, and a catalog whose orbits do not
+partition ``X x X`` is rejected with the pair that breaks it.  ``phi``
+tallies each class sum in a flat ``x * |X| + y`` count list.
+
 Nothing here stores the permutation model itself, the 0/1 matrices
 ``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
 below read orbits instead, and the oracles in :mod:`cardyfrob.oracles`
 build the dense integer matrices while they run.  ``nu`` multiplicativity
-and equivariance build an orbit table ``orbit[x][y]`` per call.  At each
+and equivariance build the orbit table per call.  At each
 pair ``(x, z)`` the sorted chain codes ``orbit(x, y) * dim + orbit(y, z)``
 over all ``y`` must repeat ``i * dim + j`` exactly ``c_ij^k`` times, ``k`` the
 orbit of ``(x, z)``; relabelling by each element of ``N`` must leave the
@@ -46,7 +54,9 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .actions import (
+    BoundaryField,
     FieldCatalog,
+    InteriorField,
     build_catalog,
     build_conjugation_setup,
     coset_nset,
@@ -126,30 +136,34 @@ def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlg
     if catalog.nset.group is not n_group:
         raise InputError("catalog was built for a different acting group")
     fields = catalog.interior
-    rep_to_label = {field.representative: field.label for field in fields}
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    for left in fields:
-        for right in fields:
+    dim = len(fields)
+    rep_to_index = {field.representative: i for i, field in enumerate(fields)}
+    products: dict[int, dict[int, int]] = {}
+    for i, left in enumerate(fields):
+        for j, right in enumerate(fields):
             tally: dict[int, int] = {}
             for a in left.members:
                 row = n_group.table[a]
                 for b in right.members:
                     product = row[b]
                     tally[product] = tally.get(product, 0) + 1
-            expansion = {
-                rep_to_label[rep]: count
-                for rep, count in tally.items()
-                if rep in rep_to_label and count
+            products[i * dim + j] = {
+                rep_to_index[rep]: count for rep, count in tally.items() if rep in rep_to_index
             }
-            products[(left.label, right.label)] = expansion
-    identity_label = catalog.identity_interior_label
-    return EquippedFrobeniusAlgebra(
+    identity = catalog.interior_labels.index(catalog.identity_interior_label)
+    return EquippedFrobeniusAlgebra.from_indices(
         basis=catalog.interior_labels,
         products=products,
-        linear_form={identity_label: Fraction(1, n_group.order)},
-        involution={field.label: field.star for field in fields},
-        unit={identity_label: 1},
+        linear_form={identity: Fraction(1, n_group.order)},
+        involution=_star_positions(fields),
+        unit={identity: 1},
     )
+
+
+def _star_positions(fields: Sequence[InteriorField | BoundaryField]) -> tuple[int, ...]:
+    """The position of each field's star, -1 (no position) for an unknown label."""
+    position = {field.label: i for i, field in enumerate(fields)}
+    return tuple(position.get(field.star, -1) for field in fields)
 
 
 def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
@@ -157,46 +171,38 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
 
     ``B`` is the orbital algebra of the action of ``N`` on ``X``, so
     ``c_ij^k = #{y : (x, y) in O_i, (y, z) in O_j}`` is the same at every pair
-    ``(x, z)`` of ``O_k`` and is counted at its representative.  The pairing
-    recomputed from those constants must be ``|O_i| / |N|`` at ``(i, i*)`` and
-    zero elsewhere, and this is asserted.
+    ``(x, z)`` of ``O_k`` and is counted at its representative: the codes
+    ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, read off the orbit
+    table, are tallied at once.  The pairing recomputed from those constants
+    must be ``|O_i| / |N|`` at ``(i, i*)`` and zero elsewhere, and this is
+    asserted.
     """
     n_order = catalog.nset.group.order
     fields = catalog.boundary
-    size = catalog.nset.size
-    orbit_of = [[-1] * size for _ in range(size)]
-    for position, field in enumerate(fields):
-        for x, y in field.orbit:
-            orbit_of[x][y] = position
-    counts: dict[tuple[int, int], dict[int, int]] = {}
+    dim = len(fields)
+    table = _orbit_table(catalog)
+    if table is None or any(-1 in row for row in table):
+        raise ConsistencyError(
+            f"the orbits do not partition X x X: {_partition_fault(catalog)}"
+        )
+    scaled = [[k * dim for k in row] for row in table]
+    into = [list(column) for column in zip(*table)]
+    products: dict[int, dict[int, int]] = {}
     for k, field in enumerate(fields):
         x, z = field.representative
-        from_x = orbit_of[x]
-        for y in range(size):
-            expansion = counts.setdefault((from_x[y], orbit_of[y][z]), {})
-            expansion[k] = expansion.get(k, 0) + 1
-    diagonal_count = {
-        field.label: sum(1 for (x, y) in field.orbit if x == y) for field in fields
-    }
-    algebra = EquippedFrobeniusAlgebra(
+        for code, count in Counter(map(add, scaled[x], into[z])).items():
+            products.setdefault(code, {})[k] = count
+    diagonal_count = Counter(row[x] for x, row in enumerate(table))
+    algebra = EquippedFrobeniusAlgebra.from_indices(
         basis=catalog.boundary_labels,
-        products={
-            (fields[i].label, fields[j].label): {
-                fields[k].label: count for k, count in expansion.items()
-            }
-            for (i, j), expansion in counts.items()
-        },
-        linear_form={
-            label: Fraction(count, n_order)
-            for label, count in diagonal_count.items()
-            if count
-        },
-        involution={field.label: field.star for field in fields},
-        unit={label: 1 for label in catalog.diagonal_boundary_labels},
+        products=products,
+        linear_form={k: Fraction(count, n_order) for k, count in diagonal_count.items()},
+        involution=_star_positions(fields),
+        unit={k: 1 for k, field in enumerate(fields) if field.is_diagonal},
     )
     for i, field in enumerate(fields):
         x, z = field.representative
-        star = orbit_of[z][x]
+        star = table[z][x]
         if algebra.form[i] != {star: Fraction(field.size, n_order)}:
             raise ConsistencyError(
                 "the pairing recomputed from structure constants is not "
@@ -209,25 +215,31 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
 def build_phi(catalog: FieldCatalog) -> tuple[tuple[Fraction, ...], ...]:
     """Expand each class sum ``rho(E_alpha)`` over the boundary basis.
 
-    ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``.
-    It is constant on pair orbits, so its expansion over the ``nu`` matrices
-    is read off at orbit representatives; every other pair of each orbit is
-    compared as a guard against a broken catalog.
+    ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``,
+    tallied in a flat list at ``x * |X| + y``.  It is constant on pair orbits,
+    so its expansion over the ``nu`` matrices is read off at orbit
+    representatives; every other pair of each orbit is compared as a guard
+    against a broken catalog.
     """
     act_table = catalog.nset.act_table
+    size = catalog.nset.size
+    orbits = [[x * size + y for x, y in field.orbit] for field in catalog.boundary]
+    firsts = [x * size + y for x, y in (field.representative for field in catalog.boundary)]
     rows = []
     for field in catalog.interior:
-        counts = Counter(
-            (x, y) for member in field.members for y, x in enumerate(act_table[member])
-        )
-        row = [counts[b_field.representative] for b_field in catalog.boundary]
-        for b_field, value in zip(catalog.boundary, row):
-            if any(counts[pair] != value for pair in b_field.orbit):
+        counts = [0] * (size * size)
+        for member in field.members:
+            for y, x in enumerate(act_table[member]):
+                counts[x * size + y] += 1
+        row = list(map(counts.__getitem__, firsts))
+        for b_field, orbit, value in zip(catalog.boundary, orbits, row):
+            if not set(map(counts.__getitem__, orbit)) <= {value}:
                 raise ConsistencyError(
                     f"class sum {field.label} is not constant on the orbit "
                     f"of {b_field.label}; phi is undefined"
                 )
-        rows.append(tuple(Fraction(value) for value in row))
+        exact = {value: Fraction(value) for value in set(row)}
+        rows.append(tuple(map(exact.__getitem__, row)))
     return tuple(rows)
 
 
@@ -337,7 +349,11 @@ def _check_u_squared(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_phi_u(h: CardyFrobeniusAlgebra) -> CheckResult:
-    passed = h.phi_apply(h.u) == h.B.twisted_casimir()
+    try:
+        twisted = h.B.twisted_casimir()
+    except ConsistencyError as exc:
+        return CheckResult("phi-u", False, str(exc))
+    passed = h.phi_apply(h.u) == twisted
     return CheckResult("phi-u", passed, None if passed else "phi(U) != K_B*")
 
 
@@ -371,7 +387,8 @@ def _orbit_table(catalog: FieldCatalog) -> list[list[int]] | None:
     """``table[x][y]``, the position of the orbit holding ``(x, y)``, or -1.
 
     ``None`` when a pair is listed twice or lies outside ``X x X``.  A pair
-    in no orbit reads -1; it fails both comparisons below.
+    in no orbit reads -1; it fails both comparisons below, and
+    :func:`build_B` rejects it.
     """
     size = catalog.nset.size
     table = [[-1] * size for _ in range(size)]
@@ -381,6 +398,21 @@ def _orbit_table(catalog: FieldCatalog) -> list[list[int]] | None:
                 return None
             table[x][y] = k
     return table
+
+
+def _partition_fault(catalog: FieldCatalog) -> str:
+    """The first pair that keeps the orbits from partitioning ``X x X``."""
+    size = catalog.nset.size
+    seen: set[tuple[int, int]] = set()
+    for field in catalog.boundary:
+        for pair in field.orbit:
+            if not (0 <= pair[0] < size and 0 <= pair[1] < size):
+                return f"pair {pair} of {field.label} lies outside X x X"
+            if pair in seen:
+                return f"pair {pair} is listed twice, again in {field.label}"
+            seen.add(pair)
+    missing = next((x, y) for x in range(size) for y in range(size) if (x, y) not in seen)
+    return f"pair {missing} lies in no orbit"
 
 
 def _chains_match(b: EquippedFrobeniusAlgebra, table: list[list[int]]) -> bool:

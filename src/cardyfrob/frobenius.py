@@ -9,8 +9,14 @@ so every verification below is an exact identity, never a numerical one.
 Structure constants are stored sparsely: a basis-pair product that is zero
 simply has no entry.  An integral constant is stored as an ``int`` and any
 other as a :class:`~fractions.Fraction`; Python's mixed arithmetic keeps one
-code path for both.  The pairing and its inverse are sparse rows
-(``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built.
+code path for both.  Constants are keyed by basis positions, ``i * dim + j``
+mapping to ``{k: c_ij^k}``; :meth:`EquippedFrobeniusAlgebra.from_indices`
+takes them in that form and is the one construction core, which the label
+constructor and :meth:`~EquippedFrobeniusAlgebra.permuted` go through.  The
+pairing and its inverse are sparse rows (``form[i] = {j: l(e_i e_j)}``), so
+no ``dim x dim`` matrix is ever built; the pairing sums integer constants
+against ``l`` scaled by the lcm of its denominators and divides once per
+nonzero entry.
 
 Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
 nonzero product reaches; every other triple has both sides zero.  When every
@@ -37,7 +43,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
+from operator import methodcaller, not_
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -146,9 +154,11 @@ class EquippedFrobeniusAlgebra:
     labels to the (sparse) expansion of their product, ``linear_form`` maps
     labels to ``l`` values, ``involution`` maps each label to the label of its
     star, and ``unit`` is the coefficient mapping of the identity element.
-    Construction validates shapes only; the axioms themselves are verified by
-    :func:`verify_equipped`, which reports rather than raises so that a broken
-    candidate algebra can be inspected.
+    The labels are translated to basis positions and handed to the same
+    index-keyed core as :meth:`from_indices`.  Construction validates shapes
+    only; the axioms themselves are verified by :func:`verify_equipped`, which
+    reports rather than raises so that a broken candidate algebra can be
+    inspected.
     """
 
     def __init__(
@@ -159,6 +169,52 @@ class EquippedFrobeniusAlgebra:
         involution: Mapping[str, str],
         unit: Mapping[str, Fraction | int],
     ) -> None:
+        self._set_basis(basis)
+        index, n = self.index, self.dim
+        indexed = {
+            index(left) * n + index(right): {
+                index(out): value for out, value in expansion.items() if value
+            }
+            for (left, right), expansion in products.items()
+        }
+        unknown = set(linear_form) - set(self.basis)
+        if unknown:
+            raise InputError(f"linear form uses unknown labels: {sorted(unknown)}")
+        if sorted(involution) != sorted(self.basis) or set(involution.values()) != set(
+            self.basis
+        ):
+            raise InputError("involution must be a bijection on the basis labels")
+        self._assemble(
+            indexed,
+            {index(label): value for label, value in linear_form.items()},
+            tuple(index(involution[label]) for label in self.basis),
+            {index(label): value for label, value in unit.items()},
+        )
+
+    @classmethod
+    def from_indices(
+        cls,
+        basis: Sequence[str],
+        products: Mapping[int, Mapping[int, Fraction | int]],
+        linear_form: Mapping[int, Fraction | int],
+        involution: Sequence[int],
+        unit: Mapping[int, Fraction | int],
+    ) -> "EquippedFrobeniusAlgebra":
+        """The algebra given in basis positions rather than labels.
+
+        ``products`` maps ``i * dim + j`` to the sparse expansion
+        ``{k: c_ij^k}`` of ``e_i e_j``, ``linear_form`` and ``unit`` map
+        positions to values, and ``involution[i]`` is the position of the star
+        of ``e_i``.  The shapes are validated as by the label constructor.
+        An expansion that is a ``dict`` of nonzero ``int`` constants is kept,
+        not copied: the algebra takes ``products`` over from the caller.
+        """
+        alg = cls.__new__(cls)
+        alg._set_basis(basis)
+        alg._assemble(products, linear_form, involution, unit)
+        return alg
+
+    def _set_basis(self, basis: Sequence[str]) -> None:
         self.basis: tuple[str, ...] = tuple(basis)
         if len(set(self.basis)) != len(self.basis):
             raise InputError("basis labels must be unique")
@@ -166,31 +222,54 @@ class EquippedFrobeniusAlgebra:
             raise InputError("an algebra needs at least one basis vector")
         self.dim = len(self.basis)
         self._index: dict[str, int] = {label: i for i, label in enumerate(self.basis)}
+
+    def _assemble(
+        self,
+        products: Mapping[int, Mapping[int, Fraction | int]],
+        linear_form: Mapping[int, Fraction | int],
+        involution: Sequence[int],
+        unit: Mapping[int, Fraction | int],
+    ) -> None:
+        """The index-keyed core: validate, drop zero constants, compute the form."""
         n = self.dim
-        self._products: dict[int, dict[int, int | Fraction]] = {}
-        for (left, right), expansion in products.items():
-            i, j = self.index(left), self.index(right)
-            cleaned = {
-                self.index(out): _exact(value)
-                for out, value in expansion.items()
-                if value
-            }
-            if cleaned:
-                self._products[i * n + j] = cleaned
-        unknown = set(linear_form) - set(self.basis)
-        if unknown:
-            raise InputError(f"linear form uses unknown labels: {sorted(unknown)}")
-        self.linear_form: tuple[Fraction, ...] = tuple(
-            Fraction(linear_form.get(label, 0)) for label in self.basis
-        )
-        if sorted(involution) != sorted(self.basis) or set(involution.values()) != set(
-            self.basis
+        positions, codes = range(n), range(n * n)
+        expansions = list(products.values())
+        outside = [code for code in products if code not in codes]
+        if outside:
+            raise InputError(f"product codes outside 0..{n * n - 1}: {outside}")
+        outside = list(set(chain.from_iterable(expansions)).difference(positions))
+        if outside:
+            raise InputError(f"products expand over positions outside 0..{n - 1}: {outside}")
+        values = list(chain.from_iterable(map(methodcaller("values"), expansions)))
+        if (
+            set(map(type, expansions)) <= {dict}
+            and set(map(type, values)) <= {int}
+            and 0 not in values
+            and all(expansions)
         ):
-            raise InputError("involution must be a bijection on the basis labels")
-        self.involution: tuple[int, ...] = tuple(
-            self.index(involution[label]) for label in self.basis
+            # Every expansion a dict of nonzero ints, checked in bulk: they are
+            # kept as they are, not copied.
+            self._products = dict(products)
+        else:
+            self._products = {}
+            for code, expansion in products.items():
+                cleaned = {out: _exact(value) for out, value in expansion.items() if value}
+                if cleaned:
+                    self._products[code] = cleaned
+        for name, mapping in (("linear form", linear_form), ("unit", unit)):
+            unknown = [i for i in mapping if i not in positions]
+            if unknown:
+                raise InputError(f"{name} uses positions outside 0..{n - 1}: {unknown}")
+        zero = Fraction(0)
+        self.linear_form: tuple[Fraction, ...] = tuple(
+            Fraction(linear_form[i]) if i in linear_form else zero for i in positions
         )
-        self.unit: AlgebraElement = self.element(unit)
+        self.involution: tuple[int, ...] = tuple(involution)
+        if sorted(self.involution) != list(positions):
+            raise InputError("involution must be a permutation of the basis positions")
+        self.unit: AlgebraElement = AlgebraElement(
+            {self.basis[i]: value for i, value in unit.items()}
+        )
         self.form: tuple[dict[int, Fraction], ...] = self._compute_form()
         self._form_inverse: list[dict[int, Fraction]] | None = None
         self._casimir: AlgebraElement | None = None
@@ -278,17 +357,25 @@ class EquippedFrobeniusAlgebra:
 
     def _compute_form(self) -> tuple[dict[int, Fraction], ...]:
         """Sparse rows ``{j: l(e_i e_j)}`` of the pairing, from the products and ``l``."""
+        # l is scaled by the lcm of its denominators, so integral constants
+        # give integer sums and each nonzero entry is one Fraction division.
+        # Only a product that reaches a position where l is nonzero is summed.
         n = self.dim
+        scale = lcm(*(value.denominator for value in self.linear_form))
+        weights = {
+            out: int(value * scale) for out, value in enumerate(self.linear_form) if value
+        }
         form: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(n))
-        for code, expansion in self._products.items():
-            i, j = divmod(code, n)
-            total = Fraction(0)
+        reached = map(not_, map(set(weights).isdisjoint, self._products.values()))
+        for code, expansion in compress(self._products.items(), reached):
+            total = 0
             for out, value in expansion.items():
-                weight = self.linear_form[out]
+                weight = weights.get(out)
                 if weight:
                     total += value * weight
             if total:
-                form[i][j] = total
+                i, j = divmod(code, n)
+                form[i][j] = Fraction(total, scale)
         return form
 
     def form_inverse(self) -> list[dict[int, Fraction]]:
@@ -369,23 +456,27 @@ class EquippedFrobeniusAlgebra:
 
     def permuted(self, order: Sequence[str]) -> "EquippedFrobeniusAlgebra":
         """The same algebra presented on a reordered basis."""
+        order = tuple(order)
         if sorted(order) != sorted(self.basis):
             raise InputError("order must be a permutation of the basis labels")
         n = self.dim
-        products: dict[tuple[str, str], dict[str, int | Fraction]] = {}
+        position = {label: i for i, label in enumerate(order)}
+        moved = [position[label] for label in self.basis]
+        star = [0] * n
+        for i, image in enumerate(self.involution):
+            star[moved[i]] = moved[image]
+        products: dict[int, dict[int, int | Fraction]] = {}
         for code, expansion in self._products.items():
             i, j = divmod(code, n)
-            products[(self.basis[i], self.basis[j])] = {
-                self.basis[out]: value for out, value in expansion.items()
+            products[moved[i] * n + moved[j]] = {
+                moved[out]: value for out, value in expansion.items()
             }
-        return EquippedFrobeniusAlgebra(
+        return EquippedFrobeniusAlgebra.from_indices(
             basis=order,
             products=products,
-            linear_form={
-                label: self.linear_form[self.index(label)] for label in self.basis
-            },
-            involution={label: self.star_label(label) for label in self.basis},
-            unit=dict(self.unit.coeffs),
+            linear_form={moved[i]: value for i, value in enumerate(self.linear_form)},
+            involution=star,
+            unit={position[label]: value for label, value in self.unit.coeffs.items()},
         )
 
 

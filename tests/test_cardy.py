@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from cardyfrob import (
     verify_equipped,
 )
 from cardyfrob.actions import BoundaryField
+from test_sparse_checks import with_constant
 
 
 def test_cardy_from_pair_matches_fixture(suite_algebras):
@@ -181,6 +183,20 @@ def test_tampered_catalog_fails_phi_reconstruction():
     )
     with pytest.raises(ConsistencyError):
         build_phi(broken)
+
+
+def test_singular_pairing_is_reported_not_raised(suite_algebras):
+    # Without c_{b0,b0}^{b0}, z2's pairing loses the (b0, b0) entry and is
+    # singular: twisted_casimir raises, and phi-u reports that as a failure
+    # like form-invertible does, so every result still comes back.
+    h = suite_algebras["z2"]
+    broken = with_constant(h.B, 0, 0, 0, 0)
+    results = verify_cardy_frobenius(replace(h, B=broken))
+    assert len(results) == 14
+    phi_u = next(result for result in results if result.name == "phi-u")
+    assert not phi_u.passed and "degenerate" in phi_u.witness
+    invertible = next(r for r in verify_equipped(broken) if r.name == "form-invertible")
+    assert not invertible.passed and invertible.witness == phi_u.witness
 
 
 # -- Hecke comparison ------------------------------------------------------------

@@ -303,7 +303,7 @@ constants = st.one_of(
 
 
 @st.composite
-def sparse_algebras(draw):
+def sparse_algebra_inputs(draw):
     # About half the draws have integral structure constants, so that
     # associativity goes through the nucleus certificate rather than the
     # Fraction fallback; the linear form may still be fractional.
@@ -323,13 +323,18 @@ def sparse_algebras(draw):
         st.dictionaries(st.sampled_from(basis), constants, min_size=1, max_size=dim)
     )
     star = draw(st.permutations(basis))
-    return EquippedFrobeniusAlgebra(
-        basis=basis,
-        products=products,
-        linear_form=linear_form,
-        involution=dict(zip(basis, star)),
-        unit={basis[0]: 1},
-    )
+    return {
+        "basis": basis,
+        "products": products,
+        "linear_form": linear_form,
+        "involution": dict(zip(basis, star)),
+        "unit": {basis[0]: 1},
+    }
+
+
+def sparse_algebras():
+    """The algebras of :func:`sparse_algebra_inputs`, built by the label constructor."""
+    return sparse_algebra_inputs().map(lambda inputs: EquippedFrobeniusAlgebra(**inputs))
 
 
 @settings(max_examples=200, deadline=None)
