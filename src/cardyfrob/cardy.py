@@ -180,11 +180,9 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     n_order = catalog.nset.group.order
     fields = catalog.boundary
     dim = len(fields)
-    table = _orbit_table(catalog)
-    if table is None or any(-1 in row for row in table):
-        raise ConsistencyError(
-            f"the orbits do not partition X x X: {_partition_fault(catalog)}"
-        )
+    table, fault = _orbit_table(catalog)
+    if fault is not None:
+        raise ConsistencyError(f"the orbits do not partition X x X: {fault}")
     scaled = [[k * dim for k in row] for row in table]
     into = [list(column) for column in zip(*table)]
     products: dict[int, dict[int, int]] = {}
@@ -219,12 +217,21 @@ def build_phi(catalog: FieldCatalog) -> tuple[tuple[Fraction, ...], ...]:
     tallied in a flat list at ``x * |X| + y``.  It is constant on pair orbits,
     so its expansion over the ``nu`` matrices is read off at orbit
     representatives; every other pair of each orbit is compared as a guard
-    against a broken catalog.
+    against a broken catalog, and a pair outside ``X x X`` is rejected.
     """
     act_table = catalog.nset.act_table
     size = catalog.nset.size
-    orbits = [[x * size + y for x, y in field.orbit] for field in catalog.boundary]
-    firsts = [x * size + y for x, y in (field.representative for field in catalog.boundary)]
+    span = range(size)
+    orbits = []
+    for b_field in catalog.boundary:
+        pairs = (b_field.representative, *b_field.orbit)
+        outside = [pair for pair in pairs if pair[0] not in span or pair[1] not in span]
+        if outside:
+            raise ConsistencyError(
+                f"pair {outside[0]} of {b_field.label} lies outside X x X; phi is undefined"
+            )
+        orbits.append([x * size + y for x, y in pairs])
+    firsts = [orbit[0] for orbit in orbits]
     rows = []
     for field in catalog.interior:
         counts = [0] * (size * size)
@@ -383,36 +390,28 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("cardy", True)
 
 
-def _orbit_table(catalog: FieldCatalog) -> list[list[int]] | None:
-    """``table[x][y]``, the position of the orbit holding ``(x, y)``, or -1.
+def _orbit_table(catalog: FieldCatalog) -> tuple[list[list[int]] | None, str | None]:
+    """``table[x][y]``, the position of the orbit holding ``(x, y)``, or -1,
+    and the first pair that keeps the orbits from partitioning ``X x X``.
 
-    ``None`` when a pair is listed twice or lies outside ``X x X``.  A pair
-    in no orbit reads -1; it fails both comparisons below, and
-    :func:`build_B` rejects it.
+    The table is ``None`` when a pair is listed twice or lies outside
+    ``X x X``.  A pair in no orbit reads -1; it fails both comparisons below,
+    which ignore the fault, and :func:`build_B` rejects it.
     """
     size = catalog.nset.size
     table = [[-1] * size for _ in range(size)]
     for k, field in enumerate(catalog.boundary):
-        for x, y in field.orbit:
-            if not (0 <= x < size and 0 <= y < size) or table[x][y] >= 0:
-                return None
-            table[x][y] = k
-    return table
-
-
-def _partition_fault(catalog: FieldCatalog) -> str:
-    """The first pair that keeps the orbits from partitioning ``X x X``."""
-    size = catalog.nset.size
-    seen: set[tuple[int, int]] = set()
-    for field in catalog.boundary:
         for pair in field.orbit:
-            if not (0 <= pair[0] < size and 0 <= pair[1] < size):
-                return f"pair {pair} of {field.label} lies outside X x X"
-            if pair in seen:
-                return f"pair {pair} is listed twice, again in {field.label}"
-            seen.add(pair)
-    missing = next((x, y) for x in range(size) for y in range(size) if (x, y) not in seen)
-    return f"pair {missing} lies in no orbit"
+            x, y = pair
+            if not (0 <= x < size and 0 <= y < size):
+                return None, f"pair {pair} of {field.label} lies outside X x X"
+            if table[x][y] >= 0:
+                return None, f"pair {pair} is listed twice, again in {field.label}"
+            table[x][y] = k
+    for x, row in enumerate(table):
+        if -1 in row:
+            return table, f"pair {(x, row.index(-1))} lies in no orbit"
+    return table, None
 
 
 def _chains_match(b: EquippedFrobeniusAlgebra, table: list[list[int]]) -> bool:
@@ -450,7 +449,7 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     # least failing pair.  Each orbit O_i is walked once: a chain
     # x -> y -> z lands in the bucket of the orbit j of (y, z).
     fields = h.catalog.boundary
-    table = _orbit_table(h.catalog)
+    table, _ = _orbit_table(h.catalog)
     if table is not None and len(fields) == h.B.dim and _chains_match(h.B, table):
         return CheckResult("nu-multiplicative", True)
     successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
@@ -531,7 +530,7 @@ def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
     # read -1 and must stay so).  Without a table, or on a failure, the walk
     # names the first (field, n).
     nset = h.catalog.nset
-    table = _orbit_table(h.catalog)
+    table, _ = _orbit_table(h.catalog)
     if table is not None and all(
         [list(map(table[image].__getitem__, row)) for image in row] == table
         for row in nset.act_table

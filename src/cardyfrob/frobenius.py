@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
-from operator import methodcaller, not_
+from operator import not_
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -205,9 +205,8 @@ class EquippedFrobeniusAlgebra:
         ``products`` maps ``i * dim + j`` to the sparse expansion
         ``{k: c_ij^k}`` of ``e_i e_j``, ``linear_form`` and ``unit`` map
         positions to values, and ``involution[i]`` is the position of the star
-        of ``e_i``.  The shapes are validated as by the label constructor.
-        An expansion that is a ``dict`` of nonzero ``int`` constants is kept,
-        not copied: the algebra takes ``products`` over from the caller.
+        of ``e_i``.  The shapes are validated as by the label constructor,
+        and the expansions are copied with zero constants dropped.
         """
         alg = cls.__new__(cls)
         alg._set_basis(basis)
@@ -233,29 +232,17 @@ class EquippedFrobeniusAlgebra:
         """The index-keyed core: validate, drop zero constants, compute the form."""
         n = self.dim
         positions, codes = range(n), range(n * n)
-        expansions = list(products.values())
         outside = [code for code in products if code not in codes]
         if outside:
             raise InputError(f"product codes outside 0..{n * n - 1}: {outside}")
-        outside = list(set(chain.from_iterable(expansions)).difference(positions))
+        outside = list(set(chain.from_iterable(products.values())).difference(positions))
         if outside:
             raise InputError(f"products expand over positions outside 0..{n - 1}: {outside}")
-        values = list(chain.from_iterable(map(methodcaller("values"), expansions)))
-        if (
-            set(map(type, expansions)) <= {dict}
-            and set(map(type, values)) <= {int}
-            and 0 not in values
-            and all(expansions)
-        ):
-            # Every expansion a dict of nonzero ints, checked in bulk: they are
-            # kept as they are, not copied.
-            self._products = dict(products)
-        else:
-            self._products = {}
-            for code, expansion in products.items():
-                cleaned = {out: _exact(value) for out, value in expansion.items() if value}
-                if cleaned:
-                    self._products[code] = cleaned
+        self._products: dict[int, dict[int, int | Fraction]] = {}
+        for code, expansion in products.items():
+            cleaned = {out: _exact(value) for out, value in expansion.items() if value}
+            if cleaned:
+                self._products[code] = cleaned
         for name, mapping in (("linear form", linear_form), ("unit", unit)):
             unknown = [i for i in mapping if i not in positions]
             if unknown:

@@ -183,6 +183,19 @@ def test_tampered_catalog_fails_phi_reconstruction():
     )
     with pytest.raises(ConsistencyError):
         build_phi(broken)
+    # A pair of an orbit, or its representative, moved outside X x X past
+    # either end is rejected as such, not read off another cell.
+    size = catalog.nset.size
+    field = catalog.boundary[1]
+    for outside in ((0, size), (size, 0), (-1, 0)):
+        for moved in (
+            replace(field, orbit=field.orbit[:-1] + (outside,)),
+            replace(field, representative=outside),
+        ):
+            boundary = (catalog.boundary[0], moved) + catalog.boundary[2:]
+            with pytest.raises(ConsistencyError) as caught:
+                build_phi(replace(catalog, boundary=boundary))
+            assert f"pair {outside} of b1 lies outside X x X" in str(caught.value)
 
 
 def test_singular_pairing_is_reported_not_raised(suite_algebras):
