@@ -36,7 +36,8 @@ class NSet:
 
     ``point_sets`` optionally records the underlying subsets of the parent
     group (subgroup element sets, coset element sets) that the points stand
-    for.  Construction validates the action axioms exhaustively.
+    for.  Construction validates the action axioms, the product rule on a
+    generating set of the group (see :meth:`__post_init__`).
     """
 
     group: FiniteGroup
@@ -44,6 +45,19 @@ class NSet:
     point_sets: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self) -> None:
+        """Validate the action axioms, the product rule on generators only.
+
+        Each row must permute the points and the identity must fix them all.
+        Then ``rho(g) rho(s) = rho(gs)`` is checked for every ``g`` and every
+        ``s`` in the generating set ``S`` of :attr:`FiniteGroup.generators`,
+        ``|N| |S| |X|`` steps.  That proves ``rho(g) rho(w) = rho(gw)`` for
+        every word ``w`` in ``S`` by induction on its length: ``rho(w s) =
+        rho(w) rho(s)`` is the case ``g = w``, so ``rho(g) rho(ws) = rho(gw)
+        rho(s) = rho((gw)s)``, and ``(gw)s = g(ws)`` because the table is
+        associative.  In a finite group every element is such a word, so
+        ``rho`` is a homomorphism.  On a failure the loop over all pairs
+        ``(g, h)`` runs and names the first failing one.
+        """
         group = self.group
         table = self.act_table
         if len(table) != group.order:
@@ -58,15 +72,21 @@ class NSet:
         for x in range(size):
             if identity_row[x] != x:
                 raise ConsistencyError("the identity does not act trivially")
-        for g in range(group.order):
-            row_g = table[g]
-            for h in range(group.order):
-                row_h = table[h]
-                row_gh = table[group.mul(g, h)]
-                if any(row_g[row_h[x]] != row_gh[x] for x in range(size)):
-                    raise ConsistencyError(
-                        f"action is not compatible with the product at ({g}, {h})"
-                    )
+        generators = group.generators
+        if not all(
+            tuple(map(row_g.__getitem__, table[s])) == table[products[s]]
+            for row_g, products in zip(table, group.table)
+            for s in generators
+        ):
+            for g in range(group.order):
+                row_g = table[g]
+                for h in range(group.order):
+                    row_h = table[h]
+                    row_gh = table[group.mul(g, h)]
+                    if any(row_g[row_h[x]] != row_gh[x] for x in range(size)):
+                        raise ConsistencyError(
+                            f"action is not compatible with the product at ({g}, {h})"
+                        )
         if self.point_sets is not None and len(self.point_sets) != size:
             raise ConsistencyError("point_sets length does not match the number of points")
 
@@ -80,10 +100,6 @@ class NSet:
     def fixed_point_count(self, n: int) -> int:
         row = self.act_table[n]
         return sum(1 for x in range(len(row)) if row[x] == x)
-
-    def orbit_of_pair(self, pair: tuple[int, int]) -> frozenset[tuple[int, int]]:
-        x, y = pair
-        return frozenset((row[x], row[y]) for row in self.act_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +124,22 @@ class ConjugationSetup:
 def build_conjugation_setup(
     group: FiniteGroup, k: Subgroup, digest: str = ""
 ) -> ConjugationSetup:
-    """Assemble ``N = N_G(K)/K`` with its conjugation action on ``X``."""
+    """Assemble ``N = N_G(K)/K`` with its conjugation action on ``X``.
+
+    Row ``n`` of the action conjugates by a representative of the coset
+    ``n``.  It does not matter which: every subgroup of ``X`` contains ``K``,
+    so ``h = r k`` with ``k`` in ``K`` conjugates it as ``r`` does.  Given
+    that inclusion, only the generators ``S`` of ``N``
+    (:attr:`FiniteGroup.generators`) are conjugated out, element by element
+    of every subgroup, and an image outside ``X`` is an error.  Every other
+    row follows by a walk over the table of ``N`` from the identity,
+    ``row[n s] = row[n] o row[s]``: that is conjugation by a product of
+    representatives, which lies in the coset ``n s``.  Should a subgroup of
+    ``X`` miss part of ``K``, every coset representative is conjugated out
+    and every element of ``N_G(K)`` is compared with its representative; the
+    first that acts differently is named.  :class:`NSet` then checks the
+    product rule.
+    """
     if k.parent is not group:
         raise InputError("the subgroup does not belong to the given group")
     k_normalizer = normalizer(group, k)
@@ -116,25 +147,25 @@ def build_conjugation_setup(
     subgroups = subgroups_containing(group, k)
     point_index = {s.member_set(): position for position, s in enumerate(subgroups)}
     reps = _coset_representatives(projection, n_group.order)
-    act_rows = []
-    for rep in reps:
-        row = []
-        for s in subgroups:
-            image = frozenset(group.conjugate(rep, x) for x in s.elements)
-            target = point_index.get(image)
-            if target is None:
-                raise ConsistencyError(
-                    "conjugating a subgroup over K left the subgroup catalog"
-                )
-            row.append(target)
-        act_rows.append(tuple(row))
-    act_table = tuple(act_rows)
-    # The action must not depend on the choice of coset representative.
-    for h in k_normalizer.elements:
-        expected = act_table[projection[h]]
-        for position, s in enumerate(subgroups):
-            image = frozenset(group.conjugate(h, x) for x in s.elements)
-            if point_index[image] != expected[position]:
+    k_set = k.member_set()
+    if all(k_set.issubset(s.elements) for s in subgroups):
+        generators = n_group.generators
+        images = {s: _conjugation_row(group, reps[s], subgroups, point_index) for s in generators}
+        act_rows: list[tuple[int, ...] | None] = [None] * n_group.order
+        act_rows[0] = tuple(range(len(subgroups)))
+        walk = [0]
+        for n in walk:
+            row_n, products = act_rows[n], n_group.table[n]
+            for s in generators:
+                product = products[s]
+                if act_rows[product] is None:
+                    act_rows[product] = tuple(map(row_n.__getitem__, images[s]))
+                    walk.append(product)
+        act_table = tuple(act_rows)
+    else:
+        act_table = tuple(_conjugation_row(group, rep, subgroups, point_index) for rep in reps)
+        for h in k_normalizer.elements:
+            if _conjugation_row(group, h, subgroups, point_index) != act_table[projection[h]]:
                 raise ConsistencyError(
                     f"conjugation action is not well defined on cosets at element {h}"
                 )
@@ -154,6 +185,22 @@ def build_conjugation_setup(
         k_core_free=is_core_free(group, k),
         digest=digest,
     )
+
+
+def _conjugation_row(
+    group: FiniteGroup,
+    h: int,
+    subgroups: tuple[Subgroup, ...],
+    point_index: Mapping[frozenset[int], int],
+) -> tuple[int, ...]:
+    """The position of ``h S h^-1`` for each subgroup ``S``, by element-wise conjugation."""
+    row = []
+    for s in subgroups:
+        target = point_index.get(frozenset(group.conjugate(h, x) for x in s.elements))
+        if target is None:
+            raise ConsistencyError("conjugating a subgroup over K left the subgroup catalog")
+        row.append(target)
+    return tuple(row)
 
 
 def _coset_representatives(projection: Mapping[int, int], count: int) -> list[int]:
@@ -268,14 +315,6 @@ class FieldCatalog:
     def _boundary_by_label(self) -> dict[str, BoundaryField]:
         return {field.label: field for field in self.boundary}
 
-    @cached_property
-    def _orbit_label_of_pair(self) -> dict[tuple[int, int], str]:
-        lookup: dict[tuple[int, int], str] = {}
-        for field in self.boundary:
-            for pair in field.orbit:
-                lookup[pair] = field.label
-        return lookup
-
     def interior_field(self, label: str) -> InteriorField:
         try:
             return self._interior_by_label[label]
@@ -287,12 +326,6 @@ class FieldCatalog:
             return self._boundary_by_label[label]
         except KeyError:
             raise InputError(f"unknown boundary field label {label!r}") from None
-
-    def pair_label(self, pair: tuple[int, int]) -> str:
-        try:
-            return self._orbit_label_of_pair[pair]
-        except KeyError:
-            raise InputError(f"pair {pair!r} is not a pair of points of X") from None
 
     @property
     def interior_labels(self) -> tuple[str, ...]:

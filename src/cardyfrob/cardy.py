@@ -30,14 +30,18 @@ Nothing here stores the permutation model itself, the 0/1 matrices
 ``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
 below read orbits instead, and the oracles in :mod:`cardyfrob.oracles`
 build the dense integer matrices while they run.  ``nu`` multiplicativity
-and equivariance build the orbit table per call.  At each
-pair ``(x, z)`` the sorted chain codes ``orbit(x, y) * dim + orbit(y, z)``
-over all ``y`` must repeat ``i * dim + j`` exactly ``c_ij^k`` times, ``k`` the
-orbit of ``(x, z)``; relabelling by each element of ``N`` must leave the
-table as it is.  When the orbits do not partition ``X x X``, or a
-comparison fails, a walk over the orbits names the witness.  phi-central
-sums the commutator rows of ``B`` (:func:`cardyfrob.frobenius.commutator_rows`)
-weighted by each row of ``phi``.
+and equivariance build the orbit table per call and decide the action on
+the generators of ``N`` alone: relabelling by each generator must leave the
+table as it is, and then, once a walk along the generators shows each
+listed orbit to be a single ``N``-orbit, the sorted chain codes
+``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the first pair
+``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j`` exactly
+``c_ij^k`` times.  When the orbits do not partition ``X x X``, or a
+comparison fails, a walk over the orbits and every element names the
+witness.  phi-unit, phi-homomorphism and phi-star compare sparse rows of
+``phi`` over the stored constants.  phi-central sums the commutator rows of
+``B`` (:func:`cardyfrob.frobenius.commutator_rows`) weighted by each row of
+``phi``.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -57,6 +61,7 @@ from .actions import (
     BoundaryField,
     FieldCatalog,
     InteriorField,
+    NSet,
     build_catalog,
     build_conjugation_setup,
     coset_nset,
@@ -66,6 +71,7 @@ from .frobenius import (
     AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
+    _exact,
     _first_difference,
     _first_noncentral,
     commutator_rows,
@@ -316,18 +322,43 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     ]
 
 
+def _phi_rows(h: CardyFrobeniusAlgebra) -> list[dict[int, int | Fraction]]:
+    """``phi`` as sparse rows ``{s: phi[i][s]}``, integral entries as ``int``."""
+    return [{s: _exact(value) for s, value in enumerate(row) if value} for row in h.phi]
+
+
 def _check_phi_unit(h: CardyFrobeniusAlgebra) -> CheckResult:
-    passed = h.phi_apply(h.A.unit) == h.B.unit
+    # phi(1_A) = sum_m u_m phi[m] against the unit of B, in index space.
+    a, b = h.A, h.B
+    image = _row_times(((a.index(label), u) for label, u in a.unit.coeffs.items()), _phi_rows(h))
+    unit = {b.index(label): value for label, value in b.unit.coeffs.items()}
+    passed = _first_difference(image, unit) is None
     return CheckResult("phi-unit", passed, None if passed else "phi(1_A) != 1_B")
 
 
 def _check_phi_homomorphism(h: CardyFrobeniusAlgebra) -> CheckResult:
-    images = {label: h.phi_apply(h.A.basis_element(label)) for label in h.A.basis}
-    for left in h.A.basis:
-        for right in h.A.basis:
-            product = h.A.multiply(h.A.basis_element(left), h.A.basis_element(right))
-            if h.phi_apply(product) != h.B.multiply(images[left], images[right]):
-                return CheckResult("phi-homomorphism", False, f"({left}, {right})")
+    # phi(e_i e_j) == phi(e_i) phi(e_j) for every basis pair of A, in index
+    # space: sum_m c^A_ij^m phi[m] against sum_{s,t} phi[i][s] phi[j][t] c^B_st
+    # over the stored constants of B.  The first failing (i, j) in basis
+    # order is the witness.
+    a, b = h.A, h.B
+    rows = _phi_rows(h)
+    n = b.dim
+    products = b._products
+    for i, left_row in enumerate(rows):
+        for j, right_row in enumerate(rows):
+            image = _row_times(a.pair_products(i, j).items(), rows)
+            product: dict[int, int | Fraction] = {}
+            for s, left in left_row.items():
+                base = s * n
+                for t, right in right_row.items():
+                    expansion = products.get(base + t)
+                    if expansion:
+                        weight = left * right
+                        for out, value in expansion.items():
+                            product[out] = product.get(out, 0) + weight * value
+            if _first_difference(image, product) is not None:
+                return CheckResult("phi-homomorphism", False, f"({a.basis[i]}, {a.basis[j]})")
     return CheckResult("phi-homomorphism", True)
 
 
@@ -343,10 +374,14 @@ def _check_phi_central(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_phi_star(h: CardyFrobeniusAlgebra) -> CheckResult:
-    for label in h.A.basis:
-        e = h.A.basis_element(label)
-        if h.phi_apply(h.A.star(e)) != h.B.star(h.phi_apply(e)):
-            return CheckResult("phi-star", False, label)
+    # phi(e_i^*) == phi(e_i)^*: row star_A(i) of phi against row i moved
+    # along the involution of B; the first failing i is the witness.
+    rows = _phi_rows(h)
+    star_b = h.B.involution
+    for i, star in enumerate(h.A.involution):
+        moved = {star_b[s]: value for s, value in rows[i].items()}
+        if _first_difference(rows[star], moved) is not None:
+            return CheckResult("phi-star", False, h.A.basis[i])
     return CheckResult("phi-star", True)
 
 
@@ -414,14 +449,54 @@ def _orbit_table(catalog: FieldCatalog) -> tuple[list[list[int]] | None, str | N
     return table, None
 
 
-def _chains_match(b: EquippedFrobeniusAlgebra, table: list[list[int]]) -> bool:
-    """Whether every pair ``(x, z)`` of orbit ``k`` has the chains ``c_ij^k`` asks for.
+def _invariant(table: list[list[int]], rows: Iterable[Sequence[int]]) -> bool:
+    """Whether ``table[n x][n y] == table[x][y]`` for each action row ``n`` given."""
+    return all(
+        [list(map(table[image].__getitem__, row)) for image in row] == table for row in rows
+    )
+
+
+def _single_orbits(
+    fields: Sequence[BoundaryField], rows: Sequence[Sequence[int]], size: int
+) -> bool:
+    """Whether a walk along ``rows`` from the first pair of each orbit reaches
+    exactly as many pairs as the orbit lists.
+
+    The orbits must partition ``X x X``, ``size`` being ``|X|``.  Pairs are
+    coded ``x * |X| + y`` and each row becomes a permutation of the codes, so
+    the walks cost ``|S| |X|^2`` steps in all.  On an orbit table that the
+    rows leave invariant, a walk stays inside its orbit, so reaching ``|O_k|``
+    pairs means it covers ``O_k``: each listed orbit is a single orbit of the
+    group the rows generate.  An empty orbit fails.
+    """
+    steps = [[image * size + other for image in row for other in row] for row in rows]
+    seen = bytearray(size * size)
+    for field in fields:
+        if not field.orbit:
+            return False
+        x, z = field.orbit[0]
+        walk = [x * size + z]
+        seen[walk[0]] = 1
+        for code in walk:
+            for step in steps:
+                image = step[code]
+                if not seen[image]:
+                    seen[image] = 1
+                    walk.append(image)
+        if len(walk) != len(field.orbit):
+            return False
+    return True
+
+
+def _chains_match(
+    b: EquippedFrobeniusAlgebra, table: list[list[int]], fields: Sequence[BoundaryField]
+) -> bool:
+    """Whether the first pair ``(x, z)`` of each orbit ``O_k`` has the chains
+    ``c_ij^k`` asks for.
 
     The codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, sorted, must
     be column ``k``: the code ``i * dim + j`` repeated ``c_ij^k`` times.  A
-    constant that is not a positive ``int`` cannot be a count, so it fails,
-    and so does a pair in no orbit: its chain through ``y = z`` has a
-    negative code.
+    constant that is not a positive ``int`` cannot be a count, so it fails.
     """
     n = b.dim
     columns: list[list[int]] = [[] for _ in range(n)]
@@ -430,27 +505,48 @@ def _chains_match(b: EquippedFrobeniusAlgebra, table: list[list[int]]) -> bool:
             if type(value) is not int or value < 0:
                 return False
             columns[k].extend([code] * value)
-    for column in columns:
-        column.sort()
     into = [list(column) for column in zip(*table)]
-    for row in table:
-        scaled = [k * n for k in row]
-        for z, incoming in enumerate(into):
-            if sorted(map(add, scaled, incoming)) != columns[row[z]]:
-                return False
+    for column, field in zip(columns, fields):
+        x, z = field.orbit[0]
+        column.sort()
+        if sorted(map(add, [k * n for k in table[x]], into[z])) != column:
+            return False
     return True
 
 
 def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
-    # nu(beta_i) nu(beta_j) == sum_k c_{ij}^k nu(beta_k), computed on orbits.
-    # With an orbit table, the chains x -> y -> z at each pair (x, z) are
-    # compared at once with the constants of its orbit.  Without one, or when
-    # a pair fails, the walk below names the first failing (i, j) and its
-    # least failing pair.  Each orbit O_i is walked once: a chain
-    # x -> y -> z lands in the bucket of the orbit j of (y, z).
+    """``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)``, computed on orbits.
+
+    At a pair ``(x, z)`` of ``O_k`` this says that the chains ``x -> y -> z``
+    with ``(x, y)`` in ``O_i`` and ``(y, z)`` in ``O_j`` number ``c_ij^k``.
+    It is checked at the first pair ``(x_k, z_k)`` of each orbit alone once
+    two things hold, given a partition of ``X x X`` into ``dim B`` orbits:
+
+    * the orbit table is invariant under the generator rows of ``N``, hence
+      under ``N`` (see :func:`_check_nu_equivariant`);
+    * each listed orbit is a single ``N``-orbit (:func:`_single_orbits`).
+
+    Then ``y -> n y`` carries the chains at ``(x_k, z_k)`` onto those at
+    ``n (x_k, z_k)``, orbit labels and all, and every pair of ``O_k`` is such
+    an image.  That costs ``|S| |X|^2`` steps for the two conditions and
+    ``dim |X|`` for the chains (:func:`_chains_match`) instead of ``|X|^3``.
+    Both conditions matter: a catalog that lists two ``N``-orbits under one
+    label keeps the table invariant and fails only the walk.  Without them,
+    or when a chain count fails, the walk below names the first failing
+    ``(i, j)`` and its least failing pair.  Each orbit ``O_i`` is walked
+    once: a chain ``x -> y -> z`` lands in the bucket of the orbit ``j`` of
+    ``(y, z)``.
+    """
     fields = h.catalog.boundary
-    table, _ = _orbit_table(h.catalog)
-    if table is not None and len(fields) == h.B.dim and _chains_match(h.B, table):
+    table, fault = _orbit_table(h.catalog)
+    rows = _generator_rows(h.catalog.nset)
+    if (
+        fault is None
+        and len(fields) == h.B.dim
+        and _invariant(table, rows)
+        and _single_orbits(fields, rows, h.catalog.nset.size)
+        and _chains_match(h.B, table, fields)
+    ):
         return CheckResult("nu-multiplicative", True)
     successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
     for j, field in enumerate(fields):
@@ -523,18 +619,26 @@ def _check_linear_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("linear-form-from-traces", True)
 
 
+def _generator_rows(nset: NSet) -> list[tuple[int, ...]]:
+    """The action rows of the generators of the acting group."""
+    return [nset.act_table[s] for s in nset.group.generators]
+
+
 def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
-    # rho(n) nu(beta) rho(n)^-1 == nu(beta): the orbit is stable pointwise
-    # under relabeling by every group element, that is
-    # table[n x][n y] == table[x][y] for the orbit table (pairs in no orbit
-    # read -1 and must stay so).  Without a table, or on a failure, the walk
-    # names the first (field, n).
+    """``rho(n) nu(beta) rho(n)^-1 == nu(beta)`` for every ``n`` in ``N``.
+
+    That is ``table[n x][n y] == table[x][y]`` for the orbit table (pairs in
+    no orbit read -1 and must stay so).  It is checked on the generator rows
+    only, ``|S| |X|^2`` steps instead of ``|N| |X|^2``: a table that ``rho(g)``
+    and ``rho(s)`` leave invariant is left invariant by ``rho(g) rho(s) =
+    rho(gs)``, as :class:`~cardyfrob.actions.NSet` certified ``rho`` a
+    homomorphism, so by every word in the generators, that is by all of
+    ``N``.  Without a table, or on a failure, the walk names the first
+    ``(field, n)``.
+    """
     nset = h.catalog.nset
     table, _ = _orbit_table(h.catalog)
-    if table is not None and all(
-        [list(map(table[image].__getitem__, row)) for image in row] == table
-        for row in nset.act_table
-    ):
+    if table is not None and _invariant(table, _generator_rows(nset)):
         return CheckResult("nu-equivariant", True)
     for field in h.catalog.boundary:
         orbit = set(field.orbit)

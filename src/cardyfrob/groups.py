@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -61,8 +62,13 @@ class FiniteGroup:
     ``table[a][b]`` is the product ``a * b``.  The constructor checks the
     cheap structural facts (square shape, identity row and column, rows and
     columns are permutations, hence two-sided inverses exist); associativity
-    is the builder's responsibility and is what the exhaustive
-    :func:`is_associative` helper is for in tests.
+    is the builder's responsibility.  Every table built here (closure of
+    permutations, quotients) is associative, and the certificates that decide
+    a property of the whole group on :attr:`generators` alone (the action
+    checks of :class:`cardyfrob.actions.NSet`, the conjugation rows of
+    :func:`cardyfrob.actions.build_conjugation_setup`, the orbit checks of
+    :mod:`cardyfrob.cardy`) rely on it.  Tests check it exhaustively with
+    :func:`cardyfrob.oracles.is_associative`.
     """
 
     def __init__(
@@ -120,6 +126,12 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A short generating set: each element not yet generated by the
+        earlier ones, at most ``log2(order)`` of them, found once per group."""
+        return tuple(_generators_of(self.table, range(self.order)))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -514,19 +526,6 @@ def is_core_free(group: FiniteGroup, subgroup: Subgroup) -> bool:
         if core == {0}:
             return True
     return core == {0}
-
-
-def is_associative(group: FiniteGroup) -> bool:
-    """Exhaustive associativity check; meant for tests on small groups."""
-    table = group.table
-    for a in range(group.order):
-        for b in range(group.order):
-            ab = table[a][b]
-            row_a = table[a]
-            for c in range(group.order):
-                if table[ab][c] != row_a[table[b][c]]:
-                    return False
-    return True
 
 
 def group_from_document(

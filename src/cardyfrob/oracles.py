@@ -14,9 +14,12 @@ structure constants and the form like the checks they stand behind, but
 through plain loops over every basis pair or triple that share no code with
 the sparse walks of :func:`cardyfrob.frobenius.verify_equipped`.
 :func:`element_axiom_oracle` and :func:`cardy_axiom_oracle` keep the
-``AlgebraElement`` loops of the unit and centrality checks and check ``nu``
-multiplicativity and equivariance by dense matrix products, against the
-index-table checks.
+``AlgebraElement`` loops of the unit, centrality and ``phi`` checks and check
+``nu`` multiplicativity and equivariance by dense matrix products over every
+element of ``N``, against the index-table checks and their certificates on
+generators.  :func:`conjugation_table_oracle` conjugates by every coset
+representative, against the action rows built from generators, and
+:func:`is_associative` scans every triple of a group table.
 :func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
 the structure constants of ``B`` without any matrix.
 :func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
@@ -34,7 +37,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import linalg
-from .actions import FieldCatalog, InteriorField
+from .actions import ConjugationSetup, FieldCatalog, InteriorField
 from .cardy import CardyFrobeniusAlgebra
 from .errors import ConsistencyError, InputError, ResourceError
 from .frobenius import AlgebraElement, CheckResult, EquippedFrobeniusAlgebra
@@ -459,15 +462,48 @@ def _element_casimir_central(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def cardy_axiom_oracle(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
-    """phi-central by ``AlgebraElement`` multiplies, and the permutation model
-    axioms nu-multiplicative and nu-equivariant by dense integer matrices.
+    """The phi axioms by ``AlgebraElement`` operations, and the permutation
+    model axioms nu-multiplicative and nu-equivariant by dense integer matrices.
 
-    The slow reference for the same three checks of
-    :func:`cardyfrob.cardy.verify_cardy_frobenius`, witnesses included.  The
-    matrices are those of :func:`_permutation_model`, multiplied by
-    :func:`cardyfrob.linalg.mat_mul`; ``rho(n)`` is read off the action table.
+    The slow reference for the same six checks of
+    :func:`cardyfrob.cardy.verify_cardy_frobenius`, in its order, witnesses
+    included: phi-unit, phi-homomorphism, phi-central and phi-star go
+    through :meth:`~cardyfrob.cardy.CardyFrobeniusAlgebra.phi_apply` and
+    label-keyed multiplies.  The matrices are those of
+    :func:`_permutation_model`, multiplied by :func:`cardyfrob.linalg.mat_mul`;
+    ``rho(n)`` is read off the action table for every ``n``.
     """
-    return [_element_phi_central(h), _dense_nu_multiplicative(h), _dense_nu_equivariant(h)]
+    return [
+        _element_phi_unit(h),
+        _element_phi_homomorphism(h),
+        _element_phi_central(h),
+        _element_phi_star(h),
+        _dense_nu_multiplicative(h),
+        _dense_nu_equivariant(h),
+    ]
+
+
+def _element_phi_unit(h: CardyFrobeniusAlgebra) -> CheckResult:
+    passed = h.phi_apply(h.A.unit) == h.B.unit
+    return CheckResult("phi-unit", passed, None if passed else "phi(1_A) != 1_B")
+
+
+def _element_phi_homomorphism(h: CardyFrobeniusAlgebra) -> CheckResult:
+    images = {label: h.phi_apply(h.A.basis_element(label)) for label in h.A.basis}
+    for left in h.A.basis:
+        for right in h.A.basis:
+            product = h.A.multiply(h.A.basis_element(left), h.A.basis_element(right))
+            if h.phi_apply(product) != h.B.multiply(images[left], images[right]):
+                return CheckResult("phi-homomorphism", False, f"({left}, {right})")
+    return CheckResult("phi-homomorphism", True)
+
+
+def _element_phi_star(h: CardyFrobeniusAlgebra) -> CheckResult:
+    for label in h.A.basis:
+        e = h.A.basis_element(label)
+        if h.phi_apply(h.A.star(e)) != h.B.star(h.phi_apply(e)):
+            return CheckResult("phi-star", False, label)
+    return CheckResult("phi-star", True)
 
 
 def _element_phi_central(h: CardyFrobeniusAlgebra) -> CheckResult:
@@ -531,6 +567,46 @@ def _dense_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
             if linalg.mat_mul(rho_n, matrix) != linalg.mat_mul(matrix, rho_n):
                 return CheckResult("nu-equivariant", False, f"({field.label}, n={n})")
     return CheckResult("nu-equivariant", True)
+
+
+def is_associative(group: FiniteGroup) -> bool:
+    """Exhaustive associativity check over all ``|G|^3`` triples of the table.
+
+    The generator certificates of :mod:`cardyfrob.actions` and
+    :mod:`cardyfrob.cardy` hold only for associative tables; tests check the
+    tables they build with this."""
+    table = group.table
+    for a in range(group.order):
+        for b in range(group.order):
+            ab = table[a][b]
+            row_a = table[a]
+            for c in range(group.order):
+                if table[ab][c] != row_a[table[b][c]]:
+                    return False
+    return True
+
+
+def conjugation_table_oracle(setup: ConjugationSetup) -> tuple[tuple[int, ...], ...]:
+    """The conjugation action of ``N = N_G(K)/K`` on ``X``, row by row.
+
+    Row ``n`` conjugates every subgroup of ``X`` element by element by the
+    least member of the coset ``n``, and looks the image up among the
+    subgroups.  The slow reference for the rows that
+    :func:`cardyfrob.actions.build_conjugation_setup` conjugates out on the
+    generators of ``N`` alone and composes for the rest.
+    """
+    group = setup.group
+    position = {frozenset(s.elements): index for index, s in enumerate(setup.subgroups)}
+    reps: dict[int, int] = {}
+    for element, coset in setup.projection.items():
+        reps[coset] = min(element, reps.get(coset, element))
+    return tuple(
+        tuple(
+            position[frozenset(group.conjugate(reps[n], x) for x in s.elements)]
+            for s in setup.subgroups
+        )
+        for n in range(setup.n_group.order)
+    )
 
 
 def _close_under_products(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:

@@ -1,0 +1,174 @@
+"""The conjugation action, built and certified on generators of N.
+
+:func:`cardyfrob.build_conjugation_setup` conjugates the subgroups by the
+generators of ``N`` only and composes the other rows;
+:func:`cardyfrob.oracles.conjugation_table_oracle` conjugates by every coset
+representative.  :class:`cardyfrob.NSet` checks the product rule on
+generators and falls back to every pair ``(g, h)`` on a failure, so a
+corrupted table must be rejected with the first failing pair of the full
+loop, computed here by brute force.  Tampered subgroup catalogs must raise
+the same errors as conjugating by every element did.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import cardyfrob.actions
+from cardyfrob import (
+    ConsistencyError,
+    NSet,
+    Subgroup,
+    build_conjugation_setup,
+    build_group,
+    coset_nset,
+    group_from_document,
+    normalizer,
+    subgroup_closure,
+    subgroups_containing,
+)
+from cardyfrob.oracles import conjugation_table_oracle
+from conftest import SUITE_DOCUMENTS
+
+S5 = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+A5 = [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]
+S4 = [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]]
+DOUBLE_TRANSPOSITION = [[1, 0, 3, 2, 4]]
+
+# The ladder pairs of the benchmark and S5 with K = 1, next to the suite.
+EXTRA_DOCUMENTS = {
+    "ladder_s4": {"degree": 4, "generators": S4},
+    "ladder_a5": {"degree": 5, "generators": A5},
+    "ladder_s5_k0123": {"degree": 5, "generators": S5, "k_generators": DOUBLE_TRANSPOSITION},
+    "ladder_a5_k0123": {"degree": 5, "generators": A5, "k_generators": DOUBLE_TRANSPOSITION},
+    "s5": {"degree": 5, "generators": S5},
+}
+DOCUMENTS = {**SUITE_DOCUMENTS, **EXTRA_DOCUMENTS}
+
+
+def setup_of(name: str):
+    return build_conjugation_setup(*group_from_document(DOCUMENTS[name]))
+
+
+def first_incompatible_product(nset_group, table) -> tuple[int, int] | None:
+    """The first ``(g, h)`` with ``rho(g) rho(h) != rho(gh)``, by brute force."""
+    for g in range(nset_group.order):
+        for h in range(nset_group.order):
+            gh = table[nset_group.mul(g, h)]
+            if any(table[g][table[h][x]] != gh[x] for x in range(len(gh))):
+                return g, h
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_generator_rows_match_conjugation_oracle(name):
+    setup = setup_of(name)
+    assert setup.nset.act_table == conjugation_table_oracle(setup)
+
+
+@pytest.mark.parametrize("degree, generators, s_generators", [
+    (3, [[1, 0, 2], [0, 2, 1]], [[1, 0, 2]]),
+    (4, S4, [[1, 0, 2, 3], [0, 2, 1, 3]]),
+    (5, A5, [[1, 0, 3, 2, 4]]),
+    (5, S5, []),
+])
+def test_coset_actions_are_left_translations(degree, generators, s_generators):
+    group = build_group(degree, generators)
+    assert group.perms is not None
+    index = {perm: position for position, perm in enumerate(group.perms)}
+    s = subgroup_closure(group, [index[tuple(perm)] for perm in s_generators])
+    nset = coset_nset(group, s)
+    assert nset.point_sets is not None
+    position = {coset: point for point, coset in enumerate(nset.point_sets)}
+    expected = tuple(
+        tuple(position[frozenset(group.mul(h, x) for x in coset)] for coset in nset.point_sets)
+        for h in range(group.order)
+    )
+    assert nset.act_table == expected
+
+
+def corrupted_tables(table, seed: str, trials: int = 6):
+    """Seeded corruptions of rows past the identity: two images swapped in one
+    row, or one row copied from another element, alternately."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randrange(1, len(table))
+        rows = [list(row) for row in table]
+        if trial % 2 == 0:
+            a, b = rng.sample(range(len(rows[n])), 2)
+            rows[n][a], rows[n][b] = rows[n][b], rows[n][a]
+        else:
+            m = rng.choice([m for m in range(len(table)) if m != n])
+            rows[n] = list(rows[m])
+        yield tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["z3", "ladder_s4", "ladder_a5"])
+def test_corrupted_action_names_the_first_failing_product(name):
+    setup = setup_of(name)
+    group = setup.n_group
+    raised = 0
+    for table in corrupted_tables(setup.nset.act_table, name):
+        expected = first_incompatible_product(group, table)
+        if expected is None:
+            NSet(group, table, setup.nset.point_sets)
+            continue
+        with pytest.raises(ConsistencyError) as caught:
+            NSet(group, table, setup.nset.point_sets)
+        assert str(caught.value) == f"action is not compatible with the product at {expected}"
+        raised += 1
+    assert raised >= 3
+
+
+def test_corrupted_action_texts_are_pinned():
+    # The texts the loop over every pair gave before the generator check.
+    pinned = {
+        "z3": ["(1, 2)", None, "(1, 1)", None, "(1, 2)", None],
+        "ladder_s4": ["(1, 6)", "(1, 2)", "(1, 14)", "(1, 7)", "(1, 2)", "(1, 14)"],
+        "ladder_a5": ["(1, 37)", "(1, 5)", "(1, 2)", "(1, 30)", "(1, 57)", "(1, 58)"],
+    }
+    seeds = {"z3": "z3", "ladder_s4": "s4", "ladder_a5": "a5"}
+    for name, texts in pinned.items():
+        setup = setup_of(name)
+        for table, text in zip(corrupted_tables(setup.nset.act_table, seeds[name]), texts):
+            try:
+                NSet(setup.n_group, table)
+            except ConsistencyError as exc:
+                assert str(exc) == f"action is not compatible with the product at {text}"
+            else:
+                assert text is None
+
+
+def tampered_catalog(monkeypatch, edit):
+    original = subgroups_containing
+    monkeypatch.setattr(
+        cardyfrob.actions, "subgroups_containing", lambda group, k: edit(group, k, original(group, k))
+    )
+
+
+def test_catalog_missing_k_names_the_element_that_moves_it(monkeypatch):
+    # Add the N_G(K)-conjugates of <(0 2)> to the subgroups over K =
+    # <(0 1)(2 3)> in S4: K moves <(0 2)> to <(1 3)>, so the action is not
+    # defined on cosets, and element 3 is the first that shows it.
+    group, k = group_from_document(SUITE_DOCUMENTS["s4_k0123"])
+    assert group.perms is not None
+    t = subgroup_closure(group, [group.perms.index((2, 1, 0, 3))])
+    conjugates = sorted(
+        {tuple(sorted(group.conjugate(h, x) for x in t.elements)) for h in normalizer(group, k).elements}
+    )
+    tampered_catalog(
+        monkeypatch, lambda g, _, subs: subs + tuple(Subgroup(g, elements) for elements in conjugates)
+    )
+    with pytest.raises(ConsistencyError) as caught:
+        build_conjugation_setup(group, k)
+    assert str(caught.value) == "conjugation action is not well defined on cosets at element 3"
+
+
+def test_catalog_missing_a_conjugate_is_rejected(monkeypatch):
+    group, k = group_from_document(SUITE_DOCUMENTS["s4_k0123"])
+    tampered_catalog(monkeypatch, lambda g, _, subs: subs[:5] + subs[6:])
+    with pytest.raises(ConsistencyError) as caught:
+        build_conjugation_setup(group, k)
+    assert str(caught.value) == "conjugating a subgroup over K left the subgroup catalog"

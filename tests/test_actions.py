@@ -15,6 +15,16 @@ from cardyfrob import (
     trivial_subgroup,
 )
 
+
+def orbit_of_pair(nset: NSet, pair: tuple[int, int]) -> frozenset[tuple[int, int]]:
+    x, y = pair
+    return frozenset((row[x], row[y]) for row in nset.act_table)
+
+
+def pair_labels(catalog) -> dict[tuple[int, int], str]:
+    return {pair: field.label for field in catalog.boundary for pair in field.orbit}
+
+
 SUITE_FACTS = {
     #       G   K   N   |X| dimA dimB
     "z2": (2, 1, 2, 2, 2, 4),
@@ -46,7 +56,7 @@ def test_nset_accessors():
     assert nset.act(1, 0) == 1
     assert nset.fixed_point_count(0) == 2
     assert nset.fixed_point_count(1) == 0
-    assert nset.orbit_of_pair((0, 1)) == frozenset({(0, 1), (1, 0)})
+    assert orbit_of_pair(nset, (0, 1)) == frozenset({(0, 1), (1, 0)})
 
 
 # -- conjugation setup ---------------------------------------------------------
@@ -185,11 +195,14 @@ def test_identity_interior_label(suite_algebras):
 
 def test_pair_label_round_trip(suite_algebras):
     catalog = suite_algebras["s3"].catalog
+    labels = pair_labels(catalog)
+    size = catalog.nset.size
+    assert len(labels) == size * size
     for field in catalog.boundary:
         for pair in field.orbit:
-            assert catalog.pair_label(pair) == field.label
-    with pytest.raises(InputError):
-        catalog.pair_label((0, 99))
+            assert labels[pair] == field.label
+            assert orbit_of_pair(catalog.nset, pair) == frozenset(field.orbit)
+    assert (0, 99) not in labels
 
 
 def test_unknown_labels_rejected(suite_algebras):

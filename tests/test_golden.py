@@ -2,7 +2,8 @@
 
 Each entry pins the sha256 digests of stdout and stderr and the exit code of
 one command: ``check``, ``algebra --dump``, ``info`` and ``fields`` on every
-bundled group, and ``hurwitz`` on every bundled surface over ``s3_trivial``.
+bundled group, ``hurwitz`` on every bundled surface over ``s3_trivial``, and
+``hecke`` on three bundled groups, each with one subgroup ``S``.
 A change that alters any byte of that output fails here; a deliberate change
 of output updates the digests in the same commit.
 """
@@ -191,6 +192,27 @@ GOLDEN = {
     ),
 }
 
+# ``hecke --group <group> --subgroup-generators <S>``: the coset action of
+# the group on G/S goes through the same NSet certificate as the
+# conjugation action.
+HECKE_GOLDEN = {
+    ("s3_trivial", "[[1, 0, 2]]"): (
+        "d1cbb78521f67d35358206f3453782089f5e7133a0e98cadbcc8f8afab60d54a",
+        EMPTY,
+        0,
+    ),
+    ("s4_trivial", "[[1, 0, 2, 3], [0, 2, 1, 3]]"): (
+        "4636e0abbd3d0077253157c57d1ab3c52a1e079b4b41dd7b8e49145bbd43e944",
+        EMPTY,
+        0,
+    ),
+    ("a5_k_double_transposition", "[[1, 0, 3, 2, 4]]"): (
+        "c6dfc073cc94b1eee20e769891b45335d4498a539dbe38aaf4d7599fee82ebd2",
+        EMPTY,
+        0,
+    ),
+}
+
 
 def argv_for(key: str) -> list[str]:
     command, group, *rest = key.split()
@@ -216,3 +238,23 @@ def test_cli_output_is_byte_identical(capsys, key):
         for text in (captured.out, captured.err)
     )
     assert digests + (code,) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(HECKE_GOLDEN), ids=lambda key: key[0])
+def test_hecke_output_is_byte_identical(capsys, key):
+    group, subgroup = key
+    code = run(
+        [
+            "hecke",
+            "--group",
+            str(bundled_input(f"groups/{group}.json")),
+            "--subgroup-generators",
+            subgroup,
+        ]
+    )
+    captured = capsys.readouterr()
+    digests = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (captured.out, captured.err)
+    )
+    assert digests + (code,) == HECKE_GOLDEN[key]

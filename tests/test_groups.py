@@ -28,7 +28,8 @@ from cardyfrob import (
     subgroups_containing,
     trivial_subgroup,
 )
-from cardyfrob.groups import compose, cycle_notation, is_associative
+from cardyfrob.groups import compose, cycle_notation
+from cardyfrob.oracles import is_associative
 
 
 def s3() -> FiniteGroup:

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 
 from cardyfrob import (
     CheckResult,
+    ConsistencyError,
     FieldCatalog,
+    build_B,
     cardy_axiom_oracle,
     element_axiom_oracle,
     verify_cardy_frobenius,
@@ -31,14 +33,27 @@ from cardyfrob.cardy import (
     _check_nu_equivariant,
     _check_nu_multiplicative,
     _check_phi_central,
+    _check_phi_homomorphism,
+    _check_phi_star,
+    _check_phi_unit,
+    _generator_rows,
+    _invariant,
     _orbit_table,
+    _single_orbits,
 )
 from cardyfrob.frobenius import _check_casimir_central, _check_unit, commutator_rows
 from conftest import SUITE_DOCUMENTS
 from test_sparse_checks import sparse_algebras, with_constant
 
 ELEMENT_NAMES = ("unit", "casimir-central")
-CARDY_NAMES = ("phi-central", "nu-multiplicative", "nu-equivariant")
+CARDY_NAMES = (
+    "phi-unit",
+    "phi-homomorphism",
+    "phi-central",
+    "phi-star",
+    "nu-multiplicative",
+    "nu-equivariant",
+)
 SMALL_PAIRS = ["z2", "z3", "s3", "s3_k01", "s4_k0123", "a5_k0123"]
 
 def element_checks(alg) -> list[CheckResult]:
@@ -46,7 +61,18 @@ def element_checks(alg) -> list[CheckResult]:
 
 
 def cardy_checks(h) -> list[CheckResult]:
-    return [_check_phi_central(h), _check_nu_multiplicative(h), _check_nu_equivariant(h)]
+    return [
+        _check_phi_unit(h),
+        _check_phi_homomorphism(h),
+        _check_phi_central(h),
+        _check_phi_star(h),
+        _check_nu_multiplicative(h),
+        _check_nu_equivariant(h),
+    ]
+
+
+def failed_names(results: list[CheckResult]) -> set[str]:
+    return {result.name for result in results if not result.passed}
 
 
 def seed_of(name: str) -> int:
@@ -94,7 +120,13 @@ def test_corrupted_constants_fail_every_index_check(suite_algebras):
         broken = with_constant(h.B, i, 0, i, h.B.pair_products(i, 0).get(i, 0) + 1)
         results = element_checks(broken) + cardy_checks(replace(h, B=broken))
         failed |= {result.name for result in results if not result.passed}
-    assert failed == {"unit", "casimir-central", "phi-central", "nu-multiplicative"}
+    assert failed == {
+        "unit",
+        "casimir-central",
+        "phi-homomorphism",
+        "phi-central",
+        "nu-multiplicative",
+    }
 
 
 @pytest.mark.parametrize("name", SMALL_PAIRS)
@@ -110,7 +142,7 @@ def test_corrupted_phi_entry_matches_oracle(suite_algebras, name):
             broken = replace(h, phi=tuple(tuple(row) for row in rows))
             results = cardy_checks(broken)
             assert results == cardy_axiom_oracle(broken), (name, i, j, delta)
-            failed += not results[0].passed
+            failed += "phi-central" in failed_names(results)
     assert failed
 
 
@@ -145,7 +177,92 @@ def test_moved_orbit_pair_matches_oracle(suite_algebras, name):
             broken = replace(h, catalog=catalog)
             results = cardy_checks(broken)
             assert results == cardy_axiom_oracle(broken), (name, source, target, mode)
-            assert not results[1].passed and not results[2].passed
+            assert {"nu-multiplicative", "nu-equivariant"} <= failed_names(results)
+
+
+def merged_orbits(catalog: FieldCatalog, keep: int, emptied: int) -> FieldCatalog:
+    """``catalog`` with orbit ``emptied`` listed under ``keep`` as well, and
+    left empty under its own label."""
+    fields = list(catalog.boundary)
+    union = tuple(sorted(fields[keep].orbit + fields[emptied].orbit))
+    fields[keep] = replace(fields[keep], orbit=union)
+    fields[emptied] = replace(fields[emptied], orbit=())
+    return replace(catalog, boundary=tuple(fields))
+
+
+@pytest.mark.parametrize("name", SMALL_PAIRS + ["s4"])
+def test_merged_orbits_match_oracle(suite_algebras, name):
+    # Two N-orbits under one label still partition X x X and leave the orbit
+    # table invariant under every element, so nu-equivariant passes; only
+    # the walk that finds a listed orbit to be two N-orbits sends
+    # nu-multiplicative to the chain walk, which must fail as the oracle does.
+    h = suite_algebras[name]
+    rows = h.catalog.nset.act_table
+    rng = random.Random(seed_of(name))
+    diagonal = [k for k, field in enumerate(h.catalog.boundary) if field.is_diagonal]
+    choices = [tuple(rng.sample(range(h.B.dim), 2)) for _ in range(3)]
+    if len(diagonal) > 1:
+        choices.append(tuple(diagonal[:2]))
+    for keep, emptied in choices:
+        catalog = merged_orbits(h.catalog, keep, emptied)
+        table, fault = _orbit_table(catalog)
+        assert fault is None and _invariant(table, rows)
+        assert not _single_orbits(catalog.boundary, _generator_rows(catalog.nset), catalog.nset.size)
+        broken = replace(h, catalog=catalog)
+        results = cardy_checks(broken)
+        assert results == cardy_axiom_oracle(broken), (name, keep, emptied)
+        assert failed_names(results) == {"nu-multiplicative"}
+
+
+def swapped_pairs(catalog: FieldCatalog, a: int, b: int) -> FieldCatalog:
+    """``catalog`` with the last pairs of orbits ``a`` and ``b`` swapped."""
+    fields = list(catalog.boundary)
+    last_a, last_b = fields[a].orbit[-1], fields[b].orbit[-1]
+    fields[a] = replace(fields[a], orbit=tuple(sorted(fields[a].orbit[:-1] + (last_b,))))
+    fields[b] = replace(fields[b], orbit=tuple(sorted(fields[b].orbit[:-1] + (last_a,))))
+    return replace(catalog, boundary=tuple(fields))
+
+
+@pytest.mark.parametrize("name", ["a5_k0123", "s4"])
+def test_swapped_orbit_pairs_match_oracle(suite_algebras, name):
+    # The last pairs of two orbits of one size swapped, and B counted anew
+    # from that catalog where build_B accepts it: the walk from each first
+    # pair still reaches as many pairs as its orbit lists, and the chains at
+    # the first pairs are the ones B was counted from, so only the
+    # invariance test keeps nu-multiplicative off the fast path.
+    h = suite_algebras[name]
+    by_size: dict[int, list[int]] = {}
+    for k, field in enumerate(h.catalog.boundary):
+        if field.size > 1:
+            by_size.setdefault(field.size, []).append(k)
+    swaps = [pair for ks in by_size.values() for pair in zip(ks, ks[1:])]
+    checked = 0
+    for a, b in swaps:
+        catalog = swapped_pairs(h.catalog, a, b)
+        try:
+            rebuilt = build_B(catalog)
+        except ConsistencyError:
+            continue
+        for b_algebra in (h.B, rebuilt):
+            broken = replace(h, catalog=catalog, B=b_algebra)
+            results = cardy_checks(broken)
+            assert results == cardy_axiom_oracle(broken), (name, a, b)
+            assert {"nu-multiplicative", "nu-equivariant"} <= failed_names(results)
+        checked += 1
+        if checked == 2:
+            break
+    assert checked == 2
+
+
+def test_single_orbits_reads_the_listed_orbits(suite_algebras):
+    catalog = suite_algebras["s4_k0123"].catalog
+    rows = _generator_rows(catalog.nset)
+    assert _single_orbits(catalog.boundary, rows, catalog.nset.size)
+    assert not _single_orbits(catalog.boundary, rows[:0], catalog.nset.size)
+    split = list(catalog.boundary)
+    big = max(range(len(split)), key=lambda k: split[k].size)
+    split[big] = replace(split[big], orbit=split[big].orbit[:1])
+    assert not _single_orbits(split, rows, catalog.nset.size)
 
 
 def test_nu_multiplicative_names_the_least_failing_pair(suite_algebras):

@@ -21,6 +21,8 @@ from cardyfrob import (
     ResourceError,
     build_group,
     group_from_document,
+    normalizer,
+    quotient_group,
     subgroup_closure,
     subgroup_from_elements,
     subgroup_lattice_oracle,
@@ -29,6 +31,7 @@ from cardyfrob import (
 )
 from cardyfrob.cli import run
 from cardyfrob.groups import POINTS_BOUND
+from cardyfrob.oracles import is_associative
 
 from conftest import SUITE_DOCUMENTS
 
@@ -86,6 +89,21 @@ def test_random_lattices_match_oracle(generators, data):
         st.lists(st.integers(min_value=0, max_value=group.order - 1), max_size=3)
     )
     assert_matches_oracle(group, subgroup_closure(group, k_generators))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators=permutations_of_degree, data=st.data())
+def test_generators_close_to_the_group(generators, data):
+    # The generator certificates of the action and the orbit checks rest on
+    # these: they must generate, number at most log2 |G|, and the table
+    # must be associative; likewise for a quotient by a normal subgroup.
+    group = build_group(len(generators[0]), generators)
+    k = subgroup_closure(group, data.draw(st.lists(st.integers(0, group.order - 1), max_size=2)))
+    quotient, _ = quotient_group(normalizer(group, k), k)
+    for g in (group, quotient):
+        assert subgroup_closure(g, g.generators).elements == tuple(range(g.order))
+        assert len(g.generators) <= g.order.bit_length() - 1
+        assert is_associative(g)
 
 
 @pytest.mark.parametrize(
