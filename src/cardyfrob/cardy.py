@@ -343,16 +343,14 @@ def _check_phi_homomorphism(h: CardyFrobeniusAlgebra) -> CheckResult:
     # order is the witness.
     a, b = h.A, h.B
     rows = _phi_rows(h)
-    n = b.dim
-    products = b._products
     for i, left_row in enumerate(rows):
         for j, right_row in enumerate(rows):
             image = _row_times(a.pair_products(i, j).items(), rows)
             product: dict[int, int | Fraction] = {}
             for s, left in left_row.items():
-                base = s * n
+                products = b.left_products(s)
                 for t, right in right_row.items():
-                    expansion = products.get(base + t)
+                    expansion = products.get(t)
                     if expansion:
                         weight = left * right
                         for out, value in expansion.items():
@@ -500,7 +498,8 @@ def _chains_match(
     """
     n = b.dim
     columns: list[list[int]] = [[] for _ in range(n)]
-    for code, expansion in b._products.items():
+    for i, j, expansion in b.stored_products():
+        code = i * n + j
         for k, value in expansion.items():
             if type(value) is not int or value < 0:
                 return False

@@ -6,17 +6,22 @@ symmetric and nondegenerate, together with an involutive anti-automorphism
 ``*`` preserving ``l``.  Scalars are :class:`fractions.Fraction` throughout,
 so every verification below is an exact identity, never a numerical one.
 
-Structure constants are stored sparsely: a basis-pair product that is zero
-simply has no entry.  An integral constant is stored as an ``int`` and any
-other as a :class:`~fractions.Fraction`; Python's mixed arithmetic keeps one
-code path for both.  Constants are keyed by basis positions, ``i * dim + j``
-mapping to ``{k: c_ij^k}``; :meth:`EquippedFrobeniusAlgebra.from_indices`
-takes them in that form and is the one construction core, which the label
-constructor and :meth:`~EquippedFrobeniusAlgebra.permuted` go through.  The
-pairing and its inverse are sparse rows (``form[i] = {j: l(e_i e_j)}``), so
-no ``dim x dim`` matrix is ever built; the pairing sums integer constants
-against ``l`` scaled by the lcm of its denominators and divides once per
-nonzero entry.
+Structure constants are stored sparsely, one row per left basis element:
+row ``i`` maps each ``j`` with ``e_i e_j != 0`` to the expansion
+``{k: c_ij^k}``, and a zero product simply has no entry.  An integral
+constant is stored as an ``int`` and any other as a
+:class:`~fractions.Fraction`; Python's mixed arithmetic keeps one code path
+for both.  The rows are private and read only through three accessors:
+:meth:`~EquippedFrobeniusAlgebra.pair_products` (one product),
+:meth:`~EquippedFrobeniusAlgebra.left_products` (one row) and
+:meth:`~EquippedFrobeniusAlgebra.stored_products` (every stored product,
+row-major).  :meth:`EquippedFrobeniusAlgebra.from_indices` takes the
+constants keyed by ``i * dim + j`` and is the one construction core, which
+the label constructor and :meth:`~EquippedFrobeniusAlgebra.permuted` go
+through.  The pairing and its inverse are sparse rows
+(``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built;
+the pairing sums integer constants against ``l`` scaled by the lcm of its
+denominators and divides once per nonzero entry.
 
 Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
 nonzero product reaches; every other triple has both sides zero.  When every
@@ -46,7 +51,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
 from operator import not_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .errors import ConsistencyError, InputError
@@ -229,7 +234,8 @@ class EquippedFrobeniusAlgebra:
         involution: Sequence[int],
         unit: Mapping[int, Fraction | int],
     ) -> None:
-        """The index-keyed core: validate, drop zero constants, compute the form."""
+        """The index-keyed core: validate, copy the nonzero constants into the
+        rows, compute the form.  Each row keeps its products in input order."""
         n = self.dim
         positions, codes = range(n), range(n * n)
         outside = [code for code in products if code not in codes]
@@ -238,11 +244,16 @@ class EquippedFrobeniusAlgebra:
         outside = list(set(chain.from_iterable(products.values())).difference(positions))
         if outside:
             raise InputError(f"products expand over positions outside 0..{n - 1}: {outside}")
-        self._products: dict[int, dict[int, int | Fraction]] = {}
+        self._rows: list[dict[int, dict[int, int | Fraction]]] = [{} for _ in positions]
         for code, expansion in products.items():
-            cleaned = {out: _exact(value) for out, value in expansion.items() if value}
-            if cleaned:
-                self._products[code] = cleaned
+            if any(expansion.values()):
+                i, j = divmod(code, n)
+                self._rows[i][j] = expansion
+        # Copied row by row, the expansions lie in memory in the order that
+        # every walk over the store reads them.
+        for row in self._rows:
+            for j, expansion in row.items():
+                row[j] = {out: _exact(value) for out, value in expansion.items() if value}
         for name, mapping in (("linear form", linear_form), ("unit", unit)):
             unknown = [i for i in mapping if i not in positions]
             if unknown:
@@ -283,8 +294,19 @@ class EquippedFrobeniusAlgebra:
         return AlgebraElement()
 
     def pair_products(self, i: int, j: int) -> Mapping[int, int | Fraction]:
-        """Sparse expansion of ``basis[i] * basis[j]`` in index space."""
-        return self._products.get(i * self.dim + j, {})
+        """Sparse expansion ``{k: c_ij^k}`` of ``basis[i] * basis[j]``, empty when zero."""
+        return self._rows[i].get(j, {})
+
+    def left_products(self, i: int) -> Mapping[int, Mapping[int, int | Fraction]]:
+        """``{j: e_i e_j}`` over the ``j`` with a nonzero product, in input order."""
+        return self._rows[i]
+
+    def stored_products(self) -> Iterator[tuple[int, int, Mapping[int, int | Fraction]]]:
+        """Every nonzero ``(i, j, e_i e_j)``, row-major: by ``i``, then as
+        :meth:`left_products` lists ``j``."""
+        for i, row in enumerate(self._rows):
+            for j, expansion in row.items():
+                yield i, j, expansion
 
     def structure_constant(self, left: str, right: str, out: str) -> int | Fraction:
         expansion = self.pair_products(self.index(left), self.index(right))
@@ -293,13 +315,11 @@ class EquippedFrobeniusAlgebra:
     # -- algebra operations ----------------------------------------------
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        n = self.dim
         accumulated: dict[int, Fraction] = {}
         for left, a in x.coeffs.items():
-            i = self.index(left)
-            base = i * n
+            row = self.left_products(self.index(left))
             for right, b in y.coeffs.items():
-                expansion = self._products.get(base + self.index(right))
+                expansion = row.get(self.index(right))
                 if not expansion:
                     continue
                 scale = a * b
@@ -353,16 +373,18 @@ class EquippedFrobeniusAlgebra:
             out: int(value * scale) for out, value in enumerate(self.linear_form) if value
         }
         form: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(n))
-        reached = map(not_, map(set(weights).isdisjoint, self._products.values()))
-        for code, expansion in compress(self._products.items(), reached):
-            total = 0
-            for out, value in expansion.items():
-                weight = weights.get(out)
-                if weight:
-                    total += value * weight
-            if total:
-                i, j = divmod(code, n)
-                form[i][j] = Fraction(total, scale)
+        disjoint = set(weights).isdisjoint
+        for i, form_row in enumerate(form):
+            row = self.left_products(i)
+            reached = map(not_, map(disjoint, row.values()))
+            for j, expansion in compress(row.items(), reached):
+                total = 0
+                for out, value in expansion.items():
+                    weight = weights.get(out)
+                    if weight:
+                        total += value * weight
+                if total:
+                    form_row[j] = Fraction(total, scale)
         return form
 
     def form_inverse(self) -> list[dict[int, Fraction]]:
@@ -405,13 +427,11 @@ class EquippedFrobeniusAlgebra:
 
     def _casimir_sum(self, twisted: bool) -> AlgebraElement:
         inverse = self.form_inverse()
-        n = self.dim
         accumulated: dict[int, Fraction] = {}
         for i, row in enumerate(inverse):
-            base = i * n
+            products = self.left_products(i)
             for j, weight in row.items():
-                column = self.involution[j] if twisted else j
-                expansion = self._products.get(base + column)
+                expansion = products.get(self.involution[j] if twisted else j)
                 if not expansion:
                     continue
                 for out, value in expansion.items():
@@ -452,12 +472,10 @@ class EquippedFrobeniusAlgebra:
         star = [0] * n
         for i, image in enumerate(self.involution):
             star[moved[i]] = moved[image]
-        products: dict[int, dict[int, int | Fraction]] = {}
-        for code, expansion in self._products.items():
-            i, j = divmod(code, n)
-            products[moved[i] * n + moved[j]] = {
-                moved[out]: value for out, value in expansion.items()
-            }
+        products = {
+            moved[i] * n + moved[j]: {moved[out]: value for out, value in expansion.items()}
+            for i, j, expansion in self.stored_products()
+        }
         return EquippedFrobeniusAlgebra.from_indices(
             basis=order,
             products=products,
@@ -498,8 +516,7 @@ def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     weights = {alg.index(label): _exact(value) for label, value in alg.unit.coeffs.items()}
     left: dict[int, int | Fraction] = {}
     right: dict[int, int | Fraction] = {}
-    for code, expansion in alg._products.items():
-        s, b = divmod(code, n)
+    for s, b, expansion in alg.stored_products():
         for side, weight, base in ((left, weights.get(s), b * n), (right, weights.get(b), s * n)):
             if weight:
                 for out, value in expansion.items():
@@ -513,18 +530,6 @@ def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     if failing:
         return CheckResult("unit", False, f"unit fails on {alg.basis[min(failing) // n]}")
     return CheckResult("unit", True)
-
-
-def _product_rows(
-    alg: EquippedFrobeniusAlgebra,
-) -> list[dict[int, Mapping[int, int | Fraction]]]:
-    """``rows[i]`` maps each ``k`` with ``e_i e_k != 0`` to that product."""
-    n = alg.dim
-    rows: list[dict[int, Mapping[int, int | Fraction]]] = [{} for _ in range(n)]
-    for code, expansion in alg._products.items():
-        i, k = divmod(code, n)
-        rows[i][k] = expansion
-    return rows
 
 
 def _first_difference(lhs: Mapping[int, object], rhs: Mapping[int, object]) -> int | None:
@@ -541,17 +546,16 @@ def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # search for S runs modulo a prime, which certifies a rank over Q only
     # for integral constants; a Fraction constant, or a failure, takes the
     # walk over every j, which reports the dense scan's first triple.
-    rows = _product_rows(alg)
     integral = all(
         type(value) is int
-        for expansion in alg._products.values()
+        for _, _, expansion in alg.stored_products()
         for value in expansion.values()
     )
     if integral:
         generators = [word[0] for word in nucleus_words(alg) if len(word) == 1]
-        if _associativity_walk(alg, rows, generators) is None:
+        if _associativity_walk(alg, generators) is None:
             return CheckResult("associativity", True)
-    witness = _associativity_walk(alg, rows, range(alg.dim))
+    witness = _associativity_walk(alg, range(alg.dim))
     if witness is None:
         return CheckResult("associativity", True)
     return CheckResult("associativity", False, witness)
@@ -569,10 +573,7 @@ def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
     """
     n = alg.dim
     p = linalg._MODULAR_PRIME
-    right: list[dict[int, Mapping[int, int | Fraction]]] = [{} for _ in range(n)]
-    for code, expansion in alg._products.items():
-        m, s = divmod(code, n)
-        right[s][m] = expansion
+    rows = list(map(alg.left_products, range(n)))
     pivots: dict[int, dict[int, int]] = {}
     words: list[tuple[int, ...]] = []
     vectors: list[dict[int, int]] = []
@@ -590,10 +591,10 @@ def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
         vectors.append({candidate: 1})
         while pending and len(pivots) < n:
             w, g = pending.popleft()
-            column = right[generators[g]]
+            generator = generators[g]
             product: dict[int, int] = {}
             for m, a in vectors[w].items():
-                expansion = column.get(m)
+                expansion = rows[m].get(generator)
                 if expansion:
                     for out, c in expansion.items():
                         product[out] = product.get(out, 0) + a * c
@@ -605,11 +606,7 @@ def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
     return words
 
 
-def _associativity_walk(
-    alg: EquippedFrobeniusAlgebra,
-    rows: Sequence[Mapping[int, Mapping[int, int | Fraction]]],
-    middles: Sequence[int],
-) -> str | None:
+def _associativity_walk(alg: EquippedFrobeniusAlgebra, middles: Sequence[int]) -> str | None:
     """The first failing triple ``(i, j, k)`` with ``j`` in ``middles``, if any."""
     # (e_i e_j) e_k == e_i (e_j e_k), one basis pair (i, j) at a time, with
     # both sides keyed by k * dim + out.  The left side is nonzero only for k
@@ -618,6 +615,7 @@ def _associativity_walk(
     # both sides zero.  Taking the smallest failing k in lexicographic (i, j)
     # order gives the first failing triple of a dense scan over ``middles``.
     n = alg.dim
+    rows = list(map(alg.left_products, range(n)))
     reach = [set().union(*row.values()) for row in rows]
     for i in range(n):
         row_i = rows[i]
@@ -682,26 +680,26 @@ def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     n = alg.dim
     scale = lcm(*(entry.denominator for row in alg.form for entry in row.values()))
     form = [{k: int(entry * scale) for k, entry in row.items()} for row in alg.form]
-    rows = _product_rows(alg)
     by_out: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n)]
-    for code, expansion in alg._products.items():
+    for j, k, expansion in alg.stored_products():
+        key = j * n + k
         for m, c in expansion.items():
-            by_out[m].append((code, c))
+            by_out[m].append((key, c))
     for i in range(n):
         lhs: dict[int, int | Fraction] = {}
-        for j, pij in rows[i].items():
+        for j, pij in alg.left_products(i).items():
             base = j * n
             for m, c in pij.items():
                 for k, entry in form[m].items():
                     lhs[base + k] = lhs.get(base + k, 0) + c * entry
         rhs: dict[int, int | Fraction] = {}
         for m, entry in form[i].items():
-            for code, c in by_out[m]:
-                rhs[code] = rhs.get(code, 0) + entry * c
+            for key, c in by_out[m]:
+                rhs[key] = rhs.get(key, 0) + entry * c
         if lhs != rhs:
-            code = _first_difference(lhs, rhs)
-            if code is not None:
-                j, k = divmod(code, n)
+            key = _first_difference(lhs, rhs)
+            if key is not None:
+                j, k = divmod(key, n)
                 witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]})"
                 return CheckResult("form-invariance", False, witness)
     return CheckResult("form-invariance", True)
@@ -721,7 +719,7 @@ def _check_involution_antiautomorphism(alg: EquippedFrobeniusAlgebra) -> CheckRe
     # need not be involutive); the least failing pair is the dense witness.
     star = alg.involution
     unstar = sorted(range(alg.dim), key=star.__getitem__)
-    stored = [divmod(code, alg.dim) for code in alg._products]
+    stored = [(i, j) for i, j, _ in alg.stored_products()]
     pairs = set(stored) | {(unstar[b], unstar[a]) for a, b in stored}
     failing = [
         (i, j)
@@ -785,14 +783,12 @@ def multiplication_traces(
     """
     n = alg.dim
     buckets: dict[int, list[tuple[int, int | Fraction]]] = {}
-    for code, expansion in alg._products.items():
-        first, second = divmod(code, n)
+    for first, second, expansion in alg.stored_products():
         j, m = (second, first) if right else (first, second)
         for k, value in expansion.items():
             buckets.setdefault(m * n + k, []).append((j, value))
     rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
-    for code, expansion in alg._products.items():
-        i, k = divmod(code, n)
+    for i, k, expansion in alg.stored_products():
         row = rows[i]
         for m, c in expansion.items():
             for j, value in buckets.get(m * n + k, ()):
@@ -824,8 +820,7 @@ def commutator_rows(alg: EquippedFrobeniusAlgebra) -> list[dict[int, int | Fract
     """
     n = alg.dim
     rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
-    for code, expansion in alg._products.items():
-        s, b = divmod(code, n)
+    for s, b, expansion in alg.stored_products():
         left, right, left_base, right_base = rows[s], rows[b], b * n, s * n
         for out, value in expansion.items():
             left[left_base + out] = left.get(left_base + out, 0) + value

@@ -32,6 +32,12 @@ DEFAULT_ORDER_BOUND = 2000
 # larger interval raises ResourceError before any of that work starts.
 POINTS_BOUND = 500
 
+# The largest permutation degree :func:`build_group` accepts.  Each element
+# is a tuple of ``degree`` ints, so a larger degree raises ResourceError
+# before the identity is built.  It is the default order bound, so the
+# regular representation of every group that bound admits fits.
+DEGREE_BOUND = 2000
+
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Compose permutations, applying ``q`` first: ``(p * q)(x) = p(q(x))``."""
@@ -163,8 +169,8 @@ def build_group(
 
     The closure is breadth-first from the identity, multiplying each frontier
     element on the right by the generators in input order, so the element
-    numbering is reproducible.  Exceeding ``order_bound`` elements raises
-    :class:`ResourceError`.
+    numbering is reproducible.  A degree past :data:`DEGREE_BOUND` or more
+    than ``order_bound`` elements raise :class:`ResourceError`.
 
     The closure records ``right[x][g]``, the index of ``x * gens[g]``, and
     for each element ``b`` but the identity the step ``(x, g)`` that found
@@ -174,6 +180,8 @@ def build_group(
     """
     if degree < 1:
         raise InputError(f"degree must be positive, got {degree}")
+    if degree > DEGREE_BOUND:
+        raise ResourceError(f"degree {degree} is more than {DEGREE_BOUND} (the degree bound)")
     gens = [
         permutation_from_list(gen, degree, f"generators[{pos}]")
         for pos, gen in enumerate(generators)

@@ -342,28 +342,27 @@ def dense_axiom_oracle(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
 
 def _dense_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     n = alg.dim
-    products = alg._products
-    get = products.get
+    rows = [alg.left_products(i) for i in range(n)]
     for i in range(n):
-        base_i = i * n
+        row_i = rows[i]
         for j in range(n):
-            pij = get(base_i + j)
-            base_j = j * n
+            pij = row_i.get(j)
+            row_j = rows[j]
             for k in range(n):
-                pjk = get(base_j + k)
+                pjk = row_j.get(k)
                 if pij is None and pjk is None:
                     continue
                 lhs: dict[int, Fraction] = {}
                 if pij:
                     for m, c in pij.items():
-                        pmk = get(m * n + k)
+                        pmk = rows[m].get(k)
                         if pmk:
                             for out, value in pmk.items():
                                 lhs[out] = lhs.get(out, Fraction(0)) + c * value
                 rhs: dict[int, Fraction] = {}
                 if pjk:
                     for m, c in pjk.items():
-                        pim = get(base_i + m)
+                        pim = row_i.get(m)
                         if pim:
                             for out, value in pim.items():
                                 rhs[out] = rhs.get(out, Fraction(0)) + c * value
@@ -400,17 +399,14 @@ def _dense_involution_antiautomorphism(alg: EquippedFrobeniusAlgebra) -> CheckRe
 def _dense_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # l((e_i e_j) e_k) == l(e_i (e_j e_k)) for all basis triples.
     n = alg.dim
-    products = alg._products
-    get = products.get
+    rows = [alg.left_products(i) for i in range(n)]
     form = alg.form
     for i in range(n):
-        base_i = i * n
         form_i = form[i]
         for j in range(n):
-            pij = get(base_i + j)
-            base_j = j * n
+            pij = rows[i].get(j)
             for k in range(n):
-                pjk = get(base_j + k)
+                pjk = rows[j].get(k)
                 if pij is None and pjk is None:
                     continue
                 lhs = Fraction(0)

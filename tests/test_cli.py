@@ -10,6 +10,7 @@ import pytest
 
 from cardyfrob import bundled_input, cardy_from_pair, group_from_document
 from cardyfrob.cli import run
+from cardyfrob.groups import DEGREE_BOUND
 from cardyfrob.rationals import format_fraction
 
 Z2_DOC = {"degree": 2, "generators": [[1, 0]], "k_generators": []}
@@ -438,6 +439,30 @@ def test_hecke_past_the_points_bound_exits_3_at_once(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err.startswith("resource error: ") and "points bound" in err
+
+
+@pytest.mark.parametrize("degree", [DEGREE_BOUND + 1, 3_000_000, 1_000_000_000])
+@pytest.mark.parametrize("generators", [[], [[0]]], ids=["no-generators", "one-point"])
+def test_degree_past_the_degree_bound_exits_3_at_once(capsys, tmp_path, degree, generators):
+    # A few dozen bytes of document must not allocate a permutation per point.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"degree": degree, "generators": generators}))
+    started = time.perf_counter()
+    code, out, err = run_json(capsys, ["info", "--group", str(path)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"resource error: degree {degree} is more than {DEGREE_BOUND} (the degree bound)\n"
+    )
+
+
+def test_degree_at_the_degree_bound_is_admitted(capsys, tmp_path):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"degree": DEGREE_BOUND, "generators": []}))
+    code, out, _ = run_json(capsys, ["info", "--group", str(path)])
+    assert code == 0
+    assert json.loads(out)["group_order"] == 1
 
 
 def test_unknown_subcommand_exits_with_usage_error(capsys):

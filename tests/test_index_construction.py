@@ -5,16 +5,21 @@ the label constructor translates labels and hands them to it, and
 :meth:`~EquippedFrobeniusAlgebra.permuted` remaps positions through it.  Both
 paths must store the same constants in the same order, on random sparse
 algebras with ``Fraction`` constants, zero constants and mixed-denominator
-linear forms.  ``build_B`` reads the orbit table and must name the pair that
-keeps a broken catalog's orbits from partitioning ``X x X``; ``phi`` must
-expand every class sum of the dense permutation model over the ``nu``
-matrices.
+linear forms.  The store is read only through ``pair_products``,
+``left_products`` and ``stored_products``, which must agree with one
+another, and no module but ``frobenius`` may name it.  ``build_B`` reads the
+orbit table and must name the pair that keeps a broken catalog's orbits from
+partitioning ``X x X``; ``phi`` must expand every class sum of the dense
+permutation model over the ``nu`` matrices.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from operator import itemgetter
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -29,11 +34,25 @@ from test_sparse_checks import sparse_algebra_inputs
 
 
 def stored(alg: EquippedFrobeniusAlgebra) -> list:
-    """The stored constants in insertion order, with the type of each value."""
+    """The stored constants in row-major order, with the type of each value."""
     return [
-        (code, [(k, value, type(value)) for k, value in expansion.items()])
-        for code, expansion in alg._products.items()
+        (i, j, [(k, value, type(value)) for k, value in expansion.items()])
+        for i, j, expansion in alg.stored_products()
     ]
+
+
+def assert_accessors_agree(alg: EquippedFrobeniusAlgebra) -> None:
+    """``stored_products`` lists each nonzero ``pair_products(i, j)`` once,
+    row-major and in the order of ``left_products(i)``, which holds exactly
+    the nonzero ``pair_products(i, .)``."""
+    listed = list(alg.stored_products())
+    assert [i for i, _, _ in listed] == sorted(i for i, _, _ in listed)
+    for i in range(alg.dim):
+        row = alg.left_products(i)
+        nonzero = {j: alg.pair_products(i, j) for j in range(alg.dim) if alg.pair_products(i, j)}
+        assert row == nonzero
+        assert [(j, expansion) for left, j, expansion in listed if left == i] == list(row.items())
+    assert all(expansion == alg.pair_products(i, j) for i, j, expansion in listed)
 
 
 def index_inputs(inputs: dict) -> dict:
@@ -57,9 +76,9 @@ def index_inputs(inputs: dict) -> dict:
 
 def expected_products(inputs: dict) -> list:
     """The constants as the label constructor must store them: zeros dropped,
-    integral values as ``int``, in the order of ``inputs``."""
+    integral values as ``int``, row-major and in the order of ``inputs``
+    within a row."""
     basis = inputs["basis"]
-    n = len(basis)
     position = {label: i for i, label in enumerate(basis)}
     out = []
     for (left, right), expansion in inputs["products"].items():
@@ -70,20 +89,20 @@ def expected_products(inputs: dict) -> list:
                 exact = value.numerator if value.denominator == 1 else value
                 cleaned.append((position[label], exact, type(exact)))
         if cleaned:
-            out.append((position[left] * n + position[right], cleaned))
-    return out
+            out.append((position[left], position[right], cleaned))
+    return sorted(out, key=itemgetter(0))
 
 
 def per_entry_form(alg: EquippedFrobeniusAlgebra) -> tuple:
     """``l(e_i e_j)`` summed entry by entry in ``Fraction``, zeros dropped."""
     rows: tuple = tuple({} for _ in range(alg.dim))
-    for code, expansion in alg._products.items():
+    for i, j, expansion in alg.stored_products():
         total = sum(
             (Fraction(value) * alg.linear_form[k] for k, value in expansion.items()),
             Fraction(0),
         )
         if total:
-            rows[code // alg.dim][code % alg.dim] = total
+            rows[i][j] = total
     return rows
 
 
@@ -103,11 +122,13 @@ def test_index_core_matches_label_constructor(inputs, rng):
     indexed = EquippedFrobeniusAlgebra.from_indices(**index_inputs(inputs))
     assert_same_algebra(indexed, labelled)
     assert stored(labelled) == expected_products(inputs)
+    assert_accessors_agree(labelled)
     assert labelled.form == per_entry_form(labelled)
     assert all(type(entry) is Fraction for row in labelled.form for entry in row.values())
     order = list(labelled.basis)
     rng.shuffle(order)
     shuffled = labelled.permuted(order)
+    assert_accessors_agree(shuffled)
     assert shuffled.basis == tuple(order)
     assert shuffled.form == per_entry_form(shuffled)
     assert shuffled.unit == labelled.unit
@@ -182,7 +203,7 @@ def test_from_indices_drops_zero_constants():
     alg = EquippedFrobeniusAlgebra.from_indices(
         **three_dimensional(products={0: {0: 1, 1: 0}, 1: {2: 0}, 4: {1: Fraction(4, 2)}})
     )
-    assert stored(alg) == [(0, [(0, 1, int)]), (4, [(1, 2, int)])]
+    assert stored(alg) == [(0, 0, [(0, 1, int)]), (1, 1, [(1, 2, int)])]
 
 
 def test_from_indices_stores_plain_dicts():
@@ -190,7 +211,37 @@ def test_from_indices_stores_plain_dicts():
     alg = EquippedFrobeniusAlgebra.from_indices(
         **three_dimensional(products={0: {0: 1}, 4: MappingProxyType({1: 2})})
     )
-    assert type(alg._products[4]) is dict and alg._products == {0: {0: 1}, 4: {1: 2}}
+    assert type(alg.pair_products(1, 1)) is dict
+    assert list(alg.stored_products()) == [(0, 0, {0: 1}), (1, 1, {1: 2})]
+
+
+def store_attribute(alg: EquippedFrobeniusAlgebra) -> str:
+    """The name of the attribute holding the rows that ``left_products`` hands out."""
+    (name,) = [
+        name
+        for name, value in vars(alg).items()
+        if isinstance(value, list)
+        and len(value) == alg.dim
+        and all(row is alg.left_products(i) for i, row in enumerate(value))
+    ]
+    return name
+
+
+def test_only_frobenius_names_the_store():
+    # Every other module and test reads the constants through the three
+    # accessors, so a new store layout touches frobenius.py alone.
+    name = store_attribute(EquippedFrobeniusAlgebra.from_indices(**three_dimensional()))
+    assert name.startswith("_")
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "cardyfrob"
+    assert pattern.search((package / "frobenius.py").read_text(encoding="utf-8"))
+    readers = [
+        path.relative_to(root).as_posix()
+        for path in sorted(package.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+        if path.name != "frobenius.py" and pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []
 
 
 # -- B and phi from the orbit table ------------------------------------------------
@@ -199,21 +250,24 @@ def test_from_indices_stores_plain_dicts():
 @pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
 def test_build_B_stores_chain_counts_in_first_seen_order(suite_algebras, name):
     # c_ij^k counted one chain x -> y -> z at a time at the representative
-    # (x, z) of each O_k in turn, each (i, j) stored when first seen.
-    catalog = suite_algebras[name].catalog
+    # (x, z) of each O_k in turn, each (i, j) stored when first seen; the
+    # store lists the rows in order of i, each row in first-seen order.
+    h = suite_algebras[name]
+    catalog = h.catalog
     orbit_of = {pair: k for k, field in enumerate(catalog.boundary) for pair in field.orbit}
-    dim = len(catalog.boundary)
-    expected: dict[int, dict[int, int]] = {}
+    expected: dict[tuple[int, int], dict[int, int]] = {}
     for k, field in enumerate(catalog.boundary):
         x, z = field.representative
         for y in range(catalog.nset.size):
-            code = orbit_of[(x, y)] * dim + orbit_of[(y, z)]
-            expansion = expected.setdefault(code, {})
+            expansion = expected.setdefault((orbit_of[(x, y)], orbit_of[(y, z)]), {})
             expansion[k] = expansion.get(k, 0) + 1
-    assert stored(build_B(catalog)) == [
-        (code, [(k, count, int) for k, count in expansion.items()])
-        for code, expansion in expected.items()
+    b = build_B(catalog)
+    assert stored(b) == [
+        (i, j, [(k, count, int) for k, count in expansion.items()])
+        for (i, j), expansion in sorted(expected.items(), key=lambda item: item[0][0])
     ]
+    for alg in (h.A, b):
+        assert_accessors_agree(alg)
 
 
 @pytest.mark.parametrize("name", ["s4", "a5_k0123"])

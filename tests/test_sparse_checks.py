@@ -178,7 +178,7 @@ def test_corrupted_form_row_breaks_dual_reconstruction(suite_algebras):
 def test_integral_constants_are_stored_as_int(suite_algebras):
     for h in suite_algebras.values():
         for alg in (h.A, h.B):
-            for expansion in alg._products.values():
+            for _, _, expansion in alg.stored_products():
                 assert all(type(value) is int for value in expansion.values())
     alg = EquippedFrobeniusAlgebra(
         basis=["e", "x"],
@@ -192,8 +192,13 @@ def test_integral_constants_are_stored_as_int(suite_algebras):
         involution={"e": "e", "x": "x"},
         unit={"e": 1},
     )
-    assert alg._products == {0: {0: 1}, 1: {1: 1}, 2: {1: Fraction(1, 2)}, 3: {0: -3}}
-    assert [type(v) for e in alg._products.values() for v in e.values()] == [
+    assert list(alg.stored_products()) == [
+        (0, 0, {0: 1}),
+        (0, 1, {1: 1}),
+        (1, 0, {1: Fraction(1, 2)}),
+        (1, 1, {0: -3}),
+    ]
+    assert [type(v) for _, _, e in alg.stored_products() for v in e.values()] == [
         int,
         int,
         Fraction,
@@ -217,9 +222,9 @@ def record_walks(monkeypatch) -> list[list[int]]:
     calls: list[list[int]] = []
     walk = frobenius._associativity_walk
 
-    def recording(alg, rows, middles):
+    def recording(alg, middles):
         calls.append(list(middles))
-        return walk(alg, rows, calls[-1])
+        return walk(alg, calls[-1])
 
     monkeypatch.setattr(frobenius, "_associativity_walk", recording)
     return calls
@@ -247,8 +252,8 @@ def test_associativity_walks_fewer_than_half_the_middles(suite_algebras, name, m
 
 def stored_triple(alg: EquippedFrobeniusAlgebra) -> tuple[int, int, int]:
     """The ``(i, j, k)`` of the middle stored constant ``c_ij^k``."""
-    codes = sorted(alg._products)
-    i, j = divmod(codes[len(codes) // 2], alg.dim)
+    pairs = sorted((i, j) for i, j, _ in alg.stored_products())
+    i, j = pairs[len(pairs) // 2]
     return i, j, min(alg.pair_products(i, j))
 
 
