@@ -24,7 +24,11 @@ handed to :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices`.
 the codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
 representative ``(x, z)`` of ``O_k``, and a catalog whose orbits do not
 partition ``X x X`` is rejected with the pair that breaks it.  ``phi``
-tallies each class sum in a flat ``x * |X| + y`` count list.
+tallies each class sum in a flat ``x * |X| + y`` count list and keeps, for
+each class sum, the sparse integer row ``{k: count}`` of its nonzero counts
+at the orbit representatives.  Those rows are the only form of ``phi``:
+every reader below takes them as they are, and only ``cardyfrob algebra``
+lists them densely, at the output edge.
 
 Nothing here stores the permutation model itself, the 0/1 matrices
 ``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
@@ -38,9 +42,11 @@ listed orbit to be a single ``N``-orbit, the sorted chain codes
 ``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j`` exactly
 ``c_ij^k`` times.  When the orbits do not partition ``X x X``, or a
 comparison fails, a walk over the orbits and every element names the
-witness.  phi-unit, phi-homomorphism and phi-star compare sparse rows of
-``phi`` over the stored constants.  phi-central sums the commutator rows of
-``B`` (:func:`cardyfrob.frobenius.commutator_rows`) weighted by each row of
+witness.  phi-unit, phi-homomorphism and phi-star compare rows of ``phi``
+over the stored constants, the products ``phi(e_i) phi(e_j)`` through
+:meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
+phi-central sums the commutator rows of ``B``
+(:func:`cardyfrob.frobenius.commutator_rows`) weighted by each row of
 ``phi``.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
@@ -54,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .actions import (
@@ -71,7 +77,6 @@ from .frobenius import (
     AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
-    _exact,
     _first_difference,
     _first_noncentral,
     commutator_rows,
@@ -87,29 +92,24 @@ class CardyFrobeniusAlgebra:
     catalog: FieldCatalog
     A: EquippedFrobeniusAlgebra
     B: EquippedFrobeniusAlgebra
-    phi: tuple[tuple[Fraction, ...], ...]
+    phi: tuple[dict[int, int], ...]
     u: AlgebraElement
 
     def phi_apply(self, x: AlgebraElement) -> AlgebraElement:
         """Image of an ``A`` element under ``phi``, as a ``B`` element."""
-        accumulated: dict[str, Fraction] = {}
-        for label, value in x.coeffs.items():
-            row = self.phi[self.A.index(label)]
-            for j, entry in enumerate(row):
-                if entry:
-                    out = self.B.basis[j]
-                    accumulated[out] = accumulated.get(out, Fraction(0)) + value * entry
-        return AlgebraElement(accumulated)
+        weights = ((self.A.index(label), value) for label, value in x.coeffs.items())
+        image = linalg.row_times(weights, self.phi)
+        return AlgebraElement({self.B.basis[j]: value for j, value in image.items()})
 
     @cached_property
     def _phi_form(self) -> list[dict[int, Fraction]]:
         """Sparse rows of ``Phi . F_B``, one per ``A`` basis element."""
-        return [_row_times(enumerate(row), self.B.form) for row in self.phi]
+        return [linalg.row_times(row.items(), self.B.form) for row in self.phi]
 
     @cached_property
     def _phi_dual(self) -> list[dict[int, Fraction]]:
         """Sparse rows of ``phi* = F_A^-1 . Phi . F_B``, the adjoint of ``phi``."""
-        return [_row_times(row.items(), self._phi_form) for row in self.A.form_inverse()]
+        return [linalg.row_times(row.items(), self._phi_form) for row in self.A.form_inverse()]
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
         """Image of a ``B`` element under the adjoint ``phi*``."""
@@ -120,18 +120,6 @@ class CardyFrobeniusAlgebra:
                 for i, row in enumerate(self._phi_dual)
             }
         )
-
-
-def _row_times(
-    row: Iterable[tuple[int, Fraction | int]], matrix: Sequence[Mapping[int, Fraction]]
-) -> dict[int, Fraction]:
-    """The sparse row ``sum_k row[k] * matrix[k]``, from ``(k, row[k])`` pairs."""
-    out: dict[int, Fraction] = {}
-    for k, weight in row:
-        if weight:
-            for j, entry in matrix[k].items():
-                out[j] = out.get(j, 0) + weight * entry
-    return out
 
 
 # -- builders ----------------------------------------------------------------
@@ -216,14 +204,15 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     return algebra
 
 
-def build_phi(catalog: FieldCatalog) -> tuple[tuple[Fraction, ...], ...]:
+def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     """Expand each class sum ``rho(E_alpha)`` over the boundary basis.
 
     ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``,
     tallied in a flat list at ``x * |X| + y``.  It is constant on pair orbits,
     so its expansion over the ``nu`` matrices is read off at orbit
     representatives; every other pair of each orbit is compared as a guard
-    against a broken catalog, and a pair outside ``X x X`` is rejected.
+    against a broken catalog, and a pair outside ``X x X`` is rejected.  Row
+    ``alpha`` maps each boundary position ``k`` to its nonzero count.
     """
     act_table = catalog.nset.act_table
     size = catalog.nset.size
@@ -251,8 +240,7 @@ def build_phi(catalog: FieldCatalog) -> tuple[tuple[Fraction, ...], ...]:
                     f"class sum {field.label} is not constant on the orbit "
                     f"of {b_field.label}; phi is undefined"
                 )
-        exact = {value: Fraction(value) for value in set(row)}
-        rows.append(tuple(map(exact.__getitem__, row)))
+        rows.append({k: value for k, value in enumerate(row) if value})
     return tuple(rows)
 
 
@@ -322,15 +310,10 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     ]
 
 
-def _phi_rows(h: CardyFrobeniusAlgebra) -> list[dict[int, int | Fraction]]:
-    """``phi`` as sparse rows ``{s: phi[i][s]}``, integral entries as ``int``."""
-    return [{s: _exact(value) for s, value in enumerate(row) if value} for row in h.phi]
-
-
 def _check_phi_unit(h: CardyFrobeniusAlgebra) -> CheckResult:
     # phi(1_A) = sum_m u_m phi[m] against the unit of B, in index space.
     a, b = h.A, h.B
-    image = _row_times(((a.index(label), u) for label, u in a.unit.coeffs.items()), _phi_rows(h))
+    image = linalg.row_times(((a.index(label), u) for label, u in a.unit.coeffs.items()), h.phi)
     unit = {b.index(label): value for label, value in b.unit.coeffs.items()}
     passed = _first_difference(image, unit) is None
     return CheckResult("phi-unit", passed, None if passed else "phi(1_A) != 1_B")
@@ -342,20 +325,10 @@ def _check_phi_homomorphism(h: CardyFrobeniusAlgebra) -> CheckResult:
     # over the stored constants of B.  The first failing (i, j) in basis
     # order is the witness.
     a, b = h.A, h.B
-    rows = _phi_rows(h)
-    for i, left_row in enumerate(rows):
-        for j, right_row in enumerate(rows):
-            image = _row_times(a.pair_products(i, j).items(), rows)
-            product: dict[int, int | Fraction] = {}
-            for s, left in left_row.items():
-                products = b.left_products(s)
-                for t, right in right_row.items():
-                    expansion = products.get(t)
-                    if expansion:
-                        weight = left * right
-                        for out, value in expansion.items():
-                            product[out] = product.get(out, 0) + weight * value
-            if _first_difference(image, product) is not None:
+    for i, left_row in enumerate(h.phi):
+        for j, right_row in enumerate(h.phi):
+            image = linalg.row_times(a.pair_products(i, j).items(), h.phi)
+            if _first_difference(image, b.index_product(left_row, right_row)) is not None:
                 return CheckResult("phi-homomorphism", False, f"({a.basis[i]}, {a.basis[j]})")
     return CheckResult("phi-homomorphism", True)
 
@@ -365,7 +338,7 @@ def _check_phi_central(h: CardyFrobeniusAlgebra) -> CheckResult:
     # commutator rows of B; the least failing key names the first failing b.
     rows = commutator_rows(h.B)
     for label, row in zip(h.A.basis, h.phi):
-        b = _first_noncentral(h.B.dim, rows, enumerate(row))
+        b = _first_noncentral(h.B.dim, rows, row.items())
         if b is not None:
             return CheckResult("phi-central", False, f"({label}, {h.B.basis[b]})")
     return CheckResult("phi-central", True)
@@ -374,11 +347,10 @@ def _check_phi_central(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_phi_star(h: CardyFrobeniusAlgebra) -> CheckResult:
     # phi(e_i^*) == phi(e_i)^*: row star_A(i) of phi against row i moved
     # along the involution of B; the first failing i is the witness.
-    rows = _phi_rows(h)
     star_b = h.B.involution
     for i, star in enumerate(h.A.involution):
-        moved = {star_b[s]: value for s, value in rows[i].items()}
-        if _first_difference(rows[star], moved) is not None:
+        moved = {star_b[s]: value for s, value in h.phi[i].items()}
+        if _first_difference(h.phi[star], moved) is not None:
             return CheckResult("phi-star", False, h.A.basis[i])
     return CheckResult("phi-star", True)
 
@@ -416,7 +388,7 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     traces = multiplication_traces(b, right=True)
     for i in range(b.dim):
         column = [(a, row.get(i, 0)) for a, row in enumerate(phi_form)]
-        j = _first_difference(_row_times(column, dual), traces[i])
+        j = _first_difference(linalg.row_times(column, dual), traces[i])
         if j is not None:
             witness = f"({b.basis[i]}, {b.basis[j]})"
             return CheckResult("cardy", False, witness)
@@ -659,7 +631,7 @@ def _check_burnside_dimension(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 def phi_rank(h: CardyFrobeniusAlgebra) -> int:
     """The rank of ``phi`` as a linear map (injectivity iff rank = dim A)."""
-    return linalg.rank(dict(enumerate(row)) for row in h.phi)
+    return linalg.rank(h.phi)
 
 
 # -- Hecke comparison --------------------------------------------------------

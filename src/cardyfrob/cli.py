@@ -239,7 +239,9 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
             "dim_b": h.B.dim,
             "a": _algebra_summary(h.A, args.dump),
             "b": _algebra_summary(h.B, args.dump),
-            "phi": [[format_fraction(entry) for entry in row] for row in h.phi],
+            "phi": [
+                [format_fraction(row.get(j, 0)) for j in range(h.B.dim)] for row in h.phi
+            ],
             "u": {
                 label: format_fraction(value)
                 for label, value in sorted(h.u.coeffs.items())

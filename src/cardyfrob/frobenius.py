@@ -15,7 +15,11 @@ for both.  The rows are private and read only through three accessors:
 :meth:`~EquippedFrobeniusAlgebra.pair_products` (one product),
 :meth:`~EquippedFrobeniusAlgebra.left_products` (one row) and
 :meth:`~EquippedFrobeniusAlgebra.stored_products` (every stored product,
-row-major).  :meth:`EquippedFrobeniusAlgebra.from_indices` takes the
+row-major); the first two reject a position outside ``0..dim-1``.
+:meth:`~EquippedFrobeniusAlgebra.index_product` is the one loop that
+multiplies two sparse vectors keyed by position through the rows;
+:meth:`~EquippedFrobeniusAlgebra.multiply` converts labels to positions and
+back at its edge.  :meth:`EquippedFrobeniusAlgebra.from_indices` takes the
 constants keyed by ``i * dim + j`` and is the one construction core, which
 the label constructor and :meth:`~EquippedFrobeniusAlgebra.permuted` go
 through.  The pairing and its inverse are sparse rows
@@ -295,10 +299,15 @@ class EquippedFrobeniusAlgebra:
 
     def pair_products(self, i: int, j: int) -> Mapping[int, int | Fraction]:
         """Sparse expansion ``{k: c_ij^k}`` of ``basis[i] * basis[j]``, empty when zero."""
+        n = self.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"basis positions ({i}, {j}) outside 0..{n - 1}")
         return self._rows[i].get(j, {})
 
     def left_products(self, i: int) -> Mapping[int, Mapping[int, int | Fraction]]:
         """``{j: e_i e_j}`` over the ``j`` with a nonzero product, in input order."""
+        if not 0 <= i < self.dim:
+            raise InputError(f"basis position {i} outside 0..{self.dim - 1}")
         return self._rows[i]
 
     def stored_products(self) -> Iterator[tuple[int, int, Mapping[int, int | Fraction]]]:
@@ -314,20 +323,29 @@ class EquippedFrobeniusAlgebra:
 
     # -- algebra operations ----------------------------------------------
 
+    def index_product(
+        self, x: Mapping[int, Fraction | int], y: Mapping[int, Fraction | int]
+    ) -> dict[int, Fraction | int]:
+        """The product of sparse vectors ``{position: coefficient}``, zero sums
+        kept; the positions must lie in ``0..dim-1`` and are not checked."""
+        out: dict[int, Fraction | int] = {}
+        for i, a in x.items():
+            row = self._rows[i]
+            for j, b in y.items():
+                expansion = row.get(j)
+                if expansion:
+                    scale = a * b
+                    for k, value in expansion.items():
+                        out[k] = out.get(k, 0) + scale * value
+        return out
+
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        accumulated: dict[int, Fraction] = {}
-        for left, a in x.coeffs.items():
-            row = self.left_products(self.index(left))
-            for right, b in y.coeffs.items():
-                expansion = row.get(self.index(right))
-                if not expansion:
-                    continue
-                scale = a * b
-                for out, value in expansion.items():
-                    accumulated[out] = accumulated.get(out, Fraction(0)) + scale * value
-        return AlgebraElement(
-            {self.basis[out]: value for out, value in accumulated.items()}
+        index = self.index
+        product = self.index_product(
+            {index(label): value for label, value in x.coeffs.items()},
+            {index(label): value for label, value in y.coeffs.items()},
         )
+        return AlgebraElement({self.basis[k]: value for k, value in product.items()})
 
     def product(self, factors: Iterable[AlgebraElement]) -> AlgebraElement:
         result = self.unit
@@ -454,11 +472,8 @@ class EquippedFrobeniusAlgebra:
     ) -> AlgebraElement:
         """``sum_{p,i,j} x_p pairings[p][i] F^-1_{ij} e_j``, all rows sparse."""
         inverse = self.form_inverse()
-        coeffs: dict[int, Fraction] = {}
-        for label, value in x.coeffs.items():
-            for i, pairing in pairings[self.index(label)].items():
-                for j, weight in inverse[i].items():
-                    coeffs[j] = coeffs.get(j, 0) + value * pairing * weight
+        x_coeffs = ((self.index(label), value) for label, value in x.coeffs.items())
+        coeffs = linalg.row_times(linalg.row_times(x_coeffs, pairings).items(), inverse)
         return AlgebraElement({self.basis[j]: value for j, value in coeffs.items()})
 
     def permuted(self, order: Sequence[str]) -> "EquippedFrobeniusAlgebra":
@@ -573,7 +588,6 @@ def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
     """
     n = alg.dim
     p = linalg._MODULAR_PRIME
-    rows = list(map(alg.left_products, range(n)))
     pivots: dict[int, dict[int, int]] = {}
     words: list[tuple[int, ...]] = []
     vectors: list[dict[int, int]] = []
@@ -591,13 +605,7 @@ def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
         vectors.append({candidate: 1})
         while pending and len(pivots) < n:
             w, g = pending.popleft()
-            generator = generators[g]
-            product: dict[int, int] = {}
-            for m, a in vectors[w].items():
-                expansion = rows[m].get(generator)
-                if expansion:
-                    for out, c in expansion.items():
-                        product[out] = product.get(out, 0) + a * c
+            product = alg.index_product(vectors[w], {generators[g]: 1})
             product = {out: value % p for out, value in product.items() if value % p}
             if linalg.insert_mod(pivots, product):
                 pending.extend((len(words), h) for h in range(len(generators)))
@@ -680,11 +688,11 @@ def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     n = alg.dim
     scale = lcm(*(entry.denominator for row in alg.form for entry in row.values()))
     form = [{k: int(entry * scale) for k, entry in row.items()} for row in alg.form]
-    by_out: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(n)]
+    by_out: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
     for j, k, expansion in alg.stored_products():
         key = j * n + k
         for m, c in expansion.items():
-            by_out[m].append((key, c))
+            by_out[m][key] = c
     for i in range(n):
         lhs: dict[int, int | Fraction] = {}
         for j, pij in alg.left_products(i).items():
@@ -692,10 +700,7 @@ def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
             for m, c in pij.items():
                 for k, entry in form[m].items():
                     lhs[base + k] = lhs.get(base + k, 0) + c * entry
-        rhs: dict[int, int | Fraction] = {}
-        for m, entry in form[i].items():
-            for key, c in by_out[m]:
-                rhs[key] = rhs.get(key, 0) + entry * c
+        rhs = linalg.row_times(form[i].items(), by_out)
         if lhs != rhs:
             key = _first_difference(lhs, rhs)
             if key is not None:
@@ -841,11 +846,7 @@ def _first_noncentral(
     """
     terms = [(s, Fraction(z)) for s, z in weights if z]
     scale = lcm(*(z.denominator for _, z in terms))
-    total: dict[int, int | Fraction] = {}
-    for s, z in terms:
-        factor = int(z * scale)
-        for key, value in rows[s].items():
-            total[key] = total.get(key, 0) + factor * value
+    total = linalg.row_times(((s, int(z * scale)) for s, z in terms), rows)
     failing = [key for key, value in total.items() if value]
     return min(failing) // dim if failing else None
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from .actions import FieldCatalog
 from .cardy import CardyFrobeniusAlgebra
 from .errors import InputError, ResourceError
-from .frobenius import AlgebraElement, CheckResult
+from .frobenius import CheckResult
 from .rationals import format_fraction, parse_fraction
 
 # The most handles (orientable) or crosscaps (non-orientable) a surface may

@@ -9,7 +9,8 @@ reaches its column, so repeated runs produce identical results, and each step
 touches only stored entries: a monomial matrix, such as the pairings of this
 package, inverts in one step per row.  :func:`insert_mod` is the same
 elimination on integer rows modulo a large prime, for rank certificates:
-independence modulo ``p`` implies independence over Q.  Dense lists of lists
+independence modulo ``p`` implies independence over Q.  :func:`row_times`
+is the one sparse row times sparse matrix product.  Dense lists of lists
 survive only for the integer permutation model of the oracles
 (:func:`mat_mul`, :func:`mat_pow`, :func:`trace`).  :func:`power` raises an
 element of any associative product by repeated squaring.
@@ -153,6 +154,19 @@ def _rank_mod(rows: Sequence[Mapping[int, Fraction | int]]) -> int:
             reduced[col] = entry.numerator * pow(entry.denominator, -1, p)
         insert_mod(pivots, reduced)
     return len(pivots)
+
+
+def row_times(
+    row: Iterable[tuple[int, Fraction | int]], matrix: Sequence[Mapping[int, Fraction | int]]
+) -> dict[int, Fraction | int]:
+    """The sparse row ``sum_k row[k] * matrix[k]``, from ``(k, row[k])`` pairs;
+    zero weights are skipped and zero sums kept."""
+    out: dict[int, Fraction | int] = {}
+    for k, weight in row:
+        if weight:
+            for j, entry in matrix[k].items():
+                out[j] = out.get(j, 0) + weight * entry
+    return out
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

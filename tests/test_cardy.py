@@ -11,10 +11,8 @@ from cardyfrob import (
     AlgebraElement,
     ConsistencyError,
     FieldCatalog,
-    InputError,
     all_passed,
     build_catalog,
-    build_cardy_frobenius,
     build_group,
     build_phi,
     cardy_from_pair,

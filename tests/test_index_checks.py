@@ -137,9 +137,9 @@ def test_corrupted_phi_entry_matches_oracle(suite_algebras, name):
     for _ in range(4):
         i, j = rng.randrange(len(h.phi)), rng.randrange(h.B.dim)
         for delta in (1, Fraction(1, 3)):
-            rows = [list(row) for row in h.phi]
-            rows[i][j] += delta
-            broken = replace(h, phi=tuple(tuple(row) for row in rows))
+            rows = [dict(row) for row in h.phi]
+            rows[i][j] = rows[i].get(j, 0) + delta
+            broken = replace(h, phi=tuple(rows))
             results = cardy_checks(broken)
             assert results == cardy_axiom_oracle(broken), (name, i, j, delta)
             failed += "phi-central" in failed_names(results)

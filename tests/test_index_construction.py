@@ -215,6 +215,16 @@ def test_from_indices_stores_plain_dicts():
     assert list(alg.stored_products()) == [(0, 0, {0: 1}), (1, 1, {1: 2})]
 
 
+@pytest.mark.parametrize("i, j", [(-1, 2), (3, 0), (0, 3), (0, -1), (-4, -4)])
+def test_store_accessors_reject_positions_outside_the_basis(i, j):
+    alg = EquippedFrobeniusAlgebra.from_indices(**three_dimensional())
+    with pytest.raises(InputError, match="outside 0..2"):
+        alg.pair_products(i, j)
+    if not 0 <= i < 3:
+        with pytest.raises(InputError, match="outside 0..2"):
+            alg.left_products(i)
+
+
 def store_attribute(alg: EquippedFrobeniusAlgebra) -> str:
     """The name of the attribute holding the rows that ``left_products`` hands out."""
     (name,) = [
@@ -298,12 +308,10 @@ def test_phi_expands_the_class_sums_of_the_permutation_model(suite_algebras, nam
     model = _permutation_model(h)
     size = h.catalog.nset.size
     for a_label, row in zip(h.A.basis, h.phi):
-        assert all(type(entry) is Fraction for entry in row)
+        assert all(type(entry) is int and entry for entry in row.values())
         expanded = [[Fraction(0)] * size for _ in range(size)]
-        for b_label, entry in zip(h.B.basis, row):
-            if not entry:
-                continue
-            for x, nu_row in enumerate(model.nu[b_label]):
+        for k, entry in row.items():
+            for x, nu_row in enumerate(model.nu[h.B.basis[k]]):
                 for y, bit in enumerate(nu_row):
                     if bit:
                         expanded[x][y] += entry

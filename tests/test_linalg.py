@@ -17,6 +17,7 @@ from cardyfrob.linalg import (
     mat_mul,
     mat_pow,
     rank,
+    row_times,
     trace,
 )
 
@@ -147,6 +148,29 @@ def test_mat_mul_and_pow():
     assert mat_mul(m, m) == [[1, 2], [0, 1]]
     assert mat_pow(m, 5) == [[1, 5], [0, 1]]
     assert mat_pow(m, 0) == [[1, 0], [0, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-2, 2), fraction_entries), min_size=4, max_size=4),
+    st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), fraction_entries), min_size=3, max_size=3),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_row_times_matches_mat_mul(row, matrix):
+    out = row_times(enumerate(row), [{j: v for j, v in enumerate(r) if v} for r in matrix])
+    assert [out.get(j, 0) for j in range(3)] == mat_mul([row], matrix)[0]
+    # A column reached through a nonzero weight keeps its sum, zero or not.
+    reached = {j for k, w in enumerate(row) if w for j, v in enumerate(matrix[k]) if v}
+    assert set(out) == reached
+
+
+def test_row_times_keeps_zero_sums_and_int_entries():
+    out = row_times([(0, 1), (1, -1), (2, 0)], [{0: 2, 1: 3}, {0: 2}, {2: 5}])
+    assert out == {0: 0, 1: 3}
+    assert all(type(value) is int for value in out.values())
 
 
 def test_transpose():

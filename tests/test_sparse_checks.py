@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardyfrob import (
+    AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
     dense_axiom_oracle,
@@ -346,3 +347,26 @@ def sparse_algebras():
 @given(sparse_algebras())
 def test_random_sparse_algebras_match_dense_reference(alg):
     assert sparse_checks(alg) == dense_axiom_oracle(alg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_algebras(), st.data())
+def test_index_product_matches_multiply(alg, data):
+    coeffs = st.dictionaries(st.integers(0, alg.dim - 1), constants, max_size=alg.dim)
+    x, y = data.draw(coeffs), data.draw(coeffs)
+    product = alg.index_product(x, y)
+    labelled = alg.multiply(
+        AlgebraElement({alg.basis[i]: value for i, value in x.items()}),
+        AlgebraElement({alg.basis[i]: value for i, value in y.items()}),
+    )
+    assert AlgebraElement({alg.basis[k]: value for k, value in product.items()}) == labelled
+    # sum_{i,j,k} x_i y_j c_ij^k e_k over every basis pair, as a reference.
+    expected = {
+        alg.basis[k]: sum(
+            x.get(i, 0) * y.get(j, 0) * alg.pair_products(i, j).get(k, 0)
+            for i in range(alg.dim)
+            for j in range(alg.dim)
+        )
+        for k in range(alg.dim)
+    }
+    assert labelled == AlgebraElement(expected)
