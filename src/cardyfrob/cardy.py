@@ -18,12 +18,15 @@ whose image under ``phi`` is the twisted Casimir of ``B``.  The pairings are
 normalized so that ``(E_alpha, E_beta)_A = delta_{beta, alpha*} / |Aut alpha|``
 and likewise for ``B``.
 
-``A``, ``B`` and ``phi`` are built in index space with integer counts and
-handed to :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices`.
-``B`` reads the orbit table ``orbit[x][y]``: column ``k`` is the tally of
-the codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
-representative ``(x, z)`` of ``O_k``, and a catalog whose orbits do not
-partition ``X x X`` is rejected with the pair that breaks it.  ``phi``
+``A``, ``B`` and ``phi`` are built in index space with integer counts; ``A``
+and ``B`` are handed to
+:meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` as rows of
+the store, one per left position, which it keeps without a copy.  ``B``
+reads the orbit table ``orbit[x][y]``: column ``k`` is the tally of the
+pairs ``(orbit(x, y), orbit(y, z))`` over all ``y`` at the representative
+``(x, z)`` of ``O_k``, each count put at once into row ``orbit(x, y)``, and
+a catalog whose orbits do not partition ``X x X`` is rejected with the pair
+that breaks it.  ``phi``
 tallies each class sum in a flat ``x * |X| + y`` count list and keeps, for
 each class sum, the sparse integer row ``{k: count}`` of its nonzero counts
 at the orbit representatives.  Those rows are the only form of ``phi``:
@@ -59,6 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import add
 from typing import Iterable, Sequence
 
@@ -130,10 +134,10 @@ def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlg
     if catalog.nset.group is not n_group:
         raise InputError("catalog was built for a different acting group")
     fields = catalog.interior
-    dim = len(fields)
     rep_to_index = {field.representative: i for i, field in enumerate(fields)}
-    products: dict[int, dict[int, int]] = {}
-    for i, left in enumerate(fields):
+    rows: list[dict[int, dict[int, int]]] = []
+    for left in fields:
+        products: dict[int, dict[int, int]] = {}
         for j, right in enumerate(fields):
             tally: dict[int, int] = {}
             for a in left.members:
@@ -141,13 +145,14 @@ def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlg
                 for b in right.members:
                     product = row[b]
                     tally[product] = tally.get(product, 0) + 1
-            products[i * dim + j] = {
+            products[j] = {
                 rep_to_index[rep]: count for rep, count in tally.items() if rep in rep_to_index
             }
+        rows.append(products)
     identity = catalog.interior_labels.index(catalog.identity_interior_label)
     return EquippedFrobeniusAlgebra.from_indices(
         basis=catalog.interior_labels,
-        products=products,
+        products=rows,
         linear_form={identity: Fraction(1, n_group.order)},
         involution=_star_positions(fields),
         unit={identity: 1},
@@ -165,29 +170,34 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
 
     ``B`` is the orbital algebra of the action of ``N`` on ``X``, so
     ``c_ij^k = #{y : (x, y) in O_i, (y, z) in O_j}`` is the same at every pair
-    ``(x, z)`` of ``O_k`` and is counted at its representative: the codes
-    ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, read off the orbit
-    table, are tallied at once.  The pairing recomputed from those constants
-    must be ``|O_i| / |N|`` at ``(i, i*)`` and zero elsewhere, and this is
-    asserted.
+    ``(x, z)`` of ``O_k`` and is counted at its representative: the pairs
+    ``(orbit(x, y), orbit(y, z))`` over all ``y``, read off the orbit table,
+    are tallied at once.  Each tally goes straight into the rows handed to
+    :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices`, which
+    keeps them as they are: row ``i`` lists each ``j`` when first seen and
+    each expansion its ``k`` in increasing order.  The pairing recomputed
+    from those constants must be ``|O_i| / |N|`` at ``(i, i*)`` and zero
+    elsewhere, and this is asserted.
     """
     n_order = catalog.nset.group.order
     fields = catalog.boundary
-    dim = len(fields)
     table, fault = _orbit_table(catalog)
     if fault is not None:
         raise ConsistencyError(f"the orbits do not partition X x X: {fault}")
-    scaled = [[k * dim for k in row] for row in table]
     into = [list(column) for column in zip(*table)]
-    products: dict[int, dict[int, int]] = {}
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in fields]
     for k, field in enumerate(fields):
         x, z = field.representative
-        for code, count in Counter(map(add, scaled[x], into[z])).items():
-            products.setdefault(code, {})[k] = count
+        for (i, j), count in Counter(zip(table[x], into[z])).items():
+            row = rows[i]
+            if j in row:
+                row[j][k] = count
+            else:
+                row[j] = {k: count}
     diagonal_count = Counter(row[x] for x, row in enumerate(table))
     algebra = EquippedFrobeniusAlgebra.from_indices(
         basis=catalog.boundary_labels,
-        products=products,
+        products=rows,
         linear_form={k: Fraction(count, n_order) for k, count in diagonal_count.items()},
         involution=_star_positions(fields),
         unit={k: 1 for k, field in enumerate(fields) if field.is_diagonal},
@@ -210,11 +220,46 @@ def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``,
     tallied in a flat list at ``x * |X| + y``.  It is constant on pair orbits,
     so its expansion over the ``nu`` matrices is read off at orbit
-    representatives; every other pair of each orbit is compared as a guard
-    against a broken catalog, and a pair outside ``X x X`` is rejected.  Row
-    ``alpha`` maps each boundary position ``k`` to its nonzero count.
+    representatives; every other pair is compared as a guard against a broken
+    catalog, in one comparison of the whole list with the values at the
+    representatives spread along the flat orbit table.  Row ``alpha`` maps
+    each boundary position ``k`` to its nonzero count.  When the orbits do
+    not partition ``X x X``, a representative lies outside it, or a
+    comparison fails, :func:`_phi_by_orbits` decides and names the fault.
     """
-    act_table = catalog.nset.act_table
+    size = catalog.nset.size
+    table, fault = _orbit_table(catalog)
+    firsts = [
+        x * size + y
+        for x, y in (field.representative for field in catalog.boundary)
+        if 0 <= x < size and 0 <= y < size
+    ]
+    if fault is not None or len(firsts) != len(catalog.boundary):
+        return _phi_by_orbits(catalog)
+    flat = list(chain.from_iterable(table))
+    rows = []
+    for field in catalog.interior:
+        counts = _class_counts(catalog.nset, field.members)
+        row = list(map(counts.__getitem__, firsts))
+        if list(map(row.__getitem__, flat)) != counts:
+            return _phi_by_orbits(catalog)
+        rows.append({k: value for k, value in enumerate(row) if value})
+    return tuple(rows)
+
+
+def _class_counts(nset: NSet, members: Iterable[int]) -> list[int]:
+    """``#{n in members : n y = x}`` at ``x * |X| + y``, for every pair."""
+    size = nset.size
+    counts = [0] * (size * size)
+    for member in members:
+        for y, x in enumerate(nset.act_table[member]):
+            counts[x * size + y] += 1
+    return counts
+
+
+def _phi_by_orbits(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
+    """:func:`build_phi` one orbit at a time, naming the first pair outside
+    ``X x X`` or the first class sum that is not constant on an orbit."""
     size = catalog.nset.size
     span = range(size)
     orbits = []
@@ -229,10 +274,7 @@ def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     firsts = [orbit[0] for orbit in orbits]
     rows = []
     for field in catalog.interior:
-        counts = [0] * (size * size)
-        for member in field.members:
-            for y, x in enumerate(act_table[member]):
-                counts[x * size + y] += 1
+        counts = _class_counts(catalog.nset, field.members)
         row = list(map(counts.__getitem__, firsts))
         for b_field, orbit, value in zip(catalog.boundary, orbits, row):
             if not set(map(counts.__getitem__, orbit)) <= {value}:

@@ -20,9 +20,11 @@ row-major); the first two reject a position outside ``0..dim-1``.
 multiplies two sparse vectors keyed by position through the rows;
 :meth:`~EquippedFrobeniusAlgebra.multiply` converts labels to positions and
 back at its edge.  :meth:`EquippedFrobeniusAlgebra.from_indices` takes the
-constants keyed by ``i * dim + j`` and is the one construction core, which
-the label constructor and :meth:`~EquippedFrobeniusAlgebra.permuted` go
-through.  The pairing and its inverse are sparse rows
+constants in the shape of the store, one row per left position, and is the
+one construction core, which the label constructor and
+:meth:`~EquippedFrobeniusAlgebra.permuted` go through; rows of nonzero
+``int`` constants are kept as handed in, anything else is copied.  The
+pairing and its inverse are sparse rows
 (``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built;
 the pairing sums integer constants against ``l`` scaled by the lcm of its
 denominators and divides once per nonzero entry.
@@ -179,13 +181,12 @@ class EquippedFrobeniusAlgebra:
         unit: Mapping[str, Fraction | int],
     ) -> None:
         self._set_basis(basis)
-        index, n = self.index, self.dim
-        indexed = {
-            index(left) * n + index(right): {
+        index = self.index
+        rows: list[dict[int, dict[int, Fraction | int]]] = [{} for _ in self.basis]
+        for (left, right), expansion in products.items():
+            rows[index(left)][index(right)] = {
                 index(out): value for out, value in expansion.items() if value
             }
-            for (left, right), expansion in products.items()
-        }
         unknown = set(linear_form) - set(self.basis)
         if unknown:
             raise InputError(f"linear form uses unknown labels: {sorted(unknown)}")
@@ -194,7 +195,7 @@ class EquippedFrobeniusAlgebra:
         ):
             raise InputError("involution must be a bijection on the basis labels")
         self._assemble(
-            indexed,
+            rows,
             {index(label): value for label, value in linear_form.items()},
             tuple(index(involution[label]) for label in self.basis),
             {index(label): value for label, value in unit.items()},
@@ -204,18 +205,22 @@ class EquippedFrobeniusAlgebra:
     def from_indices(
         cls,
         basis: Sequence[str],
-        products: Mapping[int, Mapping[int, Fraction | int]],
+        products: Sequence[Mapping[int, Mapping[int, Fraction | int]]],
         linear_form: Mapping[int, Fraction | int],
         involution: Sequence[int],
         unit: Mapping[int, Fraction | int],
     ) -> "EquippedFrobeniusAlgebra":
         """The algebra given in basis positions rather than labels.
 
-        ``products`` maps ``i * dim + j`` to the sparse expansion
-        ``{k: c_ij^k}`` of ``e_i e_j``, ``linear_form`` and ``unit`` map
+        ``products`` has one row per left position, the shape of the store:
+        ``products[i]`` maps each ``j`` to the sparse expansion
+        ``{k: c_ij^k}`` of ``e_i e_j``.  ``linear_form`` and ``unit`` map
         positions to values, and ``involution[i]`` is the position of the star
-        of ``e_i``.  The shapes are validated as by the label constructor,
-        and the expansions are copied with zero constants dropped.
+        of ``e_i``.  The shapes are validated as by the label constructor.
+        Rows that are plain dicts of nonzero ``int`` constants are stored as
+        they are, not copied, so the caller must not change them afterwards;
+        only their empty expansions are dropped.  Any other input is copied
+        with zero constants dropped and integral values stored as ``int``.
         """
         alg = cls.__new__(cls)
         alg._set_basis(basis)
@@ -233,31 +238,43 @@ class EquippedFrobeniusAlgebra:
 
     def _assemble(
         self,
-        products: Mapping[int, Mapping[int, Fraction | int]],
+        products: Sequence[Mapping[int, Mapping[int, Fraction | int]]],
         linear_form: Mapping[int, Fraction | int],
         involution: Sequence[int],
         unit: Mapping[int, Fraction | int],
     ) -> None:
-        """The index-keyed core: validate, copy the nonzero constants into the
-        rows, compute the form.  Each row keeps its products in input order."""
+        """The index-keyed core: validate, store the rows (kept or copied as
+        :meth:`from_indices` says; a row without empty expansions is kept
+        itself), compute the form.  Each row keeps its products in input
+        order."""
         n = self.dim
-        positions, codes = range(n), range(n * n)
-        outside = [code for code in products if code not in codes]
+        positions = range(n)
+        if len(products) != n or not all(isinstance(row, Mapping) for row in products):
+            raise InputError(f"products must be {n} mappings, one row per left position")
+        outside = list(set(chain.from_iterable(products)).difference(positions))
         if outside:
-            raise InputError(f"product codes outside 0..{n * n - 1}: {outside}")
-        outside = list(set(chain.from_iterable(products.values())).difference(positions))
+            raise InputError(f"products pair with right positions outside 0..{n - 1}: {outside}")
+        expansions = list(chain.from_iterable(row.values() for row in products))
+        outside = list(set(chain.from_iterable(expansions)).difference(positions))
         if outside:
             raise InputError(f"products expand over positions outside 0..{n - 1}: {outside}")
-        self._rows: list[dict[int, dict[int, int | Fraction]]] = [{} for _ in positions]
-        for code, expansion in products.items():
-            if any(expansion.values()):
-                i, j = divmod(code, n)
-                self._rows[i][j] = expansion
-        # Copied row by row, the expansions lie in memory in the order that
-        # every walk over the store reads them.
-        for row in self._rows:
-            for j, expansion in row.items():
-                row[j] = {out: _exact(value) for out, value in expansion.items() if value}
+        values = list(chain.from_iterable(expansion.values() for expansion in expansions))
+        if (
+            set(map(type, products)) | set(map(type, expansions)) <= {dict}
+            and set(map(type, values)) <= {int}
+            and all(values)
+        ):
+            self._rows: list[dict[int, dict[int, int | Fraction]]] = [
+                row if all(row.values()) else {j: e for j, e in row.items() if e}
+                for row in products
+            ]
+        else:
+            self._rows = [{} for _ in positions]
+            for row, kept in zip(products, self._rows):
+                for j, expansion in row.items():
+                    cleaned = {out: _exact(value) for out, value in expansion.items() if value}
+                    if cleaned:
+                        kept[j] = cleaned
         for name, mapping in (("linear form", linear_form), ("unit", unit)):
             unknown = [i for i in mapping if i not in positions]
             if unknown:
@@ -487,13 +504,12 @@ class EquippedFrobeniusAlgebra:
         star = [0] * n
         for i, image in enumerate(self.involution):
             star[moved[i]] = moved[image]
-        products = {
-            moved[i] * n + moved[j]: {moved[out]: value for out, value in expansion.items()}
-            for i, j, expansion in self.stored_products()
-        }
+        rows: list[dict[int, dict[int, int | Fraction]]] = [{} for _ in order]
+        for i, j, expansion in self.stored_products():
+            rows[moved[i]][moved[j]] = {moved[out]: value for out, value in expansion.items()}
         return EquippedFrobeniusAlgebra.from_indices(
             basis=order,
-            products=products,
+            products=rows,
             linear_form={moved[i]: value for i, value in enumerate(self.linear_form)},
             involution=star,
             unit={position[label]: value for label, value in self.unit.coeffs.items()},

@@ -7,16 +7,21 @@ paths must store the same constants in the same order, on random sparse
 algebras with ``Fraction`` constants, zero constants and mixed-denominator
 linear forms.  The store is read only through ``pair_products``,
 ``left_products`` and ``stored_products``, which must agree with one
-another, and no module but ``frobenius`` may name it.  ``build_B`` reads the
-orbit table and must name the pair that keeps a broken catalog's orbits from
-partitioning ``X x X``; ``phi`` must expand every class sum of the dense
-permutation model over the ``nu`` matrices.
+another, and no module but ``frobenius`` may name it.  ``from_indices`` keeps
+rows of nonzero ``int`` constants as handed in and copies anything else.
+``build_B`` reads the orbit table, must name the pair that keeps a broken
+catalog's orbits from partitioning ``X x X``, and must peak near the memory
+it keeps; ``phi`` must expand every class sum of the dense permutation model
+over the ``nu`` matrices.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import re
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -26,7 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardyfrob import ConsistencyError, EquippedFrobeniusAlgebra, InputError, build_B
+from cardyfrob import ConsistencyError, EquippedFrobeniusAlgebra, InputError, build_B, build_phi
+from cardyfrob.cardy import _phi_by_orbits
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS
 from test_index_checks import moved_pair, seed_of
@@ -56,18 +62,18 @@ def assert_accessors_agree(alg: EquippedFrobeniusAlgebra) -> None:
 
 
 def index_inputs(inputs: dict) -> dict:
-    """The label-keyed constructor arguments ``inputs`` in basis positions."""
+    """The label-keyed constructor arguments ``inputs`` in basis positions,
+    the products as one row per left position."""
     basis = inputs["basis"]
-    n = len(basis)
     position = {label: i for i, label in enumerate(basis)}
+    rows: list = [{} for _ in basis]
+    for (left, right), expansion in inputs["products"].items():
+        rows[position[left]][position[right]] = {
+            position[out]: value for out, value in expansion.items()
+        }
     return {
         "basis": basis,
-        "products": {
-            position[left] * n + position[right]: {
-                position[out]: value for out, value in expansion.items()
-            }
-            for (left, right), expansion in inputs["products"].items()
-        },
+        "products": rows,
         "linear_form": {position[label]: v for label, v in inputs["linear_form"].items()},
         "involution": [position[inputs["involution"][label]] for label in basis],
         "unit": {position[label]: value for label, value in inputs["unit"].items()},
@@ -148,7 +154,7 @@ def test_index_core_matches_label_constructor(inputs, rng):
 def three_dimensional(**changes) -> dict:
     inputs = {
         "basis": ("e0", "e1", "e2"),
-        "products": {0: {0: 1}, 4: {1: 2}, 8: {2: 3}},
+        "products": [{0: {0: 1}}, {1: {1: 2}}, {2: {2: 3}}],
         "linear_form": {0: 1},
         "involution": (0, 1, 2),
         "unit": {0: 1},
@@ -166,11 +172,13 @@ def test_from_indices_accepts_a_well_formed_algebra():
 @pytest.mark.parametrize(
     "changes",
     [
-        {"products": {9: {0: 1}}},
-        {"products": {-1: {0: 1}}},
-        {"products": {0: {3: 1}}},
-        {"products": {0: {-1: 1}}},
-        {"products": {0: {3: Fraction(1, 2)}}},
+        {"products": [{0: {0: 1}}, {1: {1: 2}}]},
+        {"products": [{0: {0: 1}}, {3: {1: 2}}, {}]},
+        {"products": [{0: {0: 1}}, {-1: {1: 2}}, {}]},
+        {"products": {0: {0: {0: 1}}, 4: {1: {1: 2}}, 8: {2: {2: 3}}}},
+        {"products": [{0: {3: 1}}, {}, {}]},
+        {"products": [{0: {-1: 1}}, {}, {}]},
+        {"products": [{0: {3: Fraction(1, 2)}}, {}, {}]},
         {"involution": (0, 0, 2)},
         {"involution": (0, 1)},
         {"involution": (0, 1, 3)},
@@ -180,8 +188,10 @@ def test_from_indices_accepts_a_well_formed_algebra():
         {"basis": ()},
     ],
     ids=[
-        "code-past-end",
-        "negative-code",
+        "row-count",
+        "right-past-end",
+        "negative-right",
+        "code-keyed",
         "output-past-end",
         "negative-output",
         "fraction-output-past-end",
@@ -201,18 +211,41 @@ def test_from_indices_rejects_malformed_shapes(changes):
 
 def test_from_indices_drops_zero_constants():
     alg = EquippedFrobeniusAlgebra.from_indices(
-        **three_dimensional(products={0: {0: 1, 1: 0}, 1: {2: 0}, 4: {1: Fraction(4, 2)}})
+        **three_dimensional(
+            products=[{0: {0: 1, 1: 0}, 1: {2: 0}}, {1: {1: Fraction(4, 2)}}, {}]
+        )
     )
     assert stored(alg) == [(0, 0, [(0, 1, int)]), (1, 1, [(1, 2, int)])]
 
 
+def test_from_indices_keeps_plain_int_rows():
+    # Rows of nonzero int constants are stored as handed in; a row with an
+    # empty expansion is replaced by a dict without it, sharing the others.
+    rows = [{0: {0: 1}}, {1: {1: 2}, 2: {}}, {2: {2: 3}}]
+    alg = EquippedFrobeniusAlgebra.from_indices(**three_dimensional(products=rows))
+    assert alg.left_products(0) is rows[0]
+    assert alg.left_products(2) is rows[2]
+    assert alg.left_products(1) is not rows[1]
+    assert alg.left_products(1) == {1: {1: 2}}
+    assert alg.pair_products(1, 1) is rows[1][1]
+    assert rows[1] == {1: {1: 2}, 2: {}}
+
+
 def test_from_indices_stores_plain_dicts():
-    # A read-only mapping is copied into a dict.
-    alg = EquippedFrobeniusAlgebra.from_indices(
-        **three_dimensional(products={0: {0: 1}, 4: MappingProxyType({1: 2})})
-    )
-    assert type(alg.pair_products(1, 1)) is dict
-    assert list(alg.stored_products()) == [(0, 0, {0: 1}), (1, 1, {1: 2})]
+    # A read-only mapping, a Fraction or a zero constant anywhere makes every
+    # row a copy, of plain dicts with int constants.
+    for rows in (
+        [{0: {0: 1}}, {1: MappingProxyType({1: 2})}, {}],
+        [{0: {0: 1}}, MappingProxyType({1: {1: 2}}), {}],
+        [{0: {0: 1}}, {1: {1: Fraction(2)}}, {}],
+        [{0: {0: 1}}, {1: {1: 2, 0: 0}}, {}],
+    ):
+        alg = EquippedFrobeniusAlgebra.from_indices(**three_dimensional(products=rows))
+        assert all(alg.left_products(i) is not row for i, row in enumerate(rows))
+        assert all(type(alg.left_products(i)) is dict for i in range(3))
+        assert type(alg.pair_products(1, 1)) is dict
+        assert alg.pair_products(1, 1) is not rows[1][1]
+        assert stored(alg) == [(0, 0, [(0, 1, int)]), (1, 1, [(1, 2, int)])]
 
 
 @pytest.mark.parametrize("i, j", [(-1, 2), (3, 0), (0, 3), (0, -1), (-4, -4)])
@@ -280,6 +313,25 @@ def test_build_B_stores_chain_counts_in_first_seen_order(suite_algebras, name):
         assert_accessors_agree(alg)
 
 
+@pytest.mark.parametrize("name", ["s4", "s4_k0123", "a5_k0123"])
+def test_build_B_peaks_near_what_it_keeps(suite_algebras, name):
+    # The constants are counted straight into the rows that B keeps, so no
+    # second copy of them is alive during the build: the traced peak stays
+    # within 1.5 times the memory the built algebra retains.
+    catalog = suite_algebras[name].catalog
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        b = build_B(catalog)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.dim == len(catalog.boundary)
+    assert peak - base <= 1.5 * (retained - base), (name, peak - base, retained - base)
+
+
 @pytest.mark.parametrize("name", ["s4", "a5_k0123"])
 @pytest.mark.parametrize("mode", ["drop", "copy"])
 def test_build_B_names_the_pair_outside_the_partition(suite_algebras, name, mode):
@@ -316,3 +368,38 @@ def test_phi_expands_the_class_sums_of_the_permutation_model(suite_algebras, nam
                     if bit:
                         expanded[x][y] += entry
         assert expanded == model.rho_class[a_label], (name, a_label)
+
+
+def phi_outcome(build, catalog) -> object:
+    """The rows ``build`` returns for ``catalog``, or the text of its error."""
+    try:
+        return build(catalog)
+    except ConsistencyError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("name", ["s4", "a5_k0123"])
+def test_phi_guard_decides_as_the_orbit_walk(suite_algebras, name):
+    # build_phi compares each class sum with its values at the representatives
+    # in one pass over the flat orbit table; on a broken catalog it must give
+    # the rows or the error of the per-orbit walk, whichever path it takes.
+    # Every orbit of more than one pair loses, lends or shares its last pair,
+    # or has its representative moved onto a pair of another orbit.
+    h = suite_algebras[name]
+    assert build_phi(h.catalog) == _phi_by_orbits(h.catalog) == h.phi
+    fields = h.catalog.boundary
+    rng = random.Random(seed_of(name))
+    outcomes = set()
+    for source in [position for position, field in enumerate(fields) if field.size > 1]:
+        target = rng.choice([other for other in range(len(fields)) if other != source])
+        catalogs = [
+            moved_pair(h.catalog, source, target, mode) for mode in ("move", "copy", "drop")
+        ]
+        moved = replace(fields[source], representative=fields[target].orbit[0])
+        boundary = fields[:source] + (moved,) + fields[source + 1 :]
+        catalogs.append(replace(h.catalog, boundary=boundary))
+        for catalog in catalogs:
+            outcome = phi_outcome(build_phi, catalog)
+            assert outcome == phi_outcome(_phi_by_orbits, catalog), (name, source, target)
+            outcomes.add(type(outcome))
+    assert outcomes == {str, tuple}
