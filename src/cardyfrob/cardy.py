@@ -62,7 +62,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import add
 from typing import Iterable, Sequence
 
@@ -220,46 +219,11 @@ def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``,
     tallied in a flat list at ``x * |X| + y``.  It is constant on pair orbits,
     so its expansion over the ``nu`` matrices is read off at orbit
-    representatives; every other pair is compared as a guard against a broken
-    catalog, in one comparison of the whole list with the values at the
-    representatives spread along the flat orbit table.  Row ``alpha`` maps
-    each boundary position ``k`` to its nonzero count.  When the orbits do
-    not partition ``X x X``, a representative lies outside it, or a
-    comparison fails, :func:`_phi_by_orbits` decides and names the fault.
+    representatives; every other pair of each orbit is compared as a guard
+    against a broken catalog, and a pair outside ``X x X`` is rejected.  Row
+    ``alpha`` maps each boundary position ``k`` to its nonzero count.
     """
-    size = catalog.nset.size
-    table, fault = _orbit_table(catalog)
-    firsts = [
-        x * size + y
-        for x, y in (field.representative for field in catalog.boundary)
-        if 0 <= x < size and 0 <= y < size
-    ]
-    if fault is not None or len(firsts) != len(catalog.boundary):
-        return _phi_by_orbits(catalog)
-    flat = list(chain.from_iterable(table))
-    rows = []
-    for field in catalog.interior:
-        counts = _class_counts(catalog.nset, field.members)
-        row = list(map(counts.__getitem__, firsts))
-        if list(map(row.__getitem__, flat)) != counts:
-            return _phi_by_orbits(catalog)
-        rows.append({k: value for k, value in enumerate(row) if value})
-    return tuple(rows)
-
-
-def _class_counts(nset: NSet, members: Iterable[int]) -> list[int]:
-    """``#{n in members : n y = x}`` at ``x * |X| + y``, for every pair."""
-    size = nset.size
-    counts = [0] * (size * size)
-    for member in members:
-        for y, x in enumerate(nset.act_table[member]):
-            counts[x * size + y] += 1
-    return counts
-
-
-def _phi_by_orbits(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
-    """:func:`build_phi` one orbit at a time, naming the first pair outside
-    ``X x X`` or the first class sum that is not constant on an orbit."""
+    act_table = catalog.nset.act_table
     size = catalog.nset.size
     span = range(size)
     orbits = []
@@ -274,7 +238,10 @@ def _phi_by_orbits(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     firsts = [orbit[0] for orbit in orbits]
     rows = []
     for field in catalog.interior:
-        counts = _class_counts(catalog.nset, field.members)
+        counts = [0] * (size * size)
+        for member in field.members:
+            for y, x in enumerate(act_table[member]):
+                counts[x * size + y] += 1
         row = list(map(counts.__getitem__, firsts))
         for b_field, orbit, value in zip(catalog.boundary, orbits, row):
             if not set(map(counts.__getitem__, orbit)) <= {value}:

@@ -21,7 +21,6 @@ import gc
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -31,8 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardyfrob import ConsistencyError, EquippedFrobeniusAlgebra, InputError, build_B, build_phi
-from cardyfrob.cardy import _phi_by_orbits
+from cardyfrob import ConsistencyError, EquippedFrobeniusAlgebra, InputError, build_B
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS
 from test_index_checks import moved_pair, seed_of
@@ -368,38 +366,3 @@ def test_phi_expands_the_class_sums_of_the_permutation_model(suite_algebras, nam
                     if bit:
                         expanded[x][y] += entry
         assert expanded == model.rho_class[a_label], (name, a_label)
-
-
-def phi_outcome(build, catalog) -> object:
-    """The rows ``build`` returns for ``catalog``, or the text of its error."""
-    try:
-        return build(catalog)
-    except ConsistencyError as error:
-        return str(error)
-
-
-@pytest.mark.parametrize("name", ["s4", "a5_k0123"])
-def test_phi_guard_decides_as_the_orbit_walk(suite_algebras, name):
-    # build_phi compares each class sum with its values at the representatives
-    # in one pass over the flat orbit table; on a broken catalog it must give
-    # the rows or the error of the per-orbit walk, whichever path it takes.
-    # Every orbit of more than one pair loses, lends or shares its last pair,
-    # or has its representative moved onto a pair of another orbit.
-    h = suite_algebras[name]
-    assert build_phi(h.catalog) == _phi_by_orbits(h.catalog) == h.phi
-    fields = h.catalog.boundary
-    rng = random.Random(seed_of(name))
-    outcomes = set()
-    for source in [position for position, field in enumerate(fields) if field.size > 1]:
-        target = rng.choice([other for other in range(len(fields)) if other != source])
-        catalogs = [
-            moved_pair(h.catalog, source, target, mode) for mode in ("move", "copy", "drop")
-        ]
-        moved = replace(fields[source], representative=fields[target].orbit[0])
-        boundary = fields[:source] + (moved,) + fields[source + 1 :]
-        catalogs.append(replace(h.catalog, boundary=boundary))
-        for catalog in catalogs:
-            outcome = phi_outcome(build_phi, catalog)
-            assert outcome == phi_outcome(_phi_by_orbits, catalog), (name, source, target)
-            outcomes.add(type(outcome))
-    assert outcomes == {str, tuple}
