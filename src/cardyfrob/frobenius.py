@@ -30,14 +30,16 @@ the pairing sums integer constants against ``l`` scaled by the lcm of its
 denominators and divides once per nonzero entry.
 
 Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
-nonzero product reaches; every other triple has both sides zero.  When every
-constant is an ``int`` the walk needs only the ``j`` of a generating set
-``S``: the middle nucleus ``{b : (x b) y = x (b y)}`` of any algebra is closed
-under products, by the Teichmuller identity (R. D. Schafer, *An Introduction
-to Nonassociative Algebras*, 1966), so it is everything once it holds ``S``
-and the left-normed words in ``S`` span the algebra.  :func:`nucleus_words`
-finds ``S`` and those words by elimination modulo a large prime, where a full
-rank implies a full rank over Q.  Form invariance compares
+nonzero product reaches; every other triple has both sides zero.  The walk
+needs only the ``j`` of a generating set ``S``: the middle nucleus
+``{b : (x b) y = x (b y)}`` of any algebra is a subspace closed under
+products, by the Teichmuller identity (R. D. Schafer, *An Introduction to
+Nonassociative Algebras*, 1966), so it is everything once it holds a set that
+generates the algebra.  :func:`generating_set` finds ``S`` by an exact
+closure over the stored products: once ``e_a`` and ``e_b`` lie in the
+subalgebra generated by ``S``, a product ``e_a e_b`` with exactly one other
+basis element in its support puts that one there too, since its constant is
+nonzero.  Form invariance compares
 ``sum_m c_ij^m F_mk`` with ``sum_m F_im c_jk^m`` one ``i`` at a time, over the
 form scaled to integers, so its cost is the number of stored constants times
 the length of a form row.  Both report the first failing triple of a dense
@@ -51,7 +53,6 @@ replace are :func:`cardyfrob.oracles.element_axiom_oracle`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -482,15 +483,10 @@ class EquippedFrobeniusAlgebra:
         never from the stored ``form``, so a form that disagrees with the
         products does not reconstruct ``x``.
         """
-        return self._dual_expand(x, self._compute_form())
-
-    def _dual_expand(
-        self, x: AlgebraElement, pairings: Sequence[Mapping[int, Fraction]]
-    ) -> AlgebraElement:
-        """``sum_{p,i,j} x_p pairings[p][i] F^-1_{ij} e_j``, all rows sparse."""
         inverse = self.form_inverse()
         x_coeffs = ((self.index(label), value) for label, value in x.coeffs.items())
-        coeffs = linalg.row_times(linalg.row_times(x_coeffs, pairings).items(), inverse)
+        pairings = linalg.row_times(x_coeffs, self._compute_form())
+        coeffs = linalg.row_times(pairings.items(), inverse)
         return AlgebraElement({self.basis[j]: value for j, value in coeffs.items()})
 
     def permuted(self, order: Sequence[str]) -> "EquippedFrobeniusAlgebra":
@@ -571,63 +567,70 @@ def _first_difference(lhs: Mapping[int, object], rhs: Mapping[int, object]) -> i
 
 def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # The middle nucleus {b : (x b) y = x (b y) for all x, y} of any algebra
-    # is closed under products (Schafer 1966, from the Teichmuller identity).
-    # So when the left-normed words in a set S of basis elements span the
-    # algebra, the (i, j) walk with j in S alone proves associativity.  The
-    # search for S runs modulo a prime, which certifies a rank over Q only
-    # for integral constants; a Fraction constant, or a failure, takes the
-    # walk over every j, which reports the dense scan's first triple.
-    integral = all(
-        type(value) is int
-        for _, _, expansion in alg.stored_products()
-        for value in expansion.values()
-    )
-    if integral:
-        generators = [word[0] for word in nucleus_words(alg) if len(word) == 1]
-        if _associativity_walk(alg, generators) is None:
-            return CheckResult("associativity", True)
-    witness = _associativity_walk(alg, range(alg.dim))
-    if witness is None:
+    # is a subspace closed under products (Schafer 1966, from the Teichmuller
+    # identity), so it holds the subalgebra generated by any set it contains.
+    # The (i, j) walk with j in a generating set S alone therefore proves
+    # associativity.  A failure takes the walk over every j, which reports the
+    # dense scan's first triple.
+    if _associativity_walk(alg, generating_set(alg)) is None:
         return CheckResult("associativity", True)
-    return CheckResult("associativity", False, witness)
+    return CheckResult("associativity", False, _associativity_walk(alg, range(alg.dim)))
 
 
-def nucleus_words(alg: EquippedFrobeniusAlgebra) -> list[tuple[int, ...]]:
-    """Left-normed words ``((e_s e_t) e_u) ...`` whose products form a basis modulo p.
+def generating_set(alg: EquippedFrobeniusAlgebra) -> list[int]:
+    """Basis positions ``S`` that generate the algebra, by an exact closure.
 
-    The generators, the one-letter words, are taken greedily in basis order:
-    a basis element joins unless the span of the words so far already holds
-    it, and that span is then closed under right multiplication by every
-    generator.  Every basis element is a candidate, so the words always reach
-    rank ``dim`` modulo ``linalg._MODULAR_PRIME``; for integral constants
-    that is rank ``dim`` over Q as well.
+    A position ``k`` is covered once ``e_k`` is known to lie in the subalgebra
+    generated by ``S``.  Candidates are taken in basis order, and one that is
+    not yet covered joins ``S`` and is covered.  A stored product
+    ``e_a e_b = sum_k c_ab^k e_k`` with ``a`` and ``b`` covered and exactly
+    one uncovered ``k`` in its support covers that ``k``: ``c_ab^k e_k`` is
+    ``e_a e_b`` minus covered terms and ``c_ab^k != 0``, so ``e_k`` lies in
+    the subalgebra.  The candidates stop once every position is covered.
+    The closure reads only which constants are nonzero, so the argument is
+    exact for any rational constants.
+
+    The closure is a worklist.  Each stored pair counts its incidences (its
+    two factors and each output) whose position is not yet taken off the
+    worklist, and a position goes on it when it is covered.  When the count
+    of a pair falls to one, every position of the pair but the last one
+    counted is covered; if that one is an uncovered output, both factors are
+    covered and the pair covers it.
     """
     n = alg.dim
-    p = linalg._MODULAR_PRIME
-    pivots: dict[int, dict[int, int]] = {}
-    words: list[tuple[int, ...]] = []
-    vectors: list[dict[int, int]] = []
+    expansions: list[Mapping[int, int | Fraction]] = []
+    pending: list[int] = []
+    incidences: list[list[int]] = [[] for _ in range(n)]
+    for pair, (i, j, expansion) in enumerate(alg.stored_products()):
+        expansions.append(expansion)
+        pending.append(2 + len(expansion))
+        incidences[i].append(pair)
+        incidences[j].append(pair)
+        for k in expansion:
+            incidences[k].append(pair)
+    covered = [False] * n
+    uncovered = n
     generators: list[int] = []
-    pending: deque[tuple[int, int]] = deque()
     for candidate in range(n):
-        if len(pivots) == n:
+        if not uncovered:
             break
-        if not linalg.insert_mod(pivots, {candidate: 1}):
+        if covered[candidate]:
             continue
-        pending.extend((w, len(generators)) for w in range(len(words)))
         generators.append(candidate)
-        pending.extend((len(words), g) for g in range(len(generators)))
-        words.append((candidate,))
-        vectors.append({candidate: 1})
-        while pending and len(pivots) < n:
-            w, g = pending.popleft()
-            product = alg.index_product(vectors[w], {generators[g]: 1})
-            product = {out: value % p for out, value in product.items() if value % p}
-            if linalg.insert_mod(pivots, product):
-                pending.extend((len(words), h) for h in range(len(generators)))
-                words.append(words[w] + (generators[g],))
-                vectors.append(product)
-    return words
+        covered[candidate] = True
+        uncovered -= 1
+        stack = [candidate]
+        while stack:
+            for pair in incidences[stack.pop()]:
+                pending[pair] -= 1
+                if pending[pair] == 1:
+                    for k in expansions[pair]:
+                        if not covered[k]:
+                            covered[k] = True
+                            uncovered -= 1
+                            stack.append(k)
+                            break
+    return generators
 
 
 def _associativity_walk(alg: EquippedFrobeniusAlgebra, middles: Sequence[int]) -> str | None:
@@ -775,17 +778,24 @@ def _check_casimir_central(alg: EquippedFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_dual_reconstruction(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    # The dual-basis expansion of the unit and of every basis element, with
-    # the pairings recomputed once from the products and l, as in
-    # dual_reconstruct: the stored form is what the inverse was taken of.
-    pairings = alg._compute_form()
-    probes = [("1", alg.unit)] + [(label, alg.basis_element(label)) for label in alg.basis]
+    # The dual-basis expansion sum_{i,j} (x, e_i) F^-1_ij e_j of the unit and
+    # of every basis element, in index space: the pairings row of x, recomputed
+    # once from the products and l as in dual_reconstruct (the stored form is
+    # what the inverse was taken of), times the rows of F^-1.
     try:
-        for name, probe in probes:
-            if alg._dual_expand(probe, pairings) != probe:
-                return CheckResult("dual-reconstruction", False, name)
+        inverse = alg.form_inverse()
     except ConsistencyError as exc:
         return CheckResult("dual-reconstruction", False, str(exc))
+    pairings = alg._compute_form()
+    unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
+    probes = chain(
+        [("1", unit, linalg.row_times(unit.items(), pairings))],
+        ((label, {b: 1}, pairings[b]) for b, label in enumerate(alg.basis)),
+    )
+    for name, probe, row in probes:
+        expanded = linalg.row_times(row.items(), inverse)
+        if {j: value for j, value in expanded.items() if value} != probe:
+            return CheckResult("dual-reconstruction", False, name)
     return CheckResult("dual-reconstruction", True)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +24,10 @@ from cardyfrob import (
     AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
+    build_group,
+    cardy_from_pair,
     dense_axiom_oracle,
+    subgroup_closure,
     verify_cardy_frobenius,
     verify_equipped,
 )
@@ -35,9 +39,11 @@ from cardyfrob.frobenius import (
     _check_form_invariance,
     _check_form_symmetric,
     _check_involution_antiautomorphism,
-    nucleus_words,
+    generating_set,
 )
+from cardyfrob.oracles import _dense_associativity
 from conftest import SUITE_DOCUMENTS
+from test_lattice import permutations_of_degree
 
 PINNED_PAIRS = ["z2", "z3", "s3", "s3_k01", "a5_k0123"]
 DENSE_NAMES = (
@@ -210,12 +216,43 @@ def test_integral_constants_are_stored_as_int(suite_algebras):
 # -- the middle-nucleus certificate ----------------------------------------------
 
 
-def word_vector(alg: EquippedFrobeniusAlgebra, word) -> dict[int, Fraction]:
-    """The product ``((e_s e_t) e_u) ...`` of a left-normed word, by basis index."""
-    product = alg.basis_element(alg.basis[word[0]])
-    for letter in word[1:]:
-        product = alg.multiply(product, alg.basis_element(alg.basis[letter]))
-    return {alg.index(label): value for label, value in product.coeffs.items()}
+def generated_rank(alg: EquippedFrobeniusAlgebra, generators) -> int:
+    """Rank over Q of the span of ``generators`` closed under products.
+
+    Each product of two kept vectors is reduced exactly against the kept
+    ones and kept if independent, until no product is left or the rank is
+    ``dim``; the rank of the kept vectors is then taken by ``linalg.rank``.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    kept: list[AlgebraElement] = []
+    pending: deque[tuple[int, int]] = deque()
+
+    def keep(vector: AlgebraElement) -> None:
+        work = {alg.index(label): value for label, value in vector.coeffs.items()}
+        while work:
+            lead = min(work)
+            if lead not in pivots:
+                pivots[lead] = {col: value / work[lead] for col, value in work.items()}
+                new = len(kept)
+                kept.append(vector)
+                pending.extend((new, old) for old in range(new + 1))
+                pending.extend((old, new) for old in range(new))
+                return
+            factor = work[lead]
+            for col, value in pivots[lead].items():
+                work[col] = work.get(col, 0) - factor * value
+                if not work[col]:
+                    del work[col]
+
+    for s in generators:
+        keep(alg.basis_element(alg.basis[s]))
+    while pending and len(kept) < alg.dim:
+        a, b = pending.popleft()
+        keep(alg.multiply(kept[a], kept[b]))
+    return linalg.rank(
+        {alg.index(label): value for label, value in vector.coeffs.items()}
+        for vector in kept
+    )
 
 
 def record_walks(monkeypatch) -> list[list[int]]:
@@ -233,18 +270,15 @@ def record_walks(monkeypatch) -> list[list[int]]:
 
 @pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
 def test_nucleus_words_have_full_rank_over_q(suite_algebras, name):
+    # The words in the generating set S, closed under products, span A and B.
     for alg in (suite_algebras[name].A, suite_algebras[name].B):
-        words = nucleus_words(alg)
-        generators = {word[0] for word in words if len(word) == 1}
-        assert all(set(word) <= generators for word in words)
-        assert len(words) == alg.dim
-        assert linalg.rank(word_vector(alg, word) for word in words) == alg.dim
+        assert generated_rank(alg, generating_set(alg)) == alg.dim
 
 
 @pytest.mark.parametrize("name", ["s4", "a5_k0123"])
 def test_associativity_walks_fewer_than_half_the_middles(suite_algebras, name, monkeypatch):
     b = suite_algebras[name].B
-    generators = [word[0] for word in nucleus_words(b) if len(word) == 1]
+    generators = generating_set(b)
     assert len(generators) < b.dim / 2
     calls = record_walks(monkeypatch)
     assert _check_associativity(b).passed
@@ -264,7 +298,7 @@ def test_fraction_constant_takes_the_full_walk(suite_algebras, monkeypatch):
     broken = with_constant(b, i, j, k, b.pair_products(i, j)[k] + Fraction(1, 2))
     calls = record_walks(monkeypatch)
     result = _check_associativity(broken)
-    assert calls == [list(range(b.dim))]
+    assert calls == [generating_set(broken), list(range(b.dim))]
     assert not result.passed
     assert result == dense_axiom_oracle(broken)[0]
 
@@ -280,12 +314,14 @@ def test_failing_certificate_walk_reports_the_dense_witness(suite_algebras, monk
     assert result == dense_axiom_oracle(broken)[0]
 
 
-def test_nucleus_words_see_past_small_primes():
-    # x^0, ..., x^4 with x^a x^b = 6 x^(a+b) for a, b >= 1 and x^0 the unit:
-    # x^1 generates over Q although every product vanishes modulo 2 and 3.
+@pytest.mark.parametrize("scale", [6, Fraction(1, 2)], ids=["six", "half"])
+def test_power_algebra_is_generated_by_its_unit_and_x(scale, monkeypatch):
+    # x^0, ..., x^4 with x^a x^b = scale * x^(a+b) for a, b >= 1 and x^0 the
+    # unit: associative, and x^1 generates although every product vanishes
+    # modulo 2 and 3 when the scale is 6, or is not integral when it is 1/2.
     basis = [f"x{a}" for a in range(5)]
     products = {
-        (f"x{a}", f"x{b}"): {f"x{a + b}": 6 if a and b else 1}
+        (f"x{a}", f"x{b}"): {f"x{a + b}": scale if a and b else 1}
         for a in range(5)
         for b in range(5 - a)
     }
@@ -296,8 +332,29 @@ def test_nucleus_words_see_past_small_primes():
         involution={label: label for label in basis},
         unit={"x0": 1},
     )
-    assert nucleus_words(alg) == [(0,), (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)]
+    assert generating_set(alg) == [0, 1]
+    calls = record_walks(monkeypatch)
     assert _check_associativity(alg).passed
+    assert calls == [[0, 1]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=permutations_of_degree, data=st.data())
+def test_random_pairs_certify_associativity_on_the_generating_set(generators, data):
+    # B of a random (G, K) passes on the walk over its generating set alone;
+    # one stored constant raised by 1 gives the dense scan's result (the
+    # associativity entry of dense_axiom_oracle, without the other scans).
+    group = build_group(len(generators[0]), generators)
+    elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    b = cardy_from_pair(group, subgroup_closure(group, elements)).B
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_walks(patch)
+        assert _check_associativity(b).passed
+    assert calls == [generating_set(b)]
+    stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
+    i, j, k = data.draw(st.sampled_from(stored))
+    broken = with_constant(b, i, j, k, b.pair_products(i, j)[k] + 1)
+    assert _check_associativity(broken) == _dense_associativity(broken)
 
 
 # -- random sparse algebras ------------------------------------------------------
@@ -310,9 +367,8 @@ constants = st.one_of(
 
 @st.composite
 def sparse_algebra_inputs(draw):
-    # About half the draws have integral structure constants, so that
-    # associativity goes through the nucleus certificate rather than the
-    # Fraction fallback; the linear form may still be fractional.
+    # About half the draws have integral structure constants and the others
+    # mix in Fractions; the linear form may be fractional in either.
     dim = draw(st.integers(min_value=2, max_value=5))
     basis = [f"e{i}" for i in range(dim)]
     index = st.integers(min_value=0, max_value=dim - 1)
@@ -347,6 +403,12 @@ def sparse_algebras():
 @given(sparse_algebras())
 def test_random_sparse_algebras_match_dense_reference(alg):
     assert sparse_checks(alg) == dense_axiom_oracle(alg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_algebras())
+def test_generating_set_generates_random_sparse_algebras(alg):
+    assert generated_rank(alg, generating_set(alg)) == alg.dim
 
 
 @settings(max_examples=200, deadline=None)
