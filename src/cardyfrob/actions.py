@@ -6,11 +6,14 @@ Given a finite group ``G`` and a subgroup ``K``, the quotient
 boundary fields are the ``N``-orbits on ``X x X``.  Both carry canonical
 labels (``a<k>`` and ``b<k>``), automorphism orders, and an involution
 (``star``) coming from inversion respectively from swapping the two points
-of a pair.
+of a pair.  The boundary orbits exist in one form only, the flat orbit table
+:attr:`FieldCatalog.orbit_table` that every reader indexes.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -275,23 +278,21 @@ class InteriorField:
         return self.conjugacy_class.representative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryField:
     """A boundary field: an ``N``-orbit on ordered pairs of points of ``X``.
 
-    ``aut_order`` is the order of the stabilizer of any pair in the orbit and
-    ``star`` the label of the orbit of swapped pairs.
+    Its pairs are the cells of the catalog's orbit table that hold its
+    position: ``size`` of them, the smallest one the ``representative``.
+    ``aut_order`` is the order of the stabilizer of any pair in the orbit
+    and ``star`` the label of the orbit of swapped pairs.
     """
 
     label: str
     representative: tuple[int, int]
-    orbit: tuple[tuple[int, int], ...]
+    size: int
     aut_order: int
     star: str
-
-    @property
-    def size(self) -> int:
-        return len(self.orbit)
 
     @property
     def is_diagonal(self) -> bool:
@@ -300,20 +301,56 @@ class BoundaryField:
 
 @dataclass(frozen=True, eq=False)
 class FieldCatalog:
-    """The labeled interior and boundary fields of one group action."""
+    """The labeled interior and boundary fields of one group action.
+
+    Cell ``x * |X| + y`` of the ``array('i')`` ``orbit_table`` holds the
+    position in ``boundary`` of the orbit of ``(x, y)``.  Construction checks
+    in bulk passes that the table has ``|X|^2`` cells, each a boundary
+    position, that each field's ``size`` is its number of cells and that each
+    representative lies in ``X x X``, so the orbits partition ``X x X``.
+    Whether they are ``N``-orbits holding their representatives is left to
+    the checks of :mod:`cardyfrob.cardy`.
+    """
 
     nset: NSet
     interior: tuple[InteriorField, ...]
     boundary: tuple[BoundaryField, ...]
+    orbit_table: array
     provenance: str = ""
+
+    def __post_init__(self) -> None:
+        size, table, dim = self.nset.size, self.orbit_table, len(self.boundary)
+        if not isinstance(table, array) or table.typecode != "i" or len(table) != size * size:
+            raise ConsistencyError(f"the orbit table is not an array('i') of {size * size} cells")
+        if table and not 0 <= min(table) <= max(table) < dim:
+            code = next(code for code, k in enumerate(table) if not 0 <= k < dim)
+            raise ConsistencyError(f"pair {divmod(code, size)} lies in no orbit")
+        cells = Counter(table)
+        for k, field in enumerate(self.boundary):
+            if not 0 <= min(field.representative) <= max(field.representative) < size:
+                raise ConsistencyError(
+                    f"pair {field.representative} of {field.label} lies outside X x X"
+                )
+            if cells[k] != field.size:
+                raise ConsistencyError(
+                    f"{field.label} lists {field.size} pairs but holds {cells[k]} cells"
+                )
+
+    def orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The pairs of each boundary orbit in increasing order, derived in one
+        row-major pass over the table; not cached, so no pair tuples stay alive."""
+        pairs: list[list[tuple[int, int]]] = [[] for _ in self.boundary]
+        for code, k in enumerate(self.orbit_table):
+            pairs[k].append(divmod(code, self.nset.size))
+        return tuple(map(tuple, pairs))
 
     @cached_property
     def _interior_by_label(self) -> dict[str, InteriorField]:
         return {field.label: field for field in self.interior}
 
     @cached_property
-    def _boundary_by_label(self) -> dict[str, BoundaryField]:
-        return {field.label: field for field in self.boundary}
+    def _boundary_positions(self) -> dict[str, int]:
+        return {field.label: k for k, field in enumerate(self.boundary)}
 
     def interior_field(self, label: str) -> InteriorField:
         try:
@@ -321,11 +358,15 @@ class FieldCatalog:
         except KeyError:
             raise InputError(f"unknown interior field label {label!r}") from None
 
-    def boundary_field(self, label: str) -> BoundaryField:
+    def boundary_position(self, label: str) -> int:
+        """The position of a boundary field: the value its cells hold in the table."""
         try:
-            return self._boundary_by_label[label]
+            return self._boundary_positions[label]
         except KeyError:
             raise InputError(f"unknown boundary field label {label!r}") from None
+
+    def boundary_field(self, label: str) -> BoundaryField:
+        return self.boundary[self.boundary_position(label)]
 
     @property
     def interior_labels(self) -> tuple[str, ...]:
@@ -352,8 +393,11 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
 
     Interior fields follow the conjugacy class order of the acting group;
     boundary orbits are labeled ``b<k>`` in order of their smallest pair.
-    The Burnside count ``(1/|N|) * sum of squared fixed-point counts`` must
-    equal the number of boundary orbits, and is verified here.
+    The orbit table is filled directly: a row-major scan takes each cell not
+    yet filled, the smallest pair of its orbit, and writes its position into
+    every cell ``(n x, n y)`` of the orbit.  The Burnside count
+    ``(1/|N|) * sum of squared fixed-point counts`` must equal the number of
+    boundary orbits, and is verified here.
     """
     group = nset.group
     classes = conjugacy_classes(group)
@@ -377,40 +421,33 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
             )
         )
     size = nset.size
-    orbit_index: dict[tuple[int, int], int] = {}
-    orbits: list[tuple[tuple[int, int], ...]] = []
-    for x in range(size):
-        for y in range(size):
-            if (x, y) in orbit_index:
-                continue
-            orbit = sorted({(row[x], row[y]) for row in nset.act_table})
-            position = len(orbits)
-            for pair in orbit:
-                orbit_index[pair] = position
-            orbits.append(tuple(orbit))
+    table = array("i", [-1]) * (size * size)
+    found: list[tuple[tuple[int, int], int]] = []
+    for code in range(size * size):
+        if table[code] >= 0:
+            continue
+        x, y = divmod(code, size)
+        cells = {row[x] * size + row[y] for row in nset.act_table}
+        position = len(found)
+        for cell in cells:
+            table[cell] = position
+        found.append(((x, y), len(cells)))
+    labels = [f"b{position}" for position in range(len(found))]
     boundary = []
-    for position, orbit in enumerate(orbits):
-        if group.order % len(orbit) != 0:
-            raise ConsistencyError(f"orbit size {len(orbit)} does not divide |N|")
-        rep = orbit[0]
-        swapped = orbit_index[(rep[1], rep[0])]
-        boundary.append(
-            BoundaryField(
-                label=f"b{position}",
-                representative=rep,
-                orbit=orbit,
-                aut_order=group.order // len(orbit),
-                star=f"b{swapped}",
-            )
-        )
+    for label, ((x, y), orbit_size) in zip(labels, found):
+        if group.order % orbit_size != 0:
+            raise ConsistencyError(f"orbit size {orbit_size} does not divide |N|")
+        star = labels[table[y * size + x]]
+        boundary.append(BoundaryField(label, (x, y), orbit_size, group.order // orbit_size, star))
     burnside = sum(nset.fixed_point_count(n) ** 2 for n in range(group.order))
-    if burnside != group.order * len(orbits):
+    if burnside != group.order * len(boundary):
         raise ConsistencyError(
-            f"Burnside count {burnside}/{group.order} does not match {len(orbits)} orbits"
+            f"Burnside count {burnside}/{group.order} does not match {len(boundary)} orbits"
         )
     return FieldCatalog(
         nset=nset,
         interior=tuple(interior),
         boundary=tuple(boundary),
+        orbit_table=table,
         provenance=provenance,
     )

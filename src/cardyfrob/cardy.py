@@ -21,32 +21,32 @@ and likewise for ``B``.
 ``A``, ``B`` and ``phi`` are built in index space with integer counts; ``A``
 and ``B`` are handed to
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` as rows of
-the store, one per left position, which it keeps without a copy.  ``B``
-reads the orbit table ``orbit[x][y]``: column ``k`` is the tally of the
-pairs ``(orbit(x, y), orbit(y, z))`` over all ``y`` at the representative
-``(x, z)`` of ``O_k``, each count put at once into row ``orbit(x, y)``, and
-a catalog whose orbits do not partition ``X x X`` is rejected with the pair
-that breaks it.  ``phi``
-tallies each class sum in a flat ``x * |X| + y`` count list and keeps, for
-each class sum, the sparse integer row ``{k: count}`` of its nonzero counts
-at the orbit representatives.  Those rows are the only form of ``phi``:
-every reader below takes them as they are, and only ``cardyfrob algebra``
-lists them densely, at the output edge.
+the store, one per left position, which it keeps without a copy.  Every
+reader of the boundary orbits indexes the catalog's orbit table
+:attr:`~cardyfrob.actions.FieldCatalog.orbit_table`, cell ``x * |X| + y``
+holding ``orbit(x, y)``.  ``B`` reads it as it is: column ``k`` is the tally
+of the pairs ``(orbit(x, y), orbit(y, z))`` over all ``y`` at the
+representative ``(x, z)`` of ``O_k``, each count put at once into row
+``orbit(x, y)``.  ``phi`` tallies each class sum in a flat ``x * |X| + y``
+count list and keeps, for each class sum, the sparse integer row
+``{k: count}`` of its nonzero counts at the orbit representatives.  Those
+rows are the only form of ``phi``: every reader below takes them as they
+are, and only ``cardyfrob algebra`` lists them densely, at the output edge.
 
 Nothing here stores the permutation model itself, the 0/1 matrices
 ``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
-below read orbits instead, and the oracles in :mod:`cardyfrob.oracles`
-build the dense integer matrices while they run.  ``nu`` multiplicativity
-and equivariance build the orbit table per call and decide the action on
-the generators of ``N`` alone: relabelling by each generator must leave the
-table as it is, and then, once a walk along the generators shows each
-listed orbit to be a single ``N``-orbit, the sorted chain codes
-``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the first pair
+below read the orbit table instead, and the oracles in
+:mod:`cardyfrob.oracles` build the dense integer matrices while they run.
+``nu`` multiplicativity and equivariance decide the action on the generators
+of ``N`` alone: relabelling by each generator must leave the table as it
+is, and then, once a walk along the generators from each representative
+shows each listed orbit to be a single ``N``-orbit, the sorted chain codes
+``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the representative
 ``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j`` exactly
-``c_ij^k`` times.  When the orbits do not partition ``X x X``, or a
-comparison fails, a walk over the orbits and every element names the
-witness.  phi-unit, phi-homomorphism and phi-star compare rows of ``phi``
-over the stored constants, the products ``phi(e_i) phi(e_j)`` through
+``c_ij^k`` times.  When a comparison fails, a walk over the orbits and every
+element names the witness.  phi-unit, phi-homomorphism and phi-star compare
+rows of ``phi`` over the stored constants, the products
+``phi(e_i) phi(e_j)`` through
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
 phi-central sums the commutator rows of ``B``
 (:func:`cardyfrob.frobenius.commutator_rows`) weighted by each row of
@@ -58,12 +58,14 @@ pack, including the Cardy condition, and reports one result per axiom.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .actions import (
@@ -170,8 +172,9 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     ``B`` is the orbital algebra of the action of ``N`` on ``X``, so
     ``c_ij^k = #{y : (x, y) in O_i, (y, z) in O_j}`` is the same at every pair
     ``(x, z)`` of ``O_k`` and is counted at its representative: the pairs
-    ``(orbit(x, y), orbit(y, z))`` over all ``y``, read off the orbit table,
-    are tallied at once.  Each tally goes straight into the rows handed to
+    ``(orbit(x, y), orbit(y, z))`` over all ``y``, row ``x`` and column ``z``
+    of the catalog's orbit table zipped, are tallied at once.  Each tally
+    goes straight into the rows handed to
     :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices`, which
     keeps them as they are: row ``i`` lists each ``j`` when first seen and
     each expansion its ``k`` in increasing order.  The pairing recomputed
@@ -179,21 +182,20 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     elsewhere, and this is asserted.
     """
     n_order = catalog.nset.group.order
+    size = catalog.nset.size
     fields = catalog.boundary
-    table, fault = _orbit_table(catalog)
-    if fault is not None:
-        raise ConsistencyError(f"the orbits do not partition X x X: {fault}")
-    into = [list(column) for column in zip(*table)]
+    table = catalog.orbit_table
     rows: list[dict[int, dict[int, int]]] = [{} for _ in fields]
     for k, field in enumerate(fields):
         x, z = field.representative
-        for (i, j), count in Counter(zip(table[x], into[z])).items():
+        pairs = zip(table[x * size : (x + 1) * size], table[z::size])
+        for (i, j), count in Counter(pairs).items():
             row = rows[i]
             if j in row:
                 row[j][k] = count
             else:
                 row[j] = {k: count}
-    diagonal_count = Counter(row[x] for x, row in enumerate(table))
+    diagonal_count = Counter(table[:: size + 1])
     algebra = EquippedFrobeniusAlgebra.from_indices(
         basis=catalog.boundary_labels,
         products=rows,
@@ -203,7 +205,7 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     )
     for i, field in enumerate(fields):
         x, z = field.representative
-        star = table[z][x]
+        star = table[z * size + x]
         if algebra.form[i] != {star: Fraction(field.size, n_order)}:
             raise ConsistencyError(
                 "the pairing recomputed from structure constants is not "
@@ -217,38 +219,30 @@ def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     """Expand each class sum ``rho(E_alpha)`` over the boundary basis.
 
     ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``,
-    tallied in a flat list at ``x * |X| + y``.  It is constant on pair orbits,
-    so its expansion over the ``nu`` matrices is read off at orbit
-    representatives; every other pair of each orbit is compared as a guard
-    against a broken catalog, and a pair outside ``X x X`` is rejected.  Row
-    ``alpha`` maps each boundary position ``k`` to its nonzero count.
+    tallied in a flat list at ``x * |X| + y``, the layout of the orbit table.
+    It is constant on pair orbits, so its expansion over the ``nu`` matrices
+    is read off at orbit representatives; as a guard against a broken
+    catalog, the counts must equal the representative's count of each cell's
+    orbit, one comparison over the whole table.  Row ``alpha`` maps each
+    boundary position ``k`` to its nonzero count.
     """
     act_table = catalog.nset.act_table
     size = catalog.nset.size
-    span = range(size)
-    orbits = []
-    for b_field in catalog.boundary:
-        pairs = (b_field.representative, *b_field.orbit)
-        outside = [pair for pair in pairs if pair[0] not in span or pair[1] not in span]
-        if outside:
-            raise ConsistencyError(
-                f"pair {outside[0]} of {b_field.label} lies outside X x X; phi is undefined"
-            )
-        orbits.append([x * size + y for x, y in pairs])
-    firsts = [orbit[0] for orbit in orbits]
+    table = catalog.orbit_table
+    firsts = [x * size + y for x, y in (field.representative for field in catalog.boundary)]
     rows = []
     for field in catalog.interior:
-        counts = [0] * (size * size)
+        counts = [0] * len(table)
         for member in field.members:
             for y, x in enumerate(act_table[member]):
                 counts[x * size + y] += 1
         row = list(map(counts.__getitem__, firsts))
-        for b_field, orbit, value in zip(catalog.boundary, orbits, row):
-            if not set(map(counts.__getitem__, orbit)) <= {value}:
-                raise ConsistencyError(
-                    f"class sum {field.label} is not constant on the orbit "
-                    f"of {b_field.label}; phi is undefined"
-                )
+        if counts != list(map(row.__getitem__, table)):
+            k = min(k for k, count in zip(table, counts) if count != row[k])
+            raise ConsistencyError(
+                f"class sum {field.label} is not constant on the orbit "
+                f"of {catalog.boundary[k].label}; phi is undefined"
+            )
         rows.append({k: value for k, value in enumerate(row) if value})
     return tuple(rows)
 
@@ -404,57 +398,38 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("cardy", True)
 
 
-def _orbit_table(catalog: FieldCatalog) -> tuple[list[list[int]] | None, str | None]:
-    """``table[x][y]``, the position of the orbit holding ``(x, y)``, or -1,
-    and the first pair that keeps the orbits from partitioning ``X x X``.
+def _code_steps(nset: NSet) -> list[list[int]]:
+    """Each generator of ``N`` as a permutation of the pair codes ``x * |X| + y``."""
+    size = nset.size
+    rows = (nset.act_table[s] for s in nset.group.generators)
+    return [[image * size + other for image in row for other in row] for row in rows]
 
-    The table is ``None`` when a pair is listed twice or lies outside
-    ``X x X``.  A pair in no orbit reads -1; it fails both comparisons below,
-    which ignore the fault, and :func:`build_B` rejects it.
+
+def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
+    """Whether the orbit table reads the same at ``n (x, y)`` as at ``(x, y)``
+    for each code permutation given, read as a list (faster to index)."""
+    cells = table.tolist()
+    return all(list(map(cells.__getitem__, step)) == cells for step in steps)
+
+
+def _single_orbits(catalog: FieldCatalog, steps: Sequence[Sequence[int]]) -> bool:
+    """Whether a walk along ``steps`` from each representative reaches exactly
+    as many pairs as its orbit holds.
+
+    The walks cost ``|S| |X|^2`` steps in all.  On an orbit table that the
+    steps leave invariant, a walk stays inside the orbit of its start, so
+    reaching ``|O_k|`` pairs from a representative in ``O_k`` means it covers
+    ``O_k``: each listed orbit is a single orbit of the group the steps
+    generate.  A representative whose cell lies in another orbit fails, as
+    the representative of an empty orbit always does.
     """
-    size = catalog.nset.size
-    table = [[-1] * size for _ in range(size)]
+    table, size = catalog.orbit_table, catalog.nset.size
+    seen = bytearray(len(table))
     for k, field in enumerate(catalog.boundary):
-        for pair in field.orbit:
-            x, y = pair
-            if not (0 <= x < size and 0 <= y < size):
-                return None, f"pair {pair} of {field.label} lies outside X x X"
-            if table[x][y] >= 0:
-                return None, f"pair {pair} is listed twice, again in {field.label}"
-            table[x][y] = k
-    for x, row in enumerate(table):
-        if -1 in row:
-            return table, f"pair {(x, row.index(-1))} lies in no orbit"
-    return table, None
-
-
-def _invariant(table: list[list[int]], rows: Iterable[Sequence[int]]) -> bool:
-    """Whether ``table[n x][n y] == table[x][y]`` for each action row ``n`` given."""
-    return all(
-        [list(map(table[image].__getitem__, row)) for image in row] == table for row in rows
-    )
-
-
-def _single_orbits(
-    fields: Sequence[BoundaryField], rows: Sequence[Sequence[int]], size: int
-) -> bool:
-    """Whether a walk along ``rows`` from the first pair of each orbit reaches
-    exactly as many pairs as the orbit lists.
-
-    The orbits must partition ``X x X``, ``size`` being ``|X|``.  Pairs are
-    coded ``x * |X| + y`` and each row becomes a permutation of the codes, so
-    the walks cost ``|S| |X|^2`` steps in all.  On an orbit table that the
-    rows leave invariant, a walk stays inside its orbit, so reaching ``|O_k|``
-    pairs means it covers ``O_k``: each listed orbit is a single orbit of the
-    group the rows generate.  An empty orbit fails.
-    """
-    steps = [[image * size + other for image in row for other in row] for row in rows]
-    seen = bytearray(size * size)
-    for field in fields:
-        if not field.orbit:
-            return False
-        x, z = field.orbit[0]
+        x, z = field.representative
         walk = [x * size + z]
+        if table[walk[0]] != k:
+            return False
         seen[walk[0]] = 1
         for code in walk:
             for step in steps:
@@ -462,22 +437,20 @@ def _single_orbits(
                 if not seen[image]:
                     seen[image] = 1
                     walk.append(image)
-        if len(walk) != len(field.orbit):
+        if len(walk) != field.size:
             return False
     return True
 
 
-def _chains_match(
-    b: EquippedFrobeniusAlgebra, table: list[list[int]], fields: Sequence[BoundaryField]
-) -> bool:
-    """Whether the first pair ``(x, z)`` of each orbit ``O_k`` has the chains
-    ``c_ij^k`` asks for.
+def _chains_match(b: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> bool:
+    """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
+    chains ``c_ij^k`` asks for.
 
     The codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, sorted, must
     be column ``k``: the code ``i * dim + j`` repeated ``c_ij^k`` times.  A
     constant that is not a positive ``int`` cannot be a count, so it fails.
     """
-    n = b.dim
+    n, size, table = b.dim, catalog.nset.size, catalog.orbit_table
     columns: list[list[int]] = [[] for _ in range(n)]
     for i, j, expansion in b.stored_products():
         code = i * n + j
@@ -485,11 +458,11 @@ def _chains_match(
             if type(value) is not int or value < 0:
                 return False
             columns[k].extend([code] * value)
-    into = [list(column) for column in zip(*table)]
-    for column, field in zip(columns, fields):
-        x, z = field.orbit[0]
+    for column, field in zip(columns, catalog.boundary):
+        x, z = field.representative
         column.sort()
-        if sorted(map(add, [k * n for k in table[x]], into[z])) != column:
+        left = [k * n for k in table[x * size : (x + 1) * size]]
+        if sorted(map(add, left, table[z::size])) != column:
             return False
     return True
 
@@ -499,12 +472,14 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
 
     At a pair ``(x, z)`` of ``O_k`` this says that the chains ``x -> y -> z``
     with ``(x, y)`` in ``O_i`` and ``(y, z)`` in ``O_j`` number ``c_ij^k``.
-    It is checked at the first pair ``(x_k, z_k)`` of each orbit alone once
-    two things hold, given a partition of ``X x X`` into ``dim B`` orbits:
+    It is checked at the representative ``(x_k, z_k)`` of each orbit alone
+    once two things hold, given the partition of ``X x X`` into ``dim B``
+    orbits that the catalog's orbit table guarantees:
 
     * the orbit table is invariant under the generator rows of ``N``, hence
       under ``N`` (see :func:`_check_nu_equivariant`);
-    * each listed orbit is a single ``N``-orbit (:func:`_single_orbits`).
+    * each listed orbit is a single ``N``-orbit holding its representative
+      (:func:`_single_orbits`).
 
     Then ``y -> n y`` carries the chains at ``(x_k, z_k)`` onto those at
     ``n (x_k, z_k)``, orbit labels and all, and every pair of ``O_k`` is such
@@ -518,23 +493,22 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     ``(y, z)``.
     """
     fields = h.catalog.boundary
-    table, fault = _orbit_table(h.catalog)
-    rows = _generator_rows(h.catalog.nset)
+    steps = _code_steps(h.catalog.nset)
     if (
-        fault is None
-        and len(fields) == h.B.dim
-        and _invariant(table, rows)
-        and _single_orbits(fields, rows, h.catalog.nset.size)
-        and _chains_match(h.B, table, fields)
+        len(fields) == h.B.dim
+        and _invariant(h.catalog.orbit_table, steps)
+        and _single_orbits(h.catalog, steps)
+        and _chains_match(h.B, h.catalog)
     ):
         return CheckResult("nu-multiplicative", True)
+    orbits = h.catalog.orbits()
     successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
-    for j, field in enumerate(fields):
-        for y, z in field.orbit:
+    for j, orbit in enumerate(orbits):
+        for y, z in orbit:
             successors[y].append((j, z))
     for i, left in enumerate(fields):
         buckets: dict[int, dict[tuple[int, int], int]] = {}
-        for x, y in left.orbit:
+        for x, y in orbits[i]:
             for j, z in successors[y]:
                 counts = buckets.setdefault(j, {})
                 counts[(x, z)] = counts.get((x, z), 0) + 1
@@ -542,7 +516,7 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
             counts = buckets.get(j, {})
             expected: dict[tuple[int, int], int | Fraction] = {}
             for k, value in h.B.pair_products(i, j).items():
-                for pair in fields[k].orbit:
+                for pair in orbits[k]:
                     expected[pair] = expected.get(pair, 0) + value
             if counts == expected:
                 continue
@@ -557,32 +531,36 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("nu-multiplicative", True)
 
 
+def _swapped_cells(catalog: FieldCatalog) -> Iterator[tuple[int, int]]:
+    """``(orbit(x, y), orbit(y, x))`` for every cell, in row-major order."""
+    table, size = catalog.orbit_table, catalog.nset.size
+    return zip(table, chain.from_iterable(table[x::size] for x in range(size)))
+
+
 def _check_nu_star_transpose(h: CardyFrobeniusAlgebra) -> CheckResult:
-    for field in h.catalog.boundary:
-        swapped = {(y, x) for (x, y) in field.orbit}
-        star_orbit = set(h.catalog.boundary_field(field.star).orbit)
-        if swapped != star_orbit:
-            return CheckResult("nu-star-transpose", False, field.label)
+    # nu(beta_k)^T == nu(beta_k*): every swapped pair of O_k lies in O_k*,
+    # and O_k* is no larger.  The first failing field is the witness.
+    fields = h.catalog.boundary
+    stars = [h.catalog.boundary_position(field.star) for field in fields]
+    failing = {k for k, swapped in _swapped_cells(h.catalog) if stars[k] != swapped}
+    failing.update(k for k, field in enumerate(fields) if field.size != fields[stars[k]].size)
+    if failing:
+        return CheckResult("nu-star-transpose", False, fields[min(failing)].label)
     return CheckResult("nu-star-transpose", True)
 
 
 def _check_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
     # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
-    # with (y, x) in O_j: one walk of O_i gives row i of the traces.
+    # with (y, x) in O_j: one pass over the orbit table counts them all.
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
-    owners: dict[tuple[int, int], list[int]] = {}
-    for j, field in enumerate(fields):
-        for pair in set(field.orbit):
-            owners.setdefault(pair, []).append(j)
-    for i, left in enumerate(fields):
-        traces: dict[int, int] = {}
-        for x, y in left.orbit:
-            for j in owners.get((y, x), ()):
-                traces[j] = traces.get(j, 0) + 1
+    traces: list[dict[int, int]] = [{} for _ in fields]
+    for (i, j), count in Counter(_swapped_cells(h.catalog)).items():
+        traces[i][j] = count
+    for i, (left, trace) in enumerate(zip(fields, traces)):
         row = h.B.form[i]
         failing = [
-            j for j in row.keys() | traces.keys() if row.get(j, 0) * n_order != traces.get(j, 0)
+            j for j in row.keys() | trace.keys() if row.get(j, 0) * n_order != trace.get(j, 0)
         ]
         if failing:
             witness = f"({left.label}, {fields[min(failing)].label})"
@@ -591,40 +569,34 @@ def _check_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_linear_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
+    # l_B(beta_i) == tr(nu_i) / |N|, the diagonal cells of O_i.
     n_order = h.catalog.nset.group.order
+    diagonal = Counter(h.catalog.orbit_table[:: h.catalog.nset.size + 1])
     for i, field in enumerate(h.catalog.boundary):
-        trace = sum(1 for (x, y) in field.orbit if x == y)
-        if h.B.linear_form[i] != Fraction(trace, n_order):
+        if h.B.linear_form[i] != Fraction(diagonal[i], n_order):
             return CheckResult("linear-form-from-traces", False, field.label)
     return CheckResult("linear-form-from-traces", True)
-
-
-def _generator_rows(nset: NSet) -> list[tuple[int, ...]]:
-    """The action rows of the generators of the acting group."""
-    return [nset.act_table[s] for s in nset.group.generators]
 
 
 def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
     """``rho(n) nu(beta) rho(n)^-1 == nu(beta)`` for every ``n`` in ``N``.
 
-    That is ``table[n x][n y] == table[x][y]`` for the orbit table (pairs in
-    no orbit read -1 and must stay so).  It is checked on the generator rows
-    only, ``|S| |X|^2`` steps instead of ``|N| |X|^2``: a table that ``rho(g)``
-    and ``rho(s)`` leave invariant is left invariant by ``rho(g) rho(s) =
-    rho(gs)``, as :class:`~cardyfrob.actions.NSet` certified ``rho`` a
-    homomorphism, so by every word in the generators, that is by all of
-    ``N``.  Without a table, or on a failure, the walk names the first
-    ``(field, n)``.
+    That is ``orbit(n x, n y) == orbit(x, y)``.  It is checked on the
+    generator rows only, ``|S| |X|^2`` steps instead of ``|N| |X|^2``: a
+    table that ``rho(g)`` and ``rho(s)`` leave invariant is left invariant by
+    ``rho(g) rho(s) = rho(gs)``, as :class:`~cardyfrob.actions.NSet`
+    certified ``rho`` a homomorphism, so by every word in the generators,
+    that is by all of ``N``.  On a failure the walk over the orbits and every
+    element names the first ``(field, n)``.
     """
     nset = h.catalog.nset
-    table, _ = _orbit_table(h.catalog)
-    if table is not None and _invariant(table, _generator_rows(nset)):
+    table = h.catalog.orbit_table
+    if _invariant(table, _code_steps(nset)):
         return CheckResult("nu-equivariant", True)
-    for field in h.catalog.boundary:
-        orbit = set(field.orbit)
-        for n in range(nset.group.order):
-            row = nset.act_table[n]
-            if any((row[x], row[y]) not in orbit for (x, y) in field.orbit):
+    size = nset.size
+    for k, (field, orbit) in enumerate(zip(h.catalog.boundary, h.catalog.orbits())):
+        for n, row in enumerate(nset.act_table):
+            if any(table[row[x] * size + row[y]] != k for x, y in orbit):
                 return CheckResult("nu-equivariant", False, f"({field.label}, n={n})")
     return CheckResult("nu-equivariant", True)
 

@@ -7,9 +7,9 @@ elimination; :func:`rank` counts its pivots and :func:`invert` finishes it to
 Gauss-Jordan.  A pivot is always the leading entry of the first row that
 reaches its column, so repeated runs produce identical results, and each step
 touches only stored entries: a monomial matrix, such as the pairings of this
-package, inverts in one step per row.  :func:`insert_mod` is the same
-elimination on integer rows modulo a large prime, for rank certificates:
-independence modulo ``p`` implies independence over Q.  :func:`row_times`
+package, inverts in one step per row.  :func:`has_full_rank` first runs
+the same elimination on residues modulo a large prime: independence modulo
+``p`` implies independence over Q.  :func:`row_times`
 is the one sparse row times sparse matrix product.  Dense lists of lists
 survive only for the integer permutation model of the oracles
 (:func:`mat_mul`, :func:`mat_pow`, :func:`trace`).  :func:`power` raises an
@@ -112,47 +112,42 @@ def has_full_rank(rows: Sequence[Mapping[int, Fraction | int]]) -> bool:
     return rank(rows) == n
 
 
-def insert_mod(pivots: dict[int, dict[int, int]], row: Mapping[int, int]) -> bool:
-    """Reduce an integer sparse row modulo ``p`` against ``pivots``; keep it if nonzero.
-
-    ``p`` is :data:`_MODULAR_PRIME`, and ``pivots`` maps a leading column to
-    a row with leading entry 1, as :func:`echelon` does over the rationals.
-    Returns whether the row was independent of the pivots modulo ``p``, in
-    which case it is now one of them.  Independence modulo ``p`` implies
-    independence over ``Q``.
-    """
-    p = _MODULAR_PRIME
-    work = {col: value % p for col, value in row.items() if value % p}
-    while work:
-        lead = min(work)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            scale = pow(work[lead], -1, p)
-            pivots[lead] = {col: value * scale % p for col, value in work.items()}
-            return True
-        factor = work[lead]
-        for col, value in pivot.items():
-            updated = (work.get(col, 0) - factor * value) % p
-            if updated:
-                work[col] = updated
-            else:
-                work.pop(col, None)
-    return False
-
-
 def _rank_mod(rows: Sequence[Mapping[int, Fraction | int]]) -> int:
+    """The rank of ``rows`` modulo ``p`` = :data:`_MODULAR_PRIME`, or 0 if a
+    denominator is divisible by ``p``.
+
+    Each row is reduced against the pivots found so far, leading entry
+    first, as :func:`echelon` does over the rationals; what is left, scaled
+    to a leading 1, becomes a pivot.  The rank modulo ``p`` is at most the
+    rank over ``Q``.
+    """
     p = _MODULAR_PRIME
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        reduced = {}
+        work = {}
         for col, entry in row.items():
             entry = Fraction(entry)
             if entry.denominator % p == 0:
                 # Denominator collides with the prime; report a deficit so the
                 # caller falls back to exact arithmetic.
                 return 0
-            reduced[col] = entry.numerator * pow(entry.denominator, -1, p)
-        insert_mod(pivots, reduced)
+            value = entry.numerator * pow(entry.denominator, -1, p) % p
+            if value:
+                work[col] = value
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = pow(work[lead], -1, p)
+                pivots[lead] = {col: value * scale % p for col, value in work.items()}
+                break
+            factor = work[lead]
+            for col, value in pivot.items():
+                updated = (work.get(col, 0) - factor * value) % p
+                if updated:
+                    work[col] = updated
+                else:
+                    work.pop(col, None)
     return len(pivots)
 
 

@@ -199,9 +199,9 @@ def _permutation_model(h: CardyFrobeniusAlgebra) -> _PermutationModel:
         return matrix
 
     nu = {}
-    for field in h.catalog.boundary:
+    for field, orbit in zip(h.catalog.boundary, h.catalog.orbits()):
         matrix = [[0] * size for _ in range(size)]
-        for x, y in field.orbit:
+        for x, y in orbit:
             matrix[x][y] = 1
         nu[field.label] = matrix
     rho_class = {field.label: rho_sum(field.members) for field in h.catalog.interior}
@@ -274,25 +274,18 @@ def t_tensor_oracle(catalog: FieldCatalog, labels: Sequence[str]) -> OracleResul
     orbit (cyclically), divided by ``|N|``; equals ``l_B`` of the product."""
     if not labels:
         raise InputError("the chain oracle needs at least one boundary label")
-    fields = [catalog.boundary_field(label) for label in labels]
-    successors: list[dict[int, list[int]]] = []
-    for field in fields:
-        succ: dict[int, list[int]] = {}
-        for x, y in field.orbit:
-            succ.setdefault(x, []).append(y)
-        successors.append(succ)
-    last_set = set(fields[-1].orbit)
-    n = len(fields)
-    size = catalog.nset.size
+    legs = [catalog.boundary_position(label) for label in labels]
+    table, size = catalog.orbit_table, catalog.nset.size
+    n = len(legs)
     total = 0
     for start in range(size):
 
         def chains(position: int, point: int) -> int:
             if position == n - 1:
-                return 1 if (point, start) in last_set else 0
+                return 1 if table[point * size + start] == legs[-1] else 0
+            row = table[point * size : (point + 1) * size]
             return sum(
-                chains(position + 1, nxt)
-                for nxt in successors[position].get(point, ())
+                chains(position + 1, nxt) for nxt, k in enumerate(row) if k == legs[position]
             )
 
         total += chains(0, start)

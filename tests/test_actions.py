@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+from array import array
+from dataclasses import replace
+
 import pytest
 
 from cardyfrob import (
@@ -9,11 +14,14 @@ from cardyfrob import (
     InputError,
     NSet,
     build_catalog,
+    build_conjugation_setup,
     build_group,
     coset_nset,
+    group_from_document,
     subgroup_closure,
     trivial_subgroup,
 )
+from conftest import SUITE_DOCUMENTS
 
 
 def orbit_of_pair(nset: NSet, pair: tuple[int, int]) -> frozenset[tuple[int, int]]:
@@ -22,7 +30,11 @@ def orbit_of_pair(nset: NSet, pair: tuple[int, int]) -> frozenset[tuple[int, int
 
 
 def pair_labels(catalog) -> dict[tuple[int, int], str]:
-    return {pair: field.label for field in catalog.boundary for pair in field.orbit}
+    return {
+        pair: field.label
+        for field, orbit in zip(catalog.boundary, catalog.orbits())
+        for pair in orbit
+    }
 
 
 SUITE_FACTS = {
@@ -175,15 +187,65 @@ def test_boundary_field_invariants(suite_algebras):
             star = catalog.boundary_field(field.star)
             assert star.star == field.label, name
             x, y = field.representative
-            assert (y, x) in star.orbit, name
+            cell = catalog.orbit_table[y * catalog.nset.size + x]
+            assert cell == catalog.boundary_position(field.star), name
             assert field.is_diagonal == (field.label in catalog.diagonal_boundary_labels)
 
 
 def test_orbits_partition_pairs(suite_algebras):
+    for name, h in suite_algebras.items():
+        catalog = h.catalog
+        orbits = catalog.orbits()
+        seen = sorted(pair for orbit in orbits for pair in orbit)
+        size = catalog.nset.size
+        assert seen == [(x, y) for x in range(size) for y in range(size)], name
+        assert [len(orbit) for orbit in orbits] == [field.size for field in catalog.boundary]
+        assert [orbit[0] for orbit in orbits] == [f.representative for f in catalog.boundary]
+        assert all(list(orbit) == sorted(orbit) for orbit in orbits), name
+
+
+def test_catalog_rejects_a_table_that_does_not_partition_pairs(suite_algebras):
     catalog = suite_algebras["s3"].catalog
-    seen = sorted(pair for field in catalog.boundary for pair in field.orbit)
-    size = catalog.nset.size
-    assert seen == [(x, y) for x in range(size) for y in range(size)]
+    table, dim = catalog.orbit_table, len(catalog.boundary)
+    for broken, message in (
+        (table[:-1], "is not an array('i') of 36 cells"),
+        (table.tolist(), "is not an array('i') of 36 cells"),
+        (array("q", table), "is not an array('i') of 36 cells"),
+        (table[:-1] + array("i", [dim]), "pair (5, 5) lies in no orbit"),
+        (array("i", [-1]) + table[1:], "pair (0, 0) lies in no orbit"),
+        (table[:-1] + array("i", [0]), "b0 lists 1 pairs but holds 2 cells"),
+    ):
+        with pytest.raises(ConsistencyError) as caught:
+            replace(catalog, orbit_table=broken)
+        assert message in str(caught.value)
+
+
+MEMORY_DOCUMENTS = {
+    "s4": SUITE_DOCUMENTS["s4"],
+    "a5": {**SUITE_DOCUMENTS["a5_k0123"], "k_generators": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_DOCUMENTS))
+def test_catalog_retains_little_beyond_its_table(name):
+    # The boundary orbits are kept as one flat table of |X|^2 4-byte cells,
+    # no pair tuples: the catalog retains at most 50 bytes per table cell
+    # and per field (interior or boundary).  A tuple of pairs per orbit
+    # costs 64 bytes or more per pair alone, so it cannot pass.
+    group, k = group_from_document(MEMORY_DOCUMENTS[name])
+    nset = build_conjugation_setup(group, k).nset
+    build_catalog(nset)  # fills the caches of the group, which the catalog does not own
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        catalog = build_catalog(nset)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    units = nset.size**2 + len(catalog.interior) + len(catalog.boundary)
+    assert retained <= 50 * units, (name, retained, units)
 
 
 def test_identity_interior_label(suite_algebras):
@@ -194,15 +256,18 @@ def test_identity_interior_label(suite_algebras):
 
 
 def test_pair_label_round_trip(suite_algebras):
-    catalog = suite_algebras["s3"].catalog
-    labels = pair_labels(catalog)
-    size = catalog.nset.size
-    assert len(labels) == size * size
-    for field in catalog.boundary:
-        for pair in field.orbit:
-            assert labels[pair] == field.label
-            assert orbit_of_pair(catalog.nset, pair) == frozenset(field.orbit)
-    assert (0, 99) not in labels
+    # Each orbit derived from the table is the N-orbit of each of its pairs,
+    # so the table holds, cell by cell, the orbit that orbit_of_pair computes.
+    for name, h in suite_algebras.items():
+        catalog = h.catalog
+        labels = pair_labels(catalog)
+        size = catalog.nset.size
+        assert len(labels) == size * size, name
+        for field, orbit in zip(catalog.boundary, catalog.orbits()):
+            for pair in orbit:
+                assert labels[pair] == field.label
+                assert orbit_of_pair(catalog.nset, pair) == frozenset(orbit), (name, pair)
+        assert (0, 99) not in labels
 
 
 def test_unknown_labels_rejected(suite_algebras):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
@@ -166,7 +167,7 @@ def test_tampered_catalog_fails_phi_reconstruction():
     fused = BoundaryField(
         label="b0",
         representative=(0, 0),
-        orbit=((0, 0), (0, 1)),
+        size=2,
         aut_order=2,
         star="b0",
     )
@@ -177,23 +178,21 @@ def test_tampered_catalog_fails_phi_reconstruction():
         nset=catalog.nset,
         interior=catalog.interior,
         boundary=(fused,) + keep,
+        orbit_table=array("i", [0, 0, 1, 2]),
         provenance="",
     )
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="not constant on the orbit of b0"):
         build_phi(broken)
-    # A pair of an orbit, or its representative, moved outside X x X past
-    # either end is rejected as such, not read off another cell.
+    # A representative outside X x X past either end is rejected by the
+    # catalog as it is built, so it is never read off another cell.
     size = catalog.nset.size
     field = catalog.boundary[1]
     for outside in ((0, size), (size, 0), (-1, 0)):
-        for moved in (
-            replace(field, orbit=field.orbit[:-1] + (outside,)),
-            replace(field, representative=outside),
-        ):
-            boundary = (catalog.boundary[0], moved) + catalog.boundary[2:]
-            with pytest.raises(ConsistencyError) as caught:
-                build_phi(replace(catalog, boundary=boundary))
-            assert f"pair {outside} of b1 lies outside X x X" in str(caught.value)
+        moved = replace(field, representative=outside)
+        boundary = (catalog.boundary[0], moved) + catalog.boundary[2:]
+        with pytest.raises(ConsistencyError) as caught:
+            replace(catalog, boundary=boundary)
+        assert f"pair {outside} of b1 lies outside X x X" in str(caught.value)
 
 
 def test_singular_pairing_is_reported_not_raised(suite_algebras):

@@ -13,6 +13,7 @@ agree, witness included, on the suite, on seeded corruptions of ``B``, of
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
@@ -36,9 +37,8 @@ from cardyfrob.cardy import (
     _check_phi_homomorphism,
     _check_phi_star,
     _check_phi_unit,
-    _generator_rows,
+    _code_steps,
     _invariant,
-    _orbit_table,
     _single_orbits,
 )
 from cardyfrob.frobenius import _check_casimir_central, _check_unit, commutator_rows
@@ -146,58 +146,79 @@ def test_corrupted_phi_entry_matches_oracle(suite_algebras, name):
     assert failed
 
 
+def with_table(catalog: FieldCatalog, table: array, sizes: list[int]) -> FieldCatalog:
+    """``catalog`` with ``table`` as its orbit table and ``sizes`` as the
+    sizes of its boundary fields; the catalog checks them as it is built."""
+    boundary = tuple(replace(field, size=size) for field, size in zip(catalog.boundary, sizes))
+    return replace(catalog, boundary=boundary, orbit_table=table)
+
+
+def last_cell(table: array, k: int) -> int:
+    """The code of the last pair of orbit ``k``."""
+    return len(table) - 1 - table[::-1].index(k)
+
+
 def moved_pair(catalog: FieldCatalog, source: int, target: int, mode: str) -> FieldCatalog:
     """``catalog`` with the last pair of orbit ``source`` moved to orbit
-    ``target`` (``"move"``), copied there (``"copy"``) or dropped (``"drop"``)."""
-    fields = list(catalog.boundary)
-    pair = fields[source].orbit[-1]
+    ``target`` (``"move"``), counted under ``target`` as well (``"copy"``)
+    or put in no orbit (``"drop"``), each touched size set to the number of
+    pairs it now lists.  Only a move gives a catalog: a copy leaves the size
+    of ``target`` wrong and a drop leaves a cell in no orbit, and either
+    raises :class:`ConsistencyError`."""
+    table = array("i", catalog.orbit_table)
+    sizes = [field.size for field in catalog.boundary]
     if mode != "copy":
-        fields[source] = replace(fields[source], orbit=fields[source].orbit[:-1])
+        table[last_cell(table, source)] = target if mode == "move" else -1
+        sizes[source] -= 1
     if mode != "drop":
-        fields[target] = replace(
-            fields[target], orbit=tuple(sorted(fields[target].orbit + (pair,)))
-        )
-    return replace(catalog, boundary=tuple(fields))
+        sizes[target] += 1
+    return with_table(catalog, table, sizes)
 
 
 @pytest.mark.parametrize("name", SMALL_PAIRS)
 def test_moved_orbit_pair_matches_oracle(suite_algebras, name):
     # A pair moved between two orbits keeps the partition but breaks
-    # equivariance; a pair copied into a second orbit leaves no orbit table,
-    # and a dropped pair reads -1 in it.  Each takes the walks.
+    # equivariance, so both checks take the walks.  A pair copied into a
+    # second orbit or dropped from every orbit is no catalog at all.
     h = suite_algebras[name]
     fields = h.catalog.boundary
     sources = [position for position, field in enumerate(fields) if field.size > 1]
     rng = random.Random(seed_of(name))
     for source in rng.sample(sources, min(3, len(sources))):
         target = rng.choice([other for other in range(len(fields)) if other != source])
-        for mode in ("move", "copy", "drop"):
-            catalog = moved_pair(h.catalog, source, target, mode)
-            assert (_orbit_table(catalog)[0] is None) == (mode == "copy")
-            broken = replace(h, catalog=catalog)
-            results = cardy_checks(broken)
-            assert results == cardy_axiom_oracle(broken), (name, source, target, mode)
-            assert {"nu-multiplicative", "nu-equivariant"} <= failed_names(results)
+        for mode in ("copy", "drop"):
+            with pytest.raises(ConsistencyError):
+                moved_pair(h.catalog, source, target, mode)
+        broken = replace(h, catalog=moved_pair(h.catalog, source, target, "move"))
+        results = cardy_checks(broken)
+        assert results == cardy_axiom_oracle(broken), (name, source, target)
+        assert {"nu-multiplicative", "nu-equivariant"} <= failed_names(results)
 
 
 def merged_orbits(catalog: FieldCatalog, keep: int, emptied: int) -> FieldCatalog:
-    """``catalog`` with orbit ``emptied`` listed under ``keep`` as well, and
-    left empty under its own label."""
-    fields = list(catalog.boundary)
-    union = tuple(sorted(fields[keep].orbit + fields[emptied].orbit))
-    fields[keep] = replace(fields[keep], orbit=union)
-    fields[emptied] = replace(fields[emptied], orbit=())
-    return replace(catalog, boundary=tuple(fields))
+    """``catalog`` with the pairs of orbit ``emptied`` listed under ``keep``,
+    and none left under its own label."""
+    table = array("i", (keep if k == emptied else k for k in catalog.orbit_table))
+    sizes = [field.size for field in catalog.boundary]
+    sizes[keep] += sizes[emptied]
+    sizes[emptied] = 0
+    return with_table(catalog, table, sizes)
+
+
+def every_step(nset) -> list[list[int]]:
+    """Every element of ``N`` as a permutation of the pair codes."""
+    size = nset.size
+    return [[image * size + other for image in row for other in row] for row in nset.act_table]
 
 
 @pytest.mark.parametrize("name", SMALL_PAIRS + ["s4"])
 def test_merged_orbits_match_oracle(suite_algebras, name):
     # Two N-orbits under one label still partition X x X and leave the orbit
     # table invariant under every element, so nu-equivariant passes; only
-    # the walk that finds a listed orbit to be two N-orbits sends
-    # nu-multiplicative to the chain walk, which must fail as the oracle does.
+    # the walk that finds a listed orbit to be two N-orbits (or its
+    # representative in another orbit) sends nu-multiplicative to the chain
+    # walk, which must fail as the oracle does.
     h = suite_algebras[name]
-    rows = h.catalog.nset.act_table
     rng = random.Random(seed_of(name))
     diagonal = [k for k, field in enumerate(h.catalog.boundary) if field.is_diagonal]
     choices = [tuple(rng.sample(range(h.B.dim), 2)) for _ in range(3)]
@@ -205,9 +226,8 @@ def test_merged_orbits_match_oracle(suite_algebras, name):
         choices.append(tuple(diagonal[:2]))
     for keep, emptied in choices:
         catalog = merged_orbits(h.catalog, keep, emptied)
-        table, fault = _orbit_table(catalog)
-        assert fault is None and _invariant(table, rows)
-        assert not _single_orbits(catalog.boundary, _generator_rows(catalog.nset), catalog.nset.size)
+        assert _invariant(catalog.orbit_table, every_step(catalog.nset))
+        assert not _single_orbits(catalog, _code_steps(catalog.nset))
         broken = replace(h, catalog=catalog)
         results = cardy_checks(broken)
         assert results == cardy_axiom_oracle(broken), (name, keep, emptied)
@@ -216,20 +236,19 @@ def test_merged_orbits_match_oracle(suite_algebras, name):
 
 def swapped_pairs(catalog: FieldCatalog, a: int, b: int) -> FieldCatalog:
     """``catalog`` with the last pairs of orbits ``a`` and ``b`` swapped."""
-    fields = list(catalog.boundary)
-    last_a, last_b = fields[a].orbit[-1], fields[b].orbit[-1]
-    fields[a] = replace(fields[a], orbit=tuple(sorted(fields[a].orbit[:-1] + (last_b,))))
-    fields[b] = replace(fields[b], orbit=tuple(sorted(fields[b].orbit[:-1] + (last_a,))))
-    return replace(catalog, boundary=tuple(fields))
+    table = array("i", catalog.orbit_table)
+    last_a, last_b = last_cell(table, a), last_cell(table, b)
+    table[last_a], table[last_b] = b, a
+    return replace(catalog, orbit_table=table)
 
 
 @pytest.mark.parametrize("name", ["a5_k0123", "s4"])
 def test_swapped_orbit_pairs_match_oracle(suite_algebras, name):
     # The last pairs of two orbits of one size swapped, and B counted anew
-    # from that catalog where build_B accepts it: the walk from each first
-    # pair still reaches as many pairs as its orbit lists, and the chains at
-    # the first pairs are the ones B was counted from, so only the
-    # invariance test keeps nu-multiplicative off the fast path.
+    # from that catalog where build_B accepts it: the walk from each
+    # representative still reaches as many pairs as its orbit holds, and the
+    # chains at the representatives are the ones B was counted from, so only
+    # the invariance test keeps nu-multiplicative off the fast path.
     h = suite_algebras[name]
     by_size: dict[int, list[int]] = {}
     for k, field in enumerate(h.catalog.boundary):
@@ -256,20 +275,38 @@ def test_swapped_orbit_pairs_match_oracle(suite_algebras, name):
 
 def test_single_orbits_reads_the_listed_orbits(suite_algebras):
     catalog = suite_algebras["s4_k0123"].catalog
-    rows = _generator_rows(catalog.nset)
-    assert _single_orbits(catalog.boundary, rows, catalog.nset.size)
-    assert not _single_orbits(catalog.boundary, rows[:0], catalog.nset.size)
-    split = list(catalog.boundary)
-    big = max(range(len(split)), key=lambda k: split[k].size)
-    split[big] = replace(split[big], orbit=split[big].orbit[:1])
-    assert not _single_orbits(split, rows, catalog.nset.size)
+    steps = _code_steps(catalog.nset)
+    assert _single_orbits(catalog, steps)
+    assert not _single_orbits(catalog, steps[:0])
+    # The largest orbit cut down to its representative, the rest of its
+    # pairs listed as an orbit of their own: the walk from the
+    # representative reaches more pairs than the orbit holds.
+    fields = list(catalog.boundary)
+    big = max(range(len(fields)), key=lambda k: fields[k].size)
+    table = array("i", catalog.orbit_table)
+    rest = [code for code, k in enumerate(table) if k == big][1:]
+    for code in rest:
+        table[code] = len(fields)
+    extra = replace(
+        fields[big],
+        label=f"b{len(fields)}",
+        representative=divmod(rest[0], catalog.nset.size),
+        size=len(rest),
+    )
+    fields[big] = replace(fields[big], size=1)
+    split = replace(catalog, boundary=(*fields, extra), orbit_table=table)
+    assert not _single_orbits(split, steps)
+    # A representative whose cell lies in another orbit fails the premise.
+    fields = list(catalog.boundary)
+    fields[big] = replace(fields[big], representative=fields[big - 1].representative)
+    assert not _single_orbits(replace(catalog, boundary=tuple(fields)), steps)
 
 
 def test_nu_multiplicative_names_the_least_failing_pair(suite_algebras):
     # c_{15,13}^13 off by one fails at every pair of O_13, {(2, 1), (3, 1),
     # ...}; the witness is the least of them, not the first one a set yields.
     h = suite_algebras["a5_k0123"]
-    assert h.catalog.boundary[13].orbit[:2] == ((2, 1), (3, 1))
+    assert h.catalog.orbits()[13][:2] == ((2, 1), (3, 1))
     broken = with_constant(h.B, 15, 13, 13, h.B.pair_products(15, 13)[13] + 1)
     result = _check_nu_multiplicative(replace(h, B=broken))
     assert result == CheckResult("nu-multiplicative", False, "(b15, b13) at (2, 1)")

@@ -295,7 +295,7 @@ def test_build_B_stores_chain_counts_in_first_seen_order(suite_algebras, name):
     # store lists the rows in order of i, each row in first-seen order.
     h = suite_algebras[name]
     catalog = h.catalog
-    orbit_of = {pair: k for k, field in enumerate(catalog.boundary) for pair in field.orbit}
+    orbit_of = {pair: k for k, orbit in enumerate(catalog.orbits()) for pair in orbit}
     expected: dict[tuple[int, int], dict[int, int]] = {}
     for k, field in enumerate(catalog.boundary):
         x, z = field.representative
@@ -333,22 +333,26 @@ def test_build_B_peaks_near_what_it_keeps(suite_algebras, name):
 @pytest.mark.parametrize("name", ["s4", "a5_k0123"])
 @pytest.mark.parametrize("mode", ["drop", "copy"])
 def test_build_B_names_the_pair_outside_the_partition(suite_algebras, name, mode):
-    # A dropped pair lies in no orbit and a copied one in two; either way the
-    # error names that pair, never the pairing guard of some other field.
+    # build_B can no longer be handed such a catalog: the catalog rejects a
+    # table that does not partition X x X when it is built.  A dropped pair
+    # lies in no orbit, and the error names it; a pair copied into a second
+    # orbit leaves that orbit's size wrong, and the error names the field.
     # Every orbit of more than one pair is broken once.
     h = suite_algebras[name]
     fields = h.catalog.boundary
+    orbits = h.catalog.orbits()
     sources = [position for position, field in enumerate(fields) if field.size > 1]
     rng = random.Random(seed_of(name))
     for source in sources:
         target = rng.choice([other for other in range(len(fields)) if other != source])
-        pair = fields[source].orbit[-1]
         with pytest.raises(ConsistencyError) as caught:
             build_B(moved_pair(h.catalog, source, target, mode))
         message = str(caught.value)
-        assert f"pair {pair}" in message, (source, target, message)
-        assert ("in no orbit" in message) == (mode == "drop")
-        assert "recomputed" not in message
+        if mode == "drop":
+            assert message == f"pair {orbits[source][-1]} lies in no orbit", (source, message)
+        else:
+            expected = f"{fields[target].label} lists {fields[target].size + 1} pairs but holds"
+            assert message.startswith(expected), (source, target, message)
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))

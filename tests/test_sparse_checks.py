@@ -269,7 +269,7 @@ def record_walks(monkeypatch) -> list[list[int]]:
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
-def test_nucleus_words_have_full_rank_over_q(suite_algebras, name):
+def test_generating_set_spans_over_q(suite_algebras, name):
     # The words in the generating set S, closed under products, span A and B.
     for alg in (suite_algebras[name].A, suite_algebras[name].B):
         assert generated_rank(alg, generating_set(alg)) == alg.dim
