@@ -9,9 +9,9 @@ linear forms.  The store is read only through ``pair_products``,
 ``left_products`` and ``stored_products``, which must agree with one
 another, and no module but ``frobenius`` may name it.  ``from_indices`` keeps
 rows of nonzero ``int`` constants as handed in and copies anything else.
-``build_B`` reads the orbit table, must name the pair that keeps a broken
-catalog's orbits from partitioning ``X x X``, and must peak near the memory
-it keeps; ``phi`` must expand every class sum of the dense permutation model
+``build_B`` reads the catalog's orbit table, which cannot be handed a
+table that does not partition ``X x X`` (the catalog names the pair or the
+field when it is built), and must peak near the memory it keeps; ``phi`` must expand every class sum of the dense permutation model
 over the ``nu`` matrices.
 """
 
