@@ -632,87 +632,68 @@ def hecke_check(group: FiniteGroup, s: Subgroup) -> HeckeComparison:
 
     The orbit of a coset pair ``(gS, hS)`` corresponds to the double coset
     ``S g^-1 h S``; the structure constants of ``B`` must equal the double
-    coset convolution counts ``#{v in D_1 : v^-1 w in D_2} / |S|`` evaluated
+    coset convolution counts ``#{v in D_i : v^-1 w in D_j} / |S|`` evaluated
     at a representative ``w`` of the target double coset.  Both facts are
-    checked by brute force over ``G``.
+    checked by brute force over ``G``, without the orbit table: for each
+    target ``k`` one pass over ``G`` tallies the pairs (double coset of
+    ``v``, double coset of ``v^-1 w_k``), column ``k`` of the convolution,
+    ``dim |G|`` group products in all.  The witness is the first failing
+    ``(i, j, k)`` in lexicographic order.
     """
     nset = coset_nset(group, s)
     catalog = build_catalog(nset)
     b_algebra = build_B(catalog)
     assert nset.point_sets is not None
-    double_coset_of: dict[int, int] = {}
-    double_cosets: list[frozenset[int]] = []
+    # Number the double cosets S g S in order of their least element.
+    double_coset = [-1] * group.order
+    count = 0
     for g in range(group.order):
-        if g in double_coset_of:
-            continue
-        members = frozenset(
-            group.mul(group.mul(a, g), b) for a in s.elements for b in s.elements
-        )
-        for member in members:
-            double_coset_of[member] = len(double_cosets)
-        double_cosets.append(members)
+        if double_coset[g] < 0:
+            for a in s.elements:
+                row = group.table[group.mul(a, g)]
+                for b in s.elements:
+                    double_coset[row[b]] = count
+            count += 1
     # Each boundary orbit has a representative (S, wS); send it to S w S.
-    witness_element: list[int] = []
-    orbit_to_coset: list[int] = []
-    bijection_ok = True
-    for field in catalog.boundary:
-        x, y = field.representative
-        if x != 0:
-            bijection_ok = False
-            break
-        w = min(nset.point_sets[y])
-        witness_element.append(w)
-        orbit_to_coset.append(double_coset_of[w])
-    checks = []
-    bijection_ok = (
-        bijection_ok
-        and len(set(orbit_to_coset)) == len(catalog.boundary) == len(double_cosets)
+    representatives = [field.representative for field in catalog.boundary]
+    witnesses = [min(nset.point_sets[y]) for _, y in representatives]
+    position = {double_coset[w]: k for k, w in enumerate(witnesses)}
+    bijection = all(x == 0 for x, _ in representatives) and (
+        len(position) == len(witnesses) == count
     )
-    checks.append(
-        CheckResult(
-            "double-coset-bijection",
-            bijection_ok,
-            None
-            if bijection_ok
-            else f"{len(catalog.boundary)} orbits vs {len(double_cosets)} double cosets",
-        )
-    )
-    convolution_ok = True
-    witness = None
-    if bijection_ok:
-        coset_members = [sorted(members) for members in double_cosets]
-        for i, left in enumerate(catalog.boundary):
-            left_members = coset_members[orbit_to_coset[i]]
-            for j, right in enumerate(catalog.boundary):
-                right_set = double_cosets[orbit_to_coset[j]]
-                for k, target in enumerate(catalog.boundary):
-                    w = witness_element[k]
-                    count = sum(
-                        1
-                        for v in left_members
-                        if group.mul(group.inv(v), w) in right_set
-                    )
-                    expected = Fraction(count, s.order)
-                    actual = b_algebra.structure_constant(
-                        left.label, right.label, target.label
-                    )
-                    if actual != expected:
-                        convolution_ok = False
-                        witness = (
-                            f"({left.label}, {right.label}, {target.label}): "
-                            f"{actual} != {expected}"
-                        )
-                        break
-                if not convolution_ok:
-                    break
-            if not convolution_ok:
-                break
-    else:
-        convolution_ok = False
-        witness = "bijection failed, convolution not comparable"
-    checks.append(CheckResult("hecke-convolution", convolution_ok, witness))
+    witness = "bijection failed, convolution not comparable"
+    if bijection:
+        orbit = [position[target] for target in double_coset]
+        inverse = [orbit[v] for v in group.inverses]
+        columns: list[dict[tuple[int, int], int | Fraction]] = [{} for _ in witnesses]
+        for i, j, expansion in b_algebra.stored_products():
+            for k, value in expansion.items():
+                columns[k][i, j] = value
+        failing = []
+        for k, (w, column) in enumerate(zip(witnesses, columns)):
+            # (orbit(v), orbit(v^-1 w)) as (orbit(u^-1), orbit(u w)) over all u;
+            # the v of each pair form a union of cosets v S, so |S| divides.
+            tally = Counter(zip(inverse, [orbit[row[w]] for row in group.table]))
+            expected = {pair: n // s.order for pair, n in tally.items()}
+            failing += [
+                (i, j, k, column.get((i, j), 0), expected.get((i, j), 0))
+                for i, j in column.keys() | expected.keys()
+                if column.get((i, j), 0) != expected.get((i, j), 0)
+            ]
+        witness = None
+        if failing:
+            i, j, k, actual, wanted = min(failing)
+            labels = b_algebra.basis
+            witness = f"({labels[i]}, {labels[j]}, {labels[k]}): {actual} != {wanted}"
     return HeckeComparison(
-        checks=tuple(checks),
+        checks=(
+            CheckResult(
+                "double-coset-bijection",
+                bijection,
+                None if bijection else f"{len(witnesses)} orbits vs {count} double cosets",
+            ),
+            CheckResult("hecke-convolution", witness is None, witness),
+        ),
         boundary_dimension=b_algebra.dim,
-        double_coset_count=len(double_cosets),
+        double_coset_count=count,
     )

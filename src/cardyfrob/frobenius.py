@@ -312,9 +312,6 @@ class EquippedFrobeniusAlgebra:
             self.index(label)
         return AlgebraElement(coeffs)
 
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement()
-
     def pair_products(self, i: int, j: int) -> Mapping[int, int | Fraction]:
         """Sparse expansion ``{k: c_ij^k}`` of ``basis[i] * basis[j]``, empty when zero."""
         n = self.dim
@@ -840,7 +837,7 @@ def trace_form(alg: EquippedFrobeniusAlgebra) -> list[list[Fraction]]:
 
 def is_semisimple(alg: EquippedFrobeniusAlgebra) -> bool:
     """Whether the trace form is nondegenerate (semisimplicity over the rationals)."""
-    return linalg.has_full_rank(multiplication_traces(alg))
+    return linalg.rank(multiplication_traces(alg)) == alg.dim
 
 
 def commutator_rows(alg: EquippedFrobeniusAlgebra) -> list[dict[int, int | Fraction]]:

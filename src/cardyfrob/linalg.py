@@ -7,13 +7,11 @@ elimination; :func:`rank` counts its pivots and :func:`invert` finishes it to
 Gauss-Jordan.  A pivot is always the leading entry of the first row that
 reaches its column, so repeated runs produce identical results, and each step
 touches only stored entries: a monomial matrix, such as the pairings of this
-package, inverts in one step per row.  :func:`has_full_rank` first runs
-the same elimination on residues modulo a large prime: independence modulo
-``p`` implies independence over Q.  :func:`row_times`
-is the one sparse row times sparse matrix product.  Dense lists of lists
-survive only for the integer permutation model of the oracles
-(:func:`mat_mul`, :func:`mat_pow`, :func:`trace`).  :func:`power` raises an
-element of any associative product by repeated squaring.
+package, inverts in one step per row.  :func:`row_times` is the one sparse
+row times sparse matrix product.  Dense lists of lists survive only for the
+integer permutation model of the oracles (:func:`mat_mul`, :func:`mat_pow`,
+:func:`trace`).  :func:`power` raises an element of any associative product
+by repeated squaring.
 """
 
 from __future__ import annotations
@@ -90,65 +88,6 @@ def invert(rows: Sequence[Mapping[int, Fraction | int]]) -> list[SparseRow]:
     return [
         {c - n: value for c, value in pivots[col].items() if c >= n} for col in range(n)
     ]
-
-
-_MODULAR_PRIME = (1 << 61) - 1
-
-
-def has_full_rank(rows: Sequence[Mapping[int, Fraction | int]]) -> bool:
-    """Decide whether a square rational matrix, given as sparse rows, is nonsingular.
-
-    A single modular elimination over a large prime certifies full rank
-    quickly in the typical case; only a modular rank deficit falls back to
-    exact rational elimination, since reductions can lose rank mod p but
-    never gain it.
-    """
-    n = len(rows)
-    if n == 0:
-        return True
-    modular = _rank_mod(rows)
-    if modular == n:
-        return True
-    return rank(rows) == n
-
-
-def _rank_mod(rows: Sequence[Mapping[int, Fraction | int]]) -> int:
-    """The rank of ``rows`` modulo ``p`` = :data:`_MODULAR_PRIME`, or 0 if a
-    denominator is divisible by ``p``.
-
-    Each row is reduced against the pivots found so far, leading entry
-    first, as :func:`echelon` does over the rationals; what is left, scaled
-    to a leading 1, becomes a pivot.  The rank modulo ``p`` is at most the
-    rank over ``Q``.
-    """
-    p = _MODULAR_PRIME
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        work = {}
-        for col, entry in row.items():
-            entry = Fraction(entry)
-            if entry.denominator % p == 0:
-                # Denominator collides with the prime; report a deficit so the
-                # caller falls back to exact arithmetic.
-                return 0
-            value = entry.numerator * pow(entry.denominator, -1, p) % p
-            if value:
-                work[col] = value
-        while work:
-            lead = min(work)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                scale = pow(work[lead], -1, p)
-                pivots[lead] = {col: value * scale % p for col, value in work.items()}
-                break
-            factor = work[lead]
-            for col, value in pivot.items():
-                updated = (work.get(col, 0) - factor * value) % p
-                if updated:
-                    work[col] = updated
-                else:
-                    work.pop(col, None)
-    return len(pivots)
 
 
 def row_times(

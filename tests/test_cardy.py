@@ -10,7 +10,9 @@ import pytest
 
 from cardyfrob import (
     AlgebraElement,
+    CheckResult,
     ConsistencyError,
+    EquippedFrobeniusAlgebra,
     FieldCatalog,
     all_passed,
     build_catalog,
@@ -27,6 +29,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
+from cardyfrob import cardy
 from cardyfrob.actions import BoundaryField
 from test_sparse_checks import with_constant
 
@@ -209,6 +212,59 @@ def test_singular_pairing_is_reported_not_raised(suite_algebras):
     assert not invertible.passed and invertible.witness == phi_u.witness
 
 
+def cardy_check(h, name):
+    return next(result for result in verify_cardy_frobenius(h) if result.name == name)
+
+
+@pytest.mark.parametrize(
+    "stars, witness",
+    [
+        # b7 = (1, 4) swaps into b10, not into b14 of the same size.
+        ({"b7": "b14"}, "b7"),
+        # b9 and b12 swap into b2 and b15; the first field is named.
+        ({"b12": "b12", "b9": "b9"}, "b9"),
+    ],
+    ids=["b7", "b9-b12"],
+)
+def test_nu_star_transpose_names_a_changed_star(suite_algebras, stars, witness):
+    h = suite_algebras["s3"]
+    boundary = tuple(
+        replace(field, star=stars.get(field.label, field.star)) for field in h.catalog.boundary
+    )
+    broken = replace(h, catalog=replace(h.catalog, boundary=boundary))
+    assert cardy_check(broken, "nu-star-transpose") == (
+        CheckResult("nu-star-transpose", False, witness)
+    )
+
+
+def test_linear_form_from_traces_names_a_changed_value(suite_algebras):
+    # l_B(b6) and l_B(b13) are 0: b6 and b13 hold no diagonal pair.
+    h = suite_algebras["s3"]
+    b = h.B
+    values = dict(enumerate(b.linear_form))
+    values[b.index("b13")] = Fraction(1, 6)
+    values[b.index("b6")] = Fraction(-1, 6)
+    broken = EquippedFrobeniusAlgebra.from_indices(
+        basis=b.basis,
+        products=[dict(b.left_products(i)) for i in range(b.dim)],
+        linear_form=values,
+        involution=b.involution,
+        unit={b.index(label): value for label, value in b.unit.coeffs.items()},
+    )
+    assert cardy_check(replace(h, B=broken), "linear-form-from-traces") == (
+        CheckResult("linear-form-from-traces", False, "b6")
+    )
+
+
+def test_u_coefficients_names_the_first_wrong_class(suite_algebras):
+    # In S3, U = 4 a0 + a2: a1 (the transpositions) has no square root of an
+    # inverse, so both a1 and a2 are wrong below and a1 is named.
+    h = suite_algebras["s3"]
+    assert h.u == AlgebraElement({"a0": 4, "a2": 1})
+    broken = replace(h, u=AlgebraElement({"a0": 4, "a1": 1}))
+    assert cardy_check(broken, "u-coefficients") == CheckResult("u-coefficients", False, "a1")
+
+
 # -- Hecke comparison ------------------------------------------------------------
 
 
@@ -245,6 +301,85 @@ def test_hecke_trivial_subgroup_recovers_group_algebra():
     comparison = hecke_check(z3, trivial_subgroup(z3))
     assert all_passed(comparison.checks)
     assert comparison.double_coset_count == 3
+
+
+def s4_over_transposition():
+    """S4 acting on its 12 cosets of ``<(0 1)>``: 7 double cosets."""
+    s4 = build_group(4, [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]])
+    assert s4.perms is not None
+    transposition = next(a for a in s4.elements() if s4.perms[a] == (1, 0, 2, 3))
+    return s4, subgroup_closure(s4, [transposition])
+
+
+def hecke_outcome(comparison):
+    return (
+        [(check.name, check.passed, check.witness) for check in comparison.checks],
+        comparison.boundary_dimension,
+        comparison.double_coset_count,
+    )
+
+
+@pytest.mark.parametrize(
+    "shifts, witness",
+    [
+        ([(2, 3, 4, 1)], "(b2, b3, b4): 1 != 0"),
+        ([(2, 3, 4, -1)], "(b2, b3, b4): -1 != 0"),
+        ([(1, 1, 0, 1), (1, 3, 2, -1)], "(b1, b1, b0): 3 != 2"),
+        # The first failing (i, j, k) in lexicographic order, not the first k.
+        ([(1, 5, 6, 1), (3, 0, 0, -1)], "(b1, b5, b6): 2 != 1"),
+        ([(1, 3, 2, -1), (1, 1, 4, 1)], "(b1, b1, b4): 1 != 0"),
+    ],
+    ids=["zero-up", "zero-down", "stored", "least-i", "least-j"],
+)
+def test_hecke_names_the_first_shifted_constant(monkeypatch, shifts, witness):
+    # Each shift moves one constant c_ij^k of B by +-1, stored or zero.
+    build_b = cardy.build_B
+
+    def shifted(catalog):
+        alg = build_b(catalog)
+        for i, j, k, step in shifts:
+            alg = with_constant(alg, i, j, k, alg.pair_products(i, j).get(k, 0) + step)
+        return alg
+
+    monkeypatch.setattr(cardy, "build_B", shifted)
+    comparison = hecke_check(*s4_over_transposition())
+    assert hecke_outcome(comparison) == (
+        [("double-coset-bijection", True, None), ("hecke-convolution", False, witness)],
+        7,
+        7,
+    )
+
+
+def test_hecke_bijection_fails_on_a_representative_off_the_coset_s(monkeypatch):
+    # Every orbit is listed at a pair (S, wS); a representative moved to
+    # another pair of its own orbit leaves B as it is but fails the bijection.
+    catalog_for = cardy.build_catalog
+
+    def moved(position, representative):
+        def patched(nset):
+            catalog = catalog_for(nset)
+            boundary = list(catalog.boundary)
+            boundary[position] = replace(boundary[position], representative=representative)
+            return replace(catalog, boundary=tuple(boundary))
+
+        return patched
+
+    for position, representative in ((0, (1, 1)), (3, (1, 6))):
+        monkeypatch.setattr(cardy, "build_catalog", moved(position, representative))
+        comparison = hecke_check(*s4_over_transposition())
+        assert hecke_outcome(comparison) == (
+            [
+                ("double-coset-bijection", False, "7 orbits vs 7 double cosets"),
+                ("hecke-convolution", False, "bijection failed, convolution not comparable"),
+            ],
+            7,
+            7,
+        )
+    # A representative (S, wS) in another orbit breaks B itself: the build
+    # raises before any double coset is compared.
+    monkeypatch.setattr(cardy, "build_catalog", moved(1, (0, 2)))
+    with pytest.raises(ConsistencyError, match=r"not \|O\|/\|N\| at \(b1, b2\)"):
+        hecke_check(*s4_over_transposition())
 
 
 def test_coset_catalog_diagonal_unit():

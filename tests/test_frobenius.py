@@ -68,8 +68,13 @@ def test_coefficient_lookup():
 # -- handcrafted algebras ---------------------------------------------------------
 
 
-def z3_class_algebra(corrupted: bool = False) -> EquippedFrobeniusAlgebra:
-    """The group algebra of Z3 on the basis of its three class sums."""
+def z3_class_algebra(
+    corrupted: bool = False,
+    involution: dict[str, str] | None = None,
+    linear_form: dict[str, Fraction] | None = None,
+) -> EquippedFrobeniusAlgebra:
+    """The group algebra of Z3 on the basis of its three class sums, with
+    the star and the linear form replaced when given."""
     products = {
         ("a0", "a0"): {"a0": 1},
         ("a0", "a1"): {"a1": 1},
@@ -84,8 +89,8 @@ def z3_class_algebra(corrupted: bool = False) -> EquippedFrobeniusAlgebra:
     return EquippedFrobeniusAlgebra(
         basis=["a0", "a1", "a2"],
         products=products,
-        linear_form={"a0": Fraction(1, 3)},
-        involution={"a0": "a0", "a1": "a2", "a2": "a1"},
+        linear_form=linear_form or {"a0": Fraction(1, 3)},
+        involution=involution or {"a0": "a0", "a1": "a2", "a2": "a1"},
         unit={"a0": 1},
     )
 
@@ -118,6 +123,24 @@ def test_corrupted_product_is_caught():
     assert "associativity" in failed
     witness = next(r.witness for r in results if r.name == "associativity")
     assert witness
+
+
+def check_named(results: list[CheckResult], name: str) -> CheckResult:
+    return next(result for result in results if result.name == name)
+
+
+def test_star_that_is_not_an_involution_is_named():
+    # A 3-cycle: the star of the star of a0 is a2.
+    alg = z3_class_algebra(involution={"a0": "a1", "a1": "a2", "a2": "a0"})
+    check = check_named(verify_equipped(alg), "involution-involutive")
+    assert check == CheckResult("involution-involutive", False, "a0")
+
+
+def test_linear_form_that_the_star_moves_is_named():
+    # l(a1) = 1 but l(a1*) = l(a2) = 0; a0 is its own star.
+    alg = z3_class_algebra(linear_form={"a0": Fraction(1, 3), "a1": 1})
+    check = check_named(verify_equipped(alg), "involution-form")
+    assert check == CheckResult("involution-form", False, "a1")
 
 
 def test_dual_numbers_are_frobenius_but_not_semisimple():

@@ -3,7 +3,8 @@
 Each entry pins the sha256 digests of stdout and stderr and the exit code of
 one command: ``check``, ``algebra --dump``, ``info`` and ``fields`` on every
 bundled group, ``hurwitz`` on every bundled surface over ``s3_trivial``, and
-``hecke`` on three bundled groups, each with one subgroup ``S``.
+``hecke`` on three bundled groups, each with one subgroup ``S``, and on
+``s4_trivial`` with ``S = 1`` as well.
 A change that alters any byte of that output fails here; a deliberate change
 of output updates the digests in the same commit.
 """
@@ -211,7 +212,19 @@ HECKE_GOLDEN = {
         EMPTY,
         0,
     ),
+    # S = 1: the regular action, one double coset per element (24).
+    ("s4_trivial", "[]"): (
+        "206b48111610116df1fe528a7abe6328d2e60c808c5345a04bbb4e13855aa2f0",
+        EMPTY,
+        0,
+    ),
 }
+
+
+def hecke_id(key: tuple[str, str]) -> str:
+    """The group name, with ``-S1`` when ``S`` is the trivial subgroup."""
+    group, subgroup = key
+    return f"{group}-S1" if subgroup == "[]" else group
 
 
 def argv_for(key: str) -> list[str]:
@@ -240,7 +253,7 @@ def test_cli_output_is_byte_identical(capsys, key):
     assert digests + (code,) == GOLDEN[key]
 
 
-@pytest.mark.parametrize("key", sorted(HECKE_GOLDEN), ids=lambda key: key[0])
+@pytest.mark.parametrize("key", sorted(HECKE_GOLDEN), ids=hecke_id)
 def test_hecke_output_is_byte_identical(capsys, key):
     group, subgroup = key
     code = run(

@@ -164,6 +164,17 @@ def test_evaluation_trace(suite_algebras):
     assert plain.value == result.value
 
 
+def test_evaluation_trace_of_a_closed_surface(suite_algebras):
+    # Without contours the value is l_A of the A factor, which ends the trace.
+    h = suite_algebras["s3"]
+    for spec, trace in [
+        (SurfaceSpec(True, 1, (), ()), ("A factor: 18*a0 + 9*a2", "l_A = 3")),
+        (SurfaceSpec(True, 0, ("a1", "a1"), ()), ("A factor: 3*a0 + 3*a2", "l_A = 1/2")),
+        (SurfaceSpec(False, Fraction(1, 2), ("a1",), ()), ("A factor: 6*a1", "l_A = 0")),
+    ]:
+        assert evaluate(h, spec, with_trace=True).evaluation_trace == trace
+
+
 # -- cut identities ----------------------------------------------------------------
 
 

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from cardyfrob.linalg import (
     SingularMatrixError,
     echelon,
-    _rank_mod,
-    has_full_rank,
     invert,
     mat_mul,
     mat_pow,
@@ -130,14 +128,6 @@ def test_rank_examples():
     assert sorted(echelon([{1: 2, 2: 4}, {1: 1, 2: 2}, {0: 3}])) == [0, 1]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=5), max_size=6))
-def test_rank_mod_counts_the_rational_rank(dense):
-    # Minors of a 5-column matrix with entries up to 5 stay far below the
-    # prime, so the rank modulo p is the rank over Q.
-    assert _rank_mod(sparse(dense)) == rank(sparse(dense))
-
-
 def test_mat_mul_and_pow():
     m = [[1, 1], [0, 1]]
     assert mat_mul(m, m) == [[1, 2], [0, 1]]
@@ -182,10 +172,8 @@ def test_invert_consistent_with_rank(rows):
         inv = invert(m)
     except SingularMatrixError:
         assert rank(m) < 3
-        assert not has_full_rank(m)
     else:
         assert rank(m) == 3
-        assert has_full_rank(m)
         eye = sparse_identity(3)
         assert sparse_mul(m, inv) == eye
         assert sparse_mul(inv, m) == eye
@@ -196,7 +184,6 @@ def test_invert_consistent_with_rank(rows):
 def test_sparse_invert_against_rank(m):
     n = len(m)
     full = rank(m) == n
-    assert has_full_rank(m) == full
     try:
         inv = invert(m)
     except SingularMatrixError as exc:
