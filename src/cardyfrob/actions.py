@@ -7,7 +7,11 @@ boundary fields are the ``N``-orbits on ``X x X``.  Both carry canonical
 labels (``a<k>`` and ``b<k>``), automorphism orders, and an involution
 (``star``) coming from inversion respectively from swapping the two points
 of a pair.  The boundary orbits exist in one form only, the flat orbit table
-:attr:`FieldCatalog.orbit_table` that every reader indexes.
+:attr:`FieldCatalog.orbit_table` that every reader indexes.  The catalog is
+also the permutation model of the boundary algebra ``B``:
+:meth:`FieldCatalog.is_model_of` decides whether the 0/1 matrices
+``nu(beta_k)`` of its orbits multiply as the constants of an algebra do, and
+:meth:`FieldCatalog.trace_counts` gives the traces ``tr(nu_i nu_j)``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from itertools import chain
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError, ResourceError
+from .frobenius import EquippedFrobeniusAlgebra
 from .groups import (
     POINTS_BOUND,
     ConjugacyClass,
@@ -230,18 +237,18 @@ def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
         raise ResourceError(
             f"S has {index} cosets in G, more than {POINTS_BOUND} (the points bound)"
         )
-    coset_of: dict[int, int] = {}
+    coset_of = [-1] * group.order
     cosets: list[tuple[int, ...]] = []
     for g in range(group.order):
-        if g in coset_of:
+        if coset_of[g] >= 0:
             continue
         coset = tuple(sorted(group.table[g][x] for x in s.elements))
         for member in coset:
             coset_of[member] = len(cosets)
         cosets.append(coset)
+    firsts = [coset[0] for coset in cosets]
     act_table = tuple(
-        tuple(coset_of[group.table[h][coset[0]]] for coset in cosets)
-        for h in range(group.order)
+        tuple(map(coset_of.__getitem__, map(row.__getitem__, firsts))) for row in group.table
     )
     return NSet(
         group=group,
@@ -344,6 +351,51 @@ class FieldCatalog:
             pairs[k].append(divmod(code, self.nset.size))
         return tuple(map(tuple, pairs))
 
+    def trace_counts(self) -> Counter[tuple[int, int]]:
+        """``#{(x, y) in O_i : (y, x) in O_j}`` for each ``(i, j)`` that occurs.
+
+        That is ``tr(nu(beta_i) nu(beta_j))``, the 0/1 matrices of the
+        orbits, counted in one pass over the table read row-major beside its
+        transpose.  A key ``(i, j)`` means that a swapped pair of ``O_i``
+        lies in ``O_j``.
+        """
+        table, size = self.orbit_table, self.nset.size
+        return Counter(zip(table, chain.from_iterable(table[x::size] for x in range(size))))
+
+    def is_model_of(self, algebra: EquippedFrobeniusAlgebra) -> bool:
+        """Whether ``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)`` for the
+        structure constants of ``algebra``, decided without ``|X|^3`` steps.
+
+        At a pair ``(x, z)`` of ``O_k`` the identity says that the chains
+        ``x -> y -> z`` with ``(x, y)`` in ``O_i`` and ``(y, z)`` in ``O_j``
+        number ``c_ij^k``.  It is checked at the representative ``(x_k, z_k)``
+        of each orbit alone once two things hold, given the partition of
+        ``X x X`` into ``dim`` orbits that construction guarantees:
+
+        * the orbit table is invariant under the generator rows of ``N``,
+          hence under ``N`` (:func:`_invariant`);
+        * each listed orbit is a single ``N``-orbit holding its
+          representative (:func:`_single_orbits`).
+
+        Then ``y -> n y`` carries the chains at ``(x_k, z_k)`` onto those at
+        ``n (x_k, z_k)``, orbit labels and all, and every pair of ``O_k`` is
+        such an image.  That costs ``|S| |X|^2`` steps for the two conditions
+        and ``dim |X|`` for the chains (:func:`_chains_match`) instead of
+        ``|X|^3``.  Both conditions matter: a catalog that lists two
+        ``N``-orbits under one label keeps the table invariant and fails only
+        the walk.  When this holds, ``nu`` is an injective homomorphism from
+        ``algebra`` into the rational ``|X| x |X|`` matrices: the supports of
+        the ``nu(beta_k)`` are disjoint and nonempty, so they are linearly
+        independent.
+        """
+        steps = _code_steps(self.nset)
+        return (
+            len(self.boundary) == algebra.dim
+            and _invariant(self.orbit_table, steps)
+            and _single_orbits(self, steps)
+            and _chains_match(algebra, self)
+        )
+
     @cached_property
     def _interior_by_label(self) -> dict[str, InteriorField]:
         return {field.label: field for field in self.interior}
@@ -386,6 +438,75 @@ class FieldCatalog:
     @property
     def diagonal_boundary_labels(self) -> tuple[str, ...]:
         return tuple(field.label for field in self.boundary if field.is_diagonal)
+
+
+def _code_steps(nset: NSet) -> list[list[int]]:
+    """Each generator of ``N`` as a permutation of the pair codes ``x * |X| + y``."""
+    size = nset.size
+    rows = (nset.act_table[s] for s in nset.group.generators)
+    return [[image * size + other for image in row for other in row] for row in rows]
+
+
+def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
+    """Whether the orbit table reads the same at ``n (x, y)`` as at ``(x, y)``
+    for each code permutation given, read as a list (faster to index)."""
+    cells = table.tolist()
+    return all(list(map(cells.__getitem__, step)) == cells for step in steps)
+
+
+def _single_orbits(catalog: FieldCatalog, steps: Sequence[Sequence[int]]) -> bool:
+    """Whether a walk along ``steps`` from each representative reaches exactly
+    as many pairs as its orbit holds.
+
+    The walks cost ``|S| |X|^2`` steps in all.  On an orbit table that the
+    steps leave invariant, a walk stays inside the orbit of its start, so
+    reaching ``|O_k|`` pairs from a representative in ``O_k`` means it covers
+    ``O_k``: each listed orbit is a single orbit of the group the steps
+    generate.  A representative whose cell lies in another orbit fails, as
+    the representative of an empty orbit always does.
+    """
+    table, size = catalog.orbit_table, catalog.nset.size
+    seen = bytearray(len(table))
+    for k, field in enumerate(catalog.boundary):
+        x, z = field.representative
+        walk = [x * size + z]
+        if table[walk[0]] != k:
+            return False
+        seen[walk[0]] = 1
+        for code in walk:
+            for step in steps:
+                image = step[code]
+                if not seen[image]:
+                    seen[image] = 1
+                    walk.append(image)
+        if len(walk) != field.size:
+            return False
+    return True
+
+
+def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> bool:
+    """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
+    chains ``c_ij^k`` asks for.
+
+    The codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, sorted, must
+    be column ``k``: the code ``i * dim + j`` repeated ``c_ij^k`` times.  A
+    constant that is not a positive ``int`` cannot be a count, so it fails.
+    """
+    n, size, table = algebra.dim, catalog.nset.size, catalog.orbit_table
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for i, j, expansion in algebra.stored_products():
+        code = i * n + j
+        for k, value in expansion.items():
+            if type(value) is not int or value <= 0:
+                return False
+            columns[k].extend([code] * value)
+    for column, field in zip(columns, catalog.boundary):
+        x, z = field.representative
+        column.sort()
+        left = [k * n for k in table[x * size : (x + 1) * size]]
+        if sorted(map(add, left, table[z::size])) != column:
+            return False
+    return True
 
 
 def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:

@@ -33,20 +33,22 @@ count list and keeps, for each class sum, the sparse integer row
 rows are the only form of ``phi``: every reader below takes them as they
 are, and only ``cardyfrob algebra`` lists them densely, at the output edge.
 
-Nothing here stores the permutation model itself, the 0/1 matrices
-``nu(beta)`` and ``rho(n)`` on the permutation module of ``X``: the checks
-below read the orbit table instead, and the oracles in
-:mod:`cardyfrob.oracles` build the dense integer matrices while they run.
-``nu`` multiplicativity and equivariance decide the action on the generators
-of ``N`` alone: relabelling by each generator must leave the table as it
-is, and then, once a walk along the generators from each representative
-shows each listed orbit to be a single ``N``-orbit, the sorted chain codes
-``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the representative
-``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j`` exactly
-``c_ij^k`` times.  When a comparison fails, a walk over the orbits and every
-element names the witness.  phi-unit, phi-homomorphism and phi-star compare
-rows of ``phi`` over the stored constants, the products
-``phi(e_i) phi(e_j)`` through
+Nothing here stores the 0/1 matrices ``nu(beta)`` and ``rho(n)`` on the
+permutation module of ``X``: the checks below read the orbit table instead,
+and the oracles in :mod:`cardyfrob.oracles` build the dense integer matrices
+while they run.  ``B`` keeps its catalog as its permutation model, so that
+:func:`~cardyfrob.frobenius.verify_equipped` can prove four of its axioms
+through ``nu``.  ``nu`` multiplicativity and equivariance decide the action
+on the generators of ``N`` alone: relabelling by each generator must leave
+the table as it is, and then, once a walk along the generators from each
+representative shows each listed orbit to be a single ``N``-orbit, the
+sorted chain codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
+representative ``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j``
+exactly ``c_ij^k`` times
+(:meth:`~cardyfrob.actions.FieldCatalog.is_model_of`).  When a comparison
+fails, a walk over the orbits and every element names the witness.
+phi-unit, phi-homomorphism and phi-star compare rows of ``phi`` over the
+stored constants, the products ``phi(e_i) phi(e_j)`` through
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
 phi-central sums the commutator rows of ``B``
 (:func:`cardyfrob.frobenius.commutator_rows`) weighted by each row of
@@ -58,21 +60,19 @@ pack, including the Cardy condition, and reports one result per axiom.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
 from .actions import (
     BoundaryField,
     FieldCatalog,
     InteriorField,
-    NSet,
+    _code_steps,
+    _invariant,
     build_catalog,
     build_conjugation_setup,
     coset_nset,
@@ -179,7 +179,9 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     keeps them as they are: row ``i`` lists each ``j`` when first seen and
     each expansion its ``k`` in increasing order.  The pairing recomputed
     from those constants must be ``|O_i| / |N|`` at ``(i, i*)`` and zero
-    elsewhere, and this is asserted.
+    elsewhere, and this is asserted.  The algebra keeps ``catalog`` as its
+    permutation model, which
+    :func:`~cardyfrob.frobenius.verify_equipped` certifies anew on each call.
     """
     n_order = catalog.nset.group.order
     size = catalog.nset.size
@@ -212,6 +214,7 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
                 f"|O|/|N| at ({field.label}, {fields[star].label}) and zero "
                 "elsewhere in its row"
             )
+    algebra._model = catalog
     return algebra
 
 
@@ -398,108 +401,19 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("cardy", True)
 
 
-def _code_steps(nset: NSet) -> list[list[int]]:
-    """Each generator of ``N`` as a permutation of the pair codes ``x * |X| + y``."""
-    size = nset.size
-    rows = (nset.act_table[s] for s in nset.group.generators)
-    return [[image * size + other for image in row for other in row] for row in rows]
-
-
-def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
-    """Whether the orbit table reads the same at ``n (x, y)`` as at ``(x, y)``
-    for each code permutation given, read as a list (faster to index)."""
-    cells = table.tolist()
-    return all(list(map(cells.__getitem__, step)) == cells for step in steps)
-
-
-def _single_orbits(catalog: FieldCatalog, steps: Sequence[Sequence[int]]) -> bool:
-    """Whether a walk along ``steps`` from each representative reaches exactly
-    as many pairs as its orbit holds.
-
-    The walks cost ``|S| |X|^2`` steps in all.  On an orbit table that the
-    steps leave invariant, a walk stays inside the orbit of its start, so
-    reaching ``|O_k|`` pairs from a representative in ``O_k`` means it covers
-    ``O_k``: each listed orbit is a single orbit of the group the steps
-    generate.  A representative whose cell lies in another orbit fails, as
-    the representative of an empty orbit always does.
-    """
-    table, size = catalog.orbit_table, catalog.nset.size
-    seen = bytearray(len(table))
-    for k, field in enumerate(catalog.boundary):
-        x, z = field.representative
-        walk = [x * size + z]
-        if table[walk[0]] != k:
-            return False
-        seen[walk[0]] = 1
-        for code in walk:
-            for step in steps:
-                image = step[code]
-                if not seen[image]:
-                    seen[image] = 1
-                    walk.append(image)
-        if len(walk) != field.size:
-            return False
-    return True
-
-
-def _chains_match(b: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> bool:
-    """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
-    chains ``c_ij^k`` asks for.
-
-    The codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, sorted, must
-    be column ``k``: the code ``i * dim + j`` repeated ``c_ij^k`` times.  A
-    constant that is not a positive ``int`` cannot be a count, so it fails.
-    """
-    n, size, table = b.dim, catalog.nset.size, catalog.orbit_table
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for i, j, expansion in b.stored_products():
-        code = i * n + j
-        for k, value in expansion.items():
-            if type(value) is not int or value < 0:
-                return False
-            columns[k].extend([code] * value)
-    for column, field in zip(columns, catalog.boundary):
-        x, z = field.representative
-        column.sort()
-        left = [k * n for k in table[x * size : (x + 1) * size]]
-        if sorted(map(add, left, table[z::size])) != column:
-            return False
-    return True
-
-
 def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     """``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)``, computed on orbits.
 
-    At a pair ``(x, z)`` of ``O_k`` this says that the chains ``x -> y -> z``
-    with ``(x, y)`` in ``O_i`` and ``(y, z)`` in ``O_j`` number ``c_ij^k``.
-    It is checked at the representative ``(x_k, z_k)`` of each orbit alone
-    once two things hold, given the partition of ``X x X`` into ``dim B``
-    orbits that the catalog's orbit table guarantees:
-
-    * the orbit table is invariant under the generator rows of ``N``, hence
-      under ``N`` (see :func:`_check_nu_equivariant`);
-    * each listed orbit is a single ``N``-orbit holding its representative
-      (:func:`_single_orbits`).
-
-    Then ``y -> n y`` carries the chains at ``(x_k, z_k)`` onto those at
-    ``n (x_k, z_k)``, orbit labels and all, and every pair of ``O_k`` is such
-    an image.  That costs ``|S| |X|^2`` steps for the two conditions and
-    ``dim |X|`` for the chains (:func:`_chains_match`) instead of ``|X|^3``.
-    Both conditions matter: a catalog that lists two ``N``-orbits under one
-    label keeps the table invariant and fails only the walk.  Without them,
-    or when a chain count fails, the walk below names the first failing
+    The fast path is :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`,
+    which checks the chains at the representative of each orbit alone once
+    the table is invariant under ``N`` and each listed orbit is a single
+    ``N``-orbit.  When it fails, the walk below names the first failing
     ``(i, j)`` and its least failing pair.  Each orbit ``O_i`` is walked
     once: a chain ``x -> y -> z`` lands in the bucket of the orbit ``j`` of
     ``(y, z)``.
     """
     fields = h.catalog.boundary
-    steps = _code_steps(h.catalog.nset)
-    if (
-        len(fields) == h.B.dim
-        and _invariant(h.catalog.orbit_table, steps)
-        and _single_orbits(h.catalog, steps)
-        and _chains_match(h.B, h.catalog)
-    ):
+    if h.catalog.is_model_of(h.B):
         return CheckResult("nu-multiplicative", True)
     orbits = h.catalog.orbits()
     successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
@@ -531,18 +445,12 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("nu-multiplicative", True)
 
 
-def _swapped_cells(catalog: FieldCatalog) -> Iterator[tuple[int, int]]:
-    """``(orbit(x, y), orbit(y, x))`` for every cell, in row-major order."""
-    table, size = catalog.orbit_table, catalog.nset.size
-    return zip(table, chain.from_iterable(table[x::size] for x in range(size)))
-
-
 def _check_nu_star_transpose(h: CardyFrobeniusAlgebra) -> CheckResult:
     # nu(beta_k)^T == nu(beta_k*): every swapped pair of O_k lies in O_k*,
     # and O_k* is no larger.  The first failing field is the witness.
     fields = h.catalog.boundary
     stars = [h.catalog.boundary_position(field.star) for field in fields]
-    failing = {k for k, swapped in _swapped_cells(h.catalog) if stars[k] != swapped}
+    failing = {k for k, swapped in h.catalog.trace_counts() if stars[k] != swapped}
     failing.update(k for k, field in enumerate(fields) if field.size != fields[stars[k]].size)
     if failing:
         return CheckResult("nu-star-transpose", False, fields[min(failing)].label)
@@ -555,7 +463,7 @@ def _check_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
     traces: list[dict[int, int]] = [{} for _ in fields]
-    for (i, j), count in Counter(_swapped_cells(h.catalog)).items():
+    for (i, j), count in h.catalog.trace_counts().items():
         traces[i][j] = count
     for i, (left, trace) in enumerate(zip(fields, traces)):
         row = h.B.form[i]

@@ -49,6 +49,27 @@ centrality checks sum rows of constants in index space: ``[z, e_b]`` is
 ``sum_s z_s`` times row ``s`` of :func:`commutator_rows`, and the least
 nonzero key names the first failing label; the ``AlgebraElement`` loops they
 replace are :func:`cardyfrob.oracles.element_axiom_oracle`.
+
+An algebra may carry a permutation model: ``B`` of a group action keeps the
+catalog it was counted from, and ``nu(e_k)`` is the 0/1 matrix of orbit
+``O_k`` on ``X x X``; the supports are disjoint and cover ``X x X``, a
+coherent configuration (D. G. Higman, *Coherent configurations*, 1975).
+When the chains at each orbit representative equal the stored constants,
+the orbits being single ``N``-orbits of an invariant table, ``nu`` is an
+injective homomorphism into the rational matrices, and the algebra is
+associative because matrix multiplication is.  When also the star is
+transposition, it is an anti-automorphism, because transposition reverses
+products.  When the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``, it is
+symmetric and invariant, because the trace is cyclic.  With all of these
+the algebra is a symmetric Frobenius algebra, whose Casimir element is
+central.
+:func:`verify_equipped` recomputes the premises on every call
+(:func:`_model_certificate`) and skips the four walks they prove; a premise
+that fails leaves its checks to the walks above, so the results do not
+depend on the model.  This module reads the model only through its methods
+and imports neither :mod:`cardyfrob.actions` nor :mod:`cardyfrob.cardy`.
+The constructors and :meth:`~EquippedFrobeniusAlgebra.permuted` never carry
+a model.
 """
 
 from __future__ import annotations
@@ -58,7 +79,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
 from operator import not_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .errors import ConsistencyError, InputError
@@ -294,6 +315,9 @@ class EquippedFrobeniusAlgebra:
         self._form_inverse: list[dict[int, Fraction]] | None = None
         self._casimir: AlgebraElement | None = None
         self._twisted_casimir: AlgebraElement | None = None
+        # The permutation model, a catalog whose orbit matrices nu(e_k) the
+        # constants should multiply as; only cardy.build_B sets one.
+        self._model = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -516,20 +540,66 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
     """Check every equipped-Frobenius axiom, reporting one result per axiom.
 
     Checks are exact; a failing check carries a human-readable witness (the
-    basis labels at which the identity first breaks).
+    basis labels at which the identity first breaks).  A check that
+    :func:`_model_certificate` proves through the permutation model passes
+    without its walk; every other check runs as it does without a model, so
+    the results are the same either way.
     """
+    certified = _model_certificate(alg)
+
+    def run(name: str, check: Callable[[EquippedFrobeniusAlgebra], CheckResult]) -> CheckResult:
+        return CheckResult(name, True) if name in certified else check(alg)
+
     return [
         _check_unit(alg),
-        _check_associativity(alg),
+        run("associativity", _check_associativity),
         _check_form_symmetric(alg),
         _check_form_invertible(alg),
-        _check_form_invariance(alg),
+        run("form-invariance", _check_form_invariance),
         _check_involution_involutive(alg),
-        _check_involution_antiautomorphism(alg),
+        run("involution-antiautomorphism", _check_involution_antiautomorphism),
         _check_involution_form(alg),
-        _check_casimir_central(alg),
+        run("casimir-central", _check_casimir_central),
         _check_dual_reconstruction(alg),
     ]
+
+
+def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
+    """The checks that the permutation model of ``alg`` proves, if it has one.
+
+    The premises are recomputed on every call, nothing cached:
+
+    (a) :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, the fast path
+        of nu-multiplicative: ``nu`` is an injective homomorphism;
+    (b) every swapped pair of ``O_i`` lies in the orbit of the star of
+        ``e_i``: ``nu(e_i^*) = nu(e_i)^T``, and the star is a permutation
+        since the swapped orbits partition ``X x X`` as the orbits do;
+    (c) the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``.
+
+    (a) certifies associativity, (a) and (b) the anti-automorphism, (a) and
+    (c) form invariance, and all three casimir-central, the argument of the
+    module docstring.  Under all three the pairing is ``|O_i| / |N|`` at
+    ``(i, i*)`` and zero elsewhere, so form-invertible, which still runs,
+    passes.  Without (a) nothing is certified.
+    """
+    model = alg._model
+    if model is None or not model.is_model_of(alg):
+        return set()
+    traces = model.trace_counts()
+    order = model.nset.group.order
+    form: list[dict[int, Fraction]] = [{} for _ in range(alg.dim)]
+    for (i, j), count in traces.items():
+        form[i][j] = Fraction(count, order)
+    transpose = all(alg.involution[i] == j for i, j in traces)
+    traced = list(alg.form) == form
+    certified = {"associativity"}
+    if transpose:
+        certified.add("involution-antiautomorphism")
+    if traced:
+        certified.add("form-invariance")
+    if transpose and traced:
+        certified.add("casimir-central")
+    return certified
 
 
 def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:

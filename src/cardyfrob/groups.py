@@ -30,7 +30,7 @@ DEFAULT_ORDER_BOUND = 2000
 # The most subgroups over K (points of X) :func:`subgroups_containing`
 # returns.  The action, catalog and checks grow with |X|^2 and beyond, so a
 # larger interval raises ResourceError before any of that work starts.
-POINTS_BOUND = 500
+POINTS_BOUND = 1_000
 
 # The largest permutation degree :func:`build_group` accepts.  Each element
 # is a tuple of ``degree`` ints, so a larger degree raises ResourceError

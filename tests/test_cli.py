@@ -428,9 +428,10 @@ def test_hecke_bad_generators(capsys, z2_path):
 
 
 def test_hecke_past_the_points_bound_exits_3_at_once(capsys, tmp_path):
-    # S in S6 trivial: 720 cosets, more than POINTS_BOUND.
-    path = tmp_path / "s6.json"
-    path.write_text(json.dumps({"degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}))
+    # S trivial in C2 x S6 on 8 points: 1,440 cosets, more than POINTS_BOUND.
+    path = tmp_path / "c2_s6.json"
+    generators = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 0, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]]
+    path.write_text(json.dumps({"degree": 8, "generators": generators}))
     started = time.perf_counter()
     code, out, err = run_json(
         capsys, ["hecke", "--group", str(path), "--subgroup-generators", "[]"]

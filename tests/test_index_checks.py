@@ -30,6 +30,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
+from cardyfrob.actions import _code_steps, _invariant, _single_orbits
 from cardyfrob.cardy import (
     _check_nu_equivariant,
     _check_nu_multiplicative,
@@ -37,9 +38,6 @@ from cardyfrob.cardy import (
     _check_phi_homomorphism,
     _check_phi_star,
     _check_phi_unit,
-    _code_steps,
-    _invariant,
-    _single_orbits,
 )
 from cardyfrob.frobenius import _check_casimir_central, _check_unit, commutator_rows
 from conftest import SUITE_DOCUMENTS

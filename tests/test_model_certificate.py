@@ -1,0 +1,218 @@
+"""The permutation-model certificate of ``verify_equipped``.
+
+``build_B`` keeps the catalog it counted ``B`` from, and ``verify_equipped``
+recomputes three premises from it on every call: (a) the orbit matrices
+``nu(e_k)`` multiply as the stored constants say, (b) the star is their
+transpose and (c) the stored pairing is their trace form.  The premises
+that hold prove associativity, the star anti-automorphism, form invariance
+and casimir-central without their walks.  Every result, witness included,
+must equal the one of the same algebra without a model, on intact algebras,
+on seeded corruptions of a constant, a pairing entry or the star, and with
+catalogs that are no permutation model of ``B``.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+from array import array
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from cardyfrob import ConsistencyError, build_B, dense_axiom_oracle, verify_equipped
+from cardyfrob.frobenius import _model_certificate
+from conftest import SUITE_DOCUMENTS
+from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
+from test_sparse_checks import (
+    DENSE_NAMES,
+    PINNED_PAIRS,
+    record_walks,
+    with_constant,
+    with_form_entry,
+)
+
+CERTIFIABLE = {
+    "associativity",
+    "involution-antiautomorphism",
+    "form-invariance",
+    "casimir-central",
+}
+
+
+def with_model(alg, model):
+    """A copy of ``alg`` that carries ``model`` as its permutation model."""
+    copied = copy.copy(alg)
+    copied._model = model
+    return copied
+
+
+def with_star(alg, a: int, b: int):
+    """A copy of ``alg`` (model included) with the stars of ``e_a`` and ``e_b`` exchanged."""
+    star = list(alg.involution)
+    star[a], star[b] = star[b], star[a]
+    broken = copy.copy(alg)
+    broken.involution = tuple(star)
+    return broken
+
+
+def assert_generic(alg, dense: bool = True) -> list:
+    """``verify_equipped(alg)``, asserted equal to the same algebra without a
+    model and, under the names it scans, to the dense reference unless
+    ``dense`` is off."""
+    results = verify_equipped(alg)
+    assert results == verify_equipped(with_model(alg, None))
+    if dense:
+        assert [r for r in results if r.name in DENSE_NAMES] == dense_axiom_oracle(alg)
+    return results
+
+
+def test_build_B_keeps_its_catalog_as_the_model(suite_algebras):
+    for h in suite_algebras.values():
+        assert h.B._model is h.catalog
+        assert h.A._model is None
+        assert h.B.permuted(h.B.basis[::-1])._model is None
+        assert with_constant(h.B, 0, 0, 0, 1)._model is None
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_intact_B_is_certified(suite_algebras, name):
+    b = suite_algebras[name].B
+    assert _model_certificate(b) == CERTIFIABLE
+    results = assert_generic(b, dense=name != "s4")
+    assert all(result.passed for result in results)
+
+
+def test_certified_B_walks_no_middles(suite_algebras, monkeypatch):
+    b = suite_algebras["a5_k0123"].B
+    calls = record_walks(monkeypatch)
+    verify_equipped(b)
+    assert calls == []
+    verify_equipped(with_model(b, None))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_corrupted_constant_breaks_premise_a(suite_algebras, name):
+    # Stored constants off by +1, -1 and +1/2 or zeroed, and zero ones off
+    # by the same: each breaks the chains, so nothing is certified and every
+    # check takes its walk.
+    h = suite_algebras[name]
+    b = h.B
+    rng = random.Random(seed_of(name))
+    stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
+    triples = rng.sample(stored, min(2, len(stored)))
+    triples += [tuple(rng.randrange(b.dim) for _ in range(3)) for _ in range(2)]
+    failed: set[str] = set()
+    for i, j, k in triples:
+        old = b.pair_products(i, j).get(k, 0)
+        for value in {old + 1, old - 1, old + Fraction(1, 2), 0} - {old}:
+            broken = with_model(with_constant(b, i, j, k, value), h.catalog)
+            assert _model_certificate(broken) == set(), (name, (i, j, k), value)
+            results = assert_generic(broken)
+            failed |= {result.name for result in results if not result.passed}
+    assert "associativity" in failed
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_corrupted_form_entry_breaks_only_premise_c(suite_algebras, name):
+    h = suite_algebras[name]
+    rng = random.Random(seed_of(name))
+    failed = 0
+    for _ in range(4):
+        i, j = rng.randrange(h.B.dim), rng.randrange(h.B.dim)
+        broken = with_form_entry(h.B, i, j, Fraction(1, 7))
+        assert broken._model is h.catalog
+        assert _model_certificate(broken) == {"associativity", "involution-antiautomorphism"}
+        results = assert_generic(broken)
+        failed += not {r.name: r for r in results}["form-invariance"].passed
+    assert failed
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_changed_involution_breaks_only_premise_b(suite_algebras, name):
+    h = suite_algebras[name]
+    rng = random.Random(seed_of(name))
+    failed = 0
+    for _ in range(3):
+        a, b = rng.sample(range(h.B.dim), 2)
+        broken = with_star(h.B, a, b)
+        assert _model_certificate(broken) == {"associativity", "form-invariance"}
+        results = assert_generic(broken)
+        failed += not {r.name: r for r in results}["involution-antiautomorphism"].passed
+    assert failed
+
+
+def fused_orbits(catalog, keep: int, gone: int):
+    """``catalog`` with orbit ``gone`` listed under ``keep`` and removed, the
+    later positions moved down by one.  Both orbits are their own stars, so
+    every star label still names a field."""
+    table = array("i", (keep if k == gone else k - (k > gone) for k in catalog.orbit_table))
+    fields = list(catalog.boundary)
+    fields[keep] = replace(fields[keep], size=fields[keep].size + fields[gone].size)
+    del fields[gone]
+    return replace(catalog, boundary=tuple(fields), orbit_table=table)
+
+
+@pytest.mark.parametrize("name", ["s4_k0123", "a5_k0123"])
+def test_fused_orbits_certify_nothing(suite_algebras, name):
+    # Two self-paired orbits listed as one: the table stays invariant, and B
+    # counted from the fused catalog has the chains at its representatives,
+    # so only the single-orbit walk keeps it from being certified.
+    h = suite_algebras[name]
+    fields = h.catalog.boundary
+    selfpaired = [k for k, field in enumerate(fields) if field.star == field.label]
+    pairs = [(a, b) for a in selfpaired for b in selfpaired if a < b]
+    rng = random.Random(seed_of(name))
+    rng.shuffle(pairs)
+    checked = 0
+    for keep, gone in pairs:
+        catalog = fused_orbits(h.catalog, keep, gone)
+        try:
+            fused = build_B(catalog)
+        except ConsistencyError:
+            continue
+        assert fused._model is catalog
+        assert _model_certificate(fused) == set(), (name, keep, gone)
+        assert_generic(fused)
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
+
+
+@pytest.mark.parametrize("name", SMALL_PAIRS)
+def test_merged_orbits_certify_nothing(suite_algebras, name):
+    h = suite_algebras[name]
+    rng = random.Random(seed_of(name))
+    for _ in range(3):
+        keep, emptied = rng.sample(range(h.B.dim), 2)
+        broken = with_model(h.B, merged_orbits(h.catalog, keep, emptied))
+        assert _model_certificate(broken) == set(), (name, keep, emptied)
+        assert_generic(broken, dense=False)
+
+
+def test_swapped_orbit_pairs_certify_nothing(suite_algebras):
+    # As the model of B itself and of B counted anew from the swapped
+    # catalog, where build_B accepts it.
+    h = suite_algebras["a5_k0123"]
+    by_size: dict[int, list[int]] = {}
+    for k, field in enumerate(h.catalog.boundary):
+        if field.size > 1:
+            by_size.setdefault(field.size, []).append(k)
+    rebuilt = 0
+    for a, b in [pair for ks in by_size.values() for pair in zip(ks, ks[1:])]:
+        catalog = swapped_pairs(h.catalog, a, b)
+        assert _model_certificate(with_model(h.B, catalog)) == set(), (a, b)
+        assert_generic(with_model(h.B, catalog), dense=False)
+        try:
+            counted = build_B(catalog)
+        except ConsistencyError:
+            continue
+        assert _model_certificate(counted) == set(), (a, b)
+        assert_generic(counted)
+        rebuilt += 1
+        if rebuilt == 2:
+            break
+    assert rebuilt == 2

@@ -344,6 +344,8 @@ def test_random_pairs_certify_associativity_on_the_generating_set(generators, da
     # B of a random (G, K) passes on the walk over its generating set alone;
     # one stored constant raised by 1 gives the dense scan's result (the
     # associativity entry of dense_axiom_oracle, without the other scans).
+    # verify_equipped through the permutation model that build_B attaches
+    # equals verify_equipped on the same B without it, intact and broken.
     group = build_group(len(generators[0]), generators)
     elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
     b = cardy_from_pair(group, subgroup_closure(group, elements)).B
@@ -351,10 +353,14 @@ def test_random_pairs_certify_associativity_on_the_generating_set(generators, da
         calls = record_walks(patch)
         assert _check_associativity(b).passed
     assert calls == [generating_set(b)]
+    assert verify_equipped(b) == verify_equipped(b.permuted(b.basis))
     stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
     i, j, k = data.draw(st.sampled_from(stored))
     broken = with_constant(b, i, j, k, b.pair_products(i, j)[k] + 1)
     assert _check_associativity(broken) == _dense_associativity(broken)
+    modelled = copy.copy(broken)
+    modelled._model = b._model
+    assert verify_equipped(modelled) == verify_equipped(broken)
 
 
 # -- random sparse algebras ------------------------------------------------------
