@@ -76,6 +76,7 @@ from .hurwitz import (
 from .oracles import (
     OracleResult,
     cardy_axiom_oracle,
+    cardy_condition_oracle,
     closed_nonorientable_oracle,
     closed_orientable_oracle,
     commutator_casimir_check,
@@ -121,6 +122,7 @@ __all__ = [
     "build_phi",
     "bundled_input",
     "cardy_axiom_oracle",
+    "cardy_condition_oracle",
     "cardy_from_pair",
     "center_dimension",
     "centralizer",

@@ -11,7 +11,9 @@ of a pair.  The boundary orbits exist in one form only, the flat orbit table
 also the permutation model of the boundary algebra ``B``:
 :meth:`FieldCatalog.is_model_of` decides whether the 0/1 matrices
 ``nu(beta_k)`` of its orbits multiply as the constants of an algebra do, and
-:meth:`FieldCatalog.trace_counts` gives the traces ``tr(nu_i nu_j)``.
+:meth:`FieldCatalog.trace_counts` gives the traces ``tr(nu_i nu_j)`` and
+:meth:`FieldCatalog.cardy_trace_counts` the traces ``tr(L_i R_j)`` of the
+Cardy condition.
 """
 
 from __future__ import annotations
@@ -361,6 +363,33 @@ class FieldCatalog:
         """
         table, size = self.orbit_table, self.nset.size
         return Counter(zip(table, chain.from_iterable(table[x::size] for x in range(size))))
+
+    def cardy_trace_counts(self) -> Counter[tuple[int, int]]:
+        """``#{(y, w) : orbit(x_k, y) = i, orbit(w, z_k) = j}`` for each ``(i, j)``
+        that occurs, where ``k = orbit(y, w)`` and ``(x_k, z_k)`` is the
+        representative of ``O_k``.
+
+        For an algebra this catalog is a model of
+        (:meth:`is_model_of`), that is ``tr(L_i R_j)``, the trace of
+        ``b -> beta_i b beta_j``: ``nu`` is then an injective homomorphism
+        whose matrices have disjoint supports, so the coefficient of
+        ``beta_k`` in any element ``b`` is ``nu(b)`` at ``(x_k, z_k)``, and
+        ``tr(L_i R_j) = sum_k [beta_k](beta_i beta_k beta_j)`` counts the
+        chains ``x_k -> y -> w -> z_k`` through ``O_i``, ``O_k`` and ``O_j``.
+        Summed over ``k``, each cell ``(y, w)`` is the middle link of one
+        such chain, so one pass over the table counts them all.
+        """
+        table, size = self.orbit_table, self.nset.size
+        columns = [table[z::size] for z in range(size)]
+        starts = [x * size for x, _ in (field.representative for field in self.boundary)]
+        ends = [columns[z] for _, z in (field.representative for field in self.boundary)]
+        counts: Counter[tuple[int, int]] = Counter()
+        for y in range(size):
+            row = table[y * size : (y + 1) * size]
+            left = [table[starts[k] + y] for k in row]
+            right = [ends[k][w] for w, k in enumerate(row)]
+            counts.update(zip(left, right))
+        return counts
 
     def is_model_of(self, algebra: EquippedFrobeniusAlgebra) -> bool:
         """Whether ``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)`` for the

@@ -38,21 +38,28 @@ permutation module of ``X``: the checks below read the orbit table instead,
 and the oracles in :mod:`cardyfrob.oracles` build the dense integer matrices
 while they run.  ``B`` keeps its catalog as its permutation model, so that
 :func:`~cardyfrob.frobenius.verify_equipped` can prove four of its axioms
-through ``nu``.  ``nu`` multiplicativity and equivariance decide the action
-on the generators of ``N`` alone: relabelling by each generator must leave
-the table as it is, and then, once a walk along the generators from each
+through ``nu``.  :func:`verify_cardy_frobenius` decides premise (a),
+:meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, once per call, on the
+generators of ``N`` alone: relabelling by each generator must leave the
+table as it is, and then, once a walk along the generators from each
 representative shows each listed orbit to be a single ``N``-orbit, the
 sorted chain codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
 representative ``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j``
-exactly ``c_ij^k`` times
-(:meth:`~cardyfrob.actions.FieldCatalog.is_model_of`).  When a comparison
-fails, a walk over the orbits and every element names the witness.
-phi-unit, phi-homomorphism and phi-star compare rows of ``phi`` over the
-stored constants, the products ``phi(e_i) phi(e_j)`` through
+exactly ``c_ij^k`` times.  (a) is ``nu`` multiplicativity and contains
+``nu`` equivariance, so both pass when it holds; when it fails, a walk over
+the orbits (and, for an invariance that fails too, every element) names the
+witness.  phi-unit, phi-homomorphism and phi-star compare rows of ``phi``
+over the stored constants, the products ``phi(e_i) phi(e_j)`` through
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
-phi-central sums the commutator rows of ``B``
-(:func:`cardyfrob.frobenius.commutator_rows`) weighted by each row of
-``phi``.
+phi-central passes when (a) holds and ``phi`` is the row set
+:func:`build_phi` counts from the catalog, so that ``nu(phi(e_alpha)) =
+rho(E_alpha)``, which commutes with every ``nu(beta)``; otherwise it sums
+the commutator rows of ``B`` (:func:`cardyfrob.frobenius.commutator_rows`)
+weighted by each row of ``phi``.  The Cardy condition compares the pairing
+of the ``phi*`` images, in integers scaled once, with the traces
+``tr(L_i R_j)``, counted on the orbit table under (a)
+(:meth:`~cardyfrob.actions.FieldCatalog.cardy_trace_counts`) and from the
+stored constants otherwise.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -64,7 +71,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from math import lcm
+from typing import Callable, Sequence
 
 from . import linalg
 from .actions import (
@@ -107,14 +115,10 @@ class CardyFrobeniusAlgebra:
         return AlgebraElement({self.B.basis[j]: value for j, value in image.items()})
 
     @cached_property
-    def _phi_form(self) -> list[dict[int, Fraction]]:
-        """Sparse rows of ``Phi . F_B``, one per ``A`` basis element."""
-        return [linalg.row_times(row.items(), self.B.form) for row in self.phi]
-
-    @cached_property
     def _phi_dual(self) -> list[dict[int, Fraction]]:
         """Sparse rows of ``phi* = F_A^-1 . Phi . F_B``, the adjoint of ``phi``."""
-        return [linalg.row_times(row.items(), self._phi_form) for row in self.A.form_inverse()]
+        phi_form = [linalg.row_times(row.items(), self.B.form) for row in self.phi]
+        return [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
         """Image of a ``B`` element under the adjoint ``phi*``."""
@@ -297,23 +301,78 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     checked on the orbits without building its matrices (``nu``
     multiplicativity, star = transpose, pairing and linear form recovered
     from traces, equivariance, Burnside dimension count).
+
+    Premise (a), :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, is
+    computed once per call, nothing cached, and serves four checks: the
+    checks :func:`_model_certificate` proves pass without their walks, and
+    the Cardy condition reads its traces off the model.  Every other check,
+    and each of these four when its premises fail, runs as it does without
+    the model, so the results do not depend on it.
     """
+    modelled = h.catalog.is_model_of(h.B)
+    certified = _model_certificate(h, modelled)
+
+    def run(name: str, check: Callable[[CardyFrobeniusAlgebra], CheckResult]) -> CheckResult:
+        return CheckResult(name, True) if name in certified else check(h)
+
     return [
         _check_phi_unit(h),
         _check_phi_homomorphism(h),
-        _check_phi_central(h),
+        run("phi-central", _check_phi_central),
         _check_phi_star(h),
         _check_u_squared(h),
         _check_phi_u(h),
         _check_u_coefficients(h),
-        _check_cardy(h),
-        _check_nu_multiplicative(h),
+        _check_cardy(h, modelled),
+        run("nu-multiplicative", _check_nu_multiplicative),
         _check_nu_star_transpose(h),
         _check_form_from_traces(h),
         _check_linear_form_from_traces(h),
-        _check_nu_equivariant(h),
+        run("nu-equivariant", _check_nu_equivariant),
         _check_burnside_dimension(h),
     ]
+
+
+def _model_certificate(h: CardyFrobeniusAlgebra, modelled: bool) -> set[str]:
+    """The checks that the permutation model proves, given premise (a).
+
+    ``modelled`` is premise (a), ``h.catalog.is_model_of(h.B)``: ``nu`` is an
+    injective homomorphism from ``B`` into the rational ``|X| x |X|``
+    matrices, and the orbit table is invariant under ``N``.  (a) is the
+    statement of nu-multiplicative, and the invariance, ``orbit(n x, n y) ==
+    orbit(x, y)``, is that of nu-equivariant, so (a) certifies both.
+
+    (d) :func:`_phi_is_rho`: ``nu(phi(e_alpha)) = rho(E_alpha)`` at every
+    cell.  The table is invariant under ``N``, so ``rho(n) nu(beta_k)
+    rho(n)^-1 = nu(beta_k)``: each ``rho(n)``, and so each class sum
+    ``rho(E_alpha)``, commutes with every ``nu(beta_k)``.  Then
+    ``nu([phi(e_alpha), beta_k]) = 0``, and ``nu`` being injective,
+    ``phi(e_alpha)`` is central: (a) and (d) certify phi-central.
+
+    Without (a) nothing is certified, and (d) is not computed.
+    """
+    if not modelled:
+        return set()
+    certified = {"nu-multiplicative", "nu-equivariant"}
+    if _phi_is_rho(h):
+        certified.add("phi-central")
+    return certified
+
+
+def _phi_is_rho(h: CardyFrobeniusAlgebra) -> bool:
+    """Premise (d): the rows of ``phi`` are those :func:`build_phi` counts
+    from the catalog.
+
+    :func:`build_phi` reads ``rho(E_alpha)`` at the orbit representatives
+    and checks that every cell holds the count of its orbit's
+    representative, so equal rows give ``sum_k phi_alpha,k nu(beta_k) =
+    rho(E_alpha)`` at every cell.  A catalog on whose orbits a class sum is
+    not constant, for which it raises :class:`ConsistencyError`, fails.
+    """
+    try:
+        return h.phi == build_phi(h.catalog)
+    except ConsistencyError:
+        return False
 
 
 def _check_phi_unit(h: CardyFrobeniusAlgebra) -> CheckResult:
@@ -382,19 +441,49 @@ def _check_u_coefficients(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("u-coefficients", True)
 
 
-def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
+def _check_cardy(h: CardyFrobeniusAlgebra, modelled: bool) -> CheckResult:
     """The Cardy condition ``(phi*(x), phi*(y))_A = tr W_{x,y}`` on basis pairs.
 
-    The left side is the matrix ``(Phi F_B)^T phi*``, built one sparse row at
-    a time; the right side ``tr W_{i,j} = tr(L_i R_j)`` comes from the sparse
-    trace buckets of :func:`cardyfrob.frobenius.multiplication_traces`.
+    The left side is the matrix ``(Phi F_B)^T F_A^-1 (Phi F_B)`` in
+    integers: ``F_B`` and ``F_A^-1`` are scaled by the lcm of their
+    denominators, ``s_B`` and ``s_A``, ``P = Phi s_B F_B`` is transposed
+    into sparse columns, and row ``i`` is ``sum_alpha P[alpha][i] (Q
+    P)[alpha]`` with ``Q = s_A F_A^-1``, against the traces times ``s_A
+    s_B^2``.  The right side ``tr W_{i,j} = tr(L_i R_j)`` is read off the
+    model (:meth:`~cardyfrob.actions.FieldCatalog.cardy_trace_counts`) when
+    ``modelled``, premise (a), holds, and comes from the sparse trace
+    buckets of :func:`cardyfrob.frobenius.multiplication_traces` otherwise.
+    The witness is the first failing ``i`` in basis order and its least
+    failing ``j``.  A degenerate pairing of ``A`` raises
+    :class:`ConsistencyError`.
     """
     b = h.B
-    phi_form, dual = h._phi_form, h._phi_dual
-    traces = multiplication_traces(b, right=True)
-    for i in range(b.dim):
-        column = [(a, row.get(i, 0)) for a, row in enumerate(phi_form)]
-        j = _first_difference(linalg.row_times(column, dual), traces[i])
+    inverse = h.A.form_inverse()
+    if modelled:
+        traces: list[dict[int, int | Fraction]] = [{} for _ in range(b.dim)]
+        for (i, j), count in h.catalog.cardy_trace_counts().items():
+            traces[i][j] = count
+    else:
+        traces = multiplication_traces(b, right=True)
+    form_scale, inverse_scale = (
+        lcm(*(value.denominator for row in rows for value in row.values()))
+        for rows in (b.form, inverse)
+    )
+    form = [{j: int(value * form_scale) for j, value in row.items()} for row in b.form]
+    phi_form = [linalg.row_times(row.items(), form) for row in h.phi]
+    dual = [
+        linalg.row_times(((a, int(value * inverse_scale)) for a, value in row.items()), phi_form)
+        for row in inverse
+    ]
+    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(b.dim)]
+    for a, row in enumerate(phi_form):
+        for i, value in row.items():
+            if value:
+                columns[i].append((a, value))
+    scale = inverse_scale * form_scale * form_scale
+    for i, (column, trace) in enumerate(zip(columns, traces)):
+        scaled = {j: scale * value for j, value in trace.items()}
+        j = _first_difference(linalg.row_times(column, dual), scaled)
         if j is not None:
             witness = f"({b.basis[i]}, {b.basis[j]})"
             return CheckResult("cardy", False, witness)
@@ -404,17 +493,14 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     """``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)``, computed on orbits.
 
-    The fast path is :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`,
-    which checks the chains at the representative of each orbit alone once
-    the table is invariant under ``N`` and each listed orbit is a single
-    ``N``-orbit.  When it fails, the walk below names the first failing
-    ``(i, j)`` and its least failing pair.  Each orbit ``O_i`` is walked
-    once: a chain ``x -> y -> z`` lands in the bucket of the orbit ``j`` of
-    ``(y, z)``.
+    :func:`verify_cardy_frobenius` passes this check when premise (a),
+    :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, holds: that is
+    this identity, decided at the representative of each orbit alone.  When
+    it fails, the walk below names the first failing ``(i, j)`` and its
+    least failing pair.  Each orbit ``O_i`` is walked once: a chain ``x -> y
+    -> z`` lands in the bucket of the orbit ``j`` of ``(y, z)``.
     """
     fields = h.catalog.boundary
-    if h.catalog.is_model_of(h.B):
-        return CheckResult("nu-multiplicative", True)
     orbits = h.catalog.orbits()
     successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
     for j, orbit in enumerate(orbits):
@@ -489,8 +575,10 @@ def _check_linear_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
     """``rho(n) nu(beta) rho(n)^-1 == nu(beta)`` for every ``n`` in ``N``.
 
-    That is ``orbit(n x, n y) == orbit(x, y)``.  It is checked on the
-    generator rows only, ``|S| |X|^2`` steps instead of ``|N| |X|^2``: a
+    That is ``orbit(n x, n y) == orbit(x, y)``.  :func:`verify_cardy_frobenius`
+    passes this check when premise (a) holds, whose first conjunct is this
+    invariance; otherwise it is checked here on the generator rows only,
+    ``|S| |X|^2`` steps instead of ``|N| |X|^2``: a
     table that ``rho(g)`` and ``rho(s)`` leave invariant is left invariant by
     ``rho(g) rho(s) = rho(gs)``, as :class:`~cardyfrob.actions.NSet`
     certified ``rho`` a homomorphism, so by every word in the generators,

@@ -86,7 +86,7 @@ from .errors import ConsistencyError, InputError
 from .rationals import format_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Outcome of one named verification, with a witness when it fails."""
 

@@ -17,9 +17,13 @@ the sparse walks of :func:`cardyfrob.frobenius.verify_equipped`.
 ``AlgebraElement`` loops of the unit, centrality and ``phi`` checks and check
 ``nu`` multiplicativity and equivariance by dense matrix products over every
 element of ``N``, against the index-table checks and their certificates on
-generators.  :func:`conjugation_table_oracle` conjugates by every coset
-representative, against the action rows built from generators, and
-:func:`is_associative` scans every triple of a group table.
+generators.  :func:`cardy_condition_oracle` pairs the ``phi*`` images of
+every basis pair of ``B`` in ``A`` and sums the traces ``tr(L_i R_j)`` by
+label-keyed multiplies, against the integer pairing and the traces the
+Cardy check reads off the model.  :func:`conjugation_table_oracle`
+conjugates by every coset representative, against the action rows built
+from generators, and :func:`is_associative` scans every triple of a group
+table.
 :func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
 the structure constants of ``B`` without any matrix.
 :func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
@@ -470,6 +474,34 @@ def cardy_axiom_oracle(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
         _dense_nu_multiplicative(h),
         _dense_nu_equivariant(h),
     ]
+
+
+def cardy_condition_oracle(h: CardyFrobeniusAlgebra) -> CheckResult:
+    """The Cardy condition ``(phi*(beta_i), phi*(beta_j))_A = tr W_{i,j}`` by
+    label-keyed ``AlgebraElement`` operations over every basis pair.
+
+    The slow reference for the cardy check of
+    :func:`cardyfrob.cardy.verify_cardy_frobenius`, witness included: the
+    left side pairs :meth:`~cardyfrob.cardy.CardyFrobeniusAlgebra.phi_dual_apply`
+    images through ``A.bilinear``, and the right side ``tr W_{i,j} = sum_k
+    [beta_k](beta_i beta_k beta_j)`` multiplies basis elements through
+    ``B.multiply``.  The witness is the first failing ``i`` in basis order
+    and its least failing ``j``.
+    """
+    b = h.B
+    basis = [b.basis_element(label) for label in b.basis]
+    duals = [h.phi_dual_apply(e) for e in basis]
+    for i, (left, dual) in enumerate(zip(basis, duals)):
+        middles = [(label, b.multiply(left, e)) for label, e in zip(b.basis, basis)]
+        middles = [(label, middle) for label, middle in middles if not middle.is_zero()]
+        for j, (label, right) in enumerate(zip(b.basis, basis)):
+            trace = sum(
+                (b.multiply(middle, right).coefficient(k) for k, middle in middles),
+                Fraction(0),
+            )
+            if h.A.bilinear(dual, duals[j]) != trace:
+                return CheckResult("cardy", False, f"({b.basis[i]}, {label})")
+    return CheckResult("cardy", True)
 
 
 def _element_phi_unit(h: CardyFrobeniusAlgebra) -> CheckResult:
