@@ -47,9 +47,9 @@ sorted chain codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
 representative ``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j``
 exactly ``c_ij^k`` times.  (a) is ``nu`` multiplicativity and contains
 ``nu`` equivariance, so both pass when it holds; when it fails, a walk over
-the orbits (and, for an invariance that fails too, every element) names the
-witness.  phi-unit, phi-homomorphism and phi-star compare rows of ``phi``
-over the stored constants, the products ``phi(e_i) phi(e_j)`` through
+the orbits (and every element, for equivariance) names the witness.
+phi-unit, phi-homomorphism and phi-star compare rows of ``phi`` over the
+stored constants, the products ``phi(e_i) phi(e_j)`` through
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
 phi-central passes when (a) holds and ``phi`` is the row set
 :func:`build_phi` counts from the catalog, so that ``nu(phi(e_alpha)) =
@@ -79,8 +79,6 @@ from .actions import (
     BoundaryField,
     FieldCatalog,
     InteriorField,
-    _code_steps,
-    _invariant,
     build_catalog,
     build_conjugation_setup,
     coset_nset,
@@ -576,19 +574,13 @@ def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
     """``rho(n) nu(beta) rho(n)^-1 == nu(beta)`` for every ``n`` in ``N``.
 
     That is ``orbit(n x, n y) == orbit(x, y)``.  :func:`verify_cardy_frobenius`
-    passes this check when premise (a) holds, whose first conjunct is this
-    invariance; otherwise it is checked here on the generator rows only,
-    ``|S| |X|^2`` steps instead of ``|N| |X|^2``: a
-    table that ``rho(g)`` and ``rho(s)`` leave invariant is left invariant by
-    ``rho(g) rho(s) = rho(gs)``, as :class:`~cardyfrob.actions.NSet`
-    certified ``rho`` a homomorphism, so by every word in the generators,
-    that is by all of ``N``.  On a failure the walk over the orbits and every
-    element names the first ``(field, n)``.
+    passes this check when premise (a) holds: its first conjunct is this
+    invariance, decided on the generator rows of ``N``.  Otherwise the walk
+    over the orbits and every element names the first failing
+    ``(field, n)``.
     """
     nset = h.catalog.nset
     table = h.catalog.orbit_table
-    if _invariant(table, _code_steps(nset)):
-        return CheckResult("nu-equivariant", True)
     size = nset.size
     for k, (field, orbit) in enumerate(zip(h.catalog.boundary, h.catalog.orbits())):
         for n, row in enumerate(nset.act_table):
