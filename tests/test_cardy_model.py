@@ -98,15 +98,15 @@ def test_model_checks_match_oracles_on_the_suite(suite_algebras, name):
 @pytest.mark.parametrize("name", PINNED_PAIRS)
 def test_corrupted_phi_matches_oracles(suite_algebras, name):
     # One entry of phi off by +1 or -1, and one key added with a count or
-    # with a zero: each fails premise (d), so phi-central takes its walk,
-    # which passes on the added zero alone.
+    # with a zero: each fails premise (d), so phi-central takes its walk
+    # (which passes on an added zero).
     h = suite_algebras[name]
     rng = random.Random(seed_of(name))
     failed: set[str] = set()
     for _ in range(3):
         alpha, k = rng.randrange(len(h.phi)), rng.randrange(h.B.dim)
         changes = [(k, h.phi[alpha].get(k, 0) + delta) for delta in (1, -1)]
-        missing = [k for k in range(h.B.dim) if k not in h.phi[alpha]]
+        missing = [position for position in range(h.B.dim) if position not in h.phi[alpha]]
         if missing:
             added = rng.choice(missing)
             changes += [(added, 1), (added, 0)]
@@ -137,7 +137,8 @@ def test_corrupted_constant_matches_oracles(suite_algebras, name):
     failed: set[str] = set()
     for i, j, k in triples:
         for delta in (1, -1):
-            broken = replace(h, B=with_constant(b, i, j, k, b.pair_products(i, j).get(k, 0) + delta))
+            shifted = with_constant(b, i, j, k, b.pair_products(i, j).get(k, 0) + delta)
+            broken = replace(h, B=shifted)
             assert not h.catalog.is_model_of(broken.B)
             failed |= assert_matches_oracles(broken, (name, (i, j, k), delta))
     assert {"phi-central", "cardy", "nu-multiplicative"} <= failed
