@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import add
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError, ResourceError
@@ -110,8 +110,13 @@ class NSet:
         return self.act_table[n][x]
 
     def fixed_point_count(self, n: int) -> int:
-        row = self.act_table[n]
-        return sum(1 for x in range(len(row)) if row[x] == x)
+        return sum(map(eq, self.act_table[n], range(self.size)))
+
+    def squared_fixed_points(self) -> int:
+        """``sum_n fix(n)^2``, the points ``n`` fixes on ``X x X`` summed
+        over the group: ``|N|`` times the number of orbits on ``X x X``, by
+        Burnside's lemma."""
+        return sum(self.fixed_point_count(n) ** 2 for n in range(len(self.act_table)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +369,11 @@ class FieldCatalog:
         table, size = self.orbit_table, self.nset.size
         return Counter(zip(table, chain.from_iterable(table[x::size] for x in range(size))))
 
+    def diagonal_positions(self) -> set[int]:
+        """The positions of the orbits that hold a diagonal pair ``(x, x)``,
+        read off the diagonal cells of the table."""
+        return set(self.orbit_table[:: self.nset.size + 1])
+
     def cardy_trace_counts(self) -> Counter[tuple[int, int]]:
         """``#{(y, w) : orbit(x_k, y) = i, orbit(w, z_k) = j}`` for each ``(i, j)``
         that occurs, where ``k = orbit(y, w)`` and ``(x_k, z_k)`` is the
@@ -401,29 +411,28 @@ class FieldCatalog:
         ``x -> y -> z`` with ``(x, y)`` in ``O_i`` and ``(y, z)`` in ``O_j``
         number ``c_ij^k``.  It is checked at the representative ``(x_k, z_k)``
         of each orbit alone once two things hold, given the partition of
-        ``X x X`` into ``dim`` orbits that construction guarantees:
+        ``X x X`` into ``dim`` classes of cells that construction guarantees:
 
         * the orbit table is invariant under the generator rows of ``N``,
           hence under ``N`` (:func:`_invariant`);
         * each listed orbit is a single ``N``-orbit holding its
-          representative (:func:`_single_orbits`).
+          representative, by Burnside's lemma (:func:`_counted_orbits`).
 
         Then ``y -> n y`` carries the chains at ``(x_k, z_k)`` onto those at
         ``n (x_k, z_k)``, orbit labels and all, and every pair of ``O_k`` is
-        such an image.  That costs ``|S| |X|^2`` steps for the two conditions
-        and ``dim |X|`` for the chains (:func:`_chains_match`) instead of
-        ``|X|^3``.  Both conditions matter: a catalog that lists two
-        ``N``-orbits under one label keeps the table invariant and fails only
-        the walk.  When this holds, ``nu`` is an injective homomorphism from
-        ``algebra`` into the rational ``|X| x |X|`` matrices: the supports of
-        the ``nu(beta_k)`` are disjoint and nonempty, so they are linearly
-        independent.
+        such an image.  That costs ``|S| |X|^2`` steps for the invariance,
+        ``|N| |X|`` for the orbit count and ``dim |X|`` for the chains
+        (:func:`_chains_match`) instead of ``|X|^3``.  Both conditions
+        matter: a catalog that lists two ``N``-orbits under one label keeps
+        the table invariant and fails only the second.  When this holds,
+        ``nu`` is an injective homomorphism from ``algebra`` into the rational
+        ``|X| x |X|`` matrices: the supports of the ``nu(beta_k)`` are
+        disjoint and nonempty, so they are linearly independent.
         """
-        steps = _code_steps(self.nset)
         return (
             len(self.boundary) == algebra.dim
-            and _invariant(self.orbit_table, steps)
-            and _single_orbits(self, steps)
+            and _invariant(self.orbit_table, _code_steps(self.nset))
+            and _counted_orbits(self)
             and _chains_match(algebra, self)
         )
 
@@ -485,59 +494,54 @@ def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
     return all(list(map(cells.__getitem__, step)) == cells for step in steps)
 
 
-def _single_orbits(catalog: FieldCatalog, steps: Sequence[Sequence[int]]) -> bool:
-    """Whether a walk along ``steps`` from each representative reaches exactly
-    as many pairs as its orbit holds.
+def _counted_orbits(catalog: FieldCatalog) -> bool:
+    """Whether each listed orbit is a single ``N``-orbit holding its
+    representative, on an orbit table invariant under ``N``.
 
-    The walks cost ``|S| |X|^2`` steps in all.  On an orbit table that the
-    steps leave invariant, a walk stays inside the orbit of its start, so
-    reaching ``|O_k|`` pairs from a representative in ``O_k`` means it covers
-    ``O_k``: each listed orbit is a single orbit of the group the steps
-    generate.  A representative whose cell lies in another orbit fails, as
-    the representative of an empty orbit always does.
+    Two facts are checked: the cell of each representative holds its own
+    position, and ``sum_n fix(n)^2 == |N| dim``
+    (:meth:`NSet.squared_fixed_points`).  On an invariant table the ``dim``
+    classes of cells, one per position, are unions of ``N``-orbits that
+    partition ``X x X``, and the first fact makes each class nonempty and
+    puts its representative in it.  By Burnside's lemma ``X x X`` holds
+    exactly ``dim`` ``N``-orbits, so no class holds two: each is one orbit.
+    The count costs ``|N| |X|`` steps, where a walk along the generators
+    from each representative would cost ``|S| |X|^2``.
     """
-    table, size = catalog.orbit_table, catalog.nset.size
-    seen = bytearray(len(table))
+    table, nset = catalog.orbit_table, catalog.nset
+    size = nset.size
     for k, field in enumerate(catalog.boundary):
         x, z = field.representative
-        walk = [x * size + z]
-        if table[walk[0]] != k:
+        if table[x * size + z] != k:
             return False
-        seen[walk[0]] = 1
-        for code in walk:
-            for step in steps:
-                image = step[code]
-                if not seen[image]:
-                    seen[image] = 1
-                    walk.append(image)
-        if len(walk) != field.size:
-            return False
-    return True
+    return nset.squared_fixed_points() == nset.group.order * len(catalog.boundary)
 
 
 def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> bool:
     """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
     chains ``c_ij^k`` asks for.
 
-    The codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y``, sorted, must
-    be column ``k``: the code ``i * dim + j`` repeated ``c_ij^k`` times.  A
-    constant that is not a positive ``int`` cannot be a count, so it fails.
+    The pairs ``(orbit(x, y), orbit(y, z))`` over all ``y`` are tallied as
+    :func:`cardyfrob.cardy.build_B` tallies them, each count ``(i, j)`` is
+    looked up as ``c_ij^k`` in the store, and the matches are counted.  Every
+    stored constant must be matched, so at the end the matches must number
+    the stored constants: one at an ``(i, j, k)`` where the table counts no
+    chain is left over.  The store keeps integral constants as ``int`` and
+    drops zeros, so a stored constant equals its positive count exactly when
+    it is that count as a positive ``int``.  No copy of the constants is made.
     """
-    n, size, table = algebra.dim, catalog.nset.size, catalog.orbit_table
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for i, j, expansion in algebra.stored_products():
-        code = i * n + j
-        for k, value in expansion.items():
-            if type(value) is not int or value <= 0:
-                return False
-            columns[k].extend([code] * value)
-    for column, field in zip(columns, catalog.boundary):
+    size, table = catalog.nset.size, catalog.orbit_table
+    rows = list(map(algebra.left_products, range(algebra.dim)))
+    matched = 0
+    for k, field in enumerate(catalog.boundary):
         x, z = field.representative
-        column.sort()
-        left = [k * n for k in table[x * size : (x + 1) * size]]
-        if sorted(map(add, left, table[z::size])) != column:
-            return False
-    return True
+        tally = Counter(zip(table[x * size : (x + 1) * size], table[z::size]))
+        for (i, j), count in tally.items():
+            expansion = rows[i].get(j)
+            if expansion is None or expansion.get(k) != count:
+                return False
+        matched += len(tally)
+    return matched == sum(map(len, chain.from_iterable(row.values() for row in rows)))
 
 
 def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
@@ -591,7 +595,7 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
             raise ConsistencyError(f"orbit size {orbit_size} does not divide |N|")
         star = labels[table[y * size + x]]
         boundary.append(BoundaryField(label, (x, y), orbit_size, group.order // orbit_size, star))
-    burnside = sum(nset.fixed_point_count(n) ** 2 for n in range(group.order))
+    burnside = nset.squared_fixed_points()
     if burnside != group.order * len(boundary):
         raise ConsistencyError(
             f"Burnside count {burnside}/{group.order} does not match {len(boundary)} orbits"

@@ -37,17 +37,20 @@ Nothing here stores the 0/1 matrices ``nu(beta)`` and ``rho(n)`` on the
 permutation module of ``X``: the checks below read the orbit table instead,
 and the oracles in :mod:`cardyfrob.oracles` build the dense integer matrices
 while they run.  ``B`` keeps its catalog as its permutation model, so that
-:func:`~cardyfrob.frobenius.verify_equipped` can prove four of its axioms
+:func:`~cardyfrob.frobenius.verify_equipped` can prove five of its axioms
 through ``nu``.  :func:`verify_cardy_frobenius` decides premise (a),
-:meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, once per call, on the
-generators of ``N`` alone: relabelling by each generator must leave the
-table as it is, and then, once a walk along the generators from each
-representative shows each listed orbit to be a single ``N``-orbit, the
-sorted chain codes ``orbit(x, y) * dim + orbit(y, z)`` over all ``y`` at the
-representative ``(x, z)`` of each orbit ``O_k`` must repeat ``i * dim + j``
-exactly ``c_ij^k`` times.  (a) is ``nu`` multiplicativity and contains
-``nu`` equivariance, so both pass when it holds; when it fails, a walk over
-the orbits (and every element, for equivariance) names the witness.
+:meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, once per call:
+relabelling by each generator of ``N`` must leave the table as it is; each
+representative's cell must hold its own orbit, and Burnside's count
+``sum_n fix(n)^2 == |N| dim`` then makes each listed orbit a single
+``N``-orbit; and the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over
+all ``y`` at the representative ``(x, z)`` of each orbit ``O_k`` must find
+each count as the stored ``c_ij^k``, every stored constant matched.  (a) is
+``nu`` multiplicativity and contains ``nu`` equivariance, so both pass when
+it holds; when it fails, a walk over the orbits (and every element, for
+equivariance) names the witness.  The traces ``tr(nu_i nu_j)``
+(:meth:`~cardyfrob.actions.FieldCatalog.trace_counts`) are counted once per
+call and serve nu-star-transpose and form-from-traces.
 phi-unit, phi-homomorphism and phi-star compare rows of ``phi`` over the
 stored constants, the products ``phi(e_i) phi(e_j)`` through
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
@@ -71,7 +74,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Sequence
 
 from . import linalg
@@ -90,6 +92,7 @@ from .frobenius import (
     EquippedFrobeniusAlgebra,
     _first_difference,
     _first_noncentral,
+    _scaled,
     commutator_rows,
     multiplication_traces,
 )
@@ -305,10 +308,13 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     checks :func:`_model_certificate` proves pass without their walks, and
     the Cardy condition reads its traces off the model.  Every other check,
     and each of these four when its premises fail, runs as it does without
-    the model, so the results do not depend on it.
+    the model, so the results do not depend on it.  The traces
+    :meth:`~cardyfrob.actions.FieldCatalog.trace_counts` are counted once
+    per call too, and handed to nu-star-transpose and form-from-traces.
     """
     modelled = h.catalog.is_model_of(h.B)
     certified = _model_certificate(h, modelled)
+    traces = h.catalog.trace_counts()
 
     def run(name: str, check: Callable[[CardyFrobeniusAlgebra], CheckResult]) -> CheckResult:
         return CheckResult(name, True) if name in certified else check(h)
@@ -323,8 +329,8 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
         _check_u_coefficients(h),
         _check_cardy(h, modelled),
         run("nu-multiplicative", _check_nu_multiplicative),
-        _check_nu_star_transpose(h),
-        _check_form_from_traces(h),
+        _check_nu_star_transpose(h, traces),
+        _check_form_from_traces(h, traces),
         _check_linear_form_from_traces(h),
         run("nu-equivariant", _check_nu_equivariant),
         _check_burnside_dimension(h),
@@ -463,16 +469,10 @@ def _check_cardy(h: CardyFrobeniusAlgebra, modelled: bool) -> CheckResult:
             traces[i][j] = count
     else:
         traces = multiplication_traces(b, right=True)
-    form_scale, inverse_scale = (
-        lcm(*(value.denominator for row in rows for value in row.values()))
-        for rows in (b.form, inverse)
-    )
-    form = [{j: int(value * form_scale) for j, value in row.items()} for row in b.form]
+    form_scale, form = _scaled(b.form)
+    inverse_scale, scaled_inverse = _scaled(inverse)
     phi_form = [linalg.row_times(row.items(), form) for row in h.phi]
-    dual = [
-        linalg.row_times(((a, int(value * inverse_scale)) for a, value in row.items()), phi_form)
-        for row in inverse
-    ]
+    dual = [linalg.row_times(row.items(), phi_form) for row in scaled_inverse]
     columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(b.dim)]
     for a, row in enumerate(phi_form):
         for i, value in row.items():
@@ -529,27 +529,34 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("nu-multiplicative", True)
 
 
-def _check_nu_star_transpose(h: CardyFrobeniusAlgebra) -> CheckResult:
+def _check_nu_star_transpose(
+    h: CardyFrobeniusAlgebra, traces: Counter[tuple[int, int]]
+) -> CheckResult:
     # nu(beta_k)^T == nu(beta_k*): every swapped pair of O_k lies in O_k*,
-    # and O_k* is no larger.  The first failing field is the witness.
+    # and O_k* is no larger.  ``traces`` is the catalog's trace_counts(), whose
+    # keys (k, orbit of the swapped pair) say where the swapped pairs of O_k
+    # lie.  The first failing field is the witness.
     fields = h.catalog.boundary
     stars = [h.catalog.boundary_position(field.star) for field in fields]
-    failing = {k for k, swapped in h.catalog.trace_counts() if stars[k] != swapped}
+    failing = {k for k, swapped in traces if stars[k] != swapped}
     failing.update(k for k, field in enumerate(fields) if field.size != fields[stars[k]].size)
     if failing:
         return CheckResult("nu-star-transpose", False, fields[min(failing)].label)
     return CheckResult("nu-star-transpose", True)
 
 
-def _check_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
+def _check_form_from_traces(
+    h: CardyFrobeniusAlgebra, traces: Counter[tuple[int, int]]
+) -> CheckResult:
     # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
-    # with (y, x) in O_j: one pass over the orbit table counts them all.
+    # with (y, x) in O_j: ``traces``, the catalog's trace_counts(), one pass
+    # over the orbit table, counts them all.
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
-    traces: list[dict[int, int]] = [{} for _ in fields]
-    for (i, j), count in h.catalog.trace_counts().items():
-        traces[i][j] = count
-    for i, (left, trace) in enumerate(zip(fields, traces)):
+    rows: list[dict[int, int]] = [{} for _ in fields]
+    for (i, j), count in traces.items():
+        rows[i][j] = count
+    for i, (left, trace) in enumerate(zip(fields, rows)):
         row = h.B.form[i]
         failing = [
             j for j in row.keys() | trace.keys() if row.get(j, 0) * n_order != trace.get(j, 0)
@@ -592,7 +599,7 @@ def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_burnside_dimension(h: CardyFrobeniusAlgebra) -> CheckResult:
     nset = h.catalog.nset
     n_order = nset.group.order
-    burnside = sum(nset.fixed_point_count(n) ** 2 for n in range(n_order))
+    burnside = nset.squared_fixed_points()
     passed = burnside == n_order * h.B.dim
     witness = None if passed else f"{burnside}/{n_order} != {h.B.dim}"
     return CheckResult("burnside-dimension", passed, witness)

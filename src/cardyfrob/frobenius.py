@@ -48,7 +48,10 @@ scan, which survives only as the reference in
 centrality checks sum rows of constants in index space: ``[z, e_b]`` is
 ``sum_s z_s`` times row ``s`` of :func:`commutator_rows`, and the least
 nonzero key names the first failing label; the ``AlgebraElement`` loops they
-replace are :func:`cardyfrob.oracles.element_axiom_oracle`.
+replace are :func:`cardyfrob.oracles.element_axiom_oracle`.  Dual
+reconstruction multiplies the pairings recomputed from the products by the
+inverse pairing with both scaled to integers by the lcm of their
+denominators, and compares the result with each probe times both scales.
 
 An algebra may carry a permutation model: ``B`` of a group action keeps the
 catalog it was counted from, and ``nu(e_k)`` is the 0/1 matrix of orbit
@@ -62,9 +65,10 @@ transposition, it is an anti-automorphism, because transposition reverses
 products.  When the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``, it is
 symmetric and invariant, because the trace is cyclic.  With all of these
 the algebra is a symmetric Frobenius algebra, whose Casimir element is
-central.
+central.  When the unit is the sum of the orbits on the diagonal, ``nu``
+sends it to the identity matrix, so it is the unit of the algebra.
 :func:`verify_equipped` recomputes the premises on every call
-(:func:`_model_certificate`) and skips the four walks they prove; a premise
+(:func:`_model_certificate`) and skips the five walks they prove; a premise
 that fails leaves its checks to the walks above, so the results do not
 depend on the model.  This module reads the model only through its methods
 and imports neither :mod:`cardyfrob.actions` nor :mod:`cardyfrob.cardy`.
@@ -551,7 +555,7 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
         return CheckResult(name, True) if name in certified else check(alg)
 
     return [
-        _check_unit(alg),
+        run("unit", _check_unit),
         run("associativity", _check_associativity),
         _check_form_symmetric(alg),
         _check_form_invertible(alg),
@@ -574,13 +578,20 @@ def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
     (b) every swapped pair of ``O_i`` lies in the orbit of the star of
         ``e_i``: ``nu(e_i^*) = nu(e_i)^T``, and the star is a permutation
         since the swapped orbits partition ``X x X`` as the orbits do;
-    (c) the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``.
+    (c) the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``;
+    (e) the unit is ``sum e_k`` over the orbits that meet the diagonal
+        (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_positions`), each
+        coefficient 1 and no other.
 
     (a) certifies associativity, (a) and (b) the anti-automorphism, (a) and
     (c) form invariance, and all three casimir-central, the argument of the
     module docstring.  Under all three the pairing is ``|O_i| / |N|`` at
     ``(i, i*)`` and zero elsewhere, so form-invertible, which still runs,
-    passes.  Without (a) nothing is certified.
+    passes.  (a) and (e) certify the unit: under (a) each orbit is an
+    ``N``-orbit, so one that meets the diagonal lies inside it, and the
+    orbits of (e) cover it; then ``nu(u) = I``, so ``nu(u e_b) = nu(e_b) =
+    nu(e_b u)`` and ``nu`` being injective, ``u e_b = e_b = e_b u``.  Without
+    (a) nothing is certified.
     """
     model = alg._model
     if model is None or not model.is_model_of(alg):
@@ -592,7 +603,10 @@ def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
         form[i][j] = Fraction(count, order)
     transpose = all(alg.involution[i] == j for i, j in traces)
     traced = list(alg.form) == form
+    unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
     certified = {"associativity"}
+    if unit == dict.fromkeys(model.diagonal_positions(), 1):
+        certified.add("unit")
     if transpose:
         certified.add("involution-antiautomorphism")
     if traced:
@@ -772,8 +786,7 @@ def _check_form_invariance(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # integral constants give integer sums; the smallest failing key of the
     # first failing i is the dense scan's first triple.
     n = alg.dim
-    scale = lcm(*(entry.denominator for row in alg.form for entry in row.values()))
-    form = [{k: int(entry * scale) for k, entry in row.items()} for row in alg.form]
+    _, form = _scaled(alg.form)
     by_out: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
     for j, k, expansion in alg.stored_products():
         key = j * n + k
@@ -848,22 +861,37 @@ def _check_dual_reconstruction(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     # The dual-basis expansion sum_{i,j} (x, e_i) F^-1_ij e_j of the unit and
     # of every basis element, in index space: the pairings row of x, recomputed
     # once from the products and l as in dual_reconstruct (the stored form is
-    # what the inverse was taken of), times the rows of F^-1.
+    # what the inverse was taken of), times the rows of F^-1.  Both are scaled
+    # to integers, so the expansion comes out times the product of the two
+    # scales and is compared with the probe times it.
     try:
         inverse = alg.form_inverse()
     except ConsistencyError as exc:
         return CheckResult("dual-reconstruction", False, str(exc))
-    pairings = alg._compute_form()
+    pairing_scale, pairings = _scaled(alg._compute_form())
+    inverse_scale, inverse = _scaled(inverse)
+    scale = pairing_scale * inverse_scale
     unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
+    scaled_unit = {j: scale * value for j, value in unit.items()}
     probes = chain(
-        [("1", unit, linalg.row_times(unit.items(), pairings))],
-        ((label, {b: 1}, pairings[b]) for b, label in enumerate(alg.basis)),
+        [("1", scaled_unit, linalg.row_times(unit.items(), pairings))],
+        ((label, {b: scale}, pairings[b]) for b, label in enumerate(alg.basis)),
     )
     for name, probe, row in probes:
         expanded = linalg.row_times(row.items(), inverse)
         if {j: value for j, value in expanded.items() if value} != probe:
             return CheckResult("dual-reconstruction", False, name)
     return CheckResult("dual-reconstruction", True)
+
+
+def _scaled(rows: Sequence[Mapping[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
+    """The lcm of the denominators of sparse rational ``rows``, and the rows
+    times it as ``int`` rows, each entry ``numerator * (scale // denominator)``."""
+    scale = lcm(*(value.denominator for row in rows for value in row.values()))
+    return scale, [
+        {j: value.numerator * (scale // value.denominator) for j, value in row.items()}
+        for row in rows
+    ]
 
 
 # -- derived structure -------------------------------------------------------

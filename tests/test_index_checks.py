@@ -30,7 +30,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
-from cardyfrob.actions import _code_steps, _invariant, _single_orbits
+from cardyfrob.actions import _counted_orbits, _invariant
 from cardyfrob.cardy import (
     _check_nu_equivariant,
     _check_nu_multiplicative,
@@ -225,7 +225,7 @@ def test_merged_orbits_match_oracle(suite_algebras, name):
     for keep, emptied in choices:
         catalog = merged_orbits(h.catalog, keep, emptied)
         assert _invariant(catalog.orbit_table, every_step(catalog.nset))
-        assert not _single_orbits(catalog, _code_steps(catalog.nset))
+        assert not _counted_orbits(catalog)
         broken = replace(h, catalog=catalog)
         results = cardy_checks(broken)
         assert results == cardy_axiom_oracle(broken), (name, keep, emptied)
@@ -271,14 +271,15 @@ def test_swapped_orbit_pairs_match_oracle(suite_algebras, name):
     assert checked == 2
 
 
-def test_single_orbits_reads_the_listed_orbits(suite_algebras):
+def test_counted_orbits_reads_the_listed_orbits(suite_algebras):
     catalog = suite_algebras["s4_k0123"].catalog
-    steps = _code_steps(catalog.nset)
-    assert _single_orbits(catalog, steps)
-    assert not _single_orbits(catalog, steps[:0])
+    nset, dim = catalog.nset, len(catalog.boundary)
+    assert nset.squared_fixed_points() == nset.group.order * dim
+    assert _counted_orbits(catalog)
     # The largest orbit cut down to its representative, the rest of its
-    # pairs listed as an orbit of their own: the walk from the
-    # representative reaches more pairs than the orbit holds.
+    # pairs listed as an orbit of their own: every representative still
+    # holds its own label, but Burnside's lemma counts one orbit fewer than
+    # the catalog lists.
     fields = list(catalog.boundary)
     big = max(range(len(fields)), key=lambda k: fields[k].size)
     table = array("i", catalog.orbit_table)
@@ -293,11 +294,15 @@ def test_single_orbits_reads_the_listed_orbits(suite_algebras):
     )
     fields[big] = replace(fields[big], size=1)
     split = replace(catalog, boundary=(*fields, extra), orbit_table=table)
-    assert not _single_orbits(split, steps)
-    # A representative whose cell lies in another orbit fails the premise.
+    size = nset.size
+    representatives = [field.representative for field in split.boundary]
+    assert all(table[x * size + z] == k for k, (x, z) in enumerate(representatives))
+    assert not _counted_orbits(split)
+    # A representative whose cell lies in another orbit fails the premise,
+    # though the count of orbits is right.
     fields = list(catalog.boundary)
     fields[big] = replace(fields[big], representative=fields[big - 1].representative)
-    assert not _single_orbits(replace(catalog, boundary=tuple(fields)), steps)
+    assert not _counted_orbits(replace(catalog, boundary=tuple(fields)))
 
 
 def test_nu_multiplicative_names_the_least_failing_pair(suite_algebras):

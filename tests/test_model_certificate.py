@@ -1,14 +1,15 @@
 """The permutation-model certificate of ``verify_equipped``.
 
 ``build_B`` keeps the catalog it counted ``B`` from, and ``verify_equipped``
-recomputes three premises from it on every call: (a) the orbit matrices
+recomputes four premises from it on every call: (a) the orbit matrices
 ``nu(e_k)`` multiply as the stored constants say, (b) the star is their
-transpose and (c) the stored pairing is their trace form.  The premises
-that hold prove associativity, the star anti-automorphism, form invariance
-and casimir-central without their walks.  Every result, witness included,
-must equal the one of the same algebra without a model, on intact algebras,
-on seeded corruptions of a constant, a pairing entry or the star, and with
-catalogs that are no permutation model of ``B``.
+transpose, (c) the stored pairing is their trace form and (e) the unit is
+the sum of the orbits on the diagonal.  The premises that hold prove the
+unit, associativity, the star anti-automorphism, form invariance and
+casimir-central without their walks.  Every result, witness included, must
+equal the one of the same algebra without a model, on intact algebras, on
+seeded corruptions of a constant, a pairing entry, the star or the unit, and
+with catalogs that are no permutation model of ``B``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from fractions import Fraction
 
 import pytest
 
-from cardyfrob import ConsistencyError, build_B, dense_axiom_oracle, verify_equipped
+from cardyfrob import (
+    AlgebraElement,
+    ConsistencyError,
+    build_B,
+    dense_axiom_oracle,
+    verify_equipped,
+)
 from cardyfrob.frobenius import _model_certificate
 from conftest import SUITE_DOCUMENTS
 from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
@@ -34,6 +41,7 @@ from test_sparse_checks import (
 )
 
 CERTIFIABLE = {
+    "unit",
     "associativity",
     "involution-antiautomorphism",
     "form-invariance",
@@ -116,6 +124,59 @@ def test_corrupted_constant_breaks_premise_a(suite_algebras, name):
 
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_constant_without_chains_breaks_premise_a(suite_algebras, name):
+    # A constant stored at an (i, j, k) where the table counts no chain x_k
+    # -> y -> z_k: every counted chain still finds its constant, and only the
+    # count of the matched constants against the stored ones sees it.
+    h = suite_algebras[name]
+    b = h.B
+    rng = random.Random(seed_of(name))
+    unstored = [
+        (i, j, k)
+        for i in range(b.dim)
+        for j in range(b.dim)
+        for k in range(b.dim)
+        if k not in b.pair_products(i, j)
+    ]
+    for i, j, k in rng.sample(unstored, 3):
+        broken = with_model(with_constant(b, i, j, k, 1), h.catalog)
+        assert not h.catalog.is_model_of(broken), (name, (i, j, k))
+        assert _model_certificate(broken) == set()
+        assert_generic(broken)
+
+
+def with_unit(alg, coeffs: dict[int, int]):
+    """A copy of ``alg`` (model included) whose unit is ``coeffs``, keyed by position."""
+    broken = copy.copy(alg)
+    broken.unit = AlgebraElement({alg.basis[k]: value for k, value in coeffs.items()})
+    return broken
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_changed_unit_breaks_only_premise_e(suite_algebras, name):
+    # Three units: moved off one diagonal orbit onto an orbit off the
+    # diagonal, given coefficient 2 on that diagonal orbit, and given an
+    # orbit off the diagonal besides.  (a) still holds, so everything else
+    # stays certified, and the unit check walks to the witness of the
+    # algebra without a model.
+    h = suite_algebras[name]
+    diagonal = sorted(h.catalog.diagonal_positions())
+    unit = dict.fromkeys(diagonal, 1)
+    assert {h.B.index(label): value for label, value in h.B.unit.coeffs.items()} == unit
+    rng = random.Random(seed_of(name))
+    on = rng.choice(diagonal)
+    off = rng.choice([k for k in range(h.B.dim) if k not in unit])
+    moved = {**{k: 1 for k in diagonal if k != on}, off: 1}
+    for coeffs in (moved, {**unit, on: 2}, {**unit, off: 1}):
+        broken = with_unit(h.B, coeffs)
+        assert h.catalog.is_model_of(broken)
+        assert _model_certificate(broken) == CERTIFIABLE - {"unit"}, (name, coeffs)
+        results = assert_generic(broken)
+        assert results == verify_equipped(broken.permuted(broken.basis))
+        assert [r.name for r in results if not r.passed] == ["unit"], (name, coeffs)
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
 def test_corrupted_form_entry_breaks_only_premise_c(suite_algebras, name):
     h = suite_algebras[name]
     rng = random.Random(seed_of(name))
@@ -124,7 +185,11 @@ def test_corrupted_form_entry_breaks_only_premise_c(suite_algebras, name):
         i, j = rng.randrange(h.B.dim), rng.randrange(h.B.dim)
         broken = with_form_entry(h.B, i, j, Fraction(1, 7))
         assert broken._model is h.catalog
-        assert _model_certificate(broken) == {"associativity", "involution-antiautomorphism"}
+        assert _model_certificate(broken) == {
+            "unit",
+            "associativity",
+            "involution-antiautomorphism",
+        }
         results = assert_generic(broken)
         failed += not {r.name: r for r in results}["form-invariance"].passed
     assert failed
@@ -138,7 +203,7 @@ def test_changed_involution_breaks_only_premise_b(suite_algebras, name):
     for _ in range(3):
         a, b = rng.sample(range(h.B.dim), 2)
         broken = with_star(h.B, a, b)
-        assert _model_certificate(broken) == {"associativity", "form-invariance"}
+        assert _model_certificate(broken) == {"unit", "associativity", "form-invariance"}
         results = assert_generic(broken)
         failed += not {r.name: r for r in results}["involution-antiautomorphism"].passed
     assert failed

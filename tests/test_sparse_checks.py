@@ -149,21 +149,22 @@ def test_corrupted_form_entry_breaks_form_from_traces(suite_algebras, name, coun
     # Every entry of the s3_k01 pairing, and a seeded sample for a5_k0123
     # (zero and nonzero entries alike); the witness is the corrupted pair.
     h = suite_algebras[name]
-    assert _check_form_from_traces(h).passed
+    traces = h.catalog.trace_counts()
+    assert _check_form_from_traces(h, traces).passed
     entries = [(i, j) for i in range(h.B.dim) for j in range(h.B.dim)]
     if count is not None:
         entries = random.Random(sum(name.encode("utf-8"))).sample(entries, count)
     for i, j in entries:
         broken = with_form_entry(h.B, i, j, Fraction(1, 7))
         witness = f"({h.B.basis[i]}, {h.B.basis[j]})"
-        assert _check_form_from_traces(replace(h, B=broken)) == CheckResult(
+        assert _check_form_from_traces(replace(h, B=broken), traces) == CheckResult(
             "form-from-traces", False, witness
         )
         assert sparse_checks(broken) == dense_axiom_oracle(broken), (name, i, j)
         # A second corrupted entry later in the row leaves the witness as is.
         if j + 1 < h.B.dim:
             twice = with_form_entry(broken, i, j + 1, Fraction(1, 7))
-            assert _check_form_from_traces(replace(h, B=twice)).witness == witness
+            assert _check_form_from_traces(replace(h, B=twice), traces).witness == witness
 
 
 def test_corrupted_form_row_breaks_dual_reconstruction(suite_algebras):
