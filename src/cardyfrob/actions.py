@@ -475,10 +475,6 @@ class FieldCatalog:
                 return field.label
         raise ConsistencyError("no interior field contains the identity")
 
-    @property
-    def diagonal_boundary_labels(self) -> tuple[str, ...]:
-        return tuple(field.label for field in self.boundary if field.is_diagonal)
-
 
 def _code_steps(nset: NSet) -> list[list[int]]:
     """Each generator of ``N`` as a permutation of the pair codes ``x * |X| + y``."""

@@ -7,9 +7,10 @@ generators in discovery order.  Conjugacy classes, centralizers, normalizers
 and quotients are computed by exhaustive scans of the table, which is the
 right trade at the group orders this package targets (a few thousand at
 most).  A subgroup is closed from generators by one walk over right cosets.
-The interval of subgroups above a fixed subgroup is swept upward with
-bitmask subsets, one adjunction per class of elements that give the same
-extension, and at most :data:`POINTS_BOUND` results.
+The interval of subgroups above a fixed subgroup ``K`` is found one class
+under conjugation by ``N_G(K)`` at a time: one representative per class is
+extended by cyclic extension, each class is registered whole by
+conjugation, and at most :data:`POINTS_BOUND` results come back.
 """
 
 from __future__ import annotations
@@ -350,13 +351,14 @@ def centralizer(group: FiniteGroup, x: int) -> Subgroup:
 
 
 def normalizer(group: FiniteGroup, subgroup: Subgroup) -> Subgroup:
+    """The elements ``h`` with ``h S h^-1 = S``: those that conjugate each
+    generator of ``S`` into ``S``, which suffices in a finite group."""
+    table, inverses = group.table, group.inverses
     member_set = subgroup.member_set()
-    members = tuple(
-        h
-        for h in range(group.order)
-        if all(group.conjugate(h, x) in member_set for x in subgroup.elements)
-    )
-    return Subgroup(group, members)
+    members = range(group.order)
+    for x in _generators_of(table, subgroup.elements):
+        members = [h for h in members if table[table[h][x]][inverses[h]] in member_set]
+    return Subgroup(group, tuple(members))
 
 
 def quotient_group(
@@ -447,8 +449,9 @@ def _cover_class(
     x: int,
     index: Sequence[int],
     covered: bytearray,
-) -> None:
-    """Mark the right cosets of every ``y`` with ``<H, y> = <H, x>``.
+) -> list[int]:
+    """Mark the right cosets of every ``y`` with ``<H, y> = <H, x>``, and
+    return those not marked before.
 
     These are the double cosets ``H x^k H`` with ``k`` prime to the order of
     ``x``: such a ``y`` lies in ``<H, x>``, and ``x^k``, hence ``x``, lies in
@@ -460,31 +463,89 @@ def _cover_class(
     while powers[-1] != 0:
         powers.append(table[powers[-1]][x])
     order = len(powers)
+    fresh: list[int] = []
     for k, power in enumerate(powers[:-1], start=1):
         if gcd(k, order) == 1 and not covered[index[power]]:
             row = table[power]
             for h in members:
-                covered[index[row[h]]] = 1
+                coset = index[row[h]]
+                if not covered[coset]:
+                    covered[coset] = 1
+                    fresh.append(coset)
+    return fresh
+
+
+def _register_class(
+    group: FiniteGroup,
+    members: tuple[int, ...],
+    bits: Sequence[int],
+    conjugations: Mapping[int, Sequence[int]],
+    found: dict[int, tuple[int, ...]],
+) -> list[int]:
+    """Add the class of ``H`` (on ``members``) under ``N_G(K)`` to ``found``,
+    each member under its bitmask (``bits[x]`` is ``1 << x``), and return
+    generators of its stabiliser ``N_G(K) ∩ N_G(H)`` modulo ``K``.
+
+    ``conjugations`` maps each generator ``g`` of ``N_G(K)`` modulo ``K``
+    to the permutation ``x -> g x g^-1`` of the elements; ``K`` lies in
+    every subgroup over it, so it fixes them all.  The class is walked
+    breadth-first along them, so each member costs one lookup per element
+    and generator, not a coset walk.  The walk keeps a transversal: ``t_i``
+    conjugates ``H`` to the ``i``-th member.  An edge ``g`` from member ``i``
+    to a member ``j`` already seen gives the Schreier generator
+    ``t_j^-1 g t_i``, and these generate the stabiliser (Schreier's lemma);
+    :func:`_generators_of` keeps a short list of them.
+    """
+    table, inverses = group.table, group.inverses
+    position = {sum(map(bits.__getitem__, members)): 0}
+    orbit = [members]
+    transversal = [0]
+    schreier: list[int] = []
+    for current, t in zip(orbit, transversal):
+        if len(found) + len(orbit) > POINTS_BOUND:
+            raise ResourceError(f"more than {POINTS_BOUND} subgroups contain K (the points bound)")
+        for g, conjugation in conjugations.items():
+            mask = sum(map(bits.__getitem__, map(conjugation.__getitem__, current)))
+            j = position.get(mask)
+            if j is None:
+                position[mask] = len(orbit)
+                orbit.append(tuple(sorted(map(conjugation.__getitem__, current))))
+                transversal.append(table[g][t])
+            else:
+                schreier.append(table[inverses[transversal[j]]][table[g][t]])
+    found.update(zip(position, orbit))
+    if len(orbit) == 1:
+        return list(conjugations)
+    return _generators_of(table, schreier)
 
 
 def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgroup, ...]:
     """All subgroups of ``group`` that contain ``subgroup``.
 
-    Works upward from the subgroup itself.  Each found subgroup ``H`` is
-    kept as an ``int`` bitmask with a short generating list: generators of
-    the seed plus the element adjoined at each step.  As a base, ``H`` is
-    extended to ``<H, x>`` for one right coset ``Hx`` per class of cosets
-    that give the same extension (see :func:`_cover_class`).  Each extension
-    is one walk over the right cosets of ``H`` by the generating list of
-    ``H`` plus ``x`` (see :func:`_coset_walk`).
+    Works upward from the subgroup ``K`` itself, one class under conjugation
+    by ``N_G(K)`` at a time (cyclic extension up to conjugacy: J. Neubüser,
+    *Numer. Math.* 2, 1960; D. F. Holt, B. Eick and E. A. O'Brien, *Handbook
+    of Computational Group Theory*, 2005).  Each class is registered whole
+    when first met (see :func:`_register_class`), and only one
+    representative ``H`` of it, kept with a short generating list, is
+    extended.  ``H`` is extended to ``<H, x>`` by one walk over its right
+    cosets (see :func:`_coset_walk`), for one right coset ``Hx`` per orbit of
+    the stabiliser ``S = N_G(K) ∩ N_G(H)`` on the classes of cosets that give
+    the same extension (see :func:`_cover_class`).  ``S`` acts on the right
+    cosets, ``s(Hy)s^-1 = H(sys^-1)``, and ``<H, sys^-1> = s<H, y>s^-1``, so
+    the cosets covered by one walk are closed under the generators of ``S``
+    modulo ``K``; ``K`` lies in ``H`` and keeps each double coset ``HyH``,
+    which is covered whole.
 
-    The sweep is exhaustive.  Let ``L`` contain the seed, and ``H ⊊ L`` be
-    found.  Some ``x`` lies in ``L`` but not in ``H``.  When ``H`` is the
-    base, either ``<H, x> = <H, hx>`` is closed for the first element ``hx``
-    of the coset ``Hx``, or that coset was covered by an earlier ``y`` with
-    ``<H, y> = <H, x>``.  Either way ``<H, x>``, which lies in ``L`` and is
-    larger than ``H``, is found.  Starting from the seed, this climbs to
-    ``L`` in finitely many steps.
+    The search is exhaustive.  Let ``L`` contain ``K``; if ``L = K``, it is
+    the first subgroup found.  Otherwise take ``M`` maximal among the
+    subgroups of ``L`` over ``K``; by induction on the order, ``M`` is found,
+    so ``M = nHn^-1`` for the representative ``H`` of its class and some
+    ``n`` in ``N_G(K)``.  For any ``x`` in ``L`` but not in ``M``,
+    ``L = <M, x>`` by maximality, so ``n^-1Ln = <H, y>`` with
+    ``y = n^-1xn``.  The coset ``Hy`` was walked or covered, so
+    ``<H, y>`` is ``s<H, z>s^-1`` for an ``s`` in ``S`` and an extension
+    ``<H, z>`` that was walked, and ``L`` lies in its class.
 
     More than :data:`POINTS_BOUND` subgroups raise :class:`ResourceError`.
     Results come back sorted by (order, element tuple) with ``id`` set to
@@ -492,14 +553,23 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
     """
     if subgroup.parent is not group:
         raise InputError("subgroup does not belong to the given group")
-    table = group.table
+    table, inverses = group.table, group.inverses
     seed = tuple(sorted(subgroup.elements))
-    found: dict[int, tuple[list[int], tuple[int, ...]]] = {
-        sum(1 << x for x in seed): (_generators_of(table, seed), seed)
-    }
-    frontier = list(found)
-    while frontier:
-        gens, members = found[frontier.pop()]
+    if len(seed) == 1:
+        seed_gens, n_generators = [], list(group.generators)
+    else:
+        # Generators of K first, then of N_G(K) modulo K, which is all that acts.
+        both = _generators_of(table, (*seed, *normalizer(group, subgroup).elements))
+        seed_gens = [g for g in both if g in seed]
+        n_generators = both[len(seed_gens):]
+    conjugations = {g: [table[row_g][inverses[g]] for row_g in table[g]] for g in n_generators}
+    bits = [1 << x for x in range(group.order)]
+    found: dict[int, tuple[int, ...]] = {}
+    representatives = [
+        (seed_gens, seed, _register_class(group, seed, bits, conjugations, found))
+    ]
+    while representatives:
+        gens, members, stabiliser = representatives.pop()
         index, reps, masks = _right_cosets(table, members)
         covered = bytearray(len(reps))
         covered[0] = 1
@@ -508,19 +578,19 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
                 continue
             bigger_gens = [*gens, x]
             walk = _coset_walk(table, bigger_gens, index, reps)
-            mask = 0
-            for other in walk:
-                mask |= masks[other]
-            if mask not in found:
-                bigger = sorted(table[h][reps[other]] for other in walk for h in members)
-                found[mask] = (bigger_gens, tuple(bigger))
-                if len(found) > POINTS_BOUND:
-                    raise ResourceError(
-                        f"more than {POINTS_BOUND} subgroups contain K (the points bound)"
-                    )
-                frontier.append(mask)
-            _cover_class(table, members, x, index, covered)
-    ordered = sorted((members for _, members in found.values()), key=lambda t: (len(t), t))
+            if sum(map(masks.__getitem__, walk)) not in found:
+                bigger = tuple(sorted(table[h][reps[other]] for other in walk for h in members))
+                stabiliser_of_bigger = _register_class(group, bigger, bits, conjugations, found)
+                representatives.append((bigger_gens, bigger, stabiliser_of_bigger))
+            fresh = _cover_class(table, members, x, index, covered)
+            for other in fresh:
+                y = reps[other]
+                for s in stabiliser:
+                    image = index[table[table[s][y]][inverses[s]]]
+                    if not covered[image]:
+                        covered[image] = 1
+                        fresh.append(image)
+    ordered = sorted(found.values(), key=lambda t: (len(t), t))
     return tuple(
         Subgroup(group, members, id=position) for position, members in enumerate(ordered)
     )

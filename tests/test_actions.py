@@ -175,7 +175,7 @@ def test_boundary_fields_z2(suite_algebras):
     assert all(field.aut_order == 2 for field in catalog.boundary)
     stars = {field.label: field.star for field in catalog.boundary}
     assert stars == {"b0": "b0", "b1": "b2", "b2": "b1", "b3": "b3"}
-    assert catalog.diagonal_boundary_labels == ("b0", "b3")
+    assert catalog.diagonal_positions() == {0, 3}
 
 
 def test_boundary_field_invariants(suite_algebras):
@@ -189,7 +189,8 @@ def test_boundary_field_invariants(suite_algebras):
             x, y = field.representative
             cell = catalog.orbit_table[y * catalog.nset.size + x]
             assert cell == catalog.boundary_position(field.star), name
-            assert field.is_diagonal == (field.label in catalog.diagonal_boundary_labels)
+            position = catalog.boundary_position(field.label)
+            assert field.is_diagonal == (position in catalog.diagonal_positions()), name
 
 
 def test_orbits_partition_pairs(suite_algebras):

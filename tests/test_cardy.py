@@ -389,4 +389,4 @@ def test_coset_catalog_diagonal_unit():
     transposition = next(a for a in s3.elements() if s3.element_order(a) == 2)
     s = subgroup_closure(s3, [transposition])
     catalog = build_catalog(coset_nset(s3, s))
-    assert catalog.diagonal_boundary_labels == ("b0",)
+    assert catalog.diagonal_positions() == {0}

@@ -1,19 +1,26 @@
 """The subgroup lattice over K against its brute-force reference.
 
-:func:`cardyfrob.subgroups_containing` sweeps right cosets with bitmasks
-and one adjunction per class; :func:`cardyfrob.subgroup_lattice_oracle`
+:func:`cardyfrob.subgroups_containing` extends one representative per
+class of subgroups under conjugation by ``N_G(K)``, by one coset per orbit
+of the representative's stabiliser, and registers each class whole.  It
+misses nothing: for ``L`` over ``K``, take ``M`` maximal over ``K`` inside
+``L``; then ``L = <M, x>``, which is a conjugate of an extension of the
+representative of ``M``'s class.  :func:`cardyfrob.subgroup_lattice_oracle`
 adjoins every element to every found subgroup.  Both must return the same
-subgroups, orders and ``id``s.  The classical subgroup counts and the points
-bound are checked here as well.
+subgroups, orders and ``id``s, on the suite pairs and on drawn pairs of
+degree up to 5.  Past the oracle's reach, digests of the lattices of S5,
+PSL(2,7), A6, PSL(2,13) and S6 pin the output.  The classical subgroup
+counts and the points bound are checked here as well.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cardyfrob.groups
@@ -40,6 +47,23 @@ S5_GENERATORS = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
 S6_GENERATORS = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
 # PSL(2,7) as the group generated by (0 1 2 3 4 5 6) and (2 4)(5 6).
 PSL27_GENERATORS = [[1, 2, 3, 4, 5, 6, 0], [0, 1, 4, 3, 2, 6, 5]]
+A6_GENERATORS = [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]
+# PSL(2,13) on the projective line 0..12 and infinity (13), generated by
+# x -> x + 1 and x -> -1/x.
+PSL213_GENERATORS = [
+    [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 13],
+    [13, 12, 6, 4, 3, 5, 2, 11, 8, 10, 9, 7, 1, 0],
+]
+
+# sha256 of the compact JSON of [[order, elements], ...] for K = 1, written
+# by the coset sweep that enumerated every subgroup by its own walks.
+LATTICE_DIGESTS = {
+    "s5": "bb318781d680e4b7ddfc51d28050b28739a025fa6f4ddbc8c1bb89827e9dcb08",
+    "psl27": "a3bcaca40d353486b258aecc2c5a0cbd066904f1289c4fc339b500788a451520",
+    "a6": "8f6a6613d1a1a10382828613a76282bbcd0f9a168167808e6a78b0ea6b8092f6",
+    "psl213": "02bb18c995169418e79900231c4be0b595eb255077441065b2e5a5f47cfbce4b",
+    "s6": "e36bb1f58593b67b296e4ac6f8a873bf7d0ec1d1f9a9b069ad951cdbbd152fee",
+}
 
 EXTRA_DOCUMENTS = {
     "a5": {"degree": 5, "generators": A5_GENERATORS, "k_generators": []},
@@ -76,19 +100,32 @@ def test_a5_lattices_match_oracle(name):
     assert_matches_oracle(*group_from_document(EXTRA_DOCUMENTS[name]))
 
 
-permutations_of_degree = st.integers(min_value=1, max_value=4).flatmap(
-    lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
-)
+def lattice_digest(subgroups):
+    payload = json.dumps([[sub.order, list(sub.elements)] for sub in subgroups], separators=(",", ":"))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def permutations_up_to(max_degree):
+    return st.integers(min_value=1, max_value=max_degree).flatmap(
+        lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
+    )
+
+
+permutations_of_degree = permutations_up_to(4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(generators=permutations_of_degree, data=st.data())
+@given(generators=permutations_up_to(5), data=st.data())
 def test_random_lattices_match_oracle(generators, data):
     group = build_group(len(generators[0]), generators)
     k_generators = data.draw(
         st.lists(st.integers(min_value=0, max_value=group.order - 1), max_size=3)
     )
-    assert_matches_oracle(group, subgroup_closure(group, k_generators))
+    k = subgroup_closure(group, k_generators)
+    # The oracle closes every adjunction by a set sweep: 2 s for index 60 in
+    # S5, 11.5 s for S5 with K = 1.
+    assume(group.order // k.order <= 60)
+    assert_matches_oracle(group, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,6 +161,20 @@ def test_classical_subgroup_counts(degree, generators, count):
         subgroup_from_elements(group, sub.elements)
 
 
+@pytest.mark.parametrize(
+    ("name", "degree", "generators"),
+    [
+        ("s5", 5, S5_GENERATORS),
+        ("psl27", 7, PSL27_GENERATORS),
+        ("a6", 6, A6_GENERATORS),
+        ("psl213", 14, PSL213_GENERATORS),
+    ],
+)
+def test_lattice_digests_under_the_bound(name, degree, generators):
+    group = build_group(degree, generators)
+    assert lattice_digest(subgroups_containing(group, trivial_subgroup(group))) == LATTICE_DIGESTS[name]
+
+
 def test_s6_has_1455_subgroups(s6, monkeypatch):
     # Past the points bound, so only with the bound lifted.
     monkeypatch.setattr(cardyfrob.groups, "POINTS_BOUND", 1455)
@@ -131,6 +182,7 @@ def test_s6_has_1455_subgroups(s6, monkeypatch):
     assert len(subgroups) == 1455
     assert [sub.order for sub in subgroups[:2]] == [1, 2]
     assert subgroups[-1].elements == tuple(range(720))
+    assert lattice_digest(subgroups) == LATTICE_DIGESTS["s6"]
 
 
 def test_points_bound_admits_nontrivial_k_in_s6(s6):
