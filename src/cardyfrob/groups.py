@@ -555,7 +555,7 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
         raise InputError("subgroup does not belong to the given group")
     table, inverses = group.table, group.inverses
     seed = tuple(sorted(subgroup.elements))
-    if len(seed) == 1:
+    if len(seed) == 1:  # K = 1, so N_G(K) = G, whose generators are cached
         seed_gens, n_generators = [], list(group.generators)
     else:
         # Generators of K first, then of N_G(K) modulo K, which is all that acts.
@@ -578,10 +578,12 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
                 continue
             bigger_gens = [*gens, x]
             walk = _coset_walk(table, bigger_gens, index, reps)
+            # The cosets are disjoint, so the sum of their masks is the union.
             if sum(map(masks.__getitem__, walk)) not in found:
                 bigger = tuple(sorted(table[h][reps[other]] for other in walk for h in members))
                 stabiliser_of_bigger = _register_class(group, bigger, bits, conjugations, found)
                 representatives.append((bigger_gens, bigger, stabiliser_of_bigger))
+            # Close the covered cosets under S: s(Hy)s^-1 = H(sys^-1).
             fresh = _cover_class(table, members, x, index, covered)
             for other in fresh:
                 y = reps[other]

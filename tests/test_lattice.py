@@ -112,6 +112,7 @@ def permutations_up_to(max_degree):
     )
 
 
+# Degree <= 4, shared with the drawn-pair tests of other modules.
 permutations_of_degree = permutations_up_to(4)
 
 
