@@ -9,8 +9,9 @@ representative of ``M``'s class.  :func:`cardyfrob.subgroup_lattice_oracle`
 adjoins every element to every found subgroup.  Both must return the same
 subgroups, orders and ``id``s, on the suite pairs and on drawn pairs of
 degree up to 5.  Past the oracle's reach, digests of the lattices of S5,
-PSL(2,7), A6, PSL(2,13) and S6 pin the output.  The classical subgroup
-counts and the points bound are checked here as well.
+PSL(2,7), A6, PSL(2,13) and S6 with ``K = 1``, and of S5's lattices over
+every ``K``, pin the output.  The classical subgroup counts and the points
+bound are checked here as well.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ LATTICE_DIGESTS = {
     "psl213": "02bb18c995169418e79900231c4be0b595eb255077441065b2e5a5f47cfbce4b",
     "s6": "e36bb1f58593b67b296e4ac6f8a873bf7d0ec1d1f9a9b069ad951cdbbd152fee",
 }
+# The same for the list of lattices over every subgroup K of S5, in order.
+S5_EVERY_K_DIGEST = "e3e4480be6cacbdf7cfecc4113be386635dea00b6a9c97a514d4c0da926f5344"
 
 EXTRA_DOCUMENTS = {
     "a5": {"degree": 5, "generators": A5_GENERATORS, "k_generators": []},
@@ -100,10 +103,12 @@ def test_a5_lattices_match_oracle(name):
     assert_matches_oracle(*group_from_document(EXTRA_DOCUMENTS[name]))
 
 
-def lattice_digest(subgroups):
-    pairs = [[sub.order, list(sub.elements)] for sub in subgroups]
-    payload = json.dumps(pairs, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+def order_element_pairs(subgroups):
+    return [[sub.order, list(sub.elements)] for sub in subgroups]
+
+
+def sha256_of(payload):
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
 def permutations_up_to(max_degree):
@@ -175,7 +180,18 @@ def test_classical_subgroup_counts(degree, generators, count):
 def test_lattice_digests_under_the_bound(name, degree, generators):
     group = build_group(degree, generators)
     subgroups = subgroups_containing(group, trivial_subgroup(group))
-    assert lattice_digest(subgroups) == LATTICE_DIGESTS[name]
+    assert sha256_of(order_element_pairs(subgroups)) == LATTICE_DIGESTS[name]
+
+
+def test_lattices_over_every_subgroup_of_s5():
+    # Every K, not only K = 1, so that N_G(K) modulo K and the stabilisers
+    # of the classes under it vary.
+    group = build_group(5, S5_GENERATORS)
+    lattices = [
+        order_element_pairs(subgroups_containing(group, k))
+        for k in subgroups_containing(group, trivial_subgroup(group))
+    ]
+    assert sha256_of(lattices) == S5_EVERY_K_DIGEST
 
 
 def test_s6_has_1455_subgroups(s6, monkeypatch):
@@ -185,7 +201,7 @@ def test_s6_has_1455_subgroups(s6, monkeypatch):
     assert len(subgroups) == 1455
     assert [sub.order for sub in subgroups[:2]] == [1, 2]
     assert subgroups[-1].elements == tuple(range(720))
-    assert lattice_digest(subgroups) == LATTICE_DIGESTS["s6"]
+    assert sha256_of(order_element_pairs(subgroups)) == LATTICE_DIGESTS["s6"]
 
 
 def test_points_bound_admits_nontrivial_k_in_s6(s6):
