@@ -59,16 +59,21 @@ class NSet:
     def __post_init__(self) -> None:
         """Validate the action axioms, the product rule on generators only.
 
-        Each row must permute the points and the identity must fix them all.
-        Then ``rho(g) rho(s) = rho(gs)`` is checked for every ``g`` and every
-        ``s`` in the generating set ``S`` of :attr:`FiniteGroup.generators`,
-        ``|N| |S| |X|`` steps.  That proves ``rho(g) rho(w) = rho(gw)`` for
-        every word ``w`` in ``S`` by induction on its length: ``rho(w s) =
-        rho(w) rho(s)`` is the case ``g = w``, so ``rho(g) rho(ws) = rho(gw)
-        rho(s) = rho((gw)s)``, and ``(gw)s = g(ws)`` because the table is
-        associative.  In a finite group every element is such a word, so
-        ``rho`` is a homomorphism.  On a failure the loop over all pairs
-        ``(g, h)`` runs and names the first failing one.
+        Every row must have ``|X|`` entries, the identity must fix every
+        point, and each row of a generator ``s`` in the generating set ``S``
+        of :attr:`FiniteGroup.generators` must permute the points.  Then
+        ``rho(g) rho(s) = rho(gs)`` is checked for every ``g`` and every
+        ``s`` in ``S``, ``|N| |S| |X|`` steps.  That proves ``rho(g) rho(w)
+        = rho(gw)`` for every word ``w`` in ``S`` by induction on its length:
+        ``rho(w s) = rho(w) rho(s)`` is the case ``g = w``, so ``rho(g)
+        rho(ws) = rho(gw) rho(s) = rho((gw)s)``, and ``(gw)s = g(ws)``
+        because the table is associative.  In a finite group every element
+        is such a word, so ``rho`` is a homomorphism.  The same induction,
+        from ``rho(1)`` the identity, makes each row ``rho(ws) = rho(w)
+        rho(s)`` a composition of permutations, so no other row needs to be
+        sorted.  On a failure the old checks run in their old order, and
+        name the first failure: every row sorted, the identity, and the loop
+        over all pairs ``(g, h)``.
         """
         group = self.group
         table = self.act_table
@@ -77,19 +82,23 @@ class NSet:
                 f"action table has {len(table)} rows for a group of order {group.order}"
             )
         size = self.size
-        for n, row in enumerate(table):
-            if len(row) != size or sorted(row) != list(range(size)):
-                raise ConsistencyError(f"action row {n} is not a permutation of the points")
-        identity_row = table[0]
-        for x in range(size):
-            if identity_row[x] != x:
-                raise ConsistencyError("the identity does not act trivially")
+        points = list(range(size))
         generators = group.generators
-        if not all(
-            tuple(map(row_g.__getitem__, table[s])) == table[products[s]]
-            for row_g, products in zip(table, group.table)
-            for s in generators
+        if not (
+            all(len(row) == size for row in table)
+            and list(table[0]) == points
+            and all(sorted(table[s]) == points for s in generators)
+            and all(
+                tuple(map(row_g.__getitem__, table[s])) == table[products[s]]
+                for row_g, products in zip(table, group.table)
+                for s in generators
+            )
         ):
+            for n, row in enumerate(table):
+                if len(row) != size or sorted(row) != points:
+                    raise ConsistencyError(f"action row {n} is not a permutation of the points")
+            if list(table[0]) != points:
+                raise ConsistencyError("the identity does not act trivially")
             for g in range(group.order):
                 row_g = table[g]
                 for h in range(group.order):
@@ -374,6 +383,11 @@ class FieldCatalog:
         read off the diagonal cells of the table."""
         return set(self.orbit_table[:: self.nset.size + 1])
 
+    def diagonal_counts(self) -> Counter[int]:
+        """The number of diagonal cells ``(x, x)`` of each orbit that has one:
+        ``tr(nu(beta_k))``, for each ``k`` that occurs."""
+        return Counter(self.orbit_table[:: self.nset.size + 1])
+
     def cardy_trace_counts(self) -> Counter[tuple[int, int]]:
         """``#{(y, w) : orbit(x_k, y) = i, orbit(w, z_k) = j}`` for each ``(i, j)``
         that occurs, where ``k = orbit(y, w)`` and ``(x_k, z_k)`` is the
@@ -414,7 +428,8 @@ class FieldCatalog:
         ``X x X`` into ``dim`` classes of cells that construction guarantees:
 
         * the orbit table is invariant under the generator rows of ``N``,
-          hence under ``N`` (:func:`_invariant`);
+          hence under ``N`` (:func:`_invariant`, one row of the table at a
+          time);
         * each listed orbit is a single ``N``-orbit holding its
           representative, by Burnside's lemma (:func:`_counted_orbits`).
 
@@ -429,9 +444,10 @@ class FieldCatalog:
         ``|X| x |X|`` matrices: the supports of the ``nu(beta_k)`` are
         disjoint and nonempty, so they are linearly independent.
         """
+        generators = map(self.nset.act_table.__getitem__, self.nset.group.generators)
         return (
             len(self.boundary) == algebra.dim
-            and _invariant(self.orbit_table, _code_steps(self.nset))
+            and _invariant(self.orbit_table, generators)
             and _counted_orbits(self)
             and _chains_match(algebra, self)
         )
@@ -476,18 +492,20 @@ class FieldCatalog:
         raise ConsistencyError("no interior field contains the identity")
 
 
-def _code_steps(nset: NSet) -> list[list[int]]:
-    """Each generator of ``N`` as a permutation of the pair codes ``x * |X| + y``."""
-    size = nset.size
-    rows = (nset.act_table[s] for s in nset.group.generators)
-    return [[image * size + other for image in row for other in row] for row in rows]
-
-
 def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
-    """Whether the orbit table reads the same at ``n (x, y)`` as at ``(x, y)``
-    for each code permutation given, read as a list (faster to index)."""
-    cells = table.tolist()
-    return all(list(map(cells.__getitem__, step)) == cells for step in steps)
+    """Whether ``orbit(n x, n y) == orbit(x, y)`` for each permutation ``n``
+    of the points given.
+
+    One row of the table at a time: row ``n x`` read through ``n`` must be
+    row ``x``.  The transient is a row, not a list of ``|X|^2`` cells.
+    """
+    for step in steps:
+        size = len(step)
+        for x, image in enumerate(step):
+            moved = table[image * size : (image + 1) * size]
+            if list(map(moved.__getitem__, step)) != table[x * size : (x + 1) * size].tolist():
+                return False
+    return True
 
 
 def _counted_orbits(catalog: FieldCatalog) -> bool:

@@ -50,9 +50,13 @@ each count as the stored ``c_ij^k``, every stored constant matched.  (a) is
 it holds; when it fails, a walk over the orbits (and every element, for
 equivariance) names the witness.  The traces ``tr(nu_i nu_j)``
 (:meth:`~cardyfrob.actions.FieldCatalog.trace_counts`) are counted once per
-call and serve nu-star-transpose and form-from-traces.
-phi-unit, phi-homomorphism and phi-star compare rows of ``phi`` over the
-stored constants, the products ``phi(e_i) phi(e_j)`` through
+call and serve nu-star-transpose and form-from-traces; both come from
+:func:`cardyfrob.frobenius._model_premises`, and ``cardyfrob check`` computes
+that record once for ``verify_equipped(B)`` and this module's verifier.
+form-from-traces and linear-form-from-traces compare each rational with its
+count over ``|N|`` in integers.  phi-unit, phi-homomorphism and phi-star
+compare rows of ``phi`` over the stored constants, the products
+``phi(e_i) phi(e_j)`` through
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
 phi-central passes when (a) holds and ``phi`` is the row set
 :func:`build_phi` counts from the catalog, so that ``nu(phi(e_alpha)) =
@@ -90,8 +94,11 @@ from .frobenius import (
     AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
+    ModelPremises,
     _first_difference,
     _first_noncentral,
+    _is_ratio,
+    _model_premises,
     _scaled,
     commutator_rows,
     multiplication_traces,
@@ -202,7 +209,7 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
                 row[j][k] = count
             else:
                 row[j] = {k: count}
-    diagonal_count = Counter(table[:: size + 1])
+    diagonal_count = catalog.diagonal_counts()
     algebra = EquippedFrobeniusAlgebra.from_indices(
         basis=catalog.boundary_labels,
         products=rows,
@@ -311,10 +318,19 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     the model, so the results do not depend on it.  The traces
     :meth:`~cardyfrob.actions.FieldCatalog.trace_counts` are counted once
     per call too, and handed to nu-star-transpose and form-from-traces.
+    Both come from :func:`cardyfrob.frobenius._model_premises`, the record
+    ``cardyfrob check`` shares with ``verify_equipped(h.B)``.
     """
-    modelled = h.catalog.is_model_of(h.B)
+    return _verify_cardy_frobenius(h, _model_premises(h.catalog, h.B))
+
+
+def _verify_cardy_frobenius(
+    h: CardyFrobeniusAlgebra, premises: ModelPremises
+) -> list[CheckResult]:
+    """:func:`verify_cardy_frobenius` on premises computed for ``h.catalog``
+    and ``h.B`` by the caller."""
+    modelled, traces = premises.modelled, premises.traces
     certified = _model_certificate(h, modelled)
-    traces = h.catalog.trace_counts()
 
     def run(name: str, check: Callable[[CardyFrobeniusAlgebra], CheckResult]) -> CheckResult:
         return CheckResult(name, True) if name in certified else check(h)
@@ -550,16 +566,25 @@ def _check_form_from_traces(
 ) -> CheckResult:
     # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
     # with (y, x) in O_j: ``traces``, the catalog's trace_counts(), one pass
-    # over the orbit table, counts them all.
+    # over the orbit table, counts them all.  Each entry is compared in
+    # integers; when every count finds its entry and the form stores no
+    # other, the check passes without the walk that names the witness.
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
+    form = h.B.form
+    if len(form) == len(fields) and sum(map(len, form)) == len(traces) and all(
+        _is_ratio(form[i].get(j, 0), count, n_order) for (i, j), count in traces.items()
+    ):
+        return CheckResult("form-from-traces", True)
     rows: list[dict[int, int]] = [{} for _ in fields]
     for (i, j), count in traces.items():
         rows[i][j] = count
     for i, (left, trace) in enumerate(zip(fields, rows)):
-        row = h.B.form[i]
+        row = form[i]
         failing = [
-            j for j in row.keys() | trace.keys() if row.get(j, 0) * n_order != trace.get(j, 0)
+            j
+            for j in row.keys() | trace.keys()
+            if not _is_ratio(row.get(j, 0), trace.get(j, 0), n_order)
         ]
         if failing:
             witness = f"({left.label}, {fields[min(failing)].label})"
@@ -568,11 +593,11 @@ def _check_form_from_traces(
 
 
 def _check_linear_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
-    # l_B(beta_i) == tr(nu_i) / |N|, the diagonal cells of O_i.
+    # l_B(beta_i) == tr(nu_i) / |N|, the diagonal cells of O_i, in integers.
     n_order = h.catalog.nset.group.order
-    diagonal = Counter(h.catalog.orbit_table[:: h.catalog.nset.size + 1])
+    diagonal = h.catalog.diagonal_counts()
     for i, field in enumerate(h.catalog.boundary):
-        if h.B.linear_form[i] != Fraction(diagonal[i], n_order):
+        if not _is_ratio(h.B.linear_form[i], diagonal[i], n_order):
             return CheckResult("linear-form-from-traces", False, field.label)
     return CheckResult("linear-form-from-traces", True)
 

@@ -17,12 +17,18 @@ from typing import Any, Sequence
 from .actions import ConjugationSetup, build_catalog, build_conjugation_setup
 from .cardy import (
     CardyFrobeniusAlgebra,
+    _verify_cardy_frobenius,
     build_cardy_frobenius,
     hecke_check,
-    verify_cardy_frobenius,
 )
 from .errors import ConsistencyError, InputError, ResourceError
-from .frobenius import CheckResult, EquippedFrobeniusAlgebra, verify_equipped
+from .frobenius import (
+    CheckResult,
+    EquippedFrobeniusAlgebra,
+    _model_premises,
+    _verify_equipped,
+    verify_equipped,
+)
 from .groups import (
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
@@ -76,6 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(hurwitz)
     hurwitz.add_argument(
         "--surface", required=True, help="path to the surface JSON document (or list)"
+    )
+    hurwitz.add_argument(
+        "--trace",
+        action="store_true",
+        help="write the evaluation trace of each surface to stderr",
     )
 
     oracle = subparsers.add_parser("oracle", help="brute-force evaluate a surface spec")
@@ -254,10 +265,13 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     setup = _setup_from_args(args)
     h = _algebra_from_setup(setup)
+    # build_B keeps h.catalog as the model of h.B, so one record of the
+    # model's premises serves both verifiers.
+    premises = _model_premises(h.catalog, h.B)
     entries = (
         _check_entries("A", verify_equipped(h.A))
-        + _check_entries("B", verify_equipped(h.B))
-        + _check_entries("cardy", verify_cardy_frobenius(h))
+        + _check_entries("B", _verify_equipped(h.B, premises))
+        + _check_entries("cardy", _verify_cardy_frobenius(h, premises))
     )
     all_passed = all(entry["status"] == "pass" for entry in entries)
     _emit(
@@ -278,8 +292,11 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
     setup = _setup_from_args(args)
     h = _algebra_from_setup(setup)
     value = Fraction(1)
-    for spec in specs:
-        value *= evaluate(h, spec).value
+    for position, spec in enumerate(specs):
+        result = evaluate(h, spec, with_trace=args.trace)
+        value *= result.value
+        for line in result.evaluation_trace or ():
+            print(f"surface {position}: {line}", file=sys.stderr)
     _emit({"hurwitz": format_fraction(value)})
     return 0
 

@@ -27,7 +27,7 @@ one construction core, which the label constructor and
 pairing and its inverse are sparse rows
 (``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built;
 the pairing sums integer constants against ``l`` scaled by the lcm of its
-denominators and divides once per nonzero entry.
+denominators and divides once per nonzero entry, at its ``Fraction`` edge.
 
 Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
 nonzero product reaches; every other triple has both sides zero.  The walk
@@ -49,9 +49,11 @@ centrality checks sum rows of constants in index space: ``[z, e_b]`` is
 ``sum_s z_s`` times row ``s`` of :func:`commutator_rows`, and the least
 nonzero key names the first failing label; the ``AlgebraElement`` loops they
 replace are :func:`cardyfrob.oracles.element_axiom_oracle`.  Dual
-reconstruction multiplies the pairings recomputed from the products by the
-inverse pairing with both scaled to integers by the lcm of their
-denominators, and compares the result with each probe times both scales.
+reconstruction multiplies the pairings recomputed from the products
+(:meth:`~EquippedFrobeniusAlgebra._pairing_totals`, the integer core of the
+pairing: its totals against ``l`` scaled by the lcm of the denominators of
+``l``) by the inverse pairing scaled to integers in the same way, and
+compares the result with each probe times both scales.
 
 An algebra may carry a permutation model: ``B`` of a group action keeps the
 catalog it was counted from, and ``nu(e_k)`` is the 0/1 matrix of orbit
@@ -66,18 +68,29 @@ products.  When the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``, it is
 symmetric and invariant, because the trace is cyclic.  With all of these
 the algebra is a symmetric Frobenius algebra, whose Casimir element is
 central.  When the unit is the sum of the orbits on the diagonal, ``nu``
-sends it to the identity matrix, so it is the unit of the algebra.
+sends it to the identity matrix, so it is the unit of the algebra.  When
+also ``l(e_k)`` is the number of diagonal cells of ``O_k`` over ``|N|``,
+``tr(nu(e_k)) / |N|``, the pairing recomputed from the products is
+``sum_k c_ij^k tr(nu(e_k)) / |N| = tr(nu(e_i) nu(e_j)) / |N|``, the stored
+one, so dual reconstruction multiplies the stored pairing by its computed
+inverse and skips the recomputation; the product still checks the inverse.
 :func:`verify_equipped` recomputes the premises on every call
-(:func:`_model_certificate`) and skips the five walks they prove; a premise
-that fails leaves its checks to the walks above, so the results do not
-depend on the model.  This module reads the model only through its methods
-and imports neither :mod:`cardyfrob.actions` nor :mod:`cardyfrob.cardy`.
-The constructors and :meth:`~EquippedFrobeniusAlgebra.permuted` never carry
-a model.
+(:func:`_model_premises` decides premise (a) and counts the traces, and
+:func:`_certificate` the rest) and skips the five walks they prove; a
+premise that fails leaves its checks to the walks above, so the results do
+not depend on the model.  The premises that compare a rational with a count
+over ``|N|`` do so in integers.  ``cardyfrob check`` computes the record of
+:func:`_model_premises` once and hands it to both :func:`_verify_equipped`
+and the core of :func:`cardyfrob.cardy.verify_cardy_frobenius`; nothing is
+cached on the algebra or the model.  This module reads the model only
+through its methods and imports neither :mod:`cardyfrob.actions` nor
+:mod:`cardyfrob.cardy`.  The constructors and
+:meth:`~EquippedFrobeniusAlgebra.permuted` never carry a model.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -424,18 +437,23 @@ class EquippedFrobeniusAlgebra:
     # -- pairing and Casimir ----------------------------------------------
 
     def _compute_form(self) -> tuple[dict[int, Fraction], ...]:
-        """Sparse rows ``{j: l(e_i e_j)}`` of the pairing, from the products and ``l``."""
-        # l is scaled by the lcm of its denominators, so integral constants
-        # give integer sums and each nonzero entry is one Fraction division.
+        """Sparse rows ``{j: l(e_i e_j)}`` of the pairing, from the products
+        and ``l``: :meth:`_pairing_totals` with one division per entry."""
+        scale, totals = self._pairing_totals()
+        return tuple({j: Fraction(total, scale) for j, total in row.items()} for row in totals)
+
+    def _pairing_totals(self) -> tuple[int, list[dict[int, int | Fraction]]]:
+        """The pairing recomputed from the products and ``l``, times ``s``: the
+        lcm ``s`` of the denominators of ``l``, and the nonzero sparse rows
+        ``{j: s l(e_i e_j)}``, integers when the constants are."""
         # Only a product that reaches a position where l is nonzero is summed.
-        n = self.dim
         scale = lcm(*(value.denominator for value in self.linear_form))
         weights = {
             out: int(value * scale) for out, value in enumerate(self.linear_form) if value
         }
-        form: tuple[dict[int, Fraction], ...] = tuple({} for _ in range(n))
+        totals: list[dict[int, int | Fraction]] = [{} for _ in range(self.dim)]
         disjoint = set(weights).isdisjoint
-        for i, form_row in enumerate(form):
+        for i, totals_row in enumerate(totals):
             row = self.left_products(i)
             reached = map(not_, map(disjoint, row.values()))
             for j, expansion in compress(row.items(), reached):
@@ -445,8 +463,8 @@ class EquippedFrobeniusAlgebra:
                     if weight:
                         total += value * weight
                 if total:
-                    form_row[j] = Fraction(total, scale)
-        return form
+                    totals_row[j] = total
+        return scale, totals
 
     def form_inverse(self) -> list[dict[int, Fraction]]:
         if self._form_inverse is None:
@@ -509,10 +527,13 @@ class EquippedFrobeniusAlgebra:
         products does not reconstruct ``x``.
         """
         inverse = self.form_inverse()
+        scale, totals = self._pairing_totals()
         x_coeffs = ((self.index(label), value) for label, value in x.coeffs.items())
-        pairings = linalg.row_times(x_coeffs, self._compute_form())
+        pairings = linalg.row_times(x_coeffs, totals)
         coeffs = linalg.row_times(pairings.items(), inverse)
-        return AlgebraElement({self.basis[j]: value for j, value in coeffs.items()})
+        return AlgebraElement(
+            {self.basis[j]: Fraction(value, scale) for j, value in coeffs.items()}
+        )
 
     def permuted(self, order: Sequence[str]) -> "EquippedFrobeniusAlgebra":
         """The same algebra presented on a reordered basis."""
@@ -547,9 +568,39 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
     basis labels at which the identity first breaks).  A check that
     :func:`_model_certificate` proves through the permutation model passes
     without its walk; every other check runs as it does without a model, so
-    the results are the same either way.
+    the results are the same either way.  The premises are computed anew on
+    every call (:func:`_model_premises`).
     """
-    certified = _model_certificate(alg)
+    return _verify_equipped(alg, _model_premises(alg._model, alg))
+
+
+@dataclass(frozen=True, slots=True)
+class ModelPremises:
+    """What one verification run reads off a permutation model, computed once.
+
+    ``model`` is the catalog whose orbit matrices ``nu(e_k)`` the constants
+    of the algebra should multiply as, or ``None``; ``modelled`` is premise
+    (a), ``model.is_model_of(alg)``; ``traces`` is ``model.trace_counts()``,
+    the traces ``tr(nu_i nu_j)``, or ``None`` without a model.  Nothing is
+    cached on the algebra or the model: a run that is handed no record
+    computes its own.
+    """
+
+    model: object | None
+    modelled: bool
+    traces: Counter[tuple[int, int]] | None
+
+
+def _model_premises(model, alg: EquippedFrobeniusAlgebra) -> ModelPremises:
+    """Premise (a) of ``model`` for ``alg``, and the traces of ``model``."""
+    if model is None:
+        return ModelPremises(None, False, None)
+    return ModelPremises(model, model.is_model_of(alg), model.trace_counts())
+
+
+def _verify_equipped(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> list[CheckResult]:
+    """:func:`verify_equipped` on premises computed for ``alg`` by the caller."""
+    certified, pairing_is_stored = _certificate(alg, premises)
 
     def run(name: str, check: Callable[[EquippedFrobeniusAlgebra], CheckResult]) -> CheckResult:
         return CheckResult(name, True) if name in certified else check(alg)
@@ -564,14 +615,21 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
         run("involution-antiautomorphism", _check_involution_antiautomorphism),
         _check_involution_form(alg),
         run("casimir-central", _check_casimir_central),
-        _check_dual_reconstruction(alg),
+        _check_dual_reconstruction(alg, pairing_is_stored),
     ]
 
 
 def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
-    """The checks that the permutation model of ``alg`` proves, if it has one.
+    """The checks that the permutation model of ``alg`` proves, if it has
+    one, the premises recomputed (:func:`_certificate`)."""
+    return _certificate(alg, _model_premises(alg._model, alg))[0]
 
-    The premises are recomputed on every call, nothing cached:
+
+def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tuple[set[str], bool]:
+    """The checks that the premises prove, and whether the stored pairing is
+    the one recomputed from the products and ``l``.
+
+    The premises, from ``premises`` and from ``alg``:
 
     (a) :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, the fast path
         of nu-multiplicative: ``nu`` is an injective homomorphism;
@@ -581,7 +639,10 @@ def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
     (c) the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``;
     (e) the unit is ``sum e_k`` over the orbits that meet the diagonal
         (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_positions`), each
-        coefficient 1 and no other.
+        coefficient 1 and no other;
+    (f) ``l(e_k) = tr(nu(e_k)) / |N|``, the diagonal cells of ``O_k``
+        (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_counts`) over
+        ``|N|``.
 
     (a) certifies associativity, (a) and (b) the anti-automorphism, (a) and
     (c) form invariance, and all three casimir-central, the argument of the
@@ -590,19 +651,26 @@ def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
     passes.  (a) and (e) certify the unit: under (a) each orbit is an
     ``N``-orbit, so one that meets the diagonal lies inside it, and the
     orbits of (e) cover it; then ``nu(u) = I``, so ``nu(u e_b) = nu(e_b) =
-    nu(e_b u)`` and ``nu`` being injective, ``u e_b = e_b = e_b u``.  Without
-    (a) nothing is certified.
+    nu(e_b u)`` and ``nu`` being injective, ``u e_b = e_b = e_b u``.  Under
+    (a), (c) and (f) the pairing recomputed from the products is ``sum_k
+    c_ij^k l(e_k) = sum_k c_ij^k tr(nu_k) / |N| = tr(nu_i nu_j) / |N|``, the
+    stored one, so dual-reconstruction may read the stored pairing; it still
+    multiplies it by the computed inverse.  Without (a) nothing is
+    certified.  (c) and (f) compare integers: ``v = count / |N|`` is
+    ``v.numerator * |N| == count * v.denominator``.
     """
-    model = alg._model
-    if model is None or not model.is_model_of(alg):
-        return set()
-    traces = model.trace_counts()
+    model = premises.model
+    if not premises.modelled:
+        return set(), False
+    traces = premises.traces
     order = model.nset.group.order
-    form: list[dict[int, Fraction]] = [{} for _ in range(alg.dim)]
-    for (i, j), count in traces.items():
-        form[i][j] = Fraction(count, order)
+    form = alg.form
     transpose = all(alg.involution[i] == j for i, j in traces)
-    traced = list(alg.form) == form
+    traced = sum(map(len, form)) == len(traces) and all(
+        _is_ratio(form[i].get(j, 0), count, order) for (i, j), count in traces.items()
+    )
+    diagonal = model.diagonal_counts()
+    linear = all(_is_ratio(value, diagonal[k], order) for k, value in enumerate(alg.linear_form))
     unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
     certified = {"associativity"}
     if unit == dict.fromkeys(model.diagonal_positions(), 1):
@@ -613,7 +681,12 @@ def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
         certified.add("form-invariance")
     if transpose and traced:
         certified.add("casimir-central")
-    return certified
+    return certified, traced and linear
+
+
+def _is_ratio(value: Fraction | int, count: int, order: int) -> bool:
+    """Whether ``value == count / order``, without building the fraction."""
+    return value.numerator * order == count * value.denominator
 
 
 def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
@@ -857,18 +930,22 @@ def _check_casimir_central(alg: EquippedFrobeniusAlgebra) -> CheckResult:
     return CheckResult("casimir-central", True)
 
 
-def _check_dual_reconstruction(alg: EquippedFrobeniusAlgebra) -> CheckResult:
+def _check_dual_reconstruction(
+    alg: EquippedFrobeniusAlgebra, pairing_is_stored: bool = False
+) -> CheckResult:
     # The dual-basis expansion sum_{i,j} (x, e_i) F^-1_ij e_j of the unit and
     # of every basis element, in index space: the pairings row of x, recomputed
-    # once from the products and l as in dual_reconstruct (the stored form is
-    # what the inverse was taken of), times the rows of F^-1.  Both are scaled
-    # to integers, so the expansion comes out times the product of the two
-    # scales and is compared with the probe times it.
+    # from the products and l as in dual_reconstruct (the stored form is what
+    # the inverse was taken of), times the rows of F^-1.  ``pairing_is_stored``
+    # says that the model proved the recomputed pairing equal to the stored
+    # one (premises (a), (c) and (f)), which is then read instead.  Both
+    # factors are scaled to integers, so the expansion comes out times the
+    # product of the two scales and is compared with the probe times it.
     try:
         inverse = alg.form_inverse()
     except ConsistencyError as exc:
         return CheckResult("dual-reconstruction", False, str(exc))
-    pairing_scale, pairings = _scaled(alg._compute_form())
+    pairing_scale, pairings = _scaled(alg.form) if pairing_is_stored else alg._pairing_totals()
     inverse_scale, inverse = _scaled(inverse)
     scale = pairing_scale * inverse_scale
     unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}

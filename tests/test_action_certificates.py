@@ -141,6 +141,34 @@ def test_corrupted_action_texts_are_pinned():
                 assert text is None
 
 
+@pytest.mark.parametrize("name", ["ladder_s4", "ladder_a5"])
+def test_corrupted_non_generator_row_is_named(name):
+    # NSet sorts only the identity and generator rows; the product rule makes
+    # every other row a composition of permutations.  A row of another
+    # element that permutes nothing, with a repeated image or one image too
+    # few, still raises the text of the sort over every row.
+    setup = setup_of(name)
+    group, table = setup.n_group, setup.nset.act_table
+    others = [n for n in range(1, group.order) if n not in group.generators]
+    rng = random.Random(name)
+    for n in rng.sample(others, 3):
+        for row in ((table[n][1],) + table[n][1:], table[n][:-1]):
+            broken = table[:n] + (row,) + table[n + 1 :]
+            with pytest.raises(ConsistencyError) as caught:
+                NSet(group, broken, setup.nset.point_sets)
+            text = str(caught.value)
+            assert text == f"action row {n} is not a permutation of the points"
+    # Two bad rows: the first in element order is named, generator or not.
+    first, second = sorted(rng.sample(range(1, group.order), 2))
+    rows = list(table)
+    for n in (first, second):
+        rows[n] = (rows[n][1],) + rows[n][1:]
+    with pytest.raises(ConsistencyError) as caught:
+        NSet(group, tuple(rows), setup.nset.point_sets)
+    text = str(caught.value)
+    assert text == f"action row {first} is not a permutation of the points"
+
+
 def tampered_catalog(monkeypatch, edit):
     original = subgroups_containing
     monkeypatch.setattr(

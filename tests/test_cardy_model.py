@@ -14,6 +14,7 @@ leaves (a) standing) and of the catalog.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,15 +24,20 @@ from hypothesis import strategies as st
 
 from cardyfrob import (
     ConsistencyError,
+    FieldCatalog,
     build_B,
     build_group,
+    bundled_input,
     cardy_axiom_oracle,
     cardy_condition_oracle,
     cardy_from_pair,
+    group_from_document,
     subgroup_closure,
     verify_cardy_frobenius,
+    verify_equipped,
 )
 from cardyfrob.cardy import _model_certificate, _phi_is_rho
+from cardyfrob.cli import run
 from cardyfrob.frobenius import multiplication_traces
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS
@@ -232,3 +238,33 @@ def test_model_traces_match_the_constants_on_random_pairs(generators, data):
     h = cardy_from_pair(group, subgroup_closure(group, elements))
     assert model_traces(h.catalog) == constant_traces(h.B)
     assert _model_certificate(h, h.catalog.is_model_of(h.B)) == CERTIFIED
+
+
+def counted_premises(monkeypatch) -> Counter:
+    """Counts of the calls of ``FieldCatalog.is_model_of`` and ``trace_counts``."""
+    calls: Counter = Counter()
+    for name in ("is_model_of", "trace_counts"):
+        original = getattr(FieldCatalog, name)
+
+        def counting(self, *args, original=original, name=name):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(FieldCatalog, name, counting)
+    return calls
+
+
+def test_check_decides_the_premises_once(monkeypatch, capsys):
+    # cardyfrob check shares one record of premise (a) and the traces
+    # between the verifiers of B and of the Cardy structure; each public
+    # verifier, called alone, still computes its own.
+    calls = counted_premises(monkeypatch)
+    group = str(bundled_input("groups/s4_k_double_transposition.json"))
+    assert run(["check", "--group", group]) == 0
+    assert '"all_passed": true' in capsys.readouterr().out
+    assert calls == {"is_model_of": 1, "trace_counts": 1}
+    h = cardy_from_pair(*group_from_document(SUITE_DOCUMENTS["s4_k0123"]))
+    for verify, algebra in ((verify_equipped, h.B), (verify_cardy_frobenius, h)):
+        calls.clear()
+        assert all(result.passed for result in verify(algebra))
+        assert calls == {"is_model_of": 1, "trace_counts": 1}, verify.__name__

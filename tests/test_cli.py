@@ -174,6 +174,20 @@ def test_hurwitz_disconnected_surface_multiplies(capsys, z2_path, tmp_path):
     assert json.loads(out) == {"hurwitz": "1"}  # 2 * 1/2
 
 
+def test_hurwitz_trace_goes_to_stderr_only(capsys):
+    group = str(bundled_input("groups/s3_trivial.json"))
+    for surface in ("surfaces/disc_pair.json", "surfaces/torus.json"):
+        argv = ["hurwitz", "--group", group, "--surface", str(bundled_input(surface))]
+        code, plain, quiet = run_json(capsys, argv)
+        traced_code, traced, trace = run_json(capsys, argv + ["--trace"])
+        assert code == traced_code == 0
+        assert traced == plain and quiet == ""
+        lines = trace.splitlines()
+        assert lines[0].startswith("surface 0: A factor: ")
+        value = json.loads(plain)["hurwitz"]
+        assert lines[-1] in (f"surface 0: l_A = {value}", f"surface 0: l_B = {value}")
+
+
 def test_oracle_torus(capsys, z2_path, torus_path):
     code, out, _ = run_json(
         capsys, ["oracle", "--group", z2_path, "--surface", torus_path]

@@ -21,12 +21,12 @@ or with one seeded corruption:
 
 ``B`` carries the catalog of its structure as its permutation model, as
 :func:`build_B` leaves it, and inverts its pairing and sums its Casimir
-elements anew.  The algebras are built here, not shared with other tests.  For each case the results of
-``verify_equipped(B)`` (scope ``B``) and ``verify_cardy_frobenius``
-(scope ``cardy``) are compared with ``tests/data/witness_corpus.json``,
-which lists, per case, every result that is not a plain pass as
-``[scope, name, status, witness]``; every other result must pass without a
-witness.  ``phi`` cases have no ``B`` scope, since ``B`` is intact.  The
+elements anew.  The algebras are built here, not shared with other tests.
+For each case the results of ``verify_equipped(B)`` (scope ``B``) and
+``verify_cardy_frobenius`` (scope ``cardy``) are compared with
+``tests/data/witness_corpus.json``, which lists, per case, every result that
+is not a plain pass as ``[scope, name, status, witness]``; every other
+result must pass without a witness.  ``phi`` cases have no ``B`` scope, since ``B`` is intact.  The
 file was written from the tree before the permutation-model premises were
 shared between the verifiers; any change to it is a change of test data.
 Rewrite it with ``PYTHONPATH=src python tests/test_witness_corpus.py``.
@@ -173,7 +173,9 @@ def cases(name: str, h: CardyFrobeniusAlgebra, width: int) -> Iterator[Case]:
                 yield (
                     f"{name}/constant/{i},{j},{k}={value}",
                     BOTH,
-                    lambda i=i, j=j, k=k, value=value: with_b(h, with_constant_value(b, i, j, k, value)),
+                    lambda i=i, j=j, k=k, value=value: with_b(
+                        h, with_constant_value(b, i, j, k, value)
+                    ),
                 )
 
     rng = seeded(name, "form")
@@ -344,6 +346,6 @@ def test_pinned_records_name_known_checks():
 if __name__ == "__main__":
     written = corpus(corpus_algebras())
     CORPUS_PATH.parent.mkdir(exist_ok=True)
-    lines = [f"{json.dumps(case_id)}: {json.dumps(records)}" for case_id, records in written.items()]
+    lines = [f"{json.dumps(case)}: {json.dumps(records)}" for case, records in written.items()]
     CORPUS_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"{len(written)} cases written to {CORPUS_PATH}", file=sys.stderr)
