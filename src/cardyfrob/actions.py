@@ -381,7 +381,7 @@ class FieldCatalog:
     def diagonal_positions(self) -> set[int]:
         """The positions of the orbits that hold a diagonal pair ``(x, x)``,
         read off the diagonal cells of the table."""
-        return set(self.orbit_table[:: self.nset.size + 1])
+        return set(self.diagonal_counts())
 
     def diagonal_counts(self) -> Counter[int]:
         """The number of diagonal cells ``(x, x)`` of each orbit that has one:

@@ -637,12 +637,11 @@ def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tupl
         ``e_i``: ``nu(e_i^*) = nu(e_i)^T``, and the star is a permutation
         since the swapped orbits partition ``X x X`` as the orbits do;
     (c) the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``;
-    (e) the unit is ``sum e_k`` over the orbits that meet the diagonal
-        (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_positions`), each
-        coefficient 1 and no other;
+    (e) the unit is ``sum e_k`` over the orbits that meet the diagonal,
+        each coefficient 1 and no other;
     (f) ``l(e_k) = tr(nu(e_k)) / |N|``, the diagonal cells of ``O_k``
-        (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_counts`) over
-        ``|N|``.
+        (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_counts`, whose keys
+        are the orbits of (e)) over ``|N|``.
 
     (a) certifies associativity, (a) and (b) the anti-automorphism, (a) and
     (c) form invariance, and all three casimir-central, the argument of the
@@ -673,7 +672,7 @@ def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tupl
     linear = all(_is_ratio(value, diagonal[k], order) for k, value in enumerate(alg.linear_form))
     unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
     certified = {"associativity"}
-    if unit == dict.fromkeys(model.diagonal_positions(), 1):
+    if unit == dict.fromkeys(diagonal, 1):
         certified.add("unit")
     if transpose:
         certified.add("involution-antiautomorphism")
