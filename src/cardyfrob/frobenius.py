@@ -438,9 +438,13 @@ class EquippedFrobeniusAlgebra:
 
     def _compute_form(self) -> tuple[dict[int, Fraction], ...]:
         """Sparse rows ``{j: l(e_i e_j)}`` of the pairing, from the products
-        and ``l``: :meth:`_pairing_totals` with one division per entry."""
-        scale, totals = self._pairing_totals()
-        return tuple({j: Fraction(total, scale) for j, total in row.items()} for row in totals)
+        and ``l``: :meth:`_pairing_totals` with one division per entry, made
+        in the rows it returns, so no second set of rows is built."""
+        scale, rows = self._pairing_totals()
+        for row in rows:
+            for j, total in row.items():
+                row[j] = Fraction(total, scale)
+        return tuple(rows)
 
     def _pairing_totals(self) -> tuple[int, list[dict[int, int | Fraction]]]:
         """The pairing recomputed from the products and ``l``, times ``s``: the
