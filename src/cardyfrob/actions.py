@@ -71,9 +71,9 @@ class NSet:
         is such a word, so ``rho`` is a homomorphism.  The same induction,
         from ``rho(1)`` the identity, makes each row ``rho(ws) = rho(w)
         rho(s)`` a composition of permutations, so no other row needs to be
-        sorted.  On a failure the old checks run in their old order, and
-        name the first failure: every row sorted, the identity, and the loop
-        over all pairs ``(g, h)``.
+        sorted.  On a failure every row is sorted, then the identity is
+        checked, then the loop over all pairs ``(g, h)`` runs, and the first
+        of them to fail names the fault.
         """
         group = self.group
         table = self.act_table
@@ -497,7 +497,7 @@ def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
     of the points given.
 
     One row of the table at a time: row ``n x`` read through ``n`` must be
-    row ``x``.  The transient is a row, not a list of ``|X|^2`` cells.
+    row ``x``, so no more than two rows are held at once.
     """
     for step in steps:
         size = len(step)
