@@ -98,6 +98,7 @@ from .frobenius import (
     _first_difference,
     _first_noncentral,
     _is_ratio,
+    _is_trace_form,
     _model_premises,
     _scaled,
     commutator_rows,
@@ -572,9 +573,7 @@ def _check_form_from_traces(
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
     form = h.B.form
-    if len(form) == len(fields) and sum(map(len, form)) == len(traces) and all(
-        _is_ratio(form[i].get(j, 0), count, n_order) for (i, j), count in traces.items()
-    ):
+    if len(form) == len(fields) and _is_trace_form(form, traces, n_order):
         return CheckResult("form-from-traces", True)
     rows: list[dict[int, int]] = [{} for _ in fields]
     for (i, j), count in traces.items():

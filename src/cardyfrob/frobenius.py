@@ -667,11 +667,8 @@ def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tupl
         return set(), False
     traces = premises.traces
     order = model.nset.group.order
-    form = alg.form
     transpose = all(alg.involution[i] == j for i, j in traces)
-    traced = sum(map(len, form)) == len(traces) and all(
-        _is_ratio(form[i].get(j, 0), count, order) for (i, j), count in traces.items()
-    )
+    traced = _is_trace_form(alg.form, traces, order)
     diagonal = model.diagonal_counts()
     linear = all(_is_ratio(value, diagonal[k], order) for k, value in enumerate(alg.linear_form))
     unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
@@ -690,6 +687,16 @@ def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tupl
 def _is_ratio(value: Fraction | int, count: int, order: int) -> bool:
     """Whether ``value == count / order``, without building the fraction."""
     return value.numerator * order == count * value.denominator
+
+
+def _is_trace_form(
+    form: Sequence[Mapping[int, Fraction | int]], traces: Counter[tuple[int, int]], order: int
+) -> bool:
+    """Whether the sparse ``form`` is ``traces / order``: each count finds its
+    entry, compared in integers, and the form stores no other entry."""
+    return sum(map(len, form)) == len(traces) and all(
+        _is_ratio(form[i].get(j, 0), count, order) for (i, j), count in traces.items()
+    )
 
 
 def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:
