@@ -155,7 +155,7 @@ def seeded(name: str, family: str) -> random.Random:
 
 
 def cases(name: str, h: CardyFrobeniusAlgebra, width: int) -> Iterator[Case]:
-    """``(case id, scopes checked, builder)`` for each case of ``name``;
+    """``(case id, scopes checked, constructor)`` for each case of ``name``;
     ``width`` sets how many positions each family draws."""
     b, catalog = h.B, h.catalog
     dim = b.dim
