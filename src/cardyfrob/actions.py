@@ -38,7 +38,7 @@ from .groups import (
     is_core_free,
     normalizer,
     quotient_group,
-    subgroups_containing,
+    subgroup_interval,
 )
 
 
@@ -46,10 +46,11 @@ from .groups import (
 class NSet:
     """A finite group action: ``act_table[n][x]`` is the image of point ``x``.
 
-    ``point_sets`` optionally records the underlying subsets of the parent
-    group (subgroup element sets, coset element sets) that the points stand
-    for.  Construction validates the action axioms, the product rule on a
-    generating set of the group (see :meth:`__post_init__`).
+    ``point_sets`` optionally records the subsets of the parent group that
+    the points stand for: the cosets of :func:`coset_nset`, which
+    :func:`cardyfrob.cardy.hecke_check` reads.  Construction validates the
+    action axioms, the product rule on a generating set of the group (see
+    :meth:`__post_init__`).
     """
 
     group: FiniteGroup
@@ -152,54 +153,22 @@ def build_conjugation_setup(
 ) -> ConjugationSetup:
     """Assemble ``N = N_G(K)/K`` with its conjugation action on ``X``.
 
-    Row ``n`` of the action conjugates by a representative of the coset
-    ``n``.  It does not matter which: every subgroup of ``X`` contains ``K``,
-    so ``h = r k`` with ``k`` in ``K`` conjugates it as ``r`` does.  Given
-    that inclusion, only the generators ``S`` of ``N``
-    (:attr:`FiniteGroup.generators`) are conjugated out, element by element
-    of every subgroup, and an image outside ``X`` is an error.  Every other
-    row follows by a walk over the table of ``N`` from the identity,
-    ``row[n s] = row[n] o row[s]``: that is conjugation by a product of
-    representatives, which lies in the coset ``n s``.  Should a subgroup of
-    ``X`` miss part of ``K``, every coset representative is conjugated out
-    and every element of ``N_G(K)`` is compared with its representative; the
-    first that acts differently is named.  :class:`NSet` then checks the
+    :func:`~cardyfrob.groups.subgroup_interval` finds ``X`` and, from the
+    same class walks, the row of each generator ``g`` of ``N_G(K)`` modulo
+    ``K``: the position of ``g H g^-1`` for each ``H`` in ``X``.  That row
+    is the row of the coset ``projection[g]``: every subgroup of ``X``
+    contains ``K``, so ``g k`` with ``k`` in ``K`` conjugates it as ``g``
+    does.  The cosets of these generators generate ``N``, and every other
+    row follows by :func:`_action_table`.  :class:`NSet` then checks the
     product rule.
     """
     if k.parent is not group:
         raise InputError("the subgroup does not belong to the given group")
     k_normalizer = normalizer(group, k)
     n_group, projection = quotient_group(k_normalizer, k)
-    subgroups = subgroups_containing(group, k)
-    point_index = {s.member_set(): position for position, s in enumerate(subgroups)}
-    reps = _coset_representatives(projection, n_group.order)
-    k_set = k.member_set()
-    if all(k_set.issubset(s.elements) for s in subgroups):
-        generators = n_group.generators
-        images = {s: _conjugation_row(group, reps[s], subgroups, point_index) for s in generators}
-        act_rows: list[tuple[int, ...] | None] = [None] * n_group.order
-        act_rows[0] = tuple(range(len(subgroups)))
-        walk = [0]
-        for n in walk:
-            row_n, products = act_rows[n], n_group.table[n]
-            for s in generators:
-                product = products[s]
-                if act_rows[product] is None:
-                    act_rows[product] = tuple(map(row_n.__getitem__, images[s]))
-                    walk.append(product)
-        act_table = tuple(act_rows)
-    else:
-        act_table = tuple(_conjugation_row(group, rep, subgroups, point_index) for rep in reps)
-        for h in k_normalizer.elements:
-            if _conjugation_row(group, h, subgroups, point_index) != act_table[projection[h]]:
-                raise ConsistencyError(
-                    f"conjugation action is not well defined on cosets at element {h}"
-                )
-    nset = NSet(
-        group=n_group,
-        act_table=act_table,
-        point_sets=tuple(s.member_set() for s in subgroups),
-    )
+    subgroups, rows = subgroup_interval(group, k)
+    generator_rows = {projection[g]: row for g, row in rows.items()}
+    nset = NSet(n_group, _action_table(n_group, len(subgroups), generator_rows))
     return ConjugationSetup(
         group=group,
         k=k,
@@ -213,38 +182,14 @@ def build_conjugation_setup(
     )
 
 
-def _conjugation_row(
-    group: FiniteGroup,
-    h: int,
-    subgroups: tuple[Subgroup, ...],
-    point_index: Mapping[frozenset[int], int],
-) -> tuple[int, ...]:
-    """The position of ``h S h^-1`` for each subgroup ``S``, by element-wise conjugation."""
-    row = []
-    for s in subgroups:
-        target = point_index.get(frozenset(group.conjugate(h, x) for x in s.elements))
-        if target is None:
-            raise ConsistencyError("conjugating a subgroup over K left the subgroup catalog")
-        row.append(target)
-    return tuple(row)
-
-
-def _coset_representatives(projection: Mapping[int, int], count: int) -> list[int]:
-    reps = [-1] * count
-    for element, coset in projection.items():
-        if reps[coset] < 0 or element < reps[coset]:
-            reps[coset] = element
-    if any(rep < 0 for rep in reps):
-        raise ConsistencyError("projection does not cover every coset")
-    return reps
-
-
 def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
     """The left translation action of ``group`` on the cosets ``g S``.
 
     Points are numbered by the smallest element of the coset, so the coset
-    ``S`` itself is point 0.  An index ``[G:S]`` past :data:`POINTS_BOUND`
-    raises :class:`ResourceError` before any coset is built.
+    ``S`` itself is point 0.  Only the rows of :attr:`FiniteGroup.generators`
+    are translated out; :func:`_action_table` fills the rest.  An index
+    ``[G:S]`` past :data:`POINTS_BOUND` raises :class:`ResourceError` before
+    any coset is built.
     """
     if s.parent is not group:
         raise InputError("the subgroup does not belong to the given group")
@@ -262,15 +207,38 @@ def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
         for member in coset:
             coset_of[member] = len(cosets)
         cosets.append(coset)
-    firsts = [coset[0] for coset in cosets]
-    act_table = tuple(
-        tuple(map(coset_of.__getitem__, map(row.__getitem__, firsts))) for row in group.table
-    )
+    generator_rows = {
+        g: tuple(coset_of[group.table[g][coset[0]]] for coset in cosets) for g in group.generators
+    }
     return NSet(
         group=group,
-        act_table=act_table,
+        act_table=_action_table(group, index, generator_rows),
         point_sets=tuple(frozenset(coset) for coset in cosets),
     )
+
+
+def _action_table(
+    group: FiniteGroup, size: int, rows: Mapping[int, tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Every row of an action on ``size`` points, from the rows of elements
+    that generate ``group``.
+
+    A walk over the table of ``group`` from the identity fills
+    ``row[n s] = row[n] o row[s]`` for each given ``s``: acting by ``n s``
+    is acting by ``s``, then by ``n``.  In a finite group the words in the
+    given elements are all of it, so every row is reached.
+    """
+    table: list[tuple[int, ...] | None] = [None] * group.order
+    table[0] = tuple(range(size))
+    walk = [0]
+    for n in walk:
+        row_n, products = table[n], group.table[n]
+        for s, row_s in rows.items():
+            product = products[s]
+            if table[product] is None:
+                table[product] = tuple(map(row_n.__getitem__, row_s))
+                walk.append(product)
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -377,11 +345,6 @@ class FieldCatalog:
         """
         table, size = self.orbit_table, self.nset.size
         return Counter(zip(table, chain.from_iterable(table[x::size] for x in range(size))))
-
-    def diagonal_positions(self) -> set[int]:
-        """The positions of the orbits that hold a diagonal pair ``(x, x)``,
-        read off the diagonal cells of the table."""
-        return set(self.diagonal_counts())
 
     def diagonal_counts(self) -> Counter[int]:
         """The number of diagonal cells ``(x, x)`` of each orbit that has one:

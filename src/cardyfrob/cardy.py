@@ -325,26 +325,37 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     return _verify_cardy_frobenius(h, _model_premises(h.catalog, h.B))
 
 
+# The checks that read ``B`` at the positions a row of ``phi`` holds.
+_INDEXING_B_AT_PHI = frozenset({"phi-homomorphism", "phi-central", "phi-star", "phi-u", "cardy"})
+
+
 def _verify_cardy_frobenius(
     h: CardyFrobeniusAlgebra, premises: ModelPremises
 ) -> list[CheckResult]:
     """:func:`verify_cardy_frobenius` on premises computed for ``h.catalog``
-    and ``h.B`` by the caller."""
+    and ``h.B`` by the caller.  A row of ``phi`` that leaves ``0 .. dim B - 1``
+    fails the checks that read ``B`` at its positions, naming its label."""
     modelled, traces = premises.modelled, premises.traces
     certified = _model_certificate(h, modelled)
+    inside = set(range(h.B.dim))
+    leaving = next((a for a, row in zip(h.A.basis, h.phi) if not row.keys() <= inside), None)
 
-    def run(name: str, check: Callable[[CardyFrobeniusAlgebra], CheckResult]) -> CheckResult:
-        return CheckResult(name, True) if name in certified else check(h)
+    def run(name: str, check: Callable[..., CheckResult], *args: object) -> CheckResult:
+        if name in certified:
+            return CheckResult(name, True)
+        if leaving is not None and name in _INDEXING_B_AT_PHI:
+            return CheckResult(name, False, f"phi({leaving}) leaves B")
+        return check(h, *args)
 
     return [
         _check_phi_unit(h),
-        _check_phi_homomorphism(h),
+        run("phi-homomorphism", _check_phi_homomorphism),
         run("phi-central", _check_phi_central),
-        _check_phi_star(h),
+        run("phi-star", _check_phi_star),
         _check_u_squared(h),
-        _check_phi_u(h),
+        run("phi-u", _check_phi_u),
         _check_u_coefficients(h),
-        _check_cardy(h, modelled),
+        run("cardy", _check_cardy, modelled),
         run("nu-multiplicative", _check_nu_multiplicative),
         _check_nu_star_transpose(h, traces),
         _check_form_from_traces(h, traces),

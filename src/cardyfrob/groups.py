@@ -10,7 +10,8 @@ most).  A subgroup is closed from generators by one walk over right cosets.
 The interval of subgroups above a fixed subgroup ``K`` is found one class
 under conjugation by ``N_G(K)`` at a time: one representative per class is
 extended by cyclic extension, each class is registered whole by
-conjugation, and at most :data:`POINTS_BOUND` results come back.
+conjugation, and at most :data:`POINTS_BOUND` results come back, with the
+conjugation action of the generators of ``N_G(K)`` read off those walks.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class FiniteGroup:
     is the builder's responsibility.  Every table built here (closure of
     permutations, quotients) is associative, and the certificates that decide
     a property of the whole group on :attr:`generators` alone (the action
-    checks of :class:`cardyfrob.actions.NSet`, the conjugation rows of
-    :func:`cardyfrob.actions.build_conjugation_setup`, the orbit checks of
+    checks of :class:`cardyfrob.actions.NSet`, the action rows composed from
+    generator rows in :mod:`cardyfrob.actions`, the orbit checks of
     :mod:`cardyfrob.cardy`) rely on it.  Tests check it exhaustively with
     :func:`cardyfrob.oracles.is_associative`.
     """
@@ -481,6 +482,7 @@ def _register_class(
     bits: Sequence[int],
     conjugations: Mapping[int, Sequence[int]],
     found: dict[int, tuple[int, ...]],
+    moves: Mapping[int, dict[int, int]],
 ) -> list[int]:
     """Add the class of ``H`` (on ``members``) under ``N_G(K)`` to ``found``,
     each member under its bitmask (``bits[x]`` is ``1 << x``), and return
@@ -490,37 +492,45 @@ def _register_class(
     to the permutation ``x -> g x g^-1`` of the elements; ``K`` lies in
     every subgroup over it, so it fixes them all.  The class is walked
     breadth-first along them, so each member costs one lookup per element
-    and generator, not a coset walk.  The walk keeps a transversal: ``t_i``
-    conjugates ``H`` to the ``i``-th member.  An edge ``g`` from member ``i``
-    to a member ``j`` already seen gives the Schreier generator
-    ``t_j^-1 g t_i``, and these generate the stabiliser (Schreier's lemma);
-    :func:`_generators_of` keeps a short list of them.
+    and generator, not a coset walk, and ``moves[g]`` records the walk's
+    every step: the mask of each member maps to the mask of its conjugate
+    by ``g``.  The walk keeps a transversal: ``t_i`` conjugates ``H`` to the
+    ``i``-th member.  An edge ``g`` from member ``i`` to a member ``j``
+    already seen gives the Schreier generator ``t_j^-1 g t_i``, and these
+    generate the stabiliser (Schreier's lemma); :func:`_generators_of`
+    keeps a short list of them.
     """
     table, inverses = group.table, group.inverses
-    position = {sum(map(bits.__getitem__, members)): 0}
+    masks = [sum(map(bits.__getitem__, members))]
+    position = {masks[0]: 0}
     orbit = [members]
     transversal = [0]
     schreier: list[int] = []
-    for current, t in zip(orbit, transversal):
+    for source, current, t in zip(masks, orbit, transversal):
         if len(found) + len(orbit) > POINTS_BOUND:
             raise ResourceError(f"more than {POINTS_BOUND} subgroups contain K (the points bound)")
         for g, conjugation in conjugations.items():
-            mask = sum(map(bits.__getitem__, map(conjugation.__getitem__, current)))
+            image = list(map(conjugation.__getitem__, current))
+            mask = moves[g][source] = sum(map(bits.__getitem__, image))
             j = position.get(mask)
             if j is None:
                 position[mask] = len(orbit)
-                orbit.append(tuple(sorted(map(conjugation.__getitem__, current))))
+                masks.append(mask)
+                orbit.append(tuple(sorted(image)))
                 transversal.append(table[g][t])
             else:
                 schreier.append(table[inverses[transversal[j]]][table[g][t]])
-    found.update(zip(position, orbit))
+    found.update(zip(masks, orbit))
     if len(orbit) == 1:
         return list(conjugations)
     return _generators_of(table, schreier)
 
 
-def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgroup, ...]:
-    """All subgroups of ``group`` that contain ``subgroup``.
+def subgroup_interval(
+    group: FiniteGroup, subgroup: Subgroup
+) -> tuple[tuple[Subgroup, ...], dict[int, tuple[int, ...]]]:
+    """All subgroups of ``group`` that contain ``subgroup``, with the
+    conjugation action of ``N_G(K)`` on them.
 
     Works upward from the subgroup ``K`` itself, one class under conjugation
     by ``N_G(K)`` at a time (cyclic extension up to conjugacy: J. Neubüser,
@@ -548,8 +558,11 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
     ``<H, z>`` that was walked, and ``L`` lies in its class.
 
     More than :data:`POINTS_BOUND` subgroups raise :class:`ResourceError`.
-    Results come back sorted by (order, element tuple) with ``id`` set to
-    the position.
+    The subgroups come back sorted by (order, element tuple) with ``id`` set
+    to the position.  Beside them, for each generator ``g`` of ``N_G(K)``
+    modulo ``K`` (elements of ``group``; those of :attr:`FiniteGroup.generators`
+    when ``K`` is trivial), the row whose entry ``i`` is the position of
+    ``g H_i g^-1``, read off the class walks.
     """
     if subgroup.parent is not group:
         raise InputError("subgroup does not belong to the given group")
@@ -563,10 +576,11 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
         seed_gens = [g for g in both if g in seed]
         n_generators = both[len(seed_gens):]
     conjugations = {g: [table[row_g][inverses[g]] for row_g in table[g]] for g in n_generators}
+    moves: dict[int, dict[int, int]] = {g: {} for g in n_generators}
     bits = [1 << x for x in range(group.order)]
     found: dict[int, tuple[int, ...]] = {}
     representatives = [
-        (seed_gens, seed, _register_class(group, seed, bits, conjugations, found))
+        (seed_gens, seed, _register_class(group, seed, bits, conjugations, found, moves))
     ]
     while representatives:
         gens, members, stabiliser = representatives.pop()
@@ -581,8 +595,8 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
             # The cosets are disjoint, so the sum of their masks is the union.
             if sum(map(masks.__getitem__, walk)) not in found:
                 bigger = tuple(sorted(table[h][reps[other]] for other in walk for h in members))
-                stabiliser_of_bigger = _register_class(group, bigger, bits, conjugations, found)
-                representatives.append((bigger_gens, bigger, stabiliser_of_bigger))
+                bigger_stabiliser = _register_class(group, bigger, bits, conjugations, found, moves)
+                representatives.append((bigger_gens, bigger, bigger_stabiliser))
             # Close the covered cosets under S: s(Hy)s^-1 = H(sys^-1).
             fresh = _cover_class(table, members, x, index, covered)
             for other in fresh:
@@ -592,10 +606,16 @@ def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgro
                     if not covered[image]:
                         covered[image] = 1
                         fresh.append(image)
-    ordered = sorted(found.values(), key=lambda t: (len(t), t))
-    return tuple(
-        Subgroup(group, members, id=position) for position, members in enumerate(ordered)
-    )
+    ordered = sorted(found, key=lambda mask: (len(found[mask]), found[mask]))
+    position = {mask: i for i, mask in enumerate(ordered)}
+    rows = {g: tuple(position[moved[mask]] for mask in ordered) for g, moved in moves.items()}
+    subgroups = tuple(Subgroup(group, found[mask], id=i) for i, mask in enumerate(ordered))
+    return subgroups, rows
+
+
+def subgroups_containing(group: FiniteGroup, subgroup: Subgroup) -> tuple[Subgroup, ...]:
+    """All subgroups of ``group`` that contain ``subgroup``: those of :func:`subgroup_interval`."""
+    return subgroup_interval(group, subgroup)[0]
 
 
 def is_core_free(group: FiniteGroup, subgroup: Subgroup) -> bool:

@@ -613,8 +613,9 @@ def conjugation_table_oracle(setup: ConjugationSetup) -> tuple[tuple[int, ...], 
     Row ``n`` conjugates every subgroup of ``X`` element by element by the
     least member of the coset ``n``, and looks the image up among the
     subgroups.  The slow reference for the rows that
-    :func:`cardyfrob.actions.build_conjugation_setup` conjugates out on the
-    generators of ``N`` alone and composes for the rest.
+    :func:`cardyfrob.actions.build_conjugation_setup` takes for generators
+    from the class walks of :func:`cardyfrob.groups.subgroup_interval` and
+    composes for the rest.
     """
     group = setup.group
     position = {frozenset(s.elements): index for index, s in enumerate(setup.subgroups)}

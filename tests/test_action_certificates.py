@@ -1,13 +1,12 @@
 """The conjugation action, built and certified on generators of N.
 
-:func:`cardyfrob.build_conjugation_setup` conjugates the subgroups by the
-generators of ``N`` only and composes the other rows;
-:func:`cardyfrob.oracles.conjugation_table_oracle` conjugates by every coset
-representative.  :class:`cardyfrob.NSet` checks the product rule on
-generators and falls back to every pair ``(g, h)`` on a failure, so a
-corrupted table must be rejected with the first failing pair of the full
-loop, computed here by brute force.  Tampered subgroup catalogs must raise
-the same errors as conjugating by every element did.
+:func:`cardyfrob.build_conjugation_setup` takes the rows of the generators
+of ``N`` from the class walks of the subgroup lattice and composes the
+other rows; :func:`cardyfrob.oracles.conjugation_table_oracle` conjugates
+by every coset representative.  :class:`cardyfrob.NSet` checks the product
+rule on generators and falls back to every pair ``(g, h)`` on a failure, so
+a corrupted table must be rejected with the first failing pair of the full
+loop, computed here by brute force.
 """
 
 from __future__ import annotations
@@ -16,18 +15,14 @@ import random
 
 import pytest
 
-import cardyfrob.actions
 from cardyfrob import (
     ConsistencyError,
     NSet,
-    Subgroup,
     build_conjugation_setup,
     build_group,
     coset_nset,
     group_from_document,
-    normalizer,
     subgroup_closure,
-    subgroups_containing,
 )
 from cardyfrob.oracles import conjugation_table_oracle
 from conftest import SUITE_DOCUMENTS
@@ -113,10 +108,10 @@ def test_corrupted_action_names_the_first_failing_product(name):
     for table in corrupted_tables(setup.nset.act_table, name):
         expected = first_incompatible_product(group, table)
         if expected is None:
-            NSet(group, table, setup.nset.point_sets)
+            NSet(group, table)
             continue
         with pytest.raises(ConsistencyError) as caught:
-            NSet(group, table, setup.nset.point_sets)
+            NSet(group, table)
         assert str(caught.value) == f"action is not compatible with the product at {expected}"
         raised += 1
     assert raised >= 3
@@ -155,7 +150,7 @@ def test_corrupted_non_generator_row_is_named(name):
         for row in ((table[n][1],) + table[n][1:], table[n][:-1]):
             broken = table[:n] + (row,) + table[n + 1 :]
             with pytest.raises(ConsistencyError) as caught:
-                NSet(group, broken, setup.nset.point_sets)
+                NSet(group, broken)
             text = str(caught.value)
             assert text == f"action row {n} is not a permutation of the points"
     # Two bad rows: the first in element order is named, generator or not.
@@ -164,39 +159,7 @@ def test_corrupted_non_generator_row_is_named(name):
     for n in (first, second):
         rows[n] = (rows[n][1],) + rows[n][1:]
     with pytest.raises(ConsistencyError) as caught:
-        NSet(group, tuple(rows), setup.nset.point_sets)
+        NSet(group, tuple(rows))
     text = str(caught.value)
     assert text == f"action row {first} is not a permutation of the points"
 
-
-def tampered_catalog(monkeypatch, edit):
-    original = subgroups_containing
-    monkeypatch.setattr(
-        cardyfrob.actions, "subgroups_containing", lambda group, k: edit(group, k, original(group, k))
-    )
-
-
-def test_catalog_missing_k_names_the_element_that_moves_it(monkeypatch):
-    # Add the N_G(K)-conjugates of <(0 2)> to the subgroups over K =
-    # <(0 1)(2 3)> in S4: K moves <(0 2)> to <(1 3)>, so the action is not
-    # defined on cosets, and element 3 is the first that shows it.
-    group, k = group_from_document(SUITE_DOCUMENTS["s4_k0123"])
-    assert group.perms is not None
-    t = subgroup_closure(group, [group.perms.index((2, 1, 0, 3))])
-    conjugates = sorted(
-        {tuple(sorted(group.conjugate(h, x) for x in t.elements)) for h in normalizer(group, k).elements}
-    )
-    tampered_catalog(
-        monkeypatch, lambda g, _, subs: subs + tuple(Subgroup(g, elements) for elements in conjugates)
-    )
-    with pytest.raises(ConsistencyError) as caught:
-        build_conjugation_setup(group, k)
-    assert str(caught.value) == "conjugation action is not well defined on cosets at element 3"
-
-
-def test_catalog_missing_a_conjugate_is_rejected(monkeypatch):
-    group, k = group_from_document(SUITE_DOCUMENTS["s4_k0123"])
-    tampered_catalog(monkeypatch, lambda g, _, subs: subs[:5] + subs[6:])
-    with pytest.raises(ConsistencyError) as caught:
-        build_conjugation_setup(group, k)
-    assert str(caught.value) == "conjugating a subgroup over K left the subgroup catalog"

@@ -212,6 +212,23 @@ def test_singular_pairing_is_reported_not_raised(suite_algebras):
     assert not invertible.passed and invertible.witness == phi_u.witness
 
 
+def test_phi_row_past_dim_b_is_reported_not_raised(suite_algebras):
+    # A row of phi that holds the position dim B fails each check that reads
+    # B at the positions of phi, naming the row's label, and every other
+    # check runs as before.
+    h = suite_algebras["s3"]
+    phi = list(h.phi)
+    phi[1] = {**phi[1], h.B.dim: 1}
+    results = verify_cardy_frobenius(replace(h, phi=tuple(phi)))
+    assert len(results) == 14
+    leaving = {"phi-homomorphism", "phi-central", "phi-star", "phi-u", "cardy"}
+    for result in results:
+        if result.name in leaving:
+            assert result == CheckResult(result.name, False, "phi(a1) leaves B")
+        else:
+            assert result.passed, result.name
+
+
 def cardy_check(h, name):
     return next(result for result in verify_cardy_frobenius(h) if result.name == name)
 
@@ -389,4 +406,4 @@ def test_coset_catalog_diagonal_unit():
     transposition = next(a for a in s3.elements() if s3.element_order(a) == 2)
     s = subgroup_closure(s3, [transposition])
     catalog = build_catalog(coset_nset(s3, s))
-    assert catalog.diagonal_positions() == {0}
+    assert set(catalog.diagonal_counts()) == {0}

@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 import cardyfrob.groups
 from cardyfrob import (
     ResourceError,
+    build_conjugation_setup,
     build_group,
+    coset_nset,
     group_from_document,
     normalizer,
     quotient_group,
@@ -39,7 +41,7 @@ from cardyfrob import (
 )
 from cardyfrob.cli import run
 from cardyfrob.groups import POINTS_BOUND
-from cardyfrob.oracles import is_associative
+from cardyfrob.oracles import conjugation_table_oracle, is_associative
 
 from conftest import SUITE_DOCUMENTS
 
@@ -133,6 +135,18 @@ def test_random_lattices_match_oracle(generators, data):
     # S5, 11.5 s for S5 with K = 1.
     assume(group.order // k.order <= 60)
     assert_matches_oracle(group, k)
+    # The action rows come from the lattice's class walks; the oracle
+    # conjugates by every coset representative.
+    setup = build_conjugation_setup(group, k)
+    assert setup.nset.act_table == conjugation_table_oracle(setup)
+    # The coset action shares the walk that fills the rows.
+    nset = coset_nset(group, k)
+    assert nset.point_sets is not None
+    coset_of = {x: point for point, coset in enumerate(nset.point_sets) for x in coset}
+    assert nset.act_table == tuple(
+        tuple(coset_of[group.mul(g, min(coset))] for coset in nset.point_sets)
+        for g in range(group.order)
+    )
 
 
 @settings(max_examples=60, deadline=None)

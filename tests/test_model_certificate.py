@@ -57,10 +57,12 @@ def with_model(alg, model):
 
 
 def with_star(alg, a: int, b: int):
-    """A copy of ``alg`` (model included) with the stars of ``e_a`` and ``e_b`` exchanged."""
+    """A copy of ``alg`` (model included) with the stars of ``e_a`` and ``e_b``
+    exchanged, with no pairing inverse or Casimir element carried over."""
     star = list(alg.involution)
     star[a], star[b] = star[b], star[a]
     broken = copy.copy(alg)
+    broken._form_inverse = broken._casimir = broken._twisted_casimir = None
     broken.involution = tuple(star)
     return broken
 
@@ -146,8 +148,10 @@ def test_constant_without_chains_breaks_premise_a(suite_algebras, name):
 
 
 def with_unit(alg, coeffs: dict[int, int]):
-    """A copy of ``alg`` (model included) whose unit is ``coeffs``, keyed by position."""
+    """A copy of ``alg`` (model included) whose unit is ``coeffs``, keyed by
+    position, with no pairing inverse or Casimir element carried over."""
     broken = copy.copy(alg)
+    broken._form_inverse = broken._casimir = broken._twisted_casimir = None
     broken.unit = AlgebraElement({alg.basis[k]: value for k, value in coeffs.items()})
     return broken
 
@@ -160,7 +164,7 @@ def test_changed_unit_breaks_only_premise_e(suite_algebras, name):
     # stays certified, and the unit check walks to the witness of the
     # algebra without a model.
     h = suite_algebras[name]
-    diagonal = sorted(h.catalog.diagonal_positions())
+    diagonal = sorted(h.catalog.diagonal_counts())
     unit = dict.fromkeys(diagonal, 1)
     assert {h.B.index(label): value for label, value in h.B.unit.coeffs.items()} == unit
     rng = random.Random(seed_of(name))

@@ -69,12 +69,13 @@ def sparse_checks(alg: EquippedFrobeniusAlgebra):
 
 
 def with_form_entry(alg: EquippedFrobeniusAlgebra, i: int, j: int, delta):
-    """A copy of ``alg`` whose stored pairing entry ``F_ij`` is off by ``delta``."""
+    """A copy of ``alg`` whose stored pairing entry ``F_ij`` is off by ``delta``,
+    with no pairing inverse or Casimir element carried over from ``alg``."""
     rows = [dict(row) for row in alg.form]
     rows[i][j] = rows[i].get(j, 0) + delta
     broken = copy.copy(alg)
     broken.form = tuple(rows)
-    broken._form_inverse = None
+    broken._form_inverse = broken._casimir = broken._twisted_casimir = None
     return broken
 
 

@@ -198,7 +198,7 @@ def cases(name: str, h: CardyFrobeniusAlgebra, width: int) -> Iterator[Case]:
         yield f"{name}/star/{s},{t}", BOTH, lambda s=s, t=t: replace(h, B=with_star(b, s, t))
 
     rng = seeded(name, "unit")
-    diagonal = sorted(catalog.diagonal_positions())
+    diagonal = sorted(catalog.diagonal_counts())
     unit = dict.fromkeys(diagonal, 1)
     on = rng.choice(diagonal)
     off = rng.choice([k for k in range(dim) if k not in unit])
