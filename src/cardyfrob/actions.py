@@ -33,7 +33,6 @@ from .groups import (
     ConjugacyClass,
     FiniteGroup,
     Subgroup,
-    centralizer,
     conjugacy_classes,
     is_core_free,
     normalizer,
@@ -46,16 +45,14 @@ from .groups import (
 class NSet:
     """A finite group action: ``act_table[n][x]`` is the image of point ``x``.
 
-    ``point_sets`` optionally records the subsets of the parent group that
-    the points stand for: the cosets of :func:`coset_nset`, which
-    :func:`cardyfrob.cardy.hecke_check` reads.  Construction validates the
-    action axioms, the product rule on a generating set of the group (see
-    :meth:`__post_init__`).
+    Points are the indices ``0 .. size-1`` and nothing else: what a point
+    stands for (a subgroup of ``X``, a coset ``gS``) is known to the builder
+    that numbered it.  Construction validates the action axioms, the
+    product rule on a generating set of the group (see :meth:`__post_init__`).
     """
 
     group: FiniteGroup
     act_table: tuple[tuple[int, ...], ...]
-    point_sets: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self) -> None:
         """Validate the action axioms, the product rule on generators only.
@@ -109,8 +106,6 @@ class NSet:
                         raise ConsistencyError(
                             f"action is not compatible with the product at ({g}, {h})"
                         )
-        if self.point_sets is not None and len(self.point_sets) != size:
-            raise ConsistencyError("point_sets length does not match the number of points")
 
     @property
     def size(self) -> int:
@@ -185,11 +180,13 @@ def build_conjugation_setup(
 def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
     """The left translation action of ``group`` on the cosets ``g S``.
 
-    Points are numbered by the smallest element of the coset, so the coset
-    ``S`` itself is point 0.  Only the rows of :attr:`FiniteGroup.generators`
-    are translated out; :func:`_action_table` fills the rest.  An index
-    ``[G:S]`` past :data:`POINTS_BOUND` raises :class:`ResourceError` before
-    any coset is built.
+    Points are numbered by the smallest element of the coset, its leader, so
+    the coset ``S`` itself is point 0, and point ``y`` is ``gS`` for the
+    least ``g`` with ``act_table[g][0] == y``.  Only the leaders are kept,
+    and only the rows of :attr:`FiniteGroup.generators` are translated out;
+    :func:`_action_table` fills the rest.  An index ``[G:S]`` past
+    :data:`POINTS_BOUND` raises :class:`ResourceError` before any coset is
+    built.
     """
     if s.parent is not group:
         raise InputError("the subgroup does not belong to the given group")
@@ -199,22 +196,17 @@ def coset_nset(group: FiniteGroup, s: Subgroup) -> NSet:
             f"S has {index} cosets in G, more than {POINTS_BOUND} (the points bound)"
         )
     coset_of = [-1] * group.order
-    cosets: list[tuple[int, ...]] = []
+    leaders: list[int] = []
     for g in range(group.order):
-        if coset_of[g] >= 0:
-            continue
-        coset = tuple(sorted(group.table[g][x] for x in s.elements))
-        for member in coset:
-            coset_of[member] = len(cosets)
-        cosets.append(coset)
+        if coset_of[g] < 0:
+            row = group.table[g]
+            for x in s.elements:
+                coset_of[row[x]] = len(leaders)
+            leaders.append(g)
     generator_rows = {
-        g: tuple(coset_of[group.table[g][coset[0]]] for coset in cosets) for g in group.generators
+        g: tuple(coset_of[group.table[g][leader]] for leader in leaders) for g in group.generators
     }
-    return NSet(
-        group=group,
-        act_table=_action_table(group, index, generator_rows),
-        point_sets=tuple(frozenset(coset) for coset in cosets),
-    )
+    return NSet(group, _action_table(group, index, generator_rows))
 
 
 def _action_table(
@@ -245,9 +237,10 @@ def _action_table(
 class InteriorField:
     """An interior field: a conjugacy class of ``N`` with its attached data.
 
-    ``aut_order`` is the order of the centralizer of the representative,
-    ``star`` the label of the class of inverses, and ``d`` the number of
-    square roots of the representative's inverse in ``N``.
+    ``aut_order`` is ``|Aut alpha|``, the order of the centralizer of the
+    representative, which is ``|N|`` over the class size; ``star`` is the
+    label of the class of inverses, and ``d`` the number of square roots of
+    the representative's inverse in ``N``.
     """
 
     label: str
@@ -524,8 +517,11 @@ def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> b
 def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
     """Enumerate and label interior and boundary fields of an action.
 
-    Interior fields follow the conjugacy class order of the acting group;
-    boundary orbits are labeled ``b<k>`` in order of their smallest pair.
+    Interior fields follow the conjugacy class order of the acting group.
+    Each field's ``aut_order`` is ``|N| / |class|``, the order of the
+    centralizer of its representative by orbit-stabiliser, and its ``d`` is
+    read off one tally of the squares ``n^2`` over ``N``.  Boundary orbits
+    are labeled ``b<k>`` in order of their smallest pair.
     The orbit table is filled directly: a row-major scan takes each cell not
     yet filled, the smallest pair of its orbit, and writes its position into
     every cell ``(n x, n y)`` of the orbit.  The Burnside count
@@ -534,25 +530,18 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
     """
     group = nset.group
     classes = conjugacy_classes(group)
-    rep_to_label = {cls.representative: cls.label for cls in classes}
-    member_to_rep = {}
-    for cls in classes:
-        for member in cls.members:
-            member_to_rep[member] = cls.representative
-    interior = []
-    for cls in classes:
-        rep = cls.representative
-        inverse_rep = member_to_rep[group.inv(rep)]
-        d = sum(1 for n in range(group.order) if group.mul(n, n) == group.inv(rep))
-        interior.append(
-            InteriorField(
-                label=cls.label,
-                conjugacy_class=cls,
-                aut_order=centralizer(group, rep).order,
-                star=rep_to_label[inverse_rep],
-                d=d,
-            )
+    label_of = {member: cls.label for cls in classes for member in cls.members}
+    squares = Counter(row[n] for n, row in enumerate(group.table))
+    interior = [
+        InteriorField(
+            label=cls.label,
+            conjugacy_class=cls,
+            aut_order=group.order // cls.size,
+            star=label_of[group.inv(cls.representative)],
+            d=squares[group.inv(cls.representative)],
         )
+        for cls in classes
+    ]
     size = nset.size
     table = array("i", [-1]) * (size * size)
     found: list[tuple[tuple[int, int], int]] = []

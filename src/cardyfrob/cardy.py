@@ -668,12 +668,14 @@ def hecke_check(group: FiniteGroup, s: Subgroup) -> HeckeComparison:
     target ``k`` one pass over ``G`` tallies the pairs (double coset of
     ``v``, double coset of ``v^-1 w_k``), column ``k`` of the convolution,
     ``dim |G|`` group products in all.  The witness is the first failing
-    ``(i, j, k)`` in lexicographic order.
+    ``(i, j, k)`` in lexicographic order.  The representative ``(S, wS)`` of
+    each orbit gives ``w``, the least element of ``wS``: by the numbering of
+    :func:`~cardyfrob.actions.coset_nset`, the least ``g`` that takes point
+    0 to that point, read off column 0 of the action table.
     """
     nset = coset_nset(group, s)
     catalog = build_catalog(nset)
     b_algebra = build_B(catalog)
-    assert nset.point_sets is not None
     # Number the double cosets S g S in order of their least element.
     double_coset = [-1] * group.order
     count = 0
@@ -686,7 +688,8 @@ def hecke_check(group: FiniteGroup, s: Subgroup) -> HeckeComparison:
             count += 1
     # Each boundary orbit has a representative (S, wS); send it to S w S.
     representatives = [field.representative for field in catalog.boundary]
-    witnesses = [min(nset.point_sets[y]) for _, y in representatives]
+    column = [row[0] for row in nset.act_table]
+    witnesses = [column.index(y) for _, y in representatives]
     position = {double_coset[w]: k for k, w in enumerate(witnesses)}
     bijection = all(x == 0 for x, _ in representatives) and (
         len(position) == len(witnesses) == count

@@ -31,15 +31,24 @@ from .frobenius import (
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
-    FiniteGroup,
     document_digest,
     group_from_document,
-    permutation_from_list,
-    subgroup_closure,
+    subgroup_from_permutations,
 )
 from .hurwitz import SurfaceSpec, evaluate
 from .oracles import DEFAULT_TUPLE_BOUND, oracle_for_spec
 from .rationals import format_fraction
+
+
+def _bound(text: str) -> int:
+    """An ``int`` argument of at least 1: no smaller bound admits any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--group", required=True, help="path to the group JSON document")
         sub.add_argument(
             "--order-bound",
-            type=int,
+            type=_bound,
             default=DEFAULT_ORDER_BOUND,
             help="maximum group order for the generator closure",
         )
@@ -96,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument(
         "--tuple-bound",
-        type=int,
+        type=_bound,
         default=DEFAULT_TUPLE_BOUND,
         help="maximum tuple enumeration domain",
     )
@@ -315,33 +324,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_subgroup(group: FiniteGroup, text: str):
+def _cmd_hecke(args: argparse.Namespace) -> int:
+    document = _load_json(args.group)
+    group, _ = group_from_document(document, order_bound=args.order_bound)
     try:
-        raw = json.loads(text)
+        raw = json.loads(args.subgroup_generators)
     except ValueError as exc:
         raise InputError(f"--subgroup-generators is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError("--subgroup-generators nests too deeply to parse") from None
-    if not isinstance(raw, list):
-        raise InputError("--subgroup-generators must be a JSON list of permutations")
-    assert group.perms is not None
-    perm_index = {perm: position for position, perm in enumerate(group.perms)}
-    degree = len(group.perms[0])
-    indices = []
-    for position, gen in enumerate(raw):
-        perm = permutation_from_list(gen, degree, f"subgroup generator {position}")
-        if perm not in perm_index:
-            raise InputError(
-                f"subgroup generator {position} is not an element of the group"
-            )
-        indices.append(perm_index[perm])
-    return subgroup_closure(group, indices)
-
-
-def _cmd_hecke(args: argparse.Namespace) -> int:
-    document = _load_json(args.group)
-    group, _ = group_from_document(document, order_bound=args.order_bound)
-    s = _parse_subgroup(group, args.subgroup_generators)
+    s = subgroup_from_permutations(group, raw, "--subgroup-generators")
     comparison = hecke_check(group, s)
     all_passed = all(result.passed for result in comparison.checks)
     _emit(

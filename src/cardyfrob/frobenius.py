@@ -570,7 +570,7 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
 
     Checks are exact; a failing check carries a human-readable witness (the
     basis labels at which the identity first breaks).  A check that
-    :func:`_model_certificate` proves through the permutation model passes
+    :func:`_certificate` proves through the permutation model passes
     without its walk; every other check runs as it does without a model, so
     the results are the same either way.  The premises are computed anew on
     every call (:func:`_model_premises`).
@@ -621,12 +621,6 @@ def _verify_equipped(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> 
         run("casimir-central", _check_casimir_central),
         _check_dual_reconstruction(alg, pairing_is_stored),
     ]
-
-
-def _model_certificate(alg: EquippedFrobeniusAlgebra) -> set[str]:
-    """The checks that the permutation model of ``alg`` proves, if it has
-    one, the premises recomputed (:func:`_certificate`)."""
-    return _certificate(alg, _model_premises(alg._model, alg))[0]
 
 
 def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tuple[set[str], bool]:

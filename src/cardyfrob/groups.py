@@ -46,28 +46,13 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[x]] for x in range(len(q)))
 
 
-def cycle_notation(perm: Perm) -> str:
-    """Render a permutation in cycle notation, ``'e'`` for the identity."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            seen[nxt] = True
-            cycle.append(nxt)
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(point) for point in cycle) + ")")
-    return "".join(parts) if parts else "e"
-
-
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    ``table[a][b]`` is the product ``a * b``.  The constructor checks the
+    Elements are the indices ``0 .. order-1`` and carry no other name.
+    ``table[a][b]`` is the product ``a * b``, and ``perms[a]`` is the
+    permutation of element ``a`` when the group was closed from permutations
+    (``None`` for a quotient).  The constructor checks the
     cheap structural facts (square shape, identity row and column, rows and
     columns are permutations, hence two-sided inverses exist); associativity
     is the builder's responsibility.  Every table built here (closure of
@@ -82,7 +67,6 @@ class FiniteGroup:
     def __init__(
         self,
         table: Sequence[Sequence[int]],
-        names: Sequence[str] | None = None,
         perms: Sequence[Perm] | None = None,
     ) -> None:
         self.order = len(table)
@@ -102,14 +86,7 @@ class FiniteGroup:
             if self.table[0][a] != a or self.table[a][0] != a:
                 raise InputError("element 0 is not a two-sided identity")
         self.inverses: tuple[int, ...] = tuple(row.index(0) for row in self.table)
-        if names is None:
-            names = [f"g{a}" for a in range(self.order)]
-        if len(names) != self.order:
-            raise InputError(f"got {len(names)} element names for {self.order} elements")
-        self.names: tuple[str, ...] = tuple(names)
         self.perms: tuple[Perm, ...] | None = tuple(perms) if perms is not None else None
-
-    identity = 0
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -214,8 +191,7 @@ def build_group(
         for x, g in steps:
             row.append(right[row[x]][g])
         table.append(row)
-    names = [cycle_notation(perm) for perm in elements]
-    return FiniteGroup(table, names=names, perms=elements)
+    return FiniteGroup(table, perms=elements)
 
 
 @dataclass(frozen=True)
@@ -404,9 +380,7 @@ def quotient_group(
         [projection[parent.table[left][right]] for right in reps]
         for left in reps
     ]
-    names = [parent.names[rep] for rep in reps]
-    quotient = FiniteGroup(table, names=names)
-    return quotient, projection
+    return FiniteGroup(table), projection
 
 
 def _generators_of(table: Sequence[Sequence[int]], elements: Iterable[int]) -> list[int]:
@@ -652,18 +626,29 @@ def group_from_document(
     if not isinstance(generators, Sequence) or isinstance(generators, (str, bytes)):
         raise InputError("generators must be a list of permutations")
     group = build_group(degree, generators, order_bound=order_bound)
+    k_generators = document.get("k_generators", [])
+    return group, subgroup_from_permutations(group, k_generators, "k_generators")
+
+
+def subgroup_from_permutations(group: FiniteGroup, raw: object, what: str) -> Subgroup:
+    """The subgroup of ``group`` generated by a list of permutations.
+
+    ``raw`` must be a list of permutations in one-line notation, each an
+    element of ``group`` (whose :attr:`FiniteGroup.perms` must be set);
+    anything else raises :class:`InputError` naming ``what``.
+    """
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise InputError(f"{what} must be a list of permutations")
     assert group.perms is not None
     perm_index = {perm: position for position, perm in enumerate(group.perms)}
-    k_generators = document.get("k_generators", [])
-    if not isinstance(k_generators, Sequence) or isinstance(k_generators, (str, bytes)):
-        raise InputError("k_generators must be a list of permutations")
-    k_indices = []
-    for pos, gen in enumerate(k_generators):
-        perm = permutation_from_list(gen, degree, f"k_generators[{pos}]")
+    degree = len(group.perms[0])
+    indices = []
+    for pos, gen in enumerate(raw):
+        perm = permutation_from_list(gen, degree, f"{what}[{pos}]")
         if perm not in perm_index:
-            raise InputError(f"k_generators[{pos}] is not an element of the generated group")
-        k_indices.append(perm_index[perm])
-    return group, subgroup_closure(group, k_indices)
+            raise InputError(f"{what}[{pos}] is not an element of the group")
+        indices.append(perm_index[perm])
+    return subgroup_closure(group, indices)
 
 
 def document_digest(document: Mapping[str, object]) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .actions import FieldCatalog
 from .cardy import CardyFrobeniusAlgebra
@@ -182,6 +182,21 @@ def evaluate(
 # -- cut identities ----------------------------------------------------------
 
 
+def _cut_check(
+    name: str,
+    h: CardyFrobeniusAlgebra,
+    spec: SurfaceSpec,
+    terms: Iterable[tuple[int, SurfaceSpec]],
+) -> CheckResult:
+    """``evaluate(spec) == sum weight * evaluate(reduced)`` over the
+    ``(weight, reduced)`` terms, exactly; the witness shows both sides."""
+    lhs = evaluate(h, spec).value
+    rhs = sum((weight * evaluate(h, reduced).value for weight, reduced in terms), Fraction(0))
+    passed = lhs == rhs
+    witness = None if passed else f"{format_fraction(lhs)} != {format_fraction(rhs)}"
+    return CheckResult(name, passed, witness)
+
+
 def cut_check_handle(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> CheckResult:
     """Cutting a handle: genus drops by one, a dual field pair appears.
 
@@ -190,18 +205,12 @@ def cut_check_handle(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> CheckResult
     """
     if not spec.orientable or spec.genus < 1:
         raise InputError("handle cut requires an orientable spec of genus >= 1")
-    lhs = evaluate(h, spec).value
-    rhs = Fraction(0)
-    for field in h.catalog.interior:
-        smaller = replace(
-            spec,
-            genus=spec.genus - 1,
-            interior=spec.interior + (field.label, field.star),
-        )
-        rhs += field.aut_order * evaluate(h, smaller).value
-    passed = lhs == rhs
-    witness = None if passed else f"{format_fraction(lhs)} != {format_fraction(rhs)}"
-    return CheckResult("cut-handle", passed, witness)
+    smaller = replace(spec, genus=spec.genus - 1)
+    terms = (
+        (field.aut_order, replace(smaller, interior=spec.interior + (field.label, field.star)))
+        for field in h.catalog.interior
+    )
+    return _cut_check("cut-handle", h, spec, terms)
 
 
 def cut_check_crosscap(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> CheckResult:
@@ -214,26 +223,12 @@ def cut_check_crosscap(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> CheckResu
     if spec.orientable:
         raise InputError("crosscap cut requires a non-orientable spec")
     remaining = spec.crosscaps - 1
-    lhs = evaluate(h, spec).value
-    rhs = Fraction(0)
-    for field in h.catalog.interior:
-        if remaining == 0:
-            smaller = replace(
-                spec,
-                orientable=True,
-                genus=Fraction(0),
-                interior=spec.interior + (field.label,),
-            )
-        else:
-            smaller = replace(
-                spec,
-                genus=Fraction(remaining, 2),
-                interior=spec.interior + (field.label,),
-            )
-        rhs += field.d * evaluate(h, smaller).value
-    passed = lhs == rhs
-    witness = None if passed else f"{format_fraction(lhs)} != {format_fraction(rhs)}"
-    return CheckResult("cut-crosscap", passed, witness)
+    smaller = replace(spec, orientable=remaining == 0, genus=Fraction(remaining, 2))
+    terms = (
+        (field.d, replace(smaller, interior=spec.interior + (field.label,)))
+        for field in h.catalog.interior
+    )
+    return _cut_check("cut-crosscap", h, spec, terms)
 
 
 def cut_check_boundary(
@@ -253,19 +248,14 @@ def cut_check_boundary(
         raise InputError(
             f"junction must be in 0..{len(spec.boundary) - 2}, got {junction}"
         )
-    lhs = evaluate(h, spec).value
-    rhs = Fraction(0)
-    before = spec.boundary[:junction]
-    first = spec.boundary[junction]
-    second = spec.boundary[junction + 1]
-    after = spec.boundary[junction + 2 :]
-    for field in h.catalog.boundary:
-        merged_contour = first + (field.label,) + second + (field.star,)
-        merged = replace(spec, boundary=before + (merged_contour,) + after)
-        rhs += field.aut_order * evaluate(h, merged).value
-    passed = lhs == rhs
-    witness = None if passed else f"{format_fraction(lhs)} != {format_fraction(rhs)}"
-    return CheckResult("cut-boundary", passed, witness)
+    before, after = spec.boundary[:junction], spec.boundary[junction + 2 :]
+    first, second = spec.boundary[junction : junction + 2]
+    merged = (
+        (field.aut_order, (*before, first + (field.label,) + second + (field.star,), *after))
+        for field in h.catalog.boundary
+    )
+    terms = ((weight, replace(spec, boundary=boundary)) for weight, boundary in merged)
+    return _cut_check("cut-boundary", h, spec, terms)
 
 
 # -- invariance helpers ------------------------------------------------------

@@ -50,6 +50,13 @@ SUITE_DOCUMENTS: dict[str, dict[str, object]] = {
 CORPUS_SIZE = 30
 
 
+def left_cosets(group, s) -> list[frozenset[int]]:
+    """The cosets ``{g s : s in S}`` of ``S`` in ``group``, numbered by their
+    least element, as :func:`cardyfrob.coset_nset` numbers its points."""
+    cosets = {frozenset(group.mul(g, x) for x in s.elements) for g in range(group.order)}
+    return sorted(cosets, key=min)
+
+
 def setup_for(name: str) -> ConjugationSetup:
     document = SUITE_DOCUMENTS[name]
     group, k = group_from_document(document)

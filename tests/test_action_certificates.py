@@ -25,7 +25,7 @@ from cardyfrob import (
     subgroup_closure,
 )
 from cardyfrob.oracles import conjugation_table_oracle
-from conftest import SUITE_DOCUMENTS
+from conftest import SUITE_DOCUMENTS, left_cosets
 
 S5 = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
 A5 = [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]
@@ -75,10 +75,10 @@ def test_coset_actions_are_left_translations(degree, generators, s_generators):
     index = {perm: position for position, perm in enumerate(group.perms)}
     s = subgroup_closure(group, [index[tuple(perm)] for perm in s_generators])
     nset = coset_nset(group, s)
-    assert nset.point_sets is not None
-    position = {coset: point for point, coset in enumerate(nset.point_sets)}
+    cosets = left_cosets(group, s)
+    position = {coset: point for point, coset in enumerate(cosets)}
     expected = tuple(
-        tuple(position[frozenset(group.mul(h, x) for x in coset)] for coset in nset.point_sets)
+        tuple(position[frozenset(group.mul(h, x) for x in coset)] for coset in cosets)
         for h in range(group.order)
     )
     assert nset.act_table == expected

@@ -21,7 +21,7 @@ from cardyfrob import (
     subgroup_closure,
     trivial_subgroup,
 )
-from conftest import SUITE_DOCUMENTS
+from conftest import SUITE_DOCUMENTS, left_cosets
 
 
 def orbit_of_pair(nset: NSet, pair: tuple[int, int]) -> frozenset[tuple[int, int]]:
@@ -123,8 +123,10 @@ def test_coset_nset_s3():
     s = subgroup_closure(s3, [transposition])
     nset = coset_nset(s3, s)
     assert nset.size == 3
-    assert nset.point_sets is not None
-    assert set(nset.point_sets[0]) == set(s.elements)
+    cosets = left_cosets(s3, s)
+    assert cosets[0] == set(s.elements)
+    # Point 0 is S, and g sends it to the coset g S.
+    assert all(g in cosets[nset.act(g, 0)] for g in s3.elements())
     # Left translation is transitive.
     reached = {nset.act(g, 0) for g in s3.elements()}
     assert reached == set(range(nset.size))

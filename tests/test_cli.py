@@ -415,6 +415,28 @@ def test_oracle_tuple_bound_exceeded(capsys, z2_path, torus_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    ("command", "option", "value"),
+    [
+        ("check", "--order-bound", "-5"),
+        ("info", "--order-bound", "0"),
+        ("oracle", "--tuple-bound", "-1"),
+        ("oracle", "--tuple-bound", "0"),
+    ],
+)
+def test_bounds_below_one_are_bad_input(capsys, z2_path, torus_path, command, option, value):
+    # No bound below 1 admits any work, so it is refused before the group is read.
+    argv = [command, "--group", z2_path, option, value]
+    if command == "oracle":
+        argv += ["--surface", torus_path]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}: must be at least 1, got {value}" in captured.err
+
+
 def test_hecke_bad_generators(capsys, z2_path):
     code, _, _ = run_json(
         capsys, ["hecke", "--group", z2_path, "--subgroup-generators", "not json"]

@@ -28,7 +28,7 @@ from cardyfrob import (
     subgroups_containing,
     trivial_subgroup,
 )
-from cardyfrob.groups import compose, cycle_notation
+from cardyfrob.groups import compose
 from cardyfrob.oracles import is_associative
 
 
@@ -102,13 +102,6 @@ def test_compose_acts_right_to_left():
     p = (1, 0, 2)
     q = (0, 2, 1)
     assert compose(p, q) == (1, 2, 0)
-
-
-def test_cycle_notation():
-    assert cycle_notation((0, 1, 2)) == "e"
-    assert cycle_notation((1, 0, 2)) == "(0 1)"
-    assert cycle_notation((1, 2, 0)) == "(0 1 2)"
-    assert cycle_notation((1, 0, 3, 2)) == "(0 1)(2 3)"
 
 
 def test_order_bound_exceeded():
@@ -262,8 +255,7 @@ def test_quotient_by_trivial_kernel_is_the_group_itself():
     group = s4()
     whole = subgroup_from_elements(group, group.elements())
     quotient, projection = quotient_group(whole, trivial_subgroup(group))
-    assert quotient.table == group.table
-    assert quotient.names == group.names
+    assert quotient is group
     assert projection == {h: h for h in group.elements()}
     # A proper overgroup still gets its own quotient table.
     k = subgroup_closure(

@@ -8,10 +8,14 @@ misses nothing: for ``L`` over ``K``, take ``M`` maximal over ``K`` inside
 representative of ``M``'s class.  :func:`cardyfrob.subgroup_lattice_oracle`
 adjoins every element to every found subgroup.  Both must return the same
 subgroups, orders and ``id``s, on the suite pairs and on drawn pairs of
-degree up to 5.  Past the oracle's reach, digests of the lattices of S5,
-PSL(2,7), A6, PSL(2,13) and S6 with ``K = 1``, and of S5's lattices over
-every ``K``, pin the output.  The classical subgroup counts and the points
-bound are checked here as well.
+degree up to 5.  On the drawn pairs the conjugation and coset actions
+are checked against their references as well, the interior fields'
+``aut_order`` and ``d`` against a scan of ``N`` per class, and
+:func:`cardyfrob.hecke_check` on the coset action of ``(G, K)``.  Past the
+oracle's reach, digests of the lattices of S5, PSL(2,7), A6, PSL(2,13) and
+S6 with ``K = 1``, and of S5's lattices over every ``K``, pin the output.
+The classical subgroup counts and the points bound are checked here as
+well.
 """
 
 from __future__ import annotations
@@ -27,10 +31,13 @@ from hypothesis import strategies as st
 import cardyfrob.groups
 from cardyfrob import (
     ResourceError,
+    build_catalog,
     build_conjugation_setup,
     build_group,
+    centralizer,
     coset_nset,
     group_from_document,
+    hecke_check,
     normalizer,
     quotient_group,
     subgroup_closure,
@@ -43,7 +50,7 @@ from cardyfrob.cli import run
 from cardyfrob.groups import POINTS_BOUND
 from cardyfrob.oracles import conjugation_table_oracle, is_associative
 
-from conftest import SUITE_DOCUMENTS
+from conftest import SUITE_DOCUMENTS, left_cosets
 
 A5_GENERATORS = [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]
 S5_GENERATORS = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
@@ -140,13 +147,22 @@ def test_random_lattices_match_oracle(generators, data):
     setup = build_conjugation_setup(group, k)
     assert setup.nset.act_table == conjugation_table_oracle(setup)
     # The coset action shares the walk that fills the rows.
-    nset = coset_nset(group, k)
-    assert nset.point_sets is not None
-    coset_of = {x: point for point, coset in enumerate(nset.point_sets) for x in coset}
-    assert nset.act_table == tuple(
-        tuple(coset_of[group.mul(g, min(coset))] for coset in nset.point_sets)
-        for g in range(group.order)
+    cosets = left_cosets(group, k)
+    coset_of = {x: point for point, coset in enumerate(cosets) for x in coset}
+    assert coset_nset(group, k).act_table == tuple(
+        tuple(coset_of[group.mul(g, min(coset))] for coset in cosets) for g in range(group.order)
     )
+    # |Aut alpha| and d^alpha, read off the class size and one tally of
+    # squares, against a scan of N per class.
+    n_group = setup.n_group
+    for field in build_catalog(setup.nset).interior:
+        inverse = n_group.inv(field.representative)
+        assert field.aut_order == centralizer(n_group, field.representative).order
+        assert field.d == sum(n_group.mul(n, n) == inverse for n in n_group.elements())
+    # B of the coset action is the Hecke algebra of (G, K).
+    comparison = hecke_check(group, k)
+    assert all(check.passed for check in comparison.checks)
+    assert comparison.boundary_dimension == comparison.double_coset_count
 
 
 @settings(max_examples=60, deadline=None)
