@@ -18,17 +18,20 @@ whose image under ``phi`` is the twisted Casimir of ``B``.  The pairings are
 normalized so that ``(E_alpha, E_beta)_A = delta_{beta, alpha*} / |Aut alpha|``
 and likewise for ``B``.
 
-``A``, ``B`` and ``phi`` are built in index space with integer counts; ``A``
-and ``B`` are handed to
-:meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` as rows of
-the store, one per left position, which it keeps without a copy.  Every
-reader of the boundary orbits indexes the catalog's orbit table
-:attr:`~cardyfrob.actions.FieldCatalog.orbit_table`, cell ``x * |X| + y``
-holding ``orbit(x, y)``.  ``B`` reads it as it is: column ``k`` is the tally
-of the pairs ``(orbit(x, y), orbit(y, z))`` over all ``y`` at the
-representative ``(x, z)`` of ``O_k``, each count put at once into row
-``orbit(x, y)``.  ``phi`` tallies each class sum in a flat ``x * |X| + y``
-count list and keeps, for each class sum, the sparse integer row
+``A``, ``B`` and ``phi`` are built in index space with integer counts.  The
+builders of ``A`` and ``B`` count the pairing ``l(e_i e_j)`` with the
+constants and hand both, the constants as rows of the store, one per left
+position, to the private core
+:meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra._from_counts`, which
+keeps them without a copy or a re-scan;
+:meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` validates
+rows from outside.  Every reader of the boundary orbits indexes the
+catalog's orbit table :attr:`~cardyfrob.actions.FieldCatalog.orbit_table`,
+cell ``x * |X| + y`` holding ``orbit(x, y)``.  ``B`` reads it as it is:
+column ``k`` is the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over
+all ``y`` at the representative ``(x, z)`` of ``O_k``, each count put at
+once into row ``orbit(x, y)``.  ``phi`` tallies each class sum in a flat
+``x * |X| + y`` count list and keeps, for each class sum, the sparse integer row
 ``{k: count}`` of its nonzero counts at the orbit representatives.  Those
 rows are the only form of ``phi``: every reader below takes them as they
 are, and only ``cardyfrob algebra`` lists them densely, at the output edge.
@@ -144,14 +147,22 @@ class CardyFrobeniusAlgebra:
 
 
 def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
-    """The class-sum algebra of ``N`` with ``l_A = (coefficient of e) / |N|``."""
+    """The class-sum algebra of ``N`` with ``l_A = (coefficient of e) / |N|``.
+
+    Each product of two class sums is tallied over the group table, and the
+    pairing ``l_A(E_i E_j)`` is its count of the identity over ``|N|``.
+    """
     if catalog.nset.group is not n_group:
         raise InputError("catalog was built for a different acting group")
     fields = catalog.interior
     rep_to_index = {field.representative: i for i, field in enumerate(fields)}
+    identity = catalog.interior_labels.index(catalog.identity_interior_label)
+    e = fields[identity].representative
     rows: list[dict[int, dict[int, int]]] = []
+    pairing: list[dict[int, int]] = []
     for left in fields:
         products: dict[int, dict[int, int]] = {}
+        totals: dict[int, int] = {}
         for j, right in enumerate(fields):
             tally: dict[int, int] = {}
             for a in left.members:
@@ -162,11 +173,14 @@ def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlg
             products[j] = {
                 rep_to_index[rep]: count for rep, count in tally.items() if rep in rep_to_index
             }
+            if e in tally:
+                totals[j] = tally[e]
         rows.append(products)
-    identity = catalog.interior_labels.index(catalog.identity_interior_label)
-    return EquippedFrobeniusAlgebra.from_indices(
+        pairing.append(totals)
+    return EquippedFrobeniusAlgebra._from_counts(
         basis=catalog.interior_labels,
-        products=rows,
+        rows=rows,
+        pairing=(n_group.order, pairing),
         linear_form={identity: Fraction(1, n_group.order)},
         involution=_star_positions(fields),
         unit={identity: 1},
@@ -187,33 +201,45 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     ``(x, z)`` of ``O_k`` and is counted at its representative: the pairs
     ``(orbit(x, y), orbit(y, z))`` over all ``y``, row ``x`` and column ``z``
     of the catalog's orbit table zipped, are tallied at once.  Each tally
-    goes straight into the rows handed to
-    :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices`, which
-    keeps them as they are: row ``i`` lists each ``j`` when first seen and
-    each expansion its ``k`` in increasing order.  The pairing recomputed
-    from those constants must be ``|O_i| / |N|`` at ``(i, i*)`` and zero
-    elsewhere, and this is asserted.  The algebra keeps ``catalog`` as its
-    permutation model, which
+    goes straight into the rows that
+    :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra._from_counts` keeps
+    as they are: row ``i`` lists each ``j`` when first seen and each
+    expansion its ``k`` in increasing order.  The pairing is counted with
+    them: ``l(e_k) = tr(nu_k) / |N|`` is nonzero only at the ``k`` with
+    diagonal cells, so the tally of each such ``k`` times ``tr(nu_k)`` adds
+    into ``|N| l(e_i e_j) = sum_k c_ij^k tr(nu_k)``, the pairing that
+    :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` would
+    recompute from the constants.  It must be ``|O_i| / |N|`` at ``(i, i*)``
+    and zero elsewhere, and this is asserted; each row of the pairing then
+    holds one entry, so its key order is the recomputed one too.  The
+    algebra keeps ``catalog`` as its permutation model, which
     :func:`~cardyfrob.frobenius.verify_equipped` certifies anew on each call.
     """
     n_order = catalog.nset.group.order
     size = catalog.nset.size
     fields = catalog.boundary
     table = catalog.orbit_table
+    diagonal_count = catalog.diagonal_counts()
     rows: list[dict[int, dict[int, int]]] = [{} for _ in fields]
+    pairing: list[dict[int, int]] = [{} for _ in fields]
     for k, field in enumerate(fields):
         x, z = field.representative
-        pairs = zip(table[x * size : (x + 1) * size], table[z::size])
-        for (i, j), count in Counter(pairs).items():
+        tally = Counter(zip(table[x * size : (x + 1) * size], table[z::size])).items()
+        for (i, j), count in tally:
             row = rows[i]
             if j in row:
                 row[j][k] = count
             else:
                 row[j] = {k: count}
-    diagonal_count = catalog.diagonal_counts()
-    algebra = EquippedFrobeniusAlgebra.from_indices(
+        trace = diagonal_count[k]
+        if trace:
+            for (i, j), count in tally:
+                totals = pairing[i]
+                totals[j] = totals.get(j, 0) + count * trace
+    algebra = EquippedFrobeniusAlgebra._from_counts(
         basis=catalog.boundary_labels,
-        products=rows,
+        rows=rows,
+        pairing=(n_order, pairing),
         linear_form={k: Fraction(count, n_order) for k, count in diagonal_count.items()},
         involution=_star_positions(fields),
         unit={k: 1 for k, field in enumerate(fields) if field.is_diagonal},

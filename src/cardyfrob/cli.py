@@ -31,6 +31,7 @@ from .frobenius import (
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
+    _group_of_document,
     document_digest,
     group_from_document,
     subgroup_from_permutations,
@@ -326,7 +327,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_hecke(args: argparse.Namespace) -> int:
     document = _load_json(args.group)
-    group, _ = group_from_document(document, order_bound=args.order_bound)
+    group = _group_of_document(document, args.order_bound)
     try:
         raw = json.loads(args.subgroup_generators)
     except ValueError as exc:

@@ -20,14 +20,18 @@ row-major); the first two reject a position outside ``0..dim-1``.
 multiplies two sparse vectors keyed by position through the rows;
 :meth:`~EquippedFrobeniusAlgebra.multiply` converts labels to positions and
 back at its edge.  :meth:`EquippedFrobeniusAlgebra.from_indices` takes the
-constants in the shape of the store, one row per left position, and is the
-one construction core, which the label constructor and
-:meth:`~EquippedFrobeniusAlgebra.permuted` go through; rows of nonzero
-``int`` constants are kept as handed in, anything else is copied.  The
-pairing and its inverse are sparse rows
-(``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever built;
-the pairing sums integer constants against ``l`` scaled by the lcm of its
-denominators and divides once per nonzero entry, at its ``Fraction`` edge.
+constants in the shape of the store, one row per left position, and
+validates rows from outside: the label constructor and
+:meth:`~EquippedFrobeniusAlgebra.permuted` go through it, and it recomputes
+the pairing.  Rows of nonzero ``int`` constants are kept as handed in,
+anything else is copied.  The builders of :mod:`cardyfrob.cardy` hand their
+counted rows, and the pairing they counted with them, to the private core
+:meth:`~EquippedFrobeniusAlgebra._from_counts`, which keeps both and runs
+only the checks that cost O(dim).  The pairing and its inverse are sparse
+rows (``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever
+built; the pairing sums integer constants against ``l`` scaled by the lcm
+of its denominators and divides once per nonzero entry, at its
+``Fraction`` edge.
 
 Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
 nonzero product reaches; every other triple has both sides zero.  The walk
@@ -266,6 +270,36 @@ class EquippedFrobeniusAlgebra:
         alg._assemble(products, linear_form, involution, unit)
         return alg
 
+    @classmethod
+    def _from_counts(
+        cls,
+        basis: Sequence[str],
+        rows: list[dict[int, dict[int, int]]],
+        pairing: tuple[int, list[dict[int, int]]],
+        linear_form: Mapping[int, Fraction | int],
+        involution: Sequence[int],
+        unit: Mapping[int, Fraction | int],
+    ) -> "EquippedFrobeniusAlgebra":
+        """The algebra of rows a builder counted, with the pairing it counted.
+
+        ``rows`` has the shape :meth:`from_indices` takes and is stored as it
+        is: plain dicts of positive ``int`` counts, no expansion empty, every
+        position inside ``0..dim-1``.  ``pairing`` is ``(s, totals)`` with
+        ``totals[i]`` the nonzero ``{j: s l(e_i e_j)}`` in integers, for any
+        common scale ``s``; its rows become those of ``form``, each entry
+        divided once, keys in the order given.  Neither is scanned:
+        :func:`~cardyfrob.cardy.build_A` counts its rows on the group table
+        and :func:`~cardyfrob.cardy.build_B` on an orbit table whose cells the
+        catalog checked to be boundary positions.  The checks of the basis,
+        of ``l`` and the unit, and of the star, each O(dim), run as in
+        :meth:`from_indices`.
+        """
+        alg = cls.__new__(cls)
+        alg._set_basis(basis)
+        alg._rows = rows
+        alg._equip(linear_form, involution, unit, pairing)
+        return alg
+
     def _set_basis(self, basis: Sequence[str]) -> None:
         self.basis: tuple[str, ...] = tuple(basis)
         if len(set(self.basis)) != len(self.basis):
@@ -282,10 +316,10 @@ class EquippedFrobeniusAlgebra:
         involution: Sequence[int],
         unit: Mapping[int, Fraction | int],
     ) -> None:
-        """The index-keyed core: validate, store the rows (kept or copied as
-        :meth:`from_indices` says; a row without empty expansions is kept
-        itself), compute the form.  Each row keeps its products in input
-        order."""
+        """The core of :meth:`from_indices`: validate, store the rows (kept or
+        copied as :meth:`from_indices` says; a row without empty expansions
+        is kept itself), then :meth:`_equip` with the pairing recomputed.
+        Each row keeps its products in input order."""
         n = self.dim
         positions = range(n)
         if len(products) != n or not all(isinstance(row, Mapping) for row in products):
@@ -314,6 +348,20 @@ class EquippedFrobeniusAlgebra:
                     cleaned = {out: _exact(value) for out, value in expansion.items() if value}
                     if cleaned:
                         kept[j] = cleaned
+        self._equip(linear_form, involution, unit, None)
+
+    def _equip(
+        self,
+        linear_form: Mapping[int, Fraction | int],
+        involution: Sequence[int],
+        unit: Mapping[int, Fraction | int],
+        pairing: tuple[int, list[dict[int, int | Fraction]]] | None,
+    ) -> None:
+        """Check and set ``l``, the star and the unit over the stored rows,
+        and the pairing: ``pairing`` divided once per entry, or
+        :meth:`_pairing_totals` when it is ``None``."""
+        n = self.dim
+        positions = range(n)
         for name, mapping in (("linear form", linear_form), ("unit", unit)):
             unknown = [i for i in mapping if i not in positions]
             if unknown:
@@ -328,7 +376,11 @@ class EquippedFrobeniusAlgebra:
         self.unit: AlgebraElement = AlgebraElement(
             {self.basis[i]: value for i, value in unit.items()}
         )
-        self.form: tuple[dict[int, Fraction], ...] = self._compute_form()
+        scale, totals = self._pairing_totals() if pairing is None else pairing
+        for row in totals:
+            for j, total in row.items():
+                row[j] = Fraction(total, scale)
+        self.form: tuple[dict[int, Fraction], ...] = tuple(totals)
         self._form_inverse: list[dict[int, Fraction]] | None = None
         self._casimir: AlgebraElement | None = None
         self._twisted_casimir: AlgebraElement | None = None
@@ -435,16 +487,6 @@ class EquippedFrobeniusAlgebra:
         return self.basis[self.involution[self.index(label)]]
 
     # -- pairing and Casimir ----------------------------------------------
-
-    def _compute_form(self) -> tuple[dict[int, Fraction], ...]:
-        """Sparse rows ``{j: l(e_i e_j)}`` of the pairing, from the products
-        and ``l``: :meth:`_pairing_totals` with one division per entry, made
-        in the rows it returns, so no second set of rows is built."""
-        scale, rows = self._pairing_totals()
-        for row in rows:
-            for j, total in row.items():
-                row[j] = Fraction(total, scale)
-        return tuple(rows)
 
     def _pairing_totals(self) -> tuple[int, list[dict[int, int | Fraction]]]:
         """The pairing recomputed from the products and ``l``, times ``s``: the

@@ -614,6 +614,13 @@ def group_from_document(
     giving the trivial subgroup.  Every subgroup generator must land in the
     group generated by ``generators``.
     """
+    group = _group_of_document(document, order_bound)
+    k_generators = document.get("k_generators", [])
+    return group, subgroup_from_permutations(group, k_generators, "k_generators")
+
+
+def _group_of_document(document: Mapping[str, object], order_bound: int) -> FiniteGroup:
+    """The group of a group document, ``k_generators`` left unread."""
     if not isinstance(document, Mapping):
         raise InputError("group document must be a JSON object")
     unknown = set(document) - {"degree", "generators", "k_generators"}
@@ -625,9 +632,7 @@ def group_from_document(
     generators = document.get("generators")
     if not isinstance(generators, Sequence) or isinstance(generators, (str, bytes)):
         raise InputError("generators must be a list of permutations")
-    group = build_group(degree, generators, order_bound=order_bound)
-    k_generators = document.get("k_generators", [])
-    return group, subgroup_from_permutations(group, k_generators, "k_generators")
+    return build_group(degree, generators, order_bound=order_bound)
 
 
 def subgroup_from_permutations(group: FiniteGroup, raw: object, what: str) -> Subgroup:

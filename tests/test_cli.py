@@ -221,6 +221,21 @@ def test_hecke(capsys, tmp_path):
     assert payload["all_passed"] is True
 
 
+def test_hecke_leaves_k_generators_unread(capsys, tmp_path):
+    # hecke compares B of G on G/S with the Hecke algebra; K plays no part,
+    # so not even malformed k_generators change its output.
+    s3 = {"degree": 3, "generators": [[1, 0, 2], [0, 2, 1]]}
+    outputs = []
+    for name, document in (("plain", s3), ("bad_k", {**s3, "k_generators": [[0, 1, 2, 3]]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        argv = ["hecke", "--group", str(path), "--subgroup-generators", "[[1,0,2]]"]
+        code, out, err = run_json(capsys, argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 # -- bundled example inputs ---------------------------------------------------------
 
 

@@ -1,13 +1,17 @@
 """The index-keyed construction of ``A``, ``B`` and ``phi``.
 
-:meth:`EquippedFrobeniusAlgebra.from_indices` is the one construction core;
+:meth:`EquippedFrobeniusAlgebra.from_indices` validates rows from outside;
 the label constructor translates labels and hands them to it, and
 :meth:`~EquippedFrobeniusAlgebra.permuted` remaps positions through it.  Both
 paths must store the same constants in the same order, on random sparse
 algebras with ``Fraction`` constants, zero constants and mixed-denominator
-linear forms.  The store is read only through ``pair_products``,
-``left_products`` and ``stored_products``, which must agree with one
-another, and no module but ``frobenius`` may name it.  ``from_indices`` keeps
+linear forms.  ``build_A`` and ``build_B`` hand their counted rows and the
+pairing counted with them to a private core without that validation; on
+the suite, on drawn pairs and on broken catalogs they must equal
+``from_indices`` on the same rows, pairing key order included.  The store
+is read only through ``pair_products``, ``left_products`` and
+``stored_products``, which must agree with one another, and no module but
+``frobenius`` may name it.  ``from_indices`` keeps
 rows of nonzero ``int`` constants as handed in and copies anything else.
 ``build_B`` reads the catalog's orbit table, which cannot be handed a
 table that does not partition ``X x X`` (the catalog names the pair or the
@@ -22,6 +26,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -30,10 +35,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardyfrob import ConsistencyError, EquippedFrobeniusAlgebra, InputError, build_B
+from cardyfrob import (
+    ConsistencyError,
+    EquippedFrobeniusAlgebra,
+    InputError,
+    build_A,
+    build_B,
+    build_group,
+    cardy_from_pair,
+    subgroup_closure,
+)
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS
-from test_index_checks import moved_pair, seed_of
+from test_index_checks import moved_pair, seed_of, swapped_pairs
+from test_lattice import permutations_up_to
+from test_model_certificate import fused_orbits
 from test_sparse_checks import sparse_algebra_inputs
 
 
@@ -328,6 +344,120 @@ def test_build_B_peaks_near_what_it_keeps(suite_algebras, name):
         tracemalloc.stop()
     assert b.dim == len(catalog.boundary)
     assert peak - base <= 1.5 * (retained - base), (name, peak - base, retained - base)
+
+
+def form_items(alg: EquippedFrobeniusAlgebra) -> list:
+    """The pairing rows as ``(j, value)`` lists, so that key order counts."""
+    return [list(row.items()) for row in alg.form]
+
+
+def assert_equals_revalidated(alg: EquippedFrobeniusAlgebra) -> None:
+    """``alg`` equals :meth:`~EquippedFrobeniusAlgebra.from_indices` on a copy
+    of its own rows, ``l``, star and unit, which recomputes the pairing: the
+    same stored rows, the same pairing in the same key order, and the same
+    linear form, unit and involution."""
+    rows = [{j: dict(e) for j, e in alg.left_products(i).items()} for i in range(alg.dim)]
+    again = EquippedFrobeniusAlgebra.from_indices(
+        basis=alg.basis,
+        products=rows,
+        linear_form=dict(enumerate(alg.linear_form)),
+        involution=list(alg.involution),
+        unit={alg.index(label): value for label, value in alg.unit.coeffs.items()},
+    )
+    assert_same_algebra(alg, again)
+    assert form_items(alg) == form_items(again)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_builders_equal_from_indices_on_their_rows(suite_algebras, name):
+    # build_A and build_B count their pairing with their constants and skip
+    # the shape scans of from_indices; on their own rows, from_indices must
+    # find the same algebra.
+    h = suite_algebras[name]
+    for alg in (h.A, h.B, build_A(h.catalog.nset.group, h.catalog), build_B(h.catalog)):
+        assert_equals_revalidated(alg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=permutations_up_to(5), data=st.data())
+def test_builders_equal_from_indices_on_random_pairs(generators, data):
+    group = build_group(len(generators[0]), generators)
+    k = subgroup_closure(group, data.draw(st.lists(st.integers(0, group.order - 1), max_size=2)))
+    h = cardy_from_pair(group, k)
+    assert_equals_revalidated(h.A)
+    assert_equals_revalidated(h.B)
+
+
+def reference_B(catalog) -> EquippedFrobeniusAlgebra | str:
+    """``B`` as :meth:`~EquippedFrobeniusAlgebra.from_indices` builds it from
+    constants counted one chain ``x -> y -> z`` at a time at each
+    representative, with ``l(e_k)`` the diagonal cells of ``O_k`` over
+    ``|N|``; or, where the pairing it recomputes is not ``|O_i| / |N|`` at
+    ``(i, i*)`` alone, the message with which :func:`build_B` refuses."""
+    size, n_order = catalog.nset.size, catalog.nset.group.order
+    table, fields = catalog.orbit_table, catalog.boundary
+    rows: list = [{} for _ in fields]
+    for k, field in enumerate(fields):
+        x, z = field.representative
+        for y in range(size):
+            expansion = rows[table[x * size + y]].setdefault(table[y * size + z], {})
+            expansion[k] = expansion.get(k, 0) + 1
+    traces = [0] * len(fields)
+    for x in range(size):
+        traces[table[x * size + x]] += 1
+    position = {field.label: k for k, field in enumerate(fields)}
+    alg = EquippedFrobeniusAlgebra.from_indices(
+        basis=catalog.boundary_labels,
+        products=rows,
+        linear_form={k: Fraction(trace, n_order) for k, trace in enumerate(traces) if trace},
+        involution=[position[field.star] for field in fields],
+        unit={k: 1 for k, field in enumerate(fields) if field.is_diagonal},
+    )
+    for i, field in enumerate(fields):
+        x, z = field.representative
+        star = table[z * size + x]
+        if alg.form[i] != {star: Fraction(field.size, n_order)}:
+            return (
+                "the pairing recomputed from structure constants is not "
+                f"|O|/|N| at ({field.label}, {fields[star].label}) and zero "
+                "elsewhere in its row"
+            )
+    return alg
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "s4_k0123", "a5_k0123"])
+def test_build_B_equals_its_reference_on_broken_catalogs(suite_algebras, name):
+    # The last pairs of two orbits of one size swapped, and two self-paired
+    # orbits fused into one: an orbit may then hold diagonal cells off its
+    # representative, and the counted pairing sums over every orbit with a
+    # diagonal cell.  Where build_B returns, it is the reference algebra, its
+    # pairing in the same key order; where it refuses, with the same message.
+    catalog = suite_algebras[name].catalog
+    fields = catalog.boundary
+    by_size: dict[int, list[int]] = {}
+    for k, field in enumerate(fields):
+        if field.size > 1:
+            by_size.setdefault(field.size, []).append(k)
+    selfpaired = [k for k, field in enumerate(fields) if field.star == field.label]
+    rng = random.Random(seed_of(name))
+    broken = [swapped_pairs(catalog, a, b) for ks in by_size.values() for a, b in zip(ks, ks[1:])]
+    fusions = list(combinations(selfpaired, 2))
+    broken += [
+        fused_orbits(catalog, keep, gone)
+        for keep, gone in rng.sample(fusions, min(12, len(fusions)))
+    ]
+    built = 0
+    for candidate in rng.sample(broken, min(24, len(broken))):
+        expected = reference_B(candidate)
+        try:
+            b = build_B(candidate)
+        except ConsistencyError as exc:
+            assert str(exc) == expected
+            continue
+        assert_same_algebra(b, expected)
+        assert form_items(b) == form_items(expected)
+        built += 1
+    assert built
 
 
 @pytest.mark.parametrize("name", ["s4", "a5_k0123"])
