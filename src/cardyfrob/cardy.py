@@ -40,8 +40,10 @@ Nothing here stores the 0/1 matrices ``nu(beta)`` and ``rho(n)`` on the
 permutation module of ``X``: the checks below read the orbit table instead,
 and the oracles in :mod:`cardyfrob.oracles` build the dense integer matrices
 while they run.  ``B`` keeps its catalog as its permutation model, so that
-:func:`~cardyfrob.frobenius.verify_equipped` can prove five of its axioms
-through ``nu``.  :func:`verify_cardy_frobenius` decides premise (a),
+:func:`~cardyfrob.frobenius.verify_equipped` proves five of its axioms
+through ``nu`` when ``B`` is its catalog's orbital algebra: premise (a)
+below holds, and the star, pairing, unit and linear form equal the
+catalog's counts.  :func:`verify_cardy_frobenius` decides premise (a),
 :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, once per call:
 relabelling by each generator of ``N`` must leave the table as it is; each
 representative's cell must hold its own orbit, and Burnside's count
@@ -49,9 +51,10 @@ representative's cell must hold its own orbit, and Burnside's count
 ``N``-orbit; and the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over
 all ``y`` at the representative ``(x, z)`` of each orbit ``O_k`` must find
 each count as the stored ``c_ij^k``, every stored constant matched.  (a) is
-``nu`` multiplicativity and contains ``nu`` equivariance, so both pass when
-it holds; when it fails, a walk over the orbits (and every element, for
-equivariance) names the witness.  The traces ``tr(nu_i nu_j)``
+``nu`` multiplicativity and contains ``nu`` equivariance and the Burnside
+dimension count, so all three pass when it holds; when it fails, a walk
+over the orbits (and every element, for equivariance) names the witness.
+The traces ``tr(nu_i nu_j)``
 (:meth:`~cardyfrob.actions.FieldCatalog.trace_counts`) are counted once per
 call and serve nu-star-transpose and form-from-traces; both come from
 :func:`cardyfrob.frobenius._model_premises`, and ``cardyfrob check`` computes
@@ -338,10 +341,10 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     from traces, equivariance, Burnside dimension count).
 
     Premise (a), :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, is
-    computed once per call, nothing cached, and serves four checks: the
+    computed once per call, nothing cached, and serves five checks: the
     checks :func:`_model_certificate` proves pass without their walks, and
     the Cardy condition reads its traces off the model.  Every other check,
-    and each of these four when its premises fail, runs as it does without
+    and each of these five when its premises fail, runs as it does without
     the model, so the results do not depend on it.  The traces
     :meth:`~cardyfrob.actions.FieldCatalog.trace_counts` are counted once
     per call too, and handed to nu-star-transpose and form-from-traces.
@@ -387,7 +390,7 @@ def _verify_cardy_frobenius(
         _check_form_from_traces(h, traces),
         _check_linear_form_from_traces(h),
         run("nu-equivariant", _check_nu_equivariant),
-        _check_burnside_dimension(h),
+        run("burnside-dimension", _check_burnside_dimension),
     ]
 
 
@@ -398,7 +401,9 @@ def _model_certificate(h: CardyFrobeniusAlgebra, modelled: bool) -> set[str]:
     injective homomorphism from ``B`` into the rational ``|X| x |X|``
     matrices, and the orbit table is invariant under ``N``.  (a) is the
     statement of nu-multiplicative, and the invariance, ``orbit(n x, n y) ==
-    orbit(x, y)``, is that of nu-equivariant, so (a) certifies both.
+    orbit(x, y)``, is that of nu-equivariant, so (a) certifies both.  (a)
+    has also found ``sum_n fix(n)^2 == |N| |boundary|`` and ``|boundary| ==
+    dim B``, whose conjunction is burnside-dimension, so (a) certifies it.
 
     (d) :func:`_phi_is_rho`: ``nu(phi(e_alpha)) = rho(E_alpha)`` at every
     cell.  The table is invariant under ``N``, so ``rho(n) nu(beta_k)
@@ -411,7 +416,7 @@ def _model_certificate(h: CardyFrobeniusAlgebra, modelled: bool) -> set[str]:
     """
     if not modelled:
         return set()
-    certified = {"nu-multiplicative", "nu-equivariant"}
+    certified = {"nu-multiplicative", "nu-equivariant", "burnside-dimension"}
     if _phi_is_rho(h):
         certified.add("phi-central")
     return certified

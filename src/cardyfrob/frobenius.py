@@ -22,10 +22,10 @@ multiplies two sparse vectors keyed by position through the rows;
 back at its edge.  :meth:`EquippedFrobeniusAlgebra.from_indices` takes the
 constants in the shape of the store, one row per left position, and
 validates rows from outside: the label constructor and
-:meth:`~EquippedFrobeniusAlgebra.permuted` go through it, and it recomputes
-the pairing.  Rows of nonzero ``int`` constants are kept as handed in,
-anything else is copied.  The builders of :mod:`cardyfrob.cardy` hand their
-counted rows, and the pairing they counted with them, to the private core
+:meth:`~EquippedFrobeniusAlgebra.permuted` go through it, and it stores a
+copy of the rows and recomputes the pairing.  The builders of
+:mod:`cardyfrob.cardy` hand their counted rows, and the pairing they counted
+with them, to the private core
 :meth:`~EquippedFrobeniusAlgebra._from_counts`, which keeps both and runs
 only the checks that cost O(dim).  The pairing and its inverse are sparse
 rows (``form[i] = {j: l(e_i e_j)}``), so no ``dim x dim`` matrix is ever
@@ -63,31 +63,29 @@ An algebra may carry a permutation model: ``B`` of a group action keeps the
 catalog it was counted from, and ``nu(e_k)`` is the 0/1 matrix of orbit
 ``O_k`` on ``X x X``; the supports are disjoint and cover ``X x X``, a
 coherent configuration (D. G. Higman, *Coherent configurations*, 1975).
-When the chains at each orbit representative equal the stored constants,
-the orbits being single ``N``-orbits of an invariant table, ``nu`` is an
-injective homomorphism into the rational matrices, and the algebra is
-associative because matrix multiplication is.  When also the star is
-transposition, it is an anti-automorphism, because transposition reverses
-products.  When the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``, it is
-symmetric and invariant, because the trace is cyclic.  With all of these
-the algebra is a symmetric Frobenius algebra, whose Casimir element is
-central.  When the unit is the sum of the orbits on the diagonal, ``nu``
-sends it to the identity matrix, so it is the unit of the algebra.  When
-also ``l(e_k)`` is the number of diagonal cells of ``O_k`` over ``|N|``,
-``tr(nu(e_k)) / |N|``, the pairing recomputed from the products is
-``sum_k c_ij^k tr(nu(e_k)) / |N| = tr(nu(e_i) nu(e_j)) / |N|``, the stored
-one, so dual reconstruction multiplies the stored pairing by its computed
-inverse and skips the recomputation; the product still checks the inverse.
-:func:`verify_equipped` recomputes the premises on every call
-(:func:`_model_premises` decides premise (a) and counts the traces, and
-:func:`_certificate` the rest) and skips the five walks they prove; a
-premise that fails leaves its checks to the walks above, so the results do
-not depend on the model.  The premises that compare a rational with a count
-over ``|N|`` do so in integers.  ``cardyfrob check`` computes the record of
-:func:`_model_premises` once and hands it to both :func:`_verify_equipped`
-and the core of :func:`cardyfrob.cardy.verify_cardy_frobenius`; nothing is
-cached on the algebra or the model.  This module reads the model only
-through its methods and imports neither :mod:`cardyfrob.actions` nor
+:func:`verify_equipped` decides one premise, that the algebra is its
+catalog's orbital algebra: the chains at each orbit representative are the
+stored constants, the orbits being single ``N``-orbits of an invariant
+table, so ``nu`` is an injective homomorphism into the rational matrices;
+the star is transposition, the stored pairing is ``tr(nu(e_i) nu(e_j)) /
+|N|``, the unit is the sum of the orbits on the diagonal, and ``l(e_k)`` is
+``tr(nu(e_k)) / |N|``.  Then the algebra is associative because matrix
+multiplication is, the star is an anti-automorphism because transposition
+reverses products, and the pairing is invariant because the trace is
+cyclic, so the Casimir element of this symmetric Frobenius algebra is
+central; ``nu`` sends the unit to the identity matrix, so it is the unit.
+The pairing recomputed from the products is ``sum_k c_ij^k tr(nu(e_k)) /
+|N| = tr(nu(e_i) nu(e_j)) / |N|``, the stored one, so dual reconstruction
+multiplies the stored pairing by its computed inverse; the product still
+checks the inverse.  When the premise holds those five walks are skipped;
+when it fails every check runs as it does without a model, so the results
+do not depend on the model.  The comparisons of a rational with a count
+over ``|N|`` are made in integers.  ``cardyfrob check`` computes the record
+of :func:`_model_premises` once and hands it to both
+:func:`_verify_equipped` and the core of
+:func:`cardyfrob.cardy.verify_cardy_frobenius`; nothing is cached on the
+algebra or the model.  This module reads the model only through its
+methods and imports neither :mod:`cardyfrob.actions` nor
 :mod:`cardyfrob.cardy`.  The constructors and
 :meth:`~EquippedFrobeniusAlgebra.permuted` never carry a model.
 """
@@ -260,10 +258,8 @@ class EquippedFrobeniusAlgebra:
         ``{k: c_ij^k}`` of ``e_i e_j``.  ``linear_form`` and ``unit`` map
         positions to values, and ``involution[i]`` is the position of the star
         of ``e_i``.  The shapes are validated as by the label constructor.
-        Rows that are plain dicts of nonzero ``int`` constants are stored as
-        they are, not copied, so the caller must not change them afterwards;
-        only their empty expansions are dropped.  Any other input is copied
-        with zero constants dropped and integral values stored as ``int``.
+        The rows are copied, with zero constants dropped and integral values
+        stored as ``int``.
         """
         alg = cls.__new__(cls)
         alg._set_basis(basis)
@@ -316,10 +312,9 @@ class EquippedFrobeniusAlgebra:
         involution: Sequence[int],
         unit: Mapping[int, Fraction | int],
     ) -> None:
-        """The core of :meth:`from_indices`: validate, store the rows (kept or
-        copied as :meth:`from_indices` says; a row without empty expansions
-        is kept itself), then :meth:`_equip` with the pairing recomputed.
-        Each row keeps its products in input order."""
+        """The core of :meth:`from_indices`: validate, store a copy of the
+        rows, then :meth:`_equip` with the pairing recomputed.  Each row keeps
+        its products in input order."""
         n = self.dim
         positions = range(n)
         if len(products) != n or not all(isinstance(row, Mapping) for row in products):
@@ -327,27 +322,16 @@ class EquippedFrobeniusAlgebra:
         outside = list(set(chain.from_iterable(products)).difference(positions))
         if outside:
             raise InputError(f"products pair with right positions outside 0..{n - 1}: {outside}")
-        expansions = list(chain.from_iterable(row.values() for row in products))
+        expansions = chain.from_iterable(row.values() for row in products)
         outside = list(set(chain.from_iterable(expansions)).difference(positions))
         if outside:
             raise InputError(f"products expand over positions outside 0..{n - 1}: {outside}")
-        values = list(chain.from_iterable(expansion.values() for expansion in expansions))
-        if (
-            set(map(type, products)) | set(map(type, expansions)) <= {dict}
-            and set(map(type, values)) <= {int}
-            and all(values)
-        ):
-            self._rows: list[dict[int, dict[int, int | Fraction]]] = [
-                row if all(row.values()) else {j: e for j, e in row.items() if e}
-                for row in products
-            ]
-        else:
-            self._rows = [{} for _ in positions]
-            for row, kept in zip(products, self._rows):
-                for j, expansion in row.items():
-                    cleaned = {out: _exact(value) for out, value in expansion.items() if value}
-                    if cleaned:
-                        kept[j] = cleaned
+        self._rows: list[dict[int, dict[int, int | Fraction]]] = [{} for _ in positions]
+        for row, kept in zip(products, self._rows):
+            for j, expansion in row.items():
+                cleaned = {out: _exact(value) for out, value in expansion.items() if value}
+                if cleaned:
+                    kept[j] = cleaned
         self._equip(linear_form, involution, unit, None)
 
     def _equip(
@@ -611,11 +595,12 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
     """Check every equipped-Frobenius axiom, reporting one result per axiom.
 
     Checks are exact; a failing check carries a human-readable witness (the
-    basis labels at which the identity first breaks).  A check that
-    :func:`_certificate` proves through the permutation model passes
-    without its walk; every other check runs as it does without a model, so
-    the results are the same either way.  The premises are computed anew on
-    every call (:func:`_model_premises`).
+    basis labels at which the identity first breaks).  When the algebra is
+    its catalog's orbital algebra (:func:`_is_orbital_algebra`), the five
+    checks that premise proves pass without their walks; otherwise every
+    check runs as it does without a model, so the results are the same
+    either way.  The premise is decided anew on every call
+    (:func:`_model_premises`).
     """
     return _verify_equipped(alg, _model_premises(alg._model, alg))
 
@@ -625,11 +610,14 @@ class ModelPremises:
     """What one verification run reads off a permutation model, computed once.
 
     ``model`` is the catalog whose orbit matrices ``nu(e_k)`` the constants
-    of the algebra should multiply as, or ``None``; ``modelled`` is premise
-    (a), ``model.is_model_of(alg)``; ``traces`` is ``model.trace_counts()``,
-    the traces ``tr(nu_i nu_j)``, or ``None`` without a model.  Nothing is
-    cached on the algebra or the model: a run that is handed no record
-    computes its own.
+    of the algebra should multiply as, or ``None``; ``modelled`` is
+    ``model.is_model_of(alg)``, premise (a), that ``nu`` is an injective
+    homomorphism; ``traces`` is ``model.trace_counts()``, the traces
+    ``tr(nu_i nu_j)``, or ``None`` without a model.  With the star, pairing,
+    unit and linear form of the algebra they decide the one premise of
+    :func:`verify_equipped`, that the algebra is the model's orbital algebra
+    (:func:`_is_orbital_algebra`).  Nothing is cached on the algebra or the
+    model: a run that is handed no record computes its own.
     """
 
     model: object | None
@@ -646,10 +634,10 @@ def _model_premises(model, alg: EquippedFrobeniusAlgebra) -> ModelPremises:
 
 def _verify_equipped(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> list[CheckResult]:
     """:func:`verify_equipped` on premises computed for ``alg`` by the caller."""
-    certified, pairing_is_stored = _certificate(alg, premises)
+    orbital = _is_orbital_algebra(alg, premises)
 
     def run(name: str, check: Callable[[EquippedFrobeniusAlgebra], CheckResult]) -> CheckResult:
-        return CheckResult(name, True) if name in certified else check(alg)
+        return CheckResult(name, True) if orbital else check(alg)
 
     return [
         run("unit", _check_unit),
@@ -661,63 +649,36 @@ def _verify_equipped(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> 
         run("involution-antiautomorphism", _check_involution_antiautomorphism),
         _check_involution_form(alg),
         run("casimir-central", _check_casimir_central),
-        _check_dual_reconstruction(alg, pairing_is_stored),
+        _check_dual_reconstruction(alg, orbital),
     ]
 
 
-def _certificate(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> tuple[set[str], bool]:
-    """The checks that the premises prove, and whether the stored pairing is
-    the one recomputed from the products and ``l``.
+def _is_orbital_algebra(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> bool:
+    """Whether ``alg`` is the orbital algebra of ``premises.model``, the one
+    premise of the module docstring.
 
-    The premises, from ``premises`` and from ``alg``:
-
-    (a) :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, the fast path
-        of nu-multiplicative: ``nu`` is an injective homomorphism;
-    (b) every swapped pair of ``O_i`` lies in the orbit of the star of
-        ``e_i``: ``nu(e_i^*) = nu(e_i)^T``, and the star is a permutation
-        since the swapped orbits partition ``X x X`` as the orbits do;
-    (c) the stored pairing is ``tr(nu(e_i) nu(e_j)) / |N|``;
-    (e) the unit is ``sum e_k`` over the orbits that meet the diagonal,
-        each coefficient 1 and no other;
-    (f) ``l(e_k) = tr(nu(e_k)) / |N|``, the diagonal cells of ``O_k``
-        (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_counts`, whose keys
-        are the orbits of (e)) over ``|N|``.
-
-    (a) certifies associativity, (a) and (b) the anti-automorphism, (a) and
-    (c) form invariance, and all three casimir-central, the argument of the
-    module docstring.  Under all three the pairing is ``|O_i| / |N|`` at
-    ``(i, i*)`` and zero elsewhere, so form-invertible, which still runs,
-    passes.  (a) and (e) certify the unit: under (a) each orbit is an
-    ``N``-orbit, so one that meets the diagonal lies inside it, and the
-    orbits of (e) cover it; then ``nu(u) = I``, so ``nu(u e_b) = nu(e_b) =
-    nu(e_b u)`` and ``nu`` being injective, ``u e_b = e_b = e_b u``.  Under
-    (a), (c) and (f) the pairing recomputed from the products is ``sum_k
-    c_ij^k l(e_k) = sum_k c_ij^k tr(nu_k) / |N| = tr(nu_i nu_j) / |N|``, the
-    stored one, so dual-reconstruction may read the stored pairing; it still
-    multiplies it by the computed inverse.  Without (a) nothing is
-    certified.  (c) and (f) compare integers: ``v = count / |N|`` is
-    ``v.numerator * |N| == count * v.denominator``.
+    Premise (a), ``premises.modelled``, must hold, and the rest of ``alg``
+    must equal the catalog's counts: the star sends each orbit to the one
+    its swapped pairs lie in (the keys of ``premises.traces``); the stored
+    pairing is ``traces / |N|``; the unit is ``sum e_k``, each coefficient
+    1, over the orbits that meet the diagonal; and ``l(e_k)`` is the number
+    of diagonal cells of ``O_k`` over ``|N|``
+    (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_counts`).  Each rational
+    ``v = count / |N|`` is compared in integers, ``v.numerator * |N| ==
+    count * v.denominator``.
     """
-    model = premises.model
     if not premises.modelled:
-        return set(), False
-    traces = premises.traces
+        return False
+    model, traces = premises.model, premises.traces
     order = model.nset.group.order
-    transpose = all(alg.involution[i] == j for i, j in traces)
-    traced = _is_trace_form(alg.form, traces, order)
     diagonal = model.diagonal_counts()
-    linear = all(_is_ratio(value, diagonal[k], order) for k, value in enumerate(alg.linear_form))
     unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
-    certified = {"associativity"}
-    if unit == dict.fromkeys(diagonal, 1):
-        certified.add("unit")
-    if transpose:
-        certified.add("involution-antiautomorphism")
-    if traced:
-        certified.add("form-invariance")
-    if transpose and traced:
-        certified.add("casimir-central")
-    return certified, traced and linear
+    return (
+        all(alg.involution[i] == j for i, j in traces)
+        and _is_trace_form(alg.form, traces, order)
+        and unit == dict.fromkeys(diagonal, 1)
+        and all(_is_ratio(value, diagonal[k], order) for k, value in enumerate(alg.linear_form))
+    )
 
 
 def _is_ratio(value: Fraction | int, count: int, order: int) -> bool:
@@ -984,9 +945,10 @@ def _check_dual_reconstruction(
     # from the products and l as in dual_reconstruct (the stored form is what
     # the inverse was taken of), times the rows of F^-1.  ``pairing_is_stored``
     # says that the model proved the recomputed pairing equal to the stored
-    # one (premises (a), (c) and (f)), which is then read instead.  Both
-    # factors are scaled to integers, so the expansion comes out times the
-    # product of the two scales and is compared with the probe times it.
+    # one (the algebra is its catalog's orbital algebra), which is then read
+    # instead.  Both factors are scaled to integers, so the expansion comes
+    # out times the product of the two scales and is compared with the probe
+    # times it.
     try:
         inverse = alg.form_inverse()
     except ConsistencyError as exc:

@@ -1,10 +1,11 @@
 """The permutation-model certificate of ``verify_cardy_frobenius``.
 
 ``verify_cardy_frobenius`` computes premise (a), ``is_model_of(B)``, once
-per call.  Under (a), nu-multiplicative and nu-equivariant pass without
-their walks and the Cardy traces ``tr(L_i R_j)`` are counted on the orbit
-table; under (a) and (d), ``phi`` being the rows ``build_phi`` counts from
-the catalog, phi-central passes too.  Every one of these results, witness
+per call.  Under (a), nu-multiplicative, nu-equivariant and
+burnside-dimension pass without their walks and the Cardy traces
+``tr(L_i R_j)`` are counted on the orbit table; under (a) and (d),
+``phi`` being the rows ``build_phi`` counts from the catalog, phi-central
+passes too.  Every one of these results, witness
 included, must equal the slow references :func:`cardy_condition_oracle` and
 :func:`cardy_axiom_oracle`, on the suite and on seeded corruptions of
 ``phi``, of the constants of ``B`` (which break (a)), of its pairing (which
@@ -46,7 +47,7 @@ from test_lattice import permutations_of_degree
 from test_sparse_checks import PINNED_PAIRS, with_constant, with_form_entry
 
 MODEL_NAMES = ("phi-central", "cardy", "nu-multiplicative", "nu-equivariant")
-CERTIFIED = {"phi-central", "nu-multiplicative", "nu-equivariant"}
+CERTIFIED = {"phi-central", "nu-multiplicative", "nu-equivariant", "burnside-dimension"}
 
 
 def model_results(h) -> list:

@@ -11,8 +11,7 @@ the suite, on drawn pairs and on broken catalogs they must equal
 ``from_indices`` on the same rows, pairing key order included.  The store
 is read only through ``pair_products``, ``left_products`` and
 ``stored_products``, which must agree with one another, and no module but
-``frobenius`` may name it.  ``from_indices`` keeps
-rows of nonzero ``int`` constants as handed in and copies anything else.
+``frobenius`` may name it.  ``from_indices`` stores a copy of its rows.
 ``build_B`` reads the catalog's orbit table, which cannot be handed a
 table that does not partition ``X x X`` (the catalog names the pair or the
 field when it is built), and must peak near the memory it keeps; ``phi`` must expand every class sum of the dense permutation model
@@ -232,23 +231,12 @@ def test_from_indices_drops_zero_constants():
     assert stored(alg) == [(0, 0, [(0, 1, int)]), (1, 1, [(1, 2, int)])]
 
 
-def test_from_indices_keeps_plain_int_rows():
-    # Rows of nonzero int constants are stored as handed in; a row with an
-    # empty expansion is replaced by a dict without it, sharing the others.
-    rows = [{0: {0: 1}}, {1: {1: 2}, 2: {}}, {2: {2: 3}}]
-    alg = EquippedFrobeniusAlgebra.from_indices(**three_dimensional(products=rows))
-    assert alg.left_products(0) is rows[0]
-    assert alg.left_products(2) is rows[2]
-    assert alg.left_products(1) is not rows[1]
-    assert alg.left_products(1) == {1: {1: 2}}
-    assert alg.pair_products(1, 1) is rows[1][1]
-    assert rows[1] == {1: {1: 2}, 2: {}}
-
-
 def test_from_indices_stores_plain_dicts():
-    # A read-only mapping, a Fraction or a zero constant anywhere makes every
-    # row a copy, of plain dicts with int constants.
+    # Plain rows of int constants, a read-only mapping, a Fraction or a zero
+    # constant: every row is stored as a copy, of plain dicts with int
+    # constants.
     for rows in (
+        [{0: {0: 1}}, {1: {1: 2}}, {}],
         [{0: {0: 1}}, {1: MappingProxyType({1: 2})}, {}],
         [{0: {0: 1}}, MappingProxyType({1: {1: 2}}), {}],
         [{0: {0: 1}}, {1: {1: Fraction(2)}}, {}],

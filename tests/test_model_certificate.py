@@ -1,15 +1,16 @@
 """The permutation-model certificate of ``verify_equipped``.
 
 ``build_B`` keeps the catalog it counted ``B`` from, and ``verify_equipped``
-recomputes four premises from it on every call: (a) the orbit matrices
-``nu(e_k)`` multiply as the stored constants say, (b) the star is their
-transpose, (c) the stored pairing is their trace form and (e) the unit is
-the sum of the orbits on the diagonal.  The premises that hold prove the
+decides one premise from it on every call: ``B`` is the catalog's orbital
+algebra.  That is premise (a), the orbit matrices ``nu(e_k)`` multiply as
+the stored constants say, together with the star, the stored pairing, the
+unit and the linear form equal to the catalog's counts.  When it holds, the
 unit, associativity, the star anti-automorphism, form invariance and
-casimir-central without their walks.  Every result, witness included, must
-equal the one of the same algebra without a model, on intact algebras, on
-seeded corruptions of a constant, a pairing entry, the star or the unit, and
-with catalogs that are no permutation model of ``B``.
+casimir-central pass without their walks; when it fails, none of them
+does, even with (a) standing.  Every result, witness included, must equal
+the one of the same algebra without a model, on intact algebras, on seeded
+corruptions of a constant, a pairing entry, the star, the unit or the
+linear form, and with catalogs that are no permutation model of ``B``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import pytest
 
 from cardyfrob import (
     AlgebraElement,
+    CheckResult,
     ConsistencyError,
     build_B,
     dense_axiom_oracle,
+    frobenius,
     verify_equipped,
 )
-from cardyfrob.frobenius import _certificate, _model_premises
 from conftest import SUITE_DOCUMENTS
 from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
 from test_sparse_checks import (
@@ -50,9 +52,22 @@ CERTIFIABLE = {
 
 
 def model_certificate(alg) -> set[str]:
-    """The checks that the permutation model of ``alg`` proves, if it has
-    one, with the premises recomputed."""
-    return _certificate(alg, _model_premises(alg._model, alg))[0]
+    """The checks of ``CERTIFIABLE`` that ``verify_equipped(alg)`` passes
+    without calling their walks."""
+    walked: set[str] = set()
+
+    def stub(name: str):
+        def check(_alg) -> CheckResult:
+            walked.add(name)
+            return CheckResult(name, True)
+
+        return check
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in CERTIFIABLE:
+            patch.setattr(frobenius, "_check_" + name.replace("-", "_"), stub(name))
+        verify_equipped(alg)
+    return CERTIFIABLE - walked
 
 
 def with_model(alg, model):
@@ -70,6 +85,14 @@ def with_star(alg, a: int, b: int):
     broken = copy.copy(alg)
     broken._form_inverse = broken._casimir = broken._twisted_casimir = None
     broken.involution = tuple(star)
+    return broken
+
+
+def with_linear_value(alg, k: int, value):
+    """A copy of ``alg`` (model included) with ``l(e_k) = value`` and the
+    stored pairing left as it was."""
+    broken = copy.copy(alg)
+    broken.linear_form = tuple(value if i == k else old for i, old in enumerate(alg.linear_form))
     return broken
 
 
@@ -162,61 +185,71 @@ def with_unit(alg, coeffs: dict[int, int]):
     return broken
 
 
+def assert_uncertified(h, broken, case) -> list:
+    """``assert_generic(broken)``, asserted to keep premise (a) of ``h``'s
+    catalog and to have nothing certified."""
+    assert h.catalog.is_model_of(broken), case
+    assert model_certificate(broken) == set(), case
+    return assert_generic(broken)
+
+
+def failing(results) -> list[str]:
+    return [result.name for result in results if not result.passed]
+
+
 @pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_changed_unit_breaks_only_premise_e(suite_algebras, name):
+def test_partial_premises_certify_nothing(suite_algebras, name):
+    # Each corruption leaves premise (a) standing and moves one of the unit,
+    # a pairing entry, the star and the linear form off the catalog's
+    # counts.  B is then no orbital algebra, so all five walks run and every
+    # result is that of the algebra without a model.
+    h = suite_algebras[name]
+    b = h.B
+
     # Three units: moved off one diagonal orbit onto an orbit off the
     # diagonal, given coefficient 2 on that diagonal orbit, and given an
-    # orbit off the diagonal besides.  (a) still holds, so everything else
-    # stays certified, and the unit check walks to the witness of the
-    # algebra without a model.
-    h = suite_algebras[name]
+    # orbit off the diagonal besides.  Only the unit check fails.
     diagonal = sorted(h.catalog.diagonal_counts())
     unit = dict.fromkeys(diagonal, 1)
-    assert {h.B.index(label): value for label, value in h.B.unit.coeffs.items()} == unit
+    assert {b.index(label): value for label, value in b.unit.coeffs.items()} == unit
     rng = random.Random(seed_of(name))
     on = rng.choice(diagonal)
-    off = rng.choice([k for k in range(h.B.dim) if k not in unit])
+    off = rng.choice([k for k in range(b.dim) if k not in unit])
     moved = {**{k: 1 for k in diagonal if k != on}, off: 1}
     for coeffs in (moved, {**unit, on: 2}, {**unit, off: 1}):
-        broken = with_unit(h.B, coeffs)
-        assert h.catalog.is_model_of(broken)
-        assert model_certificate(broken) == CERTIFIABLE - {"unit"}, (name, coeffs)
-        results = assert_generic(broken)
+        broken = with_unit(b, coeffs)
+        results = assert_uncertified(h, broken, (name, coeffs))
         assert results == verify_equipped(broken.permuted(broken.basis))
-        assert [r.name for r in results if not r.passed] == ["unit"], (name, coeffs)
+        assert failing(results) == ["unit"], (name, coeffs)
 
-
-@pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_corrupted_form_entry_breaks_only_premise_c(suite_algebras, name):
-    h = suite_algebras[name]
+    # A stored pairing entry off by 1/7: form invariance fails at least once.
     rng = random.Random(seed_of(name))
-    failed = 0
+    failed: set[str] = set()
     for _ in range(4):
-        i, j = rng.randrange(h.B.dim), rng.randrange(h.B.dim)
-        broken = with_form_entry(h.B, i, j, Fraction(1, 7))
-        assert broken._model is h.catalog
-        assert model_certificate(broken) == {
-            "unit",
-            "associativity",
-            "involution-antiautomorphism",
-        }
-        results = assert_generic(broken)
-        failed += not {r.name: r for r in results}["form-invariance"].passed
-    assert failed
+        i, j = rng.randrange(b.dim), rng.randrange(b.dim)
+        broken = with_form_entry(b, i, j, Fraction(1, 7))
+        failed.update(failing(assert_uncertified(h, broken, (name, "form", i, j))))
+    assert "form-invariance" in failed
 
-
-@pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_changed_involution_breaks_only_premise_b(suite_algebras, name):
-    h = suite_algebras[name]
+    # The stars of two elements exchanged: the anti-automorphism fails at
+    # least once.
     rng = random.Random(seed_of(name))
-    failed = 0
+    failed = set()
     for _ in range(3):
-        a, b = rng.sample(range(h.B.dim), 2)
-        broken = with_star(h.B, a, b)
-        assert model_certificate(broken) == {"unit", "associativity", "form-invariance"}
-        results = assert_generic(broken)
-        failed += not {r.name: r for r in results}["involution-antiautomorphism"].passed
-    assert failed
+        s, t = rng.sample(range(b.dim), 2)
+        failed.update(failing(assert_uncertified(h, with_star(b, s, t), (name, "star", s, t))))
+    assert "involution-antiautomorphism" in failed
+
+    # l(e_k) off by 1/7 or zeroed, the stored pairing kept: the pairing
+    # recomputed from the products is no longer the stored one, so dual
+    # reconstruction fails every time.
+    rng = random.Random(seed_of(name))
+    for k in [rng.choice(diagonal)] + [rng.randrange(b.dim) for _ in range(2)]:
+        old = b.linear_form[k]
+        for value in {old + Fraction(1, 7), Fraction(0)} - {old}:
+            broken = with_linear_value(b, k, value)
+            results = assert_uncertified(h, broken, (name, "linear", k, value))
+            assert "dual-reconstruction" in failing(results), (name, k, value)
 
 
 def fused_orbits(catalog, keep: int, gone: int):

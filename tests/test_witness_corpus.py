@@ -56,7 +56,13 @@ from cardyfrob import (
 )
 from conftest import SUITE_DOCUMENTS, algebra_for
 from test_index_checks import merged_orbits, moved_pair, swapped_pairs
-from test_model_certificate import fused_orbits, with_model, with_star, with_unit
+from test_model_certificate import (
+    fused_orbits,
+    with_linear_value,
+    with_model,
+    with_star,
+    with_unit,
+)
 from test_sparse_checks import with_form_entry
 
 CORPUS_PATH = Path(__file__).parent / "data" / "witness_corpus.json"
@@ -121,14 +127,6 @@ def with_constant_value(alg: EquippedFrobeniusAlgebra, i: int, j: int, k: int, v
         involution=alg.involution,
         unit={alg.index(label): value for label, value in alg.unit.coeffs.items()},
     )
-
-
-def with_linear_value(alg: EquippedFrobeniusAlgebra, k: int, value):
-    """A copy of ``alg`` (model included) with ``l(e_k) = value`` and the
-    stored pairing left as it was."""
-    broken = copy.copy(alg)
-    broken.linear_form = tuple(value if i == k else old for i, old in enumerate(alg.linear_form))
-    return broken
 
 
 def uncached(alg: EquippedFrobeniusAlgebra) -> EquippedFrobeniusAlgebra:
