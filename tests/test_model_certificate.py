@@ -197,18 +197,19 @@ def failing(results) -> list[str]:
     return [result.name for result in results if not result.passed]
 
 
-@pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_partial_premises_certify_nothing(suite_algebras, name):
-    # Each corruption leaves premise (a) standing and moves one of the unit,
-    # a pairing entry, the star and the linear form off the catalog's
-    # counts.  B is then no orbital algebra, so all five walks run and every
-    # result is that of the algebra without a model.
-    h = suite_algebras[name]
-    b = h.B
+# Each corruption below leaves premise (a) standing and moves one of the
+# unit, a pairing entry, the star and the linear form off the catalog's
+# counts.  B is then no orbital algebra, so all five walks run and every
+# result is that of the algebra without a model.
 
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_changed_unit_breaks_only_premise_e(suite_algebras, name):
     # Three units: moved off one diagonal orbit onto an orbit off the
     # diagonal, given coefficient 2 on that diagonal orbit, and given an
     # orbit off the diagonal besides.  Only the unit check fails.
+    h = suite_algebras[name]
+    b = h.B
     diagonal = sorted(h.catalog.diagonal_counts())
     unit = dict.fromkeys(diagonal, 1)
     assert {b.index(label): value for label, value in b.unit.coeffs.items()} == unit
@@ -222,7 +223,12 @@ def test_partial_premises_certify_nothing(suite_algebras, name):
         assert results == verify_equipped(broken.permuted(broken.basis))
         assert failing(results) == ["unit"], (name, coeffs)
 
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_corrupted_form_entry_breaks_only_premise_c(suite_algebras, name):
     # A stored pairing entry off by 1/7: form invariance fails at least once.
+    h = suite_algebras[name]
+    b = h.B
     rng = random.Random(seed_of(name))
     failed: set[str] = set()
     for _ in range(4):
@@ -231,18 +237,29 @@ def test_partial_premises_certify_nothing(suite_algebras, name):
         failed.update(failing(assert_uncertified(h, broken, (name, "form", i, j))))
     assert "form-invariance" in failed
 
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_changed_involution_breaks_only_premise_b(suite_algebras, name):
     # The stars of two elements exchanged: the anti-automorphism fails at
     # least once.
+    h = suite_algebras[name]
+    b = h.B
     rng = random.Random(seed_of(name))
-    failed = set()
+    failed: set[str] = set()
     for _ in range(3):
         s, t = rng.sample(range(b.dim), 2)
         failed.update(failing(assert_uncertified(h, with_star(b, s, t), (name, "star", s, t))))
     assert "involution-antiautomorphism" in failed
 
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_changed_linear_form_certifies_nothing(suite_algebras, name):
     # l(e_k) off by 1/7 or zeroed, the stored pairing kept: the pairing
     # recomputed from the products is no longer the stored one, so dual
     # reconstruction fails every time.
+    h = suite_algebras[name]
+    b = h.B
+    diagonal = sorted(h.catalog.diagonal_counts())
     rng = random.Random(seed_of(name))
     for k in [rng.choice(diagonal)] + [rng.randrange(b.dim) for _ in range(2)]:
         old = b.linear_form[k]
