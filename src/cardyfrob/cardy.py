@@ -57,8 +57,9 @@ over the orbits (and every element, for equivariance) names the witness.
 The traces ``tr(nu_i nu_j)``
 (:meth:`~cardyfrob.actions.FieldCatalog.trace_counts`) are counted once per
 call and serve nu-star-transpose and form-from-traces; both come from
-:func:`cardyfrob.frobenius._model_premises`, and ``cardyfrob check`` computes
-that record once for ``verify_equipped(B)`` and this module's verifier.
+:func:`cardyfrob.frobenius._model_premises`, and :func:`verify_all`, the
+verifier of ``cardyfrob check``, computes that record once for
+``verify_equipped(B)`` and :func:`verify_cardy_frobenius`.
 form-from-traces and linear-form-from-traces compare each rational with its
 count over ``|N|`` in integers.  phi-unit, phi-homomorphism and phi-star
 compare rows of ``phi`` over the stored constants, the products
@@ -107,8 +108,10 @@ from .frobenius import (
     _is_trace_form,
     _model_premises,
     _scaled,
+    _verify_equipped,
     commutator_rows,
     multiplication_traces,
+    verify_equipped,
 )
 from .groups import FiniteGroup, Subgroup
 
@@ -294,6 +297,8 @@ def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
 
 def build_U(n_group: FiniteGroup, catalog: FieldCatalog) -> AlgebraElement:
     """The element ``U = sum_{n in N} E_{n^2}`` expanded over class sums."""
+    if catalog.nset.group is not n_group:
+        raise InputError("catalog was built for a different acting group")
     square_count: dict[int, int] = {}
     for n in range(n_group.order):
         square = n_group.mul(n, n)
@@ -349,9 +354,26 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     :meth:`~cardyfrob.actions.FieldCatalog.trace_counts` are counted once
     per call too, and handed to nu-star-transpose and form-from-traces.
     Both come from :func:`cardyfrob.frobenius._model_premises`, the record
-    ``cardyfrob check`` shares with ``verify_equipped(h.B)``.
+    :func:`verify_all` shares with ``verify_equipped(h.B)``.
     """
     return _verify_cardy_frobenius(h, _model_premises(h.catalog, h.B))
+
+
+def verify_all(h: CardyFrobeniusAlgebra) -> dict[str, list[CheckResult]]:
+    """Every check of ``cardyfrob check``, keyed by scope: ``"A"`` and
+    ``"B"`` hold :func:`~cardyfrob.frobenius.verify_equipped` of ``h.A`` and
+    ``h.B``, ``"cardy"`` holds :func:`verify_cardy_frobenius` of ``h``.
+
+    ``build_B`` keeps ``h.catalog`` as the model of ``h.B``, so one record
+    of premise (a) and the traces serves both ``B`` and the Cardy
+    structure; it is computed once per call, nothing cached.
+    """
+    premises = _model_premises(h.catalog, h.B)
+    return {
+        "A": verify_equipped(h.A),
+        "B": _verify_equipped(h.B, premises),
+        "cardy": _verify_cardy_frobenius(h, premises),
+    }
 
 
 # The checks that read ``B`` at the positions a row of ``phi`` holds.

@@ -15,25 +15,14 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .actions import ConjugationSetup, build_catalog, build_conjugation_setup
-from .cardy import (
-    CardyFrobeniusAlgebra,
-    _verify_cardy_frobenius,
-    build_cardy_frobenius,
-    hecke_check,
-)
+from .cardy import CardyFrobeniusAlgebra, build_cardy_frobenius, hecke_check, verify_all
 from .errors import ConsistencyError, InputError, ResourceError
-from .frobenius import (
-    CheckResult,
-    EquippedFrobeniusAlgebra,
-    _model_premises,
-    _verify_equipped,
-    verify_equipped,
-)
+from .frobenius import CheckResult, EquippedFrobeniusAlgebra
 from .groups import (
     DEFAULT_ORDER_BOUND,
-    _group_of_document,
     document_digest,
     group_from_document,
+    group_of_document,
     subgroup_from_permutations,
 )
 from .hurwitz import SurfaceSpec, evaluate
@@ -275,14 +264,11 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     setup = _setup_from_args(args)
     h = _algebra_from_setup(setup)
-    # build_B keeps h.catalog as the model of h.B, so one record of the
-    # model's premises serves both verifiers.
-    premises = _model_premises(h.catalog, h.B)
-    entries = (
-        _check_entries("A", verify_equipped(h.A))
-        + _check_entries("B", _verify_equipped(h.B, premises))
-        + _check_entries("cardy", _verify_cardy_frobenius(h, premises))
-    )
+    entries = [
+        entry
+        for scope, results in verify_all(h).items()
+        for entry in _check_entries(scope, results)
+    ]
     all_passed = all(entry["status"] == "pass" for entry in entries)
     _emit(
         {
@@ -327,7 +313,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_hecke(args: argparse.Namespace) -> int:
     document = _load_json(args.group)
-    group = _group_of_document(document, args.order_bound)
+    group = group_of_document(document, args.order_bound)
     try:
         raw = json.loads(args.subgroup_generators)
     except ValueError as exc:

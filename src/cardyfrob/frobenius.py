@@ -34,20 +34,11 @@ of its denominators and divides once per nonzero entry, at its
 ``Fraction`` edge.
 
 Associativity walks, for each basis pair ``(i, j)``, only the ``k`` that a
-nonzero product reaches; every other triple has both sides zero.  The walk
-needs only the ``j`` of a generating set ``S``: the middle nucleus
-``{b : (x b) y = x (b y)}`` of any algebra is a subspace closed under
-products, by the Teichmuller identity (R. D. Schafer, *An Introduction to
-Nonassociative Algebras*, 1966), so it is everything once it holds a set that
-generates the algebra.  :func:`generating_set` finds ``S`` by an exact
-closure over the stored products: once ``e_a`` and ``e_b`` lie in the
-subalgebra generated by ``S``, a product ``e_a e_b`` with exactly one other
-basis element in its support puts that one there too, since its constant is
-nonzero.  Form invariance compares
-``sum_m c_ij^m F_mk`` with ``sum_m F_im c_jk^m`` one ``i`` at a time, over the
-form scaled to integers, so its cost is the number of stored constants times
-the length of a form row.  Both report the first failing triple of a dense
-scan, which survives only as the reference in
+nonzero product reaches; every other triple has both sides zero.  Form
+invariance compares ``sum_m c_ij^m F_mk`` with ``sum_m F_im c_jk^m`` one
+``i`` at a time, over the form scaled to integers, so its cost is the number
+of stored constants times the length of a form row.  Both report the first
+failing triple of a dense scan, which survives only as the reference in
 :func:`cardyfrob.oracles.dense_axiom_oracle`.  The unit and Casimir
 centrality checks sum rows of constants in index space: ``[z, e_b]`` is
 ``sum_s z_s`` times row ``s`` of :func:`commutator_rows`, and the least
@@ -80,12 +71,12 @@ multiplies the stored pairing by its computed inverse; the product still
 checks the inverse.  When the premise holds those five walks are skipped;
 when it fails every check runs as it does without a model, so the results
 do not depend on the model.  The comparisons of a rational with a count
-over ``|N|`` are made in integers.  ``cardyfrob check`` computes the record
-of :func:`_model_premises` once and hands it to both
-:func:`_verify_equipped` and the core of
-:func:`cardyfrob.cardy.verify_cardy_frobenius`; nothing is cached on the
-algebra or the model.  This module reads the model only through its
-methods and imports neither :mod:`cardyfrob.actions` nor
+over ``|N|`` are made in integers.  :func:`cardyfrob.cardy.verify_all`, the
+verifier of ``cardyfrob check``, computes the record of
+:func:`_model_premises` once and hands it to both :func:`_verify_equipped`
+and the core of :func:`cardyfrob.cardy.verify_cardy_frobenius`; nothing is
+cached on the algebra or the model.  This module reads the model only
+through its methods and imports neither :mod:`cardyfrob.actions` nor
 :mod:`cardyfrob.cardy`.  The constructors and
 :meth:`~EquippedFrobeniusAlgebra.permuted` never carry a model.
 """
@@ -727,87 +718,18 @@ def _first_difference(lhs: Mapping[int, object], rhs: Mapping[int, object]) -> i
 
 
 def _check_associativity(alg: EquippedFrobeniusAlgebra) -> CheckResult:
-    # The middle nucleus {b : (x b) y = x (b y) for all x, y} of any algebra
-    # is a subspace closed under products (Schafer 1966, from the Teichmuller
-    # identity), so it holds the subalgebra generated by any set it contains.
-    # The (i, j) walk with j in a generating set S alone therefore proves
-    # associativity.  A failure takes the walk over every j, which reports the
-    # dense scan's first triple.
-    if _associativity_walk(alg, generating_set(alg)) is None:
-        return CheckResult("associativity", True)
-    return CheckResult("associativity", False, _associativity_walk(alg, range(alg.dim)))
-
-
-def generating_set(alg: EquippedFrobeniusAlgebra) -> list[int]:
-    """Basis positions ``S`` that generate the algebra, by an exact closure.
-
-    A position ``k`` is covered once ``e_k`` is known to lie in the subalgebra
-    generated by ``S``.  Candidates are taken in basis order, and one that is
-    not yet covered joins ``S`` and is covered.  A stored product
-    ``e_a e_b = sum_k c_ab^k e_k`` with ``a`` and ``b`` covered and exactly
-    one uncovered ``k`` in its support covers that ``k``: ``c_ab^k e_k`` is
-    ``e_a e_b`` minus covered terms and ``c_ab^k != 0``, so ``e_k`` lies in
-    the subalgebra.  The candidates stop once every position is covered.
-    The closure reads only which constants are nonzero, so the argument is
-    exact for any rational constants.
-
-    The closure is a worklist.  Each stored pair counts its incidences (its
-    two factors and each output) whose position is not yet taken off the
-    worklist, and a position goes on it when it is covered.  When the count
-    of a pair falls to one, every position of the pair but the last one
-    counted is covered; if that one is an uncovered output, both factors are
-    covered and the pair covers it.
-    """
-    n = alg.dim
-    expansions: list[Mapping[int, int | Fraction]] = []
-    pending: list[int] = []
-    incidences: list[list[int]] = [[] for _ in range(n)]
-    for pair, (i, j, expansion) in enumerate(alg.stored_products()):
-        expansions.append(expansion)
-        pending.append(2 + len(expansion))
-        incidences[i].append(pair)
-        incidences[j].append(pair)
-        for k in expansion:
-            incidences[k].append(pair)
-    covered = [False] * n
-    uncovered = n
-    generators: list[int] = []
-    for candidate in range(n):
-        if not uncovered:
-            break
-        if covered[candidate]:
-            continue
-        generators.append(candidate)
-        covered[candidate] = True
-        uncovered -= 1
-        stack = [candidate]
-        while stack:
-            for pair in incidences[stack.pop()]:
-                pending[pair] -= 1
-                if pending[pair] == 1:
-                    for k in expansions[pair]:
-                        if not covered[k]:
-                            covered[k] = True
-                            uncovered -= 1
-                            stack.append(k)
-                            break
-    return generators
-
-
-def _associativity_walk(alg: EquippedFrobeniusAlgebra, middles: Sequence[int]) -> str | None:
-    """The first failing triple ``(i, j, k)`` with ``j`` in ``middles``, if any."""
     # (e_i e_j) e_k == e_i (e_j e_k), one basis pair (i, j) at a time, with
     # both sides keyed by k * dim + out.  The left side is nonzero only for k
     # in the rows of supp(e_i e_j), the right side only for k with
     # e_j e_k != 0 (and only if e_i reaches supp(e_j e_k)); every other k has
     # both sides zero.  Taking the smallest failing k in lexicographic (i, j)
-    # order gives the first failing triple of a dense scan over ``middles``.
+    # order gives the first failing triple of a dense scan.
     n = alg.dim
     rows = list(map(alg.left_products, range(n)))
     reach = [set().union(*row.values()) for row in rows]
     for i in range(n):
         row_i = rows[i]
-        for j in middles:
+        for j in range(n):
             pij = row_i.get(j)
             if pij is None and reach[j].isdisjoint(row_i):
                 continue
@@ -829,8 +751,9 @@ def _associativity_walk(alg: EquippedFrobeniusAlgebra, middles: Sequence[int]) -
             if lhs != rhs:
                 code = _first_difference(lhs, rhs)
                 if code is not None:
-                    return f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[code // n]})"
-    return None
+                    witness = f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[code // n]})"
+                    return CheckResult("associativity", False, witness)
+    return CheckResult("associativity", True)
 
 
 def _check_form_symmetric(alg: EquippedFrobeniusAlgebra) -> CheckResult:

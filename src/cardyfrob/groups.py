@@ -614,12 +614,12 @@ def group_from_document(
     giving the trivial subgroup.  Every subgroup generator must land in the
     group generated by ``generators``.
     """
-    group = _group_of_document(document, order_bound)
+    group = group_of_document(document, order_bound)
     k_generators = document.get("k_generators", [])
     return group, subgroup_from_permutations(group, k_generators, "k_generators")
 
 
-def _group_of_document(document: Mapping[str, object], order_bound: int) -> FiniteGroup:
+def group_of_document(document: Mapping[str, object], order_bound: int) -> FiniteGroup:
     """The group of a group document, ``k_generators`` left unread."""
     if not isinstance(document, Mapping):
         raise InputError("group document must be a JSON object")

@@ -80,7 +80,8 @@ class SurfaceSpec:
         factors = genus if self.orientable else self.crosscaps
         if factors > HANDLE_BOUND:
             kind = "handles" if self.orientable else "crosscaps"
-            raise ResourceError(f"{factors} {kind} exceed the bound {HANDLE_BOUND}")
+            count = format_fraction(factors)  # ResourceError past the digit limit
+            raise ResourceError(f"{count} {kind} exceed the bound {HANDLE_BOUND}")
 
     @property
     def crosscaps(self) -> int:

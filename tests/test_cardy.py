@@ -14,7 +14,10 @@ from cardyfrob import (
     ConsistencyError,
     EquippedFrobeniusAlgebra,
     FieldCatalog,
+    InputError,
     all_passed,
+    build_A,
+    build_U,
     build_catalog,
     build_group,
     build_phi,
@@ -281,6 +284,17 @@ def test_u_coefficients_names_the_first_wrong_class(suite_algebras):
     broken = replace(h, u=AlgebraElement({"a0": 4, "a1": 1}))
     assert cardy_check(broken, "u-coefficients") == CheckResult("u-coefficients", False, "a1")
 
+
+
+def test_builders_refuse_a_catalog_of_another_group(suite_algebras):
+    # U of S4 (K = 1) is 10 a0 + 2 a2 + a3; counted over Z2 it read 2 a0.
+    h = suite_algebras["s4"]
+    assert build_U(h.catalog.nset.group, h.catalog) == h.u
+    assert h.u == AlgebraElement({"a0": 10, "a2": 2, "a3": 1})
+    z2 = build_group(2, [[1, 0]])
+    for build in (build_A, build_U):
+        with pytest.raises(InputError, match="different acting group"):
+            build(z2, h.catalog)
 
 # -- Hecke comparison ------------------------------------------------------------
 

@@ -34,6 +34,7 @@ from cardyfrob import (
     cardy_from_pair,
     group_from_document,
     subgroup_closure,
+    verify_all,
     verify_cardy_frobenius,
     verify_equipped,
 )
@@ -269,3 +270,21 @@ def test_check_decides_the_premises_once(monkeypatch, capsys):
         calls.clear()
         assert all(result.passed for result in verify(algebra))
         assert calls == {"is_model_of": 1, "trace_counts": 1}, verify.__name__
+
+
+def test_verify_all_is_the_three_verifiers_on_one_record(suite_algebras, monkeypatch):
+    # Intact, and with a constant of B raised by 1, which breaks premise (a).
+    h = suite_algebras["s3_k01"]
+    broken = replace(h, B=with_constant(h.B, 1, 1, 0, h.B.pair_products(1, 1).get(0, 0) + 1))
+    calls = counted_premises(monkeypatch)
+    for structure in (h, broken):
+        calls.clear()
+        results = verify_all(structure)
+        assert calls == {"is_model_of": 1, "trace_counts": 1}
+        assert results == {
+            "A": verify_equipped(structure.A),
+            "B": verify_equipped(structure.B),
+            "cardy": verify_cardy_frobenius(structure),
+        }
+    assert all(result.passed for results in verify_all(h).values() for result in results)
+    assert not all(result.passed for result in verify_all(broken)["cardy"])

@@ -364,6 +364,23 @@ def test_genus_past_the_handle_bound_exits_3_at_once(
     assert err.startswith("resource error: ") and "exceed the bound" in err
 
 
+@pytest.mark.parametrize("command", ["hurwitz", "oracle"])
+def test_crosscaps_too_long_to_print_exit_3(capsys, z2_path, tmp_path, command):
+    # A genus of 4,300 nines, as many digits as the interpreter reads by
+    # default: the crosscap count 2g has one digit more than it prints.
+    path = tmp_path / "surf.json"
+    path.write_text(json.dumps({"orientable": False, "genus": "9" * 4300}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_json(capsys, [command, "--group", z2_path, "--surface", str(path)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: ") and err.count("\n") == 1
+
+
 def test_value_too_large_to_print_exits_3(capsys, z2_path, tmp_path):
     # Z2 gives 2^1999 on a genus-1000 surface; eight of them multiply to a
     # 4,815-digit integer, past the interpreter's default 4,300-digit limit.

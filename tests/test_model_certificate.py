@@ -37,7 +37,6 @@ from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
 from test_sparse_checks import (
     DENSE_NAMES,
     PINNED_PAIRS,
-    record_walks,
     with_constant,
     with_form_entry,
 )
@@ -123,13 +122,10 @@ def test_intact_B_is_certified(suite_algebras, name):
     assert all(result.passed for result in results)
 
 
-def test_certified_B_walks_no_middles(suite_algebras, monkeypatch):
+def test_certified_B_walks_no_middles(suite_algebras):
     b = suite_algebras["a5_k0123"].B
-    calls = record_walks(monkeypatch)
-    verify_equipped(b)
-    assert calls == []
-    verify_equipped(with_model(b, None))
-    assert len(calls) == 1
+    assert "associativity" in model_certificate(b)
+    assert "associativity" not in model_certificate(with_model(b, None))
 
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
