@@ -8,12 +8,11 @@ labels (``a<k>`` and ``b<k>``), automorphism orders, and an involution
 (``star``) coming from inversion respectively from swapping the two points
 of a pair.  The boundary orbits exist in one form only, the flat orbit table
 :attr:`FieldCatalog.orbit_table` that every reader indexes.  The catalog is
-also the permutation model of the boundary algebra ``B``:
-:meth:`FieldCatalog.is_model_of` decides whether the 0/1 matrices
-``nu(beta_k)`` of its orbits multiply as the constants of an algebra do, and
-:meth:`FieldCatalog.trace_counts` gives the traces ``tr(nu_i nu_j)`` and
-:meth:`FieldCatalog.cardy_trace_counts` the traces ``tr(L_i R_j)`` of the
-Cardy condition.
+also the permutation model of the boundary algebra ``B``, and every fact
+about that model lives here: :meth:`FieldCatalog.chain_tallies` counts the
+chains that ``B`` is built from and premise (a) compares with its constants,
+and :meth:`FieldCatalog.premises` decides, in one :class:`ModelPremises`
+record, what the model proves about an algebra.
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import eq
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError, ResourceError
 from .frobenius import EquippedFrobeniusAlgebra
@@ -283,6 +283,52 @@ class BoundaryField:
         return self.representative[0] == self.representative[1]
 
 
+@dataclass(frozen=True, slots=True)
+class ModelPremises:
+    """What a catalog proves about an algebra, decided anew by each call of
+    :meth:`FieldCatalog.premises`; nothing is cached on either.
+
+    ``nu`` sends ``e_k`` to the 0/1 matrix of orbit ``O_k`` on ``X x X``.
+    The supports are disjoint and cover ``X x X``, a coherent configuration
+    (D. G. Higman, *Coherent configurations*, 1975).
+
+    * ``modelled`` is premise (a), :meth:`FieldCatalog.is_model_of`: ``nu``
+      is an injective homomorphism into the rational ``|X| x |X|`` matrices.
+    * ``traces`` is :meth:`FieldCatalog.trace_counts`, the traces
+      ``tr(nu_i nu_j)``; a key ``(i, j)`` says that a swapped pair of
+      ``O_i`` lies in ``O_j``.
+    * ``orbital`` says that the algebra is the catalog's orbital algebra:
+      (a) holds, and the rest of the algebra equals the catalog's counts.
+      The star sends each orbit to the one its swapped pairs lie in, so
+      ``nu(e_k^*) = nu(e_k)^T``; the stored pairing is ``tr(nu_i nu_j) /
+      |N|``; the unit ``u`` is ``sum e_k``, each coefficient 1, over the
+      orbits that meet the diagonal, so ``nu(u)`` is the identity matrix;
+      and ``l(e_k)`` is ``tr(nu_k) / |N|``, the diagonal cells of ``O_k``
+      over ``|N|`` (:meth:`FieldCatalog.diagonal_counts`).  Each rational
+      ``v`` is compared with its count in integers, ``v.numerator * |N| ==
+      count * v.denominator``.
+
+    When ``orbital`` holds, :func:`~cardyfrob.frobenius.verify_equipped`
+    passes five checks without their walks, each transported through the
+    injective ``nu`` from a fact about matrices.  The algebra is associative
+    because matrix multiplication is.  The star is an anti-automorphism
+    because transposition reverses products.  The pairing is invariant
+    because the trace is cyclic, so the Casimir element of this symmetric
+    Frobenius algebra is central.  ``nu(u)`` is the identity, so ``u`` is
+    the unit.  The pairing recomputed from the products is ``sum_k c_ij^k
+    tr(nu_k) / |N| = tr(nu_i nu_j) / |N|``, the stored one, so dual
+    reconstruction multiplies the stored pairing by its computed inverse,
+    and that product still checks the inverse.  When ``orbital`` fails,
+    every check runs as it does without a model, so no result depends on
+    the model.  :func:`~cardyfrob.cardy.verify_cardy_frobenius` reads
+    ``modelled`` and ``traces`` for the checks of the Cardy structure.
+    """
+
+    modelled: bool
+    traces: Counter[tuple[int, int]]
+    orbital: bool
+
+
 @dataclass(frozen=True, eq=False)
 class FieldCatalog:
     """The labeled interior and boundary fields of one group action.
@@ -372,6 +418,29 @@ class FieldCatalog:
             right = [ends[k][w] for w, k in enumerate(row)]
             counts.update(zip(left, right))
         return counts
+
+    def chain_tallies(self) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
+        """For each orbit ``O_k``, ``k`` and the tally of the pairs
+        ``(orbit(x, y), orbit(y, z))`` over all ``y`` at its representative
+        ``(x, z)``: row ``x`` and column ``z`` of the table zipped.
+
+        The count at ``(i, j)`` is the number of chains ``x -> y -> z``
+        through ``O_i`` and ``O_j``, the intersection number ``c_ij^k`` of
+        the orbital algebra.
+        """
+        size, table = self.nset.size, self.orbit_table
+        for k, field in enumerate(self.boundary):
+            x, z = field.representative
+            yield k, Counter(zip(table[x * size : (x + 1) * size], table[z::size]))
+
+    def premises(self, algebra: EquippedFrobeniusAlgebra) -> ModelPremises:
+        """The :class:`ModelPremises` of this catalog for ``algebra``: premise
+        (a), the traces, and whether ``algebra`` is the orbital algebra."""
+        modelled = self.is_model_of(algebra)
+        traces = self.trace_counts()
+        return ModelPremises(
+            modelled, traces, modelled and _is_orbital_algebra(self, algebra, traces)
+        )
 
     def is_model_of(self, algebra: EquippedFrobeniusAlgebra) -> bool:
         """Whether ``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)`` for the
@@ -491,27 +560,58 @@ def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> b
     """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
     chains ``c_ij^k`` asks for.
 
-    The pairs ``(orbit(x, y), orbit(y, z))`` over all ``y`` are tallied as
-    :func:`cardyfrob.cardy.build_B` tallies them, each count ``(i, j)`` is
-    looked up as ``c_ij^k`` in the store, and the matches are counted.  Every
-    stored constant must be matched, so at the end the matches must number
-    the stored constants: one at an ``(i, j, k)`` where the table counts no
-    chain is left over.  The store keeps integral constants as ``int`` and
-    drops zeros, so a stored constant equals its positive count exactly when
-    it is that count as a positive ``int``.  No copy of the constants is made.
+    Each count ``(i, j)`` of :meth:`FieldCatalog.chain_tallies`, the tally
+    :func:`cardyfrob.cardy.build_B` is built from, is looked up as
+    ``c_ij^k`` in the store, and the matches are counted.  Every stored
+    constant must be matched, so at the end the matches must number the
+    stored constants: one at an ``(i, j, k)`` where the table counts no chain
+    is left over.  The store keeps integral constants as ``int`` and drops
+    zeros, so a stored constant equals its positive count exactly when it is
+    that count as a positive ``int``.  No copy of the constants is made.
     """
-    size, table = catalog.nset.size, catalog.orbit_table
     rows = list(map(algebra.left_products, range(algebra.dim)))
     matched = 0
-    for k, field in enumerate(catalog.boundary):
-        x, z = field.representative
-        tally = Counter(zip(table[x * size : (x + 1) * size], table[z::size]))
+    for k, tally in catalog.chain_tallies():
         for (i, j), count in tally.items():
             expansion = rows[i].get(j)
             if expansion is None or expansion.get(k) != count:
                 return False
         matched += len(tally)
     return matched == sum(map(len, chain.from_iterable(row.values() for row in rows)))
+
+
+def _is_orbital_algebra(
+    catalog: FieldCatalog, algebra: EquippedFrobeniusAlgebra, traces: Counter[tuple[int, int]]
+) -> bool:
+    """Whether the star, pairing, unit and linear form of ``algebra`` are the
+    counts of ``catalog`` that :class:`ModelPremises` lists, given premise
+    (a) and the catalog's ``traces``."""
+    order = catalog.nset.group.order
+    diagonal = catalog.diagonal_counts()
+    unit = {algebra.index(label): value for label, value in algebra.unit.coeffs.items()}
+    return (
+        all(algebra.involution[i] == j for i, j in traces)
+        and _is_trace_form(algebra.form, traces, order)
+        and unit == dict.fromkeys(diagonal, 1)
+        and all(
+            _is_ratio(value, diagonal[k], order) for k, value in enumerate(algebra.linear_form)
+        )
+    )
+
+
+def _is_ratio(value: Fraction | int, count: int, order: int) -> bool:
+    """Whether ``value == count / order``, without building the fraction."""
+    return value.numerator * order == count * value.denominator
+
+
+def _is_trace_form(
+    form: Sequence[Mapping[int, Fraction | int]], traces: Counter[tuple[int, int]], order: int
+) -> bool:
+    """Whether the sparse ``form`` is ``traces / order``: each count finds its
+    entry, compared in integers, and the form stores no other entry."""
+    return sum(map(len, form)) == len(traces) and all(
+        _is_ratio(form[i].get(j, 0), count, order) for (i, j), count in traces.items()
+    )
 
 
 def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:

@@ -27,10 +27,9 @@ keeps them without a copy or a re-scan;
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` validates
 rows from outside.  Every reader of the boundary orbits indexes the
 catalog's orbit table :attr:`~cardyfrob.actions.FieldCatalog.orbit_table`,
-cell ``x * |X| + y`` holding ``orbit(x, y)``.  ``B`` reads it as it is:
-column ``k`` is the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over
-all ``y`` at the representative ``(x, z)`` of ``O_k``, each count put at
-once into row ``orbit(x, y)``.  ``phi`` tallies each class sum in a flat
+cell ``x * |X| + y`` holding ``orbit(x, y)``.  ``B`` is read off
+:meth:`~cardyfrob.actions.FieldCatalog.chain_tallies`, each count put at
+once into its row.  ``phi`` tallies each class sum in a flat
 ``x * |X| + y`` count list and keeps, for each class sum, the sparse integer row
 ``{k: count}`` of its nonzero counts at the orbit representatives.  Those
 rows are the only form of ``phi``: every reader below takes them as they
@@ -39,41 +38,16 @@ are, and only ``cardyfrob algebra`` lists them densely, at the output edge.
 Nothing here stores the 0/1 matrices ``nu(beta)`` and ``rho(n)`` on the
 permutation module of ``X``: the checks below read the orbit table instead,
 and the oracles in :mod:`cardyfrob.oracles` build the dense integer matrices
-while they run.  ``B`` keeps its catalog as its permutation model, so that
-:func:`~cardyfrob.frobenius.verify_equipped` proves five of its axioms
-through ``nu`` when ``B`` is its catalog's orbital algebra: premise (a)
-below holds, and the star, pairing, unit and linear form equal the
-catalog's counts.  :func:`verify_cardy_frobenius` decides premise (a),
-:meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, once per call:
-relabelling by each generator of ``N`` must leave the table as it is; each
-representative's cell must hold its own orbit, and Burnside's count
-``sum_n fix(n)^2 == |N| dim`` then makes each listed orbit a single
-``N``-orbit; and the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over
-all ``y`` at the representative ``(x, z)`` of each orbit ``O_k`` must find
-each count as the stored ``c_ij^k``, every stored constant matched.  (a) is
-``nu`` multiplicativity and contains ``nu`` equivariance and the Burnside
-dimension count, so all three pass when it holds; when it fails, a walk
-over the orbits (and every element, for equivariance) names the witness.
-The traces ``tr(nu_i nu_j)``
-(:meth:`~cardyfrob.actions.FieldCatalog.trace_counts`) are counted once per
-call and serve nu-star-transpose and form-from-traces; both come from
-:func:`cardyfrob.frobenius._model_premises`, and :func:`verify_all`, the
-verifier of ``cardyfrob check``, computes that record once for
-``verify_equipped(B)`` and :func:`verify_cardy_frobenius`.
-form-from-traces and linear-form-from-traces compare each rational with its
-count over ``|N|`` in integers.  phi-unit, phi-homomorphism and phi-star
-compare rows of ``phi`` over the stored constants, the products
-``phi(e_i) phi(e_j)`` through
-:meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.index_product`.
-phi-central passes when (a) holds and ``phi`` is the row set
-:func:`build_phi` counts from the catalog, so that ``nu(phi(e_alpha)) =
-rho(E_alpha)``, which commutes with every ``nu(beta)``; otherwise it sums
-the commutator rows of ``B`` (:func:`cardyfrob.frobenius.commutator_rows`)
-weighted by each row of ``phi``.  The Cardy condition compares the pairing
-of the ``phi*`` images, in integers scaled once, with the traces
-``tr(L_i R_j)``, counted on the orbit table under (a)
-(:meth:`~cardyfrob.actions.FieldCatalog.cardy_trace_counts`) and from the
-stored constants otherwise.
+while they run.  ``B`` keeps its catalog as its permutation model.  What the
+model proves, and why, is stated once at
+:class:`~cardyfrob.actions.ModelPremises`, the record that
+:meth:`~cardyfrob.actions.FieldCatalog.premises` decides anew on each call.
+:func:`verify_all`, the verifier of ``cardyfrob check``, decides one record
+for ``verify_equipped(B)`` and :func:`verify_cardy_frobenius`.  The checks
+of the Cardy structure that the model proves are listed at
+:func:`_model_certificate`, and under premise (a) the Cardy condition reads
+its traces off the orbit table (:func:`_check_cardy`); when a premise fails,
+each check runs its walk, so no result depends on the model.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -92,6 +66,9 @@ from .actions import (
     BoundaryField,
     FieldCatalog,
     InteriorField,
+    ModelPremises,
+    _is_ratio,
+    _is_trace_form,
     build_catalog,
     build_conjugation_setup,
     coset_nset,
@@ -101,12 +78,8 @@ from .frobenius import (
     AlgebraElement,
     CheckResult,
     EquippedFrobeniusAlgebra,
-    ModelPremises,
     _first_difference,
     _first_noncentral,
-    _is_ratio,
-    _is_trace_form,
-    _model_premises,
     _scaled,
     _verify_equipped,
     commutator_rows,
@@ -204,9 +177,8 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
 
     ``B`` is the orbital algebra of the action of ``N`` on ``X``, so
     ``c_ij^k = #{y : (x, y) in O_i, (y, z) in O_j}`` is the same at every pair
-    ``(x, z)`` of ``O_k`` and is counted at its representative: the pairs
-    ``(orbit(x, y), orbit(y, z))`` over all ``y``, row ``x`` and column ``z``
-    of the catalog's orbit table zipped, are tallied at once.  Each tally
+    ``(x, z)`` of ``O_k`` and is counted at its representative, the tally of
+    :meth:`~cardyfrob.actions.FieldCatalog.chain_tallies`.  Each tally
     goes straight into the rows that
     :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra._from_counts` keeps
     as they are: row ``i`` lists each ``j`` when first seen and each
@@ -228,10 +200,8 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     diagonal_count = catalog.diagonal_counts()
     rows: list[dict[int, dict[int, int]]] = [{} for _ in fields]
     pairing: list[dict[int, int]] = [{} for _ in fields]
-    for k, field in enumerate(fields):
-        x, z = field.representative
-        tally = Counter(zip(table[x * size : (x + 1) * size], table[z::size])).items()
-        for (i, j), count in tally:
+    for k, tally in catalog.chain_tallies():
+        for (i, j), count in tally.items():
             row = rows[i]
             if j in row:
                 row[j][k] = count
@@ -239,7 +209,7 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
                 row[j] = {k: count}
         trace = diagonal_count[k]
         if trace:
-            for (i, j), count in tally:
+            for (i, j), count in tally.items():
                 totals = pairing[i]
                 totals[j] = totals.get(j, 0) + count * trace
     algebra = EquippedFrobeniusAlgebra._from_counts(
@@ -345,18 +315,11 @@ def verify_cardy_frobenius(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
     multiplicativity, star = transpose, pairing and linear form recovered
     from traces, equivariance, Burnside dimension count).
 
-    Premise (a), :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, is
-    computed once per call, nothing cached, and serves five checks: the
-    checks :func:`_model_certificate` proves pass without their walks, and
-    the Cardy condition reads its traces off the model.  Every other check,
-    and each of these five when its premises fail, runs as it does without
-    the model, so the results do not depend on it.  The traces
-    :meth:`~cardyfrob.actions.FieldCatalog.trace_counts` are counted once
-    per call too, and handed to nu-star-transpose and form-from-traces.
-    Both come from :func:`cardyfrob.frobenius._model_premises`, the record
-    :func:`verify_all` shares with ``verify_equipped(h.B)``.
+    The premises are decided once per call, nothing cached
+    (:meth:`~cardyfrob.actions.FieldCatalog.premises`); the checks they
+    prove are listed at :func:`_model_certificate`.
     """
-    return _verify_cardy_frobenius(h, _model_premises(h.catalog, h.B))
+    return _verify_cardy_frobenius(h, h.catalog.premises(h.B))
 
 
 def verify_all(h: CardyFrobeniusAlgebra) -> dict[str, list[CheckResult]]:
@@ -365,13 +328,13 @@ def verify_all(h: CardyFrobeniusAlgebra) -> dict[str, list[CheckResult]]:
     ``h.B``, ``"cardy"`` holds :func:`verify_cardy_frobenius` of ``h``.
 
     ``build_B`` keeps ``h.catalog`` as the model of ``h.B``, so one record
-    of premise (a) and the traces serves both ``B`` and the Cardy
-    structure; it is computed once per call, nothing cached.
+    of premises serves both ``B`` and the Cardy structure; it is decided
+    once per call, nothing cached.
     """
-    premises = _model_premises(h.catalog, h.B)
+    premises = h.catalog.premises(h.B)
     return {
         "A": verify_equipped(h.A),
-        "B": _verify_equipped(h.B, premises),
+        "B": _verify_equipped(h.B, premises.orbital),
         "cardy": _verify_cardy_frobenius(h, premises),
     }
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Sequence
 
 from .actions import ConjugationSetup, build_catalog, build_conjugation_setup
@@ -41,8 +42,19 @@ def _bound(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads an explicit ``--option=--`` as the text
+    ``--``, as Python 3.13 does; 3.11 and 3.12 drop that ``--`` and store an
+    empty list, which no command can read."""
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> Any:
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cardyfrob",
         description=(
             "Exact Cardy-Frobenius algebras of finite group pairs and "
@@ -110,6 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON list of permutations generating the subgroup S",
     )
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`, built once per process: parsing reads it
+    and never changes it, so every run parses, and fails, as a new one would."""
+    return build_parser()
 
 
 def _load_json(path: str) -> Any:
@@ -347,8 +366,7 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

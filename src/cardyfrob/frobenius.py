@@ -51,39 +51,18 @@ pairing: its totals against ``l`` scaled by the lcm of the denominators of
 compares the result with each probe times both scales.
 
 An algebra may carry a permutation model: ``B`` of a group action keeps the
-catalog it was counted from, and ``nu(e_k)`` is the 0/1 matrix of orbit
-``O_k`` on ``X x X``; the supports are disjoint and cover ``X x X``, a
-coherent configuration (D. G. Higman, *Coherent configurations*, 1975).
-:func:`verify_equipped` decides one premise, that the algebra is its
-catalog's orbital algebra: the chains at each orbit representative are the
-stored constants, the orbits being single ``N``-orbits of an invariant
-table, so ``nu`` is an injective homomorphism into the rational matrices;
-the star is transposition, the stored pairing is ``tr(nu(e_i) nu(e_j)) /
-|N|``, the unit is the sum of the orbits on the diagonal, and ``l(e_k)`` is
-``tr(nu(e_k)) / |N|``.  Then the algebra is associative because matrix
-multiplication is, the star is an anti-automorphism because transposition
-reverses products, and the pairing is invariant because the trace is
-cyclic, so the Casimir element of this symmetric Frobenius algebra is
-central; ``nu`` sends the unit to the identity matrix, so it is the unit.
-The pairing recomputed from the products is ``sum_k c_ij^k tr(nu(e_k)) /
-|N| = tr(nu(e_i) nu(e_j)) / |N|``, the stored one, so dual reconstruction
-multiplies the stored pairing by its computed inverse; the product still
-checks the inverse.  When the premise holds those five walks are skipped;
-when it fails every check runs as it does without a model, so the results
-do not depend on the model.  The comparisons of a rational with a count
-over ``|N|`` are made in integers.  :func:`cardyfrob.cardy.verify_all`, the
-verifier of ``cardyfrob check``, computes the record of
-:func:`_model_premises` once and hands it to both :func:`_verify_equipped`
-and the core of :func:`cardyfrob.cardy.verify_cardy_frobenius`; nothing is
-cached on the algebra or the model.  This module reads the model only
-through its methods and imports neither :mod:`cardyfrob.actions` nor
+catalog it was counted from.  :func:`verify_equipped` asks it one question,
+``premises(alg).orbital``, whether the algebra is the catalog's orbital
+algebra.  When it is, five walks are skipped and dual reconstruction reads
+the stored pairing; otherwise every check runs as it does without a model.
+Why that is sound is stated once, at :class:`cardyfrob.actions.ModelPremises`.
+This module imports neither :mod:`cardyfrob.actions` nor
 :mod:`cardyfrob.cardy`.  The constructors and
 :meth:`~EquippedFrobeniusAlgebra.permuted` never carry a model.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -587,45 +566,17 @@ def verify_equipped(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
 
     Checks are exact; a failing check carries a human-readable witness (the
     basis labels at which the identity first breaks).  When the algebra is
-    its catalog's orbital algebra (:func:`_is_orbital_algebra`), the five
-    checks that premise proves pass without their walks; otherwise every
-    check runs as it does without a model, so the results are the same
-    either way.  The premise is decided anew on every call
-    (:func:`_model_premises`).
+    its model's orbital algebra, decided anew on every call, the five checks
+    that premise proves pass without their walks; otherwise every check runs
+    as it does without a model, so the results are the same either way.
     """
-    return _verify_equipped(alg, _model_premises(alg._model, alg))
+    model = alg._model
+    return _verify_equipped(alg, model is not None and model.premises(alg).orbital)
 
 
-@dataclass(frozen=True, slots=True)
-class ModelPremises:
-    """What one verification run reads off a permutation model, computed once.
-
-    ``model`` is the catalog whose orbit matrices ``nu(e_k)`` the constants
-    of the algebra should multiply as, or ``None``; ``modelled`` is
-    ``model.is_model_of(alg)``, premise (a), that ``nu`` is an injective
-    homomorphism; ``traces`` is ``model.trace_counts()``, the traces
-    ``tr(nu_i nu_j)``, or ``None`` without a model.  With the star, pairing,
-    unit and linear form of the algebra they decide the one premise of
-    :func:`verify_equipped`, that the algebra is the model's orbital algebra
-    (:func:`_is_orbital_algebra`).  Nothing is cached on the algebra or the
-    model: a run that is handed no record computes its own.
-    """
-
-    model: object | None
-    modelled: bool
-    traces: Counter[tuple[int, int]] | None
-
-
-def _model_premises(model, alg: EquippedFrobeniusAlgebra) -> ModelPremises:
-    """Premise (a) of ``model`` for ``alg``, and the traces of ``model``."""
-    if model is None:
-        return ModelPremises(None, False, None)
-    return ModelPremises(model, model.is_model_of(alg), model.trace_counts())
-
-
-def _verify_equipped(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> list[CheckResult]:
-    """:func:`verify_equipped` on premises computed for ``alg`` by the caller."""
-    orbital = _is_orbital_algebra(alg, premises)
+def _verify_equipped(alg: EquippedFrobeniusAlgebra, orbital: bool) -> list[CheckResult]:
+    """:func:`verify_equipped`, told by the caller whether ``alg`` is its
+    model's orbital algebra."""
 
     def run(name: str, check: Callable[[EquippedFrobeniusAlgebra], CheckResult]) -> CheckResult:
         return CheckResult(name, True) if orbital else check(alg)
@@ -642,49 +593,6 @@ def _verify_equipped(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> 
         run("casimir-central", _check_casimir_central),
         _check_dual_reconstruction(alg, orbital),
     ]
-
-
-def _is_orbital_algebra(alg: EquippedFrobeniusAlgebra, premises: ModelPremises) -> bool:
-    """Whether ``alg`` is the orbital algebra of ``premises.model``, the one
-    premise of the module docstring.
-
-    Premise (a), ``premises.modelled``, must hold, and the rest of ``alg``
-    must equal the catalog's counts: the star sends each orbit to the one
-    its swapped pairs lie in (the keys of ``premises.traces``); the stored
-    pairing is ``traces / |N|``; the unit is ``sum e_k``, each coefficient
-    1, over the orbits that meet the diagonal; and ``l(e_k)`` is the number
-    of diagonal cells of ``O_k`` over ``|N|``
-    (:meth:`~cardyfrob.actions.FieldCatalog.diagonal_counts`).  Each rational
-    ``v = count / |N|`` is compared in integers, ``v.numerator * |N| ==
-    count * v.denominator``.
-    """
-    if not premises.modelled:
-        return False
-    model, traces = premises.model, premises.traces
-    order = model.nset.group.order
-    diagonal = model.diagonal_counts()
-    unit = {alg.index(label): value for label, value in alg.unit.coeffs.items()}
-    return (
-        all(alg.involution[i] == j for i, j in traces)
-        and _is_trace_form(alg.form, traces, order)
-        and unit == dict.fromkeys(diagonal, 1)
-        and all(_is_ratio(value, diagonal[k], order) for k, value in enumerate(alg.linear_form))
-    )
-
-
-def _is_ratio(value: Fraction | int, count: int, order: int) -> bool:
-    """Whether ``value == count / order``, without building the fraction."""
-    return value.numerator * order == count * value.denominator
-
-
-def _is_trace_form(
-    form: Sequence[Mapping[int, Fraction | int]], traces: Counter[tuple[int, int]], order: int
-) -> bool:
-    """Whether the sparse ``form`` is ``traces / order``: each count finds its
-    entry, compared in integers, and the form stores no other entry."""
-    return sum(map(len, form)) == len(traces) and all(
-        _is_ratio(form[i].get(j, 0), count, order) for (i, j), count in traces.items()
-    )
 
 
 def _check_unit(alg: EquippedFrobeniusAlgebra) -> CheckResult:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cardyfrob import bundled_input, cardy_from_pair, group_from_document
+from cardyfrob import bundled_input, cardy_from_pair, cli, group_from_document
 from cardyfrob.cli import run
 from cardyfrob.groups import DEGREE_BOUND
 from cardyfrob.rationals import format_fraction
@@ -538,3 +538,38 @@ def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_one_parser_serves_every_run(capsys, monkeypatch, z2_path):
+    # run builds its parser once per process; its help and usage errors,
+    # before and after a successful run, are those of a parser built anew.
+    original = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        return excinfo.value.code, capsys.readouterr()
+
+    argvs = [["--help"], ["check"], ["info", "--group", z2_path, "--order-bound", "0"]]
+    fresh = [outcome(lambda argv: original().parse_args(argv), argv) for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 2, 2]
+    for _ in range(2):
+        assert [outcome(run, argv) for argv in argvs] == fresh
+        assert run(["info", "--group", z2_path]) == 0
+        capsys.readouterr()
+    assert built == [1]
+
+
+def test_an_explicit_double_dash_is_the_value(capsys, z2_path):
+    # "--option=--" gives the option the text "--", as Python 3.13 reads it;
+    # 3.11 and 3.12 store an empty list, on which each command crashed.
+    assert run(["info", "--group=--"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read --: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as excinfo:
+        run(["info", "--group", z2_path, "--order-bound=--"])
+    assert excinfo.value.code == 2
+    assert "argument --order-bound: invalid int value: '--'" in capsys.readouterr().err

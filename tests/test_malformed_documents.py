@@ -8,7 +8,11 @@ genus is no rational, no admissible genus, or a huge or odd rational.
 ``info``, ``check``, ``hurwitz`` and ``oracle`` run on it through
 :func:`cardyfrob.cli.run` and must exit 2 with one ``error:`` line on
 stderr, or 3 with one ``resource error:`` line when a bound is hit, with
-nothing on stdout and no traceback.
+nothing on stdout and no traceback.  ``hecke`` is held to the same with a
+malformed ``--subgroup-generators``: text that is no JSON or nests past the
+parser's depth, no list, or a list with one generator that is no
+permutation (a ``bool``, a float or a huge integer among its entries, or
+the wrong degree) or lies outside the group.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cardyfrob.cli import run
@@ -70,16 +74,26 @@ def inserted(valid: list, bad: st.SearchStrategy) -> st.SearchStrategy:
     )
 
 
+def one_entry(values: st.SearchStrategy) -> st.SearchStrategy:
+    """The permutation (0 1 2), ``[1, 2, 0]``, with one entry drawn from ``values``."""
+    return st.tuples(st.integers(0, 2), values).map(
+        lambda item: [1, 2, 0][: item[0]] + [item[1]] + [1, 2, 0][item[0] + 1 :]
+    )
+
+
 # A generator that is no permutation of 0, 1, 2: a non-list, integers in
-# the wrong order or number, or (0 1 2) with one entry of another type.
+# the wrong order or number, a permutation of another degree, or (0 1 2)
+# with one entry of another type or a huge integer.
 bad_generators = st.one_of(
     not_lists,
     st.lists(st.integers(-3, 5), max_size=5).filter(lambda perm: sorted(perm) != [0, 1, 2]),
-    st.tuples(
-        st.integers(0, 2),
+    st.integers(1, 6).filter(lambda n: n != 3).flatmap(lambda n: st.permutations(range(n))),
+    one_entry(
         scalars.filter(lambda value: type(value) is not int)
-        | st.lists(st.integers(0, 2), max_size=2),
-    ).map(lambda item: [1, 2, 0][: item[0]] + [item[1]] + [1, 2, 0][item[0] + 1 :]),
+        | st.lists(st.integers(0, 2), max_size=2)
+        | st.integers(3, 10**30)
+        | st.integers(-(10**30), -1)
+    ),
 )
 
 group_documents = st.one_of(
@@ -147,6 +161,32 @@ bad_surfaces = st.one_of(not_objects, surface_documents(True), surface_documents
 surface_lists = bad_surfaces | inserted([SURFACE], bad_surfaces)
 
 
+def is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Z3 on three points: each transposition of 0, 1, 2 lies outside it.
+CYCLIC = {"degree": 3, "generators": [[1, 2, 0]], "k_generators": []}
+subgroup_generators = st.one_of(
+    st.text(max_size=8).filter(lambda text: not is_json(text)),
+    # "--", "-1e+16", "-Infinity": no list, and option-like to argparse.
+    st.text(max_size=8).map("-{}".format),
+    # [[]] and deeper: a generator that is no permutation, or past the depth
+    # the JSON parser recurses to.
+    st.integers(2, 10**5).map(lambda depth: "[" * depth + "]" * depth),
+    # An entry past the interpreter's limit for converting text to an int.
+    nines.map(lambda digits: f"[[1, 2, {'9' * digits}]]"),
+    st.one_of(
+        not_lists,
+        inserted([[1, 2, 0]], bad_generators | st.sampled_from([[1, 0, 2], [0, 2, 1], [2, 1, 0]])),
+    ).map(json.dumps),
+)
+
+
 def refused(argv: list[str]) -> None:
     """Run ``argv`` and assert that it exits 2 or 3 with one message line."""
     out, err = StringIO(), StringIO()
@@ -164,10 +204,10 @@ def write(path, document) -> str:
     return str(path)
 
 
-# Each run builds the argument parser anew, a few milliseconds, so the
-# draws are few and tier-1 grows by under a second.
+# With the parser built once per process, a refused run takes about a
+# millisecond, so each test draws 100 documents in about half a second.
 QUICK = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
 
@@ -199,4 +239,22 @@ def test_the_unbroken_documents_run(tmp_path, capsys):
         path = write(tmp_path / "surface.json", surface)
         for command in ("hurwitz", "oracle"):
             assert run([command, "--group", group, "--surface", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@QUICK
+@given(text=subgroup_generators)
+@example(text="--")
+@example(text="-Infinity")
+def test_malformed_subgroup_generators_exit_2_or_3(tmp_path, text):
+    group = write(tmp_path / "group.json", CYCLIC)
+    # Joined by "=", the text is the value even where it begins with "-",
+    # which argparse would otherwise read as an option.
+    refused(["hecke", "--group", group, f"--subgroup-generators={text}"])
+
+
+def test_the_unbroken_subgroup_generators_run(tmp_path, capsys):
+    group = write(tmp_path / "group.json", CYCLIC)
+    for text in ("[]", "[[1, 2, 0]]", "[[1, 2, 0], [2, 0, 1]]"):
+        assert run(["hecke", "--group", group, "--subgroup-generators", text]) == 0
     assert capsys.readouterr().err == ""

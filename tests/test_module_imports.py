@@ -5,7 +5,11 @@ calls only public names.
 the methods of the catalog it is handed, so it must import neither
 :mod:`cardyfrob.actions` nor :mod:`cardyfrob.cardy`; either import would
 close a cycle, since both import :mod:`cardyfrob.frobenius`.  Each import
-of the module is parsed with :mod:`ast` and resolved to a module name.
+of the module is parsed with :mod:`ast` and resolved to a module name.  It
+asks the model one question, ``premises(alg).orbital``, so no word of its
+source names the catalog's other methods or its action, and it defines none
+of the premise helpers that live in :mod:`cardyfrob.actions`;
+:mod:`cardyfrob.cardy` imports none of those helpers from it.
 :mod:`cardyfrob.cli` is a client of the library like any other, so it
 imports no ``_``-prefixed name from the package.
 """
@@ -13,10 +17,13 @@ imports no ``_``-prefixed name from the package.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cardyfrob"
 FORBIDDEN = {"cardyfrob.actions", "cardyfrob.cardy"}
+CATALOG_NAMES = {"is_model_of", "trace_counts", "diagonal_counts", "cardy_trace_counts", "nset"}
+MOVED = {"ModelPremises", "_model_premises", "_is_orbital_algebra", "_is_ratio", "_is_trace_form"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -38,6 +45,19 @@ def imported_modules(tree: ast.AST) -> set[str]:
 def test_frobenius_imports_neither_actions_nor_cardy():
     tree = ast.parse((PACKAGE / "frobenius.py").read_text())
     assert not imported_modules(tree) & FORBIDDEN
+
+
+def test_frobenius_names_nothing_of_the_model_but_its_question():
+    source = (PACKAGE / "frobenius.py").read_text()
+    assert not set(re.findall(r"\w+", source)) & CATALOG_NAMES
+    body = ast.parse(source).body
+    defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & MOVED
+
+
+def test_cardy_takes_no_premise_helper_from_frobenius():
+    tree = ast.parse((PACKAGE / "cardy.py").read_text())
+    assert not imported_modules(tree) & {f"cardyfrob.frobenius.{name}" for name in MOVED}
 
 
 def test_the_check_sees_each_form_of_import():
