@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError, ResourceError
@@ -622,11 +622,17 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
     centralizer of its representative by orbit-stabiliser, and its ``d`` is
     read off one tally of the squares ``n^2`` over ``N``.  Boundary orbits
     are labeled ``b<k>`` in order of their smallest pair.
-    The orbit table is filled directly: a row-major scan takes each cell not
-    yet filled, the smallest pair of its orbit, and writes its position into
-    every cell ``(n x, n y)`` of the orbit.  The Burnside count
-    ``(1/|N|) * sum of squared fixed-point counts`` must equal the number of
-    boundary orbits, and is verified here.
+    The orbit table is filled one ``N``-orbit of points at a time, from its
+    least point ``x0``: each orbit on ``X x X`` meets row ``x0`` in one
+    orbit of ``Stab_N(x0)`` (orbitals and suborbits; P. J. Cameron,
+    *Permutation Groups*, 1999), labeled by increasing ``y``, with
+    representative ``(x0, y)`` and size ``|N x0| |Stab_N(x0) y|``.  As
+    ``orbit(n x0, y) = orbit(x0, n^-1 y)``, row ``n x0`` is row ``x0`` read
+    through the row of ``n^-1``.  The smallest pair of an orbit lies in the
+    row of the least point of its ``N``-orbit, so this order is the order
+    by smallest pair.  The Burnside count ``(1/|N|) * sum of squared
+    fixed-point counts`` must equal the number of boundary orbits, and is
+    verified here.
     """
     group = nset.group
     classes = conjugacy_classes(group)
@@ -642,18 +648,27 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
         )
         for cls in classes
     ]
-    size = nset.size
+    size, act_table = nset.size, nset.act_table
     table = array("i", [-1]) * (size * size)
     found: list[tuple[tuple[int, int], int]] = []
-    for code in range(size * size):
-        if table[code] >= 0:
+    for x0 in range(size):
+        start = x0 * size
+        if table[start] >= 0:
             continue
-        x, y = divmod(code, size)
-        cells = {row[x] * size + row[y] for row in nset.act_table}
-        position = len(found)
-        for cell in cells:
-            table[cell] = position
-        found.append(((x, y), len(cells)))
+        # For each point x = n x0 of the orbit, the row of one n^-1.
+        back = {row[x0]: act_table[inverse] for row, inverse in zip(act_table, group.inverses)}
+        stabiliser = [row for row in act_table if row[x0] == x0]
+        for y in range(size):
+            if table[start + y] < 0:
+                cells = {row[y] for row in stabiliser}
+                for z in cells:
+                    table[start + z] = len(found)
+                found.append(((x0, y), len(back) * len(cells)))
+        # Row x0 is done; other rows have two cells or more, so the getter gives a tuple.
+        del back[x0]
+        row_x0 = table[start : start + size].tolist()
+        for x, inverse_row in back.items():
+            table[x * size : (x + 1) * size] = array("i", itemgetter(*inverse_row)(row_x0))
     labels = [f"b{position}" for position in range(len(found))]
     boundary = []
     for label, ((x, y), orbit_size) in zip(labels, found):

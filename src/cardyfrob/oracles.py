@@ -661,8 +661,10 @@ def subgroup_lattice_oracle(group: FiniteGroup, subgroup: Subgroup) -> tuple[Sub
     which must return the same subgroups with the same ``id``s.  Works upward
     by iterated closure: starting from the subgroup itself, adjoin one new
     element in every possible way, closing each result under products by a
-    set sweep, until no new subgroups appear.  Results come back sorted by
-    (order, element tuple) with ``id`` set to the position.
+    set sweep, until no new subgroups appear.  Since ``<base, x> = <base,
+    x b>`` for every ``b`` in ``base``, one ``x`` per left coset ``x base``
+    is adjoined.  Results come back sorted by (order, element tuple) with
+    ``id`` set to the position.
     """
     if subgroup.parent is not group:
         raise InputError("subgroup does not belong to the given group")
@@ -671,9 +673,11 @@ def subgroup_lattice_oracle(group: FiniteGroup, subgroup: Subgroup) -> tuple[Sub
     frontier: list[frozenset[int]] = [seed]
     while frontier:
         base = frontier.pop()
+        covered = set(base)
         for x in range(group.order):
-            if x in base:
+            if x in covered:
                 continue
+            covered.update(map(group.table[x].__getitem__, base))
             bigger = _close_under_products(group, base | {x})
             if bigger not in found:
                 found.add(bigger)

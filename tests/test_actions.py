@@ -29,6 +29,27 @@ def orbit_of_pair(nset: NSet, pair: tuple[int, int]) -> frozenset[tuple[int, int
     return frozenset((row[x], row[y]) for row in nset.act_table)
 
 
+def scanned_fields(nset: NSet) -> tuple[array, list[tuple[str, tuple[int, int], int, int, str]]]:
+    """The orbit table and ``(label, representative, size, aut_order, star)``
+    of each boundary field by a row-major scan of ``X x X``: each cell not
+    yet filled is the smallest pair of its orbit, which takes the next
+    position.  The reference for the fill of :func:`cardyfrob.build_catalog`."""
+    size = nset.size
+    table = array("i", [-1]) * (size * size)
+    found = []
+    for code in range(size * size):
+        if table[code] < 0:
+            orbit = orbit_of_pair(nset, divmod(code, size))
+            for x, y in orbit:
+                table[x * size + y] = len(found)
+            found.append((divmod(code, size), len(orbit)))
+    fields = [
+        (f"b{k}", (x, y), count, nset.group.order // count, f"b{table[y * size + x]}")
+        for k, ((x, y), count) in enumerate(found)
+    ]
+    return table, fields
+
+
 def pair_labels(catalog) -> dict[tuple[int, int], str]:
     return {
         pair: field.label

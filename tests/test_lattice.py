@@ -9,11 +9,14 @@ representative of ``M``'s class.  :func:`cardyfrob.subgroup_lattice_oracle`
 adjoins every element to every found subgroup.  Both must return the same
 subgroups, orders and ``id``s, on the suite pairs and on drawn pairs of
 degree up to 5.  On the drawn pairs the conjugation and coset actions
-are checked against their references as well, the interior fields'
-``aut_order`` and ``d`` against a scan of ``N`` per class, and
-:func:`cardyfrob.hecke_check` on the coset action of ``(G, K)``.  Past the
-oracle's reach, digests of the lattices of S5, PSL(2,7), A6, PSL(2,13) and
-S6 with ``K = 1``, and of S5's lattices over every ``K``, pin the output.
+are checked against their references as well, the orbit table and
+boundary fields of both against a row-major scan of ``X x X``, the
+interior fields' ``aut_order`` and ``d`` against a scan of ``N`` per
+class, and :func:`cardyfrob.hecke_check` on the coset action of ``(G,
+K)``.  Past the oracle's reach, digests of the lattices of S5, PSL(2,7),
+A6, PSL(2,13) and S6 with ``K = 1``, and of S5's lattices over every
+``K``, pin the output, and digests of the field catalogs of A6 with
+``K = 1`` and of S5 over every ``K`` pin the orbit tables.
 The classical subgroup counts and the points bound are checked here as
 well.
 """
@@ -51,6 +54,7 @@ from cardyfrob.groups import POINTS_BOUND
 from cardyfrob.oracles import conjugation_table_oracle, is_associative
 
 from conftest import SUITE_DOCUMENTS, left_cosets
+from test_actions import scanned_fields
 
 A5_GENERATORS = [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]
 S5_GENERATORS = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
@@ -76,6 +80,12 @@ LATTICE_DIGESTS = {
 }
 # The same for the list of lattices over every subgroup K of S5, in order.
 S5_EVERY_K_DIGEST = "e3e4480be6cacbdf7cfecc4113be386635dea00b6a9c97a514d4c0da926f5344"
+# sha256 of each field catalog's orbit_table.tobytes() followed by the
+# compact JSON of [[label, representative, size, star], ...], in turn: of A6
+# with K = 1, and of S5 over every K in order.  Written by the row-major
+# scan that filled the table before the fill went by orbits of points.
+CATALOG_DIGESTS = {"a6": "aa0f8207ad3b47f80d18819a3f4dd76349399016ce034e43175674b08e0942d1"}
+S5_EVERY_K_CATALOG_DIGEST = "8e02b7fa72d744162a51860939dacd27393e0240974a46760dca1617312d85b2"
 
 EXTRA_DOCUMENTS = {
     "a5": {"degree": 5, "generators": A5_GENERATORS, "k_generators": []},
@@ -120,6 +130,15 @@ def sha256_of(payload):
     return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
+def catalog_digest(catalogs):
+    digest = hashlib.sha256()
+    for catalog in catalogs:
+        digest.update(catalog.orbit_table.tobytes())
+        fields = [[f.label, list(f.representative), f.size, f.star] for f in catalog.boundary]
+        digest.update(json.dumps(fields, separators=(",", ":")).encode("ascii"))
+    return digest.hexdigest()
+
+
 def permutations_up_to(max_degree):
     return st.integers(min_value=1, max_value=max_degree).flatmap(
         lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
@@ -149,13 +168,25 @@ def test_random_lattices_match_oracle(generators, data):
     # The coset action shares the walk that fills the rows.
     cosets = left_cosets(group, k)
     coset_of = {x: point for point, coset in enumerate(cosets) for x in coset}
-    assert coset_nset(group, k).act_table == tuple(
+    coset_action = coset_nset(group, k)
+    assert coset_action.act_table == tuple(
         tuple(coset_of[group.mul(g, min(coset))] for coset in cosets) for g in range(group.order)
     )
+    # The orbit table is filled one orbit of points at a time; a row-major
+    # scan of X x X must give the same table and fields.  The conjugation
+    # action has many orbits of points, the coset action one.
+    catalog = build_catalog(setup.nset)
+    for nset, built in ((setup.nset, catalog), (coset_action, build_catalog(coset_action))):
+        table, fields = scanned_fields(nset)
+        assert built.orbit_table == table
+        assert fields == [
+            (field.label, field.representative, field.size, field.aut_order, field.star)
+            for field in built.boundary
+        ]
     # |Aut alpha| and d^alpha, read off the class size and one tally of
     # squares, against a scan of N per class.
     n_group = setup.n_group
-    for field in build_catalog(setup.nset).interior:
+    for field in catalog.interior:
         inverse = n_group.inv(field.representative)
         assert field.aut_order == centralizer(n_group, field.representative).order
         assert field.d == sum(n_group.mul(n, n) == inverse for n in n_group.elements())
@@ -211,17 +242,20 @@ def test_lattice_digests_under_the_bound(name, degree, generators):
     group = build_group(degree, generators)
     subgroups = subgroups_containing(group, trivial_subgroup(group))
     assert sha256_of(order_element_pairs(subgroups)) == LATTICE_DIGESTS[name]
+    if name in CATALOG_DIGESTS:
+        setup = build_conjugation_setup(group, trivial_subgroup(group))
+        assert catalog_digest([build_catalog(setup.nset)]) == CATALOG_DIGESTS[name]
 
 
 def test_lattices_over_every_subgroup_of_s5():
     # Every K, not only K = 1, so that N_G(K) modulo K and the stabilisers
     # of the classes under it vary.
     group = build_group(5, S5_GENERATORS)
-    lattices = [
-        order_element_pairs(subgroups_containing(group, k))
-        for k in subgroups_containing(group, trivial_subgroup(group))
-    ]
+    ks = subgroups_containing(group, trivial_subgroup(group))
+    lattices = [order_element_pairs(subgroups_containing(group, k)) for k in ks]
     assert sha256_of(lattices) == S5_EVERY_K_DIGEST
+    catalogs = [build_catalog(build_conjugation_setup(group, k).nset) for k in ks]
+    assert catalog_digest(catalogs) == S5_EVERY_K_CATALOG_DIGEST
 
 
 def test_s6_has_1455_subgroups(s6, monkeypatch):
