@@ -39,10 +39,11 @@ def scanned_fields(nset: NSet) -> tuple[array, list[tuple[str, tuple[int, int], 
     found = []
     for code in range(size * size):
         if table[code] < 0:
-            orbit = orbit_of_pair(nset, divmod(code, size))
+            pair = divmod(code, size)
+            orbit = orbit_of_pair(nset, pair)
             for x, y in orbit:
                 table[x * size + y] = len(found)
-            found.append((divmod(code, size), len(orbit)))
+            found.append((pair, len(orbit)))
     fields = [
         (f"b{k}", (x, y), count, nset.group.order // count, f"b{table[y * size + x]}")
         for k, ((x, y), count) in enumerate(found)

@@ -6,14 +6,14 @@ of the representative's stabiliser, and registers each class whole.  It
 misses nothing: for ``L`` over ``K``, take ``M`` maximal over ``K`` inside
 ``L``; then ``L = <M, x>``, which is a conjugate of an extension of the
 representative of ``M``'s class.  :func:`cardyfrob.subgroup_lattice_oracle`
-adjoins every element to every found subgroup.  Both must return the same
-subgroups, orders and ``id``s, on the suite pairs and on drawn pairs of
-degree up to 5.  On the drawn pairs the conjugation and coset actions
-are checked against their references as well, the orbit table and
-boundary fields of both against a row-major scan of ``X x X``, the
-interior fields' ``aut_order`` and ``d`` against a scan of ``N`` per
-class, and :func:`cardyfrob.hecke_check` on the coset action of ``(G,
-K)``.  Past the oracle's reach, digests of the lattices of S5, PSL(2,7),
+adjoins to every found subgroup one element of each of its left cosets.
+Both must return the same subgroups, orders and ``id``s, on the suite
+pairs and on drawn pairs of degree up to 5.  On the drawn pairs the
+conjugation and coset actions are checked against their references as
+well, the orbit table and boundary fields of both against a row-major
+scan of ``X x X``, the interior fields' ``aut_order`` and ``d`` against a
+scan of ``N`` per class, and :func:`cardyfrob.hecke_check` on the coset
+action of ``(G, K)``.  Past the oracle's reach, digests of the lattices of S5, PSL(2,7),
 A6, PSL(2,13) and S6 with ``K = 1``, and of S5's lattices over every
 ``K``, pin the output, and digests of the field catalogs of A6 with
 ``K = 1`` and of S5 over every ``K`` pin the orbit tables.
