@@ -10,8 +10,8 @@ of a pair.  The boundary orbits exist in one form only, the flat orbit table
 :attr:`FieldCatalog.orbit_table` that every reader indexes.  The catalog is
 also the permutation model of the boundary algebra ``B``, and every fact
 about that model lives here: :meth:`FieldCatalog.chain_tallies` counts the
-chains that ``B`` is built from and premise (a) compares with its constants,
-and :meth:`FieldCatalog.premises` decides, in one :class:`ModelPremises`
+chains that premise (a) compares with the constants of ``B``, and
+:meth:`FieldCatalog.premises` decides, in one :class:`ModelPremises`
 record, what the model proves about an algebra.
 """
 
@@ -352,10 +352,10 @@ class FieldCatalog:
         size, table, dim = self.nset.size, self.orbit_table, len(self.boundary)
         if not isinstance(table, array) or table.typecode != "i" or len(table) != size * size:
             raise ConsistencyError(f"the orbit table is not an array('i') of {size * size} cells")
-        if table and not 0 <= min(table) <= max(table) < dim:
+        cells = Counter(table)
+        if cells and not 0 <= min(cells) <= max(cells) < dim:
             code = next(code for code, k in enumerate(table) if not 0 <= k < dim)
             raise ConsistencyError(f"pair {divmod(code, size)} lies in no orbit")
-        cells = Counter(table)
         for k, field in enumerate(self.boundary):
             if not 0 <= min(field.representative) <= max(field.representative) < size:
                 raise ConsistencyError(
@@ -426,12 +426,22 @@ class FieldCatalog:
 
         The count at ``(i, j)`` is the number of chains ``x -> y -> z``
         through ``O_i`` and ``O_j``, the intersection number ``c_ij^k`` of
-        the orbital algebra.
+        the orbital algebra.  The orbits come grouped by the column ``z`` of
+        their representatives, so each row and column of the table is read
+        once per call, as a list, and one column is held at a time.
         """
         size, table = self.nset.size, self.orbit_table
-        for k, field in enumerate(self.boundary):
-            x, z = field.representative
-            yield k, Counter(zip(table[x * size : (x + 1) * size], table[z::size]))
+        by_column: dict[int, list[tuple[int, int]]] = {}
+        for k, (x, z) in enumerate(field.representative for field in self.boundary):
+            by_column.setdefault(z, []).append((k, x))
+        rows: dict[int, list[int]] = {}
+        for z, orbits in by_column.items():
+            column = table[z::size].tolist()
+            for k, x in orbits:
+                row = rows.get(x)
+                if row is None:
+                    row = rows[x] = table[x * size : (x + 1) * size].tolist()
+                yield k, Counter(zip(row, column))
 
     def premises(self, algebra: EquippedFrobeniusAlgebra) -> ModelPremises:
         """The :class:`ModelPremises` of this catalog for ``algebra``: premise
@@ -560,9 +570,9 @@ def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> b
     """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
     chains ``c_ij^k`` asks for.
 
-    Each count ``(i, j)`` of :meth:`FieldCatalog.chain_tallies`, the tally
-    :func:`cardyfrob.cardy.build_B` is built from, is looked up as
-    ``c_ij^k`` in the store, and the matches are counted.  Every stored
+    Each count ``(i, j)`` of :meth:`FieldCatalog.chain_tallies`, counted
+    apart from :func:`cardyfrob.cardy.build_B`, is looked up as ``c_ij^k``
+    in the store, and the matches are counted.  Every stored
     constant must be matched, so at the end the matches must number the
     stored constants: one at an ``(i, j, k)`` where the table counts no chain
     is left over.  The store keeps integral constants as ``int`` and drops

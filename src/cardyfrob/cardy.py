@@ -27,9 +27,11 @@ keeps them without a copy or a re-scan;
 :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` validates
 rows from outside.  Every reader of the boundary orbits indexes the
 catalog's orbit table :attr:`~cardyfrob.actions.FieldCatalog.orbit_table`,
-cell ``x * |X| + y`` holding ``orbit(x, y)``.  ``B`` is read off
-:meth:`~cardyfrob.actions.FieldCatalog.chain_tallies`, each count put at
-once into its row.  ``phi`` tallies each class sum in a flat
+cell ``x * |X| + y`` holding ``orbit(x, y)``.  ``B`` is counted one block
+of orbits at a time, the orbits whose representatives share a row of the
+table, and each distinct product of a block is stored once, as one dict
+shared by every pair of basis elements that has it (:func:`build_B`).
+``phi`` tallies each class sum in a flat
 ``x * |X| + y`` count list and keeps, for each class sum, the sparse integer row
 ``{k: count}`` of its nonzero counts at the orbit representatives.  Those
 rows are the only form of ``phi``: every reader below takes them as they
@@ -59,6 +61,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import add
 from typing import Callable, Sequence
 
 from . import linalg
@@ -177,41 +181,84 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
 
     ``B`` is the orbital algebra of the action of ``N`` on ``X``, so
     ``c_ij^k = #{y : (x, y) in O_i, (y, z) in O_j}`` is the same at every pair
-    ``(x, z)`` of ``O_k`` and is counted at its representative, the tally of
-    :meth:`~cardyfrob.actions.FieldCatalog.chain_tallies`.  Each tally
-    goes straight into the rows that
+    ``(x, z)`` of ``O_k`` and is counted at its representative: row ``x`` and
+    column ``z`` of the orbit table, added as codes ``i * dim + j``, are
+    tallied over ``y``.  The orbits are counted one block at a time, a run
+    of consecutive positions whose representatives lie in one row ``x``.
+    On a catalog from :func:`~cardyfrob.actions.build_catalog` a block is
+    the orbits that meet the row of the least point of one ``N``-orbit of
+    points, and only that block writes their rows.  Within a block each
+    product ``e_i e_j`` is an integer word with one digit
+    ``(k - first) * (|X| + 1) + c_ij^k`` per ``k``, in increasing ``k``,
+    where ``first`` is the block's first position.  At the end of the block
+    each distinct word becomes one dict ``{k: c_ij^k}`` (:func:`_expansion`),
+    shared by every ``(i, j)`` that has it.  A row that a later
+    block meets again, on a broken catalog, gets a merged private copy, so
+    no shared dict changes.  The rows that
     :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra._from_counts` keeps
-    as they are: row ``i`` lists each ``j`` when first seen and each
-    expansion its ``k`` in increasing order.  The pairing is counted with
-    them: ``l(e_k) = tr(nu_k) / |N|`` is nonzero only at the ``k`` with
-    diagonal cells, so the tally of each such ``k`` times ``tr(nu_k)`` adds
-    into ``|N| l(e_i e_j) = sum_k c_ij^k tr(nu_k)``, the pairing that
+    are the ones that storing one count at a time would give: row ``i``
+    lists each ``j`` when first seen and each expansion its ``k`` in
+    increasing order.
+
+    The pairing is counted with the constants: ``l(e_k) = tr(nu_k) / |N|``
+    is nonzero only at the ``k`` with diagonal cells, so the tally of each
+    such ``k`` times ``tr(nu_k)`` adds into ``|N| l(e_i e_j) = sum_k c_ij^k
+    tr(nu_k)``, the pairing that
     :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.from_indices` would
     recompute from the constants.  It must be ``|O_i| / |N|`` at ``(i, i*)``
     and zero elsewhere, and this is asserted; each row of the pairing then
     holds one entry, so its key order is the recomputed one too.  The
     algebra keeps ``catalog`` as its permutation model, which
-    :func:`~cardyfrob.frobenius.verify_equipped` certifies anew on each call.
+    :func:`~cardyfrob.frobenius.verify_equipped` certifies anew on each
+    call; premise (a) counts the chains again, through
+    :meth:`~cardyfrob.actions.FieldCatalog.chain_tallies`.
     """
     n_order = catalog.nset.group.order
     size = catalog.nset.size
     fields = catalog.boundary
+    dim = len(fields)
     table = catalog.orbit_table
     diagonal_count = catalog.diagonal_counts()
+    # One int object per position, the keys of every row and expansion.
+    positions = list(range(dim))
     rows: list[dict[int, dict[int, int]]] = [{} for _ in fields]
     pairing: list[dict[int, int]] = [{} for _ in fields]
-    for k, tally in catalog.chain_tallies():
-        for (i, j), count in tally.items():
+    step = size + 1
+    for x, block in groupby(range(dim), key=lambda k: fields[k].representative[0]):
+        block = list(block)
+        first, last = block[0], block[-1]
+        base = len(block) * step
+        row_codes = [i * dim for i in table[x * size : (x + 1) * size]]
+        words: dict[int, int] = {}
+        totals: dict[int, int] = {}
+        word_of = words.get
+        for k in block:
+            tally = Counter(map(add, row_codes, table[fields[k].representative[1] :: size]))
+            digit = (k - first) * step
+            for code, count in tally.items():
+                words[code] = word_of(code, 0) * base + digit + count
+            trace = diagonal_count[k]
+            if trace:
+                for code, count in tally.items():
+                    totals[code] = totals.get(code, 0) + count * trace
+        here = positions[first : last + 1]
+        made: dict[int, dict[int, int]] = {}
+        for code, word in words.items():
+            expansion = made.get(word)
+            if expansion is None:
+                expansion = made[word] = _expansion(word, base, step, here)
+            i, j = divmod(code, dim)
             row = rows[i]
             if j in row:
-                row[j][k] = count
+                # Met by an earlier block, on a broken catalog: a merged
+                # private copy, so no shared dict changes.
+                row[j] = {**row[j], **expansion}
             else:
-                row[j] = {k: count}
-        trace = diagonal_count[k]
-        if trace:
-            for (i, j), count in tally.items():
-                totals = pairing[i]
-                totals[j] = totals.get(j, 0) + count * trace
+                row[positions[j]] = expansion
+        for code, total in totals.items():
+            i, j = divmod(code, dim)
+            row = pairing[i]
+            row[positions[j]] = row.get(j, 0) + total
     algebra = EquippedFrobeniusAlgebra._from_counts(
         basis=catalog.boundary_labels,
         rows=rows,
@@ -223,7 +270,8 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     for i, field in enumerate(fields):
         x, z = field.representative
         star = table[z * size + x]
-        if algebra.form[i] != {star: Fraction(field.size, n_order)}:
+        form = algebra.form[i]
+        if len(form) != 1 or not _is_ratio(form.get(star, 0), field.size, n_order):
             raise ConsistencyError(
                 "the pairing recomputed from structure constants is not "
                 f"|O|/|N| at ({field.label}, {fields[star].label}) and zero "
@@ -231,6 +279,28 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
             )
     algebra._model = catalog
     return algebra
+
+
+def _expansion(word: int, base: int, step: int, positions: Sequence[int]) -> dict[int, int]:
+    """The expansion ``{positions[k]: count}`` that a word of ``build_B`` encodes.
+
+    The word holds one digit ``k * step + count`` per constant in base
+    ``base``, the least ``k`` most significant; every count lies in
+    ``1..step-1``, so no digit is zero.  A one-digit word, the most common,
+    is read without the digit loop.
+    """
+    if word < base:
+        k, count = divmod(word, step)
+        return {positions[k]: count}
+    digits = []
+    while word:
+        word, digit = divmod(word, base)
+        digits.append(digit)
+    expansion = {}
+    for digit in reversed(digits):
+        k, count = divmod(digit, step)
+        expansion[positions[k]] = count
+    return expansion
 
 
 def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:

@@ -15,7 +15,12 @@ for both.  The rows are private and read only through three accessors:
 :meth:`~EquippedFrobeniusAlgebra.pair_products` (one product),
 :meth:`~EquippedFrobeniusAlgebra.left_products` (one row) and
 :meth:`~EquippedFrobeniusAlgebra.stored_products` (every stored product,
-row-major); the first two reject a position outside ``0..dim-1``.
+row-major); the first two reject a position outside ``0..dim-1``.  What
+they return is the store itself and is read-only: one expansion dict may
+be shared by several products (:func:`cardyfrob.cardy.build_B` stores each
+distinct product of ``B`` once), so a caller that changes constants copies
+them first, as :meth:`~EquippedFrobeniusAlgebra.from_indices` and
+:meth:`~EquippedFrobeniusAlgebra.permuted` do.
 :meth:`~EquippedFrobeniusAlgebra.index_product` is the one loop that
 multiplies two sparse vectors keyed by position through the rows;
 :meth:`~EquippedFrobeniusAlgebra.multiply` converts labels to positions and
@@ -250,7 +255,9 @@ class EquippedFrobeniusAlgebra:
 
         ``rows`` has the shape :meth:`from_indices` takes and is stored as it
         is: plain dicts of positive ``int`` counts, no expansion empty, every
-        position inside ``0..dim-1``.  ``pairing`` is ``(s, totals)`` with
+        position inside ``0..dim-1``.  One expansion dict may stand for
+        several products; the store never changes it, and the accessors hand
+        it out read-only.  ``pairing`` is ``(s, totals)`` with
         ``totals[i]`` the nonzero ``{j: s l(e_i e_j)}`` in integers, for any
         common scale ``s``; its rows become those of ``form``, each entry
         divided once, keys in the order given.  Neither is scanned:
@@ -360,21 +367,28 @@ class EquippedFrobeniusAlgebra:
         return AlgebraElement(coeffs)
 
     def pair_products(self, i: int, j: int) -> Mapping[int, int | Fraction]:
-        """Sparse expansion ``{k: c_ij^k}`` of ``basis[i] * basis[j]``, empty when zero."""
+        """Sparse expansion ``{k: c_ij^k}`` of ``basis[i] * basis[j]``, empty when zero.
+
+        The stored dict itself, possibly shared with other products: do not
+        mutate it."""
         n = self.dim
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"basis positions ({i}, {j}) outside 0..{n - 1}")
         return self._rows[i].get(j, {})
 
     def left_products(self, i: int) -> Mapping[int, Mapping[int, int | Fraction]]:
-        """``{j: e_i e_j}`` over the ``j`` with a nonzero product, in input order."""
+        """``{j: e_i e_j}`` over the ``j`` with a nonzero product, in input order.
+
+        The stored row itself, whose expansions may be shared with other
+        products: do not mutate either."""
         if not 0 <= i < self.dim:
             raise InputError(f"basis position {i} outside 0..{self.dim - 1}")
         return self._rows[i]
 
     def stored_products(self) -> Iterator[tuple[int, int, Mapping[int, int | Fraction]]]:
         """Every nonzero ``(i, j, e_i e_j)``, row-major: by ``i``, then as
-        :meth:`left_products` lists ``j``."""
+        :meth:`left_products` lists ``j``.  Each expansion is the stored
+        dict, possibly shared with other products: do not mutate it."""
         for i, row in enumerate(self._rows):
             for j, expansion in row.items():
                 yield i, j, expansion

@@ -74,6 +74,14 @@ def assert_accessors_agree(alg: EquippedFrobeniusAlgebra) -> None:
     assert all(expansion == alg.pair_products(i, j) for i, j, expansion in listed)
 
 
+def assert_one_dict_per_expansion(alg: EquippedFrobeniusAlgebra) -> None:
+    """The store holds one dict object per distinct expansion: products with
+    equal expansions share it, and unequal ones never do."""
+    expansions = [expansion for _, _, expansion in alg.stored_products()]
+    distinct = {tuple(expansion.items()) for expansion in expansions}
+    assert len({id(expansion) for expansion in expansions}) == len(distinct)
+
+
 def index_inputs(inputs: dict) -> dict:
     """The label-keyed constructor arguments ``inputs`` in basis positions,
     the products as one row per left position."""
@@ -315,23 +323,44 @@ def test_build_B_stores_chain_counts_in_first_seen_order(suite_algebras, name):
         assert_accessors_agree(alg)
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_k0123", "a5_k0123"])
-def test_build_B_peaks_near_what_it_keeps(suite_algebras, name):
-    # The constants are counted straight into the rows that B keeps, so no
-    # second copy of them is alive during the build: the traced peak stays
-    # within 1.5 times the memory the built algebra retains.
-    catalog = suite_algebras[name].catalog
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_build_B_stores_one_dict_per_distinct_product(suite_algebras, name):
+    # Products with equal expansions share one dict, so B keeps each
+    # distinct product of the orbital algebra once.
+    assert_one_dict_per_expansion(suite_algebras[name].B)
+    assert_one_dict_per_expansion(build_B(suite_algebras[name].catalog))
+
+
+def traced(build, *args) -> tuple:
+    """What ``build(*args)`` returns, the memory it retains and its traced peak,
+    both above the memory traced before the call."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        b = build_B(catalog)
+        built = build(*args)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return built, retained - base, peak - base
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_k0123", "a5_k0123"])
+def test_build_B_peaks_near_what_it_keeps(suite_algebras, name):
+    # The constants are counted one block of orbits at a time and each
+    # block's products go straight into the rows that B keeps, so no second
+    # copy of them is alive during the build: the traced peak stays within
+    # 1.5 times the memory the built algebra retains.  Each distinct product
+    # is stored once, so B retains at most 0.6 times what the reference,
+    # one dict per product, retains.
+    catalog = suite_algebras[name].catalog
+    b, retained, peak = traced(build_B, catalog)
     assert b.dim == len(catalog.boundary)
-    assert peak - base <= 1.5 * (retained - base), (name, peak - base, retained - base)
+    assert peak <= 1.5 * retained, (name, peak, retained)
+    reference, unshared, _ = traced(reference_B, catalog)
+    assert stored(reference) == stored(b)
+    assert retained <= 0.6 * unshared, (name, retained, unshared)
 
 
 def form_items(alg: EquippedFrobeniusAlgebra) -> list:
@@ -374,6 +403,7 @@ def test_builders_equal_from_indices_on_random_pairs(generators, data):
     h = cardy_from_pair(group, k)
     assert_equals_revalidated(h.A)
     assert_equals_revalidated(h.B)
+    assert_one_dict_per_expansion(h.B)
 
 
 def reference_B(catalog) -> EquippedFrobeniusAlgebra | str:
@@ -419,7 +449,11 @@ def test_build_B_equals_its_reference_on_broken_catalogs(suite_algebras, name):
     # orbits fused into one: an orbit may then hold diagonal cells off its
     # representative, and the counted pairing sums over every orbit with a
     # diagonal cell.  Where build_B returns, it is the reference algebra, its
-    # pairing in the same key order; where it refuses, with the same message.
+    # store in the same order and its pairing in the same key order; where it
+    # refuses, with the same message.  Such a catalog can give one row
+    # products from two blocks of orbits (representatives in two rows of
+    # the table); that row must then list its products in first-seen order,
+    # and no product shared within a block may change.
     catalog = suite_algebras[name].catalog
     fields = catalog.boundary
     by_size: dict[int, list[int]] = {}
@@ -430,22 +464,38 @@ def test_build_B_equals_its_reference_on_broken_catalogs(suite_algebras, name):
     rng = random.Random(seed_of(name))
     broken = [swapped_pairs(catalog, a, b) for ks in by_size.values() for a, b in zip(ks, ks[1:])]
     fusions = list(combinations(selfpaired, 2))
-    broken += [
+    fused = [
         fused_orbits(catalog, keep, gone)
         for keep, gone in rng.sample(fusions, min(12, len(fusions)))
     ]
-    built = 0
-    for candidate in rng.sample(broken, min(24, len(broken))):
+    broken += fused
+    sampled = rng.sample(broken, min(24, len(broken)))
+    built = merged = 0
+    # Every fused catalog too: those are the ones whose rows meet two blocks.
+    for candidate in sampled + [other for other in fused if other not in sampled]:
         expected = reference_B(candidate)
         try:
             b = build_B(candidate)
         except ConsistencyError as exc:
             assert str(exc) == expected
             continue
+        assert stored(b) == stored(expected)
         assert_same_algebra(b, expected)
         assert form_items(b) == form_items(expected)
         built += 1
+        merged += rows_from_two_blocks(b, candidate)
     assert built
+    assert merged, name
+
+
+def rows_from_two_blocks(alg: EquippedFrobeniusAlgebra, catalog) -> int:
+    """The number of rows of ``alg`` whose products expand over orbits whose
+    representatives lie in two rows of the table."""
+    block = [field.representative[0] for field in catalog.boundary]
+    return sum(
+        len({block[k] for expansion in alg.left_products(i).values() for k in expansion}) > 1
+        for i in range(alg.dim)
+    )
 
 
 @pytest.mark.parametrize("name", ["s4", "a5_k0123"])
