@@ -642,7 +642,9 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
     row of the least point of its ``N``-orbit, so this order is the order
     by smallest pair.  The Burnside count ``(1/|N|) * sum of squared
     fixed-point counts`` must equal the number of boundary orbits, and is
-    verified here.
+    verified here.  ``fix(n)`` is a class function, so the sum is taken
+    over the classes just found, ``sum_C |C| fix(rep_C)^2``, not over the
+    rows of ``N``.
     """
     group = nset.group
     classes = conjugacy_classes(group)
@@ -686,7 +688,7 @@ def build_catalog(nset: NSet, provenance: str = "") -> FieldCatalog:
             raise ConsistencyError(f"orbit size {orbit_size} does not divide |N|")
         star = labels[table[y * size + x]]
         boundary.append(BoundaryField(label, (x, y), orbit_size, group.order // orbit_size, star))
-    burnside = nset.squared_fixed_points()
+    burnside = sum(cls.size * nset.fixed_point_count(cls.representative) ** 2 for cls in classes)
     if burnside != group.order * len(boundary):
         raise ConsistencyError(
             f"Burnside count {burnside}/{group.order} does not match {len(boundary)} orbits"

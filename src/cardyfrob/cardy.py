@@ -31,9 +31,11 @@ cell ``x * |X| + y`` holding ``orbit(x, y)``.  ``B`` is counted one block
 of orbits at a time, the orbits whose representatives share a row of the
 table, and each distinct product of a block is stored once, as one dict
 shared by every pair of basis elements that has it (:func:`build_B`).
-``phi`` tallies each class sum in a flat
-``x * |X| + y`` count list and keeps, for each class sum, the sparse integer row
-``{k: count}`` of its nonzero counts at the orbit representatives.  Those
+``phi`` counts every class sum at once, one key per cell, at the least
+point of each ``N``-orbit of points, reads the other rows through the
+action (:func:`build_phi`) and keeps, for each class sum, the sparse
+integer row ``{k: count}`` of its nonzero counts at the orbit
+representatives.  Those
 rows are the only form of ``phi``: every reader below takes them as they
 are, and only ``cardyfrob algebra`` lists them densely, at the output edge.
 
@@ -57,12 +59,13 @@ pack, including the Cardy condition, and reports one result per axiom.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from . import linalg
@@ -306,33 +309,176 @@ def _expansion(word: int, base: int, step: int, positions: Sequence[int]) -> dic
 def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     """Expand each class sum ``rho(E_alpha)`` over the boundary basis.
 
-    ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``,
-    tallied in a flat list at ``x * |X| + y``, the layout of the orbit table.
-    It is constant on pair orbits, so its expansion over the ``nu`` matrices
-    is read off at orbit representatives; as a guard against a broken
-    catalog, the counts must equal the representative's count of each cell's
-    orbit, one comparison over the whole table.  Row ``alpha`` maps each
-    boundary position ``k`` to its nonzero count.
+    ``rho(E_alpha)`` has the entry ``#{n in alpha : n y = x}`` at ``(x, y)``.
+    Every class is counted at once: element ``n`` weighs ``sum_alpha
+    base^alpha`` over the fields that list it (:func:`_class_weights`), and
+    ``base`` exceeds every count, so the key of a cell, the sum of the
+    weights of the ``n`` that send ``y`` to ``x``, is its vector of counts
+    with one digit per class.
+
+    Only the root of each ``N``-orbit of points, its least point ``x0``, is
+    counted: one pass over ``N`` adds the weight of ``g^-1`` at ``(x0, g
+    x0)``, ``|N|`` steps.  Every other row is transported.  For ``x = g x0``
+    and ``m = g^-1 n g``, ``#{n in alpha : n y = x} = #{m in g^-1 alpha g :
+    m g^-1 y = x0}``, so row ``x`` is row ``x0`` read through the row of
+    ``g^-1``, as :func:`~cardyfrob.actions.build_catalog` fills the orbit
+    table.  That needs ``g^-1 alpha g = alpha``: a field that is not closed
+    under conjugation would be read as its conjugate, so the weights are
+    checked to be a class function first, and such a field raises
+    :class:`ConsistencyError` naming it.
+
+    ``rho(E_alpha)`` is constant on pair orbits, so its expansion over the
+    ``nu`` matrices is read off at the orbit representatives.  As a guard
+    against a broken catalog, every cell's key must equal the key at the
+    representative of its orbit: one comparison per cell, however many
+    classes there are (:func:`_first_fault`).  A failure names the first
+    class in interior order that differs somewhere, at the least orbit
+    position where it does.  Row ``alpha`` maps each boundary
+    position ``k`` to its nonzero count, ``k`` increasing.  Besides the
+    catalog it holds the root keys, one per point, and one row of keys and
+    of table bytes at a time, never a ``|X|^2`` list.
     """
-    act_table = catalog.nset.act_table
-    size = catalog.nset.size
-    table = catalog.orbit_table
-    firsts = [x * size + y for x, y in (field.representative for field in catalog.boundary)]
-    rows = []
-    for field in catalog.interior:
-        counts = [0] * len(table)
-        for member in field.members:
-            for y, x in enumerate(act_table[member]):
-                counts[x * size + y] += 1
-        row = list(map(counts.__getitem__, firsts))
-        if counts != list(map(row.__getitem__, table)):
-            k = min(k for k, count in zip(table, counts) if count != row[k])
-            raise ConsistencyError(
-                f"class sum {field.label} is not constant on the orbit "
-                f"of {catalog.boundary[k].label}; phi is undefined"
-            )
-        rows.append({k: value for k, value in enumerate(row) if value})
+    nset, fields = catalog.nset, catalog.interior
+    act_table, size, table = nset.act_table, nset.size, catalog.orbit_table
+    base, weight = _class_weights(fields, nset.group)
+    # For each point x = g x0, its root x0 and the row of one g^-1; the keys
+    # of row x0, at the points of its orbit (every other cell holds 0).
+    root_of = [0] * size
+    back: list[tuple[int, ...] | None] = [None] * size
+    roots: dict[int, dict[int, int]] = {}
+    inverses = nset.group.inverses
+    inverse_weights = list(map(weight.__getitem__, inverses))
+    inverse_rows = list(map(act_table.__getitem__, inverses))
+    for x0 in range(size):
+        if back[x0] is None:
+            keys = roots[x0] = {}
+            for y, key, inverse_row in zip(
+                map(itemgetter(x0), act_table), inverse_weights, inverse_rows
+            ):
+                keys[y] = keys.get(y, 0) + key
+                back[y] = inverse_row
+                root_of[y] = x0
+    expected = [
+        roots[root_of[x]].get(back[x][y], 0)
+        for x, y in (field.representative for field in catalog.boundary)
+    ]
+    fault = _first_fault(table, size, roots, back, expected, base)
+    if fault is not None:
+        a, k = fault
+        raise ConsistencyError(
+            f"class sum {fields[a].label} is not constant on the orbit "
+            f"of {catalog.boundary[k].label}; phi is undefined"
+        )
+    rows: list[dict[int, int]] = [{} for _ in fields]
+    digits: dict[int, list[tuple[int, int]]] = {}
+    for k, key in enumerate(expected):
+        if key:
+            if key not in digits:
+                digits[key] = _digits(key, base)
+            for a, count in digits[key]:
+                rows[a][k] = count
     return tuple(rows)
+
+
+def _first_fault(
+    table: array,
+    size: int,
+    roots: dict[int, dict[int, int]],
+    back: Sequence[Sequence[int]],
+    expected: Sequence[int],
+    base: int,
+) -> tuple[int, int] | None:
+    """The least ``(alpha, k)`` such that a cell of orbit ``k`` differs in
+    the digit of class ``alpha`` from the representative's key, or ``None``
+    when every cell holds its representative's key.
+
+    The keys of row ``x`` are those of its root ``x0`` read through
+    ``back[x]``.  Where row ``x`` of the table is row ``x0`` of the table
+    read through ``back[x]`` too, each cell of row ``x`` repeats the
+    comparison of a cell of row ``x0``, so the rows are compared as bytes,
+    one chunk per cell of row ``x0`` joined through the permutation.  Row
+    ``x0`` and every other row are compared key by key.
+    """
+    width = table.itemsize
+    faults = []
+    for x0, keys in roots.items():
+        dense = [0] * size
+        for y, key in keys.items():
+            dense[y] = key
+        raw = table[x0 * size : (x0 + 1) * size].tobytes()
+        chunks = [raw[start : start + width] for start in range(0, len(raw), width)]
+        for x in keys:
+            cells = table[x * size : (x + 1) * size]
+            # A row other than x0 exists only when |X| >= 2, so the getter
+            # gives a tuple.
+            if x == x0 or b"".join(itemgetter(*back[x])(chunks)) != cells.tobytes():
+                row = list(map(dense.__getitem__, back[x]))
+                wanted = list(map(expected.__getitem__, cells))
+                if row != wanted:
+                    faults.append(
+                        min(
+                            (_first_digit(key, want, base), k)
+                            for key, want, k in zip(row, wanted, cells)
+                            if key != want
+                        )
+                    )
+    return min(faults, default=None)
+
+
+def _class_weights(
+    fields: Sequence[InteriorField], group: FiniteGroup
+) -> tuple[int, list[int]]:
+    """The base and the weight ``sum_alpha base^alpha`` of each element of
+    ``group``, one term per listing of the element in field ``alpha``.
+
+    ``base`` exceeds every field's number of members, so no digit of a sum
+    of weights carries.  The weights must be a class function, checked on
+    the generators: ``s`` permutes ``group`` by conjugation, so a finite
+    field closed under it is fixed by it, and by every word in the
+    generators.  Otherwise the first field in interior order that some
+    generator moves is named.
+    """
+    base = 1 + max((len(field.members) for field in fields), default=0)
+    weight = [0] * group.order
+    for a, field in enumerate(fields):
+        digit = base**a
+        for member in field.members:
+            weight[member] += digit
+    moved = set()
+    for s in group.generators:
+        # s n s^-1 for each n: row s, then column s^-1, of the table.
+        column = list(map(itemgetter(group.inverses[s]), group.table))
+        moved_weight = list(map(weight.__getitem__, map(column.__getitem__, group.table[s])))
+        if moved_weight != weight:
+            moved.update(
+                _first_digit(a, b, base) for a, b in zip(moved_weight, weight) if a != b
+            )
+    if moved:
+        raise ConsistencyError(
+            f"interior field {fields[min(moved)].label} is not closed under "
+            "conjugation in N; phi is undefined"
+        )
+    return base, weight
+
+
+def _first_digit(a: int, b: int, base: int) -> int:
+    """The least position at which ``a != b`` differ in base ``base``."""
+    position = 0
+    while a % base == b % base:
+        a, b, position = a // base, b // base, position + 1
+    return position
+
+
+def _digits(key: int, base: int) -> list[tuple[int, int]]:
+    """The nonzero digits ``(position, digit)`` of ``key`` in base ``base``."""
+    digits = []
+    position = 0
+    while key:
+        key, digit = divmod(key, base)
+        if digit:
+            digits.append((position, digit))
+        position += 1
+    return digits
 
 
 def build_U(n_group: FiniteGroup, catalog: FieldCatalog) -> AlgebraElement:
@@ -482,10 +628,12 @@ def _phi_is_rho(h: CardyFrobeniusAlgebra) -> bool:
     from the catalog.
 
     :func:`build_phi` reads ``rho(E_alpha)`` at the orbit representatives
-    and checks that every cell holds the count of its orbit's
-    representative, so equal rows give ``sum_k phi_alpha,k nu(beta_k) =
-    rho(E_alpha)`` at every cell.  A catalog on whose orbits a class sum is
-    not constant, for which it raises :class:`ConsistencyError`, fails.
+    and checks that every cell's key, its vector of class-sum counts, is
+    the key of its orbit's representative, so equal rows give ``sum_k
+    phi_alpha,k nu(beta_k) = rho(E_alpha)`` at every cell.  A catalog on
+    whose orbits a class sum is not constant, or whose interior fields are
+    not closed under conjugation, for which it raises
+    :class:`ConsistencyError`, fails.
     """
     try:
         return h.phi == build_phi(h.catalog)

@@ -3,7 +3,7 @@
 All commands read a group document (JSON with ``degree``, ``generators``,
 ``k_generators``) and print deterministic JSON: keys sorted, rationals as
 canonical ``p/q`` strings.  Exit codes: 0 success, 1 failed axiom or check,
-2 malformed input, 3 resource bound exceeded.
+2 malformed input, 3 resource bound exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -374,6 +374,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # A backstop: an input that passes every bound may still not fit.
+        print("resource error: out of memory", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)

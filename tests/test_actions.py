@@ -312,3 +312,22 @@ def test_burnside_dimension_for_coset_catalog():
     fixed_pairs = sum(nset.fixed_point_count(g) ** 2 for g in s3.elements())
     assert len(catalog.boundary) * s3.order == fixed_pairs
     assert len(catalog.boundary) == 2
+
+
+@pytest.mark.parametrize("name", ["s3", "s4"])
+def test_build_catalog_refuses_a_wrong_burnside_count(suite_setups, monkeypatch, name):
+    # The count is summed over the classes, |C| fix(rep_C)^2; one fixed
+    # point too many at the identity adds 2 |X| + 1 to it, and the catalog
+    # is refused with the count it found.
+    nset = suite_setups[name].nset
+    dim = len(build_catalog(nset).boundary)
+    counted = NSet.fixed_point_count
+    monkeypatch.setattr(
+        NSet, "fixed_point_count", lambda self, n: counted(self, n) + (n == 0)
+    )
+    with pytest.raises(ConsistencyError) as caught:
+        build_catalog(nset)
+    burnside = nset.group.order * dim + 2 * nset.size + 1
+    assert str(caught.value) == (
+        f"Burnside count {burnside}/{nset.group.order} does not match {dim} orbits"
+    )

@@ -34,6 +34,7 @@ from cardyfrob import (
 )
 from cardyfrob import cardy
 from cardyfrob.actions import BoundaryField
+from test_index_construction import reference_phi
 from test_sparse_checks import with_constant
 
 
@@ -187,8 +188,9 @@ def test_tampered_catalog_fails_phi_reconstruction():
         orbit_table=array("i", [0, 0, 1, 2]),
         provenance="",
     )
-    with pytest.raises(ConsistencyError, match="not constant on the orbit of b0"):
+    with pytest.raises(ConsistencyError, match="not constant on the orbit of b0") as caught:
         build_phi(broken)
+    assert str(caught.value) == reference_phi(broken)
     # A representative outside X x X past either end is rejected by the
     # catalog as it is built, so it is never read off another cell.
     size = catalog.nset.size

@@ -381,6 +381,19 @@ def test_crosscaps_too_long_to_print_exit_3(capsys, z2_path, tmp_path, command):
     assert err.startswith("resource error: ") and err.count("\n") == 1
 
 
+def test_memory_error_exits_3_without_a_traceback(capsys, z2_path, monkeypatch):
+    # The backstop for an input that passes every bound and still does not
+    # fit; the command is patched to raise, so nothing is allocated.
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "check", exhausted)
+    code, out, err = run_json(capsys, ["check", "--group", z2_path])
+    assert code == 3
+    assert out == ""
+    assert err == "resource error: out of memory\n"
+
+
 def test_value_too_large_to_print_exits_3(capsys, z2_path, tmp_path):
     # Z2 gives 2^1999 on a genus-1000 surface; eight of them multiply to a
     # 4,815-digit integer, past the interpreter's default 4,300-digit limit.

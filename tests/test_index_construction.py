@@ -15,7 +15,12 @@ is read only through ``pair_products``, ``left_products`` and
 ``build_B`` reads the catalog's orbit table, which cannot be handed a
 table that does not partition ``X x X`` (the catalog names the pair or the
 field when it is built), and must peak near the memory it keeps; ``phi`` must expand every class sum of the dense permutation model
-over the ``nu`` matrices.
+over the ``nu`` matrices.  ``build_phi`` counts at the least point of each
+orbit of points and reads the other rows through the action; it must equal
+the per-class scan :func:`reference_phi`, rows or message, on the suite,
+on drawn pairs, on a coset action and on broken catalogs, refuse interior
+fields that are not closed under conjugation, and allocate no ``|X|^2``
+list.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import gc
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -40,10 +46,16 @@ from cardyfrob import (
     InputError,
     build_A,
     build_B,
+    build_catalog,
+    build_conjugation_setup,
     build_group,
+    build_phi,
     cardy_from_pair,
+    coset_nset,
+    group_from_document,
     subgroup_closure,
 )
+from cardyfrob.cardy import _phi_is_rho
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS
 from test_index_checks import moved_pair, seed_of, swapped_pairs
@@ -404,6 +416,7 @@ def test_builders_equal_from_indices_on_random_pairs(generators, data):
     assert_equals_revalidated(h.A)
     assert_equals_revalidated(h.B)
     assert_one_dict_per_expansion(h.B)
+    assert assert_phi_equals_reference(h.catalog)
 
 
 def reference_B(catalog) -> EquippedFrobeniusAlgebra | str:
@@ -471,8 +484,10 @@ def test_build_B_equals_its_reference_on_broken_catalogs(suite_algebras, name):
     broken += fused
     sampled = rng.sample(broken, min(24, len(broken)))
     built = merged = 0
+    phi_built = set()
     # Every fused catalog too: those are the ones whose rows meet two blocks.
     for candidate in sampled + [other for other in fused if other not in sampled]:
+        phi_built.add(assert_phi_equals_reference(candidate))
         expected = reference_B(candidate)
         try:
             b = build_B(candidate)
@@ -486,6 +501,9 @@ def test_build_B_equals_its_reference_on_broken_catalogs(suite_algebras, name):
         merged += rows_from_two_blocks(b, candidate)
     assert built
     assert merged, name
+    # phi equals its reference too, built on some of these catalogs and
+    # refused with the same message on others.
+    assert phi_built == {True, False}, name
 
 
 def rows_from_two_blocks(alg: EquippedFrobeniusAlgebra, catalog) -> int:
@@ -523,10 +541,146 @@ def test_build_B_names_the_pair_outside_the_partition(suite_algebras, name, mode
             assert message.startswith(expected), (source, target, message)
 
 
+def reference_phi(catalog) -> tuple[dict[int, int], ...] | str:
+    """The rows of ``phi`` from one ``|X|^2`` count list per class, cell
+    ``x * |X| + y`` holding ``#{n in alpha : n y = x}``, each list compared
+    with its counts at the orbit representatives cell by cell; or, at the
+    first class in interior order that is not constant on an orbit, the
+    message with which :func:`build_phi` refuses, naming the least such
+    orbit."""
+    act_table = catalog.nset.act_table
+    size = catalog.nset.size
+    table = catalog.orbit_table
+    firsts = [x * size + y for x, y in (field.representative for field in catalog.boundary)]
+    rows = []
+    for field in catalog.interior:
+        counts = [0] * len(table)
+        for member in field.members:
+            for y, x in enumerate(act_table[member]):
+                counts[x * size + y] += 1
+        row = list(map(counts.__getitem__, firsts))
+        if counts != list(map(row.__getitem__, table)):
+            k = min(k for k, count in zip(table, counts) if count != row[k])
+            return (
+                f"class sum {field.label} is not constant on the orbit "
+                f"of {catalog.boundary[k].label}; phi is undefined"
+            )
+        rows.append({k: value for k, value in enumerate(row) if value})
+    return tuple(rows)
+
+
+def assert_phi_equals_reference(catalog) -> bool:
+    """``build_phi`` equals :func:`reference_phi` on ``catalog``: the same
+    rows, keys in the same order and ``int`` counts, or the same message.
+    Whether it built rows."""
+    expected = reference_phi(catalog)
+    try:
+        phi = build_phi(catalog)
+    except ConsistencyError as exc:
+        assert str(exc) == expected
+        return False
+    assert not isinstance(expected, str), expected
+    assert [list(row.items()) for row in phi] == [list(row.items()) for row in expected]
+    assert all(type(count) is int for row in phi for count in row.values())
+    return True
+
+
+def test_build_phi_equals_its_reference_on_a_coset_action():
+    # S4 on the 12 cosets of <(0 1)>: a transitive action that is not by
+    # conjugation, one orbit of points.
+    group = build_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    s = subgroup_closure(group, [group.perms.index((1, 0, 2, 3))])
+    catalog = build_catalog(coset_nset(group, s))
+    assert catalog.nset.size == 12
+    assert assert_phi_equals_reference(catalog)
+
+
+@pytest.mark.parametrize("name", ["s4", "a5_k0123"])
+def test_build_phi_names_the_least_witness_over_every_row(suite_algebras, name):
+    # The last pairs of two orbits swapped, and of two more: cells break in
+    # several rows of the table, and the message names the first class in
+    # interior order and its least orbit over all of them, as the per-class
+    # scan does.
+    catalog = suite_algebras[name].catalog
+    by_size: dict[int, list[int]] = {}
+    for k, field in enumerate(catalog.boundary):
+        if field.size > 1:
+            by_size.setdefault(field.size, []).append(k)
+    swaps = [(a, b) for ks in by_size.values() for a, b in zip(ks, ks[1:])]
+    rng = random.Random(seed_of(name))
+    refused = 0
+    for _ in range(16):
+        (a, b), (c, d) = rng.sample(swaps, 2)
+        if len({a, b, c, d}) == 4:
+            refused += not assert_phi_equals_reference(
+                swapped_pairs(swapped_pairs(catalog, a, b), c, d)
+            )
+    assert refused, name
+
+
+def with_members(catalog, members: dict[int, tuple[int, ...]]):
+    """``catalog`` with the interior fields at the given positions listing
+    the given members instead of their own."""
+    fields = list(catalog.interior)
+    for position, listed in members.items():
+        cls = replace(fields[position].conjugacy_class, members=listed)
+        fields[position] = replace(fields[position], conjugacy_class=cls)
+    return replace(catalog, interior=tuple(fields))
+
+
+@pytest.mark.parametrize("name", ["s3", "s4"])
+def test_build_phi_names_a_field_not_closed_under_conjugation(suite_algebras, name):
+    # Row g x0 is read as row x0 through g^-1 only for fields closed under
+    # conjugation.  The last member of one field moved into another opens
+    # both; the last members of two fields dropped open both too.  Either
+    # way the first of them in interior order is named.
+    h = suite_algebras[name]
+    fields = h.catalog.interior
+    large = [a for a, field in enumerate(fields) if field.size > 1]
+    assert len(large) >= 2
+    for source in large:
+        for target in range(len(fields)):
+            if target == source:
+                continue
+            moved = {
+                source: fields[source].members[:-1],
+                target: fields[target].members + fields[source].members[-1:],
+            }
+            broken = [with_members(h.catalog, moved)]
+            if target in large:
+                dropped = {a: fields[a].members[:-1] for a in (source, target)}
+                broken.append(with_members(h.catalog, dropped))
+            for catalog in broken:
+                with pytest.raises(ConsistencyError) as caught:
+                    build_phi(catalog)
+                assert str(caught.value) == (
+                    f"interior field {fields[min(source, target)].label} is not closed "
+                    "under conjugation in N; phi is undefined"
+                ), (name, source, target)
+                assert not _phi_is_rho(replace(h, catalog=catalog))
+
+
+def test_build_phi_allocates_no_list_of_every_cell():
+    # A5 with K = 1, 59 points: one list of |X|^2 entries takes 8 |X|^2
+    # bytes of pointers alone, and build_phi's traced peak, its rows
+    # included, stays below that.
+    document = {**SUITE_DOCUMENTS["a5_k0123"], "k_generators": []}
+    group, k = group_from_document(document)
+    catalog = build_catalog(build_conjugation_setup(group, k).nset)
+    size = catalog.nset.size
+    assert size == 59
+    phi, _, peak = traced(build_phi, catalog)
+    assert phi == reference_phi(catalog)
+    assert peak < 8 * size * size, peak
+
+
 @pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
 def test_phi_expands_the_class_sums_of_the_permutation_model(suite_algebras, name):
-    # rho(E_alpha) == sum_k phi[alpha][k] nu(beta_k) as dense integer matrices.
+    # rho(E_alpha) == sum_k phi[alpha][k] nu(beta_k) as dense integer matrices,
+    # and phi is the per-class scan of the reference.
     h = suite_algebras[name]
+    assert assert_phi_equals_reference(h.catalog)
+    assert h.phi == build_phi(h.catalog)
     model = _permutation_model(h)
     size = h.catalog.nset.size
     for a_label, row in zip(h.A.basis, h.phi):
