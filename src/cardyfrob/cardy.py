@@ -335,8 +335,8 @@ def build_phi(catalog: FieldCatalog) -> tuple[dict[int, int], ...]:
     class in interior order that differs somewhere, at the least orbit
     position where it does.  Row ``alpha`` maps each boundary
     position ``k`` to its nonzero count, ``k`` increasing.  Besides the
-    catalog it holds the root keys, one per point, and one row of keys and
-    of table bytes at a time, never a ``|X|^2`` list.
+    catalog it holds the root keys, one per point, and one row of keys at
+    a time, never a ``|X|^2`` list.
     """
     nset, fields = catalog.nset, catalog.interior
     act_table, size, table = nset.act_table, nset.size, catalog.orbit_table
@@ -393,35 +393,26 @@ def _first_fault(
     when every cell holds its representative's key.
 
     The keys of row ``x`` are those of its root ``x0`` read through
-    ``back[x]``.  Where row ``x`` of the table is row ``x0`` of the table
-    read through ``back[x]`` too, each cell of row ``x`` repeats the
-    comparison of a cell of row ``x0``, so the rows are compared as bytes,
-    one chunk per cell of row ``x0`` joined through the permutation.  Row
-    ``x0`` and every other row are compared key by key.
+    ``back[x]``, and each is compared with the key that the table's orbit
+    at that cell expects.
     """
-    width = table.itemsize
     faults = []
     for x0, keys in roots.items():
         dense = [0] * size
         for y, key in keys.items():
             dense[y] = key
-        raw = table[x0 * size : (x0 + 1) * size].tobytes()
-        chunks = [raw[start : start + width] for start in range(0, len(raw), width)]
         for x in keys:
             cells = table[x * size : (x + 1) * size]
-            # A row other than x0 exists only when |X| >= 2, so the getter
-            # gives a tuple.
-            if x == x0 or b"".join(itemgetter(*back[x])(chunks)) != cells.tobytes():
-                row = list(map(dense.__getitem__, back[x]))
-                wanted = list(map(expected.__getitem__, cells))
-                if row != wanted:
-                    faults.append(
-                        min(
-                            (_first_digit(key, want, base), k)
-                            for key, want, k in zip(row, wanted, cells)
-                            if key != want
-                        )
+            row = list(map(dense.__getitem__, back[x]))
+            wanted = list(map(expected.__getitem__, cells))
+            if row != wanted:
+                faults.append(
+                    min(
+                        (_first_digit(key, want, base), k)
+                        for key, want, k in zip(row, wanted, cells)
+                        if key != want
                     )
+                )
     return min(faults, default=None)
 
 
