@@ -2,9 +2,9 @@
 
 Each entry pins the sha256 digests of stdout and stderr and the exit code of
 one command: ``check``, ``algebra --dump``, ``info`` and ``fields`` on every
-bundled group, ``hurwitz`` on every bundled surface over ``s3_trivial``, and
-``hecke`` on three bundled groups, each with one subgroup ``S``, and on
-``s4_trivial`` with ``S = 1`` as well.
+bundled group, ``hurwitz`` and ``oracle`` on every bundled surface over
+``s3_trivial``, and ``hecke`` on three bundled groups, each with one
+subgroup ``S``, and on ``s4_trivial`` with ``S = 1`` as well.
 A change that alters any byte of that output fails here; a deliberate change
 of output updates the digests in the same commit.
 """
@@ -191,6 +191,36 @@ GOLDEN = {
         EMPTY,
         0,
     ),
+    "oracle s3_trivial cylinder_diagonal": (
+        "625da15995a36577ab72e473783a1b57e9343826958f882a4965fedf122a4fe4",
+        EMPTY,
+        0,
+    ),
+    "oracle s3_trivial disc_pair": (
+        "2de277ca0ff96b7b0ade7af50749bce64efd5c6de6d4d7c4e8d3223f0bb64a71",
+        EMPTY,
+        0,
+    ),
+    "oracle s3_trivial klein_bottle": (
+        "6098f4e92494c0e914065efeaeda38913ef50b475e8c27fa0e12f273b4e7157d",
+        EMPTY,
+        0,
+    ),
+    "oracle s3_trivial projective_plane": (
+        "ce35de2d706c41bd927cc2e635ae46e9594684da1ac58033ddc6042baa54d523",
+        EMPTY,
+        0,
+    ),
+    "oracle s3_trivial sphere": (
+        "d755fc87ecbb0245b2d3e74cb54070cba7f479d732f1a39dffdc14648d99817f",
+        EMPTY,
+        0,
+    ),
+    "oracle s3_trivial torus": (
+        "6098f4e92494c0e914065efeaeda38913ef50b475e8c27fa0e12f273b4e7157d",
+        EMPTY,
+        0,
+    ),
 }
 
 # ``hecke --group <group> --subgroup-generators <S>``: the coset action of
@@ -230,16 +260,18 @@ def hecke_id(key: tuple[str, str]) -> str:
 def argv_for(key: str) -> list[str]:
     command, group, *rest = key.split()
     argv = [command, "--group", str(bundled_input(f"groups/{group}.json"))]
-    if command == "hurwitz":
+    if command in ("hurwitz", "oracle"):
         return argv + ["--surface", str(bundled_input(f"surfaces/{rest[0]}.json"))]
     return argv + rest
 
 
 def test_golden_table_covers_every_bundled_input():
     groups = {key.split()[1] for key in GOLDEN}
-    surfaces = {key.split()[2] for key in GOLDEN if key.startswith("hurwitz")}
-    assert len(groups) == 7 and len(surfaces) == 6
-    assert len(GOLDEN) == 4 * len(groups) + len(surfaces)
+    for command in ("hurwitz", "oracle"):
+        surfaces = {key.split()[2] for key in GOLDEN if key.startswith(command)}
+        assert len(surfaces) == 6, command
+    assert len(groups) == 7
+    assert len(GOLDEN) == 4 * len(groups) + 2 * len(surfaces)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
