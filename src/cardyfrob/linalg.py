@@ -8,10 +8,10 @@ Gauss-Jordan.  A pivot is always the leading entry of the first row that
 reaches its column, so repeated runs produce identical results, and each step
 touches only stored entries: a monomial matrix, such as the pairings of this
 package, inverts in one step per row.  :func:`row_times` is the one sparse
-row times sparse matrix product.  Dense lists of lists survive only for the
-integer permutation model of the oracles (:func:`mat_mul`, :func:`mat_pow`,
-:func:`trace`).  :func:`power` raises an element of any associative product
-by repeated squaring.
+row times sparse matrix product.  Dense lists of lists survive only in
+:func:`mat_mul`, for the dense checks of the permutation model in the
+oracles.  :func:`power` raises an element of any associative product by
+repeated squaring.
 """
 
 from __future__ import annotations
@@ -142,14 +142,4 @@ def power(base: T, exponent: int, multiply: Callable[[T, T], T], one: T) -> T:
         if exponent:
             base = multiply(base, base)
     return one if result is None else result
-
-
-def mat_pow(m: Sequence[Sequence], exponent: int) -> list[list]:
-    n = len(m)
-    identity: list[list] = [[int(i == j) for j in range(n)] for i in range(n)]
-    return power([list(row) for row in m], exponent, mat_mul, identity)
-
-
-def trace(m: Sequence[Sequence]):
-    return sum(m[i][i] for i in range(len(m)))
 

@@ -1,13 +1,14 @@
 """Brute-force oracles, independent of the structure-constant code paths.
 
-Every oracle recomputes a Hurwitz number from first principles — tuple
-counting over the group, or integer matrix traces in the permutation model —
-without touching the multiplication tables of ``A`` or ``B``.  Agreement with
-:func:`cardyfrob.hurwitz.evaluate` is therefore a genuine cross-check, not a
-tautology.
+Every Hurwitz oracle counts the monodromy data of the coverings, as the paper
+defines the numbers: tuples over the group for closed surfaces, paths in
+``X`` and class functions of ``N`` for surfaces with a boundary
+(:func:`covering_oracle`).  None touches the multiplication tables of ``A``
+or ``B``, so agreement with :func:`cardyfrob.hurwitz.evaluate` is a genuine
+cross-check, not a tautology.
 
 The dense permutation model (the ``nu`` and ``rho`` matrices on ``X``) lives
-here and nowhere else; the oracles build it on first use.  The dense
+here and nowhere else; the dense checks build it on first use.  The dense
 scans of associativity, form symmetry, form invariance and the star
 anti-automorphism, :func:`dense_axiom_oracle`, live here too: they read the
 structure constants and the form like the checks they stand behind, but
@@ -24,8 +25,6 @@ Cardy check reads off the model.  :func:`conjugation_table_oracle`
 conjugates by every coset representative, against the action rows built
 from generators, and :func:`is_associative` scans every triple of a group
 table.
-:func:`t_tensor_oracle` counts closed chains over ``X`` and so cross-checks
-the structure constants of ``B`` without any matrix.
 :func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
 every element to every found subgroup and closing under products, with no
 bitmask, generating list or class cover.
@@ -36,8 +35,10 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from itertools import product as iter_product
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -58,7 +59,7 @@ class OracleResult:
     ``tuples_examined`` reports the conceptual enumeration domain (the count
     the defining sum ranges over); implementations close the final factor by
     a precomputed table, so the work actually done is smaller by one |N|.
-    The trace oracle does no tuple enumeration and reports 0.
+    The covering oracle enumerates no tuples and reports 0.
     """
 
     value: Fraction
@@ -74,6 +75,22 @@ def _class_members(
                 f"interior field {field.label} belongs to a different group"
             )
     return [field.members for field in fields]
+
+
+def _commutator_tally(n_group: FiniteGroup) -> list[int]:
+    """``#{(x, y) : [x, y] = m}`` for every element ``m`` of ``n_group``."""
+    tally = [0] * n_group.order
+    for x, y in iter_product(range(n_group.order), repeat=2):
+        tally[n_group.commutator(x, y)] += 1
+    return tally
+
+
+def _square_tally(n_group: FiniteGroup) -> list[int]:
+    """``#{x : x^2 = m}`` for every element ``m`` of ``n_group``."""
+    tally = [0] * n_group.order
+    for x, row in enumerate(n_group.table):
+        tally[row[x]] += 1
+    return tally
 
 
 def closed_orientable_oracle(
@@ -103,15 +120,10 @@ def closed_orientable_oracle(
                 acc = table[acc][a]
             count += acc == 0
     else:
-        # Close the last commutator with a count table: for each target c,
-        # how many pairs (x, y) have [x, y] = c.
-        commutator_count = [0] * order
-        commutator_of = [[0] * order for _ in range(order)]
-        for x in range(order):
-            for y in range(order):
-                c = n_group.commutator(x, y)
-                commutator_of[x][y] = c
-                commutator_count[c] += 1
+        # Close the last commutator with the tally: for each target c, how
+        # many pairs (x, y) have [x, y] = c.
+        commutator_count = _commutator_tally(n_group)
+        commutator = n_group.commutator
         middle = 2 * (genus - 1)
         for choice in iter_product(*members):
             base = 0
@@ -120,7 +132,7 @@ def closed_orientable_oracle(
             for mids in iter_product(range(order), repeat=middle):
                 acc = base
                 for j in range(0, middle, 2):
-                    acc = table[acc][commutator_of[mids[j]][mids[j + 1]]]
+                    acc = table[acc][commutator(mids[j], mids[j + 1])]
                 count += commutator_count[inverses[acc]]
     return OracleResult(Fraction(count, order), domain)
 
@@ -144,12 +156,7 @@ def closed_nonorientable_oracle(
         )
     table = n_group.table
     inverses = n_group.inverses
-    square_count = [0] * order
-    square_of = [0] * order
-    for x in range(order):
-        square = table[x][x]
-        square_of[x] = square
-        square_count[square] += 1
+    square_count = _square_tally(n_group)
     count = 0
     for choice in iter_product(*members):
         base = 0
@@ -158,143 +165,100 @@ def closed_nonorientable_oracle(
         for mids in iter_product(range(order), repeat=crosscaps - 1):
             acc = base
             for x in mids:
-                acc = table[acc][square_of[x]]
+                acc = table[acc][table[x][x]]
             count += square_count[inverses[acc]]
     return OracleResult(Fraction(count, order), domain)
 
 
-@dataclass(frozen=True, eq=False)
-class _PermutationModel:
-    """Integer matrices on the permutation module spanned by ``X``.
+def covering_oracle(
+    catalog: FieldCatalog, spec: SurfaceSpec, tuple_bound: int = DEFAULT_TUPLE_BOUND
+) -> OracleResult:
+    """Count the monodromy data of a surface with a boundary, divided by ``|N|``.
 
-    ``nu[label]`` is the 0/1 matrix of a boundary field (ones exactly at the
-    pairs of its orbit), ``rho_class[label]`` the matrix of an interior
-    field's class sum, with entry ``#{n in class : n y = x}`` at ``(x, y)``,
-    and ``ka`` and ``u`` the images of ``K_A`` and ``U``.
+    A contour word ``b_1 .. b_m`` gives the class function ``t(n)``, the
+    number of paths ``p_0 -> .. -> p_m`` in ``X`` with ``(p_{i-1}, p_i)`` in
+    ``O_{b_i}`` and ``p_m = n p_0``.  The number is ``(1/|N|) sum_n t_1(n)
+    (r * t~_2 * .. * t~_s)(n)``, where ``t~(n) = t(n^-1)``, ``*`` is
+    convolution over ``N`` and ``r = 1_{alpha_1} * .. * c^{*g}`` with ``c(m)
+    = #{(x, y) : [x, y] = m}``, or ``q(m) = #{x : x^2 = m}`` to the crosscap
+    count.  This is the trace of the permutation model expanded into counts:
+    each ``nu(b)`` commutes with ``rho(N)``, ``rho(K_A) = rho(c)``, ``rho(U)
+    = rho(q)``, and as ``|Aut b|`` is the order of the stabiliser of a pair
+    of ``O_b``, the Casimir legs around a contour are ``rho(t~)``.  Reads
+    only the catalog and the tables of ``N``; raises :class:`ResourceError`
+    when its estimated steps pass ``tuple_bound``, before any count.
     """
-
-    nu: dict[str, list[list[int]]]
-    rho_class: dict[str, list[list[int]]]
-    ka: list[list[int]]
-    u: list[list[int]]
-
-
-_MODEL_CACHE: "weakref.WeakKeyDictionary[CardyFrobeniusAlgebra, _PermutationModel]"
-_MODEL_CACHE = weakref.WeakKeyDictionary()
-
-
-def _permutation_model(h: CardyFrobeniusAlgebra) -> _PermutationModel:
-    """The permutation model of ``h``, built from the catalog and the action table.
-
-    ``rho(K_A) = sum |Aut a| rho(E_a) rho(E_a*)`` and ``rho(U) = sum_n rho(n^2)``
-    come from the automorphism orders and the plain matrices only.
-    """
-    cached = _MODEL_CACHE.get(h)
-    if cached is not None:
-        return cached
-    nset = h.catalog.nset
-    size = nset.size
-
-    def rho_sum(elements: Iterable[int]) -> list[list[int]]:
-        matrix = [[0] * size for _ in range(size)]
-        for n in elements:
-            for y, x in enumerate(nset.act_table[n]):
-                matrix[x][y] += 1
-        return matrix
-
-    nu = {}
-    for field, orbit in zip(h.catalog.boundary, h.catalog.orbits()):
-        matrix = [[0] * size for _ in range(size)]
-        for x, y in orbit:
-            matrix[x][y] = 1
-        nu[field.label] = matrix
-    rho_class = {field.label: rho_sum(field.members) for field in h.catalog.interior}
-    ka = [[0] * size for _ in range(size)]
-    for field in h.catalog.interior:
-        product = linalg.mat_mul(rho_class[field.label], rho_class[field.star])
-        for target, row in zip(ka, product):
-            for j, entry in enumerate(row):
-                if entry:
-                    target[j] += field.aut_order * entry
-    n_group = nset.group
-    u = rho_sum(n_group.mul(n, n) for n in range(n_group.order))
-    model = _PermutationModel(nu, rho_class, ka, u)
-    _MODEL_CACHE[h] = model
-    return model
-
-
-def _sandwiched(
-    h: CardyFrobeniusAlgebra, model: _PermutationModel, word: list[list[int]]
-) -> list[list[int]]:
-    """``sum_b |Aut b| nu(b) . word . nu(b*)`` — the Casimir legs around a word."""
-    size = len(word)
-    wrapped = [[0] * size for _ in range(size)]
-    for field in h.catalog.boundary:
-        product = linalg.mat_mul(
-            model.nu[field.label], linalg.mat_mul(word, model.nu[field.star])
-        )
-        for i in range(size):
-            row = product[i]
-            target = wrapped[i]
-            for j in range(size):
-                if row[j]:
-                    target[j] += field.aut_order * row[j]
-    return wrapped
-
-
-def trace_oracle(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> OracleResult:
-    """Evaluate a bounded surface as ``(1/|N|) tr`` of integer matrix products.
-
-    Uses only the matrices of :func:`_permutation_model` (``rho`` class sums,
-    ``nu`` orbit matrices, the images of ``K_A`` and ``U``) and the
-    :func:`_sandwiched` wrapping of every contour past the first; no structure
-    constants of ``A`` or ``B`` are consulted.
-    """
-    spec.validate_against(h.catalog)
+    spec.validate_against(catalog)
     if not spec.boundary:
-        raise InputError("the trace oracle requires at least one boundary contour")
-    model = _permutation_model(h)
-    size = h.catalog.nset.size
-    matrix: list[list[int]] = [[int(i == j) for j in range(size)] for i in range(size)]
+        raise InputError("the covering oracle requires at least one boundary contour")
+    classes, size = catalog.interior, catalog.nset.size
+    n_group = catalog.nset.group
+    order, table, inverses = n_group.order, n_group.table, n_group.inverses
+    # Each N-orbit of points is the diagonal of one orbit of pairs, of the
+    # same size; the paths are walked from its representative's point.
+    leaders = [(f.representative[0], f.size) for f in catalog.boundary if f.is_diagonal]
+    words = [[catalog.boundary_position(label) for label in contour] for contour in spec.boundary]
+    factors = int(spec.genus) if spec.orientable else spec.crosscaps
+    convolutions = len(spec.interior) + 2 * factors.bit_length() + len(words)
+    steps = (
+        len(leaders) * sum(size + (len(word) - 1) * size * size for word in words)
+        + (order * order if spec.orientable and factors else order)
+        + order * len(classes) * convolutions
+    )
+    if steps > tuple_bound:
+        raise ResourceError(f"oracle step estimate {steps} exceeds the bound {tuple_bound}")
+    class_of = {m: i for i, field in enumerate(classes) for m in field.members}
+    representatives = [field.representative for field in classes]
+
+    def convolve(f: list, g: list) -> list:
+        # (f * g)(n) = sum_a f(a) g(a^-1 n), at the representative n of each class.
+        weighted = [(a, f[i]) for a, i in class_of.items() if f[i]]
+        return [
+            sum(w * g[class_of[table[inverses[a]][n]]] for a, w in weighted)
+            for n in representatives
+        ]
+
+    one = r = [int(n == 0) for n in representatives]
+    if factors:
+        tally = (_commutator_tally if spec.orientable else _square_tally)(n_group)
+        r = linalg.power([tally[n] for n in representatives], factors, convolve, one)
+    position = {field.label: i for i, field in enumerate(classes)}
     for label in spec.interior:
-        matrix = linalg.mat_mul(matrix, model.rho_class[label])
-    if spec.orientable:
-        matrix = linalg.mat_mul(matrix, linalg.mat_pow(model.ka, int(spec.genus)))
-    else:
-        matrix = linalg.mat_mul(matrix, linalg.mat_pow(model.u, spec.crosscaps))
-    for position, contour in enumerate(spec.boundary):
-        word = [[int(i == j) for j in range(size)] for i in range(size)]
-        for label in contour:
-            word = linalg.mat_mul(word, model.nu[label])
-        if position:
-            word = _sandwiched(h, model, word)
-        matrix = linalg.mat_mul(matrix, word)
-    value = Fraction(linalg.trace(matrix), h.catalog.nset.group.order)
-    return OracleResult(value, 0)
+        r = convolve([int(i == position[label]) for i in range(len(classes))], r)
+    totals = [_class_totals(catalog, word, leaders) for word in words]
+    for total in totals[1:]:
+        # t is constant on each class, so the total is |C| t(C) exactly.
+        stars = (position[field.star] for field in classes)
+        r = convolve(r, [total[star] // classes[star].size for star in stars])
+    return OracleResult(Fraction(sum(map(mul, totals[0], r)), order), 0)
 
 
-def t_tensor_oracle(catalog: FieldCatalog, labels: Sequence[str]) -> OracleResult:
-    """Count closed chains ``x_1 .. x_n`` with ``(x_i, x_{i+1})`` in the i-th
-    orbit (cyclically), divided by ``|N|``; equals ``l_B`` of the product."""
-    if not labels:
-        raise InputError("the chain oracle needs at least one boundary label")
-    legs = [catalog.boundary_position(label) for label in labels]
-    table, size = catalog.orbit_table, catalog.nset.size
-    n = len(legs)
-    total = 0
-    for start in range(size):
+def _class_totals(
+    catalog: FieldCatalog, word: Sequence[int], leaders: Sequence[tuple[int, int]]
+) -> list[int]:
+    """``sum_{m in C} t(m)`` of a contour word for each class ``C`` of ``N``.
 
-        def chains(position: int, point: int) -> int:
-            if position == n - 1:
-                return 1 if table[point * size + start] == legs[-1] else 0
-            row = table[point * size : (point + 1) * size]
-            return sum(
-                chains(position + 1, nxt) for nxt, k in enumerate(row) if k == legs[position]
-            )
-
-        total += chains(0, start)
-    value = Fraction(total, catalog.nset.group.order)
-    return OracleResult(value, size**n)
+    As the orbit table is ``N``-invariant, the paths from ``h x0`` are those
+    from ``x0`` moved by ``h``, so the total is ``sum_{x0} |N x0| sum_{m in
+    C} P(m x0)`` over one point ``x0`` per orbit of points, where ``P(y)``
+    counts the paths from ``x0`` to ``y``, walked one table row at a time.
+    """
+    table, size, act_table = catalog.orbit_table, catalog.nset.size, catalog.nset.act_table
+    totals = [0] * len(catalog.interior)
+    for x0, orbit_size in leaders:
+        paths = {x0: 1}
+        for b in word:
+            reached: dict[int, int] = {}
+            for y, count in paths.items():
+                row = table[y * size : (y + 1) * size]
+                for z in compress(range(size), map(b.__eq__, row)):
+                    reached[z] = reached.get(z, 0) + count
+            paths = reached
+        if paths:
+            for i, field in enumerate(catalog.interior):
+                ends = sum(paths.get(act_table[m][x0], 0) for m in field.members)
+                totals[i] += orbit_size * ends
+    return totals
 
 
 def commutator_casimir_check(h: CardyFrobeniusAlgebra) -> CheckResult:
@@ -303,21 +267,54 @@ def commutator_casimir_check(h: CardyFrobeniusAlgebra) -> CheckResult:
     The commutator tally over ``N x N``, regrouped into class sums, must equal
     the Casimir element of ``A``.
     """
-    n_group = h.catalog.nset.group
-    tally: dict[int, int] = {}
-    for x in range(n_group.order):
-        for y in range(n_group.order):
-            c = n_group.commutator(x, y)
-            tally[c] = tally.get(c, 0) + 1
-    coeffs = {
-        field.label: tally.get(field.representative, 0)
-        for field in h.catalog.interior
-    }
+    tally = _commutator_tally(h.catalog.nset.group)
+    coeffs = {field.label: tally[field.representative] for field in h.catalog.interior}
     expected = AlgebraElement({label: value for label, value in coeffs.items() if value})
     casimir = h.A.casimir()
     passed = casimir == expected
     witness = None if passed else f"K_A = {casimir!r} but the tally gives {expected!r}"
     return CheckResult("commutator-casimir", passed, witness)
+
+
+@dataclass(frozen=True, eq=False)
+class _PermutationModel:
+    """Integer matrices on the permutation module spanned by ``X``.
+
+    ``nu[label]`` is the 0/1 matrix of a boundary field (ones exactly at the
+    pairs of its orbit), and ``rho_class[label]`` the matrix of an interior
+    field's class sum, with entry ``#{n in class : n y = x}`` at ``(x, y)``.
+    """
+
+    nu: dict[str, list[list[int]]]
+    rho_class: dict[str, list[list[int]]]
+
+
+_MODEL_CACHE: "weakref.WeakKeyDictionary[CardyFrobeniusAlgebra, _PermutationModel]"
+_MODEL_CACHE = weakref.WeakKeyDictionary()
+
+
+def _permutation_model(h: CardyFrobeniusAlgebra) -> _PermutationModel:
+    """The permutation model of ``h``, built from the catalog and the action table."""
+    cached = _MODEL_CACHE.get(h)
+    if cached is not None:
+        return cached
+    nset, size = h.catalog.nset, h.catalog.nset.size
+    nu = {}
+    for field, orbit in zip(h.catalog.boundary, h.catalog.orbits()):
+        matrix = [[0] * size for _ in range(size)]
+        for x, y in orbit:
+            matrix[x][y] = 1
+        nu[field.label] = matrix
+    rho_class = {}
+    for field in h.catalog.interior:
+        matrix = [[0] * size for _ in range(size)]
+        for n in field.members:
+            for y, x in enumerate(nset.act_table[n]):
+                matrix[x][y] += 1
+        rho_class[field.label] = matrix
+    model = _PermutationModel(nu, rho_class)
+    _MODEL_CACHE[h] = model
+    return model
 
 
 def dense_axiom_oracle(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:
@@ -696,7 +693,7 @@ def oracle_for_spec(
     """Dispatch to the oracle matching the surface's shape."""
     spec.validate_against(h.catalog)
     if spec.boundary:
-        return trace_oracle(h, spec)
+        return covering_oracle(h.catalog, spec, tuple_bound=tuple_bound)
     fields = [h.catalog.interior_field(label) for label in spec.interior]
     n_group = h.catalog.nset.group
     if spec.orientable:

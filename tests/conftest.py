@@ -11,6 +11,7 @@ import pytest
 from cardyfrob import (
     CardyFrobeniusAlgebra,
     ConjugationSetup,
+    FieldCatalog,
     SurfaceSpec,
     build_cardy_frobenius,
     build_catalog,
@@ -45,6 +46,14 @@ SUITE_DOCUMENTS: dict[str, dict[str, object]] = {
         "generators": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2], [1, 0, 3, 2, 4]],
         "k_generators": [[1, 0, 3, 2, 4]],
     },
+}
+
+# A6 with K = 1: 501 points, for the memory bounds of the steps that must
+# allocate no list of all |X|^2 cells.
+A6_DOCUMENT = {
+    "degree": 6,
+    "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]],
+    "k_generators": [],
 }
 
 CORPUS_SIZE = 30
@@ -126,3 +135,9 @@ def spec_corpora(
         name: spec_corpus_for(h, seed=corpus_seed(name))
         for name, h in suite_algebras.items()
     }
+
+
+@pytest.fixture(scope="session")
+def a6_catalog() -> FieldCatalog:
+    group, k = group_from_document(A6_DOCUMENT)
+    return build_catalog(build_conjugation_setup(group, k).nset)

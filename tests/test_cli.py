@@ -444,6 +444,29 @@ def test_order_bound_exceeded(capsys, tmp_path):
     assert "resource" in err
 
 
+@pytest.mark.parametrize("surface", ["disc_pair", "cylinder_diagonal"])
+def test_oracle_on_a_bounded_surface_reports_no_tuples(capsys, surface):
+    group = str(bundled_input("groups/s4_trivial.json"))
+    path = str(bundled_input(f"surfaces/{surface}.json"))
+    code, out, _ = run_json(capsys, ["oracle", "--group", group, "--surface", path])
+    assert code == 0
+    result = json.loads(out)
+    assert result["tuples"] == 0
+    _, hurwitz, _ = run_json(capsys, ["hurwitz", "--group", group, "--surface", path])
+    assert result["hurwitz_oracle"] == json.loads(hurwitz)["hurwitz"]
+
+
+def test_oracle_on_a_bounded_surface_past_the_tuple_bound_exits_3(capsys):
+    group = str(bundled_input("groups/s4_trivial.json"))
+    path = str(bundled_input("surfaces/disc_pair.json"))
+    argv = ["oracle", "--group", group, "--surface", path, "--tuple-bound", "1000"]
+    code, out, err = run_json(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_oracle_tuple_bound_exceeded(capsys, z2_path, torus_path):
     code, _, err = run_json(
         capsys,

@@ -47,12 +47,10 @@ from cardyfrob import (
     build_A,
     build_B,
     build_catalog,
-    build_conjugation_setup,
     build_group,
     build_phi,
     cardy_from_pair,
     coset_nset,
-    group_from_document,
     subgroup_closure,
 )
 from cardyfrob.cardy import _phi_is_rho
@@ -660,17 +658,11 @@ def test_build_phi_names_a_field_not_closed_under_conjugation(suite_algebras, na
                 assert not _phi_is_rho(replace(h, catalog=catalog))
 
 
-def test_build_phi_allocates_no_list_of_every_cell():
+def test_build_phi_allocates_no_list_of_every_cell(a6_catalog):
     # A6 with K = 1, 501 points: one list of |X|^2 entries takes 8 |X|^2
     # bytes of pointers alone, about 2 MB, and build_phi's working memory,
     # its traced peak less what it retains, stays far below that.
-    document = {
-        "degree": 6,
-        "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]],
-        "k_generators": [],
-    }
-    group, k = group_from_document(document)
-    catalog = build_catalog(build_conjugation_setup(group, k).nset)
+    catalog = a6_catalog
     size = catalog.nset.size
     assert size == 501
     phi, retained, peak = traced(build_phi, catalog)

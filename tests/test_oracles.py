@@ -1,23 +1,100 @@
-"""Brute-force oracles and their agreement with the algebraic evaluation."""
+"""Brute-force oracles and their agreement with the algebraic evaluation.
+
+:func:`dense_trace` is the dense reference for the covering oracle on small
+pairs: ``(1/|N|) tr`` of integer matrix products in the permutation model.
+"""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardyfrob import (
+    CardyFrobeniusAlgebra,
     InputError,
     ResourceError,
     SurfaceSpec,
+    build_group,
+    bundled_input,
+    cardy_from_pair,
     closed_nonorientable_oracle,
     closed_orientable_oracle,
     commutator_casimir_check,
+    covering_oracle,
+    cut_check_boundary,
     evaluate,
     oracle_for_spec,
-    t_tensor_oracle,
-    trace_oracle,
+    subgroup_closure,
 )
+from cardyfrob.linalg import mat_mul, power
+from cardyfrob.oracles import _permutation_model
+from conftest import SUITE_DOCUMENTS
+from test_index_construction import traced
+from test_lattice import permutations_up_to
+
+
+def dense_trace(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> Fraction:
+    """``(1/|N|) tr(rho(E_alpha_1) .. rho(K_A)^g W_1 tau(W_2) .. tau(W_s))``
+    by dense integer matrices, ``rho(U)`` to the crosscap count in place of
+    ``rho(K_A)^g``.
+
+    ``W_j`` is the product of the ``nu`` matrices of contour ``j``, ``tau(W)
+    = sum_b |Aut b| nu(b) W nu(b*)`` wraps each contour past the first in
+    the Casimir legs, ``rho(K_A) = sum_a |Aut a| rho(E_a) rho(E_a*)`` and
+    ``rho(U) = sum_n rho(n^2)``.  No structure constant of ``A`` or ``B`` is
+    read.
+    """
+    catalog, model = h.catalog, _permutation_model(h)
+    rho, nu = model.rho_class, model.nu
+    size, n_group = catalog.nset.size, catalog.nset.group
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+
+    def weighted(terms) -> list[list[int]]:
+        total = [[0] * size for _ in range(size)]
+        for weight, matrix in terms:
+            for target, row in zip(total, matrix):
+                for j, entry in enumerate(row):
+                    target[j] += weight * entry
+        return total
+
+    def product(matrices) -> list[list[int]]:
+        out = identity
+        for matrix in matrices:
+            out = mat_mul(out, matrix)
+        return out
+
+    if spec.orientable:
+        ka = weighted(
+            (field.aut_order, mat_mul(rho[field.label], rho[field.star]))
+            for field in catalog.interior
+        )
+        surface = power(ka, int(spec.genus), mat_mul, identity)
+    else:
+        u = [[0] * size for _ in range(size)]
+        for n in range(n_group.order):
+            for y, x in enumerate(catalog.nset.act_table[n_group.mul(n, n)]):
+                u[x][y] += 1
+        surface = power(u, spec.crosscaps, mat_mul, identity)
+    matrix = product([*(rho[label] for label in spec.interior), surface])
+    for position, contour in enumerate(spec.boundary):
+        word = product(nu[label] for label in contour)
+        if position:
+            word = weighted(
+                (field.aut_order, mat_mul(nu[field.label], mat_mul(word, nu[field.star])))
+                for field in catalog.boundary
+            )
+        matrix = mat_mul(matrix, word)
+    return Fraction(sum(matrix[i][i] for i in range(size)), n_group.order)
+
+
+def disc(*labels: str) -> SurfaceSpec:
+    """The disc with one contour carrying ``labels``."""
+    return SurfaceSpec(True, 0, (), (labels,))
 
 
 def test_closed_orientable_small_values(suite_algebras):
@@ -59,9 +136,8 @@ def test_tuple_domain_reporting(suite_algebras):
     assert closed_orientable_oracle(n_group, 1, []).tuples_examined == 4
     assert closed_orientable_oracle(n_group, 2, [a1]).tuples_examined == 16
     assert closed_nonorientable_oracle(n_group, 3, []).tuples_examined == 8
-    disc = SurfaceSpec(True, 0, (), (("b0",),))
-    assert trace_oracle(h, disc).tuples_examined == 0
-    assert t_tensor_oracle(h.catalog, ["b0", "b0"]).tuples_examined == 4
+    assert covering_oracle(h.catalog, disc("b0")).tuples_examined == 0
+    assert covering_oracle(h.catalog, disc("b0", "b0")).tuples_examined == 0
 
 
 def test_tuple_bound_enforced(suite_algebras):
@@ -71,25 +147,31 @@ def test_tuple_bound_enforced(suite_algebras):
         closed_orientable_oracle(n_group, 2, [], tuple_bound=1000)
     with pytest.raises(ResourceError):
         closed_nonorientable_oracle(n_group, 4, [], tuple_bound=1000)
+    # The covering oracle estimates its steps before it counts.
+    with pytest.raises(ResourceError, match="exceeds the bound 1000"):
+        covering_oracle(h.catalog, disc("b1", "b2"), tuple_bound=1000)
+    with pytest.raises(ResourceError):
+        oracle_for_spec(h, disc("b1", "b2"), tuple_bound=1000)
 
 
 def test_trace_oracle_z2_values(suite_algebras):
     h = suite_algebras["z2"]
-    disc = SurfaceSpec(True, 0, (), (("b1", "b2"),))
-    assert trace_oracle(h, disc).value == Fraction(1, 2)
+    assert covering_oracle(h.catalog, disc("b1", "b2")).value == Fraction(1, 2)
     cylinder = SurfaceSpec(True, 0, (), (("b0",), ("b0",)))
-    assert trace_oracle(h, cylinder).value == 1
+    assert covering_oracle(h.catalog, cylinder).value == 1
     with pytest.raises(InputError):
-        trace_oracle(h, SurfaceSpec(True, 0))
+        covering_oracle(h.catalog, SurfaceSpec(True, 0))
 
 
 def test_t_tensor_oracle_z2(suite_algebras):
+    # The t-tensor l_B(b_1 .. b_m) is the disc with one contour and nothing
+    # else: closed chains through the contour's orbits, over |N|.
     catalog = suite_algebras["z2"].catalog
-    assert t_tensor_oracle(catalog, ["b1", "b2"]).value == Fraction(1, 2)
-    assert t_tensor_oracle(catalog, ["b1", "b1"]).value == 0
-    assert t_tensor_oracle(catalog, ["b0"]).value == Fraction(1, 2)
+    assert covering_oracle(catalog, disc("b1", "b2")).value == Fraction(1, 2)
+    assert covering_oracle(catalog, disc("b1", "b1")).value == 0
+    assert covering_oracle(catalog, disc("b0")).value == Fraction(1, 2)
     with pytest.raises(InputError):
-        t_tensor_oracle(catalog, [])
+        covering_oracle(catalog, disc())
 
 
 def test_t_tensor_matches_chain_products(suite_algebras):
@@ -104,7 +186,7 @@ def test_t_tensor_matches_chain_products(suite_algebras):
         ("b4", "b4", "b4", "b4"),
     ]:
         product = b.product(b.basis_element(label) for label in labels)
-        assert t_tensor_oracle(h.catalog, labels).value == b.linear(product), labels
+        assert covering_oracle(h.catalog, disc(*labels)).value == b.linear(product), labels
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "s3", "s3_k01", "a5_k0123"])
@@ -121,8 +203,68 @@ def test_t_tensor_oracle_matches_structure_constants(suite_algebras, name):
                     (value * b.form[k].get(l, 0) for k, value in expansion.items()),
                     Fraction(0),
                 )
-                chains = t_tensor_oracle(h.catalog, [left, middle, right]).value
+                chains = covering_oracle(h.catalog, disc(left, middle, right)).value
                 assert chains == expected, (name, left, middle, right)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_interior_fields_on_a_disc(suite_algebras, name):
+    # l_B(phi(E_alpha) b) for every interior field and every boundary field:
+    # the random corpora seldom give an interior field a nonzero value.
+    h = suite_algebras[name]
+    for alpha, beta in iter_product(h.catalog.interior_labels, h.catalog.boundary_labels):
+        spec = SurfaceSpec(True, 0, (alpha,), ((beta,),))
+        value = covering_oracle(h.catalog, spec).value
+        assert value == evaluate(h, spec).value, spec
+        if name == "s3":
+            assert value == dense_trace(h, spec), spec
+
+
+def test_later_contours_are_counted_at_inverses():
+    # A4 (K = 1) has two classes of 3-cycles, each the inverse of the other,
+    # so a contour past the first must be read at n^-1: every class of the
+    # suite's groups is its own inverse, where n and n^-1 agree.
+    group = build_group(4, [[1, 2, 0, 3], [0, 2, 3, 1]])
+    h = cardy_from_pair(group, subgroup_closure(group, []))
+    labels = h.catalog.boundary_labels
+    for first, second in iter_product(labels, repeat=2):
+        spec = SurfaceSpec(True, 0, (), ((first,), (second,)))
+        value = covering_oracle(h.catalog, spec).value
+        assert value == evaluate(h, spec).value, spec
+        if first == second:
+            assert value == dense_trace(h, spec), spec
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=permutations_up_to(5), data=st.data())
+def test_covering_oracle_matches_evaluation_on_random_pairs(generators, data):
+    group = build_group(len(generators[0]), generators)
+    elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    h = cardy_from_pair(group, subgroup_closure(group, elements))
+    interior, boundary = h.catalog.interior_labels, h.catalog.boundary_labels
+    orientable = data.draw(st.booleans())
+    genus = data.draw(st.integers(0, 1) if orientable else st.sampled_from(["1/2", "1"]))
+    contour = st.lists(st.sampled_from(boundary), min_size=1, max_size=2).map(tuple)
+    spec = SurfaceSpec(
+        orientable,
+        Fraction(genus),
+        tuple(data.draw(st.lists(st.sampled_from(interior), max_size=1))),
+        tuple(data.draw(st.lists(contour, min_size=2, max_size=2))),
+    )
+    assert covering_oracle(h.catalog, spec).value == evaluate(h, spec).value, spec
+    result = cut_check_boundary(h, spec)
+    assert result.passed, (spec, result.witness)
+
+
+def test_covering_oracle_allocates_no_list_of_every_cell(a6_catalog):
+    # A6 with K = 1, 501 points: a list of |X|^2 entries takes 8 |X|^2 bytes
+    # of pointers alone, about 2 MB; the oracle's traced peak stays below it.
+    size = a6_catalog.nset.size
+    document = json.loads(bundled_input("surfaces/disc_pair.json").read_text())
+    spec = SurfaceSpec.from_document(document)
+    result, _, peak = traced(covering_oracle, a6_catalog, spec)
+    assert result.tuples_examined == 0
+    assert peak < 8 * size * size, peak
 
 
 def test_commutator_casimir(suite_algebras):
