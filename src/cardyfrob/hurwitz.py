@@ -35,7 +35,7 @@ from .frobenius import CheckResult
 from .rationals import format_fraction, parse_fraction
 
 # The most handles (orientable) or crosscaps (non-orientable) a surface may
-# have.  Evaluation and the oracles multiply once per handle or crosscap,
+# have.  Evaluation and the covering oracle raise an element to that power,
 # and at this bound a value already runs to thousands of digits.
 HANDLE_BOUND = 1000
 
