@@ -10,7 +10,8 @@ of a pair.  The boundary orbits exist in one form only, the flat orbit table
 :attr:`FieldCatalog.orbit_table` that every reader indexes.  The catalog is
 also the permutation model of the boundary algebra ``B``, and every fact
 about that model lives here: :meth:`FieldCatalog.chain_tallies` counts the
-chains that premise (a) compares with the constants of ``B``, and
+chains and :func:`_moved_orbits` scans the table's invariance, for premise
+(a) and for the checks nu-multiplicative and nu-equivariant, and
 :meth:`FieldCatalog.premises` decides, in one :class:`ModelPremises`
 record, what the model proves about an algebra.
 """
@@ -293,7 +294,8 @@ class ModelPremises:
     (D. G. Higman, *Coherent configurations*, 1975).
 
     * ``modelled`` is premise (a), :meth:`FieldCatalog.is_model_of`: ``nu``
-      is an injective homomorphism into the rational ``|X| x |X|`` matrices.
+      is an injective homomorphism into the rational ``|X| x |X|`` matrices,
+      decided by the counters the nu checks run at every cell and row.
     * ``traces`` is :meth:`FieldCatalog.trace_counts`, the traces
       ``tr(nu_i nu_j)``; a key ``(i, j)`` says that a swapped pair of
       ``O_i`` lies in ``O_j``.
@@ -419,29 +421,32 @@ class FieldCatalog:
             counts.update(zip(left, right))
         return counts
 
-    def chain_tallies(self) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
-        """For each orbit ``O_k``, ``k`` and the tally of the pairs
-        ``(orbit(x, y), orbit(y, z))`` over all ``y`` at its representative
-        ``(x, z)``: row ``x`` and column ``z`` of the table zipped.
+    def chain_tallies(
+        self, cells: Iterable[tuple[int, int]]
+    ) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
+        """For each cell ``(x, z)`` given, its position among the cells and
+        the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over all
+        ``y``: row ``x`` and column ``z`` of the table zipped.
 
         The count at ``(i, j)`` is the number of chains ``x -> y -> z``
         through ``O_i`` and ``O_j``, the intersection number ``c_ij^k`` of
-        the orbital algebra.  The orbits come grouped by the column ``z`` of
-        their representatives, so each row and column of the table is read
-        once per call, as a list, and one column is held at a time.
+        the orbital algebra at a cell of ``O_k``.  Premise (a) tallies the
+        representatives, nu-multiplicative every cell.  The cells come
+        grouped by column, so each row and column of the table is read once
+        per call, as a list, and one column is held at a time.
         """
         size, table = self.nset.size, self.orbit_table
         by_column: dict[int, list[tuple[int, int]]] = {}
-        for k, (x, z) in enumerate(field.representative for field in self.boundary):
-            by_column.setdefault(z, []).append((k, x))
+        for position, (x, z) in enumerate(cells):
+            by_column.setdefault(z, []).append((position, x))
         rows: dict[int, list[int]] = {}
-        for z, orbits in by_column.items():
+        for z, run in by_column.items():
             column = table[z::size].tolist()
-            for k, x in orbits:
+            for position, x in run:
                 row = rows.get(x)
                 if row is None:
                     row = rows[x] = table[x * size : (x + 1) * size].tolist()
-                yield k, Counter(zip(row, column))
+                yield position, Counter(zip(row, column))
 
     def premises(self, algebra: EquippedFrobeniusAlgebra) -> ModelPremises:
         """The :class:`ModelPremises` of this catalog for ``algebra``: premise
@@ -463,8 +468,8 @@ class FieldCatalog:
         ``X x X`` into ``dim`` classes of cells that construction guarantees:
 
         * the orbit table is invariant under the generator rows of ``N``,
-          hence under ``N`` (:func:`_invariant`, one row of the table at a
-          time);
+          hence under ``N`` (:func:`_moved_orbits`, one row of the table
+          at a time);
         * each listed orbit is a single ``N``-orbit holding its
           representative, by Burnside's lemma (:func:`_counted_orbits`).
 
@@ -482,7 +487,7 @@ class FieldCatalog:
         generators = map(self.nset.act_table.__getitem__, self.nset.group.generators)
         return (
             len(self.boundary) == algebra.dim
-            and _invariant(self.orbit_table, generators)
+            and not any(_moved_orbits(self.orbit_table, generators))
             and _counted_orbits(self)
             and _chains_match(algebra, self)
         )
@@ -527,20 +532,24 @@ class FieldCatalog:
         raise ConsistencyError("no interior field contains the identity")
 
 
-def _invariant(table: array, steps: Iterable[Sequence[int]]) -> bool:
-    """Whether ``orbit(n x, n y) == orbit(x, y)`` for each permutation ``n``
-    of the points given.
+def _moved_orbits(table: array, steps: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """``(k, n)`` for each row ``x`` of the table that the ``n``-th
+    permutation of the points given moves, ``k`` the least
+    ``orbit(x, y)`` with ``orbit(n x, n y) != orbit(x, y)``.
 
-    One row of the table at a time: row ``n x`` read through ``n`` must be
-    row ``x``, so no more than two rows are held at once.
+    Row ``n x`` read through ``n`` must be row ``x``, so no more than two
+    rows are held at once.  Premise (a) stops at the first fault;
+    nu-equivariant reads every row of ``N``.  A permutation that moves a
+    cell out of ``O_k`` moves another into it, so ``k`` is moved exactly
+    when ``rho(n)`` does not commute with ``nu(beta_k)``.
     """
-    for step in steps:
+    for n, step in enumerate(steps):
         size = len(step)
         for x, image in enumerate(step):
-            moved = table[image * size : (image + 1) * size]
-            if list(map(moved.__getitem__, step)) != table[x * size : (x + 1) * size].tolist():
-                return False
-    return True
+            read = list(map(table[image * size : (image + 1) * size].__getitem__, step))
+            row = table[x * size : (x + 1) * size].tolist()
+            if read != row:
+                yield min(k for k, other in zip(row, read) if k != other), n
 
 
 def _counted_orbits(catalog: FieldCatalog) -> bool:
@@ -570,18 +579,19 @@ def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> b
     """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
     chains ``c_ij^k`` asks for.
 
-    Each count ``(i, j)`` of :meth:`FieldCatalog.chain_tallies`, counted
-    apart from :func:`cardyfrob.cardy.build_B`, is looked up as ``c_ij^k``
-    in the store, and the matches are counted.  Every stored
-    constant must be matched, so at the end the matches must number the
-    stored constants: one at an ``(i, j, k)`` where the table counts no chain
-    is left over.  The store keeps integral constants as ``int`` and drops
-    zeros, so a stored constant equals its positive count exactly when it is
-    that count as a positive ``int``.  No copy of the constants is made.
+    Each count ``(i, j)`` of :meth:`FieldCatalog.chain_tallies` at the
+    representatives, counted apart from :func:`cardyfrob.cardy.build_B`, is
+    looked up as ``c_ij^k`` in the store, and the matches are counted.
+    Every stored constant must be matched, so at the end the matches must
+    number the stored constants: one at an ``(i, j, k)`` where the table
+    counts no chain is left over.  The store keeps integral constants as
+    ``int`` and drops zeros, so a stored constant equals its positive count
+    exactly when it is that count as a positive ``int``.  No copy of the
+    constants is made.
     """
     rows = list(map(algebra.left_products, range(algebra.dim)))
     matched = 0
-    for k, tally in catalog.chain_tallies():
+    for k, tally in catalog.chain_tallies(field.representative for field in catalog.boundary):
         for (i, j), count in tally.items():
             expansion = rows[i].get(j)
             if expansion is None or expansion.get(k) != count:

@@ -51,7 +51,8 @@ for ``verify_equipped(B)`` and :func:`verify_cardy_frobenius`.  The checks
 of the Cardy structure that the model proves are listed at
 :func:`_model_certificate`, and under premise (a) the Cardy condition reads
 its traces off the orbit table (:func:`_check_cardy`); when a premise fails,
-each check runs its walk, so no result depends on the model.
+each check runs its walk, so no result depends on the model.  The walks of
+the ``nu`` checks are premise (a)'s two counters run over every cell and row.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -76,6 +77,7 @@ from .actions import (
     ModelPremises,
     _is_ratio,
     _is_trace_form,
+    _moved_orbits,
     build_catalog,
     build_conjugation_setup,
     coset_nset,
@@ -476,14 +478,8 @@ def build_U(n_group: FiniteGroup, catalog: FieldCatalog) -> AlgebraElement:
     """The element ``U = sum_{n in N} E_{n^2}`` expanded over class sums."""
     if catalog.nset.group is not n_group:
         raise InputError("catalog was built for a different acting group")
-    square_count: dict[int, int] = {}
-    for n in range(n_group.order):
-        square = n_group.mul(n, n)
-        square_count[square] = square_count.get(square, 0) + 1
-    coeffs = {
-        field.label: square_count.get(field.representative, 0)
-        for field in catalog.interior
-    }
+    squares = Counter(row[n] for n, row in enumerate(n_group.table))
+    coeffs = {field.label: squares[field.representative] for field in catalog.interior}
     return AlgebraElement({label: value for label, value in coeffs.items() if value})
 
 
@@ -546,30 +542,35 @@ def verify_all(h: CardyFrobeniusAlgebra) -> dict[str, list[CheckResult]]:
     }
 
 
-# The checks that read ``B`` at the positions a row of ``phi`` holds.
+# The checks that read ``B`` at the positions a row of ``phi`` holds, and all that read a row.
 _INDEXING_B_AT_PHI = frozenset({"phi-homomorphism", "phi-central", "phi-star", "phi-u", "cardy"})
+_READING_PHI = _INDEXING_B_AT_PHI | {"phi-unit"}
 
 
 def _verify_cardy_frobenius(
     h: CardyFrobeniusAlgebra, premises: ModelPremises
 ) -> list[CheckResult]:
     """:func:`verify_cardy_frobenius` on premises computed for ``h.catalog``
-    and ``h.B`` by the caller.  A row of ``phi`` that leaves ``0 .. dim B - 1``
-    fails the checks that read ``B`` at its positions, naming its label."""
+    and ``h.B`` by the caller.  A ``phi`` without ``dim A`` rows fails the
+    checks that read a row, naming both counts; a row that leaves ``0 ..
+    dim B - 1`` fails those that read ``B`` at its positions, naming it."""
     modelled, traces = premises.modelled, premises.traces
     certified = _model_certificate(h, modelled)
     inside = set(range(h.B.dim))
     leaving = next((a for a, row in zip(h.A.basis, h.phi) if not row.keys() <= inside), None)
+    miscounted = len(h.phi) != h.A.dim
 
     def run(name: str, check: Callable[..., CheckResult], *args: object) -> CheckResult:
         if name in certified:
             return CheckResult(name, True)
+        if miscounted and name in _READING_PHI:
+            return CheckResult(name, False, f"phi has {len(h.phi)} rows, dim A is {h.A.dim}")
         if leaving is not None and name in _INDEXING_B_AT_PHI:
             return CheckResult(name, False, f"phi({leaving}) leaves B")
         return check(h, *args)
 
     return [
-        _check_phi_unit(h),
+        run("phi-unit", _check_phi_unit),
         run("phi-homomorphism", _check_phi_homomorphism),
         run("phi-central", _check_phi_central),
         run("phi-star", _check_phi_star),
@@ -742,44 +743,34 @@ def _check_cardy(h: CardyFrobeniusAlgebra, modelled: bool) -> CheckResult:
 
 
 def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
-    """``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)``, computed on orbits.
+    """``nu(beta_i) nu(beta_j) == sum_k c_ij^k nu(beta_k)``, at every cell.
 
     :func:`verify_cardy_frobenius` passes this check when premise (a),
     :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, holds: that is
-    this identity, decided at the representative of each orbit alone.  When
-    it fails, the walk below names the first failing ``(i, j)`` and its
-    least failing pair.  Each orbit ``O_i`` is walked once: a chain ``x -> y
-    -> z`` lands in the bucket of the orbit ``j`` of ``(y, z)``.
+    this identity, decided at the representative of each orbit alone.
+    Otherwise the chain tally at every cell ``(x, z)`` must be the stored
+    ``{(i, j): c_ij^k}`` of its orbit ``k``, over the catalog's positions.
+    The witness is the least failing ``(i, j, x, z)``.
     """
-    fields = h.catalog.boundary
-    orbits = h.catalog.orbits()
-    successors: list[list[tuple[int, int]]] = [[] for _ in range(h.catalog.nset.size)]
-    for j, orbit in enumerate(orbits):
-        for y, z in orbit:
-            successors[y].append((j, z))
-    for i, left in enumerate(fields):
-        buckets: dict[int, dict[tuple[int, int], int]] = {}
-        for x, y in orbits[i]:
-            for j, z in successors[y]:
-                counts = buckets.setdefault(j, {})
-                counts[(x, z)] = counts.get((x, z), 0) + 1
-        for j in range(len(fields)):
-            counts = buckets.get(j, {})
-            expected: dict[tuple[int, int], int | Fraction] = {}
-            for k, value in h.B.pair_products(i, j).items():
-                for pair in orbits[k]:
-                    expected[pair] = expected.get(pair, 0) + value
-            if counts == expected:
-                continue
-            failing = [
-                pair
-                for pair in counts.keys() | expected.keys()
-                if counts.get(pair, 0) != expected.get(pair, 0)
-            ]
-            if failing:
-                witness = f"({left.label}, {fields[j].label}) at {min(failing)}"
-                return CheckResult("nu-multiplicative", False, witness)
-    return CheckResult("nu-multiplicative", True)
+    catalog, fields = h.catalog, h.catalog.boundary
+    dim, size, table = len(fields), catalog.nset.size, catalog.orbit_table
+    expected: dict[int, dict[tuple[int, int], int | Fraction]] = {}
+    for i, j, expansion in h.B.stored_products():
+        if i < dim and j < dim:
+            for k, value in expansion.items():
+                expected.setdefault(k, {})[i, j] = value
+    faults = []
+    for code, tally in catalog.chain_tallies((x, z) for x in range(size) for z in range(size)):
+        wanted = expected.get(table[code], {})
+        if tally != wanted:
+            pairs = tally.keys() | wanted.keys()
+            i, j = min(p for p in pairs if tally.get(p, 0) != wanted.get(p, 0))
+            faults.append((i, j, *divmod(code, size)))
+    if not faults:
+        return CheckResult("nu-multiplicative", True)
+    i, j, x, z = min(faults)
+    witness = f"({fields[i].label}, {fields[j].label}) at {(x, z)}"
+    return CheckResult("nu-multiplicative", False, witness)
 
 
 def _check_nu_star_transpose(
@@ -842,18 +833,16 @@ def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:
 
     That is ``orbit(n x, n y) == orbit(x, y)``.  :func:`verify_cardy_frobenius`
     passes this check when premise (a) holds: its first conjunct is this
-    invariance, decided on the generator rows of ``N``.  Otherwise the walk
-    over the orbits and every element names the first failing
-    ``(field, n)``.
+    invariance, decided on the generator rows of ``N``.  Otherwise the same
+    scan reads every row of ``N``; the witness is the least moved orbit and
+    the least ``n`` that moves it.
     """
-    nset = h.catalog.nset
-    table = h.catalog.orbit_table
-    size = nset.size
-    for k, (field, orbit) in enumerate(zip(h.catalog.boundary, h.catalog.orbits())):
-        for n, row in enumerate(nset.act_table):
-            if any(table[row[x] * size + row[y]] != k for x, y in orbit):
-                return CheckResult("nu-equivariant", False, f"({field.label}, n={n})")
-    return CheckResult("nu-equivariant", True)
+    catalog = h.catalog
+    fault = min(_moved_orbits(catalog.orbit_table, catalog.nset.act_table), default=None)
+    if fault is None:
+        return CheckResult("nu-equivariant", True)
+    k, n = fault
+    return CheckResult("nu-equivariant", False, f"({catalog.boundary[k].label}, n={n})")
 
 
 def _check_burnside_dimension(h: CardyFrobeniusAlgebra) -> CheckResult:

@@ -234,6 +234,24 @@ def test_phi_row_past_dim_b_is_reported_not_raised(suite_algebras):
             assert result.passed, result.name
 
 
+@pytest.mark.parametrize("name", ["s3", "s4"])
+def test_phi_with_a_row_too_few_or_too_many_is_reported_not_raised(suite_algebras, name):
+    # Each check that reads a row of phi fails, naming both counts; every
+    # other check keeps the result it has on the intact structure.
+    h = suite_algebras[name]
+    intact = verify_cardy_frobenius(h)
+    reading = {"phi-unit", "phi-homomorphism", "phi-central", "phi-star", "phi-u", "cardy"}
+    for phi in (h.phi[:-1], h.phi + (h.phi[-1],)):
+        results = verify_cardy_frobenius(replace(h, phi=phi))
+        assert [result.name for result in results] == [result.name for result in intact]
+        witness = f"phi has {len(phi)} rows, dim A is {h.A.dim}"
+        for result, before in zip(results, intact):
+            if result.name in reading:
+                assert result == CheckResult(result.name, False, witness)
+            else:
+                assert result == before
+
+
 def cardy_check(h, name):
     return next(result for result in verify_cardy_frobenius(h) if result.name == name)
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardyfrob import (
+    CheckResult,
     ConsistencyError,
     FieldCatalog,
     build_B,
@@ -38,13 +39,19 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
-from cardyfrob.cardy import _model_certificate, _phi_is_rho
+from cardyfrob.cardy import (
+    _check_nu_equivariant,
+    _check_nu_multiplicative,
+    _model_certificate,
+    _phi_is_rho,
+)
 from cardyfrob.cli import run
 from cardyfrob.frobenius import multiplication_traces
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS
 from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
 from test_lattice import permutations_of_degree
+from test_model_certificate import fused_orbits
 from test_sparse_checks import PINNED_PAIRS, with_constant, with_form_entry
 
 MODEL_NAMES = ("phi-central", "cardy", "nu-multiplicative", "nu-equivariant")
@@ -288,3 +295,16 @@ def test_verify_all_is_the_three_verifiers_on_one_record(suite_algebras, monkeyp
         }
     assert all(result.passed for results in verify_all(h).values() for result in results)
     assert not all(result.passed for result in verify_all(broken)["cardy"])
+
+
+def test_nu_checks_on_a_catalog_with_fewer_positions_than_B(suite_algebras):
+    # Two self-paired orbits fused: B keeps a basis element past the
+    # catalog's positions, whose constants have no cell, and no label past
+    # the catalog is looked up.  The dense references cannot read such a
+    # catalog; the witness is the one the orbit-by-orbit walk gave.
+    h = suite_algebras["s4_k0123"]
+    broken = replace(h, catalog=fused_orbits(h.catalog, 0, 9))
+    assert len(broken.catalog.boundary) == h.B.dim - 1
+    expected = CheckResult("nu-multiplicative", False, "(b0, b8) at (1, 0)")
+    assert _check_nu_multiplicative(broken) == expected
+    assert _check_nu_equivariant(broken) == CheckResult("nu-equivariant", True)

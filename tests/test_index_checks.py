@@ -2,12 +2,16 @@
 
 unit and casimir-central (of ``verify_equipped``), phi-central,
 nu-multiplicative and nu-equivariant (of ``verify_cardy_frobenius``) run over
-integer index tables: commutator rows, the orbit table and chain codes.
+integer index tables: commutator rows and the orbit table.  The two ``nu``
+checks run premise (a)'s counters over everything: the chain tally of
+``FieldCatalog.chain_tallies`` at every cell, and the invariance scan
+``actions._moved_orbits`` over every row of ``N``.
 :func:`cardyfrob.oracles.element_axiom_oracle` and
 :func:`cardyfrob.oracles.cardy_axiom_oracle` compute the same results by
 ``AlgebraElement`` multiplies and dense permutation matrices.  Both must
 agree, witness included, on the suite, on seeded corruptions of ``B``, of
-``phi`` and of the catalog, and on random sparse algebras.
+``phi`` and of the catalog, on drawn pairs with corrupted catalogs, and on
+random sparse algebras.
 """
 
 from __future__ import annotations
@@ -18,20 +22,25 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cardyfrob import (
     CheckResult,
     ConsistencyError,
     FieldCatalog,
     build_B,
+    build_conjugation_setup,
+    build_group,
     cardy_axiom_oracle,
     element_axiom_oracle,
+    subgroup_closure,
     verify_cardy_frobenius,
     verify_equipped,
 )
-from cardyfrob.actions import _counted_orbits, _invariant
+from cardyfrob.actions import _counted_orbits, _moved_orbits
 from cardyfrob.cardy import (
+    _check_burnside_dimension,
     _check_nu_equivariant,
     _check_nu_multiplicative,
     _check_phi_central,
@@ -40,7 +49,9 @@ from cardyfrob.cardy import (
     _check_phi_unit,
 )
 from cardyfrob.frobenius import _check_casimir_central, _check_unit, commutator_rows
-from conftest import SUITE_DOCUMENTS
+from cardyfrob.oracles import _dense_nu_equivariant, _dense_nu_multiplicative
+from conftest import SUITE_DOCUMENTS, algebra_for
+from test_lattice import permutations_up_to
 from test_sparse_checks import sparse_algebras, with_constant
 
 ELEMENT_NAMES = ("unit", "casimir-central")
@@ -218,7 +229,7 @@ def test_merged_orbits_match_oracle(suite_algebras, name):
         choices.append(tuple(diagonal[:2]))
     for keep, emptied in choices:
         catalog = merged_orbits(h.catalog, keep, emptied)
-        assert _invariant(catalog.orbit_table, catalog.nset.act_table)
+        assert not any(_moved_orbits(catalog.orbit_table, catalog.nset.act_table))
         assert not _counted_orbits(catalog)
         broken = replace(h, catalog=catalog)
         results = cardy_checks(broken)
@@ -326,3 +337,53 @@ def test_commutator_rows_are_basis_commutators(suite_algebras, name):
             expected = {b.index(label): value for label, value in commutator.coeffs.items()}
             row = {key % b.dim: value for key, value in rows[s].items() if key // b.dim == t}
             assert row == expected, (name, left, right)
+
+
+def drawn_catalogs(catalog: FieldCatalog, rng: random.Random) -> list[FieldCatalog]:
+    """``catalog`` of two points or more and seeded corruptions of it: two
+    orbits merged and, where it has orbits enough, a pair moved and the
+    last pairs of two orbits of one size swapped."""
+    dim = len(catalog.boundary)
+    catalogs = [catalog, merged_orbits(catalog, *rng.sample(range(dim), 2))]
+    sources = [k for k, field in enumerate(catalog.boundary) if field.size > 1]
+    if sources:
+        source = rng.choice(sources)
+        target = rng.choice([k for k in range(dim) if k != source])
+        catalogs.append(moved_pair(catalog, source, target, "move"))
+    by_size: dict[int, list[int]] = {}
+    for k in sources:
+        by_size.setdefault(catalog.boundary[k].size, []).append(k)
+    swaps = [pair for ks in by_size.values() for pair in zip(ks, ks[1:])]
+    if swaps:
+        catalogs.append(swapped_pairs(catalog, *rng.choice(swaps)))
+    return catalogs
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=permutations_up_to(5), data=st.data())
+def test_nu_checks_match_oracle_on_random_pairs(generators, data):
+    # The walks of nu-multiplicative and nu-equivariant against the dense
+    # matrices of cardy_axiom_oracle, witness included, on drawn pairs and
+    # seeded corruptions of their catalogs, with B as built and, where
+    # build_B accepts the broken catalog, counted anew from it.  Wherever
+    # premise (a) holds, the three checks it certifies pass when walked.
+    # The dense products cost about dim^2 |X|^3 steps, so |X| is at most 20.
+    group = build_group(len(generators[0]), generators)
+    k = subgroup_closure(group, data.draw(st.lists(st.integers(0, group.order - 1), max_size=2)))
+    setup = build_conjugation_setup(group, k)
+    assume(1 < setup.nset.size <= 20)
+    h = algebra_for(setup)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for catalog in drawn_catalogs(h.catalog, rng):
+        algebras = [h.B]
+        try:
+            algebras.append(build_B(catalog))
+        except ConsistencyError:
+            pass
+        for b in algebras:
+            broken = replace(h, catalog=catalog, B=b)
+            results = [_check_nu_multiplicative(broken), _check_nu_equivariant(broken)]
+            assert results == [_dense_nu_multiplicative(broken), _dense_nu_equivariant(broken)]
+            if catalog.is_model_of(b):
+                assert all(result.passed for result in results)
+                assert _check_burnside_dimension(broken).passed

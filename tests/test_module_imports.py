@@ -11,7 +11,9 @@ source names the catalog's other methods or its action, and it defines none
 of the premise helpers that live in :mod:`cardyfrob.actions`;
 :mod:`cardyfrob.cardy` imports none of those helpers from it.
 :mod:`cardyfrob.cli` is a client of the library like any other, so it
-imports no ``_``-prefixed name from the package.
+imports no ``_``-prefixed name from the package.  The model checks of
+:mod:`cardyfrob.cardy` read the orbit table only through the counters of
+:mod:`cardyfrob.actions`, so no function there calls ``.orbits()``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,34 @@ def test_frobenius_names_nothing_of_the_model_but_its_question():
 def test_cardy_takes_no_premise_helper_from_frobenius():
     tree = ast.parse((PACKAGE / "cardy.py").read_text())
     assert not imported_modules(tree) & {f"cardyfrob.frobenius.{name}" for name in MOVED}
+
+
+def orbit_walkers(tree: ast.AST) -> list[str]:
+    """The name of each function in ``tree`` that calls a method ``orbits``."""
+    return [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "orbits"
+    ]
+
+
+def test_cardy_walks_no_orbit_list():
+    assert orbit_walkers(ast.parse((PACKAGE / "cardy.py").read_text())) == []
+
+
+def test_the_check_sees_an_orbit_walk():
+    tree = ast.parse(
+        "def walk(h):\n"
+        "    for orbit in h.catalog.orbits():\n"
+        "        pass\n"
+        "def tally(h):\n"
+        "    return h.catalog.chain_tallies([])\n"
+    )
+    assert orbit_walkers(tree) == ["walk"]
 
 
 def test_the_check_sees_each_form_of_import():
