@@ -322,8 +322,10 @@ class ModelPremises:
     reconstruction multiplies the stored pairing by its computed inverse,
     and that product still checks the inverse.  When ``orbital`` fails,
     every check runs as it does without a model, so no result depends on
-    the model.  :func:`~cardyfrob.cardy.verify_cardy_frobenius` reads
-    ``modelled`` and ``traces`` for the checks of the Cardy structure.
+    the model.  :func:`~cardyfrob.cardy.verify_cardy_frobenius` reads all
+    three for the checks of the Cardy structure; what they prove there,
+    with premises (d) on ``phi`` and (e) on ``A``, is stated at
+    :func:`~cardyfrob.cardy._model_certificate`.
     """
 
     modelled: bool

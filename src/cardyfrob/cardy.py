@@ -48,11 +48,16 @@ model proves, and why, is stated once at
 :meth:`~cardyfrob.actions.FieldCatalog.premises` decides anew on each call.
 :func:`verify_all`, the verifier of ``cardyfrob check``, decides one record
 for ``verify_equipped(B)`` and :func:`verify_cardy_frobenius`.  The checks
-of the Cardy structure that the model proves are listed at
-:func:`_model_certificate`, and under premise (a) the Cardy condition reads
+of the Cardy structure that the model, ``phi`` counted from it (premise
+(d)) and ``A`` recounted as the class algebra of ``N`` (premise (e)) prove
+are listed, with the argument, at :func:`_model_certificate`: under all of
+them phi-homomorphism, phi-star and the Cardy condition pass without their
+walks.  Under premise (a) alone the Cardy condition, when it walks, reads
 its traces off the orbit table (:func:`_check_cardy`); when a premise fails,
 each check runs its walk, so no result depends on the model.  The walks of
-the ``nu`` checks are premise (a)'s two counters run over every cell and row.
+the ``nu`` checks are premise (a)'s two counters run over every cell and
+row, nu-multiplicative's in increasing order of a bound on the least ``i``
+each cell can fail at, so that a broken ``B`` stops it early.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -65,9 +70,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from operator import add, itemgetter
-from typing import Callable, Sequence
+from itertools import chain, groupby, repeat
+from operator import add, eq, itemgetter
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .actions import (
@@ -555,7 +560,7 @@ def _verify_cardy_frobenius(
     checks that read a row, naming both counts; a row that leaves ``0 ..
     dim B - 1`` fails those that read ``B`` at its positions, naming it."""
     modelled, traces = premises.modelled, premises.traces
-    certified = _model_certificate(h, modelled)
+    certified = _model_certificate(h, premises)
     inside = set(range(h.B.dim))
     leaving = next((a for a, row in zip(h.A.basis, h.phi) if not row.keys() <= inside), None)
     miscounted = len(h.phi) != h.A.dim
@@ -587,11 +592,11 @@ def _verify_cardy_frobenius(
     ]
 
 
-def _model_certificate(h: CardyFrobeniusAlgebra, modelled: bool) -> set[str]:
-    """The checks that the permutation model proves, given premise (a).
+def _model_certificate(h: CardyFrobeniusAlgebra, premises: ModelPremises) -> set[str]:
+    """The checks that the permutation model and the class algebra prove.
 
-    ``modelled`` is premise (a), ``h.catalog.is_model_of(h.B)``: ``nu`` is an
-    injective homomorphism from ``B`` into the rational ``|X| x |X|``
+    (a) is ``premises.modelled``, ``h.catalog.is_model_of(h.B)``: ``nu`` is
+    an injective homomorphism from ``B`` into the rational ``|X| x |X|``
     matrices, and the orbit table is invariant under ``N``.  (a) is the
     statement of nu-multiplicative, and the invariance, ``orbit(n x, n y) ==
     orbit(x, y)``, is that of nu-equivariant, so (a) certifies both.  (a)
@@ -605,13 +610,46 @@ def _model_certificate(h: CardyFrobeniusAlgebra, modelled: bool) -> set[str]:
     ``nu([phi(e_alpha), beta_k]) = 0``, and ``nu`` being injective,
     ``phi(e_alpha)`` is central: (a) and (d) certify phi-central.
 
-    Without (a) nothing is certified, and (d) is not computed.
+    ``premises.orbital`` adds to (a) that ``nu(e_k^*) = nu(e_k)^T`` and
+    that the pairing of ``B`` is ``tr(nu_i nu_j) / |N|``; (e)
+    :func:`_is_class_algebra` says that ``A`` is the class algebra of ``N``:
+    ``E_i E_j = sum_m c_ij^m E_m`` in the group algebra, ``E_i^* =
+    E_{i^-1}``, and ``F_A^-1`` pairs ``E_i`` with ``E_i^*`` at ``|N| /
+    |C_i|``.  With (a) and (d), every identity below holds after ``nu``,
+    and ``nu`` is injective, so each check compares equal vectors:
+
+    * phi-homomorphism: ``nu(sum_m c_ij^m phi(e_m)) = rho(E_i E_j) =
+      rho(E_i) rho(E_j) = nu(phi(e_i) phi(e_j))``, ``rho`` being
+      multiplicative;
+    * phi-star: ``nu(phi(e_i)^*) = rho(E_i)^T = sum_{n in C_i} rho(n^-1)
+      = rho(E_{i^-1}) = nu(phi(e_i^*))``;
+    * cardy: each pair of ``O_k`` is ``n (x, y)``, for a fixed ``(x, y)``
+      of ``O_k``, for ``|Aut b_k| = |N| / |O_k|`` elements ``n``, so
+      ``sum_k |Aut b_k| nu_k W nu_k^T = sum_n tr(W rho(n)) rho(n^-1)``
+      for every matrix ``W``.  The right side ``tr(L_i R_j) = sum_k
+      [b_k](b_i b_k b_j)`` reads ``nu_i nu_k nu_j`` at the representative
+      of ``O_k``, where it is constant on ``O_k``, so it is ``sum_k
+      tr(nu_i nu_k nu_j nu_k^T) / |O_k|``, and the identity with ``W =
+      nu_j`` makes it ``sum_n tr(nu_i rho(n^-1)) tr(nu_j rho(n)) / |N|``.
+      Entry ``(alpha, i)`` of ``Phi F_B`` is ``tr(rho(E_alpha) nu_i) /
+      |N|``, ``|C_alpha|`` times ``tr(rho(n) nu_i) / |N|`` at any ``n``
+      of ``C_alpha`` because ``nu_i`` commutes with ``rho(N)``, so the
+      left side ``(Phi F_B)^T F_A^-1 (Phi F_B)`` is the same sum with
+      ``n`` and ``n^-1`` exchanged.
+
+    (a), orbital, (d) and (e) certify these three.  phi-u is not
+    certified: it reads the twisted Casimir that ``B`` keeps once summed,
+    which no premise recounts, so it walks.  Without (a) nothing is
+    certified, and (d) is not computed; (e) is computed only when (a),
+    orbital and (d) hold.
     """
-    if not modelled:
+    if not premises.modelled:
         return set()
     certified = {"nu-multiplicative", "nu-equivariant", "burnside-dimension"}
     if _phi_is_rho(h):
         certified.add("phi-central")
+        if premises.orbital and _is_class_algebra(h):
+            certified |= {"phi-homomorphism", "phi-star", "cardy"}
     return certified
 
 
@@ -631,6 +669,85 @@ def _phi_is_rho(h: CardyFrobeniusAlgebra) -> bool:
         return h.phi == build_phi(h.catalog)
     except ConsistencyError:
         return False
+
+
+def _is_class_algebra(h: CardyFrobeniusAlgebra) -> bool:
+    """Premise (e), given (d): ``h.A`` is the class algebra of ``N`` on the
+    catalog's interior fields, counted apart from :func:`build_A`.
+
+    The fields must be the conjugacy classes of ``N``.  Together their
+    members must list every element once, and each representative must lie
+    in its own field.  (d) has found each field closed under conjugation
+    (:func:`_class_weights`), so each is a union of classes holding its
+    representative's, and ``|C| |C_N(rep)| == |N|`` makes it that class
+    alone.  Then each product ``E_i E_j`` is central, and its
+    coefficient at the representative ``z`` of ``C_m`` is ``c_ij^m``: one
+    ``Counter`` per representative tallies ``(class(a), class(a^-1 z))``
+    over ``a`` in ``N``, ``|N| dim A`` steps, and each count is looked up
+    in the store and the matches counted, as
+    :func:`~cardyfrob.actions._chains_match` does for ``B``.  The star must
+    send each class to the class of inverses, ``l`` must be ``1 / |N|`` at
+    the identity's class and 0 elsewhere, the unit ``E_e``, row ``i`` of
+    the pairing ``{i*: |C_i| / |N|}`` and row ``i`` of its inverse, which
+    cardy reads and ``A`` keeps once computed, ``{i*: |N| / |C_i|}``.
+    """
+    a, fields, group = h.A, h.catalog.interior, h.catalog.nset.group
+    order, dim, table = group.order, len(fields), group.table
+    members = sorted(chain.from_iterable(field.members for field in fields))
+    if a.dim != dim or members != list(range(order)):
+        return False
+    class_of = [0] * order
+    for position, field in enumerate(fields):
+        for member in field.members:
+            class_of[member] = position
+    representatives = [field.representative for field in fields]
+    if not all(0 <= z < order and class_of[z] == m for m, z in enumerate(representatives)):
+        return False
+    sizes = [len(field.members) for field in fields]
+    for z, size in zip(representatives, sizes):
+        if size * sum(map(eq, table[z], map(itemgetter(z), table))) != order:
+            return False
+    identity = class_of[0]
+    stars = [class_of[group.inverses[z]] for z in representatives]
+    if (
+        a.involution != tuple(stars)
+        or a.unit.coeffs != {a.basis[identity]: 1}
+        or not all(
+            _is_ratio(value, int(m == identity), order) for m, value in enumerate(a.linear_form)
+        )
+        or not _is_monomial(a.form, stars, sizes, [order] * dim)
+        or not _is_monomial(a.form_inverse(), stars, [order] * dim, sizes)
+    ):
+        return False
+    rows = list(map(a.left_products, range(dim)))
+    codes = [position * dim for position in class_of]
+    matched = 0
+    for m, z in enumerate(representatives):
+        column = list(map(itemgetter(z), table))
+        tally = Counter(
+            map(add, codes, map(class_of.__getitem__, map(column.__getitem__, group.inverses)))
+        )
+        for code, count in tally.items():
+            i, j = divmod(code, dim)
+            expansion = rows[i].get(j)
+            if expansion is None or expansion.get(m) != count:
+                return False
+        matched += len(tally)
+    return matched == sum(map(len, chain.from_iterable(row.values() for row in rows)))
+
+
+def _is_monomial(
+    rows: Sequence[Mapping[int, Fraction]],
+    columns: Sequence[int],
+    numerators: Sequence[int],
+    denominators: Sequence[int],
+) -> bool:
+    """Whether row ``i`` of ``rows`` is ``{columns[i]: numerators[i] /
+    denominators[i]}`` and nothing else, compared in integers."""
+    return len(rows) == len(columns) and all(
+        row.keys() == {column} and _is_ratio(row[column], numerator, denominator)
+        for row, column, numerator, denominator in zip(rows, columns, numerators, denominators)
+    )
 
 
 def _check_phi_unit(h: CardyFrobeniusAlgebra) -> CheckResult:
@@ -679,7 +796,11 @@ def _check_phi_star(h: CardyFrobeniusAlgebra) -> CheckResult:
 
 
 def _check_u_squared(h: CardyFrobeniusAlgebra) -> CheckResult:
-    passed = h.A.multiply(h.u, h.u) == h.A.twisted_casimir()
+    try:
+        twisted = h.A.twisted_casimir()
+    except ConsistencyError as exc:
+        return CheckResult("u-squared", False, str(exc))
+    passed = h.A.multiply(h.u, h.u) == twisted
     return CheckResult("u-squared", passed, None if passed else "U^2 != K_A*")
 
 
@@ -712,11 +833,18 @@ def _check_cardy(h: CardyFrobeniusAlgebra, modelled: bool) -> CheckResult:
     ``modelled``, premise (a), holds, and comes from the sparse trace
     buckets of :func:`cardyfrob.frobenius.multiplication_traces` otherwise.
     The witness is the first failing ``i`` in basis order and its least
-    failing ``j``.  A degenerate pairing of ``A`` raises
-    :class:`ConsistencyError`.
+    failing ``j``; a degenerate pairing of ``A`` fails it with the text of
+    :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.form_inverse`'s
+    error, as form-invertible reports it.  :func:`verify_cardy_frobenius` passes this
+    check without the walk when premises (a), orbital, (d) and (e) hold
+    (:func:`_model_certificate`); the model branch serves the algebras where
+    (a) holds and one of the others does not.
     """
     b = h.B
-    inverse = h.A.form_inverse()
+    try:
+        inverse = h.A.form_inverse()
+    except ConsistencyError as exc:
+        return CheckResult("cardy", False, str(exc))
     if modelled:
         traces: list[dict[int, int | Fraction]] = [{} for _ in range(b.dim)]
         for (i, j), count in h.catalog.cardy_trace_counts().items():
@@ -750,7 +878,12 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     this identity, decided at the representative of each orbit alone.
     Otherwise the chain tally at every cell ``(x, z)`` must be the stored
     ``{(i, j): c_ij^k}`` of its orbit ``k``, over the catalog's positions.
-    The witness is the least failing ``(i, j, x, z)``.
+    The witness is the least failing ``(i, j, x, z)``.  A failing ``(i,
+    j)`` of a cell is counted there or stored at its orbit, so its ``i``
+    is no less than the least orbit of row ``x`` nor than the least ``i``
+    stored at ``k``.  The cells are tallied in increasing order of that
+    bound, and the walk stops at the first bound past the least failing
+    ``i`` found: no cell from there on can name a smaller witness.
     """
     catalog, fields = h.catalog, h.catalog.boundary
     dim, size, table = len(fields), catalog.nset.size, catalog.orbit_table
@@ -759,13 +892,30 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
         if i < dim and j < dim:
             for k, value in expansion.items():
                 expected.setdefault(k, {})[i, j] = value
+    least_stored = [min(expected[k])[0] if k in expected else dim for k in range(dim)]
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for x in range(size):
+        row = table[x * size : (x + 1) * size]
+        least = min(row)
+        bounds = list(map(least_stored.__getitem__, row))
+        if min(bounds) >= least:
+            # The whole row waits for the least orbit in it.
+            levels.setdefault(least, []).extend(zip(repeat(x), range(size)))
+        else:
+            for z, bound in enumerate(bounds):
+                levels.setdefault(min(least, bound), []).append((x, z))
     faults = []
-    for code, tally in catalog.chain_tallies((x, z) for x in range(size) for z in range(size)):
-        wanted = expected.get(table[code], {})
-        if tally != wanted:
-            pairs = tally.keys() | wanted.keys()
-            i, j = min(p for p in pairs if tally.get(p, 0) != wanted.get(p, 0))
-            faults.append((i, j, *divmod(code, size)))
+    for bound in sorted(levels):
+        if faults and min(faults)[0] < bound:
+            break
+        cells = levels[bound]
+        for position, tally in catalog.chain_tallies(cells):
+            x, z = cells[position]
+            wanted = expected.get(table[x * size + z], {})
+            if tally != wanted:
+                pairs = tally.keys() | wanted.keys()
+                i, j = min(p for p in pairs if tally.get(p, 0) != wanted.get(p, 0))
+                faults.append((i, j, x, z))
     if not faults:
         return CheckResult("nu-multiplicative", True)
     i, j, x, z = min(faults)

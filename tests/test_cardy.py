@@ -35,7 +35,7 @@ from cardyfrob import (
 from cardyfrob import cardy
 from cardyfrob.actions import BoundaryField
 from test_index_construction import reference_phi
-from test_sparse_checks import with_constant
+from test_sparse_checks import with_constant, with_form_entry
 
 
 def test_cardy_from_pair_matches_fixture(suite_algebras):
@@ -215,6 +215,21 @@ def test_singular_pairing_is_reported_not_raised(suite_algebras):
     assert not phi_u.passed and "degenerate" in phi_u.witness
     invertible = next(r for r in verify_equipped(broken) if r.name == "form-invertible")
     assert not invertible.passed and invertible.witness == phi_u.witness
+
+
+def test_singular_pairing_of_a_is_reported_not_raised(suite_algebras):
+    # The (a0, a0) entry of s3's A zeroed: the pairing of A is singular, and
+    # u-squared and cardy, which read its inverse, report that as
+    # form-invertible does.
+    h = suite_algebras["s3"]
+    broken = with_form_entry(h.A, 0, 0, -h.A.form[0][0])
+    results = verify_cardy_frobenius(replace(h, A=broken))
+    assert len(results) == 14
+    invertible = next(r for r in verify_equipped(broken) if r.name == "form-invertible")
+    assert not invertible.passed and "degenerate" in invertible.witness
+    for name in ("u-squared", "cardy"):
+        result = next(result for result in results if result.name == name)
+        assert result == CheckResult(name, False, invertible.witness)
 
 
 def test_phi_row_past_dim_b_is_reported_not_raised(suite_algebras):

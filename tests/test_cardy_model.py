@@ -5,22 +5,31 @@ per call.  Under (a), nu-multiplicative, nu-equivariant and
 burnside-dimension pass without their walks and the Cardy traces
 ``tr(L_i R_j)`` are counted on the orbit table; under (a) and (d),
 ``phi`` being the rows ``build_phi`` counts from the catalog, phi-central
-passes too.  Every one of these results, witness
+passes too; and when ``B`` is moreover the catalog's orbital algebra and
+(e) holds, ``A`` being the class algebra of ``N``, phi-homomorphism,
+phi-star and cardy pass as well.  Every one of these results, witness
 included, must equal the slow references :func:`cardy_condition_oracle` and
 :func:`cardy_axiom_oracle`, on the suite and on seeded corruptions of
 ``phi``, of the constants of ``B`` (which break (a)), of its pairing (which
-leaves (a) standing) and of the catalog.
+leaves (a) standing) and of the catalog.  Wherever the certificate holds,
+each certified check passes when walked, on the suite and on drawn pairs.
+Copies of ``A`` with a constant changed, two stars exchanged, a pairing
+entry, the unit or the linear form off, or a pairing inverse that is not
+the pairing's, and catalogs whose interior fields are not the conjugacy
+classes, fail (e), and the three checks it certifies then give the
+results of their walks.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardyfrob import (
@@ -28,6 +37,8 @@ from cardyfrob import (
     ConsistencyError,
     FieldCatalog,
     build_B,
+    build_cardy_frobenius,
+    build_conjugation_setup,
     build_group,
     bundled_input,
     cardy_axiom_oracle,
@@ -40,22 +51,47 @@ from cardyfrob import (
     verify_equipped,
 )
 from cardyfrob.cardy import (
+    _check_burnside_dimension,
+    _check_cardy,
     _check_nu_equivariant,
     _check_nu_multiplicative,
+    _check_phi_central,
+    _check_phi_homomorphism,
+    _check_phi_star,
+    _is_class_algebra,
     _model_certificate,
     _phi_is_rho,
 )
 from cardyfrob.cli import run
 from cardyfrob.frobenius import multiplication_traces
 from cardyfrob.oracles import _permutation_model
-from conftest import SUITE_DOCUMENTS
+from conftest import SUITE_DOCUMENTS, algebra_for
 from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
-from test_lattice import permutations_of_degree
-from test_model_certificate import fused_orbits
+from test_lattice import permutations_of_degree, seeded_permutations_up_to
+from test_model_certificate import fused_orbits, with_linear_value, with_star, with_unit
 from test_sparse_checks import PINNED_PAIRS, with_constant, with_form_entry
 
-MODEL_NAMES = ("phi-central", "cardy", "nu-multiplicative", "nu-equivariant")
-CERTIFIED = {"phi-central", "nu-multiplicative", "nu-equivariant", "burnside-dimension"}
+MODEL_NAMES = (
+    "phi-homomorphism",
+    "phi-central",
+    "phi-star",
+    "cardy",
+    "nu-multiplicative",
+    "nu-equivariant",
+)
+# The checks certified by (a) alone, by (a) and (d), and by (a), orbital, (d) and (e).
+MODEL_CERTIFIED = {"nu-multiplicative", "nu-equivariant", "burnside-dimension"}
+PHI_CERTIFIED = {"phi-central"}
+CLASS_CERTIFIED = {"phi-homomorphism", "phi-star", "cardy"}
+CERTIFIED = MODEL_CERTIFIED | PHI_CERTIFIED | CLASS_CERTIFIED
+WALKS = {
+    "phi-homomorphism": _check_phi_homomorphism,
+    "phi-central": _check_phi_central,
+    "phi-star": _check_phi_star,
+    "nu-multiplicative": _check_nu_multiplicative,
+    "nu-equivariant": _check_nu_equivariant,
+    "burnside-dimension": _check_burnside_dimension,
+}
 
 
 def model_results(h) -> list:
@@ -69,10 +105,28 @@ def oracle_results(h) -> list:
 
 
 def assert_matches_oracles(h, context) -> set[str]:
-    """The four results of ``h`` asserted equal to the references; the names that failed."""
+    """The results of ``MODEL_NAMES`` for ``h`` asserted equal to the references;
+    the names that failed."""
     results = model_results(h)
     assert results == oracle_results(h), context
     return {result.name for result in results if not result.passed}
+
+
+def certificate(h) -> set[str]:
+    """The checks certified for ``h`` on the premises its catalog decides for ``h.B``."""
+    return _model_certificate(h, h.catalog.premises(h.B))
+
+
+def assert_certificate_sound(h, context) -> set[str]:
+    """Each check certified for ``h`` called directly, asserted to pass; the
+    Cardy condition with its traces from the model and from the constants."""
+    certified = certificate(h)
+    for name in certified - {"cardy"}:
+        assert WALKS[name](h) == CheckResult(name, True), (context, name)
+    if "cardy" in certified:
+        for modelled in (True, False):
+            assert _check_cardy(h, modelled) == CheckResult("cardy", True), (context, modelled)
+    return certified
 
 
 def dense_phi_is_rho(h) -> bool:
@@ -106,15 +160,16 @@ def constant_traces(b) -> dict:
 @pytest.mark.parametrize("name", SMALL_PAIRS)
 def test_model_checks_match_oracles_on_the_suite(suite_algebras, name):
     h = suite_algebras[name]
-    assert _model_certificate(h, h.catalog.is_model_of(h.B)) == CERTIFIED
+    assert certificate(h) == CERTIFIED
     assert assert_matches_oracles(h, name) == set()
 
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
 def test_corrupted_phi_matches_oracles(suite_algebras, name):
     # One entry of phi off by +1 or -1, and one key added with a count or
-    # with a zero: each fails premise (d), so phi-central takes its walk
-    # (which passes on an added zero).
+    # with a zero: each fails premise (d), so phi-central, and with it
+    # phi-homomorphism, phi-star and cardy, take their walks (phi-central's
+    # passes on an added zero).
     h = suite_algebras[name]
     rng = random.Random(seed_of(name))
     failed: set[str] = set()
@@ -130,7 +185,7 @@ def test_corrupted_phi_matches_oracles(suite_algebras, name):
             rows[alpha][key] = value
             broken = replace(h, phi=tuple(rows))
             assert not _phi_is_rho(broken)
-            assert _model_certificate(broken, True) == CERTIFIED - {"phi-central"}
+            assert certificate(broken) == MODEL_CERTIFIED
             failed |= assert_matches_oracles(broken, (name, alpha, key, value))
     assert {"phi-central", "cardy"} <= failed
 
@@ -173,6 +228,7 @@ def test_corrupted_pairing_matches_oracles(suite_algebras, name):
         j = rng.randrange(h.B.dim)
         broken = replace(h, B=with_form_entry(h.B, i, j, Fraction(1, 7)))
         assert broken.catalog.is_model_of(broken.B)
+        assert certificate(broken) == MODEL_CERTIFIED | PHI_CERTIFIED
         failed |= assert_matches_oracles(broken, (name, i, j))
     assert failed == {"cardy"}
 
@@ -246,7 +302,122 @@ def test_model_traces_match_the_constants_on_random_pairs(generators, data):
     elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
     h = cardy_from_pair(group, subgroup_closure(group, elements))
     assert model_traces(h.catalog) == constant_traces(h.B)
-    assert _model_certificate(h, h.catalog.is_model_of(h.B)) == CERTIFIED
+    assert certificate(h) == CERTIFIED
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_certified_checks_pass_when_walked_on_the_suite(suite_algebras, name):
+    assert assert_certificate_sound(suite_algebras[name], name) == CERTIFIED
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=seeded_permutations_up_to(5), data=st.data())
+def test_certified_checks_pass_when_walked_on_random_pairs(generators, data):
+    # Degree <= 5 with S_d and A_d among the draws, random K; the walks of
+    # S5 with K = 1 (156 points) take about a second, so |X| is at most 60.
+    group = build_group(len(generators[0]), generators)
+    k = subgroup_closure(group, data.draw(st.lists(st.integers(0, group.order - 1), max_size=2)))
+    setup = build_conjugation_setup(group, k)
+    assume(setup.nset.size <= 60)
+    h = algebra_for(setup)
+    assert assert_certificate_sound(h, (generators, k.order)) == CERTIFIED
+
+
+def assert_class_checks_walk(broken, context) -> list:
+    """The certificate of ``broken`` asserted to lack the three checks (e)
+    certifies, and their results in ``verify_cardy_frobenius`` asserted
+    equal to their walks; the walks' results."""
+    assert certificate(broken) == MODEL_CERTIFIED | PHI_CERTIFIED, context
+    results = {result.name: result for result in verify_cardy_frobenius(broken)}
+    walks = [
+        _check_phi_homomorphism(broken),
+        _check_phi_star(broken),
+        _check_cardy(broken, True),
+    ]
+    assert [results[walk.name] for walk in walks] == walks, context
+    return walks
+
+
+def broken_class_algebras(h, rng: random.Random) -> dict[str, object]:
+    """Copies of ``h.A`` that are not the class algebra of ``N``: a stored
+    constant raised by 1 and, where ``A`` has one, a zero constant set to 1
+    (the pairing recomputed), two stars exchanged, a pairing entry off by
+    1/7, the unit doubled and the linear form off by 1/7 at the identity's
+    class, each with no pairing inverse yet; and the pairing entry off with
+    the intact inverse kept, or the intact pairing with the inverse of the
+    broken entry kept.  Cardy reads the inverse, and no check that (e)
+    certifies reads the pairing, the unit or the linear form."""
+    a = h.A
+    i, j, expansion = rng.choice(list(a.stored_products()))
+    k = rng.choice(sorted(expansion))
+    s, t = rng.randrange(a.dim), rng.randrange(a.dim)
+    identity = a.index(h.catalog.identity_interior_label)
+    broken = {
+        "constant": with_constant(a, i, j, k, expansion[k] + 1),
+        "form": with_form_entry(a, s, t, Fraction(1, 7)),
+        "unit": with_unit(a, {identity: 2}),
+        "linear": with_linear_value(a, identity, a.linear_form[identity] + Fraction(1, 7)),
+    }
+    kept = copy.copy(broken["form"])
+    kept._form_inverse = a.form_inverse()
+    broken["form, inverse kept"] = kept
+    stale = copy.copy(a)
+    stale._form_inverse = with_form_entry(a, s, t, Fraction(1, 7)).form_inverse()
+    broken["stale inverse"] = stale
+    positions = range(a.dim)
+    zeros = [
+        (i, j, k)
+        for i in positions
+        for j in positions
+        for k in positions
+        if k not in a.pair_products(i, j)
+    ]
+    if zeros:
+        broken["zero constant"] = with_constant(a, *rng.choice(zeros), 1)
+    if a.dim > 1:
+        broken["star"] = with_star(a, *rng.sample(positions, 2))
+    return broken
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
+def test_broken_class_algebras_walk(suite_algebras, name):
+    # Each copy of A fails premise (e) with (a), orbital and (d) standing, so
+    # phi-homomorphism, phi-star and cardy give what their walks give.
+    h = suite_algebras[name]
+    rng = random.Random(seed_of(name))
+    failed: set[str] = set()
+    for kind, a in broken_class_algebras(h, rng).items():
+        broken = replace(h, A=a)
+        assert not _is_class_algebra(broken), (name, kind)
+        walks = assert_class_checks_walk(broken, (name, kind))
+        failed |= {(kind, walk.name) for walk in walks if not walk.passed}
+    # A raised constant breaks phi-homomorphism, and the stale inverse the
+    # Cardy condition, which (e) would otherwise certify.
+    assert ("constant", "phi-homomorphism") in failed
+    assert ("stale inverse", "cardy") in failed
+
+
+@pytest.mark.parametrize("name", ["s3", "s4"])
+def test_fields_that_are_not_the_classes_fail_the_class_algebra(suite_algebras, name):
+    # Two self-inverse classes listed as one field, and one of them dropped,
+    # with A, phi and U counted from those fields: (a), orbital and (d)
+    # stand, so only (e) keeps the three checks from being certified.
+    h = suite_algebras[name]
+    fields = list(h.catalog.interior)
+    first, second = [
+        m for m, field in enumerate(fields) if field.star == field.label and field.representative
+    ][:2]
+    merged = fields[first].conjugacy_class
+    merged = replace(merged, members=merged.members + fields[second].members)
+    candidates = {
+        "merged": fields[:second] + fields[second + 1 :],
+        "dropped": fields[:second] + fields[second + 1 :],
+    }
+    candidates["merged"][first] = replace(fields[first], conjugacy_class=merged)
+    for kind, interior in candidates.items():
+        broken = build_cardy_frobenius(replace(h.catalog, interior=tuple(interior)))
+        assert _phi_is_rho(broken) and not _is_class_algebra(broken), (name, kind)
+        assert_class_checks_walk(broken, (name, kind))
 
 
 def counted_premises(monkeypatch) -> Counter:

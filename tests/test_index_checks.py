@@ -320,6 +320,31 @@ def test_nu_multiplicative_names_the_least_failing_pair(suite_algebras):
     assert result == CheckResult("nu-multiplicative", False, "(b15, b13) at (2, 1)")
 
 
+def test_nu_multiplicative_walks_on_to_the_bound_of_its_least_i(suite_algebras):
+    # Two zero constants of B set to 1: c_{1,j}^0, j > 0, at the diagonal
+    # orbit of point 0, whose cells the walk tallies first (bound 0), and
+    # c_{1,0}^k at an orbit whose rows and stored constants begin past
+    # orbit 1, so that its cells wait for bound 1.  The walk finds (b1, bj)
+    # first and must still tally bound 1, where (b1, b0) is less.
+    h = suite_algebras["z2"]
+    catalog, b = h.catalog, h.B
+    size, table = catalog.nset.size, catalog.orbit_table
+    least_stored = [
+        min(i for i, _, expansion in b.stored_products() if k in expansion) for k in range(b.dim)
+    ]
+    k = next(
+        k
+        for k, (x, _) in enumerate(field.representative for field in catalog.boundary)
+        if least_stored[k] > 1 and min(table[x * size : (x + 1) * size]) > 1
+    )
+    j = max(j for j in range(1, b.dim) if 0 not in b.pair_products(1, j))
+    assert k not in b.pair_products(1, 0)
+    broken = replace(h, B=with_constant(with_constant(b, 1, j, 0, 1), 1, 0, k, 1))
+    result = _check_nu_multiplicative(broken)
+    assert result == _dense_nu_multiplicative(broken)
+    assert result.witness.startswith("(b1, b0) at ")
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_algebras())
 def test_random_sparse_algebras_match_element_oracle(alg):

@@ -149,6 +149,26 @@ def permutations_up_to(max_degree):
 permutations_of_degree = permutations_up_to(4)
 
 
+def symmetric_and_alternating(degree):
+    """Generators of ``S_d`` (a ``d``-cycle and a transposition) and of
+    ``A_d`` (``(0 1 2)`` and an even cycle through the other points)."""
+    cycle = [*range(1, degree), 0]
+    transposition = [1, 0, *range(2, degree)]
+    three_cycle = [1, 2, 0, *range(3, degree)]
+    # (0 1 .. d-1) is even for odd d; for even d, (1 2 .. d-1) fixes 0.
+    even = cycle if degree % 2 else [0, *range(2, degree), 1]
+    return [[cycle, transposition], [three_cycle, even]]
+
+
+def seeded_permutations_up_to(max_degree):
+    """:func:`permutations_up_to`, or with equal weight the generators of
+    ``S_d`` or ``A_d`` for ``4 <= d <= max_degree``, so that groups of order
+    24 and more come up: drawn generators mostly close to tiny groups."""
+    degrees = range(4, max_degree + 1)
+    named = [gens for degree in degrees for gens in symmetric_and_alternating(degree)]
+    return st.one_of(st.sampled_from(named), permutations_up_to(max_degree))
+
+
 @settings(max_examples=60, deadline=None)
 @given(generators=permutations_up_to(5), data=st.data())
 def test_random_lattices_match_oracle(generators, data):
