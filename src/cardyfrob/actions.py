@@ -394,35 +394,6 @@ class FieldCatalog:
         ``tr(nu(beta_k))``, for each ``k`` that occurs."""
         return Counter(self.orbit_table[:: self.nset.size + 1])
 
-    def cardy_trace_counts(self) -> Counter[tuple[int, int]]:
-        """``#{(y, w) : orbit(x_k, y) = i, orbit(w, z_k) = j}`` for each ``(i, j)``
-        that occurs, where ``k = orbit(y, w)`` and ``(x_k, z_k)`` is the
-        representative of ``O_k``.
-
-        When the catalog is a model of an algebra (:meth:`is_model_of`),
-        this is ``tr(L_i R_j)``, the trace of ``b -> beta_i b beta_j``:
-        ``nu`` is then an injective homomorphism whose matrices have disjoint
-        supports, so the coefficient of ``beta_k`` in any element ``b`` is
-        ``nu(b)`` at ``(x_k, z_k)``, and ``tr(L_i R_j) = sum_k
-        [beta_k](beta_i beta_k beta_j)`` counts the chains ``x_k -> y -> w
-        -> z_k`` through ``O_i``, ``O_k`` and ``O_j``.  Summed over ``k``,
-        each cell ``(y, w)`` is the middle link of exactly one such chain,
-        the one through its own orbit, so one pass over the table counts
-        them all.
-        """
-        table, size = self.orbit_table, self.nset.size
-        columns = [table[z::size] for z in range(size)]
-        representatives = [field.representative for field in self.boundary]
-        starts = [x * size for x, _ in representatives]
-        ends = [columns[z] for _, z in representatives]
-        counts: Counter[tuple[int, int]] = Counter()
-        for y in range(size):
-            row = table[y * size : (y + 1) * size]
-            left = [table[starts[k] + y] for k in row]
-            right = [ends[k][w] for w, k in enumerate(row)]
-            counts.update(zip(left, right))
-        return counts
-
     def chain_tallies(
         self, cells: Iterable[tuple[int, int]]
     ) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:

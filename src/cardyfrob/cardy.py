@@ -52,12 +52,12 @@ of the Cardy structure that the model, ``phi`` counted from it (premise
 (d)) and ``A`` recounted as the class algebra of ``N`` (premise (e)) prove
 are listed, with the argument, at :func:`_model_certificate`: under all of
 them phi-homomorphism, phi-star and the Cardy condition pass without their
-walks.  Under premise (a) alone the Cardy condition, when it walks, reads
-its traces off the orbit table (:func:`_check_cardy`); when a premise fails,
-each check runs its walk, so no result depends on the model.  The walks of
-the ``nu`` checks are premise (a)'s two counters run over every cell and
-row, nu-multiplicative's in increasing order of a bound on the least ``i``
-each cell can fail at, so that a broken ``B`` stops it early.
+walks.  When a premise fails, each check runs its walk, and no walk of the
+``phi`` checks or the Cardy condition reads the model, so no result depends
+on it.  The walks of the ``nu`` checks are premise (a)'s two counters run
+over every cell and row, nu-multiplicative's in increasing order of a bound
+on the least ``i`` each cell can fail at, so that a broken ``B`` stops it
+early.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -559,20 +559,19 @@ def _verify_cardy_frobenius(
     and ``h.B`` by the caller.  A ``phi`` without ``dim A`` rows fails the
     checks that read a row, naming both counts; a row that leaves ``0 ..
     dim B - 1`` fails those that read ``B`` at its positions, naming it."""
-    modelled, traces = premises.modelled, premises.traces
     certified = _model_certificate(h, premises)
     inside = set(range(h.B.dim))
     leaving = next((a for a, row in zip(h.A.basis, h.phi) if not row.keys() <= inside), None)
     miscounted = len(h.phi) != h.A.dim
 
-    def run(name: str, check: Callable[..., CheckResult], *args: object) -> CheckResult:
+    def run(name: str, check: Callable[[CardyFrobeniusAlgebra], CheckResult]) -> CheckResult:
         if name in certified:
             return CheckResult(name, True)
         if miscounted and name in _READING_PHI:
             return CheckResult(name, False, f"phi has {len(h.phi)} rows, dim A is {h.A.dim}")
         if leaving is not None and name in _INDEXING_B_AT_PHI:
             return CheckResult(name, False, f"phi({leaving}) leaves B")
-        return check(h, *args)
+        return check(h)
 
     return [
         run("phi-unit", _check_phi_unit),
@@ -582,10 +581,10 @@ def _verify_cardy_frobenius(
         _check_u_squared(h),
         run("phi-u", _check_phi_u),
         _check_u_coefficients(h),
-        run("cardy", _check_cardy, modelled),
+        run("cardy", _check_cardy),
         run("nu-multiplicative", _check_nu_multiplicative),
-        _check_nu_star_transpose(h, traces),
-        _check_form_from_traces(h, traces),
+        _check_nu_star_transpose(h, premises.traces),
+        _check_form_from_traces(h, premises.traces),
         _check_linear_form_from_traces(h),
         run("nu-equivariant", _check_nu_equivariant),
         run("burnside-dimension", _check_burnside_dimension),
@@ -820,37 +819,28 @@ def _check_u_coefficients(h: CardyFrobeniusAlgebra) -> CheckResult:
     return CheckResult("u-coefficients", True)
 
 
-def _check_cardy(h: CardyFrobeniusAlgebra, modelled: bool) -> CheckResult:
+def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """The Cardy condition ``(phi*(x), phi*(y))_A = tr W_{x,y}`` on basis pairs.
 
     The left side is the matrix ``(Phi F_B)^T F_A^-1 (Phi F_B)`` in
     integers: ``F_B`` and ``F_A^-1`` are scaled by the lcm of their
     denominators, ``s_B`` and ``s_A``, ``P = Phi s_B F_B`` is transposed
     into sparse columns, and row ``i`` is ``sum_alpha P[alpha][i] (Q
-    P)[alpha]`` with ``Q = s_A F_A^-1``, against the traces times ``s_A
-    s_B^2``.  The right side ``tr W_{i,j} = tr(L_i R_j)`` is read off the
-    model (:meth:`~cardyfrob.actions.FieldCatalog.cardy_trace_counts`) when
-    ``modelled``, premise (a), holds, and comes from the sparse trace
-    buckets of :func:`cardyfrob.frobenius.multiplication_traces` otherwise.
+    P)[alpha]`` with ``Q = s_A F_A^-1``.  The right side, ``tr W_{i,j} =
+    tr(L_i R_j)`` times ``s_A s_B^2``, comes from the constants of ``B``
+    (:func:`cardyfrob.frobenius.multiplication_traces`), never the model.
     The witness is the first failing ``i`` in basis order and its least
     failing ``j``; a degenerate pairing of ``A`` fails it with the text of
     :meth:`~cardyfrob.frobenius.EquippedFrobeniusAlgebra.form_inverse`'s
-    error, as form-invertible reports it.  :func:`verify_cardy_frobenius` passes this
-    check without the walk when premises (a), orbital, (d) and (e) hold
-    (:func:`_model_certificate`); the model branch serves the algebras where
-    (a) holds and one of the others does not.
+    error, as form-invertible reports it.  :func:`_model_certificate` says
+    when :func:`verify_cardy_frobenius` passes it without the walk.
     """
     b = h.B
     try:
         inverse = h.A.form_inverse()
     except ConsistencyError as exc:
         return CheckResult("cardy", False, str(exc))
-    if modelled:
-        traces: list[dict[int, int | Fraction]] = [{} for _ in range(b.dim)]
-        for (i, j), count in h.catalog.cardy_trace_counts().items():
-            traces[i][j] = count
-    else:
-        traces = multiplication_traces(b, right=True)
+    traces = multiplication_traces(b, right=True)
     form_scale, form = _scaled(b.form)
     inverse_scale, scaled_inverse = _scaled(inverse)
     phi_form = [linalg.row_times(row.items(), form) for row in h.phi]

@@ -2,22 +2,21 @@
 
 ``verify_cardy_frobenius`` computes premise (a), ``is_model_of(B)``, once
 per call.  Under (a), nu-multiplicative, nu-equivariant and
-burnside-dimension pass without their walks and the Cardy traces
-``tr(L_i R_j)`` are counted on the orbit table; under (a) and (d),
+burnside-dimension pass without their walks; under (a) and (d),
 ``phi`` being the rows ``build_phi`` counts from the catalog, phi-central
 passes too; and when ``B`` is moreover the catalog's orbital algebra and
 (e) holds, ``A`` being the class algebra of ``N``, phi-homomorphism,
 phi-star and cardy pass as well.  Every one of these results, witness
 included, must equal the slow references :func:`cardy_condition_oracle` and
 :func:`cardy_axiom_oracle`, on the suite and on seeded corruptions of
-``phi``, of the constants of ``B`` (which break (a)), of its pairing (which
-leaves (a) standing) and of the catalog.  Wherever the certificate holds,
-each certified check passes when walked, on the suite and on drawn pairs.
-Copies of ``A`` with a constant changed, two stars exchanged, a pairing
-entry, the unit or the linear form off, or a pairing inverse that is not
-the pairing's, and catalogs whose interior fields are not the conjugacy
-classes, fail (e), and the three checks it certifies then give the
-results of their walks.
+``phi``, of the constants of ``B`` (which break (a)), of its pairing, star,
+unit and linear form (which leave (a) standing) and of the catalog.
+Wherever the certificate holds, each certified check passes when walked, on
+the suite and on drawn pairs.  Copies of ``A`` with a constant changed, two
+stars exchanged, a pairing entry, the unit or the linear form off, or a
+pairing inverse that is not the pairing's, and catalogs whose interior
+fields are not the conjugacy classes, fail (e), and the three checks it
+certifies then give the results of their walks.
 """
 
 from __future__ import annotations
@@ -63,11 +62,10 @@ from cardyfrob.cardy import (
     _phi_is_rho,
 )
 from cardyfrob.cli import run
-from cardyfrob.frobenius import multiplication_traces
 from cardyfrob.oracles import _permutation_model
 from conftest import SUITE_DOCUMENTS, algebra_for
 from test_index_checks import SMALL_PAIRS, merged_orbits, seed_of, swapped_pairs
-from test_lattice import permutations_of_degree, seeded_permutations_up_to
+from test_lattice import seeded_permutations_up_to
 from test_model_certificate import fused_orbits, with_linear_value, with_star, with_unit
 from test_sparse_checks import PINNED_PAIRS, with_constant, with_form_entry
 
@@ -91,6 +89,7 @@ WALKS = {
     "nu-multiplicative": _check_nu_multiplicative,
     "nu-equivariant": _check_nu_equivariant,
     "burnside-dimension": _check_burnside_dimension,
+    "cardy": _check_cardy,
 }
 
 
@@ -118,14 +117,10 @@ def certificate(h) -> set[str]:
 
 
 def assert_certificate_sound(h, context) -> set[str]:
-    """Each check certified for ``h`` called directly, asserted to pass; the
-    Cardy condition with its traces from the model and from the constants."""
+    """Each check certified for ``h`` called directly, asserted to pass."""
     certified = certificate(h)
-    for name in certified - {"cardy"}:
+    for name in certified:
         assert WALKS[name](h) == CheckResult(name, True), (context, name)
-    if "cardy" in certified:
-        for modelled in (True, False):
-            assert _check_cardy(h, modelled) == CheckResult("cardy", True), (context, modelled)
     return certified
 
 
@@ -142,19 +137,6 @@ def dense_phi_is_rho(h) -> bool:
         if image != model.rho_class[field.label]:
             return False
     return True
-
-
-def model_traces(catalog) -> dict:
-    return dict(catalog.cardy_trace_counts())
-
-
-def constant_traces(b) -> dict:
-    return {
-        (i, j): value
-        for i, row in enumerate(multiplication_traces(b, right=True))
-        for j, value in row.items()
-        if value
-    }
 
 
 @pytest.mark.parametrize("name", SMALL_PAIRS)
@@ -216,21 +198,37 @@ def test_corrupted_constant_matches_oracles(suite_algebras, name):
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
 def test_corrupted_pairing_matches_oracles(suite_algebras, name):
-    # One entry of the pairing of B off by 1/7: the constants, and with them
-    # premise (a), are intact, so the Cardy traces come from the model while
-    # the left side reads the broken pairing.  Only a row of the pairing that
-    # phi reaches can move the left side; the first entry lies in one.
+    # One entry of the pairing of B off by 1/7, two stars of B exchanged, the
+    # unit doubled or the linear form off by 1/7: the constants, and with
+    # them premise (a), are intact, but B is no orbital algebra, so the Cardy
+    # condition walks, its traces counted from the constants and its left
+    # side read off the pairing.  Only a row of the pairing that phi reaches
+    # can move the left side; the first entry lies in one.  The walk reads
+    # no star, unit or linear form, so only a broken pairing fails it; the
+    # exchanged stars, one of them in phi's image, fail phi-star.
     h = suite_algebras[name]
+    b = h.B
     rng = random.Random(seed_of(name))
     image = sorted(set().union(*h.phi))
-    failed: set[str] = set()
-    for i in (rng.choice(image), rng.randrange(h.B.dim), rng.randrange(h.B.dim)):
-        j = rng.randrange(h.B.dim)
-        broken = replace(h, B=with_form_entry(h.B, i, j, Fraction(1, 7)))
-        assert broken.catalog.is_model_of(broken.B)
-        assert certificate(broken) == MODEL_CERTIFIED | PHI_CERTIFIED
-        failed |= assert_matches_oracles(broken, (name, i, j))
-    assert failed == {"cardy"}
+    cases = {}
+    for i in (rng.choice(image), rng.randrange(b.dim), rng.randrange(b.dim)):
+        j = rng.randrange(b.dim)
+        cases["form", i, j] = with_form_entry(b, i, j, Fraction(1, 7))
+    s = rng.choice(image)
+    t = rng.choice([position for position in range(b.dim) if position != s])
+    cases["star", s, t] = with_star(b, s, t)
+    cases[("unit",)] = with_unit(b, {b.index(label): 2 * c for label, c in b.unit.coeffs.items()})
+    cases["linear", t] = with_linear_value(b, t, b.linear_form[t] + Fraction(1, 7))
+    failed: dict[tuple, set[str]] = {}
+    for case, broken_b in cases.items():
+        broken = replace(h, B=broken_b)
+        assert broken.catalog.is_model_of(broken.B), case
+        assert certificate(broken) == MODEL_CERTIFIED | PHI_CERTIFIED, case
+        failed[case] = assert_matches_oracles(broken, (name, case))
+    by_kind: dict[str, set[str]] = {}
+    for case, names in failed.items():
+        by_kind.setdefault(case[0], set()).update(names)
+    assert by_kind == {"form": {"cardy"}, "star": {"phi-star"}, "unit": set(), "linear": set()}
 
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
@@ -290,22 +288,6 @@ def test_phi_is_rho_only_when_every_cell_agrees(suite_algebras, name):
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
-def test_model_traces_match_the_constants(suite_algebras, name):
-    h = suite_algebras[name]
-    assert model_traces(h.catalog) == constant_traces(h.B)
-
-
-@settings(max_examples=20, deadline=None)
-@given(generators=permutations_of_degree, data=st.data())
-def test_model_traces_match_the_constants_on_random_pairs(generators, data):
-    group = build_group(len(generators[0]), generators)
-    elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
-    h = cardy_from_pair(group, subgroup_closure(group, elements))
-    assert model_traces(h.catalog) == constant_traces(h.B)
-    assert certificate(h) == CERTIFIED
-
-
-@pytest.mark.parametrize("name", sorted(SUITE_DOCUMENTS))
 def test_certified_checks_pass_when_walked_on_the_suite(suite_algebras, name):
     assert assert_certificate_sound(suite_algebras[name], name) == CERTIFIED
 
@@ -326,13 +308,14 @@ def test_certified_checks_pass_when_walked_on_random_pairs(generators, data):
 def assert_class_checks_walk(broken, context) -> list:
     """The certificate of ``broken`` asserted to lack the three checks (e)
     certifies, and their results in ``verify_cardy_frobenius`` asserted
-    equal to their walks; the walks' results."""
+    equal to their walks, the Cardy condition's reading the constants of
+    ``B``; the walks' results."""
     assert certificate(broken) == MODEL_CERTIFIED | PHI_CERTIFIED, context
     results = {result.name: result for result in verify_cardy_frobenius(broken)}
     walks = [
         _check_phi_homomorphism(broken),
         _check_phi_star(broken),
-        _check_cardy(broken, True),
+        _check_cardy(broken),
     ]
     assert [results[walk.name] for walk in walks] == walks, context
     return walks

@@ -13,7 +13,9 @@ of the premise helpers that live in :mod:`cardyfrob.actions`;
 :mod:`cardyfrob.cli` is a client of the library like any other, so it
 imports no ``_``-prefixed name from the package.  The model checks of
 :mod:`cardyfrob.cardy` read the orbit table only through the counters of
-:mod:`cardyfrob.actions`, so no function there calls ``.orbits()``.
+:mod:`cardyfrob.actions`, so no function there calls ``.orbits()``, and
+the Cardy condition's walk reads the constants of ``B`` alone, so
+``_check_cardy`` reads no ``catalog`` attribute.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ def orbit_walkers(tree: ast.AST) -> list[str]:
 
 def test_cardy_walks_no_orbit_list():
     assert orbit_walkers(ast.parse((PACKAGE / "cardy.py").read_text())) == []
+
+
+def attributes_read(tree: ast.AST, name: str) -> set[str]:
+    """Every attribute that the top-level function ``name`` of ``tree`` reads."""
+    (function,) = [node for node in tree.body if getattr(node, "name", None) == name]
+    return {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+
+
+def test_cardy_condition_walks_without_the_catalog():
+    read = attributes_read(ast.parse((PACKAGE / "cardy.py").read_text()), "_check_cardy")
+    assert "form" in read and "catalog" not in read
 
 
 def test_the_check_sees_an_orbit_walk():
