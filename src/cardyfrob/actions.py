@@ -9,9 +9,10 @@ labels (``a<k>`` and ``b<k>``), automorphism orders, and an involution
 of a pair.  The boundary orbits exist in one form only, the flat orbit table
 :attr:`FieldCatalog.orbit_table` that every reader indexes.  The catalog is
 also the permutation model of the boundary algebra ``B``, and every fact
-about that model lives here: :meth:`FieldCatalog.chain_tallies` counts the
-chains and :func:`_moved_orbits` scans the table's invariance, for premise
-(a) and for the checks nu-multiplicative and nu-equivariant, and
+about that model lives here: :func:`_chains_match` counts the chains for
+premise (a) and :meth:`FieldCatalog.chain_tallies` for the check
+nu-multiplicative, :func:`_moved_orbits` scans the table's invariance for
+premise (a) and for the check nu-equivariant, and
 :meth:`FieldCatalog.premises` decides, in one :class:`ModelPremises`
 record, what the model proves about an algebra.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, InputError, ResourceError
@@ -296,9 +297,8 @@ class ModelPremises:
     * ``modelled`` is premise (a), :meth:`FieldCatalog.is_model_of`: ``nu``
       is an injective homomorphism into the rational ``|X| x |X|`` matrices,
       decided by the counters the nu checks run at every cell and row.
-    * ``traces`` is :meth:`FieldCatalog.trace_counts`, the traces
-      ``tr(nu_i nu_j)``; a key ``(i, j)`` says that a swapped pair of
-      ``O_i`` lies in ``O_j``.
+    * ``traces`` holds the traces ``tr(nu_i nu_j)``; a key ``(i, j)`` says
+      that a swapped pair of ``O_i`` lies in ``O_j``.
     * ``orbital`` says that the algebra is the catalog's orbital algebra:
       (a) holds, and the rest of the algebra equals the catalog's counts.
       The star sends each orbit to the one its swapped pairs lie in, so
@@ -309,6 +309,23 @@ class ModelPremises:
       over ``|N|`` (:meth:`FieldCatalog.diagonal_counts`).  Each rational
       ``v`` is compared with its count in integers, ``v.numerator * |N| ==
       count * v.denominator``.
+
+    Let ``t(k)`` be the orbit that holds the swapped representative ``(z_k,
+    x_k)`` of ``O_k``.  Premise (a) finds the table ``N``-invariant and each
+    listed orbit one ``N``-orbit before it counts any chain.  Swapping the
+    two points commutes with the action, so the transpose of ``O_k`` is an
+    ``N``-orbit that meets ``O_{t(k)}``: it is ``O_{t(k)}``, and ``t`` is an
+    involution.  Reversing a chain ``x -> y -> z`` through ``O_i, O_j``
+    gives a chain ``z -> y -> x`` through ``O_{t(j)}, O_{t(i)}``.  The
+    chains at ``(z_k, x_k)``, a pair of the ``N``-orbit ``O_{t(k)}``, are
+    as many as at its representative, so ``c_{t(j) t(i)}^{t(k)} =
+    c_ij^k``.  Premise (a) therefore tallies one orbit of
+    each pair ``{k, t(k)}`` and reads the other by that lookup
+    (:func:`_chains_match`).  When (a) holds, ``tr(nu_k nu_j)`` is ``|O_k|``
+    at ``j = t(k)`` and 0 elsewhere, so ``traces`` is read off the ``dim``
+    representatives; when it fails, ``traces`` is
+    :meth:`FieldCatalog.trace_counts`, one pass over the ``|X|^2`` cells,
+    which the walks of nu-star-transpose and form-from-traces read.
 
     When ``orbital`` holds, :func:`~cardyfrob.frobenius.verify_equipped`
     passes five checks without their walks, each transported through the
@@ -403,10 +420,11 @@ class FieldCatalog:
 
         The count at ``(i, j)`` is the number of chains ``x -> y -> z``
         through ``O_i`` and ``O_j``, the intersection number ``c_ij^k`` of
-        the orbital algebra at a cell of ``O_k``.  Premise (a) tallies the
-        representatives, nu-multiplicative every cell.  The cells come
-        grouped by column, so each row and column of the table is read once
-        per call, as a list, and one column is held at a time.
+        the orbital algebra at a cell of ``O_k``.  The walk of
+        nu-multiplicative tallies every cell here; premise (a) tallies half
+        the representatives in integer codes (:func:`_chains_match`).  The
+        cells come grouped by column, so each row and column of the table is
+        read once per call, as a list, and one column is held at a time.
         """
         size, table = self.nset.size, self.orbit_table
         by_column: dict[int, list[tuple[int, int]]] = {}
@@ -425,7 +443,11 @@ class FieldCatalog:
         """The :class:`ModelPremises` of this catalog for ``algebra``: premise
         (a), the traces, and whether ``algebra`` is the orbital algebra."""
         modelled = self.is_model_of(algebra)
-        traces = self.trace_counts()
+        if modelled:
+            sizes = (field.size for field in self.boundary)
+            traces = Counter(dict(zip(enumerate(_transposes(self)), sizes)))
+        else:
+            traces = self.trace_counts()
         return ModelPremises(
             modelled, traces, modelled and _is_orbital_algebra(self, algebra, traces)
         )
@@ -449,7 +471,8 @@ class FieldCatalog:
         Then ``y -> n y`` carries the chains at ``(x_k, z_k)`` onto those at
         ``n (x_k, z_k)``, orbit labels and all, and every pair of ``O_k`` is
         such an image.  That costs ``|S| |X|^2`` steps for the invariance,
-        ``|N| |X|`` for the orbit count and ``dim |X|`` for the chains
+        ``|N| |X|`` for the orbit count and ``|X|`` for each orbit ``k <=
+        t(k)`` of :class:`ModelPremises`, at most ``dim |X|``, for the chains
         (:func:`_chains_match`) instead of ``|X|^3``.  Both conditions
         matter: a catalog that lists two ``N``-orbits under one label keeps
         the table invariant and fails only the second.  When this holds,
@@ -548,28 +571,54 @@ def _counted_orbits(catalog: FieldCatalog) -> bool:
     return nset.squared_fixed_points() == nset.group.order * len(catalog.boundary)
 
 
+def _transposes(catalog: FieldCatalog) -> list[int]:
+    """``t(k)`` for each orbit: the orbit that holds the swapped
+    representative ``(z_k, x_k)`` of ``O_k``."""
+    table, size = catalog.orbit_table, catalog.nset.size
+    return [table[z * size + x] for x, z in (field.representative for field in catalog.boundary)]
+
+
 def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> bool:
     """Whether the representative ``(x, z)`` of each orbit ``O_k`` has the
-    chains ``c_ij^k`` asks for.
+    chains ``c_ij^k`` asks for, on a table that premise (a) has found
+    ``N``-invariant with each listed orbit one ``N``-orbit.
 
-    Each count ``(i, j)`` of :meth:`FieldCatalog.chain_tallies` at the
-    representatives, counted apart from :func:`cardyfrob.cardy.build_B`, is
-    looked up as ``c_ij^k`` in the store, and the matches are counted.
-    Every stored constant must be matched, so at the end the matches must
-    number the stored constants: one at an ``(i, j, k)`` where the table
-    counts no chain is left over.  The store keeps integral constants as
-    ``int`` and drops zeros, so a stored constant equals its positive count
-    exactly when it is that count as a positive ``int``.  No copy of the
-    constants is made.
+    Only the ``k`` with ``k <= t(k)`` are tallied, counted apart from
+    :func:`cardyfrob.cardy.build_B`: row ``x`` and column ``z`` of the
+    table, added as codes ``i * dim + j``, are tallied over ``y``, the codes
+    of each row made once.  Each count must be the stored ``c_ij^k`` and,
+    when ``t(k) != k``, the stored ``c_{t(j) t(i)}^{t(k)}`` too, which
+    reversing the chains makes equal (:class:`ModelPremises`).  That
+    matches ``2 len(tally)`` constants for a pair and ``len(tally)`` for a
+    self-paired orbit, and at the end the matches must number the stored
+    constants: one at an ``(i, j, k)`` where the table counts no chain is
+    left over.  The store keeps integral constants as ``int`` and drops
+    zeros, so a stored constant equals its positive count exactly when it
+    is that count as a positive ``int``.  No copy of the constants is made.
     """
-    rows = list(map(algebra.left_products, range(algebra.dim)))
+    table, size, dim = catalog.orbit_table, catalog.nset.size, algebra.dim
+    rows = list(map(algebra.left_products, range(dim)))
+    transposes = _transposes(catalog)
+    row_codes: dict[int, list[int]] = {}
     matched = 0
-    for k, tally in catalog.chain_tallies(field.representative for field in catalog.boundary):
-        for (i, j), count in tally.items():
+    for k, (x, z) in enumerate(field.representative for field in catalog.boundary):
+        star = transposes[k]
+        if star < k:
+            continue
+        codes = row_codes.get(x)
+        if codes is None:
+            codes = row_codes[x] = [i * dim for i in table[x * size : (x + 1) * size]]
+        tally = Counter(map(add, codes, table[z::size]))
+        for code, count in tally.items():
+            i, j = divmod(code, dim)
             expansion = rows[i].get(j)
             if expansion is None or expansion.get(k) != count:
                 return False
-        matched += len(tally)
+            if star != k:
+                mirror = rows[transposes[j]].get(transposes[i])
+                if mirror is None or mirror.get(star) != count:
+                    return False
+        matched += len(tally) if star == k else 2 * len(tally)
     return matched == sum(map(len, chain.from_iterable(row.values() for row in rows)))
 
 

@@ -220,8 +220,9 @@ def build_B(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     holds one entry, so its key order is the recomputed one too.  The
     algebra keeps ``catalog`` as its permutation model, which
     :func:`~cardyfrob.frobenius.verify_equipped` certifies anew on each
-    call; premise (a) counts the chains again, through
-    :meth:`~cardyfrob.actions.FieldCatalog.chain_tallies`.
+    call; premise (a) counts the chains again, apart from this builder, at
+    one orbit of each transposed pair
+    (:class:`~cardyfrob.actions.ModelPremises`).
     """
     n_order = catalog.nset.group.order
     size = catalog.nset.size

@@ -420,28 +420,32 @@ def counted_premises(monkeypatch) -> Counter:
 def test_check_decides_the_premises_once(monkeypatch, capsys):
     # cardyfrob check shares one record of premise (a) and the traces
     # between the verifiers of B and of the Cardy structure; each public
-    # verifier, called alone, still computes its own.
+    # verifier, called alone, still computes its own.  Premise (a) holds,
+    # so the traces are read at the representatives and the pass over the
+    # table's cells never runs.
     calls = counted_premises(monkeypatch)
     group = str(bundled_input("groups/s4_k_double_transposition.json"))
     assert run(["check", "--group", group]) == 0
     assert '"all_passed": true' in capsys.readouterr().out
-    assert calls == {"is_model_of": 1, "trace_counts": 1}
+    assert calls == {"is_model_of": 1}
     h = cardy_from_pair(*group_from_document(SUITE_DOCUMENTS["s4_k0123"]))
     for verify, algebra in ((verify_equipped, h.B), (verify_cardy_frobenius, h)):
         calls.clear()
         assert all(result.passed for result in verify(algebra))
-        assert calls == {"is_model_of": 1, "trace_counts": 1}, verify.__name__
+        assert calls == {"is_model_of": 1}, verify.__name__
 
 
 def test_verify_all_is_the_three_verifiers_on_one_record(suite_algebras, monkeypatch):
-    # Intact, and with a constant of B raised by 1, which breaks premise (a).
+    # Intact, and with a constant of B raised by 1, which breaks premise (a):
+    # the pass over the table's cells for the traces runs only then.
     h = suite_algebras["s3_k01"]
     broken = replace(h, B=with_constant(h.B, 1, 1, 0, h.B.pair_products(1, 1).get(0, 0) + 1))
     calls = counted_premises(monkeypatch)
-    for structure in (h, broken):
+    both = {"is_model_of": 1, "trace_counts": 1}
+    for structure, counts in ((h, {"is_model_of": 1}), (broken, both)):
         calls.clear()
         results = verify_all(structure)
-        assert calls == {"is_model_of": 1, "trace_counts": 1}
+        assert calls == counts
         assert results == {
             "A": verify_equipped(structure.A),
             "B": verify_equipped(structure.B),
