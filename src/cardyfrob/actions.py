@@ -583,18 +583,15 @@ def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> b
     chains ``c_ij^k`` asks for, on a table that premise (a) has found
     ``N``-invariant with each listed orbit one ``N``-orbit.
 
-    Only the ``k`` with ``k <= t(k)`` are tallied, counted apart from
-    :func:`cardyfrob.cardy.build_B`: row ``x`` and column ``z`` of the
-    table, added as codes ``i * dim + j``, are tallied over ``y``, the codes
-    of each row made once.  Each count must be the stored ``c_ij^k`` and,
-    when ``t(k) != k``, the stored ``c_{t(j) t(i)}^{t(k)}`` too, which
-    reversing the chains makes equal (:class:`ModelPremises`).  That
-    matches ``2 len(tally)`` constants for a pair and ``len(tally)`` for a
-    self-paired orbit, and at the end the matches must number the stored
-    constants: one at an ``(i, j, k)`` where the table counts no chain is
-    left over.  The store keeps integral constants as ``int`` and drops
-    zeros, so a stored constant equals its positive count exactly when it
-    is that count as a positive ``int``.  No copy of the constants is made.
+    Only the ``k <= t(k)`` are tallied, apart from
+    :func:`cardyfrob.cardy.build_B`: row ``x`` and column ``z`` added as
+    codes ``i * dim + j``, the codes of each row made once.  Each count must
+    be the stored ``c_ij^k`` and, when ``t(k) != k``, the stored ``c_{t(j)
+    t(i)}^{t(k)}`` (:class:`ModelPremises`), and the matches must number the
+    stored constants: one at an ``(i, j, k)`` where the table counts no
+    chain is left over.  The store keeps integral constants as ``int`` and
+    drops zeros, so a stored constant equals its positive count exactly
+    when it is that count as a positive ``int``.  No copy is made.
     """
     table, size, dim = catalog.orbit_table, catalog.nset.size, algebra.dim
     rows = list(map(algebra.left_products, range(dim)))

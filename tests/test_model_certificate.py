@@ -172,6 +172,60 @@ def test_constant_without_chains_breaks_premise_a(suite_algebras, name):
         assert_generic(broken)
 
 
+def mirrored_outputs(catalog) -> list[int]:
+    """Each orbit ``k`` whose swapped representative ``(z_k, x_k)`` lies in
+    an orbit ``t(k) < k``, read off the table here.  Premise (a) tallies no
+    such ``k``: it reaches the constants stored at ``k`` only through the
+    mirrored lookup ``c_ij^k = c_{t(j) t(i)}^{t(k)}`` and the count of the
+    matches."""
+    table, size = catalog.orbit_table, catalog.nset.size
+    return [
+        k
+        for k, field in enumerate(catalog.boundary)
+        if table[field.representative[1] * size + field.representative[0]] < k
+    ]
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_raised_constant_at_a_mirrored_output_breaks_premise_a(suite_algebras, name):
+    # A stored constant raised by 1 at an output k with t(k) < k: only the
+    # lookup of the mirrored constant from the tally of t(k) reaches it.
+    h = suite_algebras[name]
+    b = h.B
+    mirrored = set(mirrored_outputs(h.catalog))
+    stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
+    stored = [triple for triple in stored if triple[2] in mirrored]
+    assert stored, name
+    rng = random.Random(seed_of(name))
+    for i, j, k in rng.sample(stored, min(3, len(stored))):
+        broken = with_model(with_constant(b, i, j, k, b.pair_products(i, j)[k] + 1), h.catalog)
+        assert not h.catalog.is_model_of(broken), (name, (i, j, k))
+        assert model_certificate(broken) == set()
+        assert_generic(broken)
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_constant_without_chains_at_a_mirrored_output_breaks_premise_a(suite_algebras, name):
+    # A constant 1 stored at an (i, j, k) with t(k) < k where no chain runs:
+    # no tally reads k itself, and only the count of the matches sees it.
+    h = suite_algebras[name]
+    b = h.B
+    mirrored = mirrored_outputs(h.catalog)
+    unstored = [
+        (i, j, k)
+        for i in range(b.dim)
+        for j in range(b.dim)
+        for k in mirrored
+        if k not in b.pair_products(i, j)
+    ]
+    rng = random.Random(seed_of(name))
+    for i, j, k in rng.sample(unstored, 3):
+        broken = with_model(with_constant(b, i, j, k, 1), h.catalog)
+        assert not h.catalog.is_model_of(broken), (name, (i, j, k))
+        assert model_certificate(broken) == set()
+        assert_generic(broken)
+
+
 def with_unit(alg, coeffs: dict[int, int]):
     """A copy of ``alg`` (model included) whose unit is ``coeffs``, keyed by
     position, with no pairing inverse or Casimir element carried over."""
@@ -263,6 +317,37 @@ def test_changed_linear_form_certifies_nothing(suite_algebras, name):
             broken = with_linear_value(b, k, value)
             results = assert_uncertified(h, broken, (name, "linear", k, value))
             assert "dual-reconstruction" in failing(results), (name, k, value)
+
+
+@pytest.mark.parametrize("name", PINNED_PAIRS)
+def test_representative_traces_are_the_trace_counts(suite_algebras, name):
+    # Where premise (a) holds, on B and on the corruptions above that keep
+    # it, the traces are read at the representatives and must equal the
+    # pass over every cell; where a raised constant breaks it, they are
+    # that pass.
+    h = suite_algebras[name]
+    b, catalog = h.B, h.catalog
+    counts = dict(catalog.trace_counts())
+    rng = random.Random(seed_of(name))
+    s, t = rng.sample(range(b.dim), 2)
+    diagonal = sorted(catalog.diagonal_counts())
+    kept = [
+        b,
+        with_star(b, s, t),
+        with_form_entry(b, s, t, Fraction(1, 7)),
+        with_unit(b, {**dict.fromkeys(diagonal, 1), diagonal[0]: 2}),
+        with_linear_value(b, s, Fraction(0)),
+    ]
+    for alg in kept:
+        premises = catalog.premises(alg)
+        assert premises.modelled, name
+        assert dict(premises.traces) == counts, name
+    i, j, expansion = next(b.stored_products())
+    k = min(expansion)
+    broken = with_model(with_constant(b, i, j, k, expansion[k] + 1), catalog)
+    premises = catalog.premises(broken)
+    assert not premises.modelled
+    assert dict(premises.traces) == counts
 
 
 def fused_orbits(catalog, keep: int, gone: int):
