@@ -584,27 +584,26 @@ def _chains_match(algebra: EquippedFrobeniusAlgebra, catalog: FieldCatalog) -> b
     ``N``-invariant with each listed orbit one ``N``-orbit.
 
     Only the ``k <= t(k)`` are tallied, apart from
-    :func:`cardyfrob.cardy.build_B`: row ``x`` and column ``z`` added as
-    codes ``i * dim + j``, the codes of each row made once.  Each count must
-    be the stored ``c_ij^k`` and, when ``t(k) != k``, the stored ``c_{t(j)
-    t(i)}^{t(k)}`` (:class:`ModelPremises`), and the matches must number the
-    stored constants: one at an ``(i, j, k)`` where the table counts no
-    chain is left over.  The store keeps integral constants as ``int`` and
-    drops zeros, so a stored constant equals its positive count exactly
-    when it is that count as a positive ``int``.  No copy is made.
+    :func:`cardyfrob.cardy.build_B` but as it does: row ``x`` and column
+    ``z`` added as codes ``i * dim + j``, the codes of a row made once per
+    run of representatives in it.  Each count must be the stored ``c_ij^k``
+    and, when ``t(k) != k``, the stored ``c_{t(j) t(i)}^{t(k)}``
+    (:class:`ModelPremises`), and the matches must number the stored
+    constants: one at an ``(i, j, k)`` where the table counts no chain is
+    left over.  The store keeps integral constants as ``int`` and drops
+    zeros, so a stored constant equals its positive count exactly when it
+    is that count as a positive ``int``.  No copy is made.
     """
     table, size, dim = catalog.orbit_table, catalog.nset.size, algebra.dim
     rows = list(map(algebra.left_products, range(dim)))
     transposes = _transposes(catalog)
-    row_codes: dict[int, list[int]] = {}
-    matched = 0
+    matched, last, codes = 0, -1, []
     for k, (x, z) in enumerate(field.representative for field in catalog.boundary):
         star = transposes[k]
         if star < k:
             continue
-        codes = row_codes.get(x)
-        if codes is None:
-            codes = row_codes[x] = [i * dim for i in table[x * size : (x + 1) * size]]
+        if x != last:
+            last, codes = x, [i * dim for i in table[x * size : (x + 1) * size]]
         tally = Counter(map(add, codes, table[z::size]))
         for code, count in tally.items():
             i, j = divmod(code, dim)
