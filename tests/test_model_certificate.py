@@ -128,50 +128,6 @@ def test_certified_B_walks_no_middles(suite_algebras):
     assert "associativity" not in model_certificate(with_model(b, None))
 
 
-@pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_corrupted_constant_breaks_premise_a(suite_algebras, name):
-    # Stored constants off by +1, -1 and +1/2 or zeroed, and zero ones off
-    # by the same: each breaks the chains, so nothing is certified and every
-    # check takes its walk.
-    h = suite_algebras[name]
-    b = h.B
-    rng = random.Random(seed_of(name))
-    stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
-    triples = rng.sample(stored, min(2, len(stored)))
-    triples += [tuple(rng.randrange(b.dim) for _ in range(3)) for _ in range(2)]
-    failed: set[str] = set()
-    for i, j, k in triples:
-        old = b.pair_products(i, j).get(k, 0)
-        for value in {old + 1, old - 1, old + Fraction(1, 2), 0} - {old}:
-            broken = with_model(with_constant(b, i, j, k, value), h.catalog)
-            assert model_certificate(broken) == set(), (name, (i, j, k), value)
-            results = assert_generic(broken)
-            failed |= {result.name for result in results if not result.passed}
-    assert "associativity" in failed
-
-
-@pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_constant_without_chains_breaks_premise_a(suite_algebras, name):
-    # A constant stored at an (i, j, k) where the table counts no chain x_k
-    # -> y -> z_k: every counted chain still finds its constant, and only the
-    # count of the matched constants against the stored ones sees it.
-    h = suite_algebras[name]
-    b = h.B
-    rng = random.Random(seed_of(name))
-    unstored = [
-        (i, j, k)
-        for i in range(b.dim)
-        for j in range(b.dim)
-        for k in range(b.dim)
-        if k not in b.pair_products(i, j)
-    ]
-    for i, j, k in rng.sample(unstored, 3):
-        broken = with_model(with_constant(b, i, j, k, 1), h.catalog)
-        assert not h.catalog.is_model_of(broken), (name, (i, j, k))
-        assert model_certificate(broken) == set()
-        assert_generic(broken)
-
-
 def mirrored_outputs(catalog) -> list[int]:
     """Each orbit ``k`` whose swapped representative ``(z_k, x_k)`` lies in
     an orbit ``t(k) < k``, read off the table here.  Premise (a) tallies no
@@ -187,39 +143,51 @@ def mirrored_outputs(catalog) -> list[int]:
 
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_raised_constant_at_a_mirrored_output_breaks_premise_a(suite_algebras, name):
-    # A stored constant raised by 1 at an output k with t(k) < k: only the
-    # lookup of the mirrored constant from the tally of t(k) reaches it.
+def test_corrupted_constant_breaks_premise_a(suite_algebras, name):
+    # Stored constants off by +1, -1 and +1/2 or zeroed, and zero ones off
+    # by the same: each breaks the chains, so nothing is certified and every
+    # check takes its walk.  The last stored constant lies at an output k
+    # with t(k) < k, which only the lookup of the mirrored constant reaches.
     h = suite_algebras[name]
     b = h.B
-    mirrored = set(mirrored_outputs(h.catalog))
-    stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
-    stored = [triple for triple in stored if triple[2] in mirrored]
-    assert stored, name
     rng = random.Random(seed_of(name))
-    for i, j, k in rng.sample(stored, min(3, len(stored))):
-        broken = with_model(with_constant(b, i, j, k, b.pair_products(i, j)[k] + 1), h.catalog)
-        assert not h.catalog.is_model_of(broken), (name, (i, j, k))
-        assert model_certificate(broken) == set()
-        assert_generic(broken)
+    stored = [(i, j, k) for i, j, expansion in b.stored_products() for k in expansion]
+    triples = rng.sample(stored, min(2, len(stored)))
+    triples += [tuple(rng.randrange(b.dim) for _ in range(3)) for _ in range(2)]
+    mirrored = set(mirrored_outputs(h.catalog))
+    triples.append(rng.choice([triple for triple in stored if triple[2] in mirrored]))
+    failed: set[str] = set()
+    for i, j, k in triples:
+        old = b.pair_products(i, j).get(k, 0)
+        for value in {old + 1, old - 1, old + Fraction(1, 2), 0} - {old}:
+            broken = with_model(with_constant(b, i, j, k, value), h.catalog)
+            assert not h.catalog.is_model_of(broken), (name, (i, j, k), value)
+            assert model_certificate(broken) == set(), (name, (i, j, k), value)
+            results = assert_generic(broken)
+            failed |= {result.name for result in results if not result.passed}
+    assert "associativity" in failed
 
 
 @pytest.mark.parametrize("name", PINNED_PAIRS)
-def test_constant_without_chains_at_a_mirrored_output_breaks_premise_a(suite_algebras, name):
-    # A constant 1 stored at an (i, j, k) with t(k) < k where no chain runs:
-    # no tally reads k itself, and only the count of the matches sees it.
+def test_constant_without_chains_breaks_premise_a(suite_algebras, name):
+    # A constant stored at an (i, j, k) where the table counts no chain x_k
+    # -> y -> z_k: every counted chain still finds its constant, and only the
+    # count of the matched constants against the stored ones sees it.  The
+    # last two lie at outputs k with t(k) < k, which no tally reads.
     h = suite_algebras[name]
     b = h.B
-    mirrored = mirrored_outputs(h.catalog)
+    rng = random.Random(seed_of(name))
     unstored = [
         (i, j, k)
         for i in range(b.dim)
         for j in range(b.dim)
-        for k in mirrored
+        for k in range(b.dim)
         if k not in b.pair_products(i, j)
     ]
-    rng = random.Random(seed_of(name))
-    for i, j, k in rng.sample(unstored, 3):
+    mirrored = set(mirrored_outputs(h.catalog))
+    triples = rng.sample(unstored, 3)
+    triples += rng.sample([triple for triple in unstored if triple[2] in mirrored], 2)
+    for i, j, k in triples:
         broken = with_model(with_constant(b, i, j, k, 1), h.catalog)
         assert not h.catalog.is_model_of(broken), (name, (i, j, k))
         assert model_certificate(broken) == set()
