@@ -54,10 +54,10 @@ are listed, with the argument, at :func:`_model_certificate`: under all of
 them phi-homomorphism, phi-star and the Cardy condition pass without their
 walks.  When a premise fails, each check runs its walk, and no walk of the
 ``phi`` checks or the Cardy condition reads the model, so no result depends
-on it.  The walks of the ``nu`` checks are premise (a)'s two counters run
-over every cell and row, nu-multiplicative's in increasing order of a bound
-on the least ``i`` each cell can fail at, so that a broken ``B`` stops it
-early.
+on it.  The walks of the ``nu`` checks count the chains and scan the
+invariance that premise (a) does, over every cell and row,
+nu-multiplicative's in increasing order of a bound on the least ``i`` each
+cell can fail at, so that a broken ``B`` stops it early.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -918,9 +918,9 @@ def _check_nu_star_transpose(
     h: CardyFrobeniusAlgebra, traces: Counter[tuple[int, int]]
 ) -> CheckResult:
     # nu(beta_k)^T == nu(beta_k*): every swapped pair of O_k lies in O_k*,
-    # and O_k* is no larger.  ``traces`` is the catalog's trace_counts(), whose
-    # keys (k, orbit of the swapped pair) say where the swapped pairs of O_k
-    # lie.  The first failing field is the witness.
+    # and O_k* is no larger.  The keys (k, orbit of the swapped pair) of
+    # ``traces``, the premises' record (ModelPremises), say where the swapped
+    # pairs of O_k lie.  The first failing field is the witness.
     fields = h.catalog.boundary
     stars = [h.catalog.boundary_position(field.star) for field in fields]
     failing = {k for k, swapped in traces if stars[k] != swapped}
@@ -934,8 +934,8 @@ def _check_form_from_traces(
     h: CardyFrobeniusAlgebra, traces: Counter[tuple[int, int]]
 ) -> CheckResult:
     # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
-    # with (y, x) in O_j: ``traces``, the catalog's trace_counts(), one pass
-    # over the orbit table, counts them all.  Each entry is compared in
+    # with (y, x) in O_j: ``traces``, the premises' record (ModelPremises),
+    # counts them all.  Each entry is compared in
     # integers; when every count finds its entry and the form stores no
     # other, the check passes without the walk that names the witness.
     n_order = h.catalog.nset.group.order
