@@ -121,19 +121,21 @@ class CardyFrobeniusAlgebra:
 
     @cached_property
     def _phi_dual(self) -> list[dict[int, Fraction]]:
-        """Sparse rows of ``phi* = F_A^-1 . Phi . F_B``, the adjoint of ``phi``."""
+        """Sparse rows, one per ``A`` position, of ``phi* = F_A^-1 . Phi . F_B``,
+        the adjoint of ``phi`` (see :mod:`cardyfrob.hurwitz`), made on first
+        use; a singular pairing of ``A`` raises ``ConsistencyError``."""
         phi_form = [linalg.row_times(row.items(), self.B.form) for row in self.phi]
         return [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
 
+    def phi_dual_coefficients(self, y: Mapping[int, Fraction | int]) -> list[Fraction | int]:
+        """The coefficients of ``phi*(y)`` in basis order, zeros included, for
+        a sparse ``B`` vector ``y = {position: coefficient}``."""
+        return [sum(value * y[j] for j, value in row.items() if j in y) for row in self._phi_dual]
+
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
-        """Image of a ``B`` element under the adjoint ``phi*``."""
-        y_coeffs = [(self.B.index(label), value) for label, value in y.coeffs.items()]
-        return AlgebraElement(
-            {
-                self.A.basis[i]: sum((row.get(j, 0) * value for j, value in y_coeffs), Fraction(0))
-                for i, row in enumerate(self._phi_dual)
-            }
-        )
+        """Image of a ``B`` element under ``phi*``, by :meth:`phi_dual_coefficients`."""
+        y_coeffs = {self.B.index(label): value for label, value in y.coeffs.items()}
+        return AlgebraElement(dict(zip(self.A.basis, self.phi_dual_coefficients(y_coeffs))))
 
 
 # -- builders ----------------------------------------------------------------

@@ -7,15 +7,23 @@ cyclic sequence of boundary field labels.  The Hurwitz number is
 
 * ``l_A(E_a1 ... E_am . K_A^g)`` for a closed orientable surface (``U^{2g}``
   replaces ``K_A^g`` in the non-orientable case), and
-* ``l_B(phi(a) . C_1 . tau(C_2) ... tau(C_s))`` when boundaries exist, where
-  ``C_i`` is the product of the i-th contour's labels and ``tau`` is the
-  Casimir sandwich ``tau(x) = sum_{i,j} (F^-1)_{ij} e_i x e_j``.  Each contour
-  past the first is wrapped by the two legs of the Casimir tensor, one leg on
-  each side — this is what gluing the contours into a single disc boundary
-  produces, and it is the coupling under which the value depends only on the
-  cyclic order of every contour.  (Multiplying by the plain central element
-  ``K_B = tau(1)`` instead would put both legs on the same side and break
-  cyclic invariance.)
+* ``l_B(phi(a) . W)`` when boundaries exist, with ``a`` that ``A`` factor,
+  ``W = C_1 . tau(C_2) ... tau(C_s)``, ``C_i`` the product of the i-th
+  contour's labels and ``tau`` the Casimir sandwich ``tau(x) = sum_{i,j}
+  (F^-1)_{ij} e_i x e_j``.  Each contour past the first is wrapped by the
+  two legs of the Casimir tensor, one leg on each side — this is what
+  gluing the contours into a single disc boundary produces, and it is the
+  coupling under which the value depends only on the cyclic order of every
+  contour.  (Multiplying by the plain central element ``K_B = tau(1)``
+  instead would put both legs on the same side and break cyclic
+  invariance.)
+
+Bounded surfaces are evaluated on the ``A`` side, as ``l_A(a . phi*(W))``:
+``phi* = F_A^-1 Phi F_B`` is the adjoint of ``phi``, so ``a^T F_A phi*(W) =
+a^T Phi F_B W`` wherever the stored forms are the pairings of the constants,
+as :func:`~cardyfrob.cardy.build_A` and :func:`~cardyfrob.cardy.build_B`
+count them.  ``W`` is multiplied in index space, ``tau`` takes and gives
+labelled elements, and the pairing reads the monomial ``F_A``.
 
 The three cut identities (handle, crosscap, boundary segment) are provided as
 exact rational checks; they re-evaluate the surface after the corresponding
@@ -31,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 from .actions import FieldCatalog
 from .cardy import CardyFrobeniusAlgebra
 from .errors import InputError, ResourceError
-from .frobenius import CheckResult
+from .frobenius import AlgebraElement, CheckResult, EquippedFrobeniusAlgebra
 from .rationals import format_fraction, parse_fraction
 
 # The most handles (orientable) or crosscaps (non-orientable) a surface may
@@ -40,12 +48,13 @@ from .rationals import format_fraction, parse_fraction
 HANDLE_BOUND = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceSpec:
     """A connected surface with field assignments.
 
     ``genus`` must be a nonnegative integer when orientable; otherwise
-    ``2 * genus`` must be a positive integer (the crosscap count).  Every
+    ``2 * genus`` must be a positive integer (the crosscap count).  A
+    ``Fraction`` genus is kept as given, anything else is converted.  Every
     boundary contour must carry at least one label.  More than
     :data:`HANDLE_BOUND` handles or crosscaps raise :class:`ResourceError`.
     """
@@ -56,8 +65,10 @@ class SurfaceSpec:
     boundary: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        genus = Fraction(self.genus)
-        object.__setattr__(self, "genus", genus)
+        genus = self.genus
+        if not isinstance(genus, Fraction):
+            genus = Fraction(genus)
+            object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "interior", tuple(self.interior))
         object.__setattr__(
             self, "boundary", tuple(tuple(contour) for contour in self.boundary)
@@ -164,20 +175,29 @@ def evaluate(
         if trace is not None:
             trace.append(f"l_A = {format_fraction(value)}")
         return HurwitzResult(value, tuple(trace) if trace is not None else None)
-    current = h.phi_apply(a)
-    if trace is not None:
-        trace.append(f"phi(a): {current!r}")
+    B, index = h.B, h.B.index
     for position, contour in enumerate(spec.boundary):
-        word = h.B.product(h.B.basis_element(label) for label in contour)
+        word: dict[int, Fraction | int] = {index(contour[0]): 1}
+        for label in contour[1:]:
+            word = B.index_product(word, {index(label): 1})
         if position:
-            word = h.B.casimir_sandwich(word)
-        current = h.B.multiply(current, word)
+            sandwich = B.casimir_sandwich(_labelled(B, word))
+            word = {index(label): value for label, value in sandwich.coeffs.items()}
+        w = B.index_product(w, word) if position else word
         if trace is not None:
-            trace.append(f"after contour {position}: {current!r}")
-    value = h.B.linear(current)
+            trace.append(f"W after contour {position}: {_labelled(B, w)!r}")
+    y = h.phi_dual_coefficients(w)
     if trace is not None:
-        trace.append(f"l_B = {format_fraction(value)}")
+        trace.append(f"phi*(W): {AlgebraElement(dict(zip(h.A.basis, y)))!r}")
+    rows = ((h.A.form[h.A.index(label)], value) for label, value in a.coeffs.items())
+    value = Fraction(sum(c * f * y[beta] for row, c in rows for beta, f in row.items()))
+    if trace is not None:
+        trace.append(f"l_A = {format_fraction(value)}")
     return HurwitzResult(value, tuple(trace) if trace is not None else None)
+
+
+def _labelled(alg: EquippedFrobeniusAlgebra, x: Mapping[int, Fraction | int]) -> AlgebraElement:
+    return AlgebraElement({alg.basis[k]: value for k, value in x.items()})
 
 
 # -- cut identities ----------------------------------------------------------

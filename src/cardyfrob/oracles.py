@@ -27,7 +27,8 @@ from generators, and :func:`is_associative` scans every triple of a group
 table.
 :func:`subgroup_lattice_oracle` finds the subgroups over ``K`` by adjoining
 every element to every found subgroup and closing under products, with no
-bitmask, generating list or class cover.
+bitmask, generating list or class cover.  :func:`b_side_value` keeps the
+``B``-side formula of bounded surfaces that :func:`~cardyfrob.hurwitz.evaluate` left.
 """
 
 from __future__ import annotations
@@ -259,6 +260,23 @@ def _class_totals(
                 ends = sum(paths.get(act_table[m][x0], 0) for m in field.members)
                 totals[i] += orbit_size * ends
     return totals
+
+
+def b_side_value(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> Fraction:
+    """``l_B(phi(a) C_1 tau(C_2) .. tau(C_s))``, ``a`` the ``A`` factor and
+    ``C_j`` contour ``j``'s word, by labelled products in ``B``: the
+    reference for :func:`~cardyfrob.hurwitz.evaluate`, which reads ``phi*``."""
+    A, B = h.A, h.B
+    a = A.product(A.basis_element(label) for label in spec.interior)
+    if spec.orientable:
+        a = A.multiply(a, A.power(A.casimir(), int(spec.genus)))
+    else:
+        a = A.multiply(a, A.power(h.u, spec.crosscaps))
+    current = h.phi_apply(a)
+    for position, contour in enumerate(spec.boundary):
+        word = B.product(B.basis_element(label) for label in contour)
+        current = B.multiply(current, B.casimir_sandwich(word) if position else word)
+    return B.linear(current)
 
 
 def commutator_casimir_check(h: CardyFrobeniusAlgebra) -> CheckResult:

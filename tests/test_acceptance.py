@@ -38,6 +38,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
+from cardyfrob.oracles import b_side_value
 
 
 def _report(number: int, passed: bool, detail: str) -> None:
@@ -192,9 +193,10 @@ def test_criterion_2_axiom_suite():
 
 
 def oracle_problems(name: str, h, specs: list[SurfaceSpec]) -> tuple[list[str], int, int]:
-    """Each spec evaluated against its oracle, and each bounded one's oracle
-    against :func:`dense_trace`: the problems found and the numbers of
-    closed and bounded specs."""
+    """Each spec evaluated against its oracle, each bounded one also against
+    the ``B``-side formula :func:`b_side_value` and its oracle against
+    :func:`dense_trace`: the problems found and the numbers of closed and
+    bounded specs."""
     problems = []
     closed_count = bounded_count = 0
     n_group = h.catalog.nset.group
@@ -206,6 +208,9 @@ def oracle_problems(name: str, h, specs: list[SurfaceSpec]) -> tuple[list[str], 
             dense = dense_trace(h, spec)
             if dense != oracle:
                 problems.append(f"{name} {spec.to_document()}: dense {dense} != {oracle}")
+            reference = b_side_value(h, spec)
+            if reference != value:
+                problems.append(f"{name} {spec.to_document()}: B side {reference} != {value}")
         else:
             closed_count += 1
             fields = [h.catalog.interior_field(label) for label in spec.interior]
@@ -247,14 +252,22 @@ def test_criterion_3_on_bounded_corpora(bounded_corpora):
     assert not problems, "; ".join(problems[:10])
 
 
-# -- criterion 4: cut identities on the same corpus ------------------------------
+# -- criterion 4: cut identities on the same corpora ------------------------------
 
 
-def test_criterion_4_cut_identities(suite_algebras, spec_corpora):
+def all_corpora(suite_algebras, spec_corpora, bounded_corpora):
+    """``(name, algebra, specs)`` for the random corpus of each suite pair,
+    then for each bounded corpus, whose specs have positive values."""
+    for name, specs in spec_corpora.items():
+        yield name, suite_algebras[name], specs
+    for name, (h, specs) in bounded_corpora.items():
+        yield f"bounded/{name}", h, specs
+
+
+def test_criterion_4_cut_identities(suite_algebras, spec_corpora, bounded_corpora):
     problems = []
     counts = {"cut-handle": 0, "cut-crosscap": 0, "cut-boundary": 0}
-    for name, specs in spec_corpora.items():
-        h = suite_algebras[name]
+    for name, h, specs in all_corpora(suite_algebras, spec_corpora, bounded_corpora):
         for spec in specs:
             results = []
             if spec.orientable and spec.genus >= 1:
@@ -383,11 +396,10 @@ def test_criterion_6_hecke_comparison():
 # -- criterion 7: invariance properties --------------------------------------------
 
 
-def test_criterion_7_invariances(suite_algebras, spec_corpora):
+def test_criterion_7_invariances(suite_algebras, spec_corpora, bounded_corpora):
     problems = []
     examined = 0
-    for name, specs in spec_corpora.items():
-        h = suite_algebras[name]
+    for name, h, specs in all_corpora(suite_algebras, spec_corpora, bounded_corpora):
         for spec in specs:
             examined += 1
             value = evaluate(h, spec).value

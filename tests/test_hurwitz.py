@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cardyfrob import (
+    ConsistencyError,
     InputError,
     ResourceError,
     SurfaceSpec,
@@ -19,6 +20,7 @@ from cardyfrob import (
     star_reversed,
 )
 from cardyfrob.hurwitz import HANDLE_BOUND
+from test_sparse_checks import with_form_entry
 
 
 def closed(orientable: bool, genus, interior=()) -> SurfaceSpec:
@@ -173,6 +175,39 @@ def test_evaluation_trace_of_a_closed_surface(suite_algebras):
         (SurfaceSpec(False, Fraction(1, 2), ("a1",), ()), ("A factor: 6*a1", "l_A = 0")),
     ]:
         assert evaluate(h, spec, with_trace=True).evaluation_trace == trace
+
+
+def test_evaluation_trace_of_a_bounded_surface(suite_algebras):
+    # With contours the word W of the contours is built in B, phi*(W) pairs
+    # with the A factor in A, and l_A ends the trace.
+    h = suite_algebras["s3"]
+    disc = SurfaceSpec(True, 0, ("a1",), (("b5", "b6"),))
+    assert evaluate(h, disc, with_trace=True).evaluation_trace == (
+        "A factor: 1*a1",
+        "W after contour 0: 1*b6",
+        "phi*(W): 2*a1 + 3*a2",
+        "l_A = 1",
+    )
+    cylinder = SurfaceSpec(True, 0, ("a2",), (("b5",), ("b5", "b6")))
+    assert evaluate(h, cylinder, with_trace=True).evaluation_trace == (
+        "A factor: 1*a2",
+        "W after contour 0: 1*b5",
+        "W after contour 1: 2*b5 + 5*b6",
+        "phi*(W): 6*a0 + 12*a1 + 15*a2",
+        "l_A = 5",
+    )
+
+
+def test_bounded_evaluation_needs_an_invertible_pairing_of_a(suite_algebras):
+    # phi* = F_A^-1 Phi F_B: with the (a0, a0) entry of s3's A zeroed a Moebius
+    # band raises, though its A factor U needs no inverse pairing, and the
+    # projective plane, which reads only l_A of U, does not.
+    h = suite_algebras["s3"]
+    broken = replace(h, A=with_form_entry(h.A, 0, 0, -h.A.form[0][0]))
+    with pytest.raises(ConsistencyError, match="degenerate"):
+        evaluate(broken, SurfaceSpec(False, Fraction(1, 2), (), (("b0",),)))
+    plane = SurfaceSpec(False, Fraction(1, 2))
+    assert evaluate(broken, plane).value == evaluate(h, plane).value
 
 
 # -- cut identities ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardyfrob import (
@@ -19,6 +19,7 @@ from cardyfrob import (
     InputError,
     ResourceError,
     SurfaceSpec,
+    build_conjugation_setup,
     build_group,
     bundled_input,
     cardy_from_pair,
@@ -32,10 +33,10 @@ from cardyfrob import (
     subgroup_closure,
 )
 from cardyfrob.linalg import mat_mul, power
-from cardyfrob.oracles import _permutation_model
-from conftest import SUITE_DOCUMENTS
+from cardyfrob.oracles import _permutation_model, b_side_value
+from conftest import SUITE_DOCUMENTS, algebra_for, bounded_corpus_for
 from test_index_construction import traced
-from test_lattice import permutations_up_to
+from test_lattice import permutations_up_to, seeded_permutations_up_to
 
 
 def dense_trace(h: CardyFrobeniusAlgebra, spec: SurfaceSpec) -> Fraction:
@@ -254,6 +255,38 @@ def test_covering_oracle_matches_evaluation_on_random_pairs(generators, data):
     assert covering_oracle(h.catalog, spec).value == evaluate(h, spec).value, spec
     result = cut_check_boundary(h, spec)
     assert result.passed, (spec, result.witness)
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=seeded_permutations_up_to(5), data=st.data())
+def test_evaluation_matches_the_b_side_formula_on_random_pairs(generators, data):
+    # evaluate pairs phi*(W) with the A factor in A; b_side_value multiplies
+    # phi(a) into the contour word in B, and covering_oracle counts paths.
+    # One drawn spec of one to three contours and, where N has a class
+    # besides the identity, three of positive value.  A5 with K = 1 has 59
+    # points and S5 with K = 1 156, so |X| is at most 60.
+    group = build_group(len(generators[0]), generators)
+    k = subgroup_closure(group, data.draw(st.lists(st.integers(0, group.order - 1), max_size=2)))
+    setup = build_conjugation_setup(group, k)
+    assume(setup.nset.size <= 60)
+    h = algebra_for(setup)
+    interior, boundary = h.catalog.interior_labels, h.catalog.boundary_labels
+    orientable = data.draw(st.booleans())
+    genus = data.draw(st.integers(0, 1) if orientable else st.sampled_from(["1/2", "1"]))
+    contour = st.lists(st.sampled_from(boundary), min_size=1, max_size=3).map(tuple)
+    specs = [
+        SurfaceSpec(
+            orientable,
+            Fraction(genus),
+            tuple(data.draw(st.lists(st.sampled_from(interior), max_size=2))),
+            tuple(data.draw(st.lists(contour, min_size=1, max_size=3))),
+        )
+    ]
+    if setup.nset.group.order > 1:
+        specs += bounded_corpus_for(h, seed=data.draw(st.integers(0, 2**32 - 1)), size=3)
+    for spec in specs:
+        value = evaluate(h, spec).value
+        assert value == b_side_value(h, spec) == covering_oracle(h.catalog, spec).value, spec
 
 
 def test_covering_oracle_allocates_no_list_of_every_cell(a6_catalog):
