@@ -120,22 +120,36 @@ class CardyFrobeniusAlgebra:
         return AlgebraElement({self.B.basis[j]: value for j, value in image.items()})
 
     @cached_property
-    def _phi_dual(self) -> list[dict[int, Fraction]]:
-        """Sparse rows, one per ``A`` position, of ``phi* = F_A^-1 . Phi . F_B``,
-        the adjoint of ``phi`` (see :mod:`cardyfrob.hurwitz`), made on first
-        use; a singular pairing of ``A`` raises ``ConsistencyError``."""
+    def _phi_dual(self) -> tuple[int, list[dict[int, int]], int, list[dict[int, int]]]:
+        """``(d, rows, s, form)``: ``phi* = F_A^-1 . Phi . F_B``, the adjoint of
+        ``phi`` (see :mod:`cardyfrob.hurwitz`), as sparse ``int`` rows over one
+        denominator ``d``, one per ``A`` position, and ``F_A`` likewise over
+        ``s``; made on first use, and a singular ``F_A`` raises ``ConsistencyError``."""
         phi_form = [linalg.row_times(row.items(), self.B.form) for row in self.phi]
-        return [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
+        rows = [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
+        return (*_scaled(rows), *_scaled(self.A.form))
 
-    def phi_dual_coefficients(self, y: Mapping[int, Fraction | int]) -> list[Fraction | int]:
-        """The coefficients of ``phi*(y)`` in basis order, zeros included, for
-        a sparse ``B`` vector ``y = {position: coefficient}``."""
-        return [sum(value * y[j] for j, value in row.items() if j in y) for row in self._phi_dual]
+    def phi_dual_coefficients(self, y: Mapping[int, Fraction | int]) -> tuple[int, list]:
+        """``(d, numerators)``: ``d`` times the coefficients of ``phi*(y)`` in
+        basis order, zeros included, for a sparse ``B`` vector ``y = {position:
+        coefficient}``; the numerators are ``int`` where ``y``'s values are."""
+        d, rows, _, _ = self._phi_dual
+        return d, [sum(value * y[j] for j, value in row.items() if j in y) for row in rows]
+
+    def phi_dual_pairing(self, x: AlgebraElement, y: Mapping[int, Fraction | int]) -> Fraction:
+        """``l_A(x . phi*(y)) = x^T F_A phi*(y)`` for a sparse ``B`` vector ``y``:
+        ``x``, ``F_A`` and ``phi*(y)`` as numerators, one ``Fraction`` at the end."""
+        d, numerators = self.phi_dual_coefficients(y)
+        _, _, s, form = self._phi_dual
+        scale, (weights,) = _scaled([{self.A.index(label): c for label, c in x.coeffs.items()}])
+        rows = ((form[alpha], c) for alpha, c in weights.items())
+        total = sum(c * f * numerators[beta] for row, c in rows for beta, f in row.items())
+        return Fraction(total, scale * s * d)
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
-        """Image of a ``B`` element under ``phi*``, by :meth:`phi_dual_coefficients`."""
-        y_coeffs = {self.B.index(label): value for label, value in y.coeffs.items()}
-        return AlgebraElement(dict(zip(self.A.basis, self.phi_dual_coefficients(y_coeffs))))
+        """Image of a ``B`` element under ``phi*``, divided at this edge."""
+        d, numerators = self.phi_dual_coefficients({self.B.index(b): c for b, c in y.coeffs.items()})
+        return AlgebraElement({a: Fraction(c, d) for a, c in zip(self.A.basis, numerators)})
 
 
 # -- builders ----------------------------------------------------------------

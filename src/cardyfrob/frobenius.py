@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, compress
 from math import lcm
 from operator import not_
@@ -424,10 +425,10 @@ class EquippedFrobeniusAlgebra:
         return AlgebraElement({self.basis[k]: value for k, value in product.items()})
 
     def product(self, factors: Iterable[AlgebraElement]) -> AlgebraElement:
-        result = self.unit
-        for factor in factors:
-            result = self.multiply(result, factor)
-        return result
+        """The product of ``factors`` folded from the first, as in
+        :func:`~cardyfrob.linalg.power`; the unit when there are none."""
+        factors = iter(factors)
+        return reduce(self.multiply, factors, next(factors, self.unit))
 
     def power(self, x: AlgebraElement, exponent: int) -> AlgebraElement:
         if exponent < 0:

@@ -23,7 +23,11 @@ Bounded surfaces are evaluated on the ``A`` side, as ``l_A(a . phi*(W))``:
 a^T Phi F_B W`` wherever the stored forms are the pairings of the constants,
 as :func:`~cardyfrob.cardy.build_A` and :func:`~cardyfrob.cardy.build_B`
 count them.  ``W`` is multiplied in index space, ``tau`` takes and gives
-labelled elements, and the pairing reads the monomial ``F_A``.
+labelled elements, and ``phi*`` and ``F_A`` are kept as ``int`` numerators
+over one denominator each, so ``a^T F_A phi*(W)`` is summed in integers and
+divided once.  The ``A`` factor is folded from its first factor, with
+``K_A^g`` or ``U^{2g}`` only for a positive exponent: nothing is multiplied
+by the unit.
 
 The three cut identities (handle, crosscap, boundary segment) are provided as
 exact rational checks; they re-evaluate the surface after the corresponding
@@ -163,11 +167,11 @@ def evaluate(
     """Evaluate the Hurwitz number of one connected surface."""
     spec.validate_against(h.catalog)
     trace: list[str] | None = [] if with_trace else None
-    a = h.A.product(h.A.basis_element(label) for label in spec.interior)
-    if spec.orientable:
-        a = h.A.multiply(a, h.A.power(h.A.casimir(), int(spec.genus)))
-    else:
-        a = h.A.multiply(a, h.A.power(h.u, spec.crosscaps))
+    factors = [h.A.basis_element(label) for label in spec.interior]
+    exponent = int(spec.genus) if spec.orientable else spec.crosscaps
+    if exponent:
+        factors.append(h.A.power(h.A.casimir() if spec.orientable else h.u, exponent))
+    a = h.A.product(factors)
     if trace is not None:
         trace.append(f"A factor: {a!r}")
     if not spec.boundary:
@@ -186,12 +190,9 @@ def evaluate(
         w = B.index_product(w, word) if position else word
         if trace is not None:
             trace.append(f"W after contour {position}: {_labelled(B, w)!r}")
-    y = h.phi_dual_coefficients(w)
+    value = h.phi_dual_pairing(a, w)
     if trace is not None:
-        trace.append(f"phi*(W): {AlgebraElement(dict(zip(h.A.basis, y)))!r}")
-    rows = ((h.A.form[h.A.index(label)], value) for label, value in a.coeffs.items())
-    value = Fraction(sum(c * f * y[beta] for row, c in rows for beta, f in row.items()))
-    if trace is not None:
+        trace.append(f"phi*(W): {h.phi_dual_apply(_labelled(B, w))!r}")
         trace.append(f"l_A = {format_fraction(value)}")
     return HurwitzResult(value, tuple(trace) if trace is not None else None)
 

@@ -48,6 +48,10 @@ SUITE_DOCUMENTS: dict[str, dict[str, object]] = {
     },
 }
 
+# A5 with K = 1: 59 points and dim B = 142, the pair of the benchmark's
+# hurwitz-batch workload.
+A5_DOCUMENT = {"degree": 5, "generators": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]], "k_generators": []}
+
 # A6 with K = 1: 501 points, for the memory bounds of the steps that must
 # allocate no list of all |X|^2 cells.
 A6_DOCUMENT = {
@@ -218,6 +222,12 @@ def bounded_corpora(
         name: (h, bounded_corpus_for(h, seed=corpus_seed(f"bounded/{name}")))
         for name, h in algebras.items()
     }
+
+
+@pytest.fixture(scope="session")
+def a5() -> CardyFrobeniusAlgebra:
+    group, k = group_from_document(A5_DOCUMENT)
+    return algebra_for(build_conjugation_setup(group, k, digest=document_digest(A5_DOCUMENT)))
 
 
 @pytest.fixture(scope="session")

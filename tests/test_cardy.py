@@ -5,6 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -32,7 +33,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
-from cardyfrob import cardy
+from cardyfrob import cardy, linalg
 from cardyfrob.actions import BoundaryField
 from test_index_construction import reference_phi
 from test_sparse_checks import with_constant, with_form_entry
@@ -159,6 +160,28 @@ def test_phi_dual_is_adjoint_to_phi(suite_algebras):
             assert h.B.bilinear(h.phi_apply(x), y) == h.A.bilinear(
                 x, h.phi_dual_apply(y)
             )
+
+
+def test_phi_dual_rows_over_their_denominator(suite_algebras):
+    # phi* is kept as int numerators over the least common denominator d, and
+    # F_A likewise over s.  Divided, the rows are F_A^-1 Phi F_B multiplied
+    # out in Fractions as (F_A^-1 Phi) F_B, zeros dropped, and the stored F_A.
+    # d is 1 on every suite pair and 13 once s3's F_A has an entry moved.
+    s3 = suite_algebras["s3"]
+    moved = replace(s3, A=with_form_entry(s3.A, 0, 0, Fraction(1, 7)))
+    assert moved._phi_dual[0] == 13
+    for name, h in [*suite_algebras.items(), ("s3, F_A moved", moved)]:
+        d, rows, s, form = h._phi_dual
+        left = [linalg.row_times(row.items(), h.phi) for row in linalg.invert(h.A.form)]
+        expected = [linalg.row_times(row.items(), h.B.form) for row in left]
+        for numerators, scale, target in ((rows, d, expected), (form, s, h.A.form)):
+            assert all(type(value) is int for row in numerators for value in row.values()), name
+            assert gcd(scale, *(value for row in numerators for value in row.values())) == 1, name
+            divided = [{j: Fraction(v, scale) for j, v in row.items() if v} for row in numerators]
+            assert divided == [{j: v for j, v in row.items() if v} for row in target], name
+        # An integral B vector has integral numerators: no Fraction before the pairing.
+        for k in range(h.B.dim):
+            assert all(type(c) is int for c in h.phi_dual_coefficients({k: 1})[1]), (name, k)
 
 
 # -- negative control ----------------------------------------------------------

@@ -340,9 +340,6 @@ def test_check_result_helpers():
 
 # -- powers ------------------------------------------------------------------------
 
-A5_DOCUMENT = {"degree": 5, "generators": [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]], "k_generators": []}
-
-
 def count_products(exponent: int) -> int:
     """How many products ``linalg.power`` takes, on the integers under addition."""
     calls = []
@@ -364,12 +361,6 @@ def test_power_squares_without_a_trailing_square():
         linalg.power(1, -1, int.__add__, 0)
 
 
-@pytest.fixture(scope="module")
-def a5():
-    group, k = group_from_document(A5_DOCUMENT)
-    return algebra_for(build_conjugation_setup(group, k, digest=document_digest(A5_DOCUMENT)))
-
-
 @pytest.mark.parametrize("name", ["s4", "a5"])
 def test_powers_match_the_linear_loop(suite_algebras, a5, name):
     # The Casimir K_A and the crosscap element U of A, raised to 0..64,
@@ -381,6 +372,21 @@ def test_powers_match_the_linear_loop(suite_algebras, a5, name):
         for exponent in range(65):
             assert alg.power(x, exponent) == loop, exponent
             loop = alg.multiply(loop, x)
+
+
+def test_product_matches_the_fold_from_the_unit(suite_algebras):
+    # product folds from its first factor, so it multiplies nothing by the
+    # unit; it equals the fold that starts from the unit on zero, one and
+    # several factors, given as a list or as an iterator.
+    for h in suite_algebras.values():
+        for alg in (h.A, h.B):
+            basis = [alg.basis_element(label) for label in alg.basis]
+            casimir = alg.casimir()
+            for factors in ([], *([e] for e in basis), basis[:3], [casimir, basis[-1], casimir]):
+                fold = alg.unit
+                for factor in factors:
+                    fold = alg.multiply(fold, factor)
+                assert alg.product(factors) == alg.product(iter(factors)) == fold, factors
 
 
 # -- algebraic laws on random elements --------------------------------------------

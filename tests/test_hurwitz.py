@@ -20,6 +20,7 @@ from cardyfrob import (
     star_reversed,
 )
 from cardyfrob.hurwitz import HANDLE_BOUND
+from cardyfrob.oracles import b_side_value
 from test_sparse_checks import with_form_entry
 
 
@@ -196,6 +197,38 @@ def test_evaluation_trace_of_a_bounded_surface(suite_algebras):
         "phi*(W): 6*a0 + 12*a1 + 15*a2",
         "l_A = 5",
     )
+
+
+def test_evaluation_trace_of_a_disc_without_interior_fields(suite_algebras):
+    # A genus-0 surface without interior fields has the unit as its A factor.
+    h = suite_algebras["s3"]
+    disc = SurfaceSpec(True, 0, (), (("b6", "b6"),))
+    assert evaluate(h, disc, with_trace=True).evaluation_trace == (
+        "A factor: 1*a0",
+        "W after contour 0: 2*b5 + 1*b6",
+        "phi*(W): 6*a0 + 4*a1 + 3*a2",
+        "l_A = 1",
+    )
+
+
+def test_bounded_evaluation_divides_by_the_denominators_once(suite_algebras, spec_corpora):
+    # On the suite pairs phi* and the A factor are integral.  With the (a0,
+    # a0) entry of s3's pairing of A moved by 1/7 they are not: phi* and K_A
+    # read F_A^-1, which has 13 in its denominators.  The pairing reads the
+    # same F_A, so F_A phi* is still Phi F_B and every value is still the
+    # B-side formula's.
+    h = suite_algebras["s3"]
+    broken = replace(h, A=with_form_entry(h.A, 0, 0, Fraction(1, 7)))
+    assert evaluate(broken, SurfaceSpec(True, 1, (), (("b0",),)), with_trace=True).evaluation_trace == (
+        "A factor: 198/13*a0 + 9*a2",
+        "W after contour 0: 1*b0",
+        "phi*(W): 7/13*a0 + 1*a1 + 1*a2",
+        "l_A = 72/13",
+    )
+    specs = [spec for spec in spec_corpora["s3"] if spec.boundary]
+    assert specs
+    for spec in specs:
+        assert evaluate(broken, spec).value == b_side_value(broken, spec), spec
 
 
 def test_bounded_evaluation_needs_an_invertible_pairing_of_a(suite_algebras):

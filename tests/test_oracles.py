@@ -7,6 +7,7 @@ pairs: ``(1/|N|) tr`` of integer matrix products in the permutation model.
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -34,7 +35,7 @@ from cardyfrob import (
 )
 from cardyfrob.linalg import mat_mul, power
 from cardyfrob.oracles import _permutation_model, b_side_value
-from conftest import SUITE_DOCUMENTS, algebra_for, bounded_corpus_for
+from conftest import SUITE_DOCUMENTS, algebra_for, bounded_corpus_for, corpus_seed
 from test_index_construction import traced
 from test_lattice import permutations_up_to, seeded_permutations_up_to
 
@@ -287,6 +288,40 @@ def test_evaluation_matches_the_b_side_formula_on_random_pairs(generators, data)
     for spec in specs:
         value = evaluate(h, spec).value
         assert value == b_side_value(h, spec) == covering_oracle(h.catalog, spec).value, spec
+
+
+def test_evaluation_matches_the_b_side_formula_on_a5(a5):
+    # The drawn pairs above rarely reach A5 with K = 1 (59 points, dim B =
+    # 142), the pair of the benchmark's hurwitz-batch workload, so it is a
+    # fixed case here.  Bounded specs in that workload's shapes: genus 0, 0-1
+    # interior fields and 1-3 contours of 1-3 drawn labels, two of each
+    # shape, and ten of positive value from bounded_corpus_for.  Closed
+    # specs: the four values without fields.
+    assert (a5.catalog.nset.size, a5.B.dim) == (59, 142)
+    rng = random.Random(corpus_seed("hurwitz-batch/a5"))
+    interior, boundary = a5.catalog.interior_labels, a5.catalog.boundary_labels
+
+    def labels(pool, count):
+        return tuple(rng.choice(pool) for _ in range(count))
+
+    shapes = iter_product(range(2), range(1, 4), range(1, 4), range(2))
+    specs = [
+        SurfaceSpec(True, 0, labels(interior, k), tuple(labels(boundary, n) for _ in range(c)))
+        for k, c, n, _ in shapes
+    ]
+    specs += bounded_corpus_for(a5, seed=corpus_seed("bounded/a5"), size=10)
+    values = [evaluate(a5, spec).value for spec in specs]
+    assert sum(1 for value in values if value) >= 10
+    for spec, value in zip(specs, values):
+        assert value == b_side_value(a5, spec) == covering_oracle(a5.catalog, spec).value, spec
+    for orientable, genus, value in [
+        (True, 0, Fraction(1, 60)),
+        (True, 1, 5),
+        (False, Fraction(1, 2), Fraction(4, 15)),
+        (False, 1, 5),
+    ]:
+        spec = SurfaceSpec(orientable, Fraction(genus))
+        assert evaluate(a5, spec).value == value == oracle_for_spec(a5, spec).value, spec
 
 
 def test_covering_oracle_allocates_no_list_of_every_cell(a6_catalog):
