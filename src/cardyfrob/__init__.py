@@ -31,7 +31,6 @@ from .cardy import (
     build_phi,
     cardy_from_pair,
     hecke_check,
-    phi_rank,
     verify_all,
     verify_cardy_frobenius,
 )
@@ -44,7 +43,6 @@ from .frobenius import (
     center_dimension,
     failures,
     is_semisimple,
-    trace_form,
     verify_equipped,
 )
 from .groups import (
@@ -149,7 +147,6 @@ __all__ = [
     "normalizer",
     "oracle_for_spec",
     "parse_fraction",
-    "phi_rank",
     "quotient_group",
     "rotated",
     "star_reversed",
@@ -158,7 +155,6 @@ __all__ = [
     "subgroup_interval",
     "subgroup_lattice_oracle",
     "subgroups_containing",
-    "trace_form",
     "trivial_subgroup",
     "verify_all",
     "verify_cardy_frobenius",

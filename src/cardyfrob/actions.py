@@ -8,13 +8,13 @@ labels (``a<k>`` and ``b<k>``), automorphism orders, and an involution
 (``star``) coming from inversion respectively from swapping the two points
 of a pair.  The boundary orbits exist in one form only, the flat orbit table
 :attr:`FieldCatalog.orbit_table` that every reader indexes.  The catalog is
-also the permutation model of the boundary algebra ``B``, and every fact
-about that model lives here: :func:`_chains_match` counts the chains for
-premise (a) and :meth:`FieldCatalog.chain_tallies` for the check
-nu-multiplicative, :func:`_moved_orbits` scans the table's invariance for
-premise (a) and for the check nu-equivariant, and
-:meth:`FieldCatalog.premises` decides, in one :class:`ModelPremises`
-record, what the model proves about an algebra.
+also the permutation model of the boundary algebra ``B``, and what the model
+proves is decided here: :func:`_chains_match` counts the chains for premise
+(a) in codes ``i * dim + j``, as the builder of ``B`` and the walk of the
+check nu-multiplicative in :mod:`cardyfrob.cardy` do, :func:`_moved_orbits`
+scans the table's invariance for premise (a) and for the check
+nu-equivariant, and :meth:`FieldCatalog.premises` decides, in one
+:class:`ModelPremises` record, what the model proves about an algebra.
 """
 
 from __future__ import annotations
@@ -410,34 +410,6 @@ class FieldCatalog:
         """The number of diagonal cells ``(x, x)`` of each orbit that has one:
         ``tr(nu(beta_k))``, for each ``k`` that occurs."""
         return Counter(self.orbit_table[:: self.nset.size + 1])
-
-    def chain_tallies(
-        self, cells: Iterable[tuple[int, int]]
-    ) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
-        """For each cell ``(x, z)`` given, its position among the cells and
-        the tally of the pairs ``(orbit(x, y), orbit(y, z))`` over all
-        ``y``: row ``x`` and column ``z`` of the table zipped.
-
-        The count at ``(i, j)`` is the number of chains ``x -> y -> z``
-        through ``O_i`` and ``O_j``, the intersection number ``c_ij^k`` of
-        the orbital algebra at a cell of ``O_k``.  The walk of
-        nu-multiplicative tallies every cell here; premise (a) tallies half
-        the representatives in integer codes (:func:`_chains_match`).  The
-        cells come grouped by column, so each row and column of the table is
-        read once per call, as a list, and one column is held at a time.
-        """
-        size, table = self.nset.size, self.orbit_table
-        by_column: dict[int, list[tuple[int, int]]] = {}
-        for position, (x, z) in enumerate(cells):
-            by_column.setdefault(z, []).append((position, x))
-        rows: dict[int, list[int]] = {}
-        for z, run in by_column.items():
-            column = table[z::size].tolist()
-            for position, x in run:
-                row = rows.get(x)
-                if row is None:
-                    row = rows[x] = table[x * size : (x + 1) * size].tolist()
-                yield position, Counter(zip(row, column))
 
     def premises(self, algebra: EquippedFrobeniusAlgebra) -> ModelPremises:
         """The :class:`ModelPremises` of this catalog for ``algebra``: premise

@@ -54,10 +54,11 @@ are listed, with the argument, at :func:`_model_certificate`: under all of
 them phi-homomorphism, phi-star and the Cardy condition pass without their
 walks.  When a premise fails, each check runs its walk, and no walk of the
 ``phi`` checks or the Cardy condition reads the model, so no result depends
-on it.  The walks of the ``nu`` checks count the chains and scan the
-invariance that premise (a) does, over every cell and row,
-nu-multiplicative's in increasing order of a bound on the least ``i`` each
-cell can fail at, so that a broken ``B`` stops it early.
+on it.  The walks of the ``nu`` checks count the chains, in the codes
+``i * dim + j`` of premise (a) and :func:`build_B`, and scan the invariance
+that premise (a) does, over every cell and row, nu-multiplicative's in
+increasing order of a bound on the least ``i`` each cell can fail at, so
+that a broken ``B`` stops it early.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -70,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from operator import add, eq, itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -124,7 +125,8 @@ class CardyFrobeniusAlgebra:
         """``(d, rows, s, form)``: ``phi* = F_A^-1 . Phi . F_B``, the adjoint of
         ``phi`` (see :mod:`cardyfrob.hurwitz`), as sparse ``int`` rows over one
         denominator ``d``, one per ``A`` position, and ``F_A`` likewise over
-        ``s``; made on first use, and a singular ``F_A`` raises ``ConsistencyError``."""
+        ``s``; made on first use, by evaluation or the Cardy condition
+        (:func:`_check_cardy`), and a singular ``F_A`` raises ``ConsistencyError``."""
         phi_form = [linalg.row_times(row.items(), self.B.form) for row in self.phi]
         rows = [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
         return (*_scaled(rows), *_scaled(self.A.form))
@@ -134,7 +136,7 @@ class CardyFrobeniusAlgebra:
         basis order, zeros included, for a sparse ``B`` vector ``y = {position:
         coefficient}``; the numerators are ``int`` where ``y``'s values are."""
         d, rows, _, _ = self._phi_dual
-        return d, [sum(value * y[j] for j, value in row.items() if j in y) for row in rows]
+        return d, [sum(value * row[j] for j, value in y.items() if j in row) for row in rows]
 
     def phi_dual_pairing(self, x: AlgebraElement, y: Mapping[int, Fraction | int]) -> Fraction:
         """``l_A(x . phi*(y)) = x^T F_A phi*(y)`` for a sparse ``B`` vector ``y``:
@@ -840,11 +842,12 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """The Cardy condition ``(phi*(x), phi*(y))_A = tr W_{x,y}`` on basis pairs.
 
     The left side is the matrix ``(Phi F_B)^T F_A^-1 (Phi F_B)`` in
-    integers: ``F_B`` and ``F_A^-1`` are scaled by the lcm of their
-    denominators, ``s_B`` and ``s_A``, ``P = Phi s_B F_B`` is transposed
-    into sparse columns, and row ``i`` is ``sum_alpha P[alpha][i] (Q
-    P)[alpha]`` with ``Q = s_A F_A^-1``.  The right side, ``tr W_{i,j} =
-    tr(L_i R_j)`` times ``s_A s_B^2``, comes from the constants of ``B``
+    integers: ``F_B`` is scaled by the lcm ``s_B`` of its denominators,
+    ``P = Phi s_B F_B`` is transposed into sparse columns, and row ``i`` is
+    ``sum_alpha P[alpha][i] D[alpha]``, with ``D = d F_A^-1 Phi F_B`` the
+    rows of ``phi*`` that :attr:`CardyFrobeniusAlgebra._phi_dual` keeps for
+    evaluation.  The right side, ``tr W_{i,j} = tr(L_i R_j)`` times ``d
+    s_B``, comes from the constants of ``B``
     (:func:`cardyfrob.frobenius.multiplication_traces`), never the model.
     The witness is the first failing ``i`` in basis order and its least
     failing ``j``; a degenerate pairing of ``A`` fails it with the text of
@@ -854,20 +857,18 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """
     b = h.B
     try:
-        inverse = h.A.form_inverse()
+        d, dual, _, _ = h._phi_dual
     except ConsistencyError as exc:
         return CheckResult("cardy", False, str(exc))
     traces = multiplication_traces(b, right=True)
     form_scale, form = _scaled(b.form)
-    inverse_scale, scaled_inverse = _scaled(inverse)
     phi_form = [linalg.row_times(row.items(), form) for row in h.phi]
-    dual = [linalg.row_times(row.items(), phi_form) for row in scaled_inverse]
     columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(b.dim)]
     for a, row in enumerate(phi_form):
         for i, value in row.items():
             if value:
                 columns[i].append((a, value))
-    scale = inverse_scale * form_scale * form_scale
+    scale = d * form_scale
     for i, (column, trace) in enumerate(zip(columns, traces)):
         scaled = {j: scale * value for j, value in trace.items()}
         j = _first_difference(linalg.row_times(column, dual), scaled)
@@ -883,49 +884,54 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     :func:`verify_cardy_frobenius` passes this check when premise (a),
     :meth:`~cardyfrob.actions.FieldCatalog.is_model_of`, holds: that is
     this identity, decided at the representative of each orbit alone.
-    Otherwise the chain tally at every cell ``(x, z)`` must be the stored
-    ``{(i, j): c_ij^k}`` of its orbit ``k``, over the catalog's positions.
-    The witness is the least failing ``(i, j, x, z)``.  A failing ``(i,
-    j)`` of a cell is counted there or stored at its orbit, so its ``i``
-    is no less than the least orbit of row ``x`` nor than the least ``i``
-    stored at ``k``.  The cells are tallied in increasing order of that
-    bound, and the walk stops at the first bound past the least failing
-    ``i`` found: no cell from there on can name a smaller witness.
+    Otherwise the chain tally at every cell ``(x, z)``, row ``x`` and column
+    ``z`` of the orbit table added as codes ``i * dim + j`` as
+    :func:`build_B` does, must be the stored ``{i * dim + j: c_ij^k}`` of
+    its orbit ``k``, over the catalog's positions.  The witness is the least
+    failing ``(i, j, x, z)``.  A failing ``(i, j)`` of a cell is counted
+    there or stored at its orbit, so its ``i`` is no less than the least
+    orbit of row ``x`` nor than the least ``i`` stored at ``k``.  The cells
+    are tallied in increasing order of that bound, and the walk stops at the
+    first bound past the least failing ``i`` found: no cell from there on
+    can name a smaller witness.  The cells of a bound are grouped by column,
+    so each row and column of the table is read once per bound.
     """
     catalog, fields = h.catalog, h.catalog.boundary
     dim, size, table = len(fields), catalog.nset.size, catalog.orbit_table
-    expected: dict[int, dict[tuple[int, int], int | Fraction]] = {}
+    expected: dict[int, dict[int, int | Fraction]] = {}
     for i, j, expansion in h.B.stored_products():
+        # A position past the catalog would alias another code.
         if i < dim and j < dim:
             for k, value in expansion.items():
-                expected.setdefault(k, {})[i, j] = value
-    least_stored = [min(expected[k])[0] if k in expected else dim for k in range(dim)]
-    levels: dict[int, list[tuple[int, int]]] = {}
+                expected.setdefault(k, {})[i * dim + j] = value
+    least_stored = [min(expected[k]) // dim if k in expected else dim for k in range(dim)]
+    # The rows ``x`` of each column ``z`` at each bound.
+    levels: dict[int, dict[int, list[int]]] = {}
     for x in range(size):
         row = table[x * size : (x + 1) * size]
         least = min(row)
-        bounds = list(map(least_stored.__getitem__, row))
-        if min(bounds) >= least:
-            # The whole row waits for the least orbit in it.
-            levels.setdefault(least, []).extend(zip(repeat(x), range(size)))
-        else:
-            for z, bound in enumerate(bounds):
-                levels.setdefault(min(least, bound), []).append((x, z))
+        for z, bound in enumerate(map(least_stored.__getitem__, row)):
+            levels.setdefault(min(least, bound), {}).setdefault(z, []).append(x)
     faults = []
     for bound in sorted(levels):
-        if faults and min(faults)[0] < bound:
+        if faults and min(faults)[0] // dim < bound:
             break
-        cells = levels[bound]
-        for position, tally in catalog.chain_tallies(cells):
-            x, z = cells[position]
-            wanted = expected.get(table[x * size + z], {})
-            if tally != wanted:
-                pairs = tally.keys() | wanted.keys()
-                i, j = min(p for p in pairs if tally.get(p, 0) != wanted.get(p, 0))
-                faults.append((i, j, x, z))
+        row_codes: dict[int, list[int]] = {}
+        for z, rows in levels[bound].items():
+            column = table[z::size].tolist()
+            for x in rows:
+                codes = row_codes.get(x)
+                if codes is None:
+                    codes = row_codes[x] = [i * dim for i in table[x * size : (x + 1) * size]]
+                tally = Counter(map(add, codes, column))
+                wanted = expected.get(table[x * size + z], {})
+                if tally != wanted:
+                    keys = tally.keys() | wanted.keys()
+                    faults.append((min(c for c in keys if tally[c] != wanted.get(c, 0)), x, z))
     if not faults:
         return CheckResult("nu-multiplicative", True)
-    i, j, x, z = min(faults)
+    code, x, z = min(faults)
+    i, j = divmod(code, dim)
     witness = f"({fields[i].label}, {fields[j].label}) at {(x, z)}"
     return CheckResult("nu-multiplicative", False, witness)
 
@@ -1009,11 +1015,6 @@ def _check_burnside_dimension(h: CardyFrobeniusAlgebra) -> CheckResult:
     passed = burnside == n_order * h.B.dim
     witness = None if passed else f"{burnside}/{n_order} != {h.B.dim}"
     return CheckResult("burnside-dimension", passed, witness)
-
-
-def phi_rank(h: CardyFrobeniusAlgebra) -> int:
-    """The rank of ``phi`` as a linear map (injectivity iff rank = dim A)."""
-    return linalg.rank(h.phi)
 
 
 # -- Hecke comparison --------------------------------------------------------

@@ -853,17 +853,6 @@ def multiplication_traces(
     return rows
 
 
-def trace_form(alg: EquippedFrobeniusAlgebra) -> list[list[Fraction]]:
-    """The trace form ``t_{ij} = trace of left multiplication by e_i e_j``.
-
-    Computed sparsely as ``t_{ij} = sum_{k,m} c_{ik}^m c_{jm}^k``.
-    """
-    return [
-        [Fraction(row.get(j, 0)) for j in range(alg.dim)]
-        for row in multiplication_traces(alg)
-    ]
-
-
 def is_semisimple(alg: EquippedFrobeniusAlgebra) -> bool:
     """Whether the trace form is nondegenerate (semisimplicity over the rationals)."""
     return linalg.rank(multiplication_traces(alg)) == alg.dim

@@ -3,8 +3,8 @@
 unit and casimir-central (of ``verify_equipped``), phi-central,
 nu-multiplicative and nu-equivariant (of ``verify_cardy_frobenius``) run over
 integer index tables: commutator rows and the orbit table.  The two ``nu``
-checks run premise (a)'s counters over everything: the chain tally of
-``FieldCatalog.chain_tallies`` at every cell, and the invariance scan
+checks run premise (a)'s counters over everything: the chain tally in codes
+``i * dim + j`` at every cell, and the invariance scan
 ``actions._moved_orbits`` over every row of ``N``.
 :func:`cardyfrob.oracles.element_axiom_oracle` and
 :func:`cardyfrob.oracles.cardy_axiom_oracle` compute the same results by

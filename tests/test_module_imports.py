@@ -12,8 +12,9 @@ of the premise helpers that live in :mod:`cardyfrob.actions`;
 :mod:`cardyfrob.cardy` imports none of those helpers from it.
 :mod:`cardyfrob.cli` is a client of the library like any other, so it
 imports no ``_``-prefixed name from the package.  The model checks of
-:mod:`cardyfrob.cardy` read the orbit table only through the counters of
-:mod:`cardyfrob.actions`, so no function there calls ``.orbits()``, and
+:mod:`cardyfrob.cardy` index the orbit table, or read it through the
+counters of :mod:`cardyfrob.actions`, and never list the orbits, so no
+function there calls ``.orbits()``, and
 the Cardy condition's walk reads the constants of ``B`` alone, so
 ``_check_cardy`` reads no ``catalog`` attribute.
 """
@@ -98,7 +99,7 @@ def test_the_check_sees_an_orbit_walk():
         "    for orbit in h.catalog.orbits():\n"
         "        pass\n"
         "def tally(h):\n"
-        "    return h.catalog.chain_tallies([])\n"
+        "    return h.catalog.trace_counts()\n"
     )
     assert orbit_walkers(tree) == ["walk"]
 
