@@ -72,6 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby
+from math import lcm
 from operator import add, eq, itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -125,8 +126,9 @@ class CardyFrobeniusAlgebra:
         """``(d, rows, s, form)``: ``phi* = F_A^-1 . Phi . F_B``, the adjoint of
         ``phi`` (see :mod:`cardyfrob.hurwitz`), as sparse ``int`` rows over one
         denominator ``d``, one per ``A`` position, and ``F_A`` likewise over
-        ``s``; made on first use, by evaluation or the Cardy condition
-        (:func:`_check_cardy`), and a singular ``F_A`` raises ``ConsistencyError``."""
+        ``s``; made on first use, by :attr:`_pairing_rows` or the Cardy
+        condition (:func:`_check_cardy`), and a singular ``F_A`` raises
+        ``ConsistencyError``."""
         phi_form = [linalg.row_times(row.items(), self.B.form) for row in self.phi]
         rows = [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
         return (*_scaled(rows), *_scaled(self.A.form))
@@ -138,15 +140,30 @@ class CardyFrobeniusAlgebra:
         d, rows, _, _ = self._phi_dual
         return d, [sum(value * row[j] for j, value in y.items() if j in row) for row in rows]
 
+    @cached_property
+    def _pairing_rows(self) -> tuple[int, list[dict[int, int]]]:
+        """``(e, rows)``: ``G = F_A . phi* = Phi . F_B`` as sparse ``int`` rows
+        over one denominator ``e``, one per ``A`` position, zeros dropped;
+        multiplied out from :attr:`_phi_dual` on first use, so a singular
+        ``F_A`` raises ``ConsistencyError`` here too."""
+        d, rows, s, form = self._phi_dual
+        product = (linalg.row_times(row.items(), rows) for row in form)
+        return _scaled([{j: Fraction(v, s * d) for j, v in row.items() if v} for row in product])
+
     def phi_dual_pairing(self, x: AlgebraElement, y: Mapping[int, Fraction | int]) -> Fraction:
-        """``l_A(x . phi*(y)) = x^T F_A phi*(y)`` for a sparse ``B`` vector ``y``:
-        ``x``, ``F_A`` and ``phi*(y)`` as numerators, one ``Fraction`` at the end."""
-        d, numerators = self.phi_dual_coefficients(y)
-        _, _, s, form = self._phi_dual
-        scale, (weights,) = _scaled([{self.A.index(label): c for label, c in x.coeffs.items()}])
-        rows = ((form[alpha], c) for alpha, c in weights.items())
-        total = sum(c * f * numerators[beta] for row, c in rows for beta, f in row.items())
-        return Fraction(total, scale * s * d)
+        """``l_A(x . phi*(y)) = x^T G y`` for a sparse ``B`` vector ``y``, with
+        ``G`` the cached rows of ``F_A . phi*``: one pass over the positions of
+        ``x`` and ``y``, ``x`` scaled by the lcm of its denominators and one
+        ``Fraction`` at the end."""
+        e, rows = self._pairing_rows
+        index = self.A.index
+        scale = lcm(*(c.denominator for c in x.coeffs.values()))
+        total = 0
+        for label, c in x.coeffs.items():
+            row = rows[index(label)]
+            weight = c.numerator * (scale // c.denominator)
+            total += weight * sum(value * row[j] for j, value in y.items() if j in row)
+        return Fraction(total, scale * e)
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
         """Image of a ``B`` element under ``phi*``, divided at this edge."""

@@ -27,7 +27,7 @@ from .groups import (
     subgroup_from_permutations,
 )
 from .hurwitz import SurfaceSpec, evaluate
-from .oracles import DEFAULT_TUPLE_BOUND, oracle_for_spec
+from .oracles import DEFAULT_TUPLE_BOUND, oracle_for_catalog
 from .rationals import format_fraction
 
 
@@ -319,11 +319,11 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     specs = _surface_specs(args.surface)
     setup = _setup_from_args(args)
-    h = _algebra_from_setup(setup)
+    catalog = build_catalog(setup.nset, provenance=setup.digest)
     value = Fraction(1)
     tuples = 0
     for spec in specs:
-        result = oracle_for_spec(h, spec, tuple_bound=args.tuple_bound)
+        result = oracle_for_catalog(catalog, spec, tuple_bound=args.tuple_bound)
         value *= result.value
         tuples += result.tuples_examined
     _emit({"hurwitz_oracle": format_fraction(value), "tuples": tuples})

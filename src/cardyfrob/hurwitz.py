@@ -22,10 +22,11 @@ Bounded surfaces are evaluated on the ``A`` side, as ``l_A(a . phi*(W))``:
 ``phi* = F_A^-1 Phi F_B`` is the adjoint of ``phi``, so ``a^T F_A phi*(W) =
 a^T Phi F_B W`` wherever the stored forms are the pairings of the constants,
 as :func:`~cardyfrob.cardy.build_A` and :func:`~cardyfrob.cardy.build_B`
-count them.  ``W`` is multiplied in index space, ``tau`` takes and gives
-labelled elements, and ``phi*`` and ``F_A`` are kept as ``int`` numerators
-over one denominator each, so ``a^T F_A phi*(W)`` is summed in integers and
-divided once.  The ``A`` factor is folded from its first factor, with
+count them.  ``W`` is multiplied in index space, and ``tau`` takes and
+gives labelled elements.  The algebra caches ``G = F_A phi*``, which is
+``Phi F_B``, as ``int`` rows over one denominator, one per ``A`` position,
+so one evaluation sums ``a^T G W`` over the positions of ``a`` and ``W``
+and divides once.  The ``A`` factor is folded from its first factor, with
 ``K_A^g`` or ``U^{2g}`` only for a positive exponent: nothing is multiplied
 by the unit.
 

@@ -708,12 +708,23 @@ def oracle_for_spec(
     spec: SurfaceSpec,
     tuple_bound: int = DEFAULT_TUPLE_BOUND,
 ) -> OracleResult:
-    """Dispatch to the oracle matching the surface's shape."""
-    spec.validate_against(h.catalog)
+    """Dispatch to the oracle matching the surface's shape, from ``h.catalog``."""
+    return oracle_for_catalog(h.catalog, spec, tuple_bound=tuple_bound)
+
+
+def oracle_for_catalog(
+    catalog: FieldCatalog,
+    spec: SurfaceSpec,
+    tuple_bound: int = DEFAULT_TUPLE_BOUND,
+) -> OracleResult:
+    """Dispatch to the oracle matching the surface's shape.  Every oracle reads
+    the catalog and the tables of ``N`` and nothing else, so no algebra is
+    built."""
+    spec.validate_against(catalog)
     if spec.boundary:
-        return covering_oracle(h.catalog, spec, tuple_bound=tuple_bound)
-    fields = [h.catalog.interior_field(label) for label in spec.interior]
-    n_group = h.catalog.nset.group
+        return covering_oracle(catalog, spec, tuple_bound=tuple_bound)
+    fields = [catalog.interior_field(label) for label in spec.interior]
+    n_group = catalog.nset.group
     if spec.orientable:
         return closed_orientable_oracle(
             n_group, int(spec.genus), fields, tuple_bound=tuple_bound

@@ -183,6 +183,48 @@ def test_phi_dual_rows_over_their_denominator(suite_algebras):
             assert all(type(c) is int for c in h.phi_dual_coefficients({k: 1})[1]), (name, k)
 
 
+def test_pairing_rows_are_f_a_times_phi_dual(suite_algebras):
+    # The rows the pairing of bounded surfaces reads are G = F_A phi* = Phi
+    # F_B as int numerators over their least common denominator.  Divided,
+    # they are both products multiplied out in Fractions, zeros dropped, on
+    # the suite pairs and on s3 with an entry of F_A moved, whose phi* is
+    # over 13.
+    s3 = suite_algebras["s3"]
+    moved = replace(s3, A=with_form_entry(s3.A, 0, 0, Fraction(1, 7)))
+    for name, h in [*suite_algebras.items(), ("s3, F_A moved", moved)]:
+        e, rows = h._pairing_rows
+        assert all(type(value) is int for row in rows for value in row.values()), name
+        assert gcd(e, *(value for row in rows for value in row.values())) == 1, name
+        divided = [{j: Fraction(v, e) for j, v in row.items()} for row in rows]
+        left = [linalg.row_times(row.items(), h.phi) for row in linalg.invert(h.A.form)]
+        dual = [linalg.row_times(row.items(), h.B.form) for row in left]
+        for product in (
+            [linalg.row_times(row.items(), dual) for row in h.A.form],
+            [linalg.row_times(row.items(), h.B.form) for row in h.phi],
+        ):
+            assert divided == [{j: v for j, v in row.items() if v} for row in product], name
+
+
+def test_phi_dual_pairing_reads_fractions(suite_algebras):
+    # phi_dual_pairing(x, y) is l_A(x . phi*(y)) read through phi_dual_apply
+    # where the discs of the benchmark never go: an x with coefficients in
+    # thirds, and y a Casimir sandwich, whose coefficients are Fractions, or
+    # a fifth of one.  The zero element of A pairs to 0.
+    for name, h in suite_algebras.items():
+        a, b = h.A, h.B
+        thirds = AlgebraElement({label: Fraction(k + 1, 3) for k, label in enumerate(a.basis)})
+        for label in b.basis[:4]:
+            sandwich = b.casimir_sandwich(b.basis_element(label))
+            fifth = AlgebraElement({k: c / 5 for k, c in sandwich.coeffs.items()})
+            for y in (b.basis_element(label), sandwich, fifth):
+                vector = {b.index(k): c for k, c in y.coeffs.items()}
+                assert all(type(c) is Fraction for c in vector.values()), (name, label)
+                for x in (thirds, a.basis_element(a.basis[-1])):
+                    expected = a.bilinear(x, h.phi_dual_apply(y))
+                    assert h.phi_dual_pairing(x, vector) == expected, (name, label)
+                assert h.phi_dual_pairing(AlgebraElement(), vector) == 0, (name, label)
+
+
 # -- negative control ----------------------------------------------------------
 
 

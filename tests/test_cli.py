@@ -467,6 +467,24 @@ def test_oracle_on_a_bounded_surface_past_the_tuple_bound_exits_3(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("surface", ["disc_pair", "torus"])
+def test_oracle_builds_no_algebra(capsys, monkeypatch, surface):
+    # Every oracle reads the catalog and the tables of N: with the builder
+    # of (A, B, phi, U) made to raise, oracle still answers, and agrees with
+    # hurwitz, run before the patch.
+    group = str(bundled_input("groups/s4_trivial.json"))
+    path = str(bundled_input(f"surfaces/{surface}.json"))
+    _, hurwitz, _ = run_json(capsys, ["hurwitz", "--group", group, "--surface", path])
+
+    def refuse(catalog):
+        raise AssertionError("oracle built the algebra")
+
+    monkeypatch.setattr(cli, "build_cardy_frobenius", refuse)
+    code, out, _ = run_json(capsys, ["oracle", "--group", group, "--surface", path])
+    assert code == 0
+    assert json.loads(out)["hurwitz_oracle"] == json.loads(hurwitz)["hurwitz"]
+
+
 def test_oracle_tuple_bound_exceeded(capsys, z2_path, torus_path):
     code, _, err = run_json(
         capsys,
