@@ -122,37 +122,28 @@ class CardyFrobeniusAlgebra:
         return AlgebraElement({self.B.basis[j]: value for j, value in image.items()})
 
     @cached_property
-    def _phi_dual(self) -> tuple[int, list[dict[int, int]], int, list[dict[int, int]]]:
-        """``(d, rows, s, form)``: ``phi* = F_A^-1 . Phi . F_B``, the adjoint of
-        ``phi`` (see :mod:`cardyfrob.hurwitz`), as sparse ``int`` rows over one
-        denominator ``d``, one per ``A`` position, and ``F_A`` likewise over
-        ``s``; made on first use, by :attr:`_pairing_rows` or the Cardy
-        condition (:func:`_check_cardy`), and a singular ``F_A`` raises
-        ``ConsistencyError``."""
-        phi_form = [linalg.row_times(row.items(), self.B.form) for row in self.phi]
-        rows = [linalg.row_times(row.items(), phi_form) for row in self.A.form_inverse()]
-        return (*_scaled(rows), *_scaled(self.A.form))
-
-    def phi_dual_coefficients(self, y: Mapping[int, Fraction | int]) -> tuple[int, list]:
-        """``(d, numerators)``: ``d`` times the coefficients of ``phi*(y)`` in
-        basis order, zeros included, for a sparse ``B`` vector ``y = {position:
-        coefficient}``; the numerators are ``int`` where ``y``'s values are."""
-        d, rows, _, _ = self._phi_dual
-        return d, [sum(value * row[j] for j, value in y.items() if j in row) for row in rows]
+    def _pairing_rows(self) -> tuple[int, list[dict[int, int]]]:
+        """``(e, G)``: ``G = Phi . F_B = F_A . phi*``, the one product of
+        ``phi`` and ``F_B``, as sparse ``int`` rows over their least common
+        denominator ``e``, one per ``A`` position, zeros dropped; made on
+        first use, after ``F_A`` is inverted, so a singular ``F_A`` raises
+        ``ConsistencyError`` for every reader."""
+        self.A.form_inverse()
+        product = (linalg.row_times(row.items(), self.B.form) for row in self.phi)
+        return _scaled([{j: v for j, v in row.items() if v} for row in product])
 
     @cached_property
-    def _pairing_rows(self) -> tuple[int, list[dict[int, int]]]:
-        """``(e, rows)``: ``G = F_A . phi* = Phi . F_B`` as sparse ``int`` rows
-        over one denominator ``e``, one per ``A`` position, zeros dropped;
-        multiplied out from :attr:`_phi_dual` on first use, so a singular
-        ``F_A`` raises ``ConsistencyError`` here too."""
-        d, rows, s, form = self._phi_dual
-        product = (linalg.row_times(row.items(), rows) for row in form)
-        return _scaled([{j: Fraction(v, s * d) for j, v in row.items() if v} for row in product])
+    def _phi_dual(self) -> tuple[int, list[dict[int, int]]]:
+        """``(d, rows)``: ``phi* = F_A^-1 . G``, the adjoint of ``phi`` (see
+        :mod:`cardyfrob.hurwitz`), derived from :attr:`_pairing_rows` on
+        first use and kept as ``G`` is, over its own denominator ``d``."""
+        e, rows = self._pairing_rows
+        dual = (linalg.row_times(row.items(), rows) for row in self.A.form_inverse())
+        return _scaled([{j: Fraction(v, e) for j, v in row.items() if v} for row in dual])
 
     def phi_dual_pairing(self, x: AlgebraElement, y: Mapping[int, Fraction | int]) -> Fraction:
         """``l_A(x . phi*(y)) = x^T G y`` for a sparse ``B`` vector ``y``, with
-        ``G`` the cached rows of ``F_A . phi*``: one pass over the positions of
+        ``G`` the cached rows of ``Phi . F_B``: one pass over the positions of
         ``x`` and ``y``, ``x`` scaled by the lcm of its denominators and one
         ``Fraction`` at the end."""
         e, rows = self._pairing_rows
@@ -167,7 +158,9 @@ class CardyFrobeniusAlgebra:
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:
         """Image of a ``B`` element under ``phi*``, divided at this edge."""
-        d, numerators = self.phi_dual_coefficients({self.B.index(b): c for b, c in y.coeffs.items()})
+        d, rows = self._phi_dual
+        vector = [(self.B.index(b), c) for b, c in y.coeffs.items()]
+        numerators = (sum(c * row[j] for j, c in vector if j in row) for row in rows)
         return AlgebraElement({a: Fraction(c, d) for a, c in zip(self.A.basis, numerators)})
 
 
@@ -858,13 +851,12 @@ def _check_u_coefficients(h: CardyFrobeniusAlgebra) -> CheckResult:
 def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """The Cardy condition ``(phi*(x), phi*(y))_A = tr W_{x,y}`` on basis pairs.
 
-    The left side is the matrix ``(Phi F_B)^T F_A^-1 (Phi F_B)`` in
-    integers: ``F_B`` is scaled by the lcm ``s_B`` of its denominators,
-    ``P = Phi s_B F_B`` is transposed into sparse columns, and row ``i`` is
-    ``sum_alpha P[alpha][i] D[alpha]``, with ``D = d F_A^-1 Phi F_B`` the
-    rows of ``phi*`` that :attr:`CardyFrobeniusAlgebra._phi_dual` keeps for
-    evaluation.  The right side, ``tr W_{i,j} = tr(L_i R_j)`` times ``d
-    s_B``, comes from the constants of ``B``
+    The left side is the matrix ``G^T phi*`` in integers, ``G = Phi F_B =
+    F_A phi*``: row ``i`` is ``sum_alpha P[alpha][i] D[alpha]``, with ``P =
+    e G`` and ``D = d phi*`` the rows :attr:`CardyFrobeniusAlgebra._pairing_rows`
+    and :attr:`CardyFrobeniusAlgebra._phi_dual` keep for evaluation, ``P``
+    read by columns.  The right side, ``tr W_{i,j} = tr(L_i R_j)`` times ``d
+    e``, comes from the constants of ``B``
     (:func:`cardyfrob.frobenius.multiplication_traces`), never the model.
     The witness is the first failing ``i`` in basis order and its least
     failing ``j``; a degenerate pairing of ``A`` fails it with the text of
@@ -874,20 +866,16 @@ def _check_cardy(h: CardyFrobeniusAlgebra) -> CheckResult:
     """
     b = h.B
     try:
-        d, dual, _, _ = h._phi_dual
+        e, pairing = h._pairing_rows
+        d, dual = h._phi_dual
     except ConsistencyError as exc:
         return CheckResult("cardy", False, str(exc))
-    traces = multiplication_traces(b, right=True)
-    form_scale, form = _scaled(b.form)
-    phi_form = [linalg.row_times(row.items(), form) for row in h.phi]
-    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(b.dim)]
-    for a, row in enumerate(phi_form):
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(b.dim)]
+    for a, row in enumerate(pairing):
         for i, value in row.items():
-            if value:
-                columns[i].append((a, value))
-    scale = d * form_scale
-    for i, (column, trace) in enumerate(zip(columns, traces)):
-        scaled = {j: scale * value for j, value in trace.items()}
+            columns[i].append((a, value))
+    for i, (column, trace) in enumerate(zip(columns, multiplication_traces(b, right=True))):
+        scaled = {j: d * e * value for j, value in trace.items()}
         j = _first_difference(linalg.row_times(column, dual), scaled)
         if j is not None:
             witness = f"({b.basis[i]}, {b.basis[j]})"
@@ -974,13 +962,16 @@ def _check_form_from_traces(
 ) -> CheckResult:
     # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
     # with (y, x) in O_j: ``traces``, the premises' record (ModelPremises),
-    # counts them all.  Each entry is compared in
+    # counts them all.  A B of another dimension than the catalog's orbit
+    # count fails, naming both.  Each entry is compared in
     # integers; when every count finds its entry and the form stores no
     # other, the check passes without the walk that names the witness.
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
     form = h.B.form
-    if len(form) == len(fields) and _is_trace_form(form, traces, n_order):
+    if h.B.dim != len(fields):
+        return CheckResult("form-from-traces", False, _orbit_count_witness(h))
+    if _is_trace_form(form, traces, n_order):
         return CheckResult("form-from-traces", True)
     rows: list[dict[int, int]] = [{} for _ in fields]
     for (i, j), count in traces.items():
@@ -999,13 +990,20 @@ def _check_form_from_traces(
 
 
 def _check_linear_form_from_traces(h: CardyFrobeniusAlgebra) -> CheckResult:
-    # l_B(beta_i) == tr(nu_i) / |N|, the diagonal cells of O_i, in integers.
+    # l_B(beta_i) == tr(nu_i) / |N|, the diagonal cells of O_i, in integers;
+    # a B of another dimension than the catalog's orbit count fails, naming both.
+    if h.B.dim != len(h.catalog.boundary):
+        return CheckResult("linear-form-from-traces", False, _orbit_count_witness(h))
     n_order = h.catalog.nset.group.order
     diagonal = h.catalog.diagonal_counts()
     for i, field in enumerate(h.catalog.boundary):
         if not _is_ratio(h.B.linear_form[i], diagonal[i], n_order):
             return CheckResult("linear-form-from-traces", False, field.label)
     return CheckResult("linear-form-from-traces", True)
+
+
+def _orbit_count_witness(h: CardyFrobeniusAlgebra) -> str:
+    return f"dim B is {h.B.dim}, the catalog has {len(h.catalog.boundary)} orbits"
 
 
 def _check_nu_equivariant(h: CardyFrobeniusAlgebra) -> CheckResult:

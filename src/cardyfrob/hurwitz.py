@@ -23,10 +23,12 @@ Bounded surfaces are evaluated on the ``A`` side, as ``l_A(a . phi*(W))``:
 a^T Phi F_B W`` wherever the stored forms are the pairings of the constants,
 as :func:`~cardyfrob.cardy.build_A` and :func:`~cardyfrob.cardy.build_B`
 count them.  ``W`` is multiplied in index space, and ``tau`` takes and
-gives labelled elements.  The algebra caches ``G = F_A phi*``, which is
-``Phi F_B``, as ``int`` rows over one denominator, one per ``A`` position,
-so one evaluation sums ``a^T G W`` over the positions of ``a`` and ``W``
-and divides once.  The ``A`` factor is folded from its first factor, with
+gives labelled elements.  The algebra forms ``G = Phi F_B`` once and
+caches it as ``int`` rows over one denominator, one per ``A`` position,
+and derives ``phi* = F_A^-1 G`` from it; one evaluation sums ``a^T G W``
+over the positions of ``a`` and ``W`` and divides once.  ``F_A`` is
+inverted before ``G`` is read, so a degenerate pairing of ``A`` raises for
+every bounded surface.  The ``A`` factor is folded from its first factor, with
 ``K_A^g`` or ``U^{2g}`` only for a positive exponent: nothing is multiplied
 by the unit.
 

@@ -18,10 +18,11 @@ the sparse walks of :func:`cardyfrob.frobenius.verify_equipped`.
 ``AlgebraElement`` loops of the unit, centrality and ``phi`` checks and check
 ``nu`` multiplicativity and equivariance by dense matrix products over every
 element of ``N``, against the index-table checks and their certificates on
-generators.  :func:`cardy_condition_oracle` pairs the ``phi*`` images of
-every basis pair of ``B`` in ``A`` and sums the traces ``tr(L_i R_j)`` by
-label-keyed multiplies, against the integer pairing and the traces the
-Cardy check reads off the model.  :func:`conjugation_table_oracle`
+generators.  :func:`cardy_condition_oracle` sums the ``phi*`` image of
+each basis element of ``B`` in dense ``Fraction`` loops, pairs them in
+``A`` and sums the traces ``tr(L_i R_j)`` by label-keyed multiplies,
+against the cached integer rows and the traces the Cardy check reads off
+the constants of ``B``.  :func:`conjugation_table_oracle`
 conjugates by every coset representative, against the action rows built
 from generators, and :func:`is_associative` scans every triple of a group
 table.
@@ -493,19 +494,40 @@ def cardy_axiom_oracle(h: CardyFrobeniusAlgebra) -> list[CheckResult]:
 
 def cardy_condition_oracle(h: CardyFrobeniusAlgebra) -> CheckResult:
     """The Cardy condition ``(phi*(beta_i), phi*(beta_j))_A = tr W_{i,j}`` by
-    label-keyed ``AlgebraElement`` operations over every basis pair.
+    dense ``Fraction`` loops and label-keyed ``AlgebraElement`` operations
+    over every basis pair.
 
     The slow reference for the cardy check of
-    :func:`cardyfrob.cardy.verify_cardy_frobenius`, witness included: the
-    left side pairs :meth:`~cardyfrob.cardy.CardyFrobeniusAlgebra.phi_dual_apply`
-    images through ``A.bilinear``, and the right side ``tr W_{i,j} = sum_k
-    [beta_k](beta_i beta_k beta_j)`` multiplies basis elements through
-    ``B.multiply``.  The witness is the first failing ``i`` in basis order
-    and its least failing ``j``.
+    :func:`cardyfrob.cardy.verify_cardy_frobenius`, witness included:
+    ``phi*(beta_i) = sum_{alpha, gamma} (F_A^-1)_{alpha gamma} (Phi
+    F_B)_{gamma i} e_alpha`` is summed entry by entry from the stored
+    inverse of ``F_A``, ``phi`` and the stored ``F_B``, sharing no code with
+    the cached rows of :class:`~cardyfrob.cardy.CardyFrobeniusAlgebra`, and
+    the images are paired through ``A.bilinear``.  The right side ``tr
+    W_{i,j} = sum_k [beta_k](beta_i beta_k beta_j)`` multiplies basis
+    elements through ``B.multiply``.  The witness is the first failing ``i``
+    in basis order and its least failing ``j``; a degenerate pairing of
+    ``A`` fails it with the text of ``form_inverse``'s error.
     """
-    b = h.B
+    a, b = h.A, h.B
+    try:
+        inverse = a.form_inverse()
+    except ConsistencyError as exc:
+        return CheckResult("cardy", False, str(exc))
+    phi_form = [[Fraction(0)] * b.dim for _ in h.phi]
+    for gamma, row in enumerate(h.phi):
+        for m in range(b.dim):
+            if row.get(m, 0):
+                for i in range(b.dim):
+                    phi_form[gamma][i] += row[m] * b.form[m].get(i, 0)
+    duals = []
+    for i in range(b.dim):
+        coeffs = dict.fromkeys(a.basis, Fraction(0))
+        for alpha, label in enumerate(a.basis):
+            for gamma in range(a.dim):
+                coeffs[label] += inverse[alpha].get(gamma, 0) * phi_form[gamma][i]
+        duals.append(AlgebraElement(coeffs))
     basis = [b.basis_element(label) for label in b.basis]
-    duals = [h.phi_dual_apply(e) for e in basis]
     for i, (left, dual) in enumerate(zip(basis, duals)):
         middles = [(label, b.multiply(left, e)) for label, e in zip(b.basis, basis)]
         middles = [(label, middle) for label, middle in middles if not middle.is_zero()]
@@ -514,7 +536,7 @@ def cardy_condition_oracle(h: CardyFrobeniusAlgebra) -> CheckResult:
                 (b.multiply(middle, right).coefficient(k) for k, middle in middles),
                 Fraction(0),
             )
-            if h.A.bilinear(dual, duals[j]) != trace:
+            if a.bilinear(dual, duals[j]) != trace:
                 return CheckResult("cardy", False, f"({b.basis[i]}, {label})")
     return CheckResult("cardy", True)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from array import array
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from cardyfrob import (
     build_catalog,
     build_group,
     build_phi,
+    cardy_condition_oracle,
     cardy_from_pair,
     coset_nset,
     failures,
@@ -162,25 +164,26 @@ def test_phi_dual_is_adjoint_to_phi(suite_algebras):
 
 
 def test_phi_dual_rows_over_their_denominator(suite_algebras):
-    # phi* is kept as int numerators over the least common denominator d, and
-    # F_A likewise over s.  Divided, the rows are F_A^-1 Phi F_B multiplied
-    # out in Fractions as (F_A^-1 Phi) F_B, zeros dropped, and the stored F_A.
-    # d is 1 on every suite pair and 13 once s3's F_A has an entry moved.
+    # phi* is kept as int numerators over their least common denominator d.
+    # Divided, the rows are F_A^-1 Phi F_B multiplied out in Fractions as
+    # (F_A^-1 Phi) F_B, zeros dropped.  d is 1 on every suite pair and 13
+    # once s3's F_A has an entry moved.
     s3 = suite_algebras["s3"]
     moved = replace(s3, A=with_form_entry(s3.A, 0, 0, Fraction(1, 7)))
     assert moved._phi_dual[0] == 13
     for name, h in [*suite_algebras.items(), ("s3, F_A moved", moved)]:
-        d, rows, s, form = h._phi_dual
+        d, rows = h._phi_dual
+        assert d == (13 if h is moved else 1), name
         left = [linalg.row_times(row.items(), h.phi) for row in linalg.invert(h.A.form)]
         expected = [linalg.row_times(row.items(), h.B.form) for row in left]
-        for numerators, scale, target in ((rows, d, expected), (form, s, h.A.form)):
-            assert all(type(value) is int for row in numerators for value in row.values()), name
-            assert gcd(scale, *(value for row in numerators for value in row.values())) == 1, name
-            divided = [{j: Fraction(v, scale) for j, v in row.items() if v} for row in numerators]
-            assert divided == [{j: v for j, v in row.items() if v} for row in target], name
-        # An integral B vector has integral numerators: no Fraction before the pairing.
-        for k in range(h.B.dim):
-            assert all(type(c) is int for c in h.phi_dual_coefficients({k: 1})[1]), (name, k)
+        assert all(type(value) is int for row in rows for value in row.values()), name
+        assert gcd(d, *(value for row in rows for value in row.values())) == 1, name
+        divided = [{j: Fraction(v, d) for j, v in row.items() if v} for row in rows]
+        assert divided == [{j: v for j, v in row.items() if v} for row in expected], name
+        # phi_dual_apply reads column k of the rows and divides it at its edge.
+        for k, label in enumerate(h.B.basis):
+            column = {a: Fraction(row.get(k, 0), d) for a, row in zip(h.A.basis, rows)}
+            assert h.phi_dual_apply(h.B.basis_element(label)) == AlgebraElement(column), name
 
 
 def test_pairing_rows_are_f_a_times_phi_dual(suite_algebras):
@@ -203,6 +206,27 @@ def test_pairing_rows_are_f_a_times_phi_dual(suite_algebras):
             [linalg.row_times(row.items(), h.B.form) for row in h.phi],
         ):
             assert divided == [{j: v for j, v in row.items() if v} for row in product], name
+
+
+def test_pairing_rows_stay_phi_f_b_under_a_stale_inverse(suite_algebras):
+    # G = Phi F_B is the one product formed, and phi* = F_A^-1 G is derived
+    # from it.  With the inverse of a moved F_A kept on s3's intact A, F_A
+    # phi* is no longer G, and G is still Phi F_B.
+    def nonzero(rows):
+        return [{j: v for j, v in row.items() if v} for row in rows]
+
+    h = suite_algebras["s3"]
+    stale = copy.copy(h.A)
+    stale._form_inverse = with_form_entry(h.A, 0, 0, Fraction(1, 7)).form_inverse()
+    broken = replace(h, A=stale)
+    e, rows = broken._pairing_rows
+    d, dual = broken._phi_dual
+    pairing = [{j: Fraction(v, e) for j, v in row.items()} for row in rows]
+    divided = [{j: Fraction(v, d) for j, v in row.items()} for row in dual]
+    assert pairing == nonzero(linalg.row_times(row.items(), h.B.form) for row in h.phi)
+    inverse = stale.form_inverse()
+    assert divided == nonzero(linalg.row_times(row.items(), pairing) for row in inverse)
+    assert nonzero(linalg.row_times(row.items(), divided) for row in h.A.form) != pairing
 
 
 def test_phi_dual_pairing_reads_fractions(suite_algebras):
@@ -294,6 +318,9 @@ def test_singular_pairing_of_a_is_reported_not_raised(suite_algebras):
     for name in ("u-squared", "cardy"):
         result = next(result for result in results if result.name == name)
         assert result == CheckResult(name, False, invertible.witness)
+    assert cardy_condition_oracle(replace(h, A=broken)) == CheckResult(
+        "cardy", False, invertible.witness
+    )
 
 
 def test_phi_row_past_dim_b_is_reported_not_raised(suite_algebras):

@@ -10,7 +10,10 @@ phi-star and cardy pass as well.  Every one of these results, witness
 included, must equal the slow references :func:`cardy_condition_oracle` and
 :func:`cardy_axiom_oracle`, on the suite and on seeded corruptions of
 ``phi``, of the constants of ``B`` (which break (a)), of its pairing, star,
-unit and linear form (which leave (a) standing) and of the catalog.
+unit and linear form (which leave (a) standing) and of the catalog, a
+catalog whose table only the first generator of ``N`` leaves invariant
+among them.  A ``B`` one element shorter or longer than the catalog has
+orbits is no model of it, and every check still returns a result.
 Wherever the certificate holds, each certified check passes when walked, on
 the suite and on drawn pairs.  Copies of ``A`` with a constant changed, two
 stars exchanged, a pairing entry, the unit or the linear form off, or a
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import random
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -34,6 +38,7 @@ from hypothesis import strategies as st
 from cardyfrob import (
     CheckResult,
     ConsistencyError,
+    EquippedFrobeniusAlgebra,
     FieldCatalog,
     build_B,
     build_cardy_frobenius,
@@ -49,6 +54,7 @@ from cardyfrob import (
     verify_cardy_frobenius,
     verify_equipped,
 )
+from cardyfrob.actions import _chains_match, _counted_orbits, _moved_orbits
 from cardyfrob.cardy import (
     _check_burnside_dimension,
     _check_cardy,
@@ -264,6 +270,120 @@ def test_swapped_orbit_pairs_match_oracles(suite_algebras, name):
             broken = replace(h, catalog=catalog, B=b_algebra)
             failed |= assert_matches_oracles(broken, (name, a, b))
     assert "nu-equivariant" in failed
+
+
+def closed_cell_sets(h, k: int) -> list[list[int]]:
+    """The cells of orbit ``k`` of ``h.catalog`` in the classes of the group
+    that the first generator of ``N`` and transposition generate, without
+    the class of the representative, each sorted."""
+    catalog = h.catalog
+    size, table = catalog.nset.size, catalog.orbit_table
+    step = catalog.nset.act_table[catalog.nset.group.generators[0]]
+    x, z = catalog.boundary[k].representative
+    seen, sets = {x * size + z}, []
+    for cell in range(size * size):
+        if table[cell] != k or cell in seen:
+            continue
+        found, stack = set(), [cell]
+        while stack:
+            code = stack.pop()
+            if code not in found:
+                found.add(code)
+                y, w = divmod(code, size)
+                stack += [step[y] * size + step[w], w * size + y]
+        seen |= found
+        if x * size + z not in found:
+            sets.append(sorted(found))
+    return sets
+
+
+def first_generator_catalog(h, a: int, b: int):
+    """``h`` on a catalog whose table only the first generator of ``N``
+    leaves invariant, with ``B`` counted anew from it: the labels of two
+    equal-sized cell sets of the self-paired orbits ``a`` and ``b``
+    exchanged, each closed under the first generator and under
+    transposition and holding no representative.  It is the first such
+    pair that ``build_B`` accepts and whose chains premise (a) then finds
+    at the representatives, so that only the invariance scan can refuse it."""
+    for left in closed_cell_sets(h, a):
+        for right in closed_cell_sets(h, b):
+            if len(left) != len(right):
+                continue
+            table = array("i", h.catalog.orbit_table)
+            for cells, label in ((left, b), (right, a)):
+                for cell in cells:
+                    table[cell] = label
+            catalog = replace(h.catalog, orbit_table=table)
+            try:
+                b_algebra = build_B(catalog)
+            except ConsistencyError:
+                continue
+            if _chains_match(b_algebra, catalog):
+                return replace(h, catalog=catalog, B=b_algebra)
+    raise AssertionError(f"no two cell sets of orbits {a} and {b} could be exchanged")
+
+
+def test_a_table_left_invariant_by_the_first_generator_only_matches_oracles(suite_algebras):
+    # s4's self-paired orbits 13 and 14 with two cell sets exchanged: every
+    # representative keeps its orbit, the orbit sizes and the Burnside count
+    # stand, and premise (a) finds the chains at the representatives.  Only
+    # another generator than the first moves the table, so premise (a) must
+    # scan every generator, and the nu checks walk and fail as the oracle does.
+    h = suite_algebras["s4"]
+    fields = h.catalog.boundary
+    assert [fields[k].star for k in (13, 14)] == [fields[k].label for k in (13, 14)]
+    broken = first_generator_catalog(h, 13, 14)
+    catalog = broken.catalog
+    first = catalog.nset.act_table[catalog.nset.group.generators[0]]
+    assert not any(_moved_orbits(catalog.orbit_table, [first]))
+    assert _counted_orbits(catalog) and _chains_match(broken.B, catalog)
+    assert not catalog.premises(broken.B).modelled
+    results = {result.name: result for result in verify_cardy_frobenius(broken)}
+    expected = {result.name: result for result in cardy_axiom_oracle(broken)}
+    for name in ("nu-multiplicative", "nu-equivariant"):
+        assert results[name] == expected[name] and not results[name].passed, name
+
+
+def with_dim(b, dim: int):
+    """``b`` cut to its first ``dim`` basis elements, or grown by elements
+    that have no products, ``l = 0`` and are each their own star."""
+    kept = range(min(dim, b.dim))
+    rows = [
+        {j: {k: c for k, c in e.items() if k < dim} for j, e in b.left_products(i).items()}
+        for i in kept
+    ]
+    return EquippedFrobeniusAlgebra.from_indices(
+        basis=[*b.basis[:dim], *(f"extra{m}" for m in range(b.dim, dim))],
+        products=[{j: e for j, e in row.items() if j < dim and e} for row in rows]
+        + [{} for _ in range(b.dim, dim)],
+        linear_form=dict(enumerate(b.linear_form[:dim])),
+        involution=[*(b.involution[i] for i in kept), *range(b.dim, dim)],
+        unit={b.index(label): c for label, c in b.unit.coeffs.items() if b.index(label) < dim},
+    )
+
+
+@pytest.mark.parametrize("name", ["s3", "s4"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_b_of_another_dimension_is_no_model(suite_algebras, name, extra):
+    # B one element shorter or longer than the catalog has orbits.  The
+    # longer one's products are the chains of the table, and its extra
+    # element has none, so the invariance, the orbit count and the chains
+    # all accept it and only the dimension tells it from a model.  Every
+    # check returns a result, and the trace checks name both counts.
+    h = suite_algebras[name]
+    broken = replace(h, B=with_dim(h.B, h.B.dim + extra))
+    if extra > 0:
+        generators = [h.catalog.nset.act_table[n] for n in h.catalog.nset.group.generators]
+        assert not any(_moved_orbits(h.catalog.orbit_table, generators))
+        assert _counted_orbits(h.catalog) and _chains_match(broken.B, h.catalog)
+    assert not h.catalog.premises(broken.B).modelled
+    results = verify_all(broken)
+    assert results["cardy"] == verify_cardy_frobenius(broken)
+    by_name = {result.name: result for result in results["cardy"]}
+    witness = f"dim B is {h.B.dim + extra}, the catalog has {h.B.dim} orbits"
+    for check in ("form-from-traces", "linear-form-from-traces"):
+        assert by_name[check] == CheckResult(check, False, witness)
+    assert not by_name["burnside-dimension"].passed
 
 
 @pytest.mark.parametrize("name", SMALL_PAIRS)

@@ -16,7 +16,11 @@ imports no ``_``-prefixed name from the package.  The model checks of
 counters of :mod:`cardyfrob.actions`, and never list the orbits, so no
 function there calls ``.orbits()``, and
 the Cardy condition's walk reads the constants of ``B`` alone, so
-``_check_cardy`` reads no ``catalog`` attribute.
+``_check_cardy`` reads no ``catalog`` attribute.  It reads ``Phi F_B`` and
+``phi*`` from the algebra's cache and forms neither again, so it reads no
+``phi`` or ``form``; its slow reference ``cardy_condition_oracle`` forms
+``phi*`` from the stored inverse of ``F_A``, ``phi`` and ``F_B`` and reads
+none of that cache.
 """
 
 from __future__ import annotations
@@ -90,7 +94,15 @@ def attributes_read(tree: ast.AST, name: str) -> set[str]:
 
 def test_cardy_condition_walks_without_the_catalog():
     read = attributes_read(ast.parse((PACKAGE / "cardy.py").read_text()), "_check_cardy")
-    assert "form" in read and "catalog" not in read
+    assert {"_pairing_rows", "_phi_dual"} <= read
+    assert not read & {"catalog", "phi", "form"}
+
+
+def test_cardy_oracle_forms_its_own_phi_dual():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    read = attributes_read(tree, "cardy_condition_oracle")
+    assert {"form_inverse", "phi", "form"} <= read
+    assert not read & {"_phi_dual", "_pairing_rows", "phi_dual_apply", "phi_dual_pairing"}
 
 
 def test_the_check_sees_an_orbit_walk():
