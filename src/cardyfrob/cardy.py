@@ -56,9 +56,7 @@ walks.  When a premise fails, each check runs its walk, and no walk of the
 ``phi`` checks or the Cardy condition reads the model, so no result depends
 on it.  The walks of the ``nu`` checks count the chains, in the codes
 ``i * dim + j`` of premise (a) and :func:`build_B`, and scan the invariance
-that premise (a) does, over every cell and row, nu-multiplicative's in
-increasing order of a bound on the least ``i`` each cell can fail at, so
-that a broken ``B`` stops it early.
+that premise (a) does, in one pass over every cell and row each.
 
 Everything is exact; :func:`verify_cardy_frobenius` checks the full axiom
 pack, including the Cardy condition, and reports one result per axiom.
@@ -89,7 +87,7 @@ from .actions import (
     build_conjugation_setup,
     coset_nset,
 )
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
 from .frobenius import (
     AlgebraElement,
     CheckResult,
@@ -167,14 +165,13 @@ class CardyFrobeniusAlgebra:
 # -- builders ----------------------------------------------------------------
 
 
-def build_A(n_group: FiniteGroup, catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
+def build_A(catalog: FieldCatalog) -> EquippedFrobeniusAlgebra:
     """The class-sum algebra of ``N`` with ``l_A = (coefficient of e) / |N|``.
 
     Each product of two class sums is tallied over the group table, and the
     pairing ``l_A(E_i E_j)`` is its count of the identity over ``|N|``.
     """
-    if catalog.nset.group is not n_group:
-        raise InputError("catalog was built for a different acting group")
+    n_group = catalog.nset.group
     fields = catalog.interior
     rep_to_index = {field.representative: i for i, field in enumerate(fields)}
     identity = catalog.interior_labels.index(catalog.identity_interior_label)
@@ -508,23 +505,20 @@ def _digits(key: int, base: int) -> list[tuple[int, int]]:
     return digits
 
 
-def build_U(n_group: FiniteGroup, catalog: FieldCatalog) -> AlgebraElement:
+def build_U(catalog: FieldCatalog) -> AlgebraElement:
     """The element ``U = sum_{n in N} E_{n^2}`` expanded over class sums."""
-    if catalog.nset.group is not n_group:
-        raise InputError("catalog was built for a different acting group")
-    squares = Counter(row[n] for n, row in enumerate(n_group.table))
+    squares = Counter(row[n] for n, row in enumerate(catalog.nset.group.table))
     coeffs = {field.label: squares[field.representative] for field in catalog.interior}
     return AlgebraElement({label: value for label, value in coeffs.items() if value})
 
 
 def build_cardy_frobenius(catalog: FieldCatalog) -> CardyFrobeniusAlgebra:
-    n_group = catalog.nset.group
     return CardyFrobeniusAlgebra(
         catalog=catalog,
-        A=build_A(n_group, catalog),
+        A=build_A(catalog),
         B=build_B(catalog),
         phi=build_phi(catalog),
-        u=build_U(n_group, catalog),
+        u=build_U(catalog),
     )
 
 
@@ -892,14 +886,10 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
     Otherwise the chain tally at every cell ``(x, z)``, row ``x`` and column
     ``z`` of the orbit table added as codes ``i * dim + j`` as
     :func:`build_B` does, must be the stored ``{i * dim + j: c_ij^k}`` of
-    its orbit ``k``, over the catalog's positions.  The witness is the least
-    failing ``(i, j, x, z)``.  A failing ``(i, j)`` of a cell is counted
-    there or stored at its orbit, so its ``i`` is no less than the least
-    orbit of row ``x`` nor than the least ``i`` stored at ``k``.  The cells
-    are tallied in increasing order of that bound, and the walk stops at the
-    first bound past the least failing ``i`` found: no cell from there on
-    can name a smaller witness.  The cells of a bound are grouped by column,
-    so each row and column of the table is read once per bound.
+    its orbit ``k``, over the catalog's positions.  One pass tallies every
+    cell: the codes of each row are made once, and the columns are read
+    once, as ``array('i')`` slices.  The witness is the least failing
+    ``(i, j, x, z)``.
     """
     catalog, fields = h.catalog, h.catalog.boundary
     dim, size, table = len(fields), catalog.nset.size, catalog.orbit_table
@@ -909,30 +899,17 @@ def _check_nu_multiplicative(h: CardyFrobeniusAlgebra) -> CheckResult:
         if i < dim and j < dim:
             for k, value in expansion.items():
                 expected.setdefault(k, {})[i * dim + j] = value
-    least_stored = [min(expected[k]) // dim if k in expected else dim for k in range(dim)]
-    # The rows ``x`` of each column ``z`` at each bound.
-    levels: dict[int, dict[int, list[int]]] = {}
+    columns = [table[z::size] for z in range(size)]
+    faults = []
     for x in range(size):
         row = table[x * size : (x + 1) * size]
-        least = min(row)
-        for z, bound in enumerate(map(least_stored.__getitem__, row)):
-            levels.setdefault(min(least, bound), {}).setdefault(z, []).append(x)
-    faults = []
-    for bound in sorted(levels):
-        if faults and min(faults)[0] // dim < bound:
-            break
-        row_codes: dict[int, list[int]] = {}
-        for z, rows in levels[bound].items():
-            column = table[z::size].tolist()
-            for x in rows:
-                codes = row_codes.get(x)
-                if codes is None:
-                    codes = row_codes[x] = [i * dim for i in table[x * size : (x + 1) * size]]
-                tally = Counter(map(add, codes, column))
-                wanted = expected.get(table[x * size + z], {})
-                if tally != wanted:
-                    keys = tally.keys() | wanted.keys()
-                    faults.append((min(c for c in keys if tally[c] != wanted.get(c, 0)), x, z))
+        codes = [i * dim for i in row]
+        for z, (k, column) in enumerate(zip(row, columns)):
+            tally = Counter(map(add, codes, column))
+            wanted = expected.get(k, {})
+            if tally != wanted:
+                keys = tally.keys() | wanted.keys()
+                faults.append((min(c for c in keys if tally[c] != wanted.get(c, 0)), x, z))
     if not faults:
         return CheckResult("nu-multiplicative", True)
     code, x, z = min(faults)
@@ -963,9 +940,10 @@ def _check_form_from_traces(
     # (beta_i, beta_j)_B == tr(nu_i nu_j) / |N|, the number of (x, y) in O_i
     # with (y, x) in O_j: ``traces``, the premises' record (ModelPremises),
     # counts them all.  A B of another dimension than the catalog's orbit
-    # count fails, naming both.  Each entry is compared in
-    # integers; when every count finds its entry and the form stores no
-    # other, the check passes without the walk that names the witness.
+    # count fails, naming both.  Each entry is compared in integers; when
+    # every count finds its entry and the form stores no other, the check
+    # passes without the walk.  The walk lists the failing (i, j) over the
+    # stored entries and the trace keys, and the least is the witness.
     n_order = h.catalog.nset.group.order
     fields = h.catalog.boundary
     form = h.B.form
@@ -973,19 +951,15 @@ def _check_form_from_traces(
         return CheckResult("form-from-traces", False, _orbit_count_witness(h))
     if _is_trace_form(form, traces, n_order):
         return CheckResult("form-from-traces", True)
-    rows: list[dict[int, int]] = [{} for _ in fields]
-    for (i, j), count in traces.items():
-        rows[i][j] = count
-    for i, (left, trace) in enumerate(zip(fields, rows)):
-        row = form[i]
-        failing = [
-            j
-            for j in row.keys() | trace.keys()
-            if not _is_ratio(row.get(j, 0), trace.get(j, 0), n_order)
-        ]
-        if failing:
-            witness = f"({left.label}, {fields[min(failing)].label})"
-            return CheckResult("form-from-traces", False, witness)
+    stored = ((i, j) for i, row in enumerate(form) for j in row)
+    failing = [
+        (i, j)
+        for i, j in chain(stored, traces)
+        if not _is_ratio(form[i].get(j, 0), traces[i, j], n_order)
+    ]
+    if failing:
+        i, j = min(failing)
+        return CheckResult("form-from-traces", False, f"({fields[i].label}, {fields[j].label})")
     return CheckResult("form-from-traces", True)
 
 

@@ -268,6 +268,7 @@ def subgroup_from_elements(group: FiniteGroup, elements: Iterable[int]) -> Subgr
     for x in members:
         if not 0 <= x < group.order:
             raise InputError(f"element index {x} is out of range for a group of order {group.order}")
+    for x in members:
         if group.inv(x) not in member_set:
             raise InputError(f"subgroup is not closed under inversion at element {x}")
         row = group.table[x]

@@ -523,6 +523,43 @@ def test_fields_that_are_not_the_classes_fail_the_class_algebra(suite_algebras, 
         assert_class_checks_walk(broken, (name, kind))
 
 
+def test_a_representative_in_another_class_fails_the_class_algebra(suite_algebras):
+    # The transpositions and the 4-cycles of S4 are self-inverse classes of
+    # six elements each.  Their fields exchange representatives and stars,
+    # with A, phi and U counted from those fields and A's pairing and its
+    # inverse moved onto the new stars: every other test of (e) passes, so
+    # only the test that each representative lies in its own field keeps
+    # phi-homomorphism and phi-star, which fail, from being certified.
+    h = suite_algebras["s4"]
+    fields = list(h.catalog.interior)
+    m, n = [position for position, field in enumerate(fields) if field.size == 6]
+    first, second = fields[m].conjugacy_class, fields[n].conjugacy_class
+    fields[m] = replace(
+        fields[m],
+        conjugacy_class=replace(first, representative=second.representative),
+        star=fields[n].label,
+    )
+    fields[n] = replace(
+        fields[n],
+        conjugacy_class=replace(second, representative=first.representative),
+        star=fields[m].label,
+    )
+    broken = build_cardy_frobenius(replace(h.catalog, interior=tuple(fields)))
+    order = h.catalog.nset.group.order
+    a = copy.copy(broken.A)
+    a.form = tuple({star: Fraction(f.size, order)} for star, f in zip(a.involution, fields))
+    a._form_inverse = tuple(
+        {star: Fraction(order, f.size)} for star, f in zip(a.involution, fields)
+    )
+    a._casimir = a._twisted_casimir = None
+    broken = replace(broken, A=a)
+    assert _phi_is_rho(broken) and not _is_class_algebra(broken)
+    walks = assert_class_checks_walk(broken, "s4")
+    oracle = {result.name: result for result in cardy_axiom_oracle(broken)}
+    assert walks[:2] == [oracle["phi-homomorphism"], oracle["phi-star"]]
+    assert not any(walk.passed for walk in walks[:2])
+
+
 def counted_premises(monkeypatch) -> Counter:
     """Counts of the calls of ``FieldCatalog.is_model_of`` and ``trace_counts``."""
     calls: Counter = Counter()

@@ -162,6 +162,43 @@ def test_subgroup_from_elements_validates():
         subgroup_from_elements(group, [0, rotation])  # not closed
 
 
+# A loop of order 5 (a Latin square with identity 0, not associative) in
+# which {0, 1} is closed: only a table that is no group has such a subset.
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+@pytest.mark.parametrize(
+    ("table", "message"),
+    [
+        ([], "a group must have at least the identity element"),
+        ([[0, 1], [1]], "table row 1 has length 1, expected 2"),
+        ([[0, 1], [1, 1]], "table row 1 is not a permutation of the elements"),
+        ([[0, 1], [0, 1]], "table column 0 is not a permutation of the elements"),
+        ([[1, 0], [0, 1]], "element 0 is not a two-sided identity"),
+    ],
+)
+def test_finite_group_rejects_a_table_that_is_no_group(table, message):
+    with pytest.raises(InputError) as caught:
+        FiniteGroup(table)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    ("table", "elements", "message"),
+    [
+        (None, [0, 17], "element index 17 is out of range for a group of order 6"),
+        (None, [0, 1, 2], "subgroup is not closed under products at (1, 2)"),
+        (LOOP_5, [0, 1], "subgroup size 2 does not divide the group order 5"),
+    ],
+)
+def test_subgroup_from_elements_names_each_fault(table, elements, message):
+    # s3 numbers its transpositions 1, 2 and 5, and 1 * 2 is a 3-cycle.
+    group = s3() if table is None else FiniteGroup(table)
+    with pytest.raises(InputError) as caught:
+        subgroup_from_elements(group, elements)
+    assert str(caught.value) == message
+
+
 def test_trivial_subgroup():
     sub = trivial_subgroup(s3())
     assert sub.elements == (0,)

@@ -320,12 +320,12 @@ def test_nu_multiplicative_names_the_least_failing_pair(suite_algebras):
     assert result == CheckResult("nu-multiplicative", False, "(b15, b13) at (2, 1)")
 
 
-def test_nu_multiplicative_walks_on_to_the_bound_of_its_least_i(suite_algebras):
+def test_nu_multiplicative_reports_the_least_fault_not_the_first(suite_algebras):
     # Two zero constants of B set to 1: c_{1,j}^0, j > 0, at the diagonal
-    # orbit of point 0, whose cells the walk tallies first (bound 0), and
+    # orbit of point 0, whose cell (0, 0) the walk tallies first, and
     # c_{1,0}^k at an orbit whose rows and stored constants begin past
-    # orbit 1, so that its cells wait for bound 1.  The walk finds (b1, bj)
-    # first and must still tally bound 1, where (b1, b0) is less.
+    # orbit 1, so that none of its cells lies in row 0.  The walk finds
+    # (b1, bj) first and must still name (b1, b0), which is less.
     h = suite_algebras["z2"]
     catalog, b = h.catalog, h.B
     size, table = catalog.nset.size, catalog.orbit_table

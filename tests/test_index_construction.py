@@ -401,7 +401,7 @@ def test_builders_equal_from_indices_on_their_rows(suite_algebras, name):
     # the shape scans of from_indices; on their own rows, from_indices must
     # find the same algebra.
     h = suite_algebras[name]
-    for alg in (h.A, h.B, build_A(h.catalog.nset.group, h.catalog), build_B(h.catalog)):
+    for alg in (h.A, h.B, build_A(h.catalog), build_B(h.catalog)):
         assert_equals_revalidated(alg)
 
 

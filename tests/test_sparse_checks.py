@@ -144,7 +144,10 @@ def test_corrupted_constant_breaks_cardy_checks(suite_algebras):
 @pytest.mark.parametrize(("name", "count"), [("s3_k01", None), ("a5_k0123", 12)])
 def test_corrupted_form_entry_breaks_form_from_traces(suite_algebras, name, count):
     # Every entry of the s3_k01 pairing, and a seeded sample for a5_k0123
-    # (zero and nonzero entries alike); the witness is the corrupted pair.
+    # (zero and nonzero entries alike); the witness is the corrupted pair,
+    # also beside a second corrupted entry later in its row or in a later
+    # row at a smaller column.  An explicit zero stored where the traces
+    # count nothing is no fault: the walk runs and passes.
     h = suite_algebras[name]
     traces = h.catalog.trace_counts()
     assert _check_form_from_traces(h, traces).passed
@@ -158,10 +161,15 @@ def test_corrupted_form_entry_breaks_form_from_traces(suite_algebras, name, coun
             "form-from-traces", False, witness
         )
         assert sparse_checks(broken) == dense_axiom_oracle(broken), (name, i, j)
-        # A second corrupted entry later in the row leaves the witness as is.
-        if j + 1 < h.B.dim:
-            twice = with_form_entry(broken, i, j + 1, Fraction(1, 7))
+        later = [(i, j + 1)] if j + 1 < h.B.dim else []
+        later += [(i + 1, j - 1)] if i + 1 < h.B.dim and j else []
+        for a, c in later:
+            twice = with_form_entry(broken, a, c, Fraction(1, 7))
             assert _check_form_from_traces(replace(h, B=twice), traces).witness == witness
+        if (i, j) not in traces:
+            zero = with_form_entry(h.B, i, j, 0)
+            assert zero.form[i] == {**h.B.form[i], j: 0}
+            assert _check_form_from_traces(replace(h, B=zero), traces).passed
 
 
 def test_corrupted_form_row_breaks_dual_reconstruction(suite_algebras):
