@@ -461,18 +461,22 @@ class FieldCatalog:
         )
 
     @cached_property
-    def _interior_by_label(self) -> dict[str, InteriorField]:
-        return {field.label: field for field in self.interior}
+    def _interior_positions(self) -> dict[str, int]:
+        return {field.label: i for i, field in enumerate(self.interior)}
 
     @cached_property
     def _boundary_positions(self) -> dict[str, int]:
         return {field.label: k for k, field in enumerate(self.boundary)}
 
-    def interior_field(self, label: str) -> InteriorField:
+    def interior_position(self, label: str) -> int:
+        """The position of an interior field: its basis position in ``A``."""
         try:
-            return self._interior_by_label[label]
+            return self._interior_positions[label]
         except KeyError:
             raise InputError(f"unknown interior field label {label!r}") from None
+
+    def interior_field(self, label: str) -> InteriorField:
+        return self.interior[self.interior_position(label)]
 
     def boundary_position(self, label: str) -> int:
         """The position of a boundary field: the value its cells hold in the table."""
@@ -513,9 +517,11 @@ def _moved_orbits(table: array, steps: Iterable[Sequence[int]]) -> Iterator[tupl
     """
     for n, step in enumerate(steps):
         size = len(step)
+        # One point has one permutation, and itemgetter(0) gives no tuple.
+        through = itemgetter(*step) if size > 1 else tuple
         for x, image in enumerate(step):
-            read = list(map(table[image * size : (image + 1) * size].__getitem__, step))
-            row = table[x * size : (x + 1) * size].tolist()
+            read = through(table[image * size : (image + 1) * size])
+            row = tuple(table[x * size : (x + 1) * size])
             if read != row:
                 yield min(k for k, other in zip(row, read) if k != other), n
 

@@ -139,19 +139,24 @@ class CardyFrobeniusAlgebra:
         dual = (linalg.row_times(row.items(), rows) for row in self.A.form_inverse())
         return _scaled([{j: Fraction(v, e) for j, v in row.items() if v} for row in dual])
 
-    def phi_dual_pairing(self, x: AlgebraElement, y: Mapping[int, Fraction | int]) -> Fraction:
-        """``l_A(x . phi*(y)) = x^T G y`` for a sparse ``B`` vector ``y``, with
-        ``G`` the cached rows of ``Phi . F_B``: one pass over the positions of
-        ``x`` and ``y``, ``x`` scaled by the lcm of its denominators and one
-        ``Fraction`` at the end."""
+    def phi_dual_pairing(
+        self, x: Mapping[int, Fraction | int], y: Mapping[int, Fraction | int]
+    ) -> Fraction:
+        """``l_A(x . phi*(y)) = x^T G y`` for sparse vectors ``{position:
+        coefficient}``, ``x`` of ``A`` and ``y`` of ``B``, with ``G`` the
+        cached rows of ``Phi . F_B``: one pass over the positions of ``x`` and
+        ``y``, ``x`` scaled by the lcm of its denominators (1 when ``x`` is
+        integral) and one ``Fraction`` at the end."""
         e, rows = self._pairing_rows
-        index = self.A.index
-        scale = lcm(*(c.denominator for c in x.coeffs.values()))
+        scale = lcm(*[c.denominator for c in x.values()])
         total = 0
-        for label, c in x.coeffs.items():
-            row = rows[index(label)]
-            weight = c.numerator * (scale // c.denominator)
-            total += weight * sum(value * row[j] for j, value in y.items() if j in row)
+        for i, c in x.items():
+            row = rows[i]
+            paired = 0
+            for j, value in y.items():
+                if j in row:
+                    paired += value * row[j]
+            total += c.numerator * (scale // c.denominator) * paired
         return Fraction(total, scale * e)
 
     def phi_dual_apply(self, y: AlgebraElement) -> AlgebraElement:

@@ -22,15 +22,19 @@ Bounded surfaces are evaluated on the ``A`` side, as ``l_A(a . phi*(W))``:
 ``phi* = F_A^-1 Phi F_B`` is the adjoint of ``phi``, so ``a^T F_A phi*(W) =
 a^T Phi F_B W`` wherever the stored forms are the pairings of the constants,
 as :func:`~cardyfrob.cardy.build_A` and :func:`~cardyfrob.cardy.build_B`
-count them.  ``W`` is multiplied in index space, and ``tau`` takes and
-gives labelled elements.  The algebra forms ``G = Phi F_B`` once and
-caches it as ``int`` rows over one denominator, one per ``A`` position,
-and derives ``phi* = F_A^-1 G`` from it; one evaluation sums ``a^T G W``
-over the positions of ``a`` and ``W`` and divides once.  ``F_A`` is
+count them.  The algebra forms ``G = Phi F_B`` once and caches it as
+``int`` rows over one denominator, one per ``A`` position, and derives
+``phi* = F_A^-1 G`` from it; one evaluation sums ``a^T G W`` over the
+positions of ``a`` and ``W`` and makes one ``Fraction``.  ``F_A`` is
 inverted before ``G`` is read, so a degenerate pairing of ``A`` raises for
-every bounded surface.  The ``A`` factor is folded from its first factor, with
-``K_A^g`` or ``U^{2g}`` only for a positive exponent: nothing is multiplied
-by the unit.
+every bounded surface.
+
+:func:`evaluate` runs in basis positions.  The catalog's lookup of each
+label is its validation; ``a`` folds the interior fields in their order,
+then ``K_A^g`` or ``U^{2g}`` for a positive exponent only (nothing is
+multiplied by the unit, and with no factor ``a`` is the unit); a closed
+surface reads ``l_A`` off ``a``.  Only the trace shows labels.  ``A.power``
+and ``tau`` still take labelled elements, converted at one edge each.
 
 The three cut identities (handle, crosscap, boundary segment) are provided as
 exact rational checks; they re-evaluate the surface after the corresponding
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .actions import FieldCatalog
@@ -105,13 +110,6 @@ class SurfaceSpec:
     def crosscaps(self) -> int:
         return int(2 * self.genus)
 
-    def validate_against(self, catalog: FieldCatalog) -> None:
-        for label in self.interior:
-            catalog.interior_field(label)
-        for contour in self.boundary:
-            for label in contour:
-                catalog.boundary_field(label)
-
     @staticmethod
     def from_document(document: object) -> "SurfaceSpec":
         if not isinstance(document, Mapping):
@@ -158,7 +156,7 @@ class SurfaceSpec:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HurwitzResult:
     value: Fraction
     evaluation_trace: tuple[str, ...] | None = None
@@ -168,36 +166,40 @@ def evaluate(
     h: CardyFrobeniusAlgebra, spec: SurfaceSpec, with_trace: bool = False
 ) -> HurwitzResult:
     """Evaluate the Hurwitz number of one connected surface."""
-    spec.validate_against(h.catalog)
+    catalog, A, B = h.catalog, h.A, h.B
+    factors = [{catalog.interior_position(label): 1} for label in spec.interior]
+    words = [[catalog.boundary_position(label) for label in contour] for contour in spec.boundary]
     trace: list[str] | None = [] if with_trace else None
-    factors = [h.A.basis_element(label) for label in spec.interior]
-    exponent = int(spec.genus) if spec.orientable else spec.crosscaps
+    exponent = spec.genus.numerator if spec.orientable else spec.crosscaps
     if exponent:
-        factors.append(h.A.power(h.A.casimir() if spec.orientable else h.u, exponent))
-    a = h.A.product(factors)
+        power = A.power(A.casimir() if spec.orientable else h.u, exponent)
+        factors.append(_positions(A, power))
+    a = reduce(A.index_product, factors) if factors else _positions(A, A.unit)
     if trace is not None:
-        trace.append(f"A factor: {a!r}")
-    if not spec.boundary:
-        value = h.A.linear(a)
+        trace.append(f"A factor: {_labelled(A, a)!r}")
+    if not words:
+        value = sum((c * A.linear_form[i] for i, c in a.items()), Fraction(0))
+    else:
+        for position, contour in enumerate(words):
+            word: dict[int, Fraction | int] = {contour[0]: 1}
+            for k in contour[1:]:
+                word = B.index_product(word, {k: 1})
+            if position:
+                word = _positions(B, B.casimir_sandwich(_labelled(B, word)))
+            w = B.index_product(w, word) if position else word
+            if trace is not None:
+                trace.append(f"W after contour {position}: {_labelled(B, w)!r}")
+        value = h.phi_dual_pairing(a, w)
         if trace is not None:
-            trace.append(f"l_A = {format_fraction(value)}")
-        return HurwitzResult(value, tuple(trace) if trace is not None else None)
-    B, index = h.B, h.B.index
-    for position, contour in enumerate(spec.boundary):
-        word: dict[int, Fraction | int] = {index(contour[0]): 1}
-        for label in contour[1:]:
-            word = B.index_product(word, {index(label): 1})
-        if position:
-            sandwich = B.casimir_sandwich(_labelled(B, word))
-            word = {index(label): value for label, value in sandwich.coeffs.items()}
-        w = B.index_product(w, word) if position else word
-        if trace is not None:
-            trace.append(f"W after contour {position}: {_labelled(B, w)!r}")
-    value = h.phi_dual_pairing(a, w)
+            trace.append(f"phi*(W): {h.phi_dual_apply(_labelled(B, w))!r}")
     if trace is not None:
-        trace.append(f"phi*(W): {h.phi_dual_apply(_labelled(B, w))!r}")
         trace.append(f"l_A = {format_fraction(value)}")
     return HurwitzResult(value, tuple(trace) if trace is not None else None)
+
+
+def _positions(alg: EquippedFrobeniusAlgebra, x: AlgebraElement) -> dict[int, Fraction]:
+    index = alg.index
+    return {index(label): value for label, value in x.coeffs.items()}
 
 
 def _labelled(alg: EquippedFrobeniusAlgebra, x: Mapping[int, Fraction | int]) -> AlgebraElement:

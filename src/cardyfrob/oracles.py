@@ -190,7 +190,8 @@ def covering_oracle(
     only the catalog and the tables of ``N``; raises :class:`ResourceError`
     when its estimated steps pass ``tuple_bound``, before any count.
     """
-    spec.validate_against(catalog)
+    interior = [catalog.interior_position(label) for label in spec.interior]
+    words = [[catalog.boundary_position(label) for label in contour] for contour in spec.boundary]
     if not spec.boundary:
         raise InputError("the covering oracle requires at least one boundary contour")
     classes, size = catalog.interior, catalog.nset.size
@@ -199,7 +200,6 @@ def covering_oracle(
     # Each N-orbit of points is the diagonal of one orbit of pairs, of the
     # same size; the paths are walked from its representative's point.
     leaders = [(f.representative[0], f.size) for f in catalog.boundary if f.is_diagonal]
-    words = [[catalog.boundary_position(label) for label in contour] for contour in spec.boundary]
     factors = int(spec.genus) if spec.orientable else spec.crosscaps
     convolutions = len(spec.interior) + 2 * factors.bit_length() + len(words)
     steps = (
@@ -224,13 +224,12 @@ def covering_oracle(
     if factors:
         tally = (_commutator_tally if spec.orientable else _square_tally)(n_group)
         r = linalg.power([tally[n] for n in representatives], factors, convolve, one)
-    position = {field.label: i for i, field in enumerate(classes)}
-    for label in spec.interior:
-        r = convolve([int(i == position[label]) for i in range(len(classes))], r)
+    for k in interior:
+        r = convolve([int(i == k) for i in range(len(classes))], r)
     totals = [_class_totals(catalog, word, leaders) for word in words]
     for total in totals[1:]:
         # t is constant on each class, so the total is |C| t(C) exactly.
-        stars = (position[field.star] for field in classes)
+        stars = (catalog.interior_position(field.star) for field in classes)
         r = convolve(r, [total[star] // classes[star].size for star in stars])
     return OracleResult(Fraction(sum(map(mul, totals[0], r)), order), 0)
 
@@ -742,7 +741,6 @@ def oracle_for_catalog(
     """Dispatch to the oracle matching the surface's shape.  Every oracle reads
     the catalog and the tables of ``N`` and nothing else, so no algebra is
     built."""
-    spec.validate_against(catalog)
     if spec.boundary:
         return covering_oracle(catalog, spec, tuple_bound=tuple_bound)
     fields = [catalog.interior_field(label) for label in spec.interior]

@@ -55,8 +55,8 @@ MUTANTS: dict[str, Mutant] = {
     "M3": Mutant("is_model_of", "\n            and _chains_match(algebra, self)", ""),
     "M4": Mutant(
         "_moved_orbits",
-        "read = list(map(table[image * size : (image + 1) * size].__getitem__, step))",
-        "read = table[image * size : (image + 1) * size].tolist()",
+        "read = through(table[image * size : (image + 1) * size])",
+        "read = tuple(table[image * size : (image + 1) * size])",
     ),
     "M5": Mutant("_moved_orbits", "enumerate(step):", "enumerate(step[:-1]):"),
     "M6": Mutant("_counted_orbits", "if table[x * size + z] != k:", "if table[x * size + z] < 0:"),

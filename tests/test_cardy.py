@@ -228,23 +228,27 @@ def test_pairing_rows_stay_phi_f_b_under_a_stale_inverse(suite_algebras):
 
 
 def test_phi_dual_pairing_reads_fractions(suite_algebras):
-    # phi_dual_pairing(x, y) is l_A(x . phi*(y)) read through phi_dual_apply
-    # where the discs of the benchmark never go: an x with coefficients in
-    # thirds, and y a Casimir sandwich, whose coefficients are Fractions, or
-    # a fifth of one.  The zero element of A pairs to 0.
+    # phi_dual_pairing(x, y) is l_A(x . phi*(y)) read through phi_dual_apply,
+    # both vectors in basis positions, where the discs of the benchmark never
+    # go: an x with coefficients in thirds, an int x and the same x in
+    # Fractions, and y a Casimir sandwich, whose coefficients are Fractions,
+    # or a fifth of one.  The zero vector of A pairs to 0.
     for name, h in suite_algebras.items():
         a, b = h.A, h.B
-        thirds = AlgebraElement({label: Fraction(k + 1, 3) for k, label in enumerate(a.basis)})
+        last = a.dim - 1
+        xs = [{k: Fraction(k + 1, 3) for k in range(a.dim)}, {last: 2}, {last: Fraction(2)}]
         for label in b.basis[:4]:
             sandwich = b.casimir_sandwich(b.basis_element(label))
             fifth = AlgebraElement({k: c / 5 for k, c in sandwich.coeffs.items()})
             for y in (b.basis_element(label), sandwich, fifth):
                 vector = {b.index(k): c for k, c in y.coeffs.items()}
                 assert all(type(c) is Fraction for c in vector.values()), (name, label)
-                for x in (thirds, a.basis_element(a.basis[-1])):
-                    expected = a.bilinear(x, h.phi_dual_apply(y))
-                    assert h.phi_dual_pairing(x, vector) == expected, (name, label)
-                assert h.phi_dual_pairing(AlgebraElement(), vector) == 0, (name, label)
+                for x in xs:
+                    element = AlgebraElement({a.basis[k]: c for k, c in x.items()})
+                    expected = a.bilinear(element, h.phi_dual_apply(y))
+                    value = h.phi_dual_pairing(x, vector)
+                    assert type(value) is Fraction and value == expected, (name, label)
+                assert h.phi_dual_pairing({}, vector) == 0, (name, label)
 
 
 # -- negative control ----------------------------------------------------------

@@ -19,6 +19,7 @@ from cardyfrob import (
     rotated,
     star_reversed,
 )
+from cardyfrob.frobenius import AlgebraElement
 from cardyfrob.hurwitz import HANDLE_BOUND
 from cardyfrob.oracles import b_side_value
 from test_sparse_checks import with_form_entry
@@ -106,11 +107,15 @@ def test_from_document_rejects_bad_shapes():
 
 
 def test_unknown_labels_rejected_at_evaluation(suite_algebras):
+    # The lookup of a label's position is its validation, with the catalog's
+    # text, in every contour.
     h = suite_algebras["z2"]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown interior field label 'a7'$"):
         evaluate(h, closed(True, 0, ["a7"]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown boundary field label 'b9'$"):
         evaluate(h, SurfaceSpec(True, 0, (), (("b9",),)))
+    with pytest.raises(InputError, match="^unknown boundary field label 'b9'$"):
+        evaluate(h, SurfaceSpec(True, 1, ("a1",), (("b0", "b1"), ("b1", "b9"))))
 
 
 # -- frozen values for (Z2, {e}) ---------------------------------------------------
@@ -197,6 +202,56 @@ def test_evaluation_trace_of_a_bounded_surface(suite_algebras):
         "phi*(W): 6*a0 + 12*a1 + 15*a2",
         "l_A = 5",
     )
+
+
+def test_evaluation_trace_pins_the_fold_of_the_a_factor(suite_algebras):
+    # The interior fields are folded in their order, then K_A^g or U^c: on
+    # bounded surfaces of genus 1 and 2 of s3 and on closed non-orientable
+    # surfaces of s4 and z3 with two fields each.
+    s3, s4, z3 = (suite_algebras[name] for name in ("s3", "s4", "z3"))
+    for h, spec, trace in [
+        (s3, SurfaceSpec(True, 1, ("a1", "a2"), (("b5", "b6"),)), (
+            "A factor: 72*a1",
+            "W after contour 0: 1*b6",
+            "phi*(W): 2*a1 + 3*a2",
+            "l_A = 72",
+        )),
+        (s3, SurfaceSpec(True, 2, ("a2", "a1"), (("b6",), ("b5", "b6"))), (
+            "A factor: 2592*a1",
+            "W after contour 0: 1*b6",
+            "W after contour 1: 10*b5 + 7*b6",
+            "phi*(W): 30*a0 + 24*a1 + 21*a2",
+            "l_A = 31104",
+        )),
+        (s4, SurfaceSpec(False, 1, ("a1", "a4")), (
+            "A factor: 1536*a0 + 1792*a2 + 1728*a3",
+            "l_A = 64",
+        )),
+        (z3, SurfaceSpec(False, Fraction(1, 2), ("a1", "a2")), (
+            "A factor: 1*a0 + 1*a1 + 1*a2",
+            "l_A = 1/3",
+        )),
+    ]:
+        assert evaluate(h, spec, with_trace=True).evaluation_trace == trace, spec
+
+
+def test_discs_evaluate_in_positions_only(suite_algebras, monkeypatch):
+    # Without a trace a genus-0 disc never leaves basis positions: with or
+    # without interior fields, over one or several labels, no AlgebraElement
+    # is built.
+    h = suite_algebras["s3"]
+    discs = [
+        SurfaceSpec(True, 0, (), (("b5",),)),
+        SurfaceSpec(True, 0, ("a1",), (("b5", "b6"),)),
+        SurfaceSpec(True, 0, ("a1", "a2"), (("b6", "b6", "b5"),)),
+    ]
+    values = [evaluate(h, disc).value for disc in discs]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an AlgebraElement was built")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    assert [evaluate(h, disc).value for disc in discs] == values
 
 
 def test_evaluation_trace_of_a_disc_without_interior_fields(suite_algebras):

@@ -34,6 +34,7 @@ from cardyfrob import (
     build_group,
     cardy_axiom_oracle,
     element_axiom_oracle,
+    group_from_document,
     subgroup_closure,
     verify_cardy_frobenius,
     verify_equipped,
@@ -212,6 +213,21 @@ def merged_orbits(catalog: FieldCatalog, keep: int, emptied: int) -> FieldCatalo
     sizes[keep] += sizes[emptied]
     sizes[emptied] = 0
     return with_table(catalog, table, sizes)
+
+
+def test_one_point_moves_no_orbit():
+    # Z3 over K = Z3 acts on one point.  itemgetter of one index gives no
+    # tuple, so the scan reads that row whole: the identity moves nothing,
+    # and premise (a) and nu-equivariant hold.
+    group, k = group_from_document(
+        {"degree": 3, "generators": [[1, 2, 0]], "k_generators": [[1, 2, 0]]}
+    )
+    h = algebra_for(build_conjugation_setup(group, k))
+    catalog = h.catalog
+    assert catalog.nset.size == 1
+    assert list(_moved_orbits(catalog.orbit_table, catalog.nset.act_table)) == []
+    assert catalog.premises(h.B).modelled
+    assert _check_nu_equivariant(h).passed
 
 
 @pytest.mark.parametrize("name", SMALL_PAIRS + ["s4"])
