@@ -511,10 +511,10 @@ def _digits(key: int, base: int) -> list[tuple[int, int]]:
 
 
 def build_U(catalog: FieldCatalog) -> AlgebraElement:
-    """The element ``U = sum_{n in N} E_{n^2}`` expanded over class sums."""
-    squares = Counter(row[n] for n, row in enumerate(catalog.nset.group.table))
-    coeffs = {field.label: squares[field.representative] for field in catalog.interior}
-    return AlgebraElement({label: value for label, value in coeffs.items() if value})
+    """The element ``U = sum_{n in N} E_{n^2}`` expanded over class sums: a class's
+    coefficient is its field's ``d``, as ``n -> n^-1`` maps the square roots
+    of ``m`` onto those of ``m^-1``."""
+    return AlgebraElement({field.label: field.d for field in catalog.interior if field.d})
 
 
 def build_cardy_frobenius(catalog: FieldCatalog) -> CardyFrobeniusAlgebra:

@@ -1,14 +1,17 @@
 """Brute-force oracles, independent of the structure-constant code paths.
 
 Every Hurwitz oracle counts the monodromy data of the coverings, as the paper
-defines the numbers: tuples over the group for closed surfaces, paths in
-``X`` and class functions of ``N`` for surfaces with a boundary
-(:func:`covering_oracle`).  None touches the multiplication tables of ``A``
-or ``B``, so agreement with :func:`cardyfrob.hurwitz.evaluate` is a genuine
-cross-check, not a tautology.
+defines the numbers: paths in ``X`` and class functions of ``N`` for
+surfaces with a boundary (:func:`covering_oracle`), and words over ``N`` for
+closed surfaces, counted in one tuple loop: an element of each interior
+field's class, then a letter per handle, the commutator ``[x, y]`` of a
+pair, or per crosscap, the square ``x^2`` of an element, with product the
+identity.  None touches the multiplication tables of ``A`` or ``B``, so
+agreement with :func:`cardyfrob.hurwitz.evaluate` is a genuine cross-check,
+not a tautology.
 
 The dense permutation model (the ``nu`` and ``rho`` matrices on ``X``) lives
-here and nowhere else; the dense checks build it on first use.  The dense
+here and nowhere else; each dense check builds it anew.  The dense
 scans of associativity, form symmetry, form invariance and the star
 anti-automorphism, :func:`dense_axiom_oracle`, live here too: they read the
 structure constants and the form like the checks they stand behind, but
@@ -34,7 +37,7 @@ bitmask, generating list or class cover.  :func:`b_side_value` keeps the
 
 from __future__ import annotations
 
-import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -50,6 +53,7 @@ from .errors import ConsistencyError, InputError, ResourceError
 from .frobenius import AlgebraElement, CheckResult, EquippedFrobeniusAlgebra
 from .groups import FiniteGroup, Subgroup
 from .hurwitz import SurfaceSpec
+from .rationals import format_fraction
 
 DEFAULT_TUPLE_BOUND = 10**8
 
@@ -79,20 +83,13 @@ def _class_members(
     return [field.members for field in fields]
 
 
-def _commutator_tally(n_group: FiniteGroup) -> list[int]:
-    """``#{(x, y) : [x, y] = m}`` for every element ``m`` of ``n_group``."""
-    tally = [0] * n_group.order
-    for x, y in iter_product(range(n_group.order), repeat=2):
-        tally[n_group.commutator(x, y)] += 1
-    return tally
-
-
-def _square_tally(n_group: FiniteGroup) -> list[int]:
-    """``#{x : x^2 = m}`` for every element ``m`` of ``n_group``."""
-    tally = [0] * n_group.order
-    for x, row in enumerate(n_group.table):
-        tally[row[x]] += 1
-    return tally
+def _letters(n_group: FiniteGroup, orientable: bool) -> list[int]:
+    """The letters a closed word is made of, with multiplicity: the commutator
+    ``[x, y]`` of every pair (a handle), or the square ``x^2`` of every
+    element (a crosscap)."""
+    if orientable:
+        return [n_group.commutator(x, y) for x, y in iter_product(range(n_group.order), repeat=2)]
+    return [row[x] for x, row in enumerate(n_group.table)]
 
 
 def closed_orientable_oracle(
@@ -105,38 +102,7 @@ def closed_orientable_oracle(
     and the ``g`` commutators equal to the identity, divided by ``|N|``."""
     if genus < 0:
         raise InputError(f"genus must be nonnegative, got {genus}")
-    members = _class_members(n_group, fields)
-    order = n_group.order
-    domain = prod(len(m) for m in members) * order ** (2 * genus)
-    if domain > tuple_bound:
-        raise ResourceError(
-            f"oracle enumeration domain {domain} exceeds the bound {tuple_bound}"
-        )
-    table = n_group.table
-    inverses = n_group.inverses
-    count = 0
-    if genus == 0:
-        for choice in iter_product(*members):
-            acc = 0
-            for a in choice:
-                acc = table[acc][a]
-            count += acc == 0
-    else:
-        # Close the last commutator with the tally: for each target c, how
-        # many pairs (x, y) have [x, y] = c.
-        commutator_count = _commutator_tally(n_group)
-        commutator = n_group.commutator
-        middle = 2 * (genus - 1)
-        for choice in iter_product(*members):
-            base = 0
-            for a in choice:
-                base = table[base][a]
-            for mids in iter_product(range(order), repeat=middle):
-                acc = base
-                for j in range(0, middle, 2):
-                    acc = table[acc][commutator(mids[j], mids[j + 1])]
-                count += commutator_count[inverses[acc]]
-    return OracleResult(Fraction(count, order), domain)
+    return _closed_count(n_group, True, genus, fields, tuple_bound)
 
 
 def closed_nonorientable_oracle(
@@ -149,26 +115,40 @@ def closed_nonorientable_oracle(
     equal to the identity, divided by ``|N|``."""
     if crosscaps < 1:
         raise InputError(f"crosscap count must be positive, got {crosscaps}")
+    return _closed_count(n_group, False, crosscaps, fields, tuple_bound)
+
+
+def _closed_count(
+    n_group: FiniteGroup,
+    orientable: bool,
+    factors: int,
+    fields: Sequence[InteriorField],
+    tuple_bound: int,
+) -> OracleResult:
+    """Count the words of one element of each field and ``factors`` letters
+    whose product is the identity, divided by ``|N|``: the tally of the letters
+    closes each fold of the fields and ``factors - 1`` letters, and a sphere's
+    word closes on the identity alone, as if by one identity letter."""
     members = _class_members(n_group, fields)
     order = n_group.order
-    domain = prod(len(m) for m in members) * order**crosscaps
+    domain = prod(map(len, members)) * order ** ((2 if orientable else 1) * factors)
     if domain > tuple_bound:
         raise ResourceError(
-            f"oracle enumeration domain {domain} exceeds the bound {tuple_bound}"
+            f"oracle enumeration domain {format_fraction(domain)} exceeds the bound {tuple_bound}"
         )
-    table = n_group.table
-    inverses = n_group.inverses
-    square_count = _square_tally(n_group)
+    table, inverses = n_group.table, n_group.inverses
+    letters = _letters(n_group, orientable) if factors else [0]
+    closing = Counter(letters)
     count = 0
     for choice in iter_product(*members):
         base = 0
         for a in choice:
             base = table[base][a]
-        for mids in iter_product(range(order), repeat=crosscaps - 1):
+        for middle in iter_product(letters, repeat=max(factors - 1, 0)):
             acc = base
-            for x in mids:
-                acc = table[acc][table[x][x]]
-            count += square_count[inverses[acc]]
+            for letter in middle:
+                acc = table[acc][letter]
+            count += closing.get(inverses[acc], 0)
     return OracleResult(Fraction(count, order), domain)
 
 
@@ -222,7 +202,7 @@ def covering_oracle(
 
     one = r = [int(n == 0) for n in representatives]
     if factors:
-        tally = (_commutator_tally if spec.orientable else _square_tally)(n_group)
+        tally = Counter(_letters(n_group, spec.orientable))
         r = linalg.power([tally[n] for n in representatives], factors, convolve, one)
     for k in interior:
         r = convolve([int(i == k) for i in range(len(classes))], r)
@@ -285,7 +265,7 @@ def commutator_casimir_check(h: CardyFrobeniusAlgebra) -> CheckResult:
     The commutator tally over ``N x N``, regrouped into class sums, must equal
     the Casimir element of ``A``.
     """
-    tally = _commutator_tally(h.catalog.nset.group)
+    tally = Counter(_letters(h.catalog.nset.group, True))
     coeffs = {field.label: tally[field.representative] for field in h.catalog.interior}
     expected = AlgebraElement({label: value for label, value in coeffs.items() if value})
     casimir = h.A.casimir()
@@ -307,15 +287,8 @@ class _PermutationModel:
     rho_class: dict[str, list[list[int]]]
 
 
-_MODEL_CACHE: "weakref.WeakKeyDictionary[CardyFrobeniusAlgebra, _PermutationModel]"
-_MODEL_CACHE = weakref.WeakKeyDictionary()
-
-
 def _permutation_model(h: CardyFrobeniusAlgebra) -> _PermutationModel:
     """The permutation model of ``h``, built from the catalog and the action table."""
-    cached = _MODEL_CACHE.get(h)
-    if cached is not None:
-        return cached
     nset, size = h.catalog.nset, h.catalog.nset.size
     nu = {}
     for field, orbit in zip(h.catalog.boundary, h.catalog.orbits()):
@@ -330,9 +303,7 @@ def _permutation_model(h: CardyFrobeniusAlgebra) -> _PermutationModel:
             for y, x in enumerate(nset.act_table[n]):
                 matrix[x][y] += 1
         rho_class[field.label] = matrix
-    model = _PermutationModel(nu, rho_class)
-    _MODEL_CACHE[h] = model
-    return model
+    return _PermutationModel(nu, rho_class)
 
 
 def dense_axiom_oracle(alg: EquippedFrobeniusAlgebra) -> list[CheckResult]:

@@ -1,4 +1,5 @@
-"""Mutation check of the premises, the certificate and the two witness walks.
+"""Mutation check of the premises, the certificate, the two witness walks and
+the closed-surface tuple count of the oracles.
 
 Each mutant is ``(function, old, new)``: inside the named function of
 ``src/cardyfrob``, the one occurrence of ``old`` becomes ``new``.  For each
@@ -110,6 +111,10 @@ MUTANTS: dict[str, Mutant] = {
         "i, j = min(failing)",
         "i, j = max(f for f in failing if f[0] == min(failing)[0])",
     ),
+    # The closed-surface tuple count: a crosscap letter is x^2, and a sphere's
+    # word closes on the identity alone.
+    "M22": Mutant("_letters", "[row[x] for x, row", "[x for x, row"),
+    "M23": Mutant("_closed_count", "if factors else [0]", "if factors else list(range(order))"),
 }
 
 

@@ -161,6 +161,15 @@ def test_phi_dual_is_adjoint_to_phi(suite_algebras):
             )
 
 
+def test_casimir_sandwich_of_b_is_phi_after_phi_dual(suite_algebras):
+    # tau = phi . phi*: the Casimir sandwich of B is phi after phi* on every
+    # basis element of every suite pair.
+    for name, h in suite_algebras.items():
+        for label in h.B.basis:
+            e = h.B.basis_element(label)
+            assert h.B.casimir_sandwich(e) == h.phi_apply(h.phi_dual_apply(e)), (name, label)
+
+
 def test_phi_dual_rows_over_their_denominator(suite_algebras):
     # phi* is kept as int numerators over their least common denominator d.
     # Divided, the rows are F_A^-1 Phi F_B multiplied out in Fractions as

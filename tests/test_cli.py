@@ -381,6 +381,26 @@ def test_crosscaps_too_long_to_print_exit_3(capsys, z2_path, tmp_path, command):
     assert err.startswith("resource error: ") and err.count("\n") == 1
 
 
+def test_oracle_domain_too_long_to_print_exits_3(capsys, tmp_path):
+    # Z200 (K = 1) on a genus-1000 torus: 200^2000 words, a 4,603-digit
+    # domain past the interpreter's default 4,300-digit limit.
+    group = tmp_path / "z200.json"
+    group.write_text(json.dumps({"degree": 200, "generators": [[*range(1, 200), 0]]}))
+    surface = tmp_path / "torus.json"
+    surface.write_text(json.dumps({"orientable": True, "genus": 1000}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_json(
+            capsys, ["oracle", "--group", str(group), "--surface", str(surface)]
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource error: ") and "Traceback" not in err
+
+
 def test_memory_error_exits_3_without_a_traceback(capsys, z2_path, monkeypatch):
     # The backstop for an input that passes every bound and still does not
     # fit; the command is patched to raise, so nothing is allocated.
